@@ -47,7 +47,7 @@ W.bulk[M] = W.surface[M] = 0.0          # backward domain: zero terminal slice
 print(f"|<L Y, W> - <Y, L* W>| = {abs(duality_gap(Y, W, ops)):.3e}")
 
 # --- conservation and dissipation with zero reactions ------------------------
-ops0 = LinearOperatorSet(sigma0=1.0, delta0=1.0, da0=0.0, db0=0.0,
+ops0 = LinearOperatorSet(sigma0=1.0, da0=0.0, db0=0.0,
                          grid=grid, time_grid=tgrid)
 psi0 = BulkSurfaceField.from_bulk(np.sin(2 * np.pi * grid.x) + 1.0)
 psi = solve_linear_forward(ops0, SpaceTimeField.zeros(grid, M + 1), psi0)

@@ -24,7 +24,7 @@ prob = FIProblem(F=F, G=SpaceTimeField.zeros(bundle.grid, M + 1),
                  tables=bundle.tables, chi=bundle.chi, ops=bundle.ops)
 
 sol = solve_fi(prob)
-print(f"solve engine: {sol.engine}, refinement steps: {sol.cg_iters}, "
+print(f"sparse LU solve, refinement steps: {sol.cg_iters}, "
       f"scaled residual: {sol.optimality_residual:.2e}")
 print(f"scaled-spectrum Ritz bounds: [{sol.ritz_min:.2e}, {sol.ritz_max:.2e}]")
 print(f"control range: [{sol.v.min():.3e}, {sol.v.max():.3e}], "

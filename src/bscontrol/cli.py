@@ -43,12 +43,11 @@ DEFAULTS = {
               "obs_surface": "left,right", "margin": "0.02"},
     "coefficients": {"preset": "logistic"},
     "weights": {"lambda": "1.0", "m": "2.3", "s_coeff": "1.0",
-                "rho_clip": "700", "eta_peak": "0.5"},
+                "eta_peak": "0.5"},
     "functional": {"theta": "1.0", "theta_s": "0.5"},
     "source": {"family": "gaussian", "amplitude": "1e-3",
                "center": "0.45", "width": "0.12"},
-    "solver": {"cg_tol": "1e-10", "cg_max_iter": "20000",
-               "newton_tol": "1e-11", "loop_tol": "1e-9", "max_outer": "30"},
+    "solver": {"loop_tol": "1e-9", "max_outer": "30"},
     "run": {"seed": "12345"},
 }
 
@@ -77,9 +76,13 @@ class RunConfig:
 
     def interval(self, section: str, key: str) -> tuple[float, float]:
         parts = self.raw[section][key].split(",")
-        if len(parts) != 2:
-            raise ConfigurationError(f"[{section}] {key}: expected 'a,b'")
-        return float(parts[0]), float(parts[1])
+        try:
+            a, b = (float(p) for p in parts)
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"[{section}] {key} = {self.raw[section][key]!r}: expected 'a,b' "
+                "with two numbers") from exc
+        return a, b
 
     def hash(self) -> str:
         canon = json.dumps(self.raw, sort_keys=True) + f"|seed={self.seed}"
@@ -101,8 +104,11 @@ def load_config(path: str | None, seed_override: int | None = None) -> RunConfig
                     raise ConfigurationError(
                         f"unknown key '{key}' in section [{section}]")
                 raw[section][key] = val
-    seed = int(raw["run"]["seed"]) if seed_override is None else int(seed_override)
-    return RunConfig(raw=raw, seed=seed)
+    seed = raw["run"]["seed"] if seed_override is None else seed_override
+    try:
+        return RunConfig(raw=raw, seed=int(seed))
+    except ValueError as exc:
+        raise ConfigurationError(f"[run] seed = {seed!r}: not an integer") from exc
 
 
 def build_setup(cfg: RunConfig):
@@ -113,14 +119,11 @@ def build_setup(cfg: RunConfig):
     masks = build_masks(grid, cfg.interval("masks", "omega"),
                         cfg.interval("masks", "obs_bulk"), surf,
                         cfg.getf("masks", "margin"))
-    preset = cfg.get("coefficients", "preset")
-    kw = {k: float(v) for k, v in cfg.raw["coefficients"].items() if k != "preset"}
-    cs = coefficient_preset(preset, **kw)
+    cs = coefficient_preset(cfg.get("coefficients", "preset"))
     validate_coefficients(cs)
     params = validate_params(WeightParams(
         lam=cfg.getf("weights", "lambda"), m=cfg.getf("weights", "m"),
-        s_coeff=cfg.getf("weights", "s_coeff"),
-        rho_clip=cfg.getf("weights", "rho_clip")), tgrid.horizon)
+        s_coeff=cfg.getf("weights", "s_coeff")), tgrid.horizon)
     eta = build_eta(grid, masks, cfg.getf("weights", "eta_peak"))
     tables = build_weight_tables(grid, tgrid, eta, params)
     chi = build_chi(grid, masks)
@@ -129,8 +132,6 @@ def build_setup(cfg: RunConfig):
         cs=cs, grid=grid, time_grid=tgrid, masks=masks, tables=tables,
         chi=chi, ops=ops, theta=cfg.getf("functional", "theta"),
         theta_s=cfg.getf("functional", "theta_s"),
-        cg_tol=cfg.getf("solver", "cg_tol"),
-        max_iter=cfg.geti("solver", "cg_max_iter"),
         loop_tol=cfg.getf("solver", "loop_tol"),
         max_outer=cfg.geti("solver", "max_outer"))
     F = build_source(cfg, bundle)
@@ -171,12 +172,9 @@ def build_source(cfg: RunConfig, bundle: SynthesisBundle,
     return F
 
 
-def _fmt(v):
-    if isinstance(v, float):
-        if math.isnan(v):
-            return "nan"
-        return float(f"{v:.17g}")
-    return v
+def _fmt(v: float):
+    """17-significant-digit float; non-finite values become JSON null."""
+    return float(f"{v:.17g}") if math.isfinite(v) else None
 
 
 def _jsonable(obj):
@@ -200,7 +198,7 @@ def _jsonable(obj):
 def write_json(payload: dict, path: str) -> None:
     payload = {"schema": SCHEMA, **_jsonable(payload)}
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

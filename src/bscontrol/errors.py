@@ -1,7 +1,7 @@
 """Error taxonomy.
 
-Every message names the violated assumption (A1-A8, see README) or the
-module contract, so CLI exit codes and logs stay greppable.
+Every message names the violated assumption (A1-A8 of the source paper) or
+the module contract, so CLI exit codes and logs stay greppable.
 """
 
 
@@ -47,15 +47,5 @@ class SmallnessViolationError(BSControlError):
 
 
 class ConditioningError(BSControlError):
-    """Iterative solve stagnated (exit code 4)."""
-
-    def __init__(self, message: str, iterations: int | None = None,
-                 ritz_min: float | None = None, ritz_max: float | None = None):
-        super().__init__(message)
-        self.iterations = iterations
-        self.ritz_min = ritz_min
-        self.ritz_max = ritz_max
-
-
-class WeightClampError(BSControlError):
-    """A combined exponent exceeded the clamp threshold away from t=0,T."""
+    """The least-squares factorization failed or its recovered fields
+    overflow double range (exit code 4)."""

@@ -29,10 +29,10 @@ h(., 0) = 0.
 Solver: the weighted normal operator spans the full live range of the
 squared Carleman weights (tens of e-folds even over the live window), far
 beyond what unpreconditioned conjugate gradients can resolve in doubles.
-The default engine assembles the residual stack sparsely (it is block
-bidiagonal in time), forms the diagonally scaled normal matrix and
-factorizes it with sparse LU plus iterative refinement; a matrix-free CG
-engine is retained for comparison.  Optimality is always reported through
+The residual stack is assembled sparsely (it is block bidiagonal in time)
+from the same SBP stencils `geometry` applies matrix-free; the diagonally
+scaled normal matrix is factorized with sparse LU plus a fixed number of
+iterative-refinement steps.  Optimality is always reported through
 the quadratic-form geometry (the relative Galerkin residual), which is the
 well-conditioned quantity; Euclidean distances to the re-solved cascade
 states are reported as diagnostics of the weight-induced null space.
@@ -48,14 +48,22 @@ import scipy.sparse as sparse
 from scipy.sparse.linalg import splu
 
 from .errors import ConditioningError, ContractError
-from .geometry import (SpaceTimeField, SpatialGrid, grad_faces, sbp_laplacian)
+from .geometry import (SpaceTimeField, SpatialGrid, grad_faces, l2_norm,
+                       normal_derivative, sbp_laplacian)
 from .solvers import (LinearOperatorSet, solve_linearized_cascade, weak_residual)
-from .weights import ChiBump, WeightTables, log_add, log_ratio, log_weighted_sq_sum
+from .weights import (ChiBump, WeightTables, log_add, log_ratio,
+                      log_weighted_sq_sum, log_weighted_sup)
+
+# iterative-refinement steps after the LU solve; more diverge against the
+# assembled normal matrix at faithful weights
+N_REFINE = 2
+# tolerance of the relative Galerkin residual in `galerkin_check`
+GALERKIN_TOL = 1e-9
 
 
 @dataclass
 class FIProblem:
-    """Sources, weights and solver knobs for one least-squares solve.
+    """Sources and weights for one least-squares solve.
 
     F and G are cell-indexed SpaceTimeFields (slice c holds the cell-c
     sample, c = 1..M; slice 0 is ignored).  theta > 0, theta_s >= 0.
@@ -71,9 +79,6 @@ class FIProblem:
     tables: WeightTables
     chi: ChiBump
     ops: LinearOperatorSet
-    cg_tol: float = 1e-10
-    max_iter: int = 20000
-    engine: str = "direct"
 
     def __post_init__(self):
         if not self.theta > 0:
@@ -85,25 +90,28 @@ class FIProblem:
                 raise ContractError(f"weighted source norm {nm} is not finite")
 
     def log_source_norms(self) -> dict:
-        """log-space values of ||mu F||^2, ||mu G||^2, ||mu4 F_t||^2."""
-        g, dt = self.grid, self.time_grid.dt
-        quad_b = g.trapezoid_weights()[None, :] * dt
-        lm = self.tables.log_mu
-        lm4 = self.tables.log_mu_k[4]
-        out = {}
-        for nm, S in (("muF", self.F), ("muG", self.G)):
-            out[nm] = log_add(
-                log_weighted_sq_sum(2 * lm[:, None], S.bulk[1:], quad_b),
-                log_weighted_sq_sum(2 * lm[:, None], S.surface[1:], dt))
-        Ft_b, Ft_s, lw_t = _cell_time_derivative(self.F.bulk[1:], self.F.surface[1:],
-                                                 lm4, dt)
-        out["mu4Ft"] = log_add(
-            log_weighted_sq_sum(2 * lw_t[:, None], Ft_b, quad_b),
-            log_weighted_sq_sum(2 * lw_t[:, None], Ft_s, dt))
-        return out
+        return source_log_norms(self.F.bulk, self.F.surface, self.G.bulk,
+                                self.G.surface, self.tables, self.grid,
+                                self.time_grid.dt)
 
     def log_Y_norm_sq(self) -> float:
         return log_add(*self.log_source_norms().values())
+
+
+def source_log_norms(Fb, Fs, Gb, Gs, tables: WeightTables, grid: SpatialGrid,
+                     dt: float) -> dict:
+    """log-space ||mu F||^2, ||mu G||^2, ||mu4 F_t||^2 of slice arrays
+    whose slice c holds the cell-c sample (slice 0 is ignored)."""
+    quad_b = grid.trapezoid_weights()[None, :] * dt
+    lm, lm4 = tables.log_mu, tables.log_mu_k[4]
+    out = {}
+    for nm, Sb, Ss in (("muF", Fb, Fs), ("muG", Gb, Gs)):
+        out[nm] = log_add(log_weighted_sq_sum(2 * lm[:, None], Sb[1:], quad_b),
+                          log_weighted_sq_sum(2 * lm[:, None], Ss[1:], dt))
+    Ft_b, Ft_s, lw_t = _cell_time_derivative(Fb[1:], Fs[1:], lm4, dt)
+    out["mu4Ft"] = log_add(log_weighted_sq_sum(2 * lw_t[:, None], Ft_b, quad_b),
+                           log_weighted_sq_sum(2 * lw_t[:, None], Ft_s, dt))
+    return out
 
 
 def _cell_time_derivative(cells_b, cells_s, log_w, dt):
@@ -127,7 +135,6 @@ class FISolution:
     ritz_min: float
     ritz_max: float
     h0_norm: float               # recovered-H first-node L2 norm
-    engine: str = "direct"
     log_norms: dict = field(default_factory=dict)
     x_dofs: np.ndarray | None = None
 
@@ -149,7 +156,6 @@ class _Stack:
         self.M = tg.step_count
         self.n = g.n_nodes
         self.dt = tg.dt
-        self.h = g.h
         self.Hvec = g.trapezoid_weights()
         self.w0 = p.tables.inv_sq(0)
         self.w1 = p.tables.inv_sq(1)
@@ -168,19 +174,13 @@ class _Stack:
     # --- sparse assembly ---------------------------------------------------
 
     def _spatial_blocks(self):
-        n, h = self.n, self.h
-        lap = sparse.diags([np.ones(n - 1), np.full(n, -2.0), np.ones(n - 1)],
-                           [-1, 0, 1], format="lil")
-        lap[0, 0], lap[0, 1], lap[0, 2] = 1.0, -2.0, 1.0
-        lap[-1, -1], lap[-1, -2], lap[-1, -3] = 1.0, -2.0, 1.0
-        lap = (lap / h**2).tocsr()
-        dnu = sparse.lil_matrix((2, n))
-        dnu[0, 0], dnu[0, 1], dnu[0, 2] = 3.0, -4.0, 1.0
-        dnu[1, -1], dnu[1, -2], dnu[1, -3] = 3.0, -4.0, 1.0
-        dnu = (dnu / (2 * h)).tocsr()
-        tr = sparse.lil_matrix((2, n))
-        tr[0, 0], tr[1, -1] = 1.0, 1.0
-        return lap, dnu, tr.tocsr()
+        """The geometry stencils as sparse matrices: applied to the identity
+        they return their transposes (they act on the last axis)."""
+        eye = np.eye(self.n)
+        lap = sparse.csr_matrix(sbp_laplacian(eye, self.g).T)
+        dnu = sparse.csr_matrix(normal_derivative(eye, self.g).T)
+        tr = sparse.csr_matrix(eye[[0, -1]])
+        return lap, dnu, tr
 
     def R_matrix(self) -> sparse.csr_matrix:
         if self._R is not None:
@@ -302,19 +302,13 @@ class _Stack:
         psi_b = (Ya0 - Yo0) / dt - self.s0 * sbp_laplacian(Ya0, g) \
             + self.da0 * Ya0 - p.theta * (w0c * Zf[1:]) * self.mO[None, :]
         psi_s = (Ya0[:, [0, -1]] - Yo0[:, [0, -1]]) / dt \
-            + self.s0 * _dnu(Ya0, self.h) + self.db0 * Ya0[:, [0, -1]] \
+            + self.s0 * normal_derivative(Ya0, g) + self.db0 * Ya0[:, [0, -1]] \
             - p.theta_s * (w0c * Zf[1:])[:, [0, -1]] * self.mS[None, :]
         h_b = (Za0 - Zo0) / dt - self.s0 * sbp_laplacian(Za0, g) + self.da0 * Za0
         h_s = (Za0[:, [0, -1]] - Zo0[:, [0, -1]]) / dt \
-            + self.s0 * _dnu(Za0, self.h) + self.db0 * Za0[:, [0, -1]]
+            + self.s0 * normal_derivative(Za0, g) + self.db0 * Za0[:, [0, -1]]
         v_cells = -self.chi[None, :] * (w1c * Yf[:-1])
         return psi_b, psi_s, h_b, h_s, v_cells
-
-
-def _dnu(y, h):
-    left = (3 * y[..., 0] - 4 * y[..., 1] + y[..., 2]) / (2 * h)
-    right = (3 * y[..., -1] - 4 * y[..., -2] + y[..., -3]) / (2 * h)
-    return np.stack([left, right], axis=-1)
 
 
 def _fields_to_dofs(st: _Stack, Y: SpaceTimeField, Z: SpaceTimeField):
@@ -359,10 +353,9 @@ class FISolver:
     right-hand side, and increments of iterated solves inherit the
     contraction of the source corrections exactly."""
 
-    def __init__(self, problem: FIProblem, n_refine: int = 2):
+    def __init__(self, problem: FIProblem):
         self.problem = problem
         self.stack = _Stack(problem)
-        self.n_refine = n_refine
         A = self.stack.A_matrix()
         diag = A.diagonal()
         # dofs whose diagonal sits > ~30 decades below the peak are
@@ -392,8 +385,7 @@ class FISolver:
                           G=G if G is not None else p.G,
                           theta=p.theta, theta_s=p.theta_s, grid=p.grid,
                           time_grid=p.time_grid, masks=p.masks, tables=p.tables,
-                          chi=p.chi, ops=p.ops, cg_tol=p.cg_tol,
-                          max_iter=p.max_iter, engine=p.engine)
+                          chi=p.chi, ops=p.ops)
         st = self.stack
         b = _Stack(p).rhs() if p is not self.problem else st.rhs()
         if not np.any(b):
@@ -401,98 +393,27 @@ class FISolver:
             sol = FISolution(Phi=zero, K=zero.copy(), Psi=zero.copy(),
                              H=zero.copy(), v=np.zeros((st.M + 1, st.n)),
                              cg_iters=0, optimality_residual=0.0, ritz_min=0.0,
-                             ritz_max=0.0, h0_norm=0.0, engine=p.engine,
-                             x_dofs=np.zeros(st.n_dofs))
+                             ritz_max=0.0, h0_norm=0.0, x_dofs=np.zeros(st.n_dofs))
             sol.log_norms = _solution_log_norms(st, p, sol)
             return sol
         bt = self.D * b
-        if p.engine == "direct":
-            lu = self._factorize()
-            xt = lu.solve(bt)
-            # fixed-count refinement keeps the solve a deterministic linear
-            # map of b (no data-dependent branching)
-            for _ in range(self.n_refine):
-                xt = xt + lu.solve(bt - self.At @ xt)
-            res = float(np.linalg.norm(bt - self.At @ xt)
-                        / max(np.linalg.norm(bt), 1e-300))
-            iters = self.n_refine
-            rmin, rmax = _lanczos_bounds(self.At, bt, k=60)
-        elif p.engine == "cg":
-            xt, iters, res, rmin, rmax = _cg(self.At, bt, p.cg_tol, p.max_iter)
-        else:
-            raise ContractError(f"unknown FI engine '{p.engine}'")
+        lu = self._factorize()
+        xt = lu.solve(bt)
+        # fixed-count refinement keeps the solve a deterministic linear
+        # map of b (no data-dependent branching)
+        for _ in range(N_REFINE):
+            xt = xt + lu.solve(bt - self.At @ xt)
+        res = float(np.linalg.norm(bt - self.At @ xt)
+                    / max(np.linalg.norm(bt), 1e-300))
+        rmin, rmax = _lanczos_bounds(self.At, bt, k=60)
         x = self.D * xt
         return _recover(_Stack(p) if p is not self.problem else st,
-                        p, x, iters, res, rmin, rmax)
+                        p, x, N_REFINE, res, rmin, rmax)
 
 
 def solve_fi(problem: FIProblem) -> FISolution:
     """Solve the normal equations and recover (Psi, H, v) via (c16)."""
     return FISolver(problem).solve()
-
-
-def _cg(At, bt, tol, max_iter):
-    """Plain conjugate gradients on the scaled normal matrix.
-
-    Retained for comparison runs; at faithful Carleman weights the scaled
-    spectrum exceeds double precision and this engine stalls (reported via
-    ConditioningError on a 500-iteration plateau).
-    """
-    nb = float(np.linalg.norm(bt))
-    x = np.zeros_like(bt)
-    r = bt.copy()
-    p = r.copy()
-    rho = float(r @ r)
-    alphas, betas = [], []
-    best, best_it = math.sqrt(rho), 0
-    # convergent CG shows improvement gaps of a few thousand iterations at
-    # kappa ~ 1e7; a 5000-iteration plateau marks a genuinely unresolvable
-    # spectrum
-    plateau = 5000
-    it = 0
-    while it < max_iter and math.sqrt(rho) > tol * nb:
-        Ap = At @ p
-        den = float(p @ Ap)
-        if den <= 0:
-            raise ConditioningError("CG breakdown: nonpositive curvature",
-                                    iterations=it)
-        al = rho / den
-        x += al * p
-        r -= al * Ap
-        rn = float(r @ r)
-        be = rn / rho
-        alphas.append(al)
-        betas.append(be)
-        rho = rn
-        p = r + be * p
-        it += 1
-        res = math.sqrt(rho)
-        if res < best:
-            best, best_it = res, it
-        elif it - best_it >= plateau:
-            rmin, rmax = _ritz_from_cg(alphas, betas)
-            raise ConditioningError(
-                f"CG stagnated for {plateau} iterations at relative residual "
-                f"{res / nb:.3e}", iterations=it, ritz_min=rmin, ritz_max=rmax)
-    rmin, rmax = _ritz_from_cg(alphas, betas)
-    return x, it, math.sqrt(rho) / nb, rmin, rmax
-
-
-def _ritz_from_cg(alphas, betas):
-    from scipy.linalg import eigh_tridiagonal
-    k = len(alphas)
-    if k == 0:
-        return 0.0, 0.0
-    d = np.empty(k)
-    e = np.empty(max(k - 1, 0))
-    d[0] = 1.0 / alphas[0]
-    for j in range(1, k):
-        d[j] = 1.0 / alphas[j] + betas[j - 1] / alphas[j - 1]
-        e[j - 1] = math.sqrt(max(betas[j - 1], 0.0)) / alphas[j - 1]
-    if k == 1:
-        return float(d[0]), float(d[0])
-    vals = eigh_tridiagonal(d, e, eigvals_only=True)
-    return float(vals[0]), float(vals[-1])
 
 
 def _lanczos_bounds(At, seed_vec, k=60):
@@ -543,11 +464,9 @@ def _recover(st: _Stack, p: FIProblem, x, iters, final_res, rmin, rmax) -> FISol
     v = np.zeros((M + 1, n))
     v[1:] = v_cells
 
-    h0 = math.sqrt(max(float(np.dot(st.Hvec * H.bulk[0], H.bulk[0])
-                             + np.dot(H.surface[0], H.surface[0])), 0.0))
     sol = FISolution(Phi=Phi, K=K, Psi=Psi, H=H, v=v, cg_iters=iters,
                      optimality_residual=final_res, ritz_min=rmin, ritz_max=rmax,
-                     h0_norm=h0, engine=p.engine, x_dofs=x)
+                     h0_norm=l2_norm(H.slice(0), st.g), x_dofs=x)
     sol.log_norms = _solution_log_norms(st, p, sol)
     return sol
 
@@ -577,7 +496,7 @@ def galerkin_check(sol: FISolution, problem: FIProblem, n_dirs: int, rng) -> dic
     Reports max over random directions of
         |B(x, d) - F(d)| / (||d||_B ||x||_B),
     the Cauchy-Schwarz-consistent relative Galerkin residual, against
-    10 cg_tol.
+    GALERKIN_TOL.
     """
     st = _Stack(problem)
     x = sol.x_dofs
@@ -588,7 +507,7 @@ def galerkin_check(sol: FISolution, problem: FIProblem, n_dirs: int, rng) -> dic
         d = rng.standard_normal(st.n_dofs)
         dB = math.sqrt(max(st.stack_norm_sq(d), 0.0))
         gal = abs(float(np.dot(resid, d)))
-        scaled = gal / max(10 * problem.cg_tol * dB * xB, 1e-300)
+        scaled = gal / max(GALERKIN_TOL * dB * xB, 1e-300)
         worst = max(worst, scaled)
         details.append((gal, dB))
     return {"max_scaled_residual": worst, "details": details,
@@ -651,28 +570,13 @@ def cascade_residual_check(sol: FISolution, problem: FIProblem) -> dict:
                        Psi_rs.bulk[1:], Psi_rs.surface[1:])
     dist_h = st_dist(sol.H.bulk[:-1], sol.H.surface[:-1],
                      H_rs.bulk[:-1], H_rs.surface[:-1])
-    w = g.trapezoid_weights()
-    h0_rs = math.sqrt(float(np.dot(w * H_rs.bulk[0], H_rs.bulk[0])
-                            + np.dot(H_rs.surface[0], H_rs.surface[0])))
     return {"weak_residual_forward": res_fwd, "weak_residual_backward": res_bwd,
             "dist_psi": dist_psi, "dist_h": dist_h,
-            "resolved_h0_norm": h0_rs,
+            "resolved_h0_norm": l2_norm(H_rs.slice(0), g),
             "resolved": (Psi_rs, H_rs)}
 
 
 # --- weighted-estimate verification ----------------------------------------
-
-def _log_sup_sq(log_w, cells_b, cells_s, grid):
-    """log sup_k  w_k^2 * ||field_k||_{L2}^2."""
-    Hv = grid.trapezoid_weights()
-    nrm = np.einsum("kj,j,kj->k", cells_b, Hv, cells_b)
-    if cells_s is not None:
-        nrm = nrm + np.sum(cells_s**2, axis=1)
-    pos = nrm > 0
-    if not np.any(pos):
-        return -math.inf
-    return float(np.max(2 * np.asarray(log_w)[pos] + np.log(nrm[pos])))
-
 
 def _log_int_sq(log_w, cells_b, cells_s, grid, dt, bulk_only=False,
                 face_values=False):
@@ -705,7 +609,7 @@ def solution_summary(sol: FISolution, problem: FIProblem) -> dict:
     p1 = verify_p1(sol, problem)
     p2 = verify_p2(sol, problem)
     return {
-        "engine": sol.engine,
+        "engine": "direct",
         "cg_iters": sol.cg_iters,
         "optimality_residual": sol.optimality_residual,
         "lhs_rhs_ratios": {
@@ -718,17 +622,6 @@ def solution_summary(sol: FISolution, problem: FIProblem) -> dict:
                     "log_mu3vt_sq": sol.log_norms["mu3vt"]},
         "ritz": {"min": sol.ritz_min, "max": sol.ritz_max},
     }
-
-
-class _FaceGrid:
-    """Adapter: face arrays integrated with uniform weight h."""
-
-    def __init__(self, grid: SpatialGrid):
-        self._h = grid.h
-        self._n = grid.node_count
-
-    def trapezoid_weights(self):
-        return np.full(self._n, self._h)
 
 
 def live_masked_resolved_psi(sol: FISolution, problem: FIProblem) -> SpaceTimeField:
@@ -792,27 +685,28 @@ def verify_p2(sol: FISolution, problem: FIProblem,
     log_rhs_a = log_add(src["muF"], src["muG"])
     log_rhs_b = log_add(log_rhs_a, src["mu4Ft"])
 
-    fg = _FaceGrid(g)
+    Hv = g.trapezoid_weights()
+    Hf = np.full(g.node_count, g.h)     # faces carry quadrature weight h
     lhs_c25 = log_add(
-        _log_sup_sq(lm[2], Pb, Ps, g),
+        log_weighted_sup(lm[2], (Pb, Hv), (Ps, 1.0)),
         _log_int_sq(lm[2], gP, None, g, dt, face_values=True),
-        _log_sup_sq(lm[2], Hb, Hs, g),
+        log_weighted_sup(lm[2], (Hb, Hv), (Hs, 1.0)),
         _log_int_sq(lm[2], gH, None, g, dt, face_values=True))
     lhs_c26 = log_add(
-        _log_sup_sq(lm[3], gP, None, fg),
+        log_weighted_sup(lm[3], (gP, Hf)),
         _log_int_sq(lw3, Pt_b, Pt_s, g, dt),
         _log_int_sq(lm[3], lapP, None, g, dt, bulk_only=True),
-        _log_sup_sq(lm[3], gH, None, fg),
+        log_weighted_sup(lm[3], (gH, Hf)),
         _log_int_sq(lw3, Ht_b, Ht_s, g, dt),
         _log_int_sq(lm[3], lapH, None, g, dt, bulk_only=True))
     lhs_c27 = log_add(
-        _log_sup_sq(lw4, Pt_b, Pt_s, g),
+        log_weighted_sup(lw4, (Pt_b, Hv), (Pt_s, 1.0)),
         _log_int_sq(lw4, gPt, None, g, dt, face_values=True))
     lhs_c28 = log_add(
-        _log_sup_sq(lw5, gPt, None, fg),
+        log_weighted_sup(lw5, (gPt, Hf)),
         _log_int_sq(lw5c, Ptt_b, Ptt_s, g, dt),
         _log_int_sq(lw5, lapPt, None, g, dt, bulk_only=True),
-        _log_sup_sq(lm[5], lapP, None, g))
+        log_weighted_sup(lm[5], (lapP, Hv)))
 
     return {
         "ratio_c25": log_ratio(lhs_c25, log_rhs_a),

@@ -30,15 +30,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, SmallnessViolationError
-from .fi import FIProblem, FISolution, FISolver, _cell_time_derivative, solve_fi
+from .fi import (FIProblem, FISolution, FISolver, _cell_time_derivative,
+                 source_log_norms)
 from .geometry import (BulkSurfaceField, RegionMasks, SpaceTimeField,
                        SpatialGrid, TimeGrid, grad_faces, h3_proxy_norm,
-                       l2_inner, node_gradient, normal_derivative,
+                       l2_inner, l2_norm, node_gradient, normal_derivative,
                        sbp_laplacian)
 from .solvers import (CoefficientSet, LinearOperatorSet, apply_L,
                       solve_linearized_cascade, solve_quasilinear,
                       solve_quasilinear_cascade, solve_sensitivity)
-from .weights import ChiBump, WeightTables, log_add, log_ratio, log_weighted_sq_sum
+from .weights import (ChiBump, WeightTables, log_add, log_ratio,
+                      log_weighted_sq_sum, log_weighted_sup, slice_sq_norms)
 
 
 @dataclass(frozen=True)
@@ -91,8 +93,6 @@ class SynthesisBundle:
     ops: LinearOperatorSet
     theta: float
     theta_s: float
-    cg_tol: float = 1e-10
-    max_iter: int = 20000
     loop_tol: float = 1e-9
     max_outer: int = 30
 
@@ -114,7 +114,6 @@ class SynthesisReport:
     h0_history: list = field(default_factory=list)
     fi_solution: FISolution | None = None
     quasi_states: tuple | None = None
-    extras: dict = field(default_factory=dict)
 
 
 # --- nonlinear parts ---------------------------------------------------------
@@ -240,16 +239,7 @@ def linear_cascade_rows(Psi: SpaceTimeField, H: SpaceTimeField, v: np.ndarray,
 def y_norm_sq_log(Fb, Fs, Gb, Gs, tables: WeightTables, grid: SpatialGrid,
                   dt: float) -> float:
     """log ||(F,G)||_Y^2 for cell-indexed source arrays (slices 1..M)."""
-    quad_b = grid.trapezoid_weights()[None, :] * dt
-    lm, lm4 = tables.log_mu, tables.log_mu_k[4]
-    muF = log_add(log_weighted_sq_sum(2 * lm[:, None], Fb[1:], quad_b),
-                  log_weighted_sq_sum(2 * lm[:, None], Fs[1:], dt))
-    muG = log_add(log_weighted_sq_sum(2 * lm[:, None], Gb[1:], quad_b),
-                  log_weighted_sq_sum(2 * lm[:, None], Gs[1:], dt))
-    Ft_b, Ft_s, lw = _cell_time_derivative(Fb[1:], Fs[1:], lm4, dt)
-    mu4Ft = log_add(log_weighted_sq_sum(2 * lw[:, None], Ft_b, quad_b),
-                    log_weighted_sq_sum(2 * lw[:, None], Ft_s, dt))
-    return log_add(muF, muG, mu4Ft)
+    return log_add(*source_log_norms(Fb, Fs, Gb, Gs, tables, grid, dt).values())
 
 
 def x_norm_sq_log(Psi: SpaceTimeField, H: SpaceTimeField, v: np.ndarray,
@@ -309,32 +299,19 @@ def x_norm_sq_log(Psi: SpaceTimeField, H: SpaceTimeField, v: np.ndarray,
         log_weighted_sq_sum(2 * lmu[:, None], rows["L4"][1:], dt))
 
     # sup terms: H1 of Psi_t and H2 of Psi against mu5
-    gPt = grad_faces(Pt_b, g)
-    h1t = (np.einsum("kj,j,kj->k", Pt_b, g.trapezoid_weights(), Pt_b)
-           + np.sum(Pt_s**2, axis=1) + np.sum(gPt**2, axis=1) * g.h)
-    parts["sup_mu5_Psit_H1"] = _log_sup(lw5, h1t)
-    gP = grad_faces(Pb, g)
-    lapP = sbp_laplacian(Pb, g)
-    h2 = (np.einsum("kj,j,kj->k", Pb, g.trapezoid_weights(), Pb)
-          + np.sum(Ps**2, axis=1) + np.sum(gP**2, axis=1) * g.h
-          + np.einsum("kj,j,kj->k", lapP, g.trapezoid_weights(), lapP))
-    parts["sup_mu5_Psi_H2"] = _log_sup(lm[5], h2)
+    Hv = g.trapezoid_weights()
+    h1t = ((Pt_b, Hv), (Pt_s, 1.0), (grad_faces(Pt_b, g), g.h))
+    parts["sup_mu5_Psit_H1"] = log_weighted_sup(lw5, *h1t)
+    parts["sup_mu5_Psi_H2"] = log_weighted_sup(
+        lm[5], (Pb, Hv), (Ps, 1.0), (grad_faces(Pb, g), g.h),
+        (sbp_laplacian(Pb, g), Hv))
 
     if detail is not None:
         detail.update(parts)
-        lapPt = sbp_laplacian(Pt_b, g)
-        h2t = h1t + np.einsum("kj,j,kj->k", lapPt, g.trapezoid_weights(), lapPt)
+        h2t = slice_sq_norms(*h1t, (sbp_laplacian(Pt_b, g), Hv))
         detail["int_mu5_Psit_H2"] = float(
             log_weighted_sq_sum(lw5, np.sqrt(np.maximum(h2t, 0.0)), dt))
     return log_add(*parts.values())
-
-
-def _log_sup(log_w, sq_values) -> float:
-    sq = np.asarray(sq_values)
-    pos = sq > 0
-    if not np.any(pos):
-        return -math.inf
-    return float(np.max(2 * np.asarray(log_w)[pos] + np.log(sq[pos])))
 
 
 # --- synthesis ---------------------------------------------------------------
@@ -381,8 +358,7 @@ def synthesize(F: SpaceTimeField, bundle: SynthesisBundle,
     base_prob = FIProblem(F=F, G=SpaceTimeField.zeros(g, M + 1),
                           theta=bundle.theta, theta_s=bundle.theta_s, grid=g,
                           time_grid=tg, masks=bundle.masks, tables=bundle.tables,
-                          chi=bundle.chi, ops=bundle.ops,
-                          cg_tol=bundle.cg_tol, max_iter=bundle.max_iter)
+                          chi=bundle.chi, ops=bundle.ops)
     solver = FISolver(base_prob)   # one factorization for the whole loop
     for its in range(1, bundle.max_outer + 1):
         A = nonlinear_parts_A(Psi, H, bundle.cs, bundle.ops)
@@ -393,10 +369,7 @@ def synthesize(F: SpaceTimeField, bundle: SynthesisBundle,
         Psi_new, H_new = solve_linearized_cascade(
             bundle.ops, Feff, Geff, sol.v, bundle.theta, bundle.theta_s,
             bundle.masks)
-        wq = g.trapezoid_weights()
-        h0_history.append(math.sqrt(float(
-            np.dot(wq * H_new.bulk[0], H_new.bulk[0])
-            + np.dot(H_new.surface[0], H_new.surface[0]))))
+        h0_history.append(l2_norm(H_new.slice(0), g))
 
         # increment metric: the coercive-core components (mu0 Psi, mu0 H,
         # mu1 v) of the state-space norm, on live-masked differences of the
@@ -440,16 +413,13 @@ def synthesize(F: SpaceTimeField, bundle: SynthesisBundle,
         prev_state = (Psi, H, v)
         prev_sol = sol
 
-    w = g.trapezoid_weights()
-    h0_lin = math.sqrt(float(np.dot(w * H.bulk[0], H.bulk[0])
-                             + np.dot(H.surface[0], H.surface[0])))
+    h0_lin = l2_norm(H.slice(0), g)
     h0_quasi = math.nan
     quasi = None
     if run_quasilinear_check:
         Psi_q, H_q = solve_quasilinear_cascade(
             bundle.cs, g, tg, F, v, bundle.theta, bundle.theta_s, bundle.masks)
-        h0_quasi = math.sqrt(float(np.dot(w * H_q.bulk[0], H_q.bulk[0])
-                                   + np.dot(H_q.surface[0], H_q.surface[0])))
+        h0_quasi = l2_norm(H_q.slice(0), g)
         quasi = (Psi_q, H_q)
 
     return SynthesisReport(
@@ -500,7 +470,7 @@ def insensitivity_check(bundle: SynthesisBundle, F: SpaceTimeField,
         bundle.cs, g, tg, F, v, bundle.theta, bundle.theta_s, bundle.masks)
     h0 = H_q.slice(0)
     w = g.trapezoid_weights()
-    h0_norm = math.sqrt(float(np.dot(w * h0.bulk, h0.bulk) + np.dot(h0.surface, h0.surface)))
+    h0_norm = l2_norm(h0, g)
 
     out = []
     for spec in specs:

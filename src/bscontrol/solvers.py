@@ -37,17 +37,17 @@ from .geometry import (BulkSurfaceField, RegionMasks, SpaceTimeField,
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Diffusion sigma/delta with three derivatives, reactions a/b with two,
-    and the ellipticity floor rho.  All handles are vectorized callables."""
+    """Diffusion sigma with two derivatives, reactions a/b with two, and the
+    ellipticity floor rho.  All handles are vectorized callables.
+
+    The paper's surface diffusion delta enters only through the
+    Laplace-Beltrami operator, which vanishes on the two-point boundary of
+    the 1D domain, so it has no handle here.
+    """
 
     sigma: Callable
     dsigma: Callable
     d2sigma: Callable
-    d3sigma: Callable
-    delta: Callable
-    ddelta: Callable
-    d2delta: Callable
-    d3delta: Callable
     a: Callable
     da: Callable
     d2a: Callable
@@ -61,16 +61,15 @@ class CoefficientSet:
 def validate_coefficients(cs: CoefficientSet, sample_interval=(-2.0, 2.0),
                           n_samples: int = 401) -> None:
     r = np.linspace(*sample_interval, n_samples)
-    if np.min(cs.sigma(r)) < cs.rho or np.min(cs.delta(r)) < cs.rho:
+    if np.min(cs.sigma(r)) < cs.rho:
         raise ConfigurationError(
-            "assumption A7 violated: diffusion coefficients drop below the "
+            "assumption A7 violated: the diffusion coefficient drops below the "
             f"ellipticity floor rho={cs.rho} on {sample_interval}")
     if abs(float(cs.a(0.0))) > 1e-14 or abs(float(cs.b(0.0))) > 1e-14:
         raise ConfigurationError(
             "assumption A8 violated: reaction terms must vanish at 0")
     eps = 1e-6
-    pairs = [(cs.sigma, cs.dsigma), (cs.dsigma, cs.d2sigma), (cs.d2sigma, cs.d3sigma),
-             (cs.delta, cs.ddelta), (cs.ddelta, cs.d2delta), (cs.d2delta, cs.d3delta),
+    pairs = [(cs.sigma, cs.dsigma), (cs.dsigma, cs.d2sigma),
              (cs.a, cs.da), (cs.da, cs.d2a), (cs.b, cs.db), (cs.db, cs.d2b)]
     for k, (f, df) in enumerate(pairs):
         fd = (f(r + eps) - f(r - eps)) / (2 * eps)
@@ -85,81 +84,59 @@ def coefficient_preset(name: str, **kw) -> CoefficientSet:
     zero = np.zeros_like
     if name == "constant":
         s0 = kw.get("sigma0", 1.0)
-        d0 = kw.get("delta0", 0.8)
         a1 = kw.get("a1", 0.5)
         b1 = kw.get("b1", 0.3)
         return CoefficientSet(
             sigma=lambda r: np.full_like(np.asarray(r, float), s0),
-            dsigma=zero, d2sigma=zero, d3sigma=zero,
-            delta=lambda r: np.full_like(np.asarray(r, float), d0),
-            ddelta=zero, d2delta=zero, d3delta=zero,
+            dsigma=zero, d2sigma=zero,
             a=lambda r: a1 * np.asarray(r, float), da=lambda r: np.full_like(np.asarray(r, float), a1),
             d2a=zero,
             b=lambda r: b1 * np.asarray(r, float), db=lambda r: np.full_like(np.asarray(r, float), b1),
-            d2b=zero, rho=min(s0, d0), name="constant")
+            d2b=zero, rho=s0, name="constant")
     if name == "affine":
         s0, s1 = kw.get("sigma0", 1.0), kw.get("sigma1", 0.2)
-        d0, d1 = kw.get("delta0", 0.8), kw.get("delta1", 0.1)
         a1, a2 = kw.get("a1", 0.5), kw.get("a2", 0.25)
         b1, b2 = kw.get("b1", 0.3), kw.get("b2", 0.15)
         return CoefficientSet(
             sigma=lambda r: s0 + s1 * np.asarray(r, float),
             dsigma=lambda r: np.full_like(np.asarray(r, float), s1),
-            d2sigma=zero, d3sigma=zero,
-            delta=lambda r: d0 + d1 * np.asarray(r, float),
-            ddelta=lambda r: np.full_like(np.asarray(r, float), d1),
-            d2delta=zero, d3delta=zero,
+            d2sigma=zero,
             a=lambda r: a1 * np.asarray(r, float) + a2 * np.asarray(r, float)**2,
             da=lambda r: a1 + 2 * a2 * np.asarray(r, float),
             d2a=lambda r: np.full_like(np.asarray(r, float), 2 * a2),
             b=lambda r: b1 * np.asarray(r, float) + b2 * np.asarray(r, float)**2,
             db=lambda r: b1 + 2 * b2 * np.asarray(r, float),
             d2b=lambda r: np.full_like(np.asarray(r, float), 2 * b2),
-            rho=min(s0 - 2 * abs(s1), d0 - 2 * abs(d1)), name="affine")
+            rho=s0 - 2 * abs(s1), name="affine")
     if name == "logistic":
         # saturating tanh profiles; globally bounded derivatives
         s0, s1 = kw.get("sigma0", 1.0), kw.get("sigma1", 0.4)
-        d0, d1 = kw.get("delta0", 0.8), kw.get("delta1", 0.3)
         a1, b1 = kw.get("a1", 0.5), kw.get("b1", 0.3)
-
-        def tanh_set(c0, c1):
-            return (lambda r: c0 + c1 * np.tanh(r),
-                    lambda r: c1 / np.cosh(r)**2,
-                    lambda r: -2 * c1 * np.tanh(r) / np.cosh(r)**2,
-                    lambda r: c1 * (4 * np.tanh(r)**2 - 2 / np.cosh(r)**2) / np.cosh(r)**2)
-
-        sg = tanh_set(s0, s1)
-        dl = tanh_set(d0, d1)
         return CoefficientSet(
-            sigma=sg[0], dsigma=sg[1], d2sigma=sg[2], d3sigma=sg[3],
-            delta=dl[0], ddelta=dl[1], d2delta=dl[2], d3delta=dl[3],
+            sigma=lambda r: s0 + s1 * np.tanh(r),
+            dsigma=lambda r: s1 / np.cosh(r)**2,
+            d2sigma=lambda r: -2 * s1 * np.tanh(r) / np.cosh(r)**2,
             a=lambda r: a1 * np.tanh(r),
             da=lambda r: a1 / np.cosh(r)**2,
             d2a=lambda r: -2 * a1 * np.tanh(r) / np.cosh(r)**2,
             b=lambda r: b1 * np.tanh(r),
             db=lambda r: b1 / np.cosh(r)**2,
             d2b=lambda r: -2 * b1 * np.tanh(r) / np.cosh(r)**2,
-            rho=min(s0 - s1, d0 - d1), name="logistic")
+            rho=s0 - s1, name="logistic")
     if name == "polynomial":
         s0, s2 = kw.get("sigma0", 1.0), kw.get("sigma2", 0.3)
-        d0, d2c = kw.get("delta0", 0.8), kw.get("delta2", 0.2)
         a1, a3 = kw.get("a1", 0.5), kw.get("a3", 0.2)
         b1 = kw.get("b1", 0.3)
         return CoefficientSet(
             sigma=lambda r: s0 + s2 * np.asarray(r, float)**2,
             dsigma=lambda r: 2 * s2 * np.asarray(r, float),
             d2sigma=lambda r: np.full_like(np.asarray(r, float), 2 * s2),
-            d3sigma=zero,
-            delta=lambda r: d0 + d2c * np.asarray(r, float)**2,
-            ddelta=lambda r: 2 * d2c * np.asarray(r, float),
-            d2delta=lambda r: np.full_like(np.asarray(r, float), 2 * d2c),
-            d3delta=zero,
             a=lambda r: a1 * np.asarray(r, float) + a3 * np.asarray(r, float)**3,
             da=lambda r: a1 + 3 * a3 * np.asarray(r, float)**2,
             d2a=lambda r: 6 * a3 * np.asarray(r, float),
             b=lambda r: b1 * np.asarray(r, float),
             db=lambda r: np.full_like(np.asarray(r, float), b1),
-            d2b=zero, rho=min(s0, d0), name="polynomial")
+            d2b=zero, rho=s0, name="polynomial")
     raise ConfigurationError(f"unknown coefficient preset '{name}'")
 
 
@@ -168,19 +145,16 @@ class LinearOperatorSet:
     """The frozen-at-zero linear operators L1, L2 and their adjoints."""
 
     sigma0: float
-    delta0: float
     da0: float
     db0: float
     grid: SpatialGrid
     time_grid: TimeGrid
-    scheme: str = "implicit_euler"
 
     @classmethod
     def from_coefficients(cls, cs: CoefficientSet, grid: SpatialGrid,
                           time_grid: TimeGrid) -> "LinearOperatorSet":
-        return cls(sigma0=float(cs.sigma(0.0)), delta0=float(cs.delta(0.0)),
-                   da0=float(cs.da(0.0)), db0=float(cs.db(0.0)),
-                   grid=grid, time_grid=time_grid)
+        return cls(sigma0=float(cs.sigma(0.0)), da0=float(cs.da(0.0)),
+                   db0=float(cs.db(0.0)), grid=grid, time_grid=time_grid)
 
 
 # --- strong residual operators ---------------------------------------------
@@ -197,43 +171,40 @@ def apply_L(Y: SpaceTimeField, ops: LinearOperatorSet, variant: str = "L") -> Sp
     g, dt = ops.grid, ops.time_grid.dt
     M = Y.n_slices - 1
     out = SpaceTimeField.zeros(g, M + 1)
-    if variant in ("L", "L12"):
-        anchor = slice(1, M + 1)
-        other = slice(0, M)
-        sign = 1.0
-    elif variant in ("Lstar", "L12star"):
-        anchor = slice(0, M)
-        other = slice(1, M + 1)
-        sign = 1.0
+    if variant == "L":
+        anchor, other = slice(1, M + 1), slice(0, M)
+    elif variant == "Lstar":
+        anchor, other = slice(0, M), slice(1, M + 1)
     else:
         raise ContractError(f"unknown operator variant '{variant}'")
     yb_a, yb_o = Y.bulk[anchor], Y.bulk[other]
     ys_a, ys_o = Y.surface[anchor], Y.surface[other]
-    out.bulk[anchor] = sign * (yb_a - yb_o) / dt \
+    out.bulk[anchor] = (yb_a - yb_o) / dt \
         - ops.sigma0 * sbp_laplacian(yb_a, g) + ops.da0 * yb_a
-    out.surface[anchor] = sign * (ys_a - ys_o) / dt \
+    out.surface[anchor] = (ys_a - ys_o) / dt \
         + ops.sigma0 * normal_derivative(yb_a, g) + ops.db0 * ys_a
     return out
+
+
+def _st_pair(A: SpaceTimeField, B: SpaceTimeField, grid: SpatialGrid, dt: float,
+             slices: slice) -> float:
+    """dt * sum over `slices` of the bulk-surface inner products (one
+    pairwise-summed reduction per part)."""
+    return dt * float(
+        np.sum(A.bulk[slices] * grid.trapezoid_weights() * B.bulk[slices])
+        + np.sum(A.surface[slices] * B.surface[slices]))
 
 
 def st_pair_forward(res: SpaceTimeField, W: SpaceTimeField, grid: SpatialGrid,
                     dt: float) -> float:
     """<forward residuals, W>: cells pair right slices."""
-    M = res.n_slices - 1
-    total = 0.0
-    for c in range(1, M + 1):
-        total += dt * l2_inner(res.slice(c), W.slice(c), grid)
-    return total
+    return _st_pair(res, W, grid, dt, slice(1, None))
 
 
 def st_pair_backward(Y: SpaceTimeField, res: SpaceTimeField, grid: SpatialGrid,
                      dt: float) -> float:
     """<Y, backward residuals>: cells pair left slices."""
-    M = res.n_slices - 1
-    total = 0.0
-    for j in range(M):
-        total += dt * l2_inner(Y.slice(j), res.slice(j), grid)
-    return total
+    return _st_pair(Y, res, grid, dt, slice(None, -1))
 
 
 def duality_gap(Y: SpaceTimeField, W: SpaceTimeField, ops: LinearOperatorSet) -> float:
@@ -317,39 +288,26 @@ def _varcoef_backward_bands(grid: SpatialGrid, dt: float, sig_nodes, sig_surf,
     surface normal-derivative row and the matrix reduces to the symmetric
     weak one.
     """
-    n = grid.n_nodes
     h = grid.h
-    Hw = grid.trapezoid_weights()
-    Mw = grid.mass_weights()
-    A = np.zeros((n, n))  # dense staging, banded extraction below (n is small)
-    idx = np.arange(n)
-    A[idx, idx] = Mw / dt + Hw * da_nodes
+    ab = np.zeros((5, grid.n_nodes))   # rows: offsets +2, +1, 0, -1, -2
+    upper, diag, lower = ab[1, 1:], ab[2], ab[3, :-1]
+    diag[:] = grid.mass_weights() / dt + grid.trapezoid_weights() * da_nodes
     # interior Laplacian rows: -H sig lap = sig/h * (-1, 2, -1)
-    for i in range(1, n - 1):
-        A[i, i - 1] += -sig_nodes[i] / h
-        A[i, i] += 2 * sig_nodes[i] / h
-        A[i, i + 1] += -sig_nodes[i] / h
-    # corner rows: -(h/2) sig lap_corner + surface flux row + b' on the trace
+    diag[1:-1] += 2 * sig_nodes[1:-1] / h
+    upper[1:] = -sig_nodes[1:-1] / h
+    lower[:-1] = -sig_nodes[1:-1] / h
+    # corner rows: -(h/2) sig lap_corner (stencil 1, -2, 1), then the surface
+    # flux row sig_G dnu (stencil 3, -4, 1 over 2h) and b' on the trace
     c0 = sig_nodes[0] * 0.5 / h
-    A[0, 0] += -c0 * 1 + 0.0
-    A[0, 1] += -c0 * -2
-    A[0, 2] += -c0 * 1
     cN = sig_nodes[-1] * 0.5 / h
-    A[-1, -1] += -cN * 1
-    A[-1, -2] += -cN * -2
-    A[-1, -3] += -cN * 1
-    # surface rows folded onto the shared DOFs
-    A[0, 0] += sig_surf[0] * 3.0 / (2 * h) + db_surf[0]
-    A[0, 1] += sig_surf[0] * -4.0 / (2 * h)
-    A[0, 2] += sig_surf[0] * 1.0 / (2 * h)
-    A[-1, -1] += sig_surf[1] * 3.0 / (2 * h) + db_surf[1]
-    A[-1, -2] += sig_surf[1] * -4.0 / (2 * h)
-    A[-1, -3] += sig_surf[1] * 1.0 / (2 * h)
-
-    ab = np.zeros((5, n))
-    for offset in range(-2, 3):
-        d = np.diagonal(A, offset)
-        ab[2 - offset, max(offset, 0):n + min(offset, 0)] = d
+    diag[0] += -c0
+    diag[-1] += -cN
+    diag[0] += sig_surf[0] * 3.0 / (2 * h) + db_surf[0]
+    diag[-1] += sig_surf[1] * 3.0 / (2 * h) + db_surf[1]
+    upper[0] = 2 * c0 + sig_surf[0] * -4.0 / (2 * h)
+    lower[-1] = 2 * cN + sig_surf[1] * -4.0 / (2 * h)
+    ab[0, 2] = -c0 + sig_surf[0] / (2 * h)
+    ab[4, -3] = -cN + sig_surf[1] / (2 * h)
     return ab
 
 
@@ -559,40 +517,13 @@ def solve_sensitivity(cs: CoefficientSet, grid: SpatialGrid, time_grid: TimeGrid
     if not zhat0.is_trace_compatible(1e-12):
         raise ContractError("perturbation direction must be trace-compatible")
     g, dt, M = grid, time_grid.dt, time_grid.step_count
-    n = g.n_nodes
-    h = g.h
-    Hw = g.trapezoid_weights()
     Mw = g.mass_weights()
-    out = np.empty((M + 1, n))
+    out = np.empty((M + 1, g.n_nodes))
     out[0] = zhat0.bulk
-    idx = np.arange(n)
     for c in range(1, M + 1):
-        psi = Psi.bulk[c]
-        uf = _face_average(psi)
-        sig_f = cs.sigma(uf)
-        dsig_f = cs.dsigma(uf)
-        gpsi = np.diff(psi) / h
-
-        A = np.zeros((n, n))
-        A[idx, idx] = Mw / dt + Hw * cs.da(psi)
-        A[0, 0] += cs.db(psi[0])
-        A[-1, -1] += cs.db(psi[-1])
-        # sigma(psi)-weighted stiffness
-        A[idx[:-1], idx[:-1]] += sig_f / h
-        A[idx[1:], idx[1:]] += sig_f / h
-        A[idx[:-1], idx[1:]] += -sig_f / h
-        A[idx[1:], idx[:-1]] += -sig_f / h
-        # conservative drift: flux_f += dsig_f * zf * gpsi, zf = avg(z)
-        d = dsig_f * gpsi * 0.5
-        A[idx[:-1], idx[:-1]] += -d
-        A[idx[:-1], idx[1:]] += -d
-        A[idx[1:], idx[:-1]] += d
-        A[idx[1:], idx[1:]] += d
-
-        ab = np.zeros((3, n))
-        ab[0, 1:] = np.diagonal(A, 1)
-        ab[1] = np.diagonal(A)
-        ab[2, :-1] = np.diagonal(A, -1)
+        # the tangent of an implicit step is its Newton Jacobian at the
+        # converged state
+        ab = _quasilinear_jacobian_bands(Psi.bulk[c], cs, g, dt)
         out[c] = solve_banded((1, 1), ab, Mw * out[c - 1] / dt)
     return SpaceTimeField.from_bulk(out)
 

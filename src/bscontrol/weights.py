@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -50,6 +50,33 @@ def log_weighted_sq_sum(log_w, values, quad) -> float:
     if not np.any(coeff > 0):
         return -math.inf
     return float(logsumexp(lw[coeff > 0], b=coeff[coeff > 0]))
+
+
+def slice_sq_norms(*terms) -> np.ndarray:
+    """Per-row squared norms sum_j quad_j values_kj^2 over (values, quad) terms.
+
+    A scalar quad scales the row sum of squares; a vector quad weights each
+    column.  Terms are accumulated in the order given.
+    """
+    sq = 0.0
+    for values, quad in terms:
+        if np.ndim(quad) == 0:
+            sq = sq + np.sum(values**2, axis=1) * quad
+        else:
+            sq = sq + np.einsum("kj,j,kj->k", values, quad, values)
+    return sq
+
+
+def log_weighted_sup(log_w, *terms) -> float:
+    """log max_k w_k^2 ||row_k||^2 with the row norms of `slice_sq_norms`.
+
+    Rows of zero norm are skipped; returns -inf for an identically zero field.
+    """
+    sq = slice_sq_norms(*terms)
+    pos = sq > 0
+    if not np.any(pos):
+        return -math.inf
+    return float(np.max(2 * np.asarray(log_w)[pos] + np.log(sq[pos])))
 
 
 def log_add(*log_values: float) -> float:
@@ -157,7 +184,6 @@ class WeightParams:
     lam: float = 1.0
     m: float = 2.3
     s_coeff: float = 1.0      # s = s_coeff * (T + T^2)
-    rho_clip: float = 700.0
 
 
 @dataclass(frozen=True)
@@ -166,7 +192,6 @@ class ValidatedParams:
     m: float
     s: float
     s_coeff: float
-    rho_clip: float
     m_threshold: float
 
 
@@ -179,8 +204,6 @@ def validate_params(p: WeightParams, horizon: float) -> ValidatedParams:
         raise ParameterError(f"lambda must be >= 1, got {p.lam}")
     if p.s_coeff < 1.0:
         raise ParameterError(f"s coefficient must be >= 1, got {p.s_coeff}")
-    if p.rho_clip <= 0:
-        raise ParameterError("rho_clip must be positive")
     thr = m_threshold(p.lam)
     if not p.m > thr:
         raise ParameterError(
@@ -191,7 +214,7 @@ def validate_params(p: WeightParams, horizon: float) -> ValidatedParams:
     if s < 1.0:
         raise ParameterError(f"s = {s} must be >= 1")
     return ValidatedParams(lam=p.lam, m=p.m, s=s, s_coeff=p.s_coeff,
-                           rho_clip=p.rho_clip, m_threshold=thr)
+                           m_threshold=thr)
 
 
 # --- weight tables ----------------------------------------------------------
@@ -221,28 +244,6 @@ class WeightTables:
     log_beta: np.ndarray
     log_zeta: np.ndarray
     n_live: int = 0                   # cells where mu0^{-2} survives underflow
-    clamp_events: list = field(default_factory=list)
-
-    def safe_exp(self, log_values, context: str):
-        """exp with the +rho_clip guard; clamped sites are flagged by cell."""
-        lv = np.asarray(log_values, dtype=float)
-        over = lv > self.params.rho_clip
-        if np.any(over):
-            cells = np.unique(np.nonzero(np.atleast_2d(over))[0]).tolist()
-            self.clamp_events.append((context, cells))
-            lv = np.minimum(lv, self.params.rho_clip)
-        return np.exp(lv)
-
-    def check_clamp_budget(self):
-        """Clamping is tolerated only on the first/last two time cells."""
-        M = self.t_mid.size
-        for context, cells in self.clamp_events:
-            bad = [c for c in cells if 2 <= c < M - 2]
-            if bad:
-                raise ResolutionError(
-                    f"weight exponent clamped away from the time endpoints "
-                    f"(context={context}, cells={bad}): weights unresolvable "
-                    f"at this grid")
 
     def inv_sq(self, k: int) -> np.ndarray:
         """mu_k^{-2} per cell; exact 0 below the e^{-700} underflow cut."""

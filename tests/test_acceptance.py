@@ -44,7 +44,7 @@ def test_criterion_1_exact_duality(bundle):
 
 def test_criterion_2_conservation_dissipation(bundle):
     g, tg = bundle.grid, bundle.time_grid
-    ops = LinearOperatorSet(sigma0=1.0, delta0=1.0, da0=0.0, db0=0.0,
+    ops = LinearOperatorSet(sigma0=1.0, da0=0.0, db0=0.0,
                             grid=g, time_grid=tg)
     rng = np.random.default_rng(12)
     psi0 = BulkSurfaceField.from_bulk(rng.standard_normal(g.n_nodes))

@@ -23,12 +23,13 @@ def test_load_config_defaults_and_overrides(tmp_path):
 
 def test_load_config_rejects_unknown(tmp_path):
     path = tmp_path / "bad.cfg"
-    path.write_text("[grid]\nspacing = 0.1\n")
-    with pytest.raises(ConfigurationError):
-        load_config(str(path))
-    path.write_text("[warp]\nfactor = 2\n")
-    with pytest.raises(ConfigurationError):
-        load_config(str(path))
+    # the last four name no option: setting one must fail, not be ignored
+    for text in ("[grid]\nspacing = 0.1\n", "[warp]\nfactor = 2\n",
+                 "[solver]\ncg_tol = 1e-10\n", "[solver]\ncg_max_iter = 100\n",
+                 "[solver]\nnewton_tol = 1e-11\n", "[weights]\nrho_clip = 700\n"):
+        path.write_text(text)
+        with pytest.raises(ConfigurationError):
+            load_config(str(path))
 
 
 def test_config_hash_seed_sensitivity(tmp_path):
@@ -39,9 +40,11 @@ def test_config_hash_seed_sensitivity(tmp_path):
 
 def test_exit_code_validation(tmp_path):
     path = tmp_path / "bad.cfg"
-    path.write_text("[masks]\nomega = 0.1,0.2\nobs_bulk = 0.8,0.9\n")
-    rc = main(["synthesize", "--config", str(path), "--out", str(tmp_path)])
-    assert rc == 2
+    for text in ("[masks]\nomega = 0.1,0.2\nobs_bulk = 0.8,0.9\n",
+                 "[masks]\nomega = 0.25,abc\n", "[run]\nseed = xyz\n"):
+        path.write_text(text)
+        rc = main(["synthesize", "--config", str(path), "--out", str(tmp_path)])
+        assert rc == 2, text
 
 
 def test_sweep_rejects_unknown_parameter(tmp_path):
@@ -56,9 +59,16 @@ def test_zero_source_synthesize(tmp_path):
                     "[time]\nsteps = 32\n")
     rc = main(["synthesize", "--config", str(path), "--out", str(tmp_path)])
     assert rc == 0
-    summary = json.loads((tmp_path / "synthesis.json").read_text())
+
+    def reject(token):
+        raise ValueError(f"non-finite JSON constant {token}")
+
+    summary = json.loads((tmp_path / "synthesis.json").read_text(),
+                         parse_constant=reject)
     assert summary["h0_norm"]["quasilinear"] == 0.0
     assert summary["status"] == "converged"
+    # log-norms of the zero field are -inf, written as null
+    assert summary["log_y_norm_sq"] is None
 
 
 def test_determinism_bit_identical(tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bscontrol.errors import ConditioningError, ContractError
+from bscontrol.errors import ContractError
 from bscontrol.fi import (FIProblem, FISolver, apply_residual_R, bilinear_B,
                           cascade_residual_check, galerkin_check, linear_F,
                           operator_symmetry_gap, solution_summary, solve_fi,
@@ -162,28 +162,6 @@ def test_tame_weights_plumbing_oracle(tame_setup):
     rng = np.random.default_rng(3)
     gal = galerkin_check(sol, prob, 10, rng)
     assert gal["pass"]
-
-
-def test_tame_weights_cg_engine_matches_direct(tame_setup):
-    bundle, F = tame_setup
-    prob_d = make_problem(bundle, F)
-    prob_c = make_problem(bundle, F, engine="cg", cg_tol=1e-12)
-    sol_d = solve_fi(prob_d)
-    sol_c = solve_fi(prob_c)
-    scale = np.abs(sol_d.v).max()
-    assert np.abs(sol_c.v - sol_d.v).max() <= 1e-8 * scale
-    assert sol_c.cg_iters > 1000
-
-
-def test_cg_engine_unusable_at_faithful_weights(bundle, source):
-    # the scaled spectrum exceeds double precision: CG either trips the
-    # plateau detector or runs out its budget far from convergence
-    prob = make_problem(bundle, source, engine="cg", max_iter=6000)
-    try:
-        sol = solve_fi(prob)
-    except ConditioningError:
-        return
-    assert sol.optimality_residual > 1e-2
 
 
 def test_fisolver_reuse_is_linear(tame_setup, bundle, source):

@@ -72,7 +72,7 @@ def test_forward_zero_and_uniform_decay(small):
     M = tg.step_count
     zeroF = SpaceTimeField.zeros(g, M + 1)
     rho0 = 0.7
-    ops = LinearOperatorSet(sigma0=1.0, delta0=1.0, da0=rho0, db0=rho0,
+    ops = LinearOperatorSet(sigma0=1.0, da0=rho0, db0=rho0,
                             grid=g, time_grid=tg)
     psi = solve_linear_forward(ops, zeroF, BulkSurfaceField.zeros(g))
     assert np.all(psi.bulk == 0)
@@ -109,7 +109,7 @@ def test_backward_uniform_decay(small):
     g, tg, _, _, _ = small
     M = tg.step_count
     rho0 = 0.4
-    ops = LinearOperatorSet(sigma0=1.0, delta0=1.0, da0=rho0, db0=rho0,
+    ops = LinearOperatorSet(sigma0=1.0, da0=rho0, db0=rho0,
                             grid=g, time_grid=tg)
     k = 1.3
     h = solve_linear_backward(ops, SpaceTimeField.zeros(g, M + 1),
@@ -256,7 +256,7 @@ def test_sensitivity_tangent_consistency(small):
 def test_mass_conservation_and_dissipation(small):
     g, tg, _, _, _ = small
     M = tg.step_count
-    ops = LinearOperatorSet(sigma0=1.0, delta0=1.0, da0=0.0, db0=0.0,
+    ops = LinearOperatorSet(sigma0=1.0, da0=0.0, db0=0.0,
                             grid=g, time_grid=tg)
     rng = np.random.default_rng(6)
     psi0 = BulkSurfaceField.from_bulk(rng.standard_normal(g.n_nodes))
@@ -306,3 +306,80 @@ def test_adjoint_cascade_structure(small):
     assert np.all(K.bulk[0] == 0)     # forward variable vanishes at 0
     K_only = solve_linear_forward(ops, g1, BulkSurfaceField.zeros(g))
     assert np.abs(K.bulk - K_only.bulk).max() == 0.0
+
+
+def _dense_to_bands(A, p):
+    """LAPACK band storage of a dense matrix with p sub- and super-diagonals;
+    asserts nothing lies outside the band."""
+    n = A.shape[0]
+    ab = np.zeros((2 * p + 1, n))
+    for off in range(-p, p + 1):
+        ab[p - off, max(off, 0):n + min(off, 0)] = np.diagonal(A, off)
+    assert np.count_nonzero(np.triu(A, p + 1)) == np.count_nonzero(np.tril(A, -p - 1)) == 0
+    return ab
+
+
+def test_banded_assembly_matches_strong_rows(small):
+    """The directly assembled step matrices equal the strong rows applied
+    to the identity columns, at a random nonzero logistic state."""
+    from bscontrol.geometry import normal_derivative, sbp_laplacian, stiffness_apply
+    from bscontrol.solvers import (_face_average, _quasilinear_jacobian_bands,
+                                   _varcoef_backward_bands)
+    g, tg, _, cs, _ = small
+    dt, n = tg.dt, g.n_nodes
+    Hw, Mw = g.trapezoid_weights(), g.mass_weights()
+    rng = np.random.default_rng(9)
+    psi = 0.5 * np.cumsum(rng.standard_normal(n)) / np.sqrt(n)
+    E = np.eye(n)                      # row j is the identity column e_j
+
+    def lift(pairs):                   # surface rows onto the corner nodes
+        out = np.zeros((n, n))
+        out[:, 0], out[:, -1] = pairs[:, 0], pairs[:, 1]
+        return out
+
+    def close(ab, rows, p):
+        ref = _dense_to_bands(rows.T, p)
+        assert np.abs(ab - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    # backward rows with coefficients frozen at the state:
+    # H [(.)/dt - sig lap + a'] + the surface rows sig_G dnu + b'
+    sig, sig_s = cs.sigma(psi), cs.sigma(psi[[0, -1]])
+    da, db = cs.da(psi), cs.db(psi[[0, -1]])
+    rows = Mw * E / dt + Hw * (-sig * sbp_laplacian(E, g) + da * E) \
+        + lift(sig_s * normal_derivative(E, g) + db * E[:, [0, -1]])
+    close(_varcoef_backward_bands(g, dt, sig, sig_s, da, db), rows, 2)
+
+    # tangent of the quasilinear step: flux sig(psi) G z + sig'(psi) avg(z) G psi
+    sig_f, dsig_f = cs.sigma(_face_average(psi)), cs.dsigma(_face_average(psi))
+    drift = np.zeros((n, n))
+    flux = dsig_f * np.diff(psi) / g.h * _face_average(E)
+    drift[:, :-1] -= flux
+    drift[:, 1:] += flux
+    rows = Mw * E / dt + stiffness_apply(E, g, face_coeff=sig_f) + drift \
+        + Hw * cs.da(psi) * E + lift(cs.db(psi[[0, -1]]) * E[:, [0, -1]])
+    close(_quasilinear_jacobian_bands(psi, cs, g, dt), rows, 1)
+
+    # solve_sensitivity steps with exactly that matrix
+    Psi = SpaceTimeField.from_bulk(np.tile(psi, (tg.step_count + 1, 1)))
+    d = BulkSurfaceField.from_bulk(np.cos(np.pi * g.x))
+    Z = solve_sensitivity(cs, g, tg, Psi, d)
+    step = np.linalg.solve(rows.T, Mw * d.bulk / dt)
+    assert np.abs(Z.bulk[1] - step).max() <= 1e-12 * np.abs(step).max()
+
+
+def test_st_pairs_match_slice_loop(small):
+    """The vectorised space-time pairings equal the per-slice l2_inner sums
+    up to summation order."""
+    from bscontrol.solvers import st_pair_backward, st_pair_forward
+    g, tg, _, _, _ = small
+    M, dt = tg.step_count, tg.dt
+    rng = np.random.default_rng(10)
+    A, B = (SpaceTimeField(rng.standard_normal((M + 1, g.n_nodes)),
+                           rng.standard_normal((M + 1, 2))) for _ in range(2))
+    absA = SpaceTimeField(np.abs(A.bulk), np.abs(A.surface))
+    absB = SpaceTimeField(np.abs(B.bulk), np.abs(B.surface))
+    for pair, cells in ((st_pair_forward, range(1, M + 1)),
+                        (st_pair_backward, range(M))):
+        ref = sum(dt * l2_inner(A.slice(c), B.slice(c), g) for c in cells)
+        scale = sum(dt * l2_inner(absA.slice(c), absB.slice(c), g) for c in cells)
+        assert abs(pair(A, B, g, dt) - ref) <= 1e-14 * scale
