@@ -61,11 +61,16 @@ class RunConfig:
         return self.raw[section][key]
 
     def getf(self, section: str, key: str) -> float:
+        """A finite float: no key takes nan or +-inf."""
         try:
-            return float(self.raw[section][key])
+            val = float(self.raw[section][key])
         except ValueError as exc:
             raise ConfigurationError(
                 f"[{section}] {key} = {self.raw[section][key]!r}: not a number") from exc
+        if not math.isfinite(val):
+            raise ConfigurationError(
+                f"[{section}] {key} = {self.raw[section][key]!r}: not finite")
+        return val
 
     def geti(self, section: str, key: str) -> int:
         try:
@@ -113,6 +118,15 @@ def load_config(path: str | None, seed_override: int | None = None) -> RunConfig
 
 def build_setup(cfg: RunConfig):
     """Construct the full synthesis bundle plus the configured source."""
+    theta = cfg.getf("functional", "theta")
+    theta_s = cfg.getf("functional", "theta_s")
+    max_outer = cfg.geti("solver", "max_outer")
+    if not theta > 0:
+        raise ConfigurationError(f"[functional] theta = {theta}: must be > 0")
+    if not theta_s >= 0:
+        raise ConfigurationError(f"[functional] theta_s = {theta_s}: must be >= 0")
+    if max_outer < 1:
+        raise ConfigurationError(f"[solver] max_outer = {max_outer}: must be >= 1")
     grid = build_grid(cfg.getf("grid", "length"), cfg.geti("grid", "cells"))
     tgrid = build_time_grid(cfg.getf("time", "horizon"), cfg.geti("time", "steps"))
     surf = [s.strip() for s in cfg.get("masks", "obs_surface").split(",") if s.strip()]
@@ -130,10 +144,8 @@ def build_setup(cfg: RunConfig):
     ops = LinearOperatorSet.from_coefficients(cs, grid, tgrid)
     bundle = SynthesisBundle(
         cs=cs, grid=grid, time_grid=tgrid, masks=masks, tables=tables,
-        chi=chi, ops=ops, theta=cfg.getf("functional", "theta"),
-        theta_s=cfg.getf("functional", "theta_s"),
-        loop_tol=cfg.getf("solver", "loop_tol"),
-        max_outer=cfg.geti("solver", "max_outer"))
+        chi=chi, ops=ops, theta=theta, theta_s=theta_s,
+        loop_tol=cfg.getf("solver", "loop_tol"), max_outer=max_outer)
     F = build_source(cfg, bundle)
     return bundle, F
 
@@ -300,10 +312,14 @@ SWEEP_PARAMS = ("amplitude", "N", "M", "lambda", "s_coeff", "theta_s")
 
 
 def cmd_sweep(cfg: RunConfig, parameter: str, values: list[str], outdir: str) -> list[dict]:
+    """One synthesis per value.  While a value changes only the `[source]`
+    section, the previous value's bundle, and with it the factorized
+    least-squares solver, is reused and only the source is rebuilt."""
     if parameter not in SWEEP_PARAMS:
         raise ConfigurationError(
             f"sweep parameter must be one of {SWEEP_PARAMS}, got '{parameter}'")
     rows = []
+    bundle, operator_key = None, None
     for val in values:
         raw = {s: dict(kv) for s, kv in cfg.raw.items()}
         if parameter == "amplitude":
@@ -320,8 +336,14 @@ def cmd_sweep(cfg: RunConfig, parameter: str, values: list[str], outdir: str) ->
             raw["functional"]["theta_s"] = val
         sub = RunConfig(raw=raw, seed=cfg.seed)
         row = {"parameter": parameter, "value": val}
+        key = json.dumps({s: kv for s, kv in raw.items() if s != "source"},
+                         sort_keys=True)
         try:
-            bundle, F = build_setup(sub)
+            if key == operator_key:
+                F = build_source(sub, bundle)
+            else:
+                bundle, F = build_setup(sub)
+                operator_key = key
             rep = synthesize(F, bundle)
             row.update(status=rep.status, iterations=rep.iterations,
                        h0_linear=rep.h0_norm_linear,

@@ -32,7 +32,11 @@ beyond what unpreconditioned conjugate gradients can resolve in doubles.
 The residual stack is assembled sparsely (it is block bidiagonal in time)
 from the same SBP stencils `geometry` applies matrix-free; the diagonally
 scaled normal matrix is factorized with sparse LU plus a fixed number of
-iterative-refinement steps.  Optimality is always reported through
+iterative-refinement steps.  The matrix depends on the operator (grids,
+masks, weights, chi, coefficients, theta, theta_s) and never on the
+sources, so one `FISolver` serves every right-hand side of that operator;
+its Lanczos conditioning probe runs only when a solution's Ritz bounds are
+read.  Optimality is always reported through
 the quadratic-form geometry (the relative Galerkin residual), which is the
 well-conditioned quantity; Euclidean distances to the re-solved cascade
 states are reported as diagnostics of the weight-induced null space.
@@ -40,6 +44,7 @@ states are reported as diagnostics of the weight-induced null space.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -132,11 +137,30 @@ class FISolution:
     v: np.ndarray                # (M+1, n_nodes), slice c = cell-c control
     cg_iters: int
     optimality_residual: float
-    ritz_min: float
-    ritz_max: float
     h0_norm: float               # recovered-H first-node L2 norm
     log_norms: dict = field(default_factory=dict)
     x_dofs: np.ndarray | None = None
+    # (scaled normal matrix, scaled right-hand side) the Ritz probe reads;
+    # None for the zero solution
+    probe: tuple | None = field(default=None, repr=False)
+
+    @functools.cached_property
+    def ritz(self) -> tuple[float, float]:
+        """Extreme Ritz values of the scaled normal matrix (observability
+        proxy), from a 60-step Lanczos run seeded with the scaled
+        right-hand side.  Computed on first read: only the reported solve
+        of an outer loop is ever probed."""
+        if self.probe is None:
+            return 0.0, 0.0
+        return _lanczos_bounds(*self.probe, k=60)
+
+    @property
+    def ritz_min(self) -> float:
+        return self.ritz[0]
+
+    @property
+    def ritz_max(self) -> float:
+        return self.ritz[1]
 
 
 class _Stack:
@@ -348,10 +372,13 @@ def linear_F(problem: FIProblem, YZ) -> float:
 
 class FISolver:
     """Reusable solver: the normal matrix and its factorization depend only
-    on the geometry/weights, not on the sources, so outer-loop iterations
-    share one factorization.  The solve is then a fixed linear map of the
-    right-hand side, and increments of iterated solves inherit the
-    contraction of the source corrections exactly."""
+    on the operator (geometry, weights, theta, theta_s), not on the
+    sources.  One factorization, made on the first solve, is shared by the
+    outer-loop iterations of a synthesis and, through
+    `SynthesisBundle.fi_solver`, by every sweep value whose bundle is
+    unchanged.  The solve is then a fixed linear map of the right-hand
+    side, and increments of iterated solves inherit the contraction of the
+    source corrections exactly."""
 
     def __init__(self, problem: FIProblem):
         self.problem = problem
@@ -379,21 +406,21 @@ class FISolver:
 
     def solve(self, F: SpaceTimeField | None = None,
               G: SpaceTimeField | None = None) -> FISolution:
-        p = self.problem
+        p, st = self.problem, self.stack
         if F is not None or G is not None:
             p = FIProblem(F=F if F is not None else p.F,
                           G=G if G is not None else p.G,
                           theta=p.theta, theta_s=p.theta_s, grid=p.grid,
                           time_grid=p.time_grid, masks=p.masks, tables=p.tables,
                           chi=p.chi, ops=p.ops)
-        st = self.stack
-        b = _Stack(p).rhs() if p is not self.problem else st.rhs()
+            st = _Stack(p)
+        b = st.rhs()
         if not np.any(b):
             zero = SpaceTimeField.zeros(st.g, st.M + 1)
             sol = FISolution(Phi=zero, K=zero.copy(), Psi=zero.copy(),
                              H=zero.copy(), v=np.zeros((st.M + 1, st.n)),
-                             cg_iters=0, optimality_residual=0.0, ritz_min=0.0,
-                             ritz_max=0.0, h0_norm=0.0, x_dofs=np.zeros(st.n_dofs))
+                             cg_iters=0, optimality_residual=0.0, h0_norm=0.0,
+                             x_dofs=np.zeros(st.n_dofs))
             sol.log_norms = _solution_log_norms(st, p, sol)
             return sol
         bt = self.D * b
@@ -405,10 +432,7 @@ class FISolver:
             xt = xt + lu.solve(bt - self.At @ xt)
         res = float(np.linalg.norm(bt - self.At @ xt)
                     / max(np.linalg.norm(bt), 1e-300))
-        rmin, rmax = _lanczos_bounds(self.At, bt, k=60)
-        x = self.D * xt
-        return _recover(_Stack(p) if p is not self.problem else st,
-                        p, x, N_REFINE, res, rmin, rmax)
+        return _recover(st, p, self.D * xt, N_REFINE, res, (self.At, bt))
 
 
 def solve_fi(problem: FIProblem) -> FISolution:
@@ -441,7 +465,7 @@ def _lanczos_bounds(At, seed_vec, k=60):
     return float(vals[0]), float(vals[-1])
 
 
-def _recover(st: _Stack, p: FIProblem, x, iters, final_res, rmin, rmax) -> FISolution:
+def _recover(st: _Stack, p: FIProblem, x, iters, final_res, probe) -> FISolution:
     M, n = st.M, st.n
     psi_b, psi_s, h_b, h_s, v_cells = st.recover_fields(x)
     for arr in (psi_b, psi_s, h_b, h_s, v_cells):
@@ -465,8 +489,8 @@ def _recover(st: _Stack, p: FIProblem, x, iters, final_res, rmin, rmax) -> FISol
     v[1:] = v_cells
 
     sol = FISolution(Phi=Phi, K=K, Psi=Psi, H=H, v=v, cg_iters=iters,
-                     optimality_residual=final_res, ritz_min=rmin, ritz_max=rmax,
-                     h0_norm=l2_norm(H.slice(0), st.g), x_dofs=x)
+                     optimality_residual=final_res,
+                     h0_norm=l2_norm(H.slice(0), st.g), x_dofs=x, probe=probe)
     sol.log_norms = _solution_log_norms(st, p, sol)
     return sol
 

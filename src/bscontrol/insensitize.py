@@ -24,6 +24,7 @@ cascade.  Their discrepancy is reported against an explicit error budget
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -80,9 +81,13 @@ class PerturbationSpec:
             raise ContractError("perturbation direction must be trace-compatible")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthesisBundle:
-    """Everything a synthesis run needs besides the source."""
+    """Everything a synthesis run needs besides the source.
+
+    Frozen, so that the least-squares solver cached on it can never go
+    stale: a bundle with other fields is a new bundle with its own solver.
+    """
 
     cs: CoefficientSet
     grid: SpatialGrid
@@ -95,6 +100,17 @@ class SynthesisBundle:
     theta_s: float
     loop_tol: float = 1e-9
     max_outer: int = 30
+
+    @functools.cached_property
+    def fi_solver(self) -> FISolver:
+        """The least-squares solver of this operator.  Its normal matrix
+        depends on everything here but the source, so every synthesis on
+        this bundle shares one factorization, made on the first solve."""
+        zero = SpaceTimeField.zeros(self.grid, self.time_grid.step_count + 1)
+        return FISolver(FIProblem(
+            F=zero, G=zero, theta=self.theta, theta_s=self.theta_s,
+            grid=self.grid, time_grid=self.time_grid, masks=self.masks,
+            tables=self.tables, chi=self.chi, ops=self.ops))
 
 
 @dataclass
@@ -336,6 +352,8 @@ def synthesize(F: SpaceTimeField, bundle: SynthesisBundle,
                run_quasilinear_check: bool = True) -> SynthesisReport:
     """Frozen-linearization outer loop from the zero triple.
 
+    Every iteration solves with `bundle.fi_solver`, so the loop, and every
+    later synthesis on the same bundle, shares one factorization.
     Convergence is declared when the X-norm of the increment drops below
     loop_tol relative to the X-norm of the current triple; three
     consecutive non-decreasing increments raise SmallnessViolationError
@@ -355,16 +373,11 @@ def synthesize(F: SpaceTimeField, bundle: SynthesisBundle,
     prev_sol = None
     its = 0
 
-    base_prob = FIProblem(F=F, G=SpaceTimeField.zeros(g, M + 1),
-                          theta=bundle.theta, theta_s=bundle.theta_s, grid=g,
-                          time_grid=tg, masks=bundle.masks, tables=bundle.tables,
-                          chi=bundle.chi, ops=bundle.ops)
-    solver = FISolver(base_prob)   # one factorization for the whole loop
     for its in range(1, bundle.max_outer + 1):
         A = nonlinear_parts_A(Psi, H, bundle.cs, bundle.ops)
         Feff = SpaceTimeField(F.bulk + A["A1"], F.surface + A["A3"])
         Geff = SpaceTimeField(A["A2"], A["A4"])
-        sol = solver.solve(Feff, Geff)
+        sol = bundle.fi_solver.solve(Feff, Geff)
         cg_iters.append(sol.cg_iters)
         Psi_new, H_new = solve_linearized_cascade(
             bundle.ops, Feff, Geff, sol.v, bundle.theta, bundle.theta_s,

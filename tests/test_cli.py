@@ -4,9 +4,31 @@ import os
 import numpy as np
 import pytest
 
-from bscontrol.cli import (build_setup, cmd_diagnose, cmd_sweep, load_config,
-                           main)
+from bscontrol import fi
+from bscontrol.cli import (build_setup, cmd_diagnose, cmd_sweep, cmd_synthesize,
+                           load_config, main)
 from bscontrol.errors import ConfigurationError
+from bscontrol.insensitize import synthesize
+
+
+def _small_config():
+    cfg = load_config(None)
+    cfg.raw["grid"]["cells"] = "32"
+    cfg.raw["time"]["steps"] = "64"
+    return cfg
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap `module.name` so that every call appends to the returned list."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def test_load_config_defaults_and_overrides(tmp_path):
@@ -41,7 +63,10 @@ def test_config_hash_seed_sensitivity(tmp_path):
 def test_exit_code_validation(tmp_path):
     path = tmp_path / "bad.cfg"
     for text in ("[masks]\nomega = 0.1,0.2\nobs_bulk = 0.8,0.9\n",
-                 "[masks]\nomega = 0.25,abc\n", "[run]\nseed = xyz\n"):
+                 "[masks]\nomega = 0.25,abc\n", "[run]\nseed = xyz\n",
+                 "[source]\namplitude = nan\n", "[source]\namplitude = inf\n",
+                 "[functional]\ntheta = 0\n", "[functional]\ntheta_s = -1\n",
+                 "[solver]\nmax_outer = 0\n"):
         path.write_text(text)
         rc = main(["synthesize", "--config", str(path), "--out", str(tmp_path)])
         assert rc == 2, text
@@ -104,13 +129,58 @@ def test_diagnose_unknown_suite(tmp_path):
         cmd_diagnose(cfg, "entropy", str(tmp_path))
 
 
-def test_sweep_theta_s_gating(tmp_path):
-    cfg = load_config(None)
-    cfg.raw["grid"]["cells"] = "32"
-    cfg.raw["time"]["steps"] = "64"
-    rows = cmd_sweep(cfg, "theta_s", ["0.0", "0.5"], str(tmp_path))
+def test_sweep_theta_s_gating(tmp_path, monkeypatch):
+    factorizations = _count_calls(monkeypatch, fi, "splu")
+    rows = cmd_sweep(_small_config(), "theta_s", ["0.0", "0.5"], str(tmp_path))
     assert all(r["status"] in ("converged", "converged_floor") for r in rows)
     assert (tmp_path / "sweep_theta_s.csv").exists()
+    # theta_s is part of the operator: one factorization per value
+    assert len(factorizations) == 2
+
+
+def test_sweep_shares_factor_across_amplitudes(tmp_path, monkeypatch):
+    factorizations = _count_calls(monkeypatch, fi, "splu")
+    probes = _count_calls(monkeypatch, fi, "_lanczos_bounds")
+    cfg = _small_config()
+    amps = ["5e-4", "1e-3", "2e-3"]
+    rows = cmd_sweep(cfg, "amplitude", amps, str(tmp_path))
+    assert len(factorizations) == 1
+    assert probes == []     # a sweep reads no Ritz bounds
+    for amp, row in zip(amps, rows):
+        cfg.raw["source"]["amplitude"] = amp
+        bundle, F = build_setup(cfg)
+        rep = synthesize(F, bundle)
+        assert row == {"parameter": "amplitude", "value": amp,
+                       "status": rep.status, "iterations": rep.iterations,
+                       "h0_linear": rep.h0_norm_linear,
+                       "h0_quasilinear": rep.h0_norm_quasilinear,
+                       "log_x_norm_sq": rep.log_x_norm_sq,
+                       "log_y_norm_sq": rep.log_y_norm_sq}
+
+
+def test_sweep_factorizes_per_grid(tmp_path, monkeypatch):
+    factorizations = _count_calls(monkeypatch, fi, "splu")
+    rows = cmd_sweep(_small_config(), "N", ["32", "40"], str(tmp_path))
+    assert all(r["status"] in ("converged", "converged_floor") for r in rows)
+    assert len(factorizations) == 2
+
+
+def test_sweep_invalid_value_keeps_going(tmp_path):
+    cfg = _small_config()
+    rows = (cmd_sweep(cfg, "theta_s", ["-1", "0.5"], str(tmp_path))
+            + cmd_sweep(cfg, "amplitude", ["nan", "1e-3", "inf"], str(tmp_path)))
+    status = [r["status"] for r in rows]
+    assert status[0] == status[2] == status[4] == "invalid"
+    assert {status[1], status[3]} <= {"converged", "converged_floor"}
+    assert "theta_s" in rows[0]["detail"] and "amplitude" in rows[2]["detail"]
+
+
+def test_synthesize_probes_the_reported_solve_once(tmp_path, monkeypatch):
+    probes = _count_calls(monkeypatch, fi, "_lanczos_bounds")
+    summary = cmd_synthesize(_small_config(), str(tmp_path))
+    assert summary["iterations"] > 1
+    assert len(probes) == 1
+    assert summary["fi"]["ritz"]["min"] > 0
 
 
 def test_weight_csv_signature(tmp_path):

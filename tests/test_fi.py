@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bscontrol import fi
 from bscontrol.errors import ContractError
 from bscontrol.fi import (FIProblem, FISolver, apply_residual_R, bilinear_B,
                           cascade_residual_check, galerkin_check, linear_F,
@@ -96,6 +97,24 @@ def test_solve_galerkin_and_contract(fi_solved):
     assert chk["weak_residual_forward"] <= 1e-12
     assert chk["weak_residual_backward"] <= 1e-12
     assert sol.ritz_min > 0  # observability footprint of the scaled form
+
+
+def test_ritz_probe_is_lazy_and_exact(bundle, source, monkeypatch):
+    prob = make_problem(bundle, source)
+    solver = FISolver(prob)
+    eager = fi._lanczos_bounds(solver.At, solver.D * fi._Stack(prob).rhs(), k=60)
+    original, calls = fi._lanczos_bounds, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fi, "_lanczos_bounds", counted)
+    sol = solver.solve(F=source)
+    assert calls == []
+    for _ in range(2):
+        assert (sol.ritz_min, sol.ritz_max) == eager
+    assert len(calls) == 1
 
 
 def test_control_support(fi_solved, bundle):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -151,10 +152,18 @@ def test_quadratic_energy_gates(bundle):
     Psi = SpaceTimeField.from_bulk(np.ones((M + 1, g.n_nodes)))
     base = quadratic_energy(Psi, bundle)
     assert base > 0
-    import dataclasses
     nosurf = dataclasses.replace(bundle, theta_s=0.0)
     only_bulk = quadratic_energy(Psi, nosurf)
     assert only_bulk < base
+
+
+def test_bundle_solver_is_cached_and_scoped(bundle):
+    assert bundle.fi_solver is bundle.fi_solver
+    other = dataclasses.replace(bundle, theta_s=0.0)
+    assert other.fi_solver is not bundle.fi_solver
+    assert other.fi_solver.problem.theta_s == 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        bundle.theta_s = 0.0
 
 
 def test_evaluate_J_zero(bundle):
