@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import hashlib
 import json
 import math
@@ -22,8 +23,8 @@ import numpy as np
 
 from . import diagnostics
 from .errors import (BSControlError, ConditioningError, ConfigurationError,
-                     SmallnessViolationError)
-from .fi import FIProblem, solution_summary
+                     ContractError, SmallnessViolationError)
+from .fi import solution_summary
 from .geometry import SpaceTimeField, build_grid, build_masks, build_time_grid
 from .insensitize import (PerturbationSpec, SynthesisBundle, insensitivity_check,
                           synthesize)
@@ -138,7 +139,11 @@ def build_setup(cfg: RunConfig):
     params = validate_params(WeightParams(
         lam=cfg.getf("weights", "lambda"), m=cfg.getf("weights", "m"),
         s_coeff=cfg.getf("weights", "s_coeff")), tgrid.horizon)
-    eta = build_eta(grid, masks, cfg.getf("weights", "eta_peak"))
+    eta_peak = cfg.getf("weights", "eta_peak")
+    try:
+        eta = build_eta(grid, masks, eta_peak)
+    except ContractError as exc:
+        raise ConfigurationError(f"[weights] eta_peak = {eta_peak}: {exc}") from exc
     tables = build_weight_tables(grid, tgrid, eta, params)
     chi = build_chi(grid, masks)
     ops = LinearOperatorSet.from_coefficients(cs, grid, tgrid)
@@ -168,7 +173,14 @@ def build_source(cfg: RunConfig, bundle: SynthesisBundle,
     elif family == "gaussian":
         c0 = cfg.getf("source", "center")
         wd = cfg.getf("source", "width")
-        shape = np.exp(-0.5 * ((x - c0) / wd) ** 2)
+        if not wd > 0:
+            raise ConfigurationError(f"[source] width = {wd}: must be > 0")
+        with np.errstate(over="ignore"):
+            shape = np.exp(-0.5 * ((x - c0) / wd) ** 2)
+        if not np.any(shape):
+            raise ConfigurationError(
+                f"[source] width = {wd}, center = {c0}: the gaussian is zero "
+                "at every grid node")
     elif family == "random_fourier":
         rng = rng if rng is not None else np.random.default_rng(cfg.seed)
         shape = np.zeros_like(x)
@@ -232,13 +244,9 @@ def cmd_synthesize(cfg: RunConfig, outdir: str) -> dict:
     rng = np.random.default_rng(cfg.seed)
     report = synthesize(F, bundle)
     specs = [PerturbationSpec.random(bundle.grid, rng) for _ in range(3)]
-    checks = insensitivity_check(bundle, F, report.v, specs)
+    checks = insensitivity_check(bundle, F, report, specs)
     sol = report.fi_solution
-    base_prob = FIProblem(
-        F=F, G=SpaceTimeField.zeros(bundle.grid, bundle.time_grid.step_count + 1),
-        theta=bundle.theta, theta_s=bundle.theta_s, grid=bundle.grid,
-        time_grid=bundle.time_grid, masks=bundle.masks, tables=bundle.tables,
-        chi=bundle.chi, ops=bundle.ops)
+    base_prob = dataclasses.replace(bundle.fi_solver.problem, F=F)
     summary = {
         "config_hash": cfg.hash(),
         "seed": cfg.seed,
@@ -263,9 +271,8 @@ def cmd_synthesize(cfg: RunConfig, outdir: str) -> dict:
                 "cg_iters": report.cg_iters[i]}
                for i, inc in enumerate(report.increments)],
               os.path.join(outdir, "iterations.csv"))
-    if report.quasi_states is not None:
-        dump_trajectory_csv(*report.quasi_states, bundle.grid,
-                            bundle.time_grid, os.path.join(outdir, "trajectory.csv"))
+    dump_trajectory_csv(*report.quasi_states, bundle.grid, bundle.time_grid,
+                        os.path.join(outdir, "trajectory.csv"))
     dump_weight_csv(bundle.tables, os.path.join(outdir, "weights.csv"))
     ladder_rows = []
     for i, chk in enumerate(checks):
@@ -308,7 +315,11 @@ def cmd_diagnose(cfg: RunConfig, which: str, outdir: str) -> dict:
     return out
 
 
-SWEEP_PARAMS = ("amplitude", "N", "M", "lambda", "s_coeff", "theta_s")
+# sweep parameter -> the (section, key) of the config value it sets
+SWEEP_PARAMS = {"amplitude": ("source", "amplitude"), "N": ("grid", "cells"),
+                "M": ("time", "steps"), "lambda": ("weights", "lambda"),
+                "s_coeff": ("weights", "s_coeff"),
+                "theta_s": ("functional", "theta_s")}
 
 
 def cmd_sweep(cfg: RunConfig, parameter: str, values: list[str], outdir: str) -> list[dict]:
@@ -317,23 +328,13 @@ def cmd_sweep(cfg: RunConfig, parameter: str, values: list[str], outdir: str) ->
     least-squares solver, is reused and only the source is rebuilt."""
     if parameter not in SWEEP_PARAMS:
         raise ConfigurationError(
-            f"sweep parameter must be one of {SWEEP_PARAMS}, got '{parameter}'")
+            f"sweep parameter must be one of {tuple(SWEEP_PARAMS)}, got '{parameter}'")
+    section, key_name = SWEEP_PARAMS[parameter]
     rows = []
     bundle, operator_key = None, None
     for val in values:
         raw = {s: dict(kv) for s, kv in cfg.raw.items()}
-        if parameter == "amplitude":
-            raw["source"]["amplitude"] = val
-        elif parameter == "N":
-            raw["grid"]["cells"] = val
-        elif parameter == "M":
-            raw["time"]["steps"] = val
-        elif parameter == "lambda":
-            raw["weights"]["lambda"] = val
-        elif parameter == "s_coeff":
-            raw["weights"]["s_coeff"] = val
-        elif parameter == "theta_s":
-            raw["functional"]["theta_s"] = val
+        raw[section][key_name] = val
         sub = RunConfig(raw=raw, seed=cfg.seed)
         row = {"parameter": parameter, "value": val}
         key = json.dumps({s: kv for s, kv in raw.items() if s != "source"},
@@ -381,7 +382,8 @@ def main(argv=None) -> int:
         if name == "sweep":
             p.add_argument("--parameter", required=True)
             p.add_argument("--values", required=True,
-                           help="comma-separated list")
+                           help="comma-separated list; when it starts with a "
+                           "negative value, write --values=-1,0.5")
     args = ap.parse_args(argv)
 
     outdir = args.out or os.environ.get("BSCONTROL_OUT", ".")

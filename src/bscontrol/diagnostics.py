@@ -55,15 +55,15 @@ def duality_battery(ops: LinearOperatorSet, rng, n_pairs: int = 100) -> float:
     return worst
 
 
-def _manufactured_run(cs: CoefficientSet, N: int, M: int, horizon: float,
+def _manufactured_run(cs: CoefficientSet, N: int, M: int,
                       time_profile: str) -> float:
-    """Space-time L2 error for psi = profile(t) cos(pi x) on (0,1).
+    """Space-time L2 error for psi = profile(t) cos(pi x) on (0,1) x (0,1).
 
     profile "linear" (1+t) has zero implicit-Euler truncation, isolating
     the spatial order; "decay" e^{-t} carries an O(dt) temporal component.
     """
     grid = build_grid(1.0, N)
-    tgrid = build_time_grid(horizon, M)
+    tgrid = build_time_grid(1.0, M)
     ops = LinearOperatorSet.from_coefficients(cs, grid, tgrid)
     x, t = grid.x, tgrid.nodes
     cosx = np.cos(np.pi * x)
@@ -88,7 +88,7 @@ def _manufactured_run(cs: CoefficientSet, N: int, M: int, horizon: float,
                            + np.sum(err_s[1:]**2)) * tgrid.dt)
 
 
-def convergence_orders(cs: CoefficientSet, horizon: float = 1.0) -> dict:
+def convergence_orders(cs: CoefficientSet) -> dict:
     """Observed spatial and temporal orders from manufactured solutions.
 
     Spatial: linear-in-time profile (no temporal truncation), direct error
@@ -96,9 +96,9 @@ def convergence_orders(cs: CoefficientSet, horizon: float = 1.0) -> dict:
     at N = 256 over M in {64, 128, 256}; the order is estimated from error
     increments so the common spatial component cancels.
     """
-    es = [_manufactured_run(cs, N, 256, horizon, "linear") for N in (32, 64, 128)]
+    es = [_manufactured_run(cs, N, 256, "linear") for N in (32, 64, 128)]
     spatial = [math.log2(es[i] / es[i + 1]) for i in range(2)]
-    et = [_manufactured_run(cs, 256, M, horizon, "decay") for M in (64, 128, 256)]
+    et = [_manufactured_run(cs, 256, M, "decay") for M in (64, 128, 256)]
     temporal_inc = math.log2(max(et[0] - et[1], 1e-300) / max(et[1] - et[2], 1e-300))
     return {"spatial_errors": es, "spatial_orders": spatial,
             "temporal_errors": et, "temporal_order": temporal_inc,

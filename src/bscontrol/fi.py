@@ -56,8 +56,8 @@ from .errors import ConditioningError, ContractError
 from .geometry import (SpaceTimeField, SpatialGrid, grad_faces, l2_norm,
                        normal_derivative, sbp_laplacian)
 from .solvers import (LinearOperatorSet, solve_linearized_cascade, weak_residual)
-from .weights import (ChiBump, WeightTables, log_add, log_ratio,
-                      log_weighted_sq_sum, log_weighted_sup)
+from .weights import (ChiBump, WeightTables, log_add, log_ratio, log_st_sq,
+                      log_weighted_sup)
 
 # iterative-refinement steps after the LU solve; more diverge against the
 # assembled normal matrix at faithful weights
@@ -90,7 +90,13 @@ class FIProblem:
             raise ContractError(f"theta must be positive, got {self.theta}")
         if self.theta_s < 0:
             raise ContractError(f"theta_s must be >= 0, got {self.theta_s}")
-        for nm, lg in self.log_source_norms().items():
+        self.check_sources(self.F, self.G)
+
+    def check_sources(self, F: SpaceTimeField, G: SpaceTimeField) -> None:
+        """Raise unless every weighted norm of the sources (F, G) is finite."""
+        for nm, lg in source_log_norms(F.bulk, F.surface, G.bulk, G.surface,
+                                       self.tables, self.grid,
+                                       self.time_grid.dt).items():
             if not (lg < math.inf):
                 raise ContractError(f"weighted source norm {nm} is not finite")
 
@@ -107,16 +113,24 @@ def source_log_norms(Fb, Fs, Gb, Gs, tables: WeightTables, grid: SpatialGrid,
                      dt: float) -> dict:
     """log-space ||mu F||^2, ||mu G||^2, ||mu4 F_t||^2 of slice arrays
     whose slice c holds the cell-c sample (slice 0 is ignored)."""
-    quad_b = grid.trapezoid_weights()[None, :] * dt
-    lm, lm4 = tables.log_mu, tables.log_mu_k[4]
-    out = {}
-    for nm, Sb, Ss in (("muF", Fb, Fs), ("muG", Gb, Gs)):
-        out[nm] = log_add(log_weighted_sq_sum(2 * lm[:, None], Sb[1:], quad_b),
-                          log_weighted_sq_sum(2 * lm[:, None], Ss[1:], dt))
-    Ft_b, Ft_s, lw_t = _cell_time_derivative(Fb[1:], Fs[1:], lm4, dt)
-    out["mu4Ft"] = log_add(log_weighted_sq_sum(2 * lw_t[:, None], Ft_b, quad_b),
-                           log_weighted_sq_sum(2 * lw_t[:, None], Ft_s, dt))
+    out = {nm: log_st_sq(tables.log_mu, Sb[1:], Ss[1:], grid, dt)
+           for nm, Sb, Ss in (("muF", Fb, Fs), ("muG", Gb, Gs))}
+    Ft_b, Ft_s, lw_t = _cell_time_derivative(Fb[1:], Fs[1:], tables.log_mu_k[4], dt)
+    out["mu4Ft"] = log_st_sq(lw_t, Ft_b, Ft_s, grid, dt)
     return out
+
+
+def core_log_norms(Psi: SpaceTimeField, H: SpaceTimeField, v: np.ndarray,
+                   tables: WeightTables, grid: SpatialGrid, dt: float) -> dict:
+    """log ||mu0 Psi||^2, ||mu0 H||^2, ||mu1 v||^2 and ||mu3 v_t||^2: the
+    control and state core of the X norm (Psi and v on right slices, H on
+    left slices)."""
+    lm = tables.log_mu_k
+    vt = np.diff(v[1:], axis=0) / dt
+    return {"mu0Psi": log_st_sq(lm[0], Psi.bulk[1:], Psi.surface[1:], grid, dt),
+            "mu0H": log_st_sq(lm[0], H.bulk[:-1], H.surface[:-1], grid, dt),
+            "mu1v": log_st_sq(lm[1], v[1:], None, grid, dt),
+            "mu3vt": log_st_sq(0.5 * (lm[3][1:] + lm[3][:-1]), vt, None, grid, dt)}
 
 
 def _cell_time_derivative(cells_b, cells_s, log_w, dt):
@@ -130,8 +144,6 @@ def _cell_time_derivative(cells_b, cells_s, log_w, dt):
 
 @dataclass
 class FISolution:
-    Phi: SpaceTimeField | None
-    K: SpaceTimeField | None
     Psi: SpaceTimeField          # forward view: slice 0 is exactly 0
     H: SpaceTimeField            # backward view: slice M is exactly 0
     v: np.ndarray                # (M+1, n_nodes), slice c = cell-c control
@@ -298,18 +310,15 @@ class _Stack:
         r = self.R_matrix() @ x
         return float(np.dot(self._wmul(r), r))
 
-    def b_pairing(self, x) -> float:
-        return float(np.dot(self.rhs(), x))
-
-    def rhs(self):
-        p = self.p
-        M, n, dt = self.M, self.n, self.dt
-        bY = dt * (self.Hvec[None, :] * p.F.bulk[1:])
-        bY[:, 0] += dt * p.F.surface[1:, 0]
-        bY[:, -1] += dt * p.F.surface[1:, 1]
-        bZ = dt * (self.Hvec[None, :] * p.G.bulk[1:])
-        bZ[:, 0] += dt * p.G.surface[1:, 0]
-        bZ[:, -1] += dt * p.G.surface[1:, 1]
+    def rhs(self, F: SpaceTimeField, G: SpaceTimeField):
+        """The linear functional of the sources: F paired with Y, G with Z."""
+        dt = self.dt
+        bY = dt * (self.Hvec[None, :] * F.bulk[1:])
+        bY[:, 0] += dt * F.surface[1:, 0]
+        bY[:, -1] += dt * F.surface[1:, 1]
+        bZ = dt * (self.Hvec[None, :] * G.bulk[1:])
+        bZ[:, 0] += dt * G.surface[1:, 0]
+        bZ[:, -1] += dt * G.surface[1:, 1]
         return self.pack(bY, bZ)
 
     def recover_fields(self, x):
@@ -367,7 +376,7 @@ def bilinear_B(problem: FIProblem, YZ, YZbar) -> float:
 
 def linear_F(problem: FIProblem, YZ) -> float:
     st = _Stack(problem)
-    return st.b_pairing(_fields_to_dofs(st, *YZ))
+    return float(np.dot(st.rhs(problem.F, problem.G), _fields_to_dofs(st, *YZ)))
 
 
 class FISolver:
@@ -406,23 +415,14 @@ class FISolver:
 
     def solve(self, F: SpaceTimeField | None = None,
               G: SpaceTimeField | None = None) -> FISolution:
+        """Solve for the sources (F, G), by default the problem's own."""
         p, st = self.problem, self.stack
-        if F is not None or G is not None:
-            p = FIProblem(F=F if F is not None else p.F,
-                          G=G if G is not None else p.G,
-                          theta=p.theta, theta_s=p.theta_s, grid=p.grid,
-                          time_grid=p.time_grid, masks=p.masks, tables=p.tables,
-                          chi=p.chi, ops=p.ops)
-            st = _Stack(p)
-        b = st.rhs()
+        F = p.F if F is None else F
+        G = p.G if G is None else G
+        p.check_sources(F, G)
+        b = st.rhs(F, G)
         if not np.any(b):
-            zero = SpaceTimeField.zeros(st.g, st.M + 1)
-            sol = FISolution(Phi=zero, K=zero.copy(), Psi=zero.copy(),
-                             H=zero.copy(), v=np.zeros((st.M + 1, st.n)),
-                             cg_iters=0, optimality_residual=0.0, h0_norm=0.0,
-                             x_dofs=np.zeros(st.n_dofs))
-            sol.log_norms = _solution_log_norms(st, p, sol)
-            return sol
+            return _recover(st, np.zeros(st.n_dofs), 0, 0.0, None)
         bt = self.D * b
         lu = self._factorize()
         xt = lu.solve(bt)
@@ -432,7 +432,7 @@ class FISolver:
             xt = xt + lu.solve(bt - self.At @ xt)
         res = float(np.linalg.norm(bt - self.At @ xt)
                     / max(np.linalg.norm(bt), 1e-300))
-        return _recover(st, p, self.D * xt, N_REFINE, res, (self.At, bt))
+        return _recover(st, self.D * xt, N_REFINE, res, (self.At, bt))
 
 
 def solve_fi(problem: FIProblem) -> FISolution:
@@ -465,7 +465,7 @@ def _lanczos_bounds(At, seed_vec, k=60):
     return float(vals[0]), float(vals[-1])
 
 
-def _recover(st: _Stack, p: FIProblem, x, iters, final_res, probe) -> FISolution:
+def _recover(st: _Stack, x, iters, final_res, probe) -> FISolution:
     M, n = st.M, st.n
     psi_b, psi_s, h_b, h_s, v_cells = st.recover_fields(x)
     for arr in (psi_b, psi_s, h_b, h_s, v_cells):
@@ -473,10 +473,6 @@ def _recover(st: _Stack, p: FIProblem, x, iters, final_res, probe) -> FISolution
             raise ConditioningError(
                 "recovered fields overflow double range; weight spread too "
                 "large for this configuration")
-
-    Yf, Zf = st.unpack(x)
-    Phi = SpaceTimeField.from_bulk(Yf) if np.all(np.isfinite(Yf)) else None
-    K = SpaceTimeField.from_bulk(Zf) if np.all(np.isfinite(Zf)) else None
 
     Psi = SpaceTimeField.zeros(st.g, M + 1)
     Psi.bulk[1:] = psi_b            # forward view: cell k -> slice k+1
@@ -488,30 +484,10 @@ def _recover(st: _Stack, p: FIProblem, x, iters, final_res, probe) -> FISolution
     v = np.zeros((M + 1, n))
     v[1:] = v_cells
 
-    sol = FISolution(Phi=Phi, K=K, Psi=Psi, H=H, v=v, cg_iters=iters,
-                     optimality_residual=final_res,
-                     h0_norm=l2_norm(H.slice(0), st.g), x_dofs=x, probe=probe)
-    sol.log_norms = _solution_log_norms(st, p, sol)
-    return sol
-
-
-def _solution_log_norms(st: _Stack, p: FIProblem, sol: FISolution) -> dict:
-    g, dt = st.g, st.dt
-    t = p.tables
-    quad_b = g.trapezoid_weights()[None, :] * dt
-    lmu0, lmu1, lmu3 = t.log_mu_k[0], t.log_mu_k[1], t.log_mu_k[3]
-    out = {
-        "mu0Psi": log_add(
-            log_weighted_sq_sum(2 * lmu0[:, None], sol.Psi.bulk[1:], quad_b),
-            log_weighted_sq_sum(2 * lmu0[:, None], sol.Psi.surface[1:], dt)),
-        "mu0H": log_add(
-            log_weighted_sq_sum(2 * lmu0[:, None], sol.H.bulk[:-1], quad_b),
-            log_weighted_sq_sum(2 * lmu0[:, None], sol.H.surface[:-1], dt)),
-        "mu1v": log_weighted_sq_sum(2 * lmu1[:, None], sol.v[1:], quad_b),
-    }
-    vt_b, _, lw_t = _cell_time_derivative(sol.v[1:], np.zeros((st.M, 2)), lmu3, dt)
-    out["mu3vt"] = log_weighted_sq_sum(2 * lw_t[:, None], vt_b, quad_b)
-    return out
+    return FISolution(Psi=Psi, H=H, v=v, cg_iters=iters,
+                      optimality_residual=final_res,
+                      h0_norm=l2_norm(H.slice(0), st.g), x_dofs=x, probe=probe,
+                      log_norms=core_log_norms(Psi, H, v, st.p.tables, st.g, st.dt))
 
 
 def galerkin_check(sol: FISolution, problem: FIProblem, n_dirs: int, rng) -> dict:
@@ -524,7 +500,7 @@ def galerkin_check(sol: FISolution, problem: FIProblem, n_dirs: int, rng) -> dic
     """
     st = _Stack(problem)
     x = sol.x_dofs
-    resid = st.rhs() - st.apply_A(x)
+    resid = st.rhs(problem.F, problem.G) - st.apply_A(x)
     xB = math.sqrt(max(st.stack_norm_sq(x), 0.0))
     worst, details = 0.0, []
     for _ in range(n_dirs):
@@ -601,19 +577,6 @@ def cascade_residual_check(sol: FISolution, problem: FIProblem) -> dict:
 
 
 # --- weighted-estimate verification ----------------------------------------
-
-def _log_int_sq(log_w, cells_b, cells_s, grid, dt, bulk_only=False,
-                face_values=False):
-    if face_values:
-        quad = grid.h * dt
-    else:
-        quad = grid.trapezoid_weights()[None, :] * dt
-    tot = log_weighted_sq_sum(2 * np.asarray(log_w)[:, None], cells_b, quad)
-    if not bulk_only and cells_s is not None:
-        tot = log_add(tot, log_weighted_sq_sum(2 * np.asarray(log_w)[:, None],
-                                               cells_s, dt))
-    return tot
-
 
 def verify_p1(sol: FISolution, problem: FIProblem) -> dict:
     """LHS/RHS ratios for the control/state estimate and the v_t estimate."""
@@ -713,23 +676,23 @@ def verify_p2(sol: FISolution, problem: FIProblem,
     Hf = np.full(g.node_count, g.h)     # faces carry quadrature weight h
     lhs_c25 = log_add(
         log_weighted_sup(lm[2], (Pb, Hv), (Ps, 1.0)),
-        _log_int_sq(lm[2], gP, None, g, dt, face_values=True),
+        log_st_sq(lm[2], gP, None, g, dt),
         log_weighted_sup(lm[2], (Hb, Hv), (Hs, 1.0)),
-        _log_int_sq(lm[2], gH, None, g, dt, face_values=True))
+        log_st_sq(lm[2], gH, None, g, dt))
     lhs_c26 = log_add(
         log_weighted_sup(lm[3], (gP, Hf)),
-        _log_int_sq(lw3, Pt_b, Pt_s, g, dt),
-        _log_int_sq(lm[3], lapP, None, g, dt, bulk_only=True),
+        log_st_sq(lw3, Pt_b, Pt_s, g, dt),
+        log_st_sq(lm[3], lapP, None, g, dt),
         log_weighted_sup(lm[3], (gH, Hf)),
-        _log_int_sq(lw3, Ht_b, Ht_s, g, dt),
-        _log_int_sq(lm[3], lapH, None, g, dt, bulk_only=True))
+        log_st_sq(lw3, Ht_b, Ht_s, g, dt),
+        log_st_sq(lm[3], lapH, None, g, dt))
     lhs_c27 = log_add(
         log_weighted_sup(lw4, (Pt_b, Hv), (Pt_s, 1.0)),
-        _log_int_sq(lw4, gPt, None, g, dt, face_values=True))
+        log_st_sq(lw4, gPt, None, g, dt))
     lhs_c28 = log_add(
         log_weighted_sup(lw5, (gPt, Hf)),
-        _log_int_sq(lw5c, Ptt_b, Ptt_s, g, dt),
-        _log_int_sq(lw5, lapPt, None, g, dt, bulk_only=True),
+        log_st_sq(lw5c, Ptt_b, Ptt_s, g, dt),
+        log_st_sq(lw5, lapPt, None, g, dt),
         log_weighted_sup(lm[5], (lapP, Hv)))
 
     return {

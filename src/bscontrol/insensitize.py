@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ContractError, SmallnessViolationError
 from .fi import (FIProblem, FISolution, FISolver, _cell_time_derivative,
-                 source_log_norms)
+                 core_log_norms, source_log_norms)
 from .geometry import (BulkSurfaceField, RegionMasks, SpaceTimeField,
                        SpatialGrid, TimeGrid, grad_faces, h3_proxy_norm,
                        l2_inner, l2_norm, node_gradient, normal_derivative,
@@ -40,21 +40,8 @@ from .geometry import (BulkSurfaceField, RegionMasks, SpaceTimeField,
 from .solvers import (CoefficientSet, LinearOperatorSet, apply_L,
                       solve_linearized_cascade, solve_quasilinear,
                       solve_quasilinear_cascade, solve_sensitivity)
-from .weights import (ChiBump, WeightTables, log_add, log_ratio,
-                      log_weighted_sq_sum, log_weighted_sup, slice_sq_norms)
-
-
-@dataclass(frozen=True)
-class FunctionalConfig:
-    theta: float
-    theta_s: float
-    masks: RegionMasks
-
-    def __post_init__(self):
-        if not self.theta > 0:
-            raise ContractError(f"theta must be > 0, got {self.theta}")
-        if self.theta_s < 0:
-            raise ContractError(f"theta_s must be >= 0, got {self.theta_s}")
+from .weights import (ChiBump, WeightTables, log_add, log_ratio, log_st_sq,
+                      log_weighted_sq_sum, log_weighted_sup)
 
 
 @dataclass
@@ -65,7 +52,7 @@ class PerturbationSpec:
     tau_ladder: tuple = (1e-2, 5e-3, 2.5e-3)
 
     @classmethod
-    def random(cls, grid: SpatialGrid, rng, tau_ladder=(1e-2, 5e-3, 2.5e-3)):
+    def random(cls, grid: SpatialGrid, rng):
         x = grid.x / grid.length
         bulk = np.zeros_like(x)
         for k in range(1, 5):
@@ -74,7 +61,7 @@ class PerturbationSpec:
         nrm = h3_proxy_norm(f, grid)
         f.bulk /= nrm
         f.surface /= nrm
-        return cls(direction=f, tau_ladder=tuple(tau_ladder))
+        return cls(direction=f)
 
     def __post_init__(self):
         if not self.direction.is_trace_compatible(1e-12):
@@ -127,9 +114,9 @@ class SynthesisReport:
     log_y_norm_sq: float
     cg_iters: list
     status: str
+    quasi_states: tuple             # (Psi, H) of the quasilinear cascade under v
     h0_history: list = field(default_factory=list)
     fi_solution: FISolution | None = None
-    quasi_states: tuple | None = None
 
 
 # --- nonlinear parts ---------------------------------------------------------
@@ -259,74 +246,45 @@ def y_norm_sq_log(Fb, Fs, Gb, Gs, tables: WeightTables, grid: SpatialGrid,
 
 
 def x_norm_sq_log(Psi: SpaceTimeField, H: SpaceTimeField, v: np.ndarray,
-                  bundle: SynthesisBundle, detail: dict | None = None) -> float:
+                  bundle: SynthesisBundle) -> float:
     """log ||(Psi,H,v)||_X^2: the weighted-norm ladder of the state space.
 
-    Includes the L-residual components, the sup terms and the control
-    norms; also evaluates the derived quantity int mu5^2 ||Psi_t||_{H2}^2.
+    Sums the control and state core of `core_log_norms`, the time-derivative
+    and Laplacian components, the L-residual components and the sup terms.
+    The order of `parts` is the summation order.
     """
-    g, tg, t = bundle.grid, bundle.time_grid, bundle.tables
-    dt = tg.dt
-    quad_b = g.trapezoid_weights()[None, :] * dt
-    quad_f = g.h * dt
-    lm = {k: t.log_mu_k[k] for k in range(6)}
-    lmu = t.log_mu
-
+    g, dt, t = bundle.grid, bundle.time_grid.dt, bundle.tables
+    lm = t.log_mu_k
+    Hv = g.trapezoid_weights()
     Pb, Ps = Psi.bulk[1:], Psi.surface[1:]
-    Hb, Hs = H.bulk[:-1], H.surface[:-1]
-    parts = {}
-    parts["mu0Psi"] = log_add(
-        log_weighted_sq_sum(2 * lm[0][:, None], Pb, quad_b),
-        log_weighted_sq_sum(2 * lm[0][:, None], Ps, dt))
-    parts["mu0H"] = log_add(
-        log_weighted_sq_sum(2 * lm[0][:, None], Hb, quad_b),
-        log_weighted_sq_sum(2 * lm[0][:, None], Hs, dt))
-    parts["mu3LapH"] = log_weighted_sq_sum(2 * lm[3][:, None],
-                                           sbp_laplacian(Hb, g), quad_b)
+    core = core_log_norms(Psi, H, v, t, g, dt)
+    parts = {"mu0Psi": core["mu0Psi"], "mu0H": core["mu0H"],
+             "mu3LapH": log_st_sq(lm[3], sbp_laplacian(H.bulk[:-1], g), None, g, dt)}
     Pt_b, Pt_s, lw4 = _cell_time_derivative(Pb, Ps, lm[4], dt)
-    parts["mu4Psit"] = log_add(
-        log_weighted_sq_sum(2 * lw4[:, None], Pt_b, quad_b),
-        log_weighted_sq_sum(2 * lw4[:, None], Pt_s, dt))
+    parts["mu4Psit"] = log_st_sq(lw4, Pt_b, Pt_s, g, dt)
     _, _, lw5 = _cell_time_derivative(Pb, Ps, lm[5], dt)
-    parts["mu5LapPsit"] = log_weighted_sq_sum(2 * lw5[:, None],
-                                              sbp_laplacian(Pt_b, g), quad_b)
-    parts["mu1v"] = log_weighted_sq_sum(2 * lm[1][:, None], v[1:], quad_b)
-    vt_b = np.diff(v[1:], axis=0) / dt
-    lw3 = 0.5 * (lm[3][1:] + lm[3][:-1])
-    parts["mu3vt"] = log_weighted_sq_sum(2 * lw3[:, None], vt_b, quad_b)
-    vH2 = (np.einsum("kj,j,kj->k", v[1:], g.trapezoid_weights(), v[1:])
+    parts["mu5LapPsit"] = log_st_sq(lw5, sbp_laplacian(Pt_b, g), None, g, dt)
+    parts["mu1v"], parts["mu3vt"] = core["mu1v"], core["mu3vt"]
+    vH2 = (np.einsum("kj,j,kj->k", v[1:], Hv, v[1:])
            + np.sum(grad_faces(v[1:], g)**2, axis=1) * g.h
-           + np.einsum("kj,j,kj->k", sbp_laplacian(v[1:], g),
-                       g.trapezoid_weights(), sbp_laplacian(v[1:], g)))
+           + np.einsum("kj,j,kj->k", sbp_laplacian(v[1:], g), Hv,
+                       sbp_laplacian(v[1:], g)))
     parts["vH2"] = (float(np.log(np.sum(vH2) * dt)) if np.sum(vH2) > 0 else -math.inf)
 
     rows = linear_cascade_rows(Psi, H, v, bundle.ops, bundle.theta,
                                bundle.theta_s, bundle.masks)
-    parts["muLPsi"] = log_add(
-        log_weighted_sq_sum(2 * lmu[:, None], rows["L1"][1:], quad_b),
-        log_weighted_sq_sum(2 * lmu[:, None], rows["L3"][1:], dt))
+    parts["muLPsi"] = log_st_sq(t.log_mu, rows["L1"][1:], rows["L3"][1:], g, dt)
     Lt_b, Lt_s, lwL = _cell_time_derivative(rows["L1"][1:], rows["L3"][1:],
                                             lm[4], dt)
-    parts["mu4LPsit"] = log_add(
-        log_weighted_sq_sum(2 * lwL[:, None], Lt_b, quad_b),
-        log_weighted_sq_sum(2 * lwL[:, None], Lt_s, dt))
-    parts["muLH"] = log_add(
-        log_weighted_sq_sum(2 * lmu[:, None], rows["L2"][1:], quad_b),
-        log_weighted_sq_sum(2 * lmu[:, None], rows["L4"][1:], dt))
+    parts["mu4LPsit"] = log_st_sq(lwL, Lt_b, Lt_s, g, dt)
+    parts["muLH"] = log_st_sq(t.log_mu, rows["L2"][1:], rows["L4"][1:], g, dt)
 
     # sup terms: H1 of Psi_t and H2 of Psi against mu5
-    Hv = g.trapezoid_weights()
-    h1t = ((Pt_b, Hv), (Pt_s, 1.0), (grad_faces(Pt_b, g), g.h))
-    parts["sup_mu5_Psit_H1"] = log_weighted_sup(lw5, *h1t)
+    parts["sup_mu5_Psit_H1"] = log_weighted_sup(
+        lw5, (Pt_b, Hv), (Pt_s, 1.0), (grad_faces(Pt_b, g), g.h))
     parts["sup_mu5_Psi_H2"] = log_weighted_sup(
         lm[5], (Pb, Hv), (Ps, 1.0), (grad_faces(Pb, g), g.h),
         (sbp_laplacian(Pb, g), Hv))
-
-    if detail is not None:
-        detail.update(parts)
-        h2t = slice_sq_norms(*h1t, (sbp_laplacian(Pt_b, g), Hv))
-        detail["int_mu5_Psit_H2"] = float(
-            log_weighted_sq_sum(lw5, np.sqrt(np.maximum(h2t, 0.0)), dt))
     return log_add(*parts.values())
 
 
@@ -334,7 +292,12 @@ def x_norm_sq_log(Psi: SpaceTimeField, H: SpaceTimeField, v: np.ndarray,
 
 def _increment_norm_sq_log(dPsi: SpaceTimeField, dH: SpaceTimeField,
                            dv: np.ndarray, bundle: SynthesisBundle) -> float:
-    """log of ||mu0 dPsi||^2 + ||mu0 dH||^2 + ||mu1 dv||^2 over live cells."""
+    """log of ||mu0 dPsi||^2 + ||mu0 dH||^2 + ||mu1 dv||^2 over live cells.
+
+    One flat five-term sum, not three `log_st_sq` pairs: the stop rule reads
+    this value and `iterations.csv` prints it at 17 digits, and regrouping
+    the terms moves its last digits.
+    """
     g, dt, t = bundle.grid, bundle.time_grid.dt, bundle.tables
     live = t.inv_sq(0) > 0
     quad_b = g.trapezoid_weights()[None, :] * dt
@@ -348,16 +311,17 @@ def _increment_norm_sq_log(dPsi: SpaceTimeField, dH: SpaceTimeField,
         log_weighted_sq_sum(2 * lm1[:, None], dv[1:], quad_b))
 
 
-def synthesize(F: SpaceTimeField, bundle: SynthesisBundle,
-               run_quasilinear_check: bool = True) -> SynthesisReport:
-    """Frozen-linearization outer loop from the zero triple.
+def synthesize(F: SpaceTimeField, bundle: SynthesisBundle) -> SynthesisReport:
+    """Frozen-linearization outer loop from the zero triple, then the
+    quasilinear check: the full quasilinear cascade under the final control.
 
     Every iteration solves with `bundle.fi_solver`, so the loop, and every
     later synthesis on the same bundle, shares one factorization.
     Convergence is declared when the X-norm of the increment drops below
     loop_tol relative to the X-norm of the current triple; three
     consecutive non-decreasing increments raise SmallnessViolationError
-    (the small-data radius proxy).
+    (the small-data radius proxy).  The report keeps the cascade states in
+    `quasi_states` for the insensitivity check and the trajectory output.
     """
     g, tg = bundle.grid, bundle.time_grid
     M = tg.step_count
@@ -426,61 +390,65 @@ def synthesize(F: SpaceTimeField, bundle: SynthesisBundle,
         prev_state = (Psi, H, v)
         prev_sol = sol
 
-    h0_lin = l2_norm(H.slice(0), g)
-    h0_quasi = math.nan
-    quasi = None
-    if run_quasilinear_check:
-        Psi_q, H_q = solve_quasilinear_cascade(
-            bundle.cs, g, tg, F, v, bundle.theta, bundle.theta_s, bundle.masks)
-        h0_quasi = l2_norm(H_q.slice(0), g)
-        quasi = (Psi_q, H_q)
+    Psi_q, H_q = solve_quasilinear_cascade(
+        bundle.cs, g, tg, F, v, bundle.theta, bundle.theta_s, bundle.masks)
 
     return SynthesisReport(
         v=v, Psi=Psi, H=H, iterations=its, increments=increments,
-        h0_norm_linear=h0_lin, h0_norm_quasilinear=h0_quasi,
+        h0_norm_linear=l2_norm(H.slice(0), g),
+        h0_norm_quasilinear=l2_norm(H_q.slice(0), g),
         h0_norm_recovered=sol.h0_norm if sol else 0.0,
         log_x_norm_sq=x_norm_sq_log(sol.Psi, sol.H, v, bundle) if sol else -math.inf,
         log_y_norm_sq=y_norm_sq_log(F.bulk, F.surface,
                                     np.zeros_like(F.bulk), np.zeros_like(F.surface),
                                     bundle.tables, g, tg.dt),
         cg_iters=cg_iters, status=status, h0_history=h0_history,
-        fi_solution=sol, quasi_states=quasi)
+        fi_solution=sol, quasi_states=(Psi_q, H_q))
 
 
 # --- the energy functional and its derivative --------------------------------
 
-def evaluate_J(cs: CoefficientSet, bundle: SynthesisBundle, F: SpaceTimeField,
-               v: np.ndarray, tau: float, direction: BulkSurfaceField) -> float:
+def evaluate_J(bundle: SynthesisBundle, F: SpaceTimeField, v: np.ndarray,
+               tau: float, direction: BulkSurfaceField) -> float:
     """J at initial datum tau * direction, with the control v applied."""
     g, tg, masks = bundle.grid, bundle.time_grid, bundle.masks
     psi0 = BulkSurfaceField(tau * direction.bulk, tau * direction.surface)
-    Psi = solve_quasilinear(cs, g, tg, F, psi0, v=v, masks=masks)
+    Psi = solve_quasilinear(bundle.cs, g, tg, F, psi0, v=v, masks=masks)
     return quadratic_energy(Psi, bundle)
 
 
-def quadratic_energy(Psi: SpaceTimeField, bundle: SynthesisBundle) -> float:
-    """Right-slice quadrature of the windowed energies (duality-exact)."""
-    g, tg, masks = bundle.grid, bundle.time_grid, bundle.masks
+def observation_pairing(Psi: SpaceTimeField, Z: SpaceTimeField,
+                        bundle: SynthesisBundle) -> float:
+    """theta int_{O_T} psi z + theta_s int_{Sigma_T} psi_G z_G, with the
+    right-slice quadrature of the steppers (duality-exact)."""
+    g, masks = bundle.grid, bundle.masks
     w = g.trapezoid_weights() * masks.obs_bulk_nodes
     ws = masks.obs_surface_mask.astype(float)
-    bulk = float(np.einsum("cj,j,cj->", Psi.bulk[1:], w, Psi.bulk[1:]))
-    surf = float(np.einsum("cj,j,cj->", Psi.surface[1:], ws, Psi.surface[1:]))
-    return tg.dt * (bundle.theta / 2 * bulk + bundle.theta_s / 2 * surf)
+    bulk = float(np.einsum("cj,j,cj->", Psi.bulk[1:], w, Z.bulk[1:]))
+    surf = float(np.einsum("cj,j,cj->", Psi.surface[1:], ws, Z.surface[1:]))
+    return bundle.time_grid.dt * (bundle.theta * bulk + bundle.theta_s * surf)
+
+
+def quadratic_energy(Psi: SpaceTimeField, bundle: SynthesisBundle) -> float:
+    """The windowed energy J: half the observation pairing of Psi with itself."""
+    return 0.5 * observation_pairing(Psi, Psi, bundle)
 
 
 def insensitivity_check(bundle: SynthesisBundle, F: SpaceTimeField,
-                        v: np.ndarray, specs: list[PerturbationSpec]) -> list[dict]:
+                        report: SynthesisReport,
+                        specs: list[PerturbationSpec]) -> list[dict]:
     """Two independent derivative estimators per direction.
 
     (i) Richardson-extrapolated centered differences of J over the tau
-    ladder; (ii) the adjoint value <dir, H(.,0)> from the quasilinear
+    ladder, around J(0) = the energy of the report's quasilinear state;
+    (ii) the adjoint value <dir, H(.,0)> from the report's quasilinear
     cascade (bulk and surface terms reported separately).  The error
     budget splits FD truncation, time discretization and the synthesis
     residual ||h(.,0)||.
     """
-    g, tg = bundle.grid, bundle.time_grid
-    Psi_q, H_q = solve_quasilinear_cascade(
-        bundle.cs, g, tg, F, v, bundle.theta, bundle.theta_s, bundle.masks)
+    g, tg, v = bundle.grid, bundle.time_grid, report.v
+    Psi_q, H_q = report.quasi_states
+    j0 = quadratic_energy(Psi_q, bundle)
     h0 = H_q.slice(0)
     w = g.trapezoid_weights()
     h0_norm = l2_norm(h0, g)
@@ -494,8 +462,8 @@ def insensitivity_check(bundle: SynthesisBundle, F: SpaceTimeField,
         taus = sorted(spec.tau_ladder, reverse=True)
         D, j_plus, j_minus = [], [], []
         for tau in taus:
-            jp = evaluate_J(bundle.cs, bundle, F, v, tau, d)
-            jm = evaluate_J(bundle.cs, bundle, F, v, -tau, d)
+            jp = evaluate_J(bundle, F, v, tau, d)
+            jm = evaluate_J(bundle, F, v, -tau, d)
             j_plus.append(jp)
             j_minus.append(jm)
             D.append((jp - jm) / (2 * tau))
@@ -504,7 +472,6 @@ def insensitivity_check(bundle: SynthesisBundle, F: SpaceTimeField,
         if len(D) >= 3:
             e_prev, e_last = abs(D[-2] - rich), abs(D[-1] - rich)
             trend_ok = e_last <= 0.5 * e_prev or e_last < 1e-12
-        j0 = evaluate_J(bundle.cs, bundle, F, v, 0.0, d)
         coeffs = np.polyfit(np.array([*taus, 0.0, *(-t for t in taus)]),
                             np.array([*j_plus, j0, *j_minus]), 2)
         budget = {"fd_truncation": taus[-1]**2 * abs(coeffs[0]),
@@ -545,11 +512,7 @@ def duality_identity_check(bundle: SynthesisBundle, F: SpaceTimeField,
         base = SpaceTimeField.zeros(g, tg.step_count + 1)
     Z = solve_sensitivity(cs, g, tg, base, direction)
 
-    w = g.trapezoid_weights() * masks.obs_bulk_nodes
-    ws = masks.obs_surface_mask.astype(float)
-    lhs = tg.dt * (bundle.theta * float(np.einsum("cj,j,cj->", Psi.bulk[1:], w, Z.bulk[1:]))
-                   + bundle.theta_s * float(np.einsum("cj,j,cj->", Psi.surface[1:],
-                                                      ws, Z.surface[1:])))
+    lhs = observation_pairing(Psi, Z, bundle)
     rhs = l2_inner(Z.slice(0), H.slice(0), g)
     scale = max(abs(lhs), abs(rhs), 1e-300)
     return {"lhs_energy_pairing": lhs, "rhs_adjoint_pairing": rhs,

@@ -32,6 +32,11 @@ from .geometry import (BulkSurfaceField, RegionMasks, SpaceTimeField,
                        SpatialGrid, TimeGrid, grad_faces, l2_inner,
                        normal_derivative, sbp_laplacian, stiffness_apply)
 
+# Newton on an implicit step stops at ||r|| <= NEWTON_TOL * max(1, ||rhs||)
+NEWTON_TOL = 1e-11
+MAX_NEWTON = 25
+COEFF_SAMPLE_INTERVAL = (-2.0, 2.0)
+COEFF_SAMPLES = 401
 
 # --- coefficients -----------------------------------------------------------
 
@@ -58,13 +63,12 @@ class CoefficientSet:
     name: str = "custom"
 
 
-def validate_coefficients(cs: CoefficientSet, sample_interval=(-2.0, 2.0),
-                          n_samples: int = 401) -> None:
-    r = np.linspace(*sample_interval, n_samples)
+def validate_coefficients(cs: CoefficientSet) -> None:
+    r = np.linspace(*COEFF_SAMPLE_INTERVAL, COEFF_SAMPLES)
     if np.min(cs.sigma(r)) < cs.rho:
         raise ConfigurationError(
             "assumption A7 violated: the diffusion coefficient drops below the "
-            f"ellipticity floor rho={cs.rho} on {sample_interval}")
+            f"ellipticity floor rho={cs.rho} on {COEFF_SAMPLE_INTERVAL}")
     if abs(float(cs.a(0.0))) > 1e-14 or abs(float(cs.b(0.0))) > 1e-14:
         raise ConfigurationError(
             "assumption A8 violated: reaction terms must vanish at 0")
@@ -449,14 +453,14 @@ def solve_quasilinear(cs: CoefficientSet, grid: SpatialGrid, time_grid: TimeGrid
                       F: SpaceTimeField, psi0: BulkSurfaceField,
                       v: np.ndarray | None = None,
                       masks: RegionMasks | None = None,
-                      newton_tol: float = 1e-11, max_newton: int = 25,
                       newton_guess: str = "previous") -> SpaceTimeField:
     """Fully implicit conservative solve of the quasilinear system.
 
     Divergence form via face-averaged sigma; the surface row shares the
     boundary DOFs and the flux cancels in the weak assembly.  Newton runs
     full steps; non-convergence maps to the small-data hypothesis and
-    raises SmallnessViolationError with the failing step.
+    raises SmallnessViolationError with the failing step.  A control v acts
+    on `masks.omega_nodes`, so it comes with `masks`.
     """
     if not psi0.is_trace_compatible(1e-12):
         raise ContractError("initial datum must be trace-compatible")
@@ -467,14 +471,14 @@ def solve_quasilinear(cs: CoefficientSet, grid: SpatialGrid, time_grid: TimeGrid
     for c in range(1, M + 1):
         fb = F.bulk[c].copy()
         if v is not None:
-            fb = fb + v[c] * (masks.omega_nodes if masks is not None else 1.0)
+            fb = fb + v[c] * masks.omega_nodes
         src = _weak_rhs(g, fb, F.surface[c])
         scale = max(1.0, float(np.linalg.norm(src + Mw * out[c - 1] / dt)))
         u = out[c - 1].copy() if newton_guess == "previous" else np.zeros(g.n_nodes)
         converged = False
-        for _ in range(max_newton):
+        for _ in range(MAX_NEWTON):
             r = _quasilinear_residual(u, out[c - 1], cs, g, dt, src)
-            if np.linalg.norm(r) <= newton_tol * scale:
+            if np.linalg.norm(r) <= NEWTON_TOL * scale:
                 converged = True
                 break
             ab = _quasilinear_jacobian_bands(u, cs, g, dt)

@@ -34,6 +34,8 @@ from .geometry import (RegionMasks, SpaceTimeField, SpatialGrid, TimeGrid,
                        grad_faces, normal_derivative, sbp_laplacian)
 
 LOG_UNDERFLOW = -700.0  # squared inverse weights below e^{-700} become exact 0
+ETA_KAPPA = -10.0       # eta'' at the peak, times max(c, L-c)^2
+ETA_CHECK_SAMPLES = 10_000
 
 
 def log_weighted_sq_sum(log_w, values, quad) -> float:
@@ -50,6 +52,22 @@ def log_weighted_sq_sum(log_w, values, quad) -> float:
     if not np.any(coeff > 0):
         return -math.inf
     return float(logsumexp(lw[coeff > 0], b=coeff[coeff > 0]))
+
+
+def log_st_sq(log_w, bulk, surface, grid: SpatialGrid, dt: float) -> float:
+    """log dt * sum_c w_c^2 (||bulk_c||^2 + |surface_c|^2): the weighted
+    bulk-plus-surface space-time norm of cell rows, with log w_c = log_w[c].
+
+    Node rows (width N+1) take the trapezoid weights, face rows (width N)
+    the spacing h; `surface=None` sums the bulk alone.
+    """
+    lw = 2 * np.asarray(log_w)[:, None]
+    quad = (grid.h * dt if np.shape(bulk)[-1] == grid.node_count
+            else grid.trapezoid_weights()[None, :] * dt)
+    bulk_sq = log_weighted_sq_sum(lw, bulk, quad)
+    if surface is None:
+        return bulk_sq
+    return log_add(bulk_sq, log_weighted_sq_sum(lw, surface, dt))
 
 
 def slice_sq_norms(*terms) -> np.ndarray:
@@ -125,21 +143,20 @@ def _polyval(coeff: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.polyval(coeff[::-1], u)
 
 
-def build_eta(grid: SpatialGrid, masks: RegionMasks, peak: float,
-              kappa_base: float = -10.0, n_check: int = 10_000) -> EtaProfile:
+def build_eta(grid: SpatialGrid, masks: RegionMasks, peak: float) -> EtaProfile:
     """Piecewise-quintic profile: 0 at both ends, 1 at the peak, monotone arcs.
 
     The two Hermite arcs share the second derivative at the peak
-    (kappa_base / max(c, L-c)^2 in x units) so eta is C^2.  Monotonicity
-    and the gradient floor outside omega1 are verified on a dense sample;
-    violations raise with the measured floor.
+    (ETA_KAPPA / max(c, L-c)^2 in x units) so eta is C^2.  Monotonicity
+    and the gradient floor outside omega1 are verified on ETA_CHECK_SAMPLES
+    dense samples; violations raise with the measured floor.
     """
     L, c = grid.length, float(peak)
     if not (masks.omega1[0] < c < masks.omega1[1]):
         raise ContractError(
             f"eta peak {c} must lie strictly inside omega1={masks.omega1}")
     span = max(c, L - c)
-    d2_peak = kappa_base / span**2
+    d2_peak = ETA_KAPPA / span**2
     arc_l = _quintic_arc(d2_peak * c**2)
     arc_r = _quintic_arc(d2_peak * (L - c)**2)
 
@@ -153,7 +170,7 @@ def build_eta(grid: SpatialGrid, masks: RegionMasks, peak: float,
         der = np.where(on_left, dl(u) / c, -dr(u) / (L - c))
         return val, der
 
-    xs = np.linspace(0.0, L, n_check)
+    xs = np.linspace(0.0, L, ETA_CHECK_SAMPLES)
     vals, ders = eval_eta(xs)
     inside = (xs > 0) & (xs < L)
     if vals[inside].min() <= 0 or vals.max() > 1 + 1e-12:
@@ -415,10 +432,6 @@ def _midpoint_pieces(Phi: SpaceTimeField, grid: SpatialGrid, dt: float):
     return b_mid, s_mid, b_t, s_t, lap, gradf, dnu
 
 
-def _window(tables: WeightTables, t1: float, t2: float) -> np.ndarray:
-    return (tables.t_mid >= t1) & (tables.t_mid <= t2)
-
-
 class _LogAccumulator:
     """Collects (log-weight, value, quadrature) triples per named component.
 
@@ -454,8 +467,7 @@ class _LogAccumulator:
 
 
 def carleman_functional_I(Phi: SpaceTimeField, tables: WeightTables,
-                          grid: SpatialGrid, dt: float,
-                          t1: float = 0.0, t2: float = math.inf) -> dict:
+                          grid: SpatialGrid, dt: float) -> dict:
     """Alpha-weighted functional: e^{-2 s alpha} against (s xi)-power factors.
 
     Tangential-gradient and Laplace-Beltrami surface terms are identically
@@ -465,12 +477,11 @@ def carleman_functional_I(Phi: SpaceTimeField, tables: WeightTables,
         raise ContractError("carleman_functional_I expects trace-compatible slices")
     p = tables.params
     s, lam = p.s, p.lam
-    sel = _window(tables, t1, t2)
     quad_b = grid.trapezoid_weights()[None, :] * dt
     quad_s = dt
 
     b_mid, s_mid, b_t, s_t, lap, gradf, dnu = _midpoint_pieces(Phi, grid, dt)
-    la, lx = tables.log_alpha[sel], tables.log_xi[sel]
+    la, lx = tables.log_alpha, tables.log_xi
     la_face = 0.5 * (la[:, 1:] + la[:, :-1])
     lx_face = 0.5 * (lx[:, 1:] + lx[:, :-1])
     la_G, lx_G = la[:, [0, -1]], lx[:, [0, -1]]
@@ -478,54 +489,52 @@ def carleman_functional_I(Phi: SpaceTimeField, tables: WeightTables,
     quad_f = grid.h * dt
 
     acc = _LogAccumulator()
-    acc.add("bulk_time_deriv", -2 * s * np.exp(la) - log_s - lx, b_t[sel], quad_b)
-    acc.add("bulk_laplacian", -2 * s * np.exp(la) - log_s - lx, lap[sel], quad_b)
+    acc.add("bulk_time_deriv", -2 * s * np.exp(la) - log_s - lx, b_t, quad_b)
+    acc.add("bulk_laplacian", -2 * s * np.exp(la) - log_s - lx, lap, quad_b)
     acc.add("bulk_gradient",
             -2 * s * np.exp(la_face) + math.log(lam**2 * s) + lx_face,
-            gradf[sel], quad_f)
+            gradf, quad_f)
     acc.add("bulk_value",
             -2 * s * np.exp(la) + math.log(lam**4 * s**3) + 3 * lx,
-            b_mid[sel], quad_b)
+            b_mid, quad_b)
     acc.add("surface_time_deriv", -2 * s * np.exp(la_G) - log_s - lx_G,
-            s_t[sel], quad_s)
+            s_t, quad_s)
     acc.add("surface_tangential_laplacian", -math.inf, np.zeros(1), 0.0)
     acc.add("surface_tangential_gradient", -math.inf, np.zeros(1), 0.0)
     acc.add("surface_value",
             -2 * s * np.exp(la_G) + math.log(lam**3 * s**3) + 3 * lx_G,
-            s_mid[sel], quad_s)
+            s_mid, quad_s)
     acc.add("normal_derivative",
             -2 * s * np.exp(la_G) + math.log(lam * s) + lx_G,
-            dnu[sel], quad_s)
+            dnu, quad_s)
     return acc.result()
 
 
 def carleman_functional_Jw(Phi: SpaceTimeField, tables: WeightTables,
-                           grid: SpatialGrid, dt: float,
-                           t1: float = 0.0, t2: float = math.inf) -> dict:
+                           grid: SpatialGrid, dt: float) -> dict:
     """Beta-weighted functional: e^{-2 s beta} against ell-power factors."""
     if not np.allclose(Phi.bulk[:, [0, -1]], Phi.surface, rtol=0, atol=1e-12):
         raise ContractError("carleman_functional_Jw expects trace-compatible slices")
     s = tables.params.s
-    sel = _window(tables, t1, t2)
     quad_b = grid.trapezoid_weights()[None, :] * dt
     quad_f = grid.h * dt
 
     b_mid, s_mid, b_t, s_t, lap, gradf, dnu = _midpoint_pieces(Phi, grid, dt)
-    lb = tables.log_beta[sel]
+    lb = tables.log_beta
     lb_face = 0.5 * (lb[:, 1:] + lb[:, :-1])
     lb_G = lb[:, [0, -1]]
-    lell = np.log(tables.ell[sel])[:, None]
+    lell = np.log(tables.ell)[:, None]
 
     acc = _LogAccumulator()
-    acc.add("bulk_time_deriv", -2 * s * np.exp(lb) + lell, b_t[sel], quad_b)
-    acc.add("bulk_laplacian", -2 * s * np.exp(lb) + lell, lap[sel], quad_b)
-    acc.add("bulk_gradient", -2 * s * np.exp(lb_face) - lell, gradf[sel], quad_f)
-    acc.add("bulk_value", -2 * s * np.exp(lb) - 3 * lell, b_mid[sel], quad_b)
-    acc.add("surface_time_deriv", -2 * s * np.exp(lb_G) + lell, s_t[sel], dt)
+    acc.add("bulk_time_deriv", -2 * s * np.exp(lb) + lell, b_t, quad_b)
+    acc.add("bulk_laplacian", -2 * s * np.exp(lb) + lell, lap, quad_b)
+    acc.add("bulk_gradient", -2 * s * np.exp(lb_face) - lell, gradf, quad_f)
+    acc.add("bulk_value", -2 * s * np.exp(lb) - 3 * lell, b_mid, quad_b)
+    acc.add("surface_time_deriv", -2 * s * np.exp(lb_G) + lell, s_t, dt)
     acc.add("surface_tangential_laplacian", -math.inf, np.zeros(1), 0.0)
     acc.add("surface_tangential_gradient", -math.inf, np.zeros(1), 0.0)
-    acc.add("surface_value", -2 * s * np.exp(lb_G) - 3 * lell, s_mid[sel], dt)
-    acc.add("normal_derivative", -2 * s * np.exp(lb_G) - lell, dnu[sel], dt)
+    acc.add("surface_value", -2 * s * np.exp(lb_G) - 3 * lell, s_mid, dt)
+    acc.add("normal_derivative", -2 * s * np.exp(lb_G) - lell, dnu, dt)
     return acc.result()
 
 

@@ -172,7 +172,7 @@ def test_criterion_9_outer_loop_contraction():
     for draw in range(5):
         b, _ = make_bundle(seed=1000 + draw)
         F = random_source(b, rng, amplitude=1e-3)
-        rep = synthesize(F, b, run_quasilinear_check=False)
+        rep = synthesize(F, b)
         iters.append(rep.iterations)
         incs = rep.increments
         ratios.extend(incs[i + 1] / incs[i] for i in range(len(incs) - 1))
@@ -198,10 +198,10 @@ def test_criterion_9_outer_loop_contraction():
 
 
 def test_criterion_10_insensitivity(bundle, source):
-    rep = synthesize(source, bundle, run_quasilinear_check=False)
+    rep = synthesize(source, bundle)
     rng = np.random.default_rng(20)
     specs = [PerturbationSpec.random(bundle.grid, rng) for _ in range(5)]
-    checks = insensitivity_check(bundle, source, rep.v, specs)
+    checks = insensitivity_check(bundle, source, rep, specs)
     fd_max = max(abs(c["fd_derivative"]) for c in checks)
     adj_max = max(abs(c["adjoint_total"]) for c in checks)
     lin_max = max(abs(c["linear_coeff"]) for c in checks)

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from bscontrol import fi
+from bscontrol import fi, insensitize, solvers
 from bscontrol.cli import (build_setup, cmd_diagnose, cmd_sweep, cmd_synthesize,
                            load_config, main)
 from bscontrol.errors import ConfigurationError
@@ -66,7 +66,10 @@ def test_exit_code_validation(tmp_path):
                  "[masks]\nomega = 0.25,abc\n", "[run]\nseed = xyz\n",
                  "[source]\namplitude = nan\n", "[source]\namplitude = inf\n",
                  "[functional]\ntheta = 0\n", "[functional]\ntheta_s = -1\n",
-                 "[solver]\nmax_outer = 0\n"):
+                 "[solver]\nmax_outer = 0\n", "[source]\nwidth = 0\n",
+                 "[source]\nwidth = 1e-300\n", "[weights]\neta_peak = -1\n",
+                 "[weights]\neta_peak = 2\n", "[weights]\neta_peak = 0.42\n",
+                 "[weights]\neta_peak = 0.58\n", "[weights]\neta_peak = 0.59\n"):
         path.write_text(text)
         rc = main(["synthesize", "--config", str(path), "--out", str(tmp_path)])
         assert rc == 2, text
@@ -181,6 +184,18 @@ def test_synthesize_probes_the_reported_solve_once(tmp_path, monkeypatch):
     assert summary["iterations"] > 1
     assert len(probes) == 1
     assert summary["fi"]["ritz"]["min"] > 0
+
+
+def test_synthesize_solves_one_quasilinear_cascade(tmp_path, monkeypatch):
+    """The insensitivity check reuses the synthesis' quasilinear cascade and
+    its J(0): one cascade, plus the 6 ladder trajectories of each of the 3
+    directions."""
+    cascades = _count_calls(monkeypatch, insensitize, "solve_quasilinear_cascade")
+    forward = _count_calls(monkeypatch, solvers, "solve_quasilinear")
+    monkeypatch.setattr(insensitize, "solve_quasilinear", solvers.solve_quasilinear)
+    cmd_synthesize(_small_config(), str(tmp_path))
+    assert len(cascades) == 1
+    assert len(forward) == 1 + 6 * 3
 
 
 def test_weight_csv_signature(tmp_path):

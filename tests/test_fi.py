@@ -102,7 +102,8 @@ def test_solve_galerkin_and_contract(fi_solved):
 def test_ritz_probe_is_lazy_and_exact(bundle, source, monkeypatch):
     prob = make_problem(bundle, source)
     solver = FISolver(prob)
-    eager = fi._lanczos_bounds(solver.At, solver.D * fi._Stack(prob).rhs(), k=60)
+    b = fi._Stack(prob).rhs(prob.F, prob.G)
+    eager = fi._lanczos_bounds(solver.At, solver.D * b, k=60)
     original, calls = fi._lanczos_bounds, []
 
     def counted(*args, **kwargs):

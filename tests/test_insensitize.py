@@ -4,15 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from bscontrol.errors import ContractError
 from bscontrol.geometry import BulkSurfaceField, SpaceTimeField, h3_proxy_norm
-from bscontrol.insensitize import (FunctionalConfig, PerturbationSpec,
-                                   apply_A_derivative, duality_identity_check,
-                                   evaluate_J, insensitivity_check,
-                                   lambda_direct, lemma61_shape_check,
-                                   linear_cascade_rows, nonlinear_parts_A,
-                                   quadratic_energy, synthesize, x_norm_sq_log,
-                                   y_norm_sq_log)
+from bscontrol.insensitize import (PerturbationSpec, apply_A_derivative,
+                                   duality_identity_check, evaluate_J,
+                                   insensitivity_check, lambda_direct,
+                                   lemma61_shape_check, linear_cascade_rows,
+                                   nonlinear_parts_A, quadratic_energy,
+                                   synthesize, x_norm_sq_log, y_norm_sq_log)
 from bscontrol.solvers import coefficient_preset, solve_quasilinear_cascade
 
 from conftest import make_bundle, random_source
@@ -37,13 +35,6 @@ def _random_states(bundle, rng, scale=1e-3):
                                    np.cos(np.pi * kx * x + rng.uniform(0, 6))))
         return SpaceTimeField.from_bulk(scale * out)
     return smooth(), smooth()
-
-
-def test_functional_config_guards(bundle):
-    with pytest.raises(ContractError):
-        FunctionalConfig(theta=0.0, theta_s=0.0, masks=bundle.masks)
-    with pytest.raises(ContractError):
-        FunctionalConfig(theta=1.0, theta_s=-0.1, masks=bundle.masks)
 
 
 def test_perturbation_spec_unit_norm(bundle):
@@ -172,7 +163,18 @@ def test_evaluate_J_zero(bundle):
     zeroF = SpaceTimeField.zeros(g, M + 1)
     v = np.zeros((M + 1, g.n_nodes))
     d = BulkSurfaceField.from_bulk(np.cos(np.pi * g.x))
-    assert evaluate_J(bundle.cs, bundle, zeroF, v, 0.0, d) == 0.0
+    assert evaluate_J(bundle, zeroF, v, 0.0, d) == 0.0
+
+
+def test_evaluate_J_at_zero_is_the_report_energy(bundle, source, synth):
+    """J(0) along any direction is the energy of the report's quasilinear
+    state, bit for bit: the insensitivity check reads it from there."""
+    rng = np.random.default_rng(8)
+    j0 = quadratic_energy(synth.quasi_states[0], bundle)
+    assert j0 > 0
+    for _ in range(3):
+        d = PerturbationSpec.random(bundle.grid, rng).direction
+        assert evaluate_J(bundle, source, synth.v, 0.0, d) == j0
 
 
 def test_duality_identity(bundle, source, synth):
@@ -207,7 +209,7 @@ def test_duality_quasilinear_within_budget():
 def test_insensitivity_check_structure(bundle, source, synth):
     rng = np.random.default_rng(7)
     specs = [PerturbationSpec.random(bundle.grid, rng)]
-    out = insensitivity_check(bundle, source, synth.v, specs)[0]
+    out = insensitivity_check(bundle, source, synth, specs)[0]
     assert abs(out["fd_derivative"]) <= 1e-4
     assert abs(out["adjoint_total"]) <= 1e-4
     assert abs(out["linear_coeff"]) <= 1e-4

@@ -1,7 +1,9 @@
 """Property tests of the exact discrete identities on random grids and
-coefficients: summation by parts, space-time duality, and the agreement of
-the sparse residual stack with the matrix-free operators it is built from."""
+coefficients: summation by parts, space-time duality, the agreement of the
+sparse residual stack with the matrix-free operators it is built from, and
+the weighted space-time norm against a plain sum."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +14,7 @@ from bscontrol import diagnostics
 from bscontrol.fi import _Stack
 from bscontrol.geometry import SpaceTimeField, build_grid, build_time_grid
 from bscontrol.solvers import LinearOperatorSet, apply_L
+from bscontrol.weights import log_st_sq
 
 PROPERTY = settings(max_examples=25, deadline=None, database=None,
                     derandomize=True)
@@ -74,3 +77,30 @@ def test_sparse_stack_matches_matrix_free(ops, theta, theta_s, seed):
     )
     for got, want in zip(stack.forward_blocks(x), expected):
         assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
+
+
+@PROPERTY
+@given(N=st.integers(8, 60), M=st.integers(1, 30), length=st.floats(0.1, 10.0),
+       dt=st.floats(1e-3, 1.0), faces=st.booleans(), surface=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_log_st_sq_matches_plain_sum(N, M, length, dt, faces, surface, seed):
+    """log_st_sq is log dt * sum_c w_c^2 (sum_j q_j bulk_cj^2 + |surface_c|^2),
+    with q the trapezoid weights on node rows and h on face rows, and -inf
+    for an identically zero field."""
+    grid = build_grid(length, N)
+    rng = np.random.default_rng(seed)
+    log_w = rng.uniform(-5.0, 5.0, M)
+    bulk = rng.standard_normal((M, N if faces else N + 1))
+    srf = rng.standard_normal((M, 2)) if surface else None
+    q = np.full(N, grid.h) if faces else grid.trapezoid_weights()
+    total = 0.0
+    for c in range(M):
+        row = float(np.sum(q * bulk[c]**2))
+        if srf is not None:
+            row += float(np.sum(srf[c]**2))
+        total += math.exp(2 * log_w[c]) * row
+    total *= dt
+    got = math.exp(log_st_sq(log_w, bulk, srf, grid, dt))
+    assert abs(got - total) <= 1e-12 * total
+    zero_srf = None if srf is None else np.zeros_like(srf)
+    assert log_st_sq(log_w, np.zeros_like(bulk), zero_srf, grid, dt) == -math.inf
