@@ -128,6 +128,9 @@ def build_setup(cfg: RunConfig):
         raise ConfigurationError(f"[functional] theta_s = {theta_s}: must be >= 0")
     if max_outer < 1:
         raise ConfigurationError(f"[solver] max_outer = {max_outer}: must be >= 1")
+    loop_tol = cfg.getf("solver", "loop_tol")
+    if loop_tol < 0:
+        raise ConfigurationError(f"[solver] loop_tol = {loop_tol}: must be >= 0")
     grid = build_grid(cfg.getf("grid", "length"), cfg.geti("grid", "cells"))
     tgrid = build_time_grid(cfg.getf("time", "horizon"), cfg.geti("time", "steps"))
     surf = [s.strip() for s in cfg.get("masks", "obs_surface").split(",") if s.strip()]
@@ -150,7 +153,7 @@ def build_setup(cfg: RunConfig):
     bundle = SynthesisBundle(
         cs=cs, grid=grid, time_grid=tgrid, masks=masks, tables=tables,
         chi=chi, ops=ops, theta=theta, theta_s=theta_s,
-        loop_tol=cfg.getf("solver", "loop_tol"), max_outer=max_outer)
+        loop_tol=loop_tol, max_outer=max_outer)
     F = build_source(cfg, bundle)
     return bundle, F
 

@@ -130,16 +130,20 @@ def core_log_norms(Psi: SpaceTimeField, H: SpaceTimeField, v: np.ndarray,
     return {"mu0Psi": log_st_sq(lm[0], Psi.bulk[1:], Psi.surface[1:], grid, dt),
             "mu0H": log_st_sq(lm[0], H.bulk[:-1], H.surface[:-1], grid, dt),
             "mu1v": log_st_sq(lm[1], v[1:], None, grid, dt),
-            "mu3vt": log_st_sq(0.5 * (lm[3][1:] + lm[3][:-1]), vt, None, grid, dt)}
+            "mu3vt": log_st_sq(_interface_log_weight(lm[3]), vt, None, grid, dt)}
+
+
+def _interface_log_weight(log_w):
+    """Log-weight of the interfaces between cells: the neighbours' mean."""
+    return 0.5 * (log_w[1:] + log_w[:-1])
 
 
 def _cell_time_derivative(cells_b, cells_s, log_w, dt):
     """Centered-at-interface time differences of cell arrays, with the
-    interface log-weight taken as the mean of the neighbours'."""
+    interface log-weight of `_interface_log_weight`."""
     db = np.diff(cells_b, axis=0) / dt
     ds = np.diff(cells_s, axis=0) / dt
-    lw = 0.5 * (log_w[1:] + log_w[:-1])
-    return db, ds, lw
+    return db, ds, _interface_log_weight(log_w)
 
 
 @dataclass
@@ -660,8 +664,8 @@ def verify_p2(sol: FISolution, problem: FIProblem,
     lapH = sbp_laplacian(Hb, g)
     Pt_b, Pt_s, lw3 = _cell_time_derivative(Pb, Ps, lm[3], dt)
     Ht_b, Ht_s, _ = _cell_time_derivative(Hb, Hs, lm[3], dt)
-    _, _, lw4 = _cell_time_derivative(Pb, Ps, lm[4], dt)
-    _, _, lw5 = _cell_time_derivative(Pb, Ps, lm[5], dt)
+    lw4 = _interface_log_weight(lm[4])
+    lw5 = _interface_log_weight(lm[5])
     gPt = grad_faces(Pt_b, g)
     lapPt = sbp_laplacian(Pt_b, g)
     Ptt_b = np.diff(Pt_b, axis=0) / dt

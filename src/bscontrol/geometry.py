@@ -47,17 +47,25 @@ class SpatialGrid:
     def boundary_nodes(self) -> tuple[int, int]:
         return (0, self.node_count)
 
+    def __post_init__(self):
+        # both weight vectors are built once per grid and shared read-only
+        trap = np.full(self.n_nodes, self.h)
+        trap[0] = trap[-1] = 0.5 * self.h
+        mass = trap.copy()
+        mass[0] += 1.0
+        mass[-1] += 1.0
+        trap.flags.writeable = mass.flags.writeable = False
+        object.__setattr__(self, "_trapezoid", trap)
+        object.__setattr__(self, "_mass", mass)
+
     def trapezoid_weights(self) -> np.ndarray:
-        w = np.full(self.n_nodes, self.h)
-        w[0] = w[-1] = 0.5 * self.h
-        return w
+        """Trapezoid quadrature weights of the nodes (read-only)."""
+        return self._trapezoid
 
     def mass_weights(self) -> np.ndarray:
-        """Bulk trapezoid weights plus unit surface mass at the two corners."""
-        w = self.trapezoid_weights()
-        w[0] += 1.0
-        w[-1] += 1.0
-        return w
+        """Bulk trapezoid weights plus unit surface mass at the two corners
+        (read-only)."""
+        return self._mass
 
 
 def build_grid(length: float, node_count: int) -> SpatialGrid:
@@ -180,7 +188,8 @@ class BulkSurfaceField:
 
     Surface values are independent of the bulk in general (L2-type pairs,
     e.g. equation residuals).  States of the dynamic-boundary systems are
-    trace-compatible: surface == bulk at the two boundary nodes.
+    trace-compatible: surface == bulk at the two boundary nodes.  A stack of
+    B fields has bulk (B, N+1) and surface (B, 2).
     """
 
     bulk: np.ndarray
@@ -189,14 +198,14 @@ class BulkSurfaceField:
     @classmethod
     def from_bulk(cls, bulk: np.ndarray) -> "BulkSurfaceField":
         bulk = np.asarray(bulk, dtype=float)
-        return cls(bulk=bulk, surface=bulk[[0, -1]].copy())
+        return cls(bulk=bulk, surface=bulk[..., [0, -1]].copy())
 
     @classmethod
     def zeros(cls, grid: SpatialGrid) -> "BulkSurfaceField":
         return cls(bulk=np.zeros(grid.n_nodes), surface=np.zeros(2))
 
     def is_trace_compatible(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(self.surface - self.bulk[[0, -1]]) <= tol))
+        return bool(np.all(np.abs(self.surface - self.bulk[..., [0, -1]]) <= tol))
 
     def copy(self) -> "BulkSurfaceField":
         return BulkSurfaceField(self.bulk.copy(), self.surface.copy())
@@ -204,7 +213,8 @@ class BulkSurfaceField:
 
 @dataclass
 class SpaceTimeField:
-    """Time-indexed bulk/surface arrays: bulk (n_t, N+1), surface (n_t, 2)."""
+    """Time-indexed bulk/surface arrays: bulk (n_t, N+1), surface (n_t, 2).
+    A stack of B histories has bulk (B, n_t, N+1) and surface (B, n_t, 2)."""
 
     bulk: np.ndarray
     surface: np.ndarray
@@ -212,7 +222,9 @@ class SpaceTimeField:
     @classmethod
     def from_bulk(cls, bulk: np.ndarray) -> "SpaceTimeField":
         bulk = np.asarray(bulk, dtype=float)
-        return cls(bulk=bulk, surface=bulk[:, [0, -1]].copy())
+        # the copy is C-contiguous (the fancy index is not), and the einsum
+        # reductions over surfaces sum in memory order
+        return cls(bulk=bulk, surface=bulk[..., [0, -1]].copy())
 
     @classmethod
     def zeros(cls, grid: SpatialGrid, n_slices: int) -> "SpaceTimeField":

@@ -404,20 +404,25 @@ def _face_average(u: np.ndarray) -> np.ndarray:
 
 
 def _quasilinear_residual(u, uold, cs, grid, dt, src):
-    """Weak-form step residual; `src` holds the quadrature-weighted sources
-    only (the previous-slice mass term is handled here)."""
+    """Weak-form step residual of a node vector u (or of each row of a
+    (B, n) stack); `src` holds the quadrature-weighted sources only (the
+    previous-slice mass term is handled here).  `x.T[0]` is the first node
+    of every row, and a scalar for one vector."""
     Hw = grid.trapezoid_weights()
     Mw = grid.mass_weights()
     sig_f = cs.sigma(_face_average(u))
     r = Mw * (u - uold) / dt + stiffness_apply(u, grid, face_coeff=sig_f) \
         + Hw * cs.a(u)
-    r[0] += cs.b(u[0])
-    r[-1] += cs.b(u[-1])
-    return r - src
+    r.T[0] += cs.b(u.T[0])
+    r.T[-1] += cs.b(u.T[-1])
+    r -= src
+    return r
 
 
 def _quasilinear_jacobian_bands(u, cs, grid, dt):
-    n = grid.n_nodes
+    """(1, 1)-banded Newton Jacobian of the step residual at u; a (B, n)
+    stack gives (3, B, n), whose (3, B*n) reshape is the block-diagonal
+    band of the whole stack."""
     h = grid.h
     Hw = grid.trapezoid_weights()
     Mw = grid.mass_weights()
@@ -426,26 +431,21 @@ def _quasilinear_jacobian_bands(u, cs, grid, dt):
     dsig_f = cs.dsigma(uf)
     gu = np.diff(u) / h
 
-    diag = Mw / dt + Hw * cs.da(u)
-    diag[0] += cs.db(u[0])
-    diag[-1] += cs.db(u[-1])
-    lower = np.zeros(n - 1)
-    upper = np.zeros(n - 1)
+    ab = np.zeros((3, *u.shape))        # rows: upper, diagonal, lower
+    diag = ab[1]
+    np.add(Mw / dt, Hw * cs.da(u), out=diag)
+    diag.T[0] += cs.db(u.T[0])
+    diag.T[-1] += cs.db(u.T[-1])
     # stiffness with frozen sig_f
-    diag[:-1] += sig_f / h
-    diag[1:] += sig_f / h
-    lower -= sig_f / h
-    upper -= sig_f / h
+    s = sig_f / h
+    diag[..., :-1] += s
+    diag[..., 1:] += s
     # derivative of sig_f wrt nodes: each face adds dsig/2 * gu * (Gw-pattern)
     d = dsig_f * gu * 0.5
-    diag[:-1] += -d
-    diag[1:] += d
-    upper += -d
-    lower += d
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper
-    ab[1] = diag
-    ab[2, :-1] = lower
+    diag[..., :-1] -= d
+    diag[..., 1:] += d
+    ab[0, ..., 1:] = -s - d
+    ab[2, ..., :-1] = d - s
     return ab
 
 
@@ -461,36 +461,59 @@ def solve_quasilinear(cs: CoefficientSet, grid: SpatialGrid, time_grid: TimeGrid
     full steps; non-convergence maps to the small-data hypothesis and
     raises SmallnessViolationError with the failing step.  A control v acts
     on `masks.omega_nodes`, so it comes with `masks`.
+
+    A stack of B initial data (bulk (B, n)) advances B trajectories under
+    the same F and v, and returns bulk (B, M+1, n) and surface (B, M+1, 2).
+    Each Newton iteration then makes one banded solve with the
+    block-diagonal Jacobian of the members that have not converged; each
+    member keeps its own stop test and is left alone once it passes, so
+    every member follows the iterates of its own single-datum solve.
     """
     if not psi0.is_trace_compatible(1e-12):
         raise ContractError("initial datum must be trace-compatible")
     g, dt, M = grid, time_grid.dt, time_grid.step_count
     Mw = g.mass_weights()
-    out = np.empty((M + 1, g.n_nodes))
+    shape = psi0.bulk.shape             # (n,) for one datum, (B, n) for a stack
+    B = shape[0] if len(shape) == 2 else 1
+    out = np.empty((M + 1, *shape))
     out[0] = psi0.bulk
     for c in range(1, M + 1):
-        fb = F.bulk[c].copy()
-        if v is not None:
-            fb = fb + v[c] * masks.omega_nodes
+        fb = F.bulk[c] if v is None else F.bulk[c] + v[c] * masks.omega_nodes
         src = _weak_rhs(g, fb, F.surface[c])
-        scale = max(1.0, float(np.linalg.norm(src + Mw * out[c - 1] / dt)))
-        u = out[c - 1].copy() if newton_guess == "previous" else np.zeros(g.n_nodes)
-        converged = False
+        prev = out[c - 1]
+        tol = [NEWTON_TOL * max(1.0, float(np.linalg.norm(q)))
+               for q in (src + Mw * prev / dt).reshape(B, -1)]
+        u = prev.copy() if newton_guess == "previous" else np.zeros(shape)
+        live = list(range(B))           # members still iterating
         for _ in range(MAX_NEWTON):
-            r = _quasilinear_residual(u, out[c - 1], cs, g, dt, src)
-            if np.linalg.norm(r) <= NEWTON_TOL * scale:
-                converged = True
+            ul, pl = (u, prev) if len(live) == B else (u[live], prev[live])
+            r = _quasilinear_residual(ul, pl, cs, g, dt, src)
+            rows = r.reshape(len(live), -1)
+            keep = [i for i, b in enumerate(live)
+                    if not np.linalg.norm(rows[i]) <= tol[b]]
+            if not keep:
                 break
-            ab = _quasilinear_jacobian_bands(u, cs, g, dt)
-            u = u - solve_banded((1, 1), ab, r)
-        if not converged:
-            r = _quasilinear_residual(u, out[c - 1], cs, g, dt, src)
+            if len(keep) < len(live):
+                live = [live[i] for i in keep]
+                ul, r = ul[keep], r[keep]
+            ab = _quasilinear_jacobian_bands(ul, cs, g, dt)
+            ul = ul - solve_banded((1, 1), ab.reshape(3, -1),
+                                   r.ravel()).reshape(ul.shape)
+            if len(live) == B:
+                u = ul
+            else:
+                u[live] = ul
+        else:
+            b = live[0]
+            res = float(np.linalg.norm(_quasilinear_residual(
+                u.reshape(B, -1)[b], prev.reshape(B, -1)[b], cs, g, dt, src)))
             raise SmallnessViolationError(
                 f"Newton did not converge at step {c} "
-                f"(residual {np.linalg.norm(r):.3e}); data outside the "
-                "small-data regime", step=c, residual=float(np.linalg.norm(r)))
+                f"(residual {res:.3e}); data outside the "
+                "small-data regime", step=c, residual=res)
         out[c] = u
-    return SpaceTimeField.from_bulk(out)
+    # (B, M+1, n) for a stack: each member's history contiguous, like one datum's
+    return SpaceTimeField.from_bulk(np.ascontiguousarray(np.moveaxis(out, 0, -2)))
 
 
 def solve_quasilinear_cascade(cs: CoefficientSet, grid: SpatialGrid,

@@ -66,7 +66,8 @@ def test_exit_code_validation(tmp_path):
                  "[masks]\nomega = 0.25,abc\n", "[run]\nseed = xyz\n",
                  "[source]\namplitude = nan\n", "[source]\namplitude = inf\n",
                  "[functional]\ntheta = 0\n", "[functional]\ntheta_s = -1\n",
-                 "[solver]\nmax_outer = 0\n", "[source]\nwidth = 0\n",
+                 "[solver]\nmax_outer = 0\n", "[solver]\nloop_tol = -1\n",
+                 "[source]\nwidth = 0\n",
                  "[source]\nwidth = 1e-300\n", "[weights]\neta_peak = -1\n",
                  "[weights]\neta_peak = 2\n", "[weights]\neta_peak = 0.42\n",
                  "[weights]\neta_peak = 0.58\n", "[weights]\neta_peak = 0.59\n"):
@@ -188,14 +189,21 @@ def test_synthesize_probes_the_reported_solve_once(tmp_path, monkeypatch):
 
 def test_synthesize_solves_one_quasilinear_cascade(tmp_path, monkeypatch):
     """The insensitivity check reuses the synthesis' quasilinear cascade and
-    its J(0): one cascade, plus the 6 ladder trajectories of each of the 3
-    directions."""
+    its J(0), and advances the 6 ladder trajectories of each of the 3
+    directions as one stack: 19 trajectories in 2 stepper calls."""
     cascades = _count_calls(monkeypatch, insensitize, "solve_quasilinear_cascade")
-    forward = _count_calls(monkeypatch, solvers, "solve_quasilinear")
-    monkeypatch.setattr(insensitize, "solve_quasilinear", solvers.solve_quasilinear)
+    stacks = []
+    original = solvers.solve_quasilinear
+
+    def counted(cs, grid, time_grid, F, psi0, **kwargs):
+        stacks.append(len(np.atleast_2d(psi0.bulk)))
+        return original(cs, grid, time_grid, F, psi0, **kwargs)
+
+    monkeypatch.setattr(solvers, "solve_quasilinear", counted)
+    monkeypatch.setattr(insensitize, "solve_quasilinear", counted)
     cmd_synthesize(_small_config(), str(tmp_path))
     assert len(cascades) == 1
-    assert len(forward) == 1 + 6 * 3
+    assert stacks == [1, 6 * 3]
 
 
 def test_weight_csv_signature(tmp_path):

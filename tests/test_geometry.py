@@ -23,6 +23,23 @@ def test_build_grid_errors():
         build_grid(1.0, 4)
 
 
+def test_weight_vectors_cached_read_only():
+    g = build_grid(1.0, 16)
+    Hw, Mw = g.trapezoid_weights(), g.mass_weights()
+    assert Hw is g.trapezoid_weights() and Mw is g.mass_weights()
+    fresh = np.full(g.n_nodes, g.h)
+    fresh[0] = fresh[-1] = 0.5 * g.h
+    assert np.array_equal(Hw, fresh)
+    fresh[0] += 1.0
+    fresh[-1] += 1.0
+    assert np.array_equal(Mw, fresh)
+    for w in (Hw, Mw):
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+        with pytest.raises(ValueError):
+            w *= 2.0
+
+
 def test_build_masks_nesting_values():
     g = build_grid(1.0, 128)
     m = build_masks(g, (0.3, 0.7), (0.5, 0.9), {"left"}, 0.02)

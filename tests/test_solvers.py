@@ -192,6 +192,77 @@ def test_quasilinear_newton_failure_raises():
     assert err.value.step is not None
 
 
+def _ladder_data(g):
+    """(signed tau, direction) pairs of a 3-direction tau ladder; directions
+    of sizes 1, 10 and 40 give the members different Newton counts."""
+    data = []
+    for k, scale in enumerate((1.0, 10.0, 40.0), start=1):
+        d = BulkSurfaceField.from_bulk(scale * np.cos(np.pi * k * g.x))
+        data += [(sign * tau, d) for tau in (1e-2, 5e-3, 2.5e-3) for sign in (1, -1)]
+    return data
+
+
+def _stack(data):
+    return BulkSurfaceField(np.array([t * d.bulk for t, d in data]),
+                            np.array([t * d.surface for t, d in data]))
+
+
+def test_quasilinear_stack_matches_loop(small, monkeypatch):
+    """An 18-member stack follows each member's single-datum solve bit for
+    bit, with either Newton guess, while the members need different Newton
+    counts and the stack needs fewer banded solves than the loop."""
+    from bscontrol import solvers
+    g, tg, masks, cs, _ = small
+    M = tg.step_count
+    F = SpaceTimeField.from_bulk(
+        1e-2 * np.outer(np.sin(np.pi * np.linspace(0, 1, M + 1)), np.cos(np.pi * g.x)))
+    v = 0.1 * np.random.default_rng(11).standard_normal((M + 1, g.n_nodes))
+    data = _ladder_data(g)
+    calls = []
+    banded = solvers.solve_banded
+    monkeypatch.setattr(solvers, "solve_banded",
+                        lambda *a, **kw: calls.append(1) or banded(*a, **kw))
+    for guess in ("previous", "zero"):
+        singles, counts = [], []
+        for t, d in data:
+            n0 = len(calls)
+            singles.append(solve_quasilinear(
+                cs, g, tg, F, BulkSurfaceField(t * d.bulk, t * d.surface),
+                v=v, masks=masks, newton_guess=guess))
+            counts.append(len(calls) - n0)
+        assert len(set(counts)) > 1
+        n0 = len(calls)
+        stack = solve_quasilinear(cs, g, tg, F, _stack(data), v=v, masks=masks,
+                                  newton_guess=guess)
+        assert len(calls) - n0 < sum(counts)
+        assert stack.bulk.shape == (len(data), M + 1, g.n_nodes)
+        assert stack.surface.shape == (len(data), M + 1, 2)
+        for k, one in enumerate(singles):
+            assert np.array_equal(stack.bulk[k], one.bulk), (guess, k)
+            assert np.array_equal(stack.surface[k], one.surface), (guess, k)
+
+
+def test_quasilinear_stack_failure_matches_member():
+    """A stack with one member outside the small-data regime fails at that
+    member's own step, with its residual."""
+    g = build_grid(1.0, 32)
+    tg = build_time_grid(1.0, 32)
+    cs = coefficient_preset("affine", sigma1=0.5)
+    F = SpaceTimeField.zeros(g, tg.step_count + 1)
+    levels = (0.5, -3.0, -1.0)          # -3 drives sigma below zero
+    data = [(c, BulkSurfaceField.from_bulk(np.ones(g.n_nodes))) for c in levels]
+    with pytest.raises(SmallnessViolationError) as alone:
+        solve_quasilinear(cs, g, tg, F, BulkSurfaceField.from_bulk(
+            np.full(g.n_nodes, -3.0)))
+    for c in (0.5, -1.0):
+        solve_quasilinear(cs, g, tg, F, BulkSurfaceField.from_bulk(
+            np.full(g.n_nodes, c)))
+    with pytest.raises(SmallnessViolationError) as stacked:
+        solve_quasilinear(cs, g, tg, F, _stack(data))
+    assert stacked.value.step == alone.value.step
+    assert stacked.value.residual == alone.value.residual
+
+
 def test_quasilinear_cascade_frozen_matches_linear(small):
     g, tg, masks, _, ops = small
     M = tg.step_count
