@@ -1,7 +1,8 @@
 """The Carleman weight system and its empirical estimates.
 
 The weights blow up like exp(C/t) at the initial time, so every table is
-kept in log-space and every weighted quantity is a logsumexp.  This script
+kept in log-space and every weighted sum is a log-sum-exp over its terms,
+shifted by the largest exponent.  This script
 builds the full system, prints the profile of the mu-family, verifies the
 algebraic identities, and runs the empirical weighted-observability check
 on the adjoint cascade.

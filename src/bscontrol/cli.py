@@ -112,9 +112,13 @@ def load_config(path: str | None, seed_override: int | None = None) -> RunConfig
                 raw[section][key] = val
     seed = raw["run"]["seed"] if seed_override is None else seed_override
     try:
-        return RunConfig(raw=raw, seed=int(seed))
+        value = int(seed)
     except ValueError as exc:
         raise ConfigurationError(f"[run] seed = {seed!r}: not an integer") from exc
+    if value < 0:
+        # numpy's default_rng accepts only non-negative seeds
+        raise ConfigurationError(f"[run] seed = {seed!r}: must be >= 0")
+    return RunConfig(raw=raw, seed=value)
 
 
 def build_setup(cfg: RunConfig):

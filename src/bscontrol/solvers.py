@@ -25,9 +25,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded, solveh_banded
+from scipy.linalg import solve_banded
+from scipy.linalg import solveh_banded  # noqa: F401  bench/layertrace.py patches this name
+from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .errors import ConfigurationError, ContractError, SmallnessViolationError
+from .errors import (ConditioningError, ConfigurationError, ContractError,
+                     SmallnessViolationError)
 from .geometry import (BulkSurfaceField, RegionMasks, SpaceTimeField,
                        SpatialGrid, TimeGrid, grad_faces, l2_inner,
                        normal_derivative, sbp_laplacian, stiffness_apply)
@@ -222,14 +225,17 @@ def duality_gap(Y: SpaceTimeField, W: SpaceTimeField, ops: LinearOperatorSet) ->
 # --- banded step systems ----------------------------------------------------
 
 def _corner_lift(grid: SpatialGrid, pair: np.ndarray) -> np.ndarray:
-    out = np.zeros(grid.n_nodes)
-    out[0], out[-1] = pair[0], pair[1]
+    """Surface pairs on the corner nodes of a node vector, or of each row
+    of a stack of them."""
+    out = np.zeros((*np.shape(pair)[:-1], grid.n_nodes))
+    out[..., 0], out[..., -1] = pair[..., 0], pair[..., 1]
     return out
 
 
 def _constant_step_bands(grid: SpatialGrid, dt: float, sigma0: float,
                          da0: float, db0: float) -> np.ndarray:
-    """Upper-banded form of the SPD matrix M/dt + K for solveh_banded."""
+    """Upper-banded form (superdiagonal row, then diagonal) of the SPD
+    tridiagonal matrix M/dt + K of one constant-coefficient step."""
     n = grid.n_nodes
     h = grid.h
     Hw = grid.trapezoid_weights()
@@ -248,38 +254,52 @@ def _weak_rhs(grid: SpatialGrid, fb: np.ndarray, fs: np.ndarray) -> np.ndarray:
     return grid.trapezoid_weights() * fb + _corner_lift(grid, fs)
 
 
+def _march_linear(ops: LinearOperatorSet, S: SpaceTimeField,
+                  start: BulkSurfaceField, backward: bool) -> SpaceTimeField:
+    """Implicit-Euler march with the constant step matrix, factored once.
+
+    Forward, step c produces slice c from slice c-1; backward, slice c-1
+    from slice c.  Source slice c feeds step c either way.  The LDL^T
+    factor (`pttrf`) and the per-step `pttrs` are the two halves of the
+    `ptsv` that `solveh_banded` calls on a 2-row band, so every slice is
+    bit-identical to a per-step `solveh_banded` solve.
+    """
+    g, tg = ops.grid, ops.time_grid
+    M, dt = tg.step_count, tg.dt
+    ab = _constant_step_bands(g, dt, ops.sigma0, ops.da0, ops.db0)
+    d, e, info = dpttrf(ab[1], ab[0, 1:])
+    if info != 0:
+        raise ConditioningError(
+            f"the step matrix M/dt + K is not positive definite (pttrf info "
+            f"{info}): dt = {dt} is too large for the reactions "
+            f"da0 = {ops.da0}, db0 = {ops.db0}")
+    Mw = g.mass_weights()
+    src = _weak_rhs(g, S.bulk, S.surface)   # elementwise, so row c is step c's vector
+    out = np.empty((M + 1, g.n_nodes))
+    out[M if backward else 0] = start.bulk
+    for c in (range(M, 0, -1) if backward else range(1, M + 1)):
+        known, new = (c, c - 1) if backward else (c - 1, c)
+        out[new] = dpttrs(d, e, Mw * out[known] / dt + src[c])[0]
+    if not np.isfinite(out).all():
+        raise ConditioningError("the linear march left double range "
+                                "(non-finite data or overflow)")
+    return SpaceTimeField.from_bulk(out)
+
+
 def solve_linear_forward(ops: LinearOperatorSet, F: SpaceTimeField,
                          psi0: BulkSurfaceField) -> SpaceTimeField:
     """Implicit-Euler forward solve; source slice c feeds step c (c=1..M)."""
-    g, tg = ops.grid, ops.time_grid
     if not psi0.is_trace_compatible(1e-12):
         raise ContractError("initial datum must be trace-compatible")
-    M, dt = tg.step_count, tg.dt
-    ab = _constant_step_bands(g, dt, ops.sigma0, ops.da0, ops.db0)
-    Mw = g.mass_weights()
-    out = np.empty((M + 1, g.n_nodes))
-    out[0] = psi0.bulk
-    for c in range(1, M + 1):
-        rhs = Mw * out[c - 1] / dt + _weak_rhs(g, F.bulk[c], F.surface[c])
-        out[c] = solveh_banded(ab, rhs)
-    return SpaceTimeField.from_bulk(out)
+    return _march_linear(ops, F, psi0, backward=False)
 
 
 def solve_linear_backward(ops: LinearOperatorSet, G: SpaceTimeField,
                           terminal: BulkSurfaceField) -> SpaceTimeField:
     """Backward solve: step c produces slice c-1; source slice c feeds step c."""
-    g, tg = ops.grid, ops.time_grid
     if not terminal.is_trace_compatible(1e-12):
         raise ContractError("terminal datum must be trace-compatible")
-    M, dt = tg.step_count, tg.dt
-    ab = _constant_step_bands(g, dt, ops.sigma0, ops.da0, ops.db0)
-    Mw = g.mass_weights()
-    out = np.empty((M + 1, g.n_nodes))
-    out[M] = terminal.bulk
-    for c in range(M, 0, -1):
-        rhs = Mw * out[c] / dt + _weak_rhs(g, G.bulk[c], G.surface[c])
-        out[c - 1] = solveh_banded(ab, rhs)
-    return SpaceTimeField.from_bulk(out)
+    return _march_linear(ops, G, terminal, backward=True)
 
 
 def _varcoef_backward_bands(grid: SpatialGrid, dt: float, sig_nodes, sig_surf,

@@ -3,8 +3,9 @@
 Everything is stored and combined in log-space.  The weight exponents
 behave like C/t near t = 0 and reach several hundred in natural-log units
 even at the most permissive admissible parameters, so plain doubles
-overflow; sums of weighted squares are accumulated with logsumexp and
-every verification ratio is an exponent difference.
+overflow; sums of weighted squares are accumulated with a log-sum-exp
+kernel (`_logsumexp`) and every verification ratio is an exponent
+difference.
 
 Time-dependent tables are sampled at the cell midpoints t_{c-1/2}, never
 at t = 0 or T where the continuous weights are singular.
@@ -27,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ContractError, ParameterError, ResolutionError
 from .geometry import (RegionMasks, SpaceTimeField, SpatialGrid, TimeGrid,
@@ -38,20 +38,50 @@ ETA_KAPPA = -10.0       # eta'' at the peak, times max(c, L-c)^2
 ETA_CHECK_SAMPLES = 10_000
 
 
+def _logsumexp(a: np.ndarray, b: np.ndarray | None = None) -> float:
+    """log sum b * exp(a) over a 1-D array with positive weights b (all 1
+    when None); -inf for an empty array.
+
+    Bit-identical to scipy 1.17's `logsumexp` on such input: the maximal
+    entries are split off, `m` is their total weight summed over the whole
+    array, and the rest is summed shifted by the maximum.  A non-finite
+    result falls back to the direct log sum b * exp(a).
+    """
+    if a.size == 0:
+        return -math.inf
+    a_max = np.max(a)
+    top = a == a_max
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        m = float(np.count_nonzero(top)) if b is None else np.sum(b * top)
+        e = np.exp(np.where(top, -np.inf, a) - a_max)
+        s = np.sum(e if b is None else b * e)
+        if s != 0:
+            s = s / m
+        out = np.log1p(s) + np.log(m) + a_max
+        if not np.isfinite(out):
+            out = np.log(np.sum(np.exp(a) if b is None else b * np.exp(a)))
+    return float(out)
+
+
+def _weighted_terms(log_w, values, quad) -> tuple[np.ndarray, np.ndarray]:
+    """Flat (log-weight, quad * values^2) pairs of the broadcast triple,
+    keeping only the terms with a positive coefficient."""
+    b = np.broadcast_arrays(np.asarray(log_w, dtype=float),
+                            np.asarray(values, dtype=float),
+                            np.asarray(quad, dtype=float))
+    lw, v, q = (x.ravel() for x in b)
+    coeff = q * v * v
+    keep = coeff > 0
+    return lw[keep], coeff[keep]
+
+
 def log_weighted_sq_sum(log_w, values, quad) -> float:
     """log( sum quad * exp(log_w) * values^2 ), accumulated stably.
 
     `log_w`, `values`, `quad` broadcast together; entries with values == 0
     contribute nothing.  Returns -inf for an identically zero field.
     """
-    b = np.broadcast_arrays(np.asarray(log_w, dtype=float),
-                            np.asarray(values, dtype=float),
-                            np.asarray(quad, dtype=float))
-    lw, v, q = (x.ravel() for x in b)
-    coeff = q * v * v
-    if not np.any(coeff > 0):
-        return -math.inf
-    return float(logsumexp(lw[coeff > 0], b=coeff[coeff > 0]))
+    return _logsumexp(*_weighted_terms(log_w, values, quad))
 
 
 def log_st_sq(log_w, bulk, surface, grid: SpatialGrid, dt: float) -> float:
@@ -101,7 +131,7 @@ def log_add(*log_values: float) -> float:
     vals = [v for v in log_values if v != -math.inf]
     if not vals:
         return -math.inf
-    return float(logsumexp(np.array(vals)))
+    return _logsumexp(np.array(vals))
 
 
 def log_ratio(log_num: float, log_den: float) -> float:
@@ -435,8 +465,8 @@ def _midpoint_pieces(Phi: SpaceTimeField, grid: SpatialGrid, dt: float):
 class _LogAccumulator:
     """Collects (log-weight, value, quadrature) triples per named component.
 
-    The total is produced two independent ways (per-component logsumexp
-    then combine, vs one flat logsumexp over every term) so the two-route
+    The total is produced two independent ways (per-component log-sum-exp
+    then combine, vs one flat log-sum-exp over every term) so the two-route
     agreement check is a genuine redundancy oracle.
     """
 
@@ -444,23 +474,15 @@ class _LogAccumulator:
         self._pairs = []   # (name, log_w flat, coeff flat)
 
     def add(self, name: str, log_w, values, quad):
-        b = np.broadcast_arrays(np.asarray(log_w, dtype=float),
-                                np.asarray(values, dtype=float),
-                                np.asarray(quad, dtype=float))
-        lw, v, q = (x.ravel() for x in b)
-        coeff = q * v * v
-        keep = coeff > 0
-        self._pairs.append((name, lw[keep], coeff[keep]))
+        self._pairs.append((name, *_weighted_terms(log_w, values, quad)))
 
     def result(self) -> dict:
-        comps = {}
-        for name, lw, coeff in self._pairs:
-            comps[name] = (float(logsumexp(lw, b=coeff)) if lw.size else -math.inf)
+        comps = {name: _logsumexp(lw, coeff) for name, lw, coeff in self._pairs}
         all_lw = np.concatenate([lw for _, lw, _ in self._pairs]) \
             if self._pairs else np.empty(0)
         all_c = np.concatenate([c for _, _, c in self._pairs]) \
             if self._pairs else np.empty(0)
-        flat = float(logsumexp(all_lw, b=all_c)) if all_lw.size else -math.inf
+        flat = _logsumexp(all_lw, all_c)
         return {"components": comps,
                 "log_total": log_add(*comps.values()),
                 "log_total_flat": flat}
@@ -488,25 +510,22 @@ def carleman_functional_I(Phi: SpaceTimeField, tables: WeightTables,
     log_s = math.log(s)
     quad_f = grid.h * dt
 
+    ea, ea_G = -2 * s * np.exp(la), -2 * s * np.exp(la_G)
+    lw_t = ea - log_s - lx
+
     acc = _LogAccumulator()
-    acc.add("bulk_time_deriv", -2 * s * np.exp(la) - log_s - lx, b_t, quad_b)
-    acc.add("bulk_laplacian", -2 * s * np.exp(la) - log_s - lx, lap, quad_b)
+    acc.add("bulk_time_deriv", lw_t, b_t, quad_b)
+    acc.add("bulk_laplacian", lw_t, lap, quad_b)
     acc.add("bulk_gradient",
             -2 * s * np.exp(la_face) + math.log(lam**2 * s) + lx_face,
             gradf, quad_f)
-    acc.add("bulk_value",
-            -2 * s * np.exp(la) + math.log(lam**4 * s**3) + 3 * lx,
-            b_mid, quad_b)
-    acc.add("surface_time_deriv", -2 * s * np.exp(la_G) - log_s - lx_G,
-            s_t, quad_s)
+    acc.add("bulk_value", ea + math.log(lam**4 * s**3) + 3 * lx, b_mid, quad_b)
+    acc.add("surface_time_deriv", ea_G - log_s - lx_G, s_t, quad_s)
     acc.add("surface_tangential_laplacian", -math.inf, np.zeros(1), 0.0)
     acc.add("surface_tangential_gradient", -math.inf, np.zeros(1), 0.0)
-    acc.add("surface_value",
-            -2 * s * np.exp(la_G) + math.log(lam**3 * s**3) + 3 * lx_G,
+    acc.add("surface_value", ea_G + math.log(lam**3 * s**3) + 3 * lx_G,
             s_mid, quad_s)
-    acc.add("normal_derivative",
-            -2 * s * np.exp(la_G) + math.log(lam * s) + lx_G,
-            dnu, quad_s)
+    acc.add("normal_derivative", ea_G + math.log(lam * s) + lx_G, dnu, quad_s)
     return acc.result()
 
 
@@ -525,16 +544,19 @@ def carleman_functional_Jw(Phi: SpaceTimeField, tables: WeightTables,
     lb_G = lb[:, [0, -1]]
     lell = np.log(tables.ell)[:, None]
 
+    eb, eb_G = -2 * s * np.exp(lb), -2 * s * np.exp(lb_G)
+    lw_t = eb + lell
+
     acc = _LogAccumulator()
-    acc.add("bulk_time_deriv", -2 * s * np.exp(lb) + lell, b_t, quad_b)
-    acc.add("bulk_laplacian", -2 * s * np.exp(lb) + lell, lap, quad_b)
+    acc.add("bulk_time_deriv", lw_t, b_t, quad_b)
+    acc.add("bulk_laplacian", lw_t, lap, quad_b)
     acc.add("bulk_gradient", -2 * s * np.exp(lb_face) - lell, gradf, quad_f)
-    acc.add("bulk_value", -2 * s * np.exp(lb) - 3 * lell, b_mid, quad_b)
-    acc.add("surface_time_deriv", -2 * s * np.exp(lb_G) + lell, s_t, dt)
+    acc.add("bulk_value", eb - 3 * lell, b_mid, quad_b)
+    acc.add("surface_time_deriv", eb_G + lell, s_t, dt)
     acc.add("surface_tangential_laplacian", -math.inf, np.zeros(1), 0.0)
     acc.add("surface_tangential_gradient", -math.inf, np.zeros(1), 0.0)
-    acc.add("surface_value", -2 * s * np.exp(lb_G) - 3 * lell, s_mid, dt)
-    acc.add("normal_derivative", -2 * s * np.exp(lb_G) - lell, dnu, dt)
+    acc.add("surface_value", eb_G - 3 * lell, s_mid, dt)
+    acc.add("normal_derivative", eb_G - lell, dnu, dt)
     return acc.result()
 
 
@@ -556,6 +578,15 @@ def empirical_carleman_check(n_samples: int, tables: WeightTables,
     quad_b = grid.trapezoid_weights()[None, :] * dt
     omega3 = masks.omega3_nodes.astype(float)
 
+    # the right-hand sides' log-weights do not depend on the sample
+    la, lx, lb = tables.log_alpha, tables.log_xi, tables.log_beta
+    ea, ea_G = -2 * s * np.exp(la), -2 * s * np.exp(la[:, [0, -1]])
+    eb, eb_G = -2 * s * np.exp(lb), -2 * s * np.exp(lb[:, [0, -1]])
+    lell = np.log(tables.ell)[:, None]
+    lw_I = (ea + math.log(s**7 * lam**8) + 7 * lx,
+            ea + math.log(s**3 * lam**4) + 3 * lx, ea, ea_G, ea_G)
+    lw_J = (eb - 7 * lell, eb - 3 * lell, eb, eb_G, eb_G)
+
     max_I, max_J = 0.0, 0.0
     for _ in range(n_samples):
         f1, g1 = _random_smooth_source(grid, time_grid, rng), _random_smooth_source(grid, time_grid, rng)
@@ -566,30 +597,16 @@ def empirical_carleman_check(n_samples: int, tables: WeightTables,
         lhs_J = log_add(carleman_functional_Jw(Phi, tables, grid, dt)["log_total"],
                         carleman_functional_Jw(K, tables, grid, dt)["log_total"])
 
-        la, lx, lb = tables.log_alpha, tables.log_xi, tables.log_beta
-        la_G, lb_G = la[:, [0, -1]], lb[:, [0, -1]]
-        lell = np.log(tables.ell)[:, None]
         phi_mid = 0.5 * (Phi.bulk[1:] + Phi.bulk[:-1])
-        f1_mid = 0.5 * (f1.bulk[1:] + f1.bulk[:-1])
-        g1_mid = 0.5 * (g1.bulk[1:] + g1.bulk[:-1])
-        f1s_mid = 0.5 * (f1.surface[1:] + f1.surface[:-1])
-        g1s_mid = 0.5 * (g1.surface[1:] + g1.surface[:-1])
-
-        rhs_I = log_add(
-            log_weighted_sq_sum(-2 * s * np.exp(la) + math.log(s**7 * lam**8) + 7 * lx,
-                                phi_mid * omega3[None, :], quad_b),
-            log_weighted_sq_sum(-2 * s * np.exp(la) + math.log(s**3 * lam**4) + 3 * lx,
-                                f1_mid, quad_b),
-            log_weighted_sq_sum(-2 * s * np.exp(la), g1_mid, quad_b),
-            log_weighted_sq_sum(-2 * s * np.exp(la_G), f1s_mid, dt),
-            log_weighted_sq_sum(-2 * s * np.exp(la_G), g1s_mid, dt))
-        rhs_J = log_add(
-            log_weighted_sq_sum(-2 * s * np.exp(lb) - 7 * lell,
-                                phi_mid * omega3[None, :], quad_b),
-            log_weighted_sq_sum(-2 * s * np.exp(lb) - 3 * lell, f1_mid, quad_b),
-            log_weighted_sq_sum(-2 * s * np.exp(lb), g1_mid, quad_b),
-            log_weighted_sq_sum(-2 * s * np.exp(lb_G), f1s_mid, dt),
-            log_weighted_sq_sum(-2 * s * np.exp(lb_G), g1s_mid, dt))
+        terms = ((phi_mid * omega3[None, :], quad_b),
+                 (0.5 * (f1.bulk[1:] + f1.bulk[:-1]), quad_b),
+                 (0.5 * (g1.bulk[1:] + g1.bulk[:-1]), quad_b),
+                 (0.5 * (f1.surface[1:] + f1.surface[:-1]), dt),
+                 (0.5 * (g1.surface[1:] + g1.surface[:-1]), dt))
+        rhs_I = log_add(*(log_weighted_sq_sum(lw, v, q)
+                          for lw, (v, q) in zip(lw_I, terms)))
+        rhs_J = log_add(*(log_weighted_sq_sum(lw, v, q)
+                          for lw, (v, q) in zip(lw_J, terms)))
 
         max_I = max(max_I, log_ratio(lhs_I, rhs_I))
         max_J = max(max_J, log_ratio(lhs_J, rhs_J))

@@ -70,10 +70,15 @@ def test_exit_code_validation(tmp_path):
                  "[source]\nwidth = 0\n",
                  "[source]\nwidth = 1e-300\n", "[weights]\neta_peak = -1\n",
                  "[weights]\neta_peak = 2\n", "[weights]\neta_peak = 0.42\n",
-                 "[weights]\neta_peak = 0.58\n", "[weights]\neta_peak = 0.59\n"):
-        path.write_text(text)
-        rc = main(["synthesize", "--config", str(path), "--out", str(tmp_path)])
-        assert rc == 2, text
+                 "[weights]\neta_peak = 0.58\n", "[weights]\neta_peak = 0.59\n",
+                 "[run]\nseed = -1\n", "--seed -1"):
+        args = ["synthesize", "--out", str(tmp_path)]
+        if text.startswith("--"):
+            args += text.split()
+        else:
+            path.write_text(text)
+            args += ["--config", str(path)]
+        assert main(args) == 2, text
 
 
 def test_sweep_rejects_unknown_parameter(tmp_path):

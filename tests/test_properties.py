@@ -1,20 +1,28 @@
 """Property tests of the exact discrete identities on random grids and
 coefficients: summation by parts, space-time duality, the agreement of the
-sparse residual stack with the matrix-free operators it is built from, and
-the weighted space-time norm against a plain sum."""
+sparse residual stack with the matrix-free operators it is built from, the
+weighted space-time norm and the log-sum-exp kernel against plain sums, the
+factored linear steppers against per-step banded solves, and mass
+conservation of the linear steppers."""
 
 import math
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import LinAlgError, solveh_banded
 
 from bscontrol import diagnostics
+from bscontrol.errors import ConditioningError
 from bscontrol.fi import _Stack
-from bscontrol.geometry import SpaceTimeField, build_grid, build_time_grid
-from bscontrol.solvers import LinearOperatorSet, apply_L
-from bscontrol.weights import log_st_sq
+from bscontrol.geometry import (BulkSurfaceField, SpaceTimeField, build_grid,
+                                build_time_grid)
+from bscontrol.solvers import (LinearOperatorSet, _constant_step_bands,
+                               _weak_rhs, apply_L, solve_linear_backward,
+                               solve_linear_forward, total_mass)
+from bscontrol.weights import _logsumexp, log_add, log_st_sq
 
 PROPERTY = settings(max_examples=25, deadline=None, database=None,
                     derandomize=True)
@@ -104,3 +112,99 @@ def test_log_st_sq_matches_plain_sum(N, M, length, dt, faces, surface, seed):
     assert abs(got - total) <= 1e-12 * total
     zero_srf = None if srf is None else np.zeros_like(srf)
     assert log_st_sq(log_w, np.zeros_like(bulk), zero_srf, grid, dt) == -math.inf
+
+
+def _plain_lse(a, b):
+    """a_max + log fsum(b * exp(a - a_max)) in plain floats."""
+    if not a:
+        return -math.inf
+    a_max = max(a)
+    return a_max + math.log(math.fsum(w * math.exp(x - a_max) for x, w in zip(a, b)))
+
+
+# exponents drawn partly from a few values, so that ties of the maximum occur
+EXPONENTS = st.one_of(st.floats(-50.0, 50.0), st.sampled_from([-3.0, 0.0, 2.5]))
+
+
+@PROPERTY
+@given(a=st.lists(EXPONENTS, min_size=0, max_size=60), data=st.data())
+def test_logsumexp_matches_plain_sum(a, data):
+    """The weighted kernel agrees with a plain-float sum for weights from
+    1e-30 to 1e30, ties of the maximum, one element and none (-inf)."""
+    b = [10.0 ** e for e in data.draw(
+        st.lists(st.floats(-30.0, 30.0), min_size=len(a), max_size=len(a)))]
+    got = _logsumexp(np.array(a), np.array(b))
+    want = _plain_lse(a, b)
+    if not a:
+        assert got == -math.inf
+    else:
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@PROPERTY
+@given(a=st.lists(st.one_of(EXPONENTS, st.just(-math.inf)), min_size=0, max_size=30))
+def test_log_add_matches_plain_sum(a):
+    """The unweighted path: log_add drops -inf terms and sums the rest."""
+    finite = [x for x in a if x != -math.inf]
+    want = _plain_lse(finite, [1.0] * len(finite))
+    got = log_add(*a)
+    if not finite:
+        assert got == -math.inf
+    else:
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def _per_step_march(ops, S, start, backward):
+    """The linear steppers as one solveh_banded call per step."""
+    g, tg = ops.grid, ops.time_grid
+    M, dt = tg.step_count, tg.dt
+    ab = _constant_step_bands(g, dt, ops.sigma0, ops.da0, ops.db0)
+    out = np.empty((M + 1, g.n_nodes))
+    out[M if backward else 0] = start
+    for c in (range(M, 0, -1) if backward else range(1, M + 1)):
+        known, new = (c, c - 1) if backward else (c - 1, c)
+        rhs = g.mass_weights() * out[known] / dt + _weak_rhs(g, S.bulk[c], S.surface[c])
+        out[new] = solveh_banded(ab, rhs)
+    return out
+
+
+@PROPERTY
+@given(ops=operators(), backward=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_factored_steppers_match_per_step_solves(ops, backward, seed):
+    """Factoring the step matrix once gives every slice of the per-step
+    solveh_banded march bit for bit; a matrix that is not positive definite
+    raises ConditioningError where solveh_banded raises LinAlgError."""
+    g, M = ops.grid, ops.time_grid.step_count
+    rng = np.random.default_rng(seed)
+    S = SpaceTimeField.from_bulk(rng.standard_normal((M + 1, g.n_nodes)))
+    start = rng.standard_normal(g.n_nodes)
+    solve = solve_linear_backward if backward else solve_linear_forward
+    try:
+        want = _per_step_march(ops, S, start, backward)
+    except LinAlgError:
+        with pytest.raises(ConditioningError):
+            solve(ops, S, BulkSurfaceField.from_bulk(start))
+        return
+    got = solve(ops, S, BulkSurfaceField.from_bulk(start))
+    assert np.array_equal(got.bulk, want)
+
+
+@PROPERTY
+@given(ops=operators(), backward=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_linear_steppers_conserve_mass(ops, backward, seed):
+    """Without reactions and sources, the SBP flux terms cancel in the
+    trapezoid-plus-surface mass, which stays constant to roundoff: 1e-12
+    relative to the datum's absolute mass, times the diffusion number
+    dt sigma0 / h^2 once it exceeds 1, since each step's rounding scales
+    with the stiffness part of the step matrix."""
+    ops = LinearOperatorSet(sigma0=ops.sigma0, da0=0.0, db0=0.0,
+                            grid=ops.grid, time_grid=ops.time_grid)
+    g, M = ops.grid, ops.time_grid.step_count
+    datum = BulkSurfaceField.from_bulk(
+        np.random.default_rng(seed).standard_normal(g.n_nodes))
+    zero = SpaceTimeField.zeros(g, M + 1)
+    Y = (solve_linear_backward if backward else solve_linear_forward)(ops, zero, datum)
+    mass = total_mass(Y, g)
+    scale = float(np.abs(datum.bulk) @ g.mass_weights())
+    stiff = max(1.0, ops.time_grid.dt * ops.sigma0 / g.h**2)
+    assert np.abs(mass - mass[M if backward else 0]).max() <= 1e-12 * scale * stiff
