@@ -109,10 +109,8 @@ class SynthesisReport:
     increments: list
     h0_norm_linear: float
     h0_norm_quasilinear: float
-    h0_norm_recovered: float
     log_x_norm_sq: float
     log_y_norm_sq: float
-    cg_iters: list
     status: str
     quasi_states: tuple             # (Psi, H) of the quasilinear cascade under v
     h0_history: list = field(default_factory=list)
@@ -328,7 +326,7 @@ def synthesize(F: SpaceTimeField, bundle: SynthesisBundle) -> SynthesisReport:
     zero_st = SpaceTimeField.zeros(g, M + 1)
     Psi, H = zero_st, zero_st.copy()
     v = np.zeros((M + 1, g.n_nodes))
-    increments, cg_iters, h0_history = [], [], []
+    increments, h0_history = [], []
     sol = None
     status = "max_outer_reached"
     n_bad = 0
@@ -342,7 +340,6 @@ def synthesize(F: SpaceTimeField, bundle: SynthesisBundle) -> SynthesisReport:
         Feff = SpaceTimeField(F.bulk + A["A1"], F.surface + A["A3"])
         Geff = SpaceTimeField(A["A2"], A["A4"])
         sol = bundle.fi_solver.solve(Feff, Geff)
-        cg_iters.append(sol.cg_iters)
         Psi_new, H_new = solve_linearized_cascade(
             bundle.ops, Feff, Geff, sol.v, bundle.theta, bundle.theta_s,
             bundle.masks)
@@ -397,12 +394,11 @@ def synthesize(F: SpaceTimeField, bundle: SynthesisBundle) -> SynthesisReport:
         v=v, Psi=Psi, H=H, iterations=its, increments=increments,
         h0_norm_linear=l2_norm(H.slice(0), g),
         h0_norm_quasilinear=l2_norm(H_q.slice(0), g),
-        h0_norm_recovered=sol.h0_norm if sol else 0.0,
         log_x_norm_sq=x_norm_sq_log(sol.Psi, sol.H, v, bundle) if sol else -math.inf,
         log_y_norm_sq=y_norm_sq_log(F.bulk, F.surface,
                                     np.zeros_like(F.bulk), np.zeros_like(F.surface),
                                     bundle.tables, g, tg.dt),
-        cg_iters=cg_iters, status=status, h0_history=h0_history,
+        status=status, h0_history=h0_history,
         fi_solution=sol, quasi_states=(Psi_q, H_q))
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,7 @@ from .geometry import (RegionMasks, SpaceTimeField, SpatialGrid, TimeGrid,
                        grad_faces, normal_derivative, sbp_laplacian)
 
 LOG_UNDERFLOW = -700.0  # squared inverse weights below e^{-700} become exact 0
+LOG_FLOAT_MAX = math.log(sys.float_info.max)    # e^x overflows above this
 ETA_KAPPA = -10.0       # eta'' at the peak, times max(c, L-c)^2
 ETA_CHECK_SAMPLES = 10_000
 
@@ -63,25 +65,19 @@ def _logsumexp(a: np.ndarray, b: np.ndarray | None = None) -> float:
     return float(out)
 
 
-def _weighted_terms(log_w, values, quad) -> tuple[np.ndarray, np.ndarray]:
-    """Flat (log-weight, quad * values^2) pairs of the broadcast triple,
-    keeping only the terms with a positive coefficient."""
-    b = np.broadcast_arrays(np.asarray(log_w, dtype=float),
-                            np.asarray(values, dtype=float),
-                            np.asarray(quad, dtype=float))
-    lw, v, q = (x.ravel() for x in b)
-    coeff = q * v * v
-    keep = coeff > 0
-    return lw[keep], coeff[keep]
-
-
 def log_weighted_sq_sum(log_w, values, quad) -> float:
     """log( sum quad * exp(log_w) * values^2 ), accumulated stably.
 
     `log_w`, `values`, `quad` broadcast together; entries with values == 0
     contribute nothing.  Returns -inf for an identically zero field.
     """
-    return _logsumexp(*_weighted_terms(log_w, values, quad))
+    b = np.broadcast_arrays(np.asarray(log_w, dtype=float),
+                            np.asarray(values, dtype=float),
+                            np.asarray(quad, dtype=float))
+    lw, v, q = (x.ravel() for x in b)
+    coeff = q * v * v
+    keep = coeff > 0
+    return _logsumexp(lw[keep], coeff[keep])
 
 
 def log_st_sq(log_w, bulk, surface, grid: SpatialGrid, dt: float) -> float:
@@ -251,15 +247,28 @@ def validate_params(p: WeightParams, horizon: float) -> ValidatedParams:
         raise ParameterError(f"lambda must be >= 1, got {p.lam}")
     if p.s_coeff < 1.0:
         raise ParameterError(f"s coefficient must be >= 1, got {p.s_coeff}")
+    # the weight numerator holds e^{2 lambda m}, and m_threshold, which every
+    # admissible m exceeds, is above 1 and holds e^lambda
+    if not 2 * p.lam * max(p.m, 1.0) < LOG_FLOAT_MAX:
+        raise ParameterError(
+            f"lambda = {p.lam}, m = {p.m}: e^(2 lambda max(m, 1)) overflows "
+            f"a double; need 2 lambda max(m, 1) < {LOG_FLOAT_MAX:.2f}")
     thr = m_threshold(p.lam)
     if not p.m > thr:
         raise ParameterError(
             f"m={p.m} too small: the beta_hat < 1.25*beta_check condition "
             f"needs m > log(5 e^lambda - 4)/lambda = {thr:.6f}",
             threshold=thr)
-    s = p.s_coeff * (horizon + horizon**2)
+    try:
+        s = p.s_coeff * (horizon + horizon**2)
+    except OverflowError:
+        s = math.inf
     if s < 1.0:
         raise ParameterError(f"s = {s} must be >= 1")
+    if s == math.inf:
+        raise ParameterError(
+            f"s = s_coeff (T + T^2) overflows a double at T = {horizon}, "
+            f"s_coeff = {p.s_coeff}")
     return ValidatedParams(lam=p.lam, m=p.m, s=s, s_coeff=p.s_coeff,
                            m_threshold=thr)
 
@@ -462,32 +471,6 @@ def _midpoint_pieces(Phi: SpaceTimeField, grid: SpatialGrid, dt: float):
     return b_mid, s_mid, b_t, s_t, lap, gradf, dnu
 
 
-class _LogAccumulator:
-    """Collects (log-weight, value, quadrature) triples per named component.
-
-    The total is produced two independent ways (per-component log-sum-exp
-    then combine, vs one flat log-sum-exp over every term) so the two-route
-    agreement check is a genuine redundancy oracle.
-    """
-
-    def __init__(self):
-        self._pairs = []   # (name, log_w flat, coeff flat)
-
-    def add(self, name: str, log_w, values, quad):
-        self._pairs.append((name, *_weighted_terms(log_w, values, quad)))
-
-    def result(self) -> dict:
-        comps = {name: _logsumexp(lw, coeff) for name, lw, coeff in self._pairs}
-        all_lw = np.concatenate([lw for _, lw, _ in self._pairs]) \
-            if self._pairs else np.empty(0)
-        all_c = np.concatenate([c for _, _, c in self._pairs]) \
-            if self._pairs else np.empty(0)
-        flat = _logsumexp(all_lw, all_c)
-        return {"components": comps,
-                "log_total": log_add(*comps.values()),
-                "log_total_flat": flat}
-
-
 def carleman_functional_I(Phi: SpaceTimeField, tables: WeightTables,
                           grid: SpatialGrid, dt: float) -> dict:
     """Alpha-weighted functional: e^{-2 s alpha} against (s xi)-power factors.
@@ -513,20 +496,21 @@ def carleman_functional_I(Phi: SpaceTimeField, tables: WeightTables,
     ea, ea_G = -2 * s * np.exp(la), -2 * s * np.exp(la_G)
     lw_t = ea - log_s - lx
 
-    acc = _LogAccumulator()
-    acc.add("bulk_time_deriv", lw_t, b_t, quad_b)
-    acc.add("bulk_laplacian", lw_t, lap, quad_b)
-    acc.add("bulk_gradient",
-            -2 * s * np.exp(la_face) + math.log(lam**2 * s) + lx_face,
-            gradf, quad_f)
-    acc.add("bulk_value", ea + math.log(lam**4 * s**3) + 3 * lx, b_mid, quad_b)
-    acc.add("surface_time_deriv", ea_G - log_s - lx_G, s_t, quad_s)
-    acc.add("surface_tangential_laplacian", -math.inf, np.zeros(1), 0.0)
-    acc.add("surface_tangential_gradient", -math.inf, np.zeros(1), 0.0)
-    acc.add("surface_value", ea_G + math.log(lam**3 * s**3) + 3 * lx_G,
-            s_mid, quad_s)
-    acc.add("normal_derivative", ea_G + math.log(lam * s) + lx_G, dnu, quad_s)
-    return acc.result()
+    lsq = log_weighted_sq_sum
+    comps = {
+        "bulk_time_deriv": lsq(lw_t, b_t, quad_b),
+        "bulk_laplacian": lsq(lw_t, lap, quad_b),
+        "bulk_gradient": lsq(-2 * s * np.exp(la_face) + math.log(lam**2 * s)
+                             + lx_face, gradf, quad_f),
+        "bulk_value": lsq(ea + math.log(lam**4 * s**3) + 3 * lx, b_mid, quad_b),
+        "surface_time_deriv": lsq(ea_G - log_s - lx_G, s_t, quad_s),
+        "surface_tangential_laplacian": -math.inf,
+        "surface_tangential_gradient": -math.inf,
+        "surface_value": lsq(ea_G + math.log(lam**3 * s**3) + 3 * lx_G,
+                             s_mid, quad_s),
+        "normal_derivative": lsq(ea_G + math.log(lam * s) + lx_G, dnu, quad_s),
+    }
+    return {"components": comps, "log_total": log_add(*comps.values())}
 
 
 def carleman_functional_Jw(Phi: SpaceTimeField, tables: WeightTables,
@@ -547,17 +531,19 @@ def carleman_functional_Jw(Phi: SpaceTimeField, tables: WeightTables,
     eb, eb_G = -2 * s * np.exp(lb), -2 * s * np.exp(lb_G)
     lw_t = eb + lell
 
-    acc = _LogAccumulator()
-    acc.add("bulk_time_deriv", lw_t, b_t, quad_b)
-    acc.add("bulk_laplacian", lw_t, lap, quad_b)
-    acc.add("bulk_gradient", -2 * s * np.exp(lb_face) - lell, gradf, quad_f)
-    acc.add("bulk_value", eb - 3 * lell, b_mid, quad_b)
-    acc.add("surface_time_deriv", eb_G + lell, s_t, dt)
-    acc.add("surface_tangential_laplacian", -math.inf, np.zeros(1), 0.0)
-    acc.add("surface_tangential_gradient", -math.inf, np.zeros(1), 0.0)
-    acc.add("surface_value", eb_G - 3 * lell, s_mid, dt)
-    acc.add("normal_derivative", eb_G - lell, dnu, dt)
-    return acc.result()
+    lsq = log_weighted_sq_sum
+    comps = {
+        "bulk_time_deriv": lsq(lw_t, b_t, quad_b),
+        "bulk_laplacian": lsq(lw_t, lap, quad_b),
+        "bulk_gradient": lsq(-2 * s * np.exp(lb_face) - lell, gradf, quad_f),
+        "bulk_value": lsq(eb - 3 * lell, b_mid, quad_b),
+        "surface_time_deriv": lsq(eb_G + lell, s_t, dt),
+        "surface_tangential_laplacian": -math.inf,
+        "surface_tangential_gradient": -math.inf,
+        "surface_value": lsq(eb_G - 3 * lell, s_mid, dt),
+        "normal_derivative": lsq(eb_G - lell, dnu, dt),
+    }
+    return {"components": comps, "log_total": log_add(*comps.values())}
 
 
 def empirical_carleman_check(n_samples: int, tables: WeightTables,

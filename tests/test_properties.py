@@ -1,9 +1,10 @@
 """Property tests of the exact discrete identities on random grids and
 coefficients: summation by parts, space-time duality, the agreement of the
 sparse residual stack with the matrix-free operators it is built from, the
-weighted space-time norm and the log-sum-exp kernel against plain sums, the
-factored linear steppers against per-step banded solves, and mass
-conservation of the linear steppers."""
+weighted space-time norm and the log-sum-exp kernel against plain sums,
+per-part log-sum-exp totals against one flat log-sum-exp, the factored
+linear steppers against per-step banded solves, and mass conservation of
+the linear steppers."""
 
 import math
 from types import SimpleNamespace
@@ -152,6 +153,26 @@ def test_log_add_matches_plain_sum(a):
         assert got == -math.inf
     else:
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@PROPERTY
+@given(parts=st.lists(st.lists(EXPONENTS, min_size=0, max_size=20),
+                      min_size=1, max_size=6), data=st.data())
+def test_log_add_of_parts_matches_flat_logsumexp(parts, data):
+    """A total formed part by part (one log-sum-exp per part, then log_add)
+    equals one log-sum-exp over all the parts' terms, as the Carleman
+    functionals form theirs from per-component sums."""
+    weights = [np.array([10.0 ** e for e in data.draw(
+        st.lists(st.floats(-30.0, 30.0), min_size=len(a), max_size=len(a)))])
+        for a in parts]
+    per_part = log_add(*(_logsumexp(np.array(a, dtype=float), b)
+                         for a, b in zip(parts, weights)))
+    flat = _logsumexp(np.concatenate([np.array(a, dtype=float) for a in parts]),
+                      np.concatenate(weights))
+    if flat == -math.inf:
+        assert per_part == -math.inf
+    else:
+        assert abs(per_part - flat) <= 1e-12 * max(1.0, abs(flat))
 
 
 def _per_step_march(ops, S, start, backward):
