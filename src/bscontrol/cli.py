@@ -99,7 +99,10 @@ def load_config(path: str | None, seed_override: int | None = None) -> RunConfig
     raw = {s: dict(kv) for s, kv in DEFAULTS.items()}
     if path is not None:
         cp = configparser.ConfigParser()
-        read = cp.read(path)
+        try:
+            read = cp.read(path)
+        except configparser.Error as exc:
+            raise ConfigurationError(f"malformed config file {path}: {exc}") from exc
         if not read:
             raise ConfigurationError(f"config file not found: {path}")
         for section in cp.sections():

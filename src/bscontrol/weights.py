@@ -308,6 +308,8 @@ class WeightTables:
         return out
 
 
+# a large lambda overflows the tables; the beta_hat and n_live checks report it
+@np.errstate(over="ignore")
 def build_weight_tables(grid: SpatialGrid, time_grid: TimeGrid, eta: EtaProfile,
                         params: ValidatedParams, min_live_cells: int = 8) -> WeightTables:
     lam, m, s = params.lam, params.m, params.s

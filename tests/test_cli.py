@@ -61,7 +61,9 @@ def test_config_hash_seed_sensitivity(tmp_path):
     assert a.hash() != b.hash()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_exit_code_validation(tmp_path):
+    """Every malformed input exits 2, with no traceback and no warning."""
     path = tmp_path / "bad.cfg"
     for text in ("[masks]\nomega = 0.1,0.2\nobs_bulk = 0.8,0.9\n",
                  "[masks]\nomega = 0.25,abc\n", "[run]\nseed = xyz\n",
@@ -74,7 +76,11 @@ def test_exit_code_validation(tmp_path):
                  "[weights]\neta_peak = 0.58\n", "[weights]\neta_peak = 0.59\n",
                  "[run]\nseed = -1\n", "--seed -1",
                  "[weights]\nlambda = 160\n", "[weights]\nlambda = 710\n",
-                 "[time]\nhorizon = 1e160\n", "[source]\namplitude = 1e308\n"):
+                 "[time]\nhorizon = 1e160\n", "[source]\namplitude = 1e308\n",
+                 "[time]\nsteps = 64\n[time]\nsteps = 32\n",
+                 "[time]\nsteps = 64\nsteps = 32\n", "steps = 64\n",
+                 "[weights]\nlambda = 154\n",
+                 "[weights]\nlambda = 154\n[grid]\ncells = 32\n[time]\nsteps = 64\n"):
         args = ["synthesize", "--out", str(tmp_path)]
         if text.startswith("--"):
             args += text.split()
