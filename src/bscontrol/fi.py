@@ -57,7 +57,8 @@ from scipy.sparse.linalg import splu
 from .errors import ConditioningError, ContractError
 from .geometry import (SpaceTimeField, SpatialGrid, grad_faces, l2_norm,
                        normal_derivative, sbp_laplacian)
-from .solvers import (LinearOperatorSet, solve_linearized_cascade, weak_residual)
+from .solvers import (LinearOperatorSet, _observation_source,
+                      solve_linearized_cascade, weak_residual)
 from .weights import (ChiBump, WeightTables, log_add, log_ratio, log_st_sq,
                       log_weighted_sup)
 
@@ -398,21 +399,27 @@ class FISolver:
         if not np.any(b):
             return _recover(st, np.zeros(st.n_dofs), 0.0, 0.0)
         bt = self.D * b
+        if not np.any(bt):
+            raise ConditioningError(
+                "the source lies entirely on dofs below the live threshold; "
+                "weight spread too large for this configuration")
         if self._lu is None:
             try:
                 self._lu = splu(self.At)
             except RuntimeError as exc:
                 raise ConditioningError(
                     f"sparse factorization failed: {exc}") from exc
-        # no refinement: at kappa * eps >> 1 it cannot reduce the error
-        xt = self._lu.solve(bt)
-        r = bt - self.At @ xt
-        res = float(np.linalg.norm(r) / max(np.linalg.norm(bt), 1e-300))
-        # max-abs norms: the 2-norms' squares overflow near the dofs' 1e148
-        # and underflow to zero for tiny sources
-        r_max, x_max, b_max = (float(np.max(np.abs(u))) for u in (r, xt, bt))
-        backward = r_max / (self.At_inf * x_max + b_max)
-        return _recover(st, self.D * xt, res, backward)
+        # overflow here ends in _recover's ConditioningError
+        with np.errstate(over="ignore", invalid="ignore"):
+            # no refinement: at kappa * eps >> 1 it cannot reduce the error
+            xt = self._lu.solve(bt)
+            r = bt - self.At @ xt
+            res = float(np.linalg.norm(r) / max(np.linalg.norm(bt), 1e-300))
+            # max-abs norms: the 2-norms' squares overflow near the dofs'
+            # 1e148 and underflow to zero for tiny sources
+            r_max, x_max, b_max = (float(np.max(np.abs(u))) for u in (r, xt, bt))
+            backward = r_max / (self.At_inf * x_max + b_max)
+            return _recover(st, self.D * xt, res, backward)
 
 
 def solve_fi(problem: FIProblem) -> FISolution:
@@ -507,9 +514,7 @@ def cascade_residual_check(sol: FISolution, problem: FIProblem) -> dict:
     vmask = sol.v * p.masks.omega_nodes[None, :]
     Feff = SpaceTimeField(p.F.bulk + vmask, p.F.surface.copy())
     res_fwd = weak_residual(p.ops, Psi_rs, Feff)
-    Geff = SpaceTimeField(
-        p.G.bulk + p.theta * Psi_rs.bulk * p.masks.obs_bulk_nodes[None, :],
-        p.G.surface + p.theta_s * Psi_rs.surface * p.masks.obs_surface_mask[None, :])
+    Geff = _observation_source(Psi_rs, p.theta, p.theta_s, p.masks, p.G)
     res_bwd = weak_residual(p.ops, H_rs, Geff, backward=True)
 
     dt = tg.dt

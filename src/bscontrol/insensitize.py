@@ -9,7 +9,11 @@ operator and A = L - (full quasilinear operator), iterate
 where L^{-1} is one Carleman-weighted least-squares solve.  A is evaluated
 in strong form with the same SBP stencils as the solvers, so the listed
 derivative formulas are the exact Jacobian of the discrete A, and the
-fixed point satisfies the discrete quasilinear cascade row by row.
+fixed point satisfies these strong-form cascade rows row by row.  The
+quasilinear check's backward equation is instead the exact discrete
+adjoint of the Newton-stepped forward flow (the transposed step Jacobian,
+see `solvers.solve_backward_varcoef`); the two backward matrices agree
+for constant and affine sigma.
 
 Cell mixing matches the steppers: the forward rows take every factor at
 the cell's right slice; the backward rows take coefficients at the right

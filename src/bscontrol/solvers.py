@@ -302,61 +302,42 @@ def solve_linear_backward(ops: LinearOperatorSet, G: SpaceTimeField,
     return _march_linear(ops, G, terminal, backward=True)
 
 
-def _varcoef_backward_bands(grid: SpatialGrid, dt: float, sig_nodes, sig_surf,
-                            da_nodes, db_surf) -> np.ndarray:
-    """Banded (2,2) matrix of the strong backward rows, H-weighted:
-
-        H [(.)/dt - sig(psi) lap(.) + a'(psi)(.)] + corner surface rows.
-
-    For constant coefficients the flux-injection cancels against the
-    surface normal-derivative row and the matrix reduces to the symmetric
-    weak one.
-    """
-    h = grid.h
-    ab = np.zeros((5, grid.n_nodes))   # rows: offsets +2, +1, 0, -1, -2
-    upper, diag, lower = ab[1, 1:], ab[2], ab[3, :-1]
-    diag[:] = grid.mass_weights() / dt + grid.trapezoid_weights() * da_nodes
-    # interior Laplacian rows: -H sig lap = sig/h * (-1, 2, -1)
-    diag[1:-1] += 2 * sig_nodes[1:-1] / h
-    upper[1:] = -sig_nodes[1:-1] / h
-    lower[:-1] = -sig_nodes[1:-1] / h
-    # corner rows: -(h/2) sig lap_corner (stencil 1, -2, 1), then the surface
-    # flux row sig_G dnu (stencil 3, -4, 1 over 2h) and b' on the trace
-    c0 = sig_nodes[0] * 0.5 / h
-    cN = sig_nodes[-1] * 0.5 / h
-    diag[0] += -c0
-    diag[-1] += -cN
-    diag[0] += sig_surf[0] * 3.0 / (2 * h) + db_surf[0]
-    diag[-1] += sig_surf[1] * 3.0 / (2 * h) + db_surf[1]
-    upper[0] = 2 * c0 + sig_surf[0] * -4.0 / (2 * h)
-    lower[-1] = 2 * cN + sig_surf[1] * -4.0 / (2 * h)
-    ab[0, 2] = -c0 + sig_surf[0] / (2 * h)
-    ab[4, -3] = -cN + sig_surf[1] / (2 * h)
-    return ab
-
-
-def solve_backward_varcoef(grid: SpatialGrid, time_grid: TimeGrid,
-                           sigma_of, da_of, db_of, states: SpaceTimeField,
+def solve_backward_varcoef(cs: CoefficientSet, grid: SpatialGrid,
+                           time_grid: TimeGrid, states: SpaceTimeField,
                            G: SpaceTimeField, terminal: BulkSurfaceField) -> SpaceTimeField:
-    """Backward solve with coefficients frozen along a given state history.
+    """Backward solve along a quasilinear state history: the discrete
+    adjoint of the Newton-stepped flow.
 
-    Step c (producing slice c-1) samples sigma(psi), a'(psi), b'(psi_G) at
-    the cell's right slice c; this mirrors the transpose structure of the
-    forward stepping and keeps the discrete duality gap at O(dt).
+    Step c (producing slice c-1) solves with the transpose of the Newton
+    Jacobian of forward step c at its converged state, slice c: the band
+    keeps its diagonal and swaps its off-diagonal rows with a one-column
+    shift.  That is the matrix `solve_sensitivity` steps the tangent z
+    with, so from a zero terminal datum <z(.,0), H(.,0)> equals the
+    pairing of z with G (cell c at slice c) to roundoff, for any sigma.
     """
     g, dt, M = grid, time_grid.dt, time_grid.step_count
     Mw = g.mass_weights()
+    ab = _quasilinear_jacobian_bands(states.bulk[1:], cs, g, dt)
+    abT = np.zeros_like(ab)
+    abT[0, :, 1:], abT[1], abT[2, :, :-1] = ab[2, :, :-1], ab[1], ab[0, :, 1:]
     out = np.empty((M + 1, g.n_nodes))
     out[M] = terminal.bulk
     for c in range(M, 0, -1):
-        sig_n = sigma_of(states.bulk[c])
-        sig_s = sigma_of(states.surface[c])
-        da_n = da_of(states.bulk[c])
-        db_s = db_of(states.surface[c])
-        ab = _varcoef_backward_bands(g, dt, sig_n, sig_s, da_n, db_s)
         rhs = Mw * out[c] / dt + _weak_rhs(g, G.bulk[c], G.surface[c])
-        out[c - 1] = solve_banded((2, 2), ab, rhs)
+        out[c - 1] = solve_banded((1, 1), abT[:, c - 1], rhs)
     return SpaceTimeField.from_bulk(out)
+
+
+def _observation_source(Psi: SpaceTimeField, theta: float, theta_s: float,
+                        masks: RegionMasks,
+                        G: SpaceTimeField | None = None) -> SpaceTimeField:
+    """G + theta psi 1_O (bulk) and G_G + theta_s psi_G 1_Sigma (surface),
+    the backward equation's source; the coupling alone without G."""
+    bulk = theta * Psi.bulk * masks.obs_bulk_nodes[None, :]
+    surface = theta_s * Psi.surface * masks.obs_surface_mask[None, :]
+    if G is None:
+        return SpaceTimeField(bulk, surface)
+    return SpaceTimeField(G.bulk + bulk, G.surface + surface)
 
 
 def solve_linearized_cascade(ops: LinearOperatorSet, F: SpaceTimeField,
@@ -373,10 +354,8 @@ def solve_linearized_cascade(ops: LinearOperatorSet, F: SpaceTimeField,
     vmask = v * masks.omega_nodes[None, :]
     Feff = SpaceTimeField(F.bulk + vmask, F.surface.copy())
     Psi = solve_linear_forward(ops, Feff, BulkSurfaceField.zeros(g))
-    Geff = SpaceTimeField(
-        G.bulk + theta * Psi.bulk * masks.obs_bulk_nodes[None, :],
-        G.surface + theta_s * Psi.surface * masks.obs_surface_mask[None, :])
-    H = solve_linear_backward(ops, Geff, BulkSurfaceField.zeros(g))
+    H = solve_linear_backward(ops, _observation_source(Psi, theta, theta_s, masks, G),
+                              BulkSurfaceField.zeros(g))
     return Psi, H
 
 
@@ -387,10 +366,8 @@ def solve_adjoint_cascade(ops: LinearOperatorSet, f1: SpaceTimeField,
     with f1 + theta K 1_O (bulk), f1_G + theta_s K_G 1_Sigma (surface)."""
     g = ops.grid
     K = solve_linear_forward(ops, g1, BulkSurfaceField.zeros(g))
-    src = SpaceTimeField(
-        f1.bulk + theta * K.bulk * masks.obs_bulk_nodes[None, :],
-        f1.surface + theta_s * K.surface * masks.obs_surface_mask[None, :])
-    Phi = solve_linear_backward(ops, src, BulkSurfaceField.zeros(g))
+    Phi = solve_linear_backward(ops, _observation_source(K, theta, theta_s, masks, f1),
+                                BulkSurfaceField.zeros(g))
     return Phi, K
 
 
@@ -541,15 +518,13 @@ def solve_quasilinear_cascade(cs: CoefficientSet, grid: SpatialGrid,
                               v: np.ndarray, theta: float, theta_s: float,
                               masks: RegionMasks,
                               newton_guess: str = "previous") -> tuple[SpaceTimeField, SpaceTimeField]:
-    """Quasilinear forward state, then the backward equation with
-    state-frozen coefficients and sources theta psi 1_O / theta_s psi_G 1_Sigma."""
+    """Quasilinear forward state, then its discrete adjoint backward
+    equation with sources theta psi 1_O / theta_s psi_G 1_Sigma."""
     Psi = solve_quasilinear(cs, grid, time_grid, F, BulkSurfaceField.zeros(grid),
                             v=v, masks=masks, newton_guess=newton_guess)
-    G = SpaceTimeField(
-        theta * Psi.bulk * masks.obs_bulk_nodes[None, :],
-        theta_s * Psi.surface * masks.obs_surface_mask[None, :])
-    H = solve_backward_varcoef(grid, time_grid, cs.sigma, cs.da, cs.db,
-                               Psi, G, BulkSurfaceField.zeros(grid))
+    H = solve_backward_varcoef(cs, grid, time_grid, Psi,
+                               _observation_source(Psi, theta, theta_s, masks),
+                               BulkSurfaceField.zeros(grid))
     return Psi, H
 
 
@@ -565,13 +540,13 @@ def solve_sensitivity(cs: CoefficientSet, grid: SpatialGrid, time_grid: TimeGrid
         raise ContractError("perturbation direction must be trace-compatible")
     g, dt, M = grid, time_grid.dt, time_grid.step_count
     Mw = g.mass_weights()
+    # the tangent of an implicit step is its Newton Jacobian at the
+    # converged state
+    ab = _quasilinear_jacobian_bands(Psi.bulk[1:], cs, g, dt)
     out = np.empty((M + 1, g.n_nodes))
     out[0] = zhat0.bulk
     for c in range(1, M + 1):
-        # the tangent of an implicit step is its Newton Jacobian at the
-        # converged state
-        ab = _quasilinear_jacobian_bands(Psi.bulk[c], cs, g, dt)
-        out[c] = solve_banded((1, 1), ab, Mw * out[c - 1] / dt)
+        out[c] = solve_banded((1, 1), ab[:, c - 1], Mw * out[c - 1] / dt)
     return SpaceTimeField.from_bulk(out)
 
 

@@ -61,33 +61,48 @@ def test_config_hash_seed_sensitivity(tmp_path):
     assert a.hash() != b.hash()
 
 
+SMALL_GRID = "[grid]\ncells = 32\n[time]\nsteps = 64\n"
+
+# (config text or CLI flags, expected exit code)
+BAD_INPUTS = (
+    ("[masks]\nomega = 0.1,0.2\nobs_bulk = 0.8,0.9\n", 2),
+    ("[masks]\nomega = 0.25,abc\n", 2), ("[run]\nseed = xyz\n", 2),
+    ("[source]\namplitude = nan\n", 2), ("[source]\namplitude = inf\n", 2),
+    ("[functional]\ntheta = 0\n", 2), ("[functional]\ntheta_s = -1\n", 2),
+    ("[solver]\nmax_outer = 0\n", 2), ("[solver]\nloop_tol = -1\n", 2),
+    ("[source]\nwidth = 0\n", 2),
+    ("[source]\nwidth = 1e-300\n", 2), ("[weights]\neta_peak = -1\n", 2),
+    ("[weights]\neta_peak = 2\n", 2), ("[weights]\neta_peak = 0.42\n", 2),
+    ("[weights]\neta_peak = 0.58\n", 2), ("[weights]\neta_peak = 0.59\n", 2),
+    ("[run]\nseed = -1\n", 2), ("--seed -1", 2),
+    ("[weights]\nlambda = 160\n", 2), ("[weights]\nlambda = 710\n", 2),
+    ("[time]\nhorizon = 1e160\n", 2), ("[source]\namplitude = 1e308\n", 2),
+    ("[time]\nsteps = 64\n[time]\nsteps = 32\n", 2),
+    ("[time]\nsteps = 64\nsteps = 32\n", 2), ("steps = 64\n", 2),
+    ("[weights]\nlambda = 154\n", 2),
+    ("[weights]\nlambda = 154\n" + SMALL_GRID, 2),
+    # no live dof carries the source
+    ("[functional]\ntheta = 1e20\n", 4), ("[functional]\ntheta = 1e308\n", 4),
+    ("[functional]\ntheta_s = 1e20\n", 4),
+    # the recovered fields overflow
+    ("[source]\namplitude = 1e10\n" + SMALL_GRID, 4),
+    ("[source]\namplitude = 1e20\n" + SMALL_GRID, 4),
+)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_exit_code_validation(tmp_path):
-    """Every malformed input exits 2, with no traceback and no warning."""
+    """Every malformed input exits with its documented code, with no
+    traceback and no warning."""
     path = tmp_path / "bad.cfg"
-    for text in ("[masks]\nomega = 0.1,0.2\nobs_bulk = 0.8,0.9\n",
-                 "[masks]\nomega = 0.25,abc\n", "[run]\nseed = xyz\n",
-                 "[source]\namplitude = nan\n", "[source]\namplitude = inf\n",
-                 "[functional]\ntheta = 0\n", "[functional]\ntheta_s = -1\n",
-                 "[solver]\nmax_outer = 0\n", "[solver]\nloop_tol = -1\n",
-                 "[source]\nwidth = 0\n",
-                 "[source]\nwidth = 1e-300\n", "[weights]\neta_peak = -1\n",
-                 "[weights]\neta_peak = 2\n", "[weights]\neta_peak = 0.42\n",
-                 "[weights]\neta_peak = 0.58\n", "[weights]\neta_peak = 0.59\n",
-                 "[run]\nseed = -1\n", "--seed -1",
-                 "[weights]\nlambda = 160\n", "[weights]\nlambda = 710\n",
-                 "[time]\nhorizon = 1e160\n", "[source]\namplitude = 1e308\n",
-                 "[time]\nsteps = 64\n[time]\nsteps = 32\n",
-                 "[time]\nsteps = 64\nsteps = 32\n", "steps = 64\n",
-                 "[weights]\nlambda = 154\n",
-                 "[weights]\nlambda = 154\n[grid]\ncells = 32\n[time]\nsteps = 64\n"):
+    for text, code in BAD_INPUTS:
         args = ["synthesize", "--out", str(tmp_path)]
         if text.startswith("--"):
             args += text.split()
         else:
             path.write_text(text)
             args += ["--config", str(path)]
-        assert main(args) == 2, text
+        assert main(args) == code, text
 
 
 def test_sweep_rejects_unknown_parameter(tmp_path):

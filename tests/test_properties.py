@@ -3,15 +3,16 @@ coefficients: summation by parts, space-time duality, the agreement of the
 sparse residual stack with the matrix-free operators it is built from, the
 weighted space-time norm and the log-sum-exp kernel against plain sums,
 per-part log-sum-exp totals against one flat log-sum-exp, the factored
-linear steppers against per-step banded solves, and mass conservation of
-the linear steppers."""
+linear steppers against per-step banded solves, mass conservation of the
+linear steppers, and the duality of the quasilinear tangent and adjoint
+steppers."""
 
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, solveh_banded
 
@@ -20,10 +21,13 @@ from bscontrol.errors import ConditioningError
 from bscontrol.fi import _Stack
 from bscontrol.geometry import (BulkSurfaceField, SpaceTimeField, build_grid,
                                 build_time_grid)
+from bscontrol.insensitize import PerturbationSpec, duality_identity_check
 from bscontrol.solvers import (LinearOperatorSet, _constant_step_bands,
                                _weak_rhs, apply_L, solve_linear_backward,
                                solve_linear_forward, total_mass)
 from bscontrol.weights import _logsumexp, log_add, log_st_sq
+
+from conftest import make_bundle
 
 PROPERTY = settings(max_examples=25, deadline=None, database=None,
                     derandomize=True)
@@ -229,3 +233,19 @@ def test_linear_steppers_conserve_mass(ops, backward, seed):
     scale = float(np.abs(datum.bulk) @ g.mass_weights())
     stiff = max(1.0, ops.time_grid.dt * ops.sigma0 / g.h**2)
     assert np.abs(mass - mass[M if backward else 0]).max() <= 1e-12 * scale * stiff
+
+
+@PROPERTY
+@given(preset=st.sampled_from(["constant", "affine", "logistic", "polynomial"]),
+       amplitude=st.floats(1e-3, 0.5), M=st.sampled_from([32, 64]),
+       seed=st.integers(0, 2**32 - 1))
+@example(preset="logistic", amplitude=0.5, M=64, seed=6)
+@example(preset="polynomial", amplitude=0.5, M=32, seed=6)
+def test_quasilinear_duality_exact(preset, amplitude, M, seed):
+    """The backward quasilinear stepper is the transpose of the tangent
+    stepper, so the energy pairing theta <psi, z>_O + theta_s <psi_G, z_G>
+    equals <z(.,0), h(.,0)> to roundoff for every coefficient family and
+    source amplitude."""
+    bundle, F = make_bundle(N=32, M=M, preset=preset, amplitude=amplitude)
+    d = PerturbationSpec.random(bundle.grid, np.random.default_rng(seed)).direction
+    assert duality_identity_check(bundle, F, None, d, quasilinear=True)["relative"] <= 1e-12

@@ -270,8 +270,8 @@ def test_quasilinear_cascade_frozen_matches_linear(small):
     S = SpaceTimeField.from_bulk(0.1 * rng.standard_normal((M + 1, g.n_nodes)))
     cs = coefficient_preset("logistic")
     zero_state = SpaceTimeField.zeros(g, M + 1)
-    h_var = solve_backward_varcoef(g, tg, cs.sigma, cs.da, cs.db, zero_state,
-                                   S, BulkSurfaceField.zeros(g))
+    h_var = solve_backward_varcoef(cs, g, tg, zero_state, S,
+                                   BulkSurfaceField.zeros(g))
     h_lin = solve_linear_backward(ops, S, BulkSurfaceField.zeros(g))
     assert np.abs(h_var.bulk - h_lin.bulk).max() <= 1e-12 * max(1, np.abs(h_lin.bulk).max())
 
@@ -393,9 +393,8 @@ def _dense_to_bands(A, p):
 def test_banded_assembly_matches_strong_rows(small):
     """The directly assembled step matrices equal the strong rows applied
     to the identity columns, at a random nonzero logistic state."""
-    from bscontrol.geometry import normal_derivative, sbp_laplacian, stiffness_apply
-    from bscontrol.solvers import (_face_average, _quasilinear_jacobian_bands,
-                                   _varcoef_backward_bands)
+    from bscontrol.geometry import stiffness_apply
+    from bscontrol.solvers import _face_average, _quasilinear_jacobian_bands
     g, tg, _, cs, _ = small
     dt, n = tg.dt, g.n_nodes
     Hw, Mw = g.trapezoid_weights(), g.mass_weights()
@@ -411,14 +410,6 @@ def test_banded_assembly_matches_strong_rows(small):
     def close(ab, rows, p):
         ref = _dense_to_bands(rows.T, p)
         assert np.abs(ab - ref).max() <= 1e-13 * np.abs(ref).max()
-
-    # backward rows with coefficients frozen at the state:
-    # H [(.)/dt - sig lap + a'] + the surface rows sig_G dnu + b'
-    sig, sig_s = cs.sigma(psi), cs.sigma(psi[[0, -1]])
-    da, db = cs.da(psi), cs.db(psi[[0, -1]])
-    rows = Mw * E / dt + Hw * (-sig * sbp_laplacian(E, g) + da * E) \
-        + lift(sig_s * normal_derivative(E, g) + db * E[:, [0, -1]])
-    close(_varcoef_backward_bands(g, dt, sig, sig_s, da, db), rows, 2)
 
     # tangent of the quasilinear step: flux sig(psi) G z + sig'(psi) avg(z) G psi
     sig_f, dsig_f = cs.sigma(_face_average(psi)), cs.dsigma(_face_average(psi))
@@ -436,6 +427,15 @@ def test_banded_assembly_matches_strong_rows(small):
     Z = solve_sensitivity(cs, g, tg, Psi, d)
     step = np.linalg.solve(rows.T, Mw * d.bulk / dt)
     assert np.abs(Z.bulk[1] - step).max() <= 1e-12 * np.abs(step).max()
+
+    # and solve_backward_varcoef with its transpose
+    M = tg.step_count
+    G = SpaceTimeField.from_bulk(rng.standard_normal((M + 1, n)))
+    H = solve_backward_varcoef(cs, g, tg, Psi, G, d)
+    rhs = Mw * d.bulk / dt + Hw * G.bulk[M]
+    rhs[[0, -1]] += G.surface[M]
+    step = np.linalg.solve(rows, rhs)
+    assert np.abs(H.bulk[M - 1] - step).max() <= 1e-12 * np.abs(step).max()
 
 
 def test_st_pairs_match_slice_loop(small):
