@@ -86,6 +86,13 @@ def validate_coefficients(cs: CoefficientSet) -> None:
                 f"coefficient derivative #{k} disagrees with finite differences")
 
 
+def _cosh_sq(r):
+    """cosh(r)^2, inf where it overflows; the logistic derivatives divide
+    by it, and x / inf is their limit 0."""
+    with np.errstate(over="ignore"):
+        return np.cosh(r)**2
+
+
 def coefficient_preset(name: str, **kw) -> CoefficientSet:
     """Named coefficient families: constant, affine, logistic, polynomial."""
     zero = np.zeros_like
@@ -121,14 +128,14 @@ def coefficient_preset(name: str, **kw) -> CoefficientSet:
         a1, b1 = kw.get("a1", 0.5), kw.get("b1", 0.3)
         return CoefficientSet(
             sigma=lambda r: s0 + s1 * np.tanh(r),
-            dsigma=lambda r: s1 / np.cosh(r)**2,
-            d2sigma=lambda r: -2 * s1 * np.tanh(r) / np.cosh(r)**2,
+            dsigma=lambda r: s1 / _cosh_sq(r),
+            d2sigma=lambda r: -2 * s1 * np.tanh(r) / _cosh_sq(r),
             a=lambda r: a1 * np.tanh(r),
-            da=lambda r: a1 / np.cosh(r)**2,
-            d2a=lambda r: -2 * a1 * np.tanh(r) / np.cosh(r)**2,
+            da=lambda r: a1 / _cosh_sq(r),
+            d2a=lambda r: -2 * a1 * np.tanh(r) / _cosh_sq(r),
             b=lambda r: b1 * np.tanh(r),
-            db=lambda r: b1 / np.cosh(r)**2,
-            d2b=lambda r: -2 * b1 * np.tanh(r) / np.cosh(r)**2,
+            db=lambda r: b1 / _cosh_sq(r),
+            d2b=lambda r: -2 * b1 * np.tanh(r) / _cosh_sq(r),
             rho=s0 - s1, name="logistic")
     if name == "polynomial":
         s0, s2 = kw.get("sigma0", 1.0), kw.get("sigma2", 0.3)

@@ -4,8 +4,10 @@ Everything is stored and combined in log-space.  The weight exponents
 behave like C/t near t = 0 and reach several hundred in natural-log units
 even at the most permissive admissible parameters, so plain doubles
 overflow; sums of weighted squares are accumulated with a log-sum-exp
-kernel (`_logsumexp`) and every verification ratio is an exponent
-difference.
+kernel (`LogWeight`) and every verification ratio is an exponent
+difference.  The Carleman functionals' log-weights depend on the tables
+alone, so each is prepared once per table (`WeightTables.carleman_log_weights`)
+and reused for every field it weighs.
 
 Time-dependent tables are sampled at the cell midpoints t_{c-1/2}, never
 at t = 0 or T where the continuous weights are singular.
@@ -27,6 +29,7 @@ import csv
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,29 +43,62 @@ ETA_KAPPA = -10.0       # eta'' at the peak, times max(c, L-c)^2
 ETA_CHECK_SAMPLES = 10_000
 
 
-def _logsumexp(a: np.ndarray, b: np.ndarray | None = None) -> float:
-    """log sum b * exp(a) over a 1-D array with positive weights b (all 1
-    when None); -inf for an empty array.
+class LogWeight:
+    """A log-weight prepared for log-sum-exp sums against many coefficient
+    arrays: flattened once, and its maximum `a_max`, the maximal entries
+    `top` and the shifted exponentials `e` of the rest computed on first use.
 
-    Bit-identical to scipy 1.17's `logsumexp` on such input: the maximal
-    entries are split off, `m` is their total weight summed over the whole
-    array, and the rest is summed shifted by the maximum.  A non-finite
-    result falls back to the direct log sum b * exp(a).
+    `log_sum` is bit-identical to scipy 1.17's `logsumexp` on positive
+    coefficients: `m` is the total coefficient of the maximal entries summed
+    over the whole array, and the rest is summed shifted by the maximum.  A
+    non-finite result falls back to the direct log sum b * exp(a).
     """
-    if a.size == 0:
-        return -math.inf
-    a_max = np.max(a)
-    top = a == a_max
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        m = float(np.count_nonzero(top)) if b is None else np.sum(b * top)
-        e = np.exp(np.where(top, -np.inf, a) - a_max)
-        s = np.sum(e if b is None else b * e)
-        if s != 0:
-            s = s / m
-        out = np.log1p(s) + np.log(m) + a_max
-        if not np.isfinite(out):
-            out = np.log(np.sum(np.exp(a) if b is None else b * np.exp(a)))
-    return float(out)
+
+    def __init__(self, log_w):
+        log_w = np.asarray(log_w, dtype=float)
+        self.shape = log_w.shape
+        self.lw = log_w.ravel()
+
+    @cached_property
+    def _shifted(self):
+        # first read inside log_sum's errstate
+        a_max = np.max(self.lw)
+        top = self.lw == a_max
+        e = np.exp(np.where(top, -np.inf, self.lw) - a_max)
+        # a float mask multiplies faster than a boolean one, to the same values
+        return a_max, top.astype(float), e
+
+    def log_sum(self, b: np.ndarray) -> float:
+        """log sum b * exp(lw) with positive coefficients b; -inf for an
+        empty weight."""
+        if self.lw.size == 0:
+            return -math.inf
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            a_max, top, e = self._shifted
+            m = (b * top).sum()
+            s = (b * e).sum()
+            if s != 0:
+                s = s / m
+            out = np.log1p(s) + np.log(m) + a_max
+            if not np.isfinite(out):
+                out = np.log((b * np.exp(self.lw)).sum())
+        return float(out)
+
+    def sq_sum(self, values, quad) -> float:
+        """log( sum quad * exp(lw) * values^2 ), with `values` and `quad`
+        broadcast to the weight's shape.
+
+        Entries with values == 0 contribute nothing, and the maximum is
+        taken over the contributing entries only; returns -inf for an
+        identically zero field.
+        """
+        v = np.asarray(values, dtype=float)
+        # broadcast to the weight's shape and no further
+        coeff = np.multiply(quad * v, v, out=np.empty(self.shape)).ravel()
+        keep = coeff > 0
+        if keep.all():
+            return self.log_sum(coeff)
+        return LogWeight(self.lw[keep]).log_sum(coeff[keep])
 
 
 def log_weighted_sq_sum(log_w, values, quad) -> float:
@@ -71,13 +107,10 @@ def log_weighted_sq_sum(log_w, values, quad) -> float:
     `log_w`, `values`, `quad` broadcast together; entries with values == 0
     contribute nothing.  Returns -inf for an identically zero field.
     """
-    b = np.broadcast_arrays(np.asarray(log_w, dtype=float),
-                            np.asarray(values, dtype=float),
-                            np.asarray(quad, dtype=float))
-    lw, v, q = (x.ravel() for x in b)
-    coeff = q * v * v
-    keep = coeff > 0
-    return _logsumexp(lw[keep], coeff[keep])
+    lw, v, q = np.broadcast_arrays(np.asarray(log_w, dtype=float),
+                                   np.asarray(values, dtype=float),
+                                   np.asarray(quad, dtype=float))
+    return LogWeight(lw).sq_sum(v, q)
 
 
 def log_st_sq(log_w, bulk, surface, grid: SpatialGrid, dt: float) -> float:
@@ -127,7 +160,7 @@ def log_add(*log_values: float) -> float:
     vals = [v for v in log_values if v != -math.inf]
     if not vals:
         return -math.inf
-    return _logsumexp(np.array(vals))
+    return LogWeight(vals).log_sum(np.ones(len(vals)))
 
 
 def log_ratio(log_num: float, log_den: float) -> float:
@@ -307,6 +340,45 @@ class WeightTables:
         out = np.where(lw <= LOG_UNDERFLOW, 0.0, np.exp(np.maximum(lw, LOG_UNDERFLOW)))
         return out
 
+    @cached_property
+    def carleman_log_weights(self) -> dict:
+        """The prepared log-weights of the alpha functional ("I"), the beta
+        functional ("Jw"), keyed by component, and of the right-hand sides
+        of `empirical_carleman_check` ("rhs_I", "rhs_J", in term order)."""
+        s, lam = self.params.s, self.params.lam
+        la, lx, lb = self.log_alpha, self.log_xi, self.log_beta
+        la_face = 0.5 * (la[:, 1:] + la[:, :-1])
+        lx_face = 0.5 * (lx[:, 1:] + lx[:, :-1])
+        lb_face = 0.5 * (lb[:, 1:] + lb[:, :-1])
+        la_G, lx_G = la[:, [0, -1]], lx[:, [0, -1]]
+        log_s = math.log(s)
+        lell = np.log(self.ell)[:, None]
+        ea, ea_G = -2 * s * np.exp(la), -2 * s * np.exp(la_G)
+        eb, eb_G = -2 * s * np.exp(lb), -2 * s * np.exp(lb[:, [0, -1]])
+
+        W = LogWeight
+        w_It, w_Jt = W(ea - log_s - lx), W(eb + lell)
+        w_ea_G, w_eb_G, w_Jv = W(ea_G), W(eb_G), W(eb - 3 * lell)
+        return {
+            "I": {"bulk_time_deriv": w_It, "bulk_laplacian": w_It,
+                  "bulk_gradient": W(-2 * s * np.exp(la_face)
+                                     + math.log(lam**2 * s) + lx_face),
+                  "bulk_value": W(ea + math.log(lam**4 * s**3) + 3 * lx),
+                  "surface_time_deriv": W(ea_G - log_s - lx_G),
+                  "surface_value": W(ea_G + math.log(lam**3 * s**3) + 3 * lx_G),
+                  "normal_derivative": W(ea_G + math.log(lam * s) + lx_G)},
+            "Jw": {"bulk_time_deriv": w_Jt, "bulk_laplacian": w_Jt,
+                   "bulk_gradient": W(-2 * s * np.exp(lb_face) - lell),
+                   "bulk_value": w_Jv,
+                   "surface_time_deriv": W(eb_G + lell),
+                   "surface_value": W(eb_G - 3 * lell),
+                   "normal_derivative": W(eb_G - lell)},
+            "rhs_I": (W(ea + math.log(s**7 * lam**8) + 7 * lx),
+                      W(ea + math.log(s**3 * lam**4) + 3 * lx), W(ea),
+                      w_ea_G, w_ea_G),
+            "rhs_J": (W(eb - 7 * lell), w_Jv, W(eb), w_eb_G, w_eb_G),
+        }
+
 
 # a large lambda overflows the tables; the beta_hat and n_live checks report it
 @np.errstate(over="ignore")
@@ -473,6 +545,26 @@ def _midpoint_pieces(Phi: SpaceTimeField, grid: SpatialGrid, dt: float):
     return b_mid, s_mid, b_t, s_t, lap, gradf, dnu
 
 
+def _carleman_functional(which: str, Phi: SpaceTimeField, tables: WeightTables,
+                         grid: SpatialGrid, dt: float) -> dict:
+    if not np.allclose(Phi.bulk[:, [0, -1]], Phi.surface, rtol=0, atol=1e-12):
+        raise ContractError(
+            f"carleman_functional_{which} expects trace-compatible slices")
+    weights = tables.carleman_log_weights[which]
+    quad_b = grid.trapezoid_weights()[None, :] * dt
+    b_mid, s_mid, b_t, s_t, lap, gradf, dnu = _midpoint_pieces(Phi, grid, dt)
+    # the tangential surface terms are identically zero in 1D
+    terms = {"bulk_time_deriv": (b_t, quad_b), "bulk_laplacian": (lap, quad_b),
+             "bulk_gradient": (gradf, grid.h * dt), "bulk_value": (b_mid, quad_b),
+             "surface_time_deriv": (s_t, dt),
+             "surface_tangential_laplacian": None,
+             "surface_tangential_gradient": None,
+             "surface_value": (s_mid, dt), "normal_derivative": (dnu, dt)}
+    comps = {name: -math.inf if t is None else weights[name].sq_sum(*t)
+             for name, t in terms.items()}
+    return {"components": comps, "log_total": log_add(*comps.values())}
+
+
 def carleman_functional_I(Phi: SpaceTimeField, tables: WeightTables,
                           grid: SpatialGrid, dt: float) -> dict:
     """Alpha-weighted functional: e^{-2 s alpha} against (s xi)-power factors.
@@ -480,72 +572,13 @@ def carleman_functional_I(Phi: SpaceTimeField, tables: WeightTables,
     Tangential-gradient and Laplace-Beltrami surface terms are identically
     zero in 1D and reported as -inf components.
     """
-    if not np.allclose(Phi.bulk[:, [0, -1]], Phi.surface, rtol=0, atol=1e-12):
-        raise ContractError("carleman_functional_I expects trace-compatible slices")
-    p = tables.params
-    s, lam = p.s, p.lam
-    quad_b = grid.trapezoid_weights()[None, :] * dt
-    quad_s = dt
-
-    b_mid, s_mid, b_t, s_t, lap, gradf, dnu = _midpoint_pieces(Phi, grid, dt)
-    la, lx = tables.log_alpha, tables.log_xi
-    la_face = 0.5 * (la[:, 1:] + la[:, :-1])
-    lx_face = 0.5 * (lx[:, 1:] + lx[:, :-1])
-    la_G, lx_G = la[:, [0, -1]], lx[:, [0, -1]]
-    log_s = math.log(s)
-    quad_f = grid.h * dt
-
-    ea, ea_G = -2 * s * np.exp(la), -2 * s * np.exp(la_G)
-    lw_t = ea - log_s - lx
-
-    lsq = log_weighted_sq_sum
-    comps = {
-        "bulk_time_deriv": lsq(lw_t, b_t, quad_b),
-        "bulk_laplacian": lsq(lw_t, lap, quad_b),
-        "bulk_gradient": lsq(-2 * s * np.exp(la_face) + math.log(lam**2 * s)
-                             + lx_face, gradf, quad_f),
-        "bulk_value": lsq(ea + math.log(lam**4 * s**3) + 3 * lx, b_mid, quad_b),
-        "surface_time_deriv": lsq(ea_G - log_s - lx_G, s_t, quad_s),
-        "surface_tangential_laplacian": -math.inf,
-        "surface_tangential_gradient": -math.inf,
-        "surface_value": lsq(ea_G + math.log(lam**3 * s**3) + 3 * lx_G,
-                             s_mid, quad_s),
-        "normal_derivative": lsq(ea_G + math.log(lam * s) + lx_G, dnu, quad_s),
-    }
-    return {"components": comps, "log_total": log_add(*comps.values())}
+    return _carleman_functional("I", Phi, tables, grid, dt)
 
 
 def carleman_functional_Jw(Phi: SpaceTimeField, tables: WeightTables,
                            grid: SpatialGrid, dt: float) -> dict:
     """Beta-weighted functional: e^{-2 s beta} against ell-power factors."""
-    if not np.allclose(Phi.bulk[:, [0, -1]], Phi.surface, rtol=0, atol=1e-12):
-        raise ContractError("carleman_functional_Jw expects trace-compatible slices")
-    s = tables.params.s
-    quad_b = grid.trapezoid_weights()[None, :] * dt
-    quad_f = grid.h * dt
-
-    b_mid, s_mid, b_t, s_t, lap, gradf, dnu = _midpoint_pieces(Phi, grid, dt)
-    lb = tables.log_beta
-    lb_face = 0.5 * (lb[:, 1:] + lb[:, :-1])
-    lb_G = lb[:, [0, -1]]
-    lell = np.log(tables.ell)[:, None]
-
-    eb, eb_G = -2 * s * np.exp(lb), -2 * s * np.exp(lb_G)
-    lw_t = eb + lell
-
-    lsq = log_weighted_sq_sum
-    comps = {
-        "bulk_time_deriv": lsq(lw_t, b_t, quad_b),
-        "bulk_laplacian": lsq(lw_t, lap, quad_b),
-        "bulk_gradient": lsq(-2 * s * np.exp(lb_face) - lell, gradf, quad_f),
-        "bulk_value": lsq(eb - 3 * lell, b_mid, quad_b),
-        "surface_time_deriv": lsq(eb_G + lell, s_t, dt),
-        "surface_tangential_laplacian": -math.inf,
-        "surface_tangential_gradient": -math.inf,
-        "surface_value": lsq(eb_G - 3 * lell, s_mid, dt),
-        "normal_derivative": lsq(eb_G - lell, dnu, dt),
-    }
-    return {"components": comps, "log_total": log_add(*comps.values())}
+    return _carleman_functional("Jw", Phi, tables, grid, dt)
 
 
 def empirical_carleman_check(n_samples: int, tables: WeightTables,
@@ -560,20 +593,11 @@ def empirical_carleman_check(n_samples: int, tables: WeightTables,
     The returned max LHS/RHS ratios are the empirical constants; the run
     itself is the oracle and its value a regression baseline.
     """
-    p = tables.params
-    s, lam = p.s, p.lam
     dt = time_grid.dt
     quad_b = grid.trapezoid_weights()[None, :] * dt
     omega3 = masks.omega3_nodes.astype(float)
-
-    # the right-hand sides' log-weights do not depend on the sample
-    la, lx, lb = tables.log_alpha, tables.log_xi, tables.log_beta
-    ea, ea_G = -2 * s * np.exp(la), -2 * s * np.exp(la[:, [0, -1]])
-    eb, eb_G = -2 * s * np.exp(lb), -2 * s * np.exp(lb[:, [0, -1]])
-    lell = np.log(tables.ell)[:, None]
-    lw_I = (ea + math.log(s**7 * lam**8) + 7 * lx,
-            ea + math.log(s**3 * lam**4) + 3 * lx, ea, ea_G, ea_G)
-    lw_J = (eb - 7 * lell, eb - 3 * lell, eb, eb_G, eb_G)
+    lw_I = tables.carleman_log_weights["rhs_I"]
+    lw_J = tables.carleman_log_weights["rhs_J"]
 
     max_I, max_J = 0.0, 0.0
     for _ in range(n_samples):
@@ -591,10 +615,8 @@ def empirical_carleman_check(n_samples: int, tables: WeightTables,
                  (0.5 * (g1.bulk[1:] + g1.bulk[:-1]), quad_b),
                  (0.5 * (f1.surface[1:] + f1.surface[:-1]), dt),
                  (0.5 * (g1.surface[1:] + g1.surface[:-1]), dt))
-        rhs_I = log_add(*(log_weighted_sq_sum(lw, v, q)
-                          for lw, (v, q) in zip(lw_I, terms)))
-        rhs_J = log_add(*(log_weighted_sq_sum(lw, v, q)
-                          for lw, (v, q) in zip(lw_J, terms)))
+        rhs_I = log_add(*(lw.sq_sum(v, q) for lw, (v, q) in zip(lw_I, terms)))
+        rhs_J = log_add(*(lw.sq_sum(v, q) for lw, (v, q) in zip(lw_J, terms)))
 
         max_I = max(max_I, log_ratio(lhs_I, rhs_I))
         max_J = max(max_J, log_ratio(lhs_J, rhs_J))

@@ -105,6 +105,15 @@ def test_exit_code_validation(tmp_path):
         assert main(args) == code, text
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_large_amplitude_no_overflow_warning(tmp_path):
+    """The logistic derivatives take their limit 0 where cosh(r)^2
+    overflows, with no numpy warning."""
+    path = tmp_path / "big.cfg"
+    path.write_text("[source]\namplitude = 1e5\n" + SMALL_GRID)
+    main(["synthesize", "--config", str(path), "--out", str(tmp_path)])
+
+
 def test_sweep_rejects_unknown_parameter(tmp_path):
     rc = main(["sweep", "--parameter", "viscosity", "--values", "1,2",
                "--out", str(tmp_path)])

@@ -2,7 +2,8 @@
 coefficients: summation by parts, space-time duality, the agreement of the
 sparse residual stack with the matrix-free operators it is built from, the
 weighted space-time norm and the log-sum-exp kernel against plain sums,
-per-part log-sum-exp totals against one flat log-sum-exp, the factored
+per-part log-sum-exp totals against one flat log-sum-exp, a log-weight
+prepared once against one prepared per sum, the factored
 linear steppers against per-step banded solves, mass conservation of the
 linear steppers, and the duality of the quasilinear tangent and adjoint
 steppers."""
@@ -25,7 +26,8 @@ from bscontrol.insensitize import PerturbationSpec, duality_identity_check
 from bscontrol.solvers import (LinearOperatorSet, _constant_step_bands,
                                _weak_rhs, apply_L, solve_linear_backward,
                                solve_linear_forward, total_mass)
-from bscontrol.weights import _logsumexp, log_add, log_st_sq
+from bscontrol.weights import (LogWeight, log_add, log_st_sq,
+                               log_weighted_sq_sum)
 
 from conftest import make_bundle
 
@@ -138,7 +140,7 @@ def test_logsumexp_matches_plain_sum(a, data):
     1e-30 to 1e30, ties of the maximum, one element and none (-inf)."""
     b = [10.0 ** e for e in data.draw(
         st.lists(st.floats(-30.0, 30.0), min_size=len(a), max_size=len(a)))]
-    got = _logsumexp(np.array(a), np.array(b))
+    got = LogWeight(a).log_sum(np.array(b))
     want = _plain_lse(a, b)
     if not a:
         assert got == -math.inf
@@ -169,14 +171,48 @@ def test_log_add_of_parts_matches_flat_logsumexp(parts, data):
     weights = [np.array([10.0 ** e for e in data.draw(
         st.lists(st.floats(-30.0, 30.0), min_size=len(a), max_size=len(a)))])
         for a in parts]
-    per_part = log_add(*(_logsumexp(np.array(a, dtype=float), b)
+    per_part = log_add(*(LogWeight(a).log_sum(b)
                          for a, b in zip(parts, weights)))
-    flat = _logsumexp(np.concatenate([np.array(a, dtype=float) for a in parts]),
-                      np.concatenate(weights))
+    flat = LogWeight(np.concatenate([np.array(a, dtype=float) for a in parts])
+                     ).log_sum(np.concatenate(weights))
     if flat == -math.inf:
         assert per_part == -math.inf
     else:
         assert abs(per_part - flat) <= 1e-12 * max(1.0, abs(flat))
+
+
+# log-weights across the exponent range of the Carleman weights, with ties
+LOG_WEIGHTS = st.one_of(st.floats(-700.0, 700.0),
+                        st.sampled_from([-700.0, 0.0, 650.0, 700.0]))
+
+
+@PROPERTY
+@given(M=st.integers(1, 6), n=st.integers(1, 6), data=st.data())
+def test_prepared_log_weight_matches_per_sum(M, n, data):
+    """A log-weight prepared once and reused for several sums gives each sum
+    bit-for-bit as `log_weighted_sq_sum` does from scratch, and as one fresh
+    log-sum-exp over the nonzero terms alone.  The values have no zeros,
+    zeros at the weight's maximum, or zeros anywhere; the weights have ties
+    at the maximum; the quadrature is a scalar, (1, n) or (M, 1)."""
+    lw = np.array(data.draw(st.lists(LOG_WEIGHTS, min_size=M * n,
+                                     max_size=M * n))).reshape(M, n)
+    weight = LogWeight(lw)
+    nonzero = st.one_of(st.floats(-1e3, -1e-3), st.floats(1e-3, 1e3))
+    for zeros in ("none", "at max", "anywhere"):
+        values = np.array(data.draw(st.lists(
+            st.one_of(nonzero, st.just(0.0)) if zeros == "anywhere"
+            else nonzero, min_size=M * n, max_size=M * n))).reshape(M, n)
+        if zeros == "at max":
+            values[lw == lw.max()] = 0.0
+        shape = data.draw(st.sampled_from([(), (1, n), (M, 1)]))
+        quad = np.array(data.draw(st.lists(
+            st.floats(1e-3, 10.0), min_size=math.prod(shape),
+            max_size=math.prod(shape)))).reshape(shape)
+        coeff = (quad * values * values).ravel()
+        keep = coeff > 0
+        want = LogWeight(lw.ravel()[keep]).log_sum(coeff[keep])
+        assert weight.sq_sum(values, quad) == want
+        assert log_weighted_sq_sum(lw, values, quad) == want
 
 
 def _per_step_march(ops, S, start, backward):

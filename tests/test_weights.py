@@ -212,6 +212,21 @@ def test_carleman_functional_monotone_in_s(geo):
     assert J2 < J1
 
 
+def test_carleman_functionals_reuse_prepared_weights(bundle):
+    """The functionals give the same components on fresh tables as on
+    tables whose log-weights were prepared for another field."""
+    g, tg = bundle.grid, bundle.time_grid
+    fresh, _ = make_bundle()
+    rng = np.random.default_rng(4)
+    fields = [SpaceTimeField.from_bulk(rng.standard_normal((tg.step_count + 1,
+                                                            g.x.size)))
+              for _ in range(2)]
+    for fn in (carleman_functional_I, carleman_functional_Jw):
+        fn(fields[0], bundle.tables, g, tg.dt)
+        assert fn(fields[1], bundle.tables, g, tg.dt) \
+            == fn(fields[1], fresh.tables, g, tg.dt)
+
+
 def test_carleman_requires_trace_compatible(bundle):
     g, tg = bundle.grid, bundle.time_grid
     Phi = SpaceTimeField.zeros(g, tg.step_count + 1)

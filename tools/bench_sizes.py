@@ -1,11 +1,14 @@
-"""One default `synthesize` per grid size, each in its own process.
+"""One default `synthesize` or `diagnose --which carleman` per grid size,
+each in its own process.
 
     python3 tools/bench_sizes.py --label change --out BENCH_x.json
     python3 tools/bench_sizes.py --src ../parent/src --label parent --out BENCH_x.json
+    python3 tools/bench_sizes.py --command carleman --label change --out BENCH_y.json
 
 For each size in SIZES (cells x steps) a fresh interpreter imports bscontrol
-from `--src`, runs `cmd_synthesize` on the default config with `[grid] cells`
-and `[time] steps` set, and prints one JSON record:
+from `--src`, runs the command on the default config with `[grid] cells`
+and `[time] steps` set, and prints one JSON record.  For `synthesize`
+(`cmd_synthesize`) the record holds:
 
 - `wall_s`: the whole `cmd_synthesize` call (setup, outer loop, check, output);
 - `factorize_s`, `lu_nnz`: time and L+U fill of each `splu` call, summed;
@@ -14,6 +17,10 @@ and `[time] steps` set, and prints one JSON record:
 - `peak_rss_mb`: the process's peak resident set, so one value per size;
 - `status`, `iterations`, `increments`, `h0_quasilinear`,
   `optimality_residual`, `backward_error`: copied from the report.
+
+For `carleman` (`cmd_diagnose` with `which="carleman"`, 50 adjoint cascades)
+it holds `wall_s`, `peak_rss_mb`, and `max_ratio_alpha` and
+`max_ratio_beta` copied from the report.
 
 The factor is counted by wrapping `bscontrol.fi.splu` from outside, so the
 script runs unchanged against any checkout.  Records are stored under
@@ -54,11 +61,18 @@ class _CountedFactor:
             self._stats["trisolves"] += 1
 
 
-def measure(src: str, cells: int, steps: int) -> dict:
+def _config(cells: int, steps: int):
+    from bscontrol.cli import load_config
+    cfg = load_config(None)
+    cfg.raw["grid"]["cells"] = str(cells)
+    cfg.raw["time"]["steps"] = str(steps)
+    return cfg
+
+
+def measure_synthesize(cells: int, steps: int) -> dict:
     """One default synthesize at cells x steps in this process."""
-    sys.path.insert(0, src)
     from bscontrol import fi
-    from bscontrol.cli import cmd_synthesize, load_config
+    from bscontrol.cli import cmd_synthesize
 
     stats = {"factorize_s": 0.0, "trisolves": 0, "trisolve_s": 0.0, "solves": 0}
     factors = []
@@ -77,9 +91,7 @@ def measure(src: str, cells: int, steps: int) -> dict:
 
     fi.splu = counted_splu
     fi.FISolver.solve = counted_solve
-    cfg = load_config(None)
-    cfg.raw["grid"]["cells"] = str(cells)
-    cfg.raw["time"]["steps"] = str(steps)
+    cfg = _config(cells, steps)
     with tempfile.TemporaryDirectory() as out:
         t0 = time.perf_counter()
         summary = cmd_synthesize(cfg, out)
@@ -96,10 +108,29 @@ def measure(src: str, cells: int, steps: int) -> dict:
             "backward_error": summary["fi"]["backward_error"]}
 
 
+def measure_carleman(cells: int, steps: int) -> dict:
+    """One default carleman diagnosis at cells x steps in this process."""
+    from bscontrol.cli import cmd_diagnose
+    cfg = _config(cells, steps)
+    with tempfile.TemporaryDirectory() as out:
+        t0 = time.perf_counter()
+        rep = cmd_diagnose(cfg, "carleman", out)
+        wall = time.perf_counter() - t0
+    return {"size": f"{cells}x{steps}", "wall_s": wall,
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+            "max_ratio_alpha": rep["max_ratio_alpha"],
+            "max_ratio_beta": rep["max_ratio_beta"]}
+
+
+MEASURES = {"synthesize": measure_synthesize, "carleman": measure_carleman}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
                     help="directory that holds the bscontrol package")
+    ap.add_argument("--command", choices=tuple(MEASURES), default="synthesize",
+                    help="what to run at each size")
     ap.add_argument("--label", required=True, help="key of these runs in --out")
     ap.add_argument("--out", required=True, help="JSON file to create or update")
     ap.add_argument("--one", help=argparse.SUPPRESS)
@@ -107,14 +138,15 @@ def main(argv=None) -> int:
     src = os.path.abspath(args.src)
     if args.one:
         cells, steps = (int(v) for v in args.one.split("x"))
-        print(json.dumps(measure(src, cells, steps)))
+        sys.path.insert(0, src)
+        print(json.dumps(MEASURES[args.command](cells, steps)))
         return 0
 
     records = []
     for size in SIZES:
         proc = subprocess.run(
-            [sys.executable, __file__, "--src", src, "--label", args.label,
-             "--out", args.out, "--one", size],
+            [sys.executable, __file__, "--src", src, "--command", args.command,
+             "--label", args.label, "--out", args.out, "--one", size],
             check=True, capture_output=True, text=True)
         records.append(json.loads(proc.stdout.splitlines()[-1]))
         print(json.dumps(records[-1]), flush=True)
@@ -124,7 +156,7 @@ def main(argv=None) -> int:
     doc.setdefault("runs", {})[args.label] = {
         "host": f"{platform.machine()}, {os.cpu_count()} CPUs, "
                 f"Python {platform.python_version()}",
-        "records": records}
+        "command": args.command, "records": records}
     out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
