@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sparse
@@ -154,8 +155,15 @@ class FISolution:
     optimality_residual: float
     # max|r| / (||At||_inf max|xt| + max|bt|) of the scaled system
     backward_error: float
-    log_norms: dict = field(default_factory=dict)
     x_dofs: np.ndarray | None = None
+    # (tables, grid, dt) of `log_norms`
+    norm_weights: tuple | None = field(default=None, repr=False)
+
+    @cached_property
+    def log_norms(self) -> dict:
+        """`core_log_norms` of (Psi, H, v), computed on first read: only
+        the reported solution's norms are read, and a sweep makes many."""
+        return core_log_norms(self.Psi, self.H, self.v, *self.norm_weights)
 
 
 class _Stack:
@@ -448,7 +456,7 @@ def _recover(st: _Stack, x, final_res, backward_error) -> FISolution:
 
     return FISolution(Psi=Psi, H=H, v=v, optimality_residual=final_res,
                       backward_error=backward_error, x_dofs=x,
-                      log_norms=core_log_norms(Psi, H, v, st.p.tables, st.g, st.dt))
+                      norm_weights=(st.p.tables, st.g, st.dt))
 
 
 def galerkin_check(sol: FISolution, problem: FIProblem, n_dirs: int, rng) -> dict:

@@ -25,9 +25,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.linalg import solveh_banded  # noqa: F401  bench/layertrace.py patches this name
-from scipy.linalg.lapack import dpttrf, dpttrs
+from scipy.linalg import LinAlgError
+# bench/layertrace.py patches these two names
+from scipy.linalg import solve_banded, solveh_banded  # noqa: F401
+from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
 
 from .errors import (ConditioningError, ConfigurationError, ContractError,
                      SmallnessViolationError)
@@ -257,8 +258,23 @@ def _constant_step_bands(grid: SpatialGrid, dt: float, sigma0: float,
     return ab
 
 
+def _solve_tridiagonal(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`solve_banded((1, 1), ab, b)` as one direct call of the LAPACK
+    routine it runs, `gtsv`: the same finite check, the same solution bit
+    for bit, the same `LinAlgError` for a singular matrix, without the
+    per-call validation and dispatch."""
+    if not (np.isfinite(ab).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)[3:]
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    return x
+
+
 def _weak_rhs(grid: SpatialGrid, fb: np.ndarray, fs: np.ndarray) -> np.ndarray:
-    return grid.trapezoid_weights() * fb + _corner_lift(grid, fs)
+    out = grid.trapezoid_weights() * fb
+    out += _corner_lift(grid, fs)
+    return out
 
 
 def _march_linear(ops: LinearOperatorSet, S: SpaceTimeField,
@@ -270,6 +286,12 @@ def _march_linear(ops: LinearOperatorSet, S: SpaceTimeField,
     factor (`pttrf`) and the per-step `pttrs` are the two halves of the
     `ptsv` that `solveh_banded` calls on a 2-row band, so every slice is
     bit-identical to a per-step `solveh_banded` solve.
+
+    A stack of B sources (bulk (B, M+1, n)) marches B trajectories from one
+    datum or a stack (B, n) of them and returns bulk (B, M+1, n).  Each step
+    is then one `pttrs` call with B right-hand-side columns, which LAPACK
+    solves one after another with the arithmetic of a single column, so
+    every member is bit-identical to its own march.
     """
     g, tg = ops.grid, ops.time_grid
     M, dt = tg.step_count, tg.dt
@@ -281,12 +303,20 @@ def _march_linear(ops: LinearOperatorSet, S: SpaceTimeField,
             f"{info}): dt = {dt} is too large for the reactions "
             f"da0 = {ops.da0}, db0 = {ops.db0}")
     Mw = g.mass_weights()
-    src = _weak_rhs(g, S.bulk, S.surface)   # elementwise, so row c is step c's vector
-    out = np.empty((M + 1, g.n_nodes))
-    out[M if backward else 0] = start.bulk
-    for c in (range(M, 0, -1) if backward else range(1, M + 1)):
-        known, new = (c, c - 1) if backward else (c - 1, c)
-        out[new] = dpttrs(d, e, Mw * out[known] / dt + src[c])[0]
+    # slice c holds step c's source vector (the products are elementwise)
+    # until the step that produces slice c writes it, after the next step's
+    # right-hand side has read it
+    out = _weak_rhs(g, S.bulk, S.surface)
+    steps = range(M, 0, -1) if backward else range(1, M + 1)
+    rhs = Mw * start.bulk / dt + out[..., steps[0], :]
+    for i, c in enumerate(steps):
+        # the transpose of a C-ordered (B, n) stack is the Fortran-ordered
+        # (n, B) block of columns that pttrs solves in place
+        x = dpttrs(d, e, rhs.T, overwrite_b=1)[0].T
+        if i + 1 < M:
+            rhs = Mw * x / dt + out[..., steps[i + 1], :]
+        out[..., c - 1 if backward else c, :] = x
+    out[..., M if backward else 0, :] = start.bulk
     if not np.isfinite(out).all():
         raise ConditioningError("the linear march left double range "
                                 "(non-finite data or overflow)")
@@ -295,7 +325,8 @@ def _march_linear(ops: LinearOperatorSet, S: SpaceTimeField,
 
 def solve_linear_forward(ops: LinearOperatorSet, F: SpaceTimeField,
                          psi0: BulkSurfaceField) -> SpaceTimeField:
-    """Implicit-Euler forward solve; source slice c feeds step c (c=1..M)."""
+    """Implicit-Euler forward solve; source slice c feeds step c (c=1..M).
+    A stack of sources (bulk (B, M+1, n)) gives a stack of solutions."""
     if not psi0.is_trace_compatible(1e-12):
         raise ContractError("initial datum must be trace-compatible")
     return _march_linear(ops, F, psi0, backward=False)
@@ -303,7 +334,8 @@ def solve_linear_forward(ops: LinearOperatorSet, F: SpaceTimeField,
 
 def solve_linear_backward(ops: LinearOperatorSet, G: SpaceTimeField,
                           terminal: BulkSurfaceField) -> SpaceTimeField:
-    """Backward solve: step c produces slice c-1; source slice c feeds step c."""
+    """Backward solve: step c produces slice c-1; source slice c feeds step c.
+    A stack of sources (bulk (B, M+1, n)) gives a stack of solutions."""
     if not terminal.is_trace_compatible(1e-12):
         raise ContractError("terminal datum must be trace-compatible")
     return _march_linear(ops, G, terminal, backward=True)
@@ -331,7 +363,7 @@ def solve_backward_varcoef(cs: CoefficientSet, grid: SpatialGrid,
     out[M] = terminal.bulk
     for c in range(M, 0, -1):
         rhs = Mw * out[c] / dt + _weak_rhs(g, G.bulk[c], G.surface[c])
-        out[c - 1] = solve_banded((1, 1), abT[:, c - 1], rhs)
+        out[c - 1] = _solve_tridiagonal(abT[:, c - 1], rhs)
     return SpaceTimeField.from_bulk(out)
 
 
@@ -340,11 +372,14 @@ def _observation_source(Psi: SpaceTimeField, theta: float, theta_s: float,
                         G: SpaceTimeField | None = None) -> SpaceTimeField:
     """G + theta psi 1_O (bulk) and G_G + theta_s psi_G 1_Sigma (surface),
     the backward equation's source; the coupling alone without G."""
-    bulk = theta * Psi.bulk * masks.obs_bulk_nodes[None, :]
-    surface = theta_s * Psi.surface * masks.obs_surface_mask[None, :]
-    if G is None:
-        return SpaceTimeField(bulk, surface)
-    return SpaceTimeField(G.bulk + bulk, G.surface + surface)
+    bulk = theta * Psi.bulk
+    bulk *= masks.obs_bulk_nodes
+    surface = theta_s * Psi.surface * masks.obs_surface_mask
+    if G is not None:
+        # in place, with the bits of G + coupling
+        np.add(G.bulk, bulk, out=bulk)
+        np.add(G.surface, surface, out=surface)
+    return SpaceTimeField(bulk, surface)
 
 
 def solve_linearized_cascade(ops: LinearOperatorSet, F: SpaceTimeField,
@@ -370,7 +405,11 @@ def solve_adjoint_cascade(ops: LinearOperatorSet, f1: SpaceTimeField,
                           g1: SpaceTimeField, theta: float, theta_s: float,
                           masks: RegionMasks) -> tuple[SpaceTimeField, SpaceTimeField]:
     """Adjoint cascade: K forward from zero with g1; Phi backward from zero
-    with f1 + theta K 1_O (bulk), f1_G + theta_s K_G 1_Sigma (surface)."""
+    with f1 + theta K 1_O (bulk), f1_G + theta_s K_G 1_Sigma (surface).
+
+    Stacks of B sources (bulk (B, M+1, n)) give stacked (Phi, K), each
+    member bit-identical to its own cascade; both marches then make one
+    `pttrs` call per step for the whole stack."""
     g = ops.grid
     K = solve_linear_forward(ops, g1, BulkSurfaceField.zeros(g))
     Phi = solve_linear_backward(ops, _observation_source(K, theta, theta_s, masks, f1),
@@ -501,8 +540,8 @@ def solve_quasilinear(cs: CoefficientSet, grid: SpatialGrid, time_grid: TimeGrid
                 live = [live[i] for i in keep]
                 ul, r = ul[keep], r[keep]
             ab = _quasilinear_jacobian_bands(ul, cs, g, dt)
-            ul = ul - solve_banded((1, 1), ab.reshape(3, -1),
-                                   r.ravel()).reshape(ul.shape)
+            ul = ul - _solve_tridiagonal(ab.reshape(3, -1),
+                                         r.ravel()).reshape(ul.shape)
             if len(live) == B:
                 u = ul
             else:
@@ -553,7 +592,7 @@ def solve_sensitivity(cs: CoefficientSet, grid: SpatialGrid, time_grid: TimeGrid
     out = np.empty((M + 1, g.n_nodes))
     out[0] = zhat0.bulk
     for c in range(1, M + 1):
-        out[c] = solve_banded((1, 1), ab[:, c - 1], Mw * out[c - 1] / dt)
+        out[c] = _solve_tridiagonal(ab[:, c - 1], Mw * out[c - 1] / dt)
     return SpaceTimeField.from_bulk(out)
 
 

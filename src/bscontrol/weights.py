@@ -7,7 +7,9 @@ overflow; sums of weighted squares are accumulated with a log-sum-exp
 kernel (`LogWeight`) and every verification ratio is an exponent
 difference.  The Carleman functionals' log-weights depend on the tables
 alone, so each is prepared once per table (`WeightTables.carleman_log_weights`)
-and reused for every field it weighs.
+and reused for every field it weighs.  `empirical_carleman_check` solves its
+adjoint cascades in stacks and squares each field's midpoint pieces once
+for both the alpha and the beta functional (`log_sq_sums`).
 
 Time-dependent tables are sampled at the cell midpoints t_{c-1/2}, never
 at t = 0 or T where the continuous weights are singular.
@@ -84,21 +86,30 @@ class LogWeight:
                 out = np.log((b * np.exp(self.lw)).sum())
         return float(out)
 
-    def sq_sum(self, values, quad) -> float:
-        """log( sum quad * exp(lw) * values^2 ), with `values` and `quad`
-        broadcast to the weight's shape.
 
-        Entries with values == 0 contribute nothing, and the maximum is
-        taken over the contributing entries only; returns -inf for an
-        identically zero field.
-        """
-        v = np.asarray(values, dtype=float)
-        # broadcast to the weight's shape and no further
-        coeff = np.multiply(quad * v, v, out=np.empty(self.shape)).ravel()
-        keep = coeff > 0
-        if keep.all():
-            return self.log_sum(coeff)
-        return LogWeight(self.lw[keep]).log_sum(coeff[keep])
+def log_sq_sums(values, quad, weights) -> np.ndarray:
+    """log( sum quad * exp(lw) * values^2 ) for each prepared weight in
+    `weights` and each member of a stack of values: an array
+    (len(weights), B), with B = 1 for values of the weights' shape.
+
+    The coefficients quad * values^2 and their positive entries are computed
+    once for all the weights.  Entries with values == 0 contribute nothing,
+    and the maximum is taken over the contributing entries only; an
+    identically zero member gives -inf.
+    """
+    coeff = quad * values
+    coeff *= values
+    stack = coeff.shape[:coeff.ndim - len(weights[0].shape)]
+    coeff = coeff.reshape(math.prod(stack), -1)
+    keep = coeff > 0
+    out = np.empty((len(weights), len(coeff)))
+    for k, (c, kp) in enumerate(zip(coeff, keep)):
+        if kp.all():
+            out[:, k] = [w.log_sum(c) for w in weights]
+        else:
+            c = c[kp]
+            out[:, k] = [LogWeight(w.lw[kp]).log_sum(c) for w in weights]
+    return out
 
 
 def log_weighted_sq_sum(log_w, values, quad) -> float:
@@ -110,7 +121,7 @@ def log_weighted_sq_sum(log_w, values, quad) -> float:
     lw, v, q = np.broadcast_arrays(np.asarray(log_w, dtype=float),
                                    np.asarray(values, dtype=float),
                                    np.asarray(quad, dtype=float))
-    return LogWeight(lw).sq_sum(v, q)
+    return float(log_sq_sums(v, q, (LogWeight(lw),))[0, 0])
 
 
 def log_st_sq(log_w, bulk, surface, grid: SpatialGrid, dt: float) -> float:
@@ -531,37 +542,58 @@ def build_chi(grid: SpatialGrid, masks: RegionMasks) -> ChiBump:
 
 # --- Carleman functionals ---------------------------------------------------
 
-def _midpoint_pieces(Phi: SpaceTimeField, grid: SpatialGrid, dt: float):
-    """Cell-midpoint samples of the field, its time derivative, Laplacian,
-    face gradient and normal derivative (arrays indexed by cell)."""
+# the components of both functionals, in summation order; the tangential
+# surface terms are identically zero in 1D
+CARLEMAN_COMPONENTS = ("bulk_time_deriv", "bulk_laplacian", "bulk_gradient",
+                       "bulk_value", "surface_time_deriv",
+                       "surface_tangential_laplacian",
+                       "surface_tangential_gradient", "surface_value",
+                       "normal_derivative")
+
+# bytes of one stacked field in `empirical_carleman_check`, which sets how
+# many samples go to each `adjoint_solver` call: 4 at 64x128, 1 from 128x256
+# up.  Its peak RSS grows with about six stacked fields.  On a 2-vCPU host a
+# 64x128 diagnosis took 0.19-0.20 s in stacks of 4 against 0.24-0.25 s one
+# sample at a time, for 2.3 MB more peak RSS; at 256x512, stacks of 4 took
+# 1.8-2.2 s against 2.1 s one at a time, for 30 MB (27%) more.
+CARLEMAN_STACK_BYTES = 300_000
+
+
+def carleman_stack(grid: SpatialGrid, time_grid: TimeGrid) -> int:
+    """Samples per `adjoint_solver` call of `empirical_carleman_check`."""
+    field_bytes = 8 * (time_grid.step_count + 1) * grid.n_nodes
+    return max(1, CARLEMAN_STACK_BYTES // field_bytes)
+
+
+def _cell_mid(a: np.ndarray) -> np.ndarray:
+    """Cell-midpoint samples of slice arrays (slices on the second-last axis)."""
+    return 0.5 * (a[..., 1:, :] + a[..., :-1, :])
+
+
+def _midpoint_terms(Phi: SpaceTimeField, grid: SpatialGrid, dt: float, who: str):
+    """Yield (component, values, quad) of each nonzero Carleman component
+    at the cell midpoints (values indexed by cell), one at a time and in
+    `CARLEMAN_COMPONENTS` order; a stack of fields yields stacked values."""
     b, srf = Phi.bulk, Phi.surface
-    b_mid = 0.5 * (b[1:] + b[:-1])
-    s_mid = 0.5 * (srf[1:] + srf[:-1])
-    b_t = (b[1:] - b[:-1]) / dt
-    s_t = (srf[1:] - srf[:-1]) / dt
-    lap = sbp_laplacian(b_mid, grid)
-    gradf = grad_faces(b_mid, grid)
-    dnu = normal_derivative(b_mid, grid)
-    return b_mid, s_mid, b_t, s_t, lap, gradf, dnu
+    if not np.allclose(b[..., [0, -1]], srf, rtol=0, atol=1e-12):
+        raise ContractError(f"{who} expects trace-compatible slices")
+    quad_b = grid.trapezoid_weights()[None, :] * dt
+    b_mid = _cell_mid(b)
+    yield "bulk_time_deriv", (b[..., 1:, :] - b[..., :-1, :]) / dt, quad_b
+    yield "bulk_laplacian", sbp_laplacian(b_mid, grid), quad_b
+    yield "bulk_gradient", grad_faces(b_mid, grid), grid.h * dt
+    yield "bulk_value", b_mid, quad_b
+    yield "surface_time_deriv", (srf[..., 1:, :] - srf[..., :-1, :]) / dt, dt
+    yield "surface_value", _cell_mid(srf), dt
+    yield "normal_derivative", normal_derivative(b_mid, grid), dt
 
 
 def _carleman_functional(which: str, Phi: SpaceTimeField, tables: WeightTables,
                          grid: SpatialGrid, dt: float) -> dict:
-    if not np.allclose(Phi.bulk[:, [0, -1]], Phi.surface, rtol=0, atol=1e-12):
-        raise ContractError(
-            f"carleman_functional_{which} expects trace-compatible slices")
     weights = tables.carleman_log_weights[which]
-    quad_b = grid.trapezoid_weights()[None, :] * dt
-    b_mid, s_mid, b_t, s_t, lap, gradf, dnu = _midpoint_pieces(Phi, grid, dt)
-    # the tangential surface terms are identically zero in 1D
-    terms = {"bulk_time_deriv": (b_t, quad_b), "bulk_laplacian": (lap, quad_b),
-             "bulk_gradient": (gradf, grid.h * dt), "bulk_value": (b_mid, quad_b),
-             "surface_time_deriv": (s_t, dt),
-             "surface_tangential_laplacian": None,
-             "surface_tangential_gradient": None,
-             "surface_value": (s_mid, dt), "normal_derivative": (dnu, dt)}
-    comps = {name: -math.inf if t is None else weights[name].sq_sum(*t)
-             for name, t in terms.items()}
+    comps = dict.fromkeys(CARLEMAN_COMPONENTS, -math.inf)
+    for name, v, q in _midpoint_terms(Phi, grid, dt, f"carleman_functional_{which}"):
+        comps[name] = float(log_sq_sums(v, q, (weights[name],))[0, 0])
     return {"components": comps, "log_total": log_add(*comps.values())}
 
 
@@ -587,55 +619,83 @@ def empirical_carleman_check(n_samples: int, tables: WeightTables,
     """Solve the adjoint cascade for random smooth sources and bound both
     Carleman estimates empirically.
 
-    `adjoint_solver(f1, g1)` must return (Phi, K) solving the adjoint
-    cascade: K forward from zero data with source g1, Phi backward from
-    zero terminal data with source f1 + theta*K*1_O (surface analogues).
-    The returned max LHS/RHS ratios are the empirical constants; the run
-    itself is the oracle and its value a regression baseline.
+    `adjoint_solver(f1, g1)` takes a stack of B source pairs (bulk
+    (B, M+1, N+1)) and must return the stacked (Phi, K) that solve the
+    adjoint cascade member by member: K forward from zero data with source
+    g1, Phi backward from zero terminal data with source f1 + theta*K*1_O
+    (surface analogues).  The samples go to it `carleman_stack` at a time,
+    with their sources drawn in sample order (f1, then g1).  Each field's
+    midpoint pieces and squared coefficients are computed once and summed
+    against both the alpha and the beta weights, so every sample's ratios
+    equal those of the two public functionals.  The returned max LHS/RHS
+    ratios are the empirical constants; the run itself is the oracle and
+    its value a regression baseline.
     """
-    dt = time_grid.dt
-    quad_b = grid.trapezoid_weights()[None, :] * dt
-    omega3 = masks.omega3_nodes.astype(float)
-    lw_I = tables.carleman_log_weights["rhs_I"]
-    lw_J = tables.carleman_log_weights["rhs_J"]
-
+    lws = tables.carleman_log_weights
+    lhs_weights = {name: (lws["I"][name], lws["Jw"][name]) for name in lws["I"]}
+    rhs_weights = tuple(zip(lws["rhs_I"], lws["rhs_J"]))
+    stack = min(carleman_stack(grid, time_grid), max(n_samples, 1))
+    # the source stacks, allocated once: [f1 or g1, member, slice, node]
+    sources = np.empty((2, stack, time_grid.step_count + 1, grid.n_nodes))
     max_I, max_J = 0.0, 0.0
-    for _ in range(n_samples):
-        f1, g1 = _random_smooth_source(grid, time_grid, rng), _random_smooth_source(grid, time_grid, rng)
-        Phi, K = adjoint_solver(f1, g1)
-
-        lhs_I = log_add(carleman_functional_I(Phi, tables, grid, dt)["log_total"],
-                        carleman_functional_I(K, tables, grid, dt)["log_total"])
-        lhs_J = log_add(carleman_functional_Jw(Phi, tables, grid, dt)["log_total"],
-                        carleman_functional_Jw(K, tables, grid, dt)["log_total"])
-
-        phi_mid = 0.5 * (Phi.bulk[1:] + Phi.bulk[:-1])
-        terms = ((phi_mid * omega3[None, :], quad_b),
-                 (0.5 * (f1.bulk[1:] + f1.bulk[:-1]), quad_b),
-                 (0.5 * (g1.bulk[1:] + g1.bulk[:-1]), quad_b),
-                 (0.5 * (f1.surface[1:] + f1.surface[:-1]), dt),
-                 (0.5 * (g1.surface[1:] + g1.surface[:-1]), dt))
-        rhs_I = log_add(*(lw.sq_sum(v, q) for lw, (v, q) in zip(lw_I, terms)))
-        rhs_J = log_add(*(lw.sq_sum(v, q) for lw, (v, q) in zip(lw_J, terms)))
-
-        max_I = max(max_I, log_ratio(lhs_I, rhs_I))
-        max_J = max(max_J, log_ratio(lhs_J, rhs_J))
+    for first in range(0, n_samples, stack):
+        f1, g1 = sources[:, :min(stack, n_samples - first)]
+        for f, g in zip(f1, g1):
+            _random_smooth_source(grid, time_grid, rng, f)
+            _random_smooth_source(grid, time_grid, rng, g)
+        lhs, rhs = _stack_log_sums(
+            SpaceTimeField.from_bulk(f1), SpaceTimeField.from_bulk(g1),
+            adjoint_solver, lhs_weights, rhs_weights, grid, time_grid.dt,
+            masks.omega3_nodes.astype(float))
+        for k in range(len(f1)):
+            lhs_I, lhs_J = (log_add(*(log_add(*field[:, j, k]) for field in lhs))
+                            for j in (0, 1))
+            rhs_I, rhs_J = (log_add(*rhs[:, j, k]) for j in (0, 1))
+            max_I = max(max_I, log_ratio(lhs_I, rhs_I))
+            max_J = max(max_J, log_ratio(lhs_J, rhs_J))
     return {"max_ratio_alpha": max_I, "max_ratio_beta": max_J,
             "samples": n_samples}
 
 
-def _random_smooth_source(grid: SpatialGrid, time_grid: TimeGrid, rng) -> SpaceTimeField:
-    """Random low-frequency space-time field (trace-compatible)."""
+def _stack_log_sums(f1, g1, adjoint_solver, lhs_weights, rhs_weights, grid,
+                    dt, omega3):
+    """Solve one stack of adjoint cascades and return the log sums of its
+    Carleman components, (field, component, I or Jw, member) for the fields
+    Phi and K, and of its right-hand side terms, (term, I or J, member).
+
+    The fields live only for this call, and their pieces are made one at a
+    time, so that the peak memory stays that of a few stacked fields."""
+    Phi, K = adjoint_solver(f1, g1)
+    quad_b = grid.trapezoid_weights()[None, :] * dt
+    lhs = []
+    for fld in (Phi, K):
+        sums = []
+        for name, v, q in _midpoint_terms(fld, grid, dt, "empirical_carleman_check"):
+            sums.append(log_sq_sums(v, q, lhs_weights[name]))
+            if fld is Phi and name == "bulk_value":
+                phi_obs = v * omega3
+        lhs.append(np.array(sums))
+    sources = ((f1.bulk, quad_b), (g1.bulk, quad_b), (f1.surface, dt),
+               (g1.surface, dt))
+    rhs = [log_sq_sums(phi_obs, quad_b, rhs_weights[0])]
+    rhs += [log_sq_sums(_cell_mid(a), q, w)
+            for (a, q), w in zip(sources, rhs_weights[1:])]
+    return lhs, np.array(rhs)
+
+
+def _random_smooth_source(grid: SpatialGrid, time_grid: TimeGrid, rng,
+                          out: np.ndarray) -> None:
+    """Write a random low-frequency space-time bulk field (slices x nodes)
+    into `out`."""
     x = grid.x / grid.length
     t = time_grid.nodes / time_grid.horizon
-    out = np.zeros((t.size, x.size))
+    out[...] = 0.0
     for kx in range(3):
         for kt in range(3):
             amp = rng.standard_normal() / (1 + kx + kt)
             phx, pht = rng.uniform(0, 2 * np.pi, size=2)
             out += amp * np.outer(np.cos(2 * np.pi * kt * t + pht),
                                   np.cos(np.pi * kx * x + phx))
-    return SpaceTimeField.from_bulk(out)
 
 
 def dump_weight_csv(tables: WeightTables, path) -> None:

@@ -5,17 +5,20 @@ weighted space-time norm and the log-sum-exp kernel against plain sums,
 per-part log-sum-exp totals against one flat log-sum-exp, a log-weight
 prepared once against one prepared per sum, the factored
 linear steppers against per-step banded solves, mass conservation of the
-linear steppers, and the duality of the quasilinear tangent and adjoint
+linear steppers, stacked marches against member marches, the direct
+tridiagonal solve against solve_banded, the stacked Carleman check against
+a per-sample one, and the duality of the quasilinear tangent and adjoint
 steppers."""
 
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgError, solveh_banded
+from scipy.linalg import LinAlgError, solve_banded, solveh_banded
 
 from bscontrol import diagnostics
 from bscontrol.errors import ConditioningError
@@ -24,10 +27,14 @@ from bscontrol.geometry import (BulkSurfaceField, SpaceTimeField, build_grid,
                                 build_time_grid)
 from bscontrol.insensitize import PerturbationSpec, duality_identity_check
 from bscontrol.solvers import (LinearOperatorSet, _constant_step_bands,
-                               _weak_rhs, apply_L, solve_linear_backward,
+                               _solve_tridiagonal, _weak_rhs, apply_L,
+                               solve_adjoint_cascade, solve_linear_backward,
                                solve_linear_forward, total_mass)
-from bscontrol.weights import (LogWeight, log_add, log_st_sq,
-                               log_weighted_sq_sum)
+from bscontrol import weights
+from bscontrol.weights import (LogWeight, _random_smooth_source,
+                               carleman_functional_I, carleman_functional_Jw,
+                               empirical_carleman_check, log_add, log_ratio,
+                               log_sq_sums, log_st_sq, log_weighted_sq_sum)
 
 from conftest import make_bundle
 
@@ -191,12 +198,14 @@ LOG_WEIGHTS = st.one_of(st.floats(-700.0, 700.0),
 def test_prepared_log_weight_matches_per_sum(M, n, data):
     """A log-weight prepared once and reused for several sums gives each sum
     bit-for-bit as `log_weighted_sq_sum` does from scratch, and as one fresh
-    log-sum-exp over the nonzero terms alone.  The values have no zeros,
-    zeros at the weight's maximum, or zeros anywhere; the weights have ties
-    at the maximum; the quadrature is a scalar, (1, n) or (M, 1)."""
+    log-sum-exp over the nonzero terms alone, also for each member of a
+    stack of values.  The values have no zeros, zeros at the weight's
+    maximum, or zeros anywhere; the weights have ties at the maximum; the
+    quadrature is a scalar, (1, n) or (M, 1)."""
     lw = np.array(data.draw(st.lists(LOG_WEIGHTS, min_size=M * n,
                                      max_size=M * n))).reshape(M, n)
     weight = LogWeight(lw)
+    stack = []
     nonzero = st.one_of(st.floats(-1e3, -1e-3), st.floats(1e-3, 1e3))
     for zeros in ("none", "at max", "anywhere"):
         values = np.array(data.draw(st.lists(
@@ -211,8 +220,11 @@ def test_prepared_log_weight_matches_per_sum(M, n, data):
         coeff = (quad * values * values).ravel()
         keep = coeff > 0
         want = LogWeight(lw.ravel()[keep]).log_sum(coeff[keep])
-        assert weight.sq_sum(values, quad) == want
+        assert (log_sq_sums(values, quad, (weight, weight)) == want).all()
         assert log_weighted_sq_sum(lw, values, quad) == want
+        stack.append(values)
+    members = [log_sq_sums(v, quad, (weight,))[0, 0] for v in stack]
+    assert np.array_equal(log_sq_sums(np.array(stack), quad, (weight,))[0], members)
 
 
 def _per_step_march(ops, S, start, backward):
@@ -248,6 +260,143 @@ def test_factored_steppers_match_per_step_solves(ops, backward, seed):
         return
     got = solve(ops, S, BulkSurfaceField.from_bulk(start))
     assert np.array_equal(got.bulk, want)
+
+
+@PROPERTY
+@given(ops=operators(), backward=st.booleans(), B=st.integers(1, 5),
+       stacked_start=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(ops=LinearOperatorSet(sigma0=0.05, da0=-2.0, db0=-2.0,
+                               grid=build_grid(1.0, 8),
+                               time_grid=build_time_grid(10.0, 8)),
+         backward=True, B=3, stacked_start=False, seed=0)
+def test_stacked_march_matches_member_marches(ops, backward, B, stacked_start, seed):
+    """A stack of B sources, from one datum or a stack of data, marches each
+    member bit for bit as its own march does; a step matrix that is not
+    positive definite raises ConditioningError for the stack as well."""
+    g, M = ops.grid, ops.time_grid.step_count
+    rng = np.random.default_rng(seed)
+    S = SpaceTimeField.from_bulk(rng.standard_normal((B, M + 1, g.n_nodes)))
+    start = rng.standard_normal((B, g.n_nodes) if stacked_start else g.n_nodes)
+    solve = solve_linear_backward if backward else solve_linear_forward
+    members = []
+    for k in range(B):
+        try:
+            members.append(solve(ops, SpaceTimeField(S.bulk[k], S.surface[k]),
+                                 BulkSurfaceField.from_bulk(start[k] if stacked_start
+                                                            else start)))
+        except ConditioningError:
+            with pytest.raises(ConditioningError):
+                solve(ops, S, BulkSurfaceField.from_bulk(start))
+            return
+    got = solve(ops, S, BulkSurfaceField.from_bulk(start))
+    assert got.bulk.shape == (B, M + 1, g.n_nodes)
+    assert got.surface.shape == (B, M + 1, 2)
+    for k, one in enumerate(members):
+        assert np.array_equal(got.bulk[k], one.bulk)
+        assert np.array_equal(got.surface[k], one.surface)
+
+
+# band entries from a few values, so that singular matrices occur
+BAND_ENTRIES = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, 1.0, -1.0]))
+
+
+@PROPERTY
+@given(n=st.integers(2, 12), columns=st.sampled_from([None, 1, 3]),
+       bad=st.sampled_from([None, "ab", "b"]), data=st.data())
+def test_solve_tridiagonal_matches_solve_banded(n, columns, bad, data):
+    """The direct gtsv helper gives solve_banded((1, 1))'s solution bit for
+    bit, and its errors: ValueError for a non-finite entry, LinAlgError
+    for a singular matrix.  (solve_banded divides instead at n = 1; a step
+    matrix has at least two nodes.)"""
+    ab = np.array(data.draw(st.lists(BAND_ENTRIES, min_size=3 * n,
+                                     max_size=3 * n))).reshape(3, n)
+    shape = (n,) if columns is None else (n, columns)
+    b = np.array(data.draw(st.lists(BAND_ENTRIES, min_size=math.prod(shape),
+                                    max_size=math.prod(shape)))).reshape(shape)
+    if bad is not None:
+        (ab if bad == "ab" else b).flat[data.draw(st.integers(0, n - 1))] = math.nan
+
+    def outcome(solve):
+        try:
+            return solve()
+        except (ValueError, LinAlgError) as exc:
+            return type(exc), str(exc)
+
+    want = outcome(lambda: solve_banded((1, 1), ab, b))
+    got = outcome(lambda: _solve_tridiagonal(ab, b))
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+def _per_sample_carleman_check(n_samples, bundle, rng):
+    """`empirical_carleman_check` one sample at a time: a single adjoint
+    cascade per sample and the public functionals for its two fields."""
+    g, tg, masks, tables = bundle.grid, bundle.time_grid, bundle.masks, bundle.tables
+    dt = tg.dt
+    quad_b = g.trapezoid_weights()[None, :] * dt
+    rhs_w = [[w.lw.reshape(w.shape) for w in tables.carleman_log_weights[key]]
+             for key in ("rhs_I", "rhs_J")]
+
+    def draw():
+        out = np.empty((tg.step_count + 1, g.n_nodes))
+        _random_smooth_source(g, tg, rng, out)
+        return SpaceTimeField.from_bulk(out)
+
+    def mid(a):
+        return 0.5 * (a[1:] + a[:-1])
+
+    max_I = max_J = 0.0
+    for _ in range(n_samples):
+        f1 = draw()
+        g1 = draw()
+        Phi, K = solve_adjoint_cascade(bundle.ops, f1, g1, bundle.theta,
+                                       bundle.theta_s, masks)
+        lhs = [log_add(fn(Phi, tables, g, dt)["log_total"],
+                       fn(K, tables, g, dt)["log_total"])
+               for fn in (carleman_functional_I, carleman_functional_Jw)]
+        terms = ((mid(Phi.bulk) * masks.omega3_nodes, quad_b), (mid(f1.bulk), quad_b),
+                 (mid(g1.bulk), quad_b), (mid(f1.surface), dt), (mid(g1.surface), dt))
+        rhs = [log_add(*(log_weighted_sq_sum(lw, v, q) for lw, (v, q) in zip(ws, terms)))
+               for ws in rhs_w]
+        max_I = max(max_I, log_ratio(lhs[0], rhs[0]))
+        max_J = max(max_J, log_ratio(lhs[1], rhs[1]))
+    return {"max_ratio_alpha": max_I, "max_ratio_beta": max_J, "samples": n_samples}
+
+
+@pytest.fixture(scope="module")
+def carleman_bundle():
+    return make_bundle(N=32, M=32)[0]
+
+
+# samples per stack in the test: the stack budget set to three fields
+STACK = 3
+
+
+@settings(max_examples=8, deadline=None, database=None, derandomize=True)
+@given(n_samples=st.integers(1, 2 * STACK + 1), seed=st.integers(0, 2**32 - 1))
+@example(n_samples=STACK - 1, seed=1)
+@example(n_samples=STACK, seed=2)
+@example(n_samples=STACK + 1, seed=3)
+def test_stacked_carleman_check_matches_per_sample(carleman_bundle, n_samples, seed):
+    """The stacked check, with its shared midpoint pieces and coefficients,
+    gives the per-sample check's ratios bit for bit, with sample counts
+    below, at and above the stack size, and solves stacks of at most that
+    many samples."""
+    b = carleman_bundle
+    field_bytes = 8 * (b.time_grid.step_count + 1) * b.grid.n_nodes
+    sizes = []
+
+    def adjoint(f1, g1):
+        sizes.append(len(f1.bulk))
+        return solve_adjoint_cascade(b.ops, f1, g1, b.theta, b.theta_s, b.masks)
+
+    with mock.patch.object(weights, "CARLEMAN_STACK_BYTES", STACK * field_bytes):
+        got = empirical_carleman_check(n_samples, b.tables, b.grid, b.time_grid,
+                                       b.masks, adjoint, np.random.default_rng(seed))
+    assert got == _per_sample_carleman_check(n_samples, b, np.random.default_rng(seed))
+    assert sizes == [STACK] * (n_samples // STACK) + [n_samples % STACK] * (n_samples % STACK > 0)
 
 
 @PROPERTY

@@ -4,10 +4,12 @@ each in its own process.
     python3 tools/bench_sizes.py --label change --out BENCH_x.json
     python3 tools/bench_sizes.py --src ../parent/src --label parent --out BENCH_x.json
     python3 tools/bench_sizes.py --command carleman --label change --out BENCH_y.json
+    python3 tools/bench_sizes.py --sizes 64x128,128x256 --label change --out BENCH_x.json
 
-For each size in SIZES (cells x steps) a fresh interpreter imports bscontrol
-from `--src`, runs the command on the default config with `[grid] cells`
-and `[time] steps` set, and prints one JSON record.  For `synthesize`
+For each size in `--sizes` (cells x steps, default SIZES) a fresh
+interpreter imports bscontrol from `--src`, runs the command on the default
+config with `[grid] cells` and `[time] steps` set, and prints one JSON
+record.  For `synthesize`
 (`cmd_synthesize`) the record holds:
 
 - `wall_s`: the whole `cmd_synthesize` call (setup, outer loop, check, output);
@@ -131,6 +133,8 @@ def main(argv=None) -> int:
                     help="directory that holds the bscontrol package")
     ap.add_argument("--command", choices=tuple(MEASURES), default="synthesize",
                     help="what to run at each size")
+    ap.add_argument("--sizes", default=",".join(SIZES),
+                    help="comma-separated cells x steps sizes (default: all of SIZES)")
     ap.add_argument("--label", required=True, help="key of these runs in --out")
     ap.add_argument("--out", required=True, help="JSON file to create or update")
     ap.add_argument("--one", help=argparse.SUPPRESS)
@@ -143,7 +147,7 @@ def main(argv=None) -> int:
         return 0
 
     records = []
-    for size in SIZES:
+    for size in args.sizes.split(","):
         proc = subprocess.run(
             [sys.executable, __file__, "--src", src, "--command", args.command,
              "--label", args.label, "--out", args.out, "--one", size],
