@@ -95,19 +95,17 @@ class FIProblem:
 
     def check_sources(self, F: SpaceTimeField, G: SpaceTimeField) -> None:
         """Raise unless every weighted norm of the sources (F, G) is finite."""
-        for nm, lg in source_log_norms(F.bulk, F.surface, G.bulk, G.surface,
-                                       self.tables, self.grid,
-                                       self.time_grid.dt).items():
+        for nm, lg in self.log_source_norms(F, G).items():
             if not (lg < math.inf):
                 raise ContractError(f"weighted source norm {nm} is not finite")
 
-    def log_source_norms(self) -> dict:
-        return source_log_norms(self.F.bulk, self.F.surface, self.G.bulk,
-                                self.G.surface, self.tables, self.grid,
-                                self.time_grid.dt)
+    def log_source_norms(self, F: SpaceTimeField, G: SpaceTimeField) -> dict:
+        """`source_log_norms` of the sources (F, G)."""
+        return source_log_norms(F.bulk, F.surface, G.bulk, G.surface,
+                                self.tables, self.grid, self.time_grid.dt)
 
     def log_Y_norm_sq(self) -> float:
-        return log_add(*self.log_source_norms().values())
+        return log_add(*self.log_source_norms(self.F, self.G).values())
 
 
 def source_log_norms(Fb, Fs, Gb, Gs, tables: WeightTables, grid: SpatialGrid,
@@ -176,46 +174,31 @@ class _Stack:
     """
 
     def __init__(self, p: FIProblem):
-        g = p.grid
-        tg = p.time_grid
         self.p = p
-        self.g = g
-        self.M = tg.step_count
-        self.n = g.n_nodes
-        self.dt = tg.dt
-        self.Hvec = g.trapezoid_weights()
+        self.g = p.grid
+        self.M = p.time_grid.step_count
+        self.n = p.grid.n_nodes
+        self.dt = p.time_grid.dt
         self.w0 = p.tables.inv_sq(0)
         self.w1 = p.tables.inv_sq(1)
-        self.chi = p.chi.values
-        self.sqrt_chi = np.sqrt(p.chi.values)
-        self.mO = p.masks.obs_bulk_nodes.astype(float)
-        self.mS = p.masks.obs_surface_mask.astype(float)
-        self.s0 = p.ops.sigma0
-        self.da0 = p.ops.da0
-        self.db0 = p.ops.db0
         self.n_dofs = 2 * self.M * self.n
-        self._R = None
-        self._A = None
-        self._wrow = None
 
     # --- sparse assembly ---------------------------------------------------
 
-    def _spatial_blocks(self):
-        """The geometry stencils as sparse matrices: applied to the identity
-        they return their transposes (they act on the last axis)."""
-        eye = np.eye(self.n)
+    @cached_property
+    def R(self) -> sparse.csr_matrix:
+        p, M, n, dt = self.p, self.M, self.n, self.dt
+        ops = p.ops
+        # the geometry stencils act on the last axis, so applied to the
+        # identity they return their transposes
+        eye = np.eye(n)
         lap = sparse.csr_matrix(sbp_laplacian(eye, self.g).T)
         dnu = sparse.csr_matrix(normal_derivative(eye, self.g).T)
         tr = sparse.csr_matrix(eye[[0, -1]])
-        return lap, dnu, tr
-
-    def R_matrix(self) -> sparse.csr_matrix:
-        if self._R is not None:
-            return self._R
-        M, n, dt = self.M, self.n, self.dt
-        lap, dnu, tr = self._spatial_blocks()
-        Ssp = -self.s0 * lap + self.da0 * sparse.identity(n)
-        Ssurf = self.s0 * dnu + self.db0 * tr
+        Ssp = -ops.sigma0 * lap + ops.da0 * sparse.identity(n)
+        Ssurf = ops.sigma0 * dnu + ops.db0 * tr
+        mO = sparse.diags(p.masks.obs_bulk_nodes.astype(float))
+        mS = sparse.diags(p.masks.obs_surface_mask.astype(float))
         S_L = sparse.hstack([sparse.identity(M), sparse.csr_matrix((M, 1))]).tocsr()
         S_R = sparse.hstack([sparse.csr_matrix((M, 1)), sparse.identity(M)]).tocsr()
         E_Y = sparse.vstack([sparse.identity(M), sparse.csr_matrix((1, M))]).tocsr()
@@ -223,50 +206,45 @@ class _Stack:
         kron = sparse.kron
         EYn = kron(E_Y, sparse.identity(n))
         EZn = kron(E_Z, sparse.identity(n))
-        self._R = sparse.bmat([
+        return sparse.bmat([
             [(kron((S_L - S_R) / dt, sparse.identity(n)) + kron(S_L, Ssp)) @ EYn,
-             (-self.p.theta * kron(S_R, sparse.diags(self.mO))) @ EZn],
+             (-p.theta * kron(S_R, mO)) @ EZn],
             [(kron((S_L - S_R) / dt, tr) + kron(S_L, Ssurf)) @ EYn,
-             (-self.p.theta_s * kron(S_R, sparse.diags(self.mS) @ tr)) @ EZn],
+             (-p.theta_s * kron(S_R, mS @ tr)) @ EZn],
             [None,
              (kron((S_R - S_L) / dt, sparse.identity(n)) + kron(S_R, Ssp)) @ EZn],
             [None,
              (kron((S_R - S_L) / dt, tr) + kron(S_R, Ssurf)) @ EZn],
-            [kron(S_L, sparse.diags(self.sqrt_chi)) @ EYn, None],
+            [kron(S_L, sparse.diags(np.sqrt(p.chi.values))) @ EYn, None],
         ], format="csr")
-        return self._R
 
+    @cached_property
     def row_weights(self) -> np.ndarray:
-        if self._wrow is None:
-            dt, Hv = self.dt, self.Hvec
-            ones2 = np.ones((1, 2))
-            self._wrow = np.concatenate([
-                (dt * self.w0[:, None] * Hv[None, :]).ravel(),
-                (dt * self.w0[:, None] * ones2).ravel(),
-                (dt * self.w0[:, None] * Hv[None, :]).ravel(),
-                (dt * self.w0[:, None] * ones2).ravel(),
-                (dt * self.w1[:, None] * Hv[None, :]).ravel(),
-            ])
-        return self._wrow
+        dt, Hv = self.dt, self.g.trapezoid_weights()
+        ones2 = np.ones((1, 2))
+        return np.concatenate([
+            (dt * self.w0[:, None] * Hv[None, :]).ravel(),
+            (dt * self.w0[:, None] * ones2).ravel(),
+            (dt * self.w0[:, None] * Hv[None, :]).ravel(),
+            (dt * self.w0[:, None] * ones2).ravel(),
+            (dt * self.w1[:, None] * Hv[None, :]).ravel(),
+        ])
 
-    def A_matrix(self) -> sparse.csc_matrix:
-        if self._A is None:
-            R = self.R_matrix()
-            self._A = (R.T @ sparse.diags(self.row_weights()) @ R).tocsc()
-        return self._A
+    @cached_property
+    def A(self) -> sparse.csc_matrix:
+        return (self.R.T @ sparse.diags(self.row_weights) @ self.R).tocsc()
 
     def _wmul(self, r: np.ndarray) -> np.ndarray:
         """Weight application with exact zeros: rows of zero weight kill
         whatever the raw residual holds (it may be unrepresentable there)."""
-        w = self.row_weights()
+        w = self.row_weights
         out = np.zeros_like(r)
         nz = w > 0
         out[nz] = w[nz] * r[nz]
         return out
 
     def apply_A(self, x: np.ndarray) -> np.ndarray:
-        R = self.R_matrix()
-        return R.T @ self._wmul(R @ x)
+        return self.R.T @ self._wmul(self.R @ x)
 
     # --- block helpers (dense, vectorized) ----------------------------------
 
@@ -278,60 +256,51 @@ class _Stack:
         Zf[1:] = x[M * n:].reshape(M, n)
         return Yf, Zf
 
-    def pack(self, Yd, Zd):
-        return np.concatenate([np.asarray(Yd).ravel(), np.asarray(Zd).ravel()])
-
-    def block_shapes(self):
-        M, n = self.M, self.n
-        return [(M, n), (M, 2), (M, n), (M, 2), (M, n)]
-
-    def split_stack(self, vec):
-        out, o = [], 0
-        for s in self.block_shapes():
-            sz = int(np.prod(s))
-            out.append(vec[o:o + sz].reshape(s))
-            o += sz
-        return tuple(out)
-
     def forward_blocks(self, x):
-        """Unweighted residual blocks via the sparse stack."""
-        return self.split_stack(self.R_matrix() @ x)
+        """Unweighted residual blocks R1..R5 via the sparse stack, (M, width) each."""
+        M, n = self.M, self.n
+        blocks = np.split(self.R @ x, np.cumsum([M * n, 2 * M, M * n, 2 * M]))
+        return tuple(b.reshape(M, -1) for b in blocks)
 
     def stack_norm_sq(self, x) -> float:
-        r = self.R_matrix() @ x
+        r = self.R @ x
         return float(np.dot(self._wmul(r), r))
 
     def rhs(self, F: SpaceTimeField, G: SpaceTimeField):
         """The linear functional of the sources: F paired with Y, G with Z."""
-        dt = self.dt
-        bY = dt * (self.Hvec[None, :] * F.bulk[1:])
+        dt, Hv = self.dt, self.g.trapezoid_weights()
+        bY = dt * (Hv[None, :] * F.bulk[1:])
         bY[:, 0] += dt * F.surface[1:, 0]
         bY[:, -1] += dt * F.surface[1:, 1]
-        bZ = dt * (self.Hvec[None, :] * G.bulk[1:])
+        bZ = dt * (Hv[None, :] * G.bulk[1:])
         bZ[:, 0] += dt * G.surface[1:, 0]
         bZ[:, -1] += dt * G.surface[1:, 1]
-        return self.pack(bY, bZ)
+        return np.concatenate([bY.ravel(), bZ.ravel()])
 
     def recover_fields(self, x):
         """Scale-safe (c16) recovery: the cell weight multiplies the slices
         before any stencil is applied, so weight-damped products never pass
-        through unrepresentable intermediates."""
+        through unrepresentable intermediates.  `R x` cannot replace it: on
+        random_fourier at 128x256 the dofs reach 6.9e299 and `R x` 3.3e304,
+        and weighting R x afterwards moves Psi and H by up to 1.7e-7 relative."""
         p, dt, g = self.p, self.dt, self.g
-        M, n = self.M, self.n
+        s0, da0, db0 = p.ops.sigma0, p.ops.da0, p.ops.db0
+        mO = p.masks.obs_bulk_nodes.astype(float)
+        mS = p.masks.obs_surface_mask.astype(float)
         Yf, Zf = self.unpack(x)
         w0c, w1c = self.w0[:, None], self.w1[:, None]
 
         Ya0, Yo0 = w0c * Yf[:-1], w0c * Yf[1:]
         Za0, Zo0 = w0c * Zf[1:], w0c * Zf[:-1]
-        psi_b = (Ya0 - Yo0) / dt - self.s0 * sbp_laplacian(Ya0, g) \
-            + self.da0 * Ya0 - p.theta * (w0c * Zf[1:]) * self.mO[None, :]
+        psi_b = (Ya0 - Yo0) / dt - s0 * sbp_laplacian(Ya0, g) \
+            + da0 * Ya0 - p.theta * (w0c * Zf[1:]) * mO[None, :]
         psi_s = (Ya0[:, [0, -1]] - Yo0[:, [0, -1]]) / dt \
-            + self.s0 * normal_derivative(Ya0, g) + self.db0 * Ya0[:, [0, -1]] \
-            - p.theta_s * (w0c * Zf[1:])[:, [0, -1]] * self.mS[None, :]
-        h_b = (Za0 - Zo0) / dt - self.s0 * sbp_laplacian(Za0, g) + self.da0 * Za0
+            + s0 * normal_derivative(Ya0, g) + db0 * Ya0[:, [0, -1]] \
+            - p.theta_s * (w0c * Zf[1:])[:, [0, -1]] * mS[None, :]
+        h_b = (Za0 - Zo0) / dt - s0 * sbp_laplacian(Za0, g) + da0 * Za0
         h_s = (Za0[:, [0, -1]] - Zo0[:, [0, -1]]) / dt \
-            + self.s0 * normal_derivative(Za0, g) + self.db0 * Za0[:, [0, -1]]
-        v_cells = -self.chi[None, :] * (w1c * Yf[:-1])
+            + s0 * normal_derivative(Za0, g) + db0 * Za0[:, [0, -1]]
+        v_cells = -p.chi.values[None, :] * (w1c * Yf[:-1])
         return psi_b, psi_s, h_b, h_s, v_cells
 
 
@@ -341,7 +310,7 @@ def _fields_to_dofs(st: _Stack, Y: SpaceTimeField, Z: SpaceTimeField):
         raise ContractError("Y must vanish at its terminal slice (space P)")
     if np.max(np.abs(Z.bulk[0])) > 1e-13 * (1 + np.max(np.abs(Z.bulk))):
         raise ContractError("Z must vanish at its initial slice (space P)")
-    return st.pack(Y.bulk[:M].copy(), Z.bulk[1:].copy())
+    return np.concatenate([Y.bulk[:M].ravel(), Z.bulk[1:].ravel()])
 
 
 def apply_residual_R(Y: SpaceTimeField, Z: SpaceTimeField, problem: FIProblem) -> dict:
@@ -361,8 +330,7 @@ def bilinear_B(problem: FIProblem, YZ, YZbar) -> float:
     st = _Stack(problem)
     x = _fields_to_dofs(st, *YZ)
     xb = _fields_to_dofs(st, *YZbar)
-    R = st.R_matrix()
-    return float(np.dot(st.row_weights() * (R @ x), R @ xb))
+    return float(np.dot(st.row_weights * (st.R @ x), st.R @ xb))
 
 
 def linear_F(problem: FIProblem, YZ) -> float:
@@ -383,7 +351,7 @@ class FISolver:
     def __init__(self, problem: FIProblem):
         self.problem = problem
         self.stack = _Stack(problem)
-        A = self.stack.A_matrix()
+        A = self.stack.A
         diag = A.diagonal()
         # dofs whose diagonal sits > ~30 decades below the peak are
         # numerically invisible; pin them instead of letting subnormal
@@ -394,7 +362,14 @@ class FISolver:
         self.At = (sparse.diags(self.D) @ A @ sparse.diags(self.D)).tocsc() \
             + sparse.diags(dead)
         self.At_inf = float(abs(self.At).sum(axis=1).max())
-        self._lu = None
+
+    @cached_property
+    def lu(self):
+        """The sparse LU factor of At, made on the first solve that needs it."""
+        try:
+            return splu(self.At)
+        except RuntimeError as exc:
+            raise ConditioningError(f"sparse factorization failed: {exc}") from exc
 
     def solve(self, F: SpaceTimeField | None = None,
               G: SpaceTimeField | None = None) -> FISolution:
@@ -411,16 +386,11 @@ class FISolver:
             raise ConditioningError(
                 "the source lies entirely on dofs below the live threshold; "
                 "weight spread too large for this configuration")
-        if self._lu is None:
-            try:
-                self._lu = splu(self.At)
-            except RuntimeError as exc:
-                raise ConditioningError(
-                    f"sparse factorization failed: {exc}") from exc
+        lu = self.lu
         # overflow here ends in _recover's ConditioningError
         with np.errstate(over="ignore", invalid="ignore"):
             # no refinement: at kappa * eps >> 1 it cannot reduce the error
-            xt = self._lu.solve(bt)
+            xt = lu.solve(bt)
             r = bt - self.At @ xt
             res = float(np.linalg.norm(r) / max(np.linalg.norm(bt), 1e-300))
             # max-abs norms: the 2-norms' squares overflow near the dofs'
@@ -547,7 +517,7 @@ def cascade_residual_check(sol: FISolution, problem: FIProblem) -> dict:
 
 def verify_p1(sol: FISolution, problem: FIProblem) -> dict:
     """LHS/RHS ratios for the control/state estimate and the v_t estimate."""
-    src = problem.log_source_norms()
+    src = problem.log_source_norms(problem.F, problem.G)
     log_rhs = log_add(src["muF"], src["muG"])
     ln = sol.log_norms
     lhs_c21 = log_add(ln["mu0Psi"], ln["mu0H"], ln["mu1v"])
@@ -629,7 +599,7 @@ def verify_p2(sol: FISolution, problem: FIProblem,
     Ptt_s = np.diff(Pt_s, axis=0) / dt
     lw5c = lm[5][1:-1]
 
-    src = problem.log_source_norms()
+    src = problem.log_source_norms(problem.F, problem.G)
     log_rhs_a = log_add(src["muF"], src["muG"])
     log_rhs_b = log_add(log_rhs_a, src["mu4Ft"])
 

@@ -27,8 +27,6 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractError, GeometryAssumptionError, ResolutionError
 
-LEFT, RIGHT = 0, 1
-
 
 @dataclass(frozen=True)
 class SpatialGrid:
@@ -42,10 +40,6 @@ class SpatialGrid:
     @property
     def n_nodes(self) -> int:
         return self.node_count + 1
-
-    @property
-    def boundary_nodes(self) -> tuple[int, int]:
-        return (0, self.node_count)
 
     def __post_init__(self):
         # both weight vectors are built once per grid and shared read-only

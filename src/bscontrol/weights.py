@@ -324,11 +324,6 @@ def ell_value(t, horizon: float):
     return np.where(t <= horizon / 2, t * (horizon - t), horizon**2 / 4)
 
 
-def ell_prime(t, horizon: float):
-    t = np.asarray(t, dtype=float)
-    return np.where(t <= horizon / 2, horizon - 2 * t, 0.0)
-
-
 @dataclass
 class WeightTables:
     params: ValidatedParams
@@ -465,16 +460,15 @@ def check_elementary_estimates(tables: WeightTables, dt: float) -> dict:
     report["identity_mu3_mu1_mu_ell"] = float(np.max(np.abs(identity)))
     # near t=0 the stored logs reach 1e4+, so eps*|log| exceeds 1e-12 there;
     # the tolerance applies where the weights are resolvable
-    live0 = tables.inv_sq(0) > 0
-    report["identity_max_live"] = float(np.max(np.abs(identity[live0]))) \
-        if np.any(live0) else math.nan
+    live = tables.inv_sq(0) > 0
+    report["identity_max_live"] = float(np.max(np.abs(identity[live]))) \
+        if np.any(live) else math.nan
 
     report["C_mu0_le_mu"] = float(np.exp(np.max(lmk[0] - lm)))
     report["C_mu_le_mu5sq"] = float(np.exp(np.max(lm - 2 * lmk[5])))
     for k in range(1, 6):
         report[f"C_mu{k}_le_mu{k - 1}"] = float(np.exp(np.max(lmk[k] - lmk[k - 1])))
 
-    live = tables.inv_sq(0) > 0
     c = slice(1, -1)
     up, dn = slice(2, None), slice(None, -2)
     ok = live[c] & live[up] & live[dn]

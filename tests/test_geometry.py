@@ -11,7 +11,6 @@ from bscontrol.geometry import (BulkSurfaceField, build_grid, build_masks,
 def test_build_grid_basic():
     g = build_grid(1.0, 8)
     assert g.h == 0.125
-    assert g.boundary_nodes == (0, 8)
     assert build_grid(2.0, 16).h == 0.125
     assert build_grid(1.0, 64).x[32] == 0.5
 

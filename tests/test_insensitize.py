@@ -4,6 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from bscontrol import insensitize
+from bscontrol.errors import SmallnessViolationError
+from bscontrol.fi import FISolver
 from bscontrol.geometry import BulkSurfaceField, SpaceTimeField, h3_proxy_norm
 from bscontrol.insensitize import (PerturbationSpec, apply_A_derivative,
                                    duality_identity_check, evaluate_J,
@@ -136,6 +139,42 @@ def test_synthesize_converges_small_data(synth):
     assert rep.h0_norm_quasilinear <= 1e-4
     H = rep.fi_solution.H
     assert np.all(H.bulk[0] == 0) and np.all(H.surface[0] == 0)
+
+
+def test_synthesize_outer_loop_exits(monkeypatch):
+    """The loop's three exits under a patched sequence of increments:
+    `converged`; `converged_floor`, which returns the pre-bounce solve; and
+    three consecutive non-decreasing increments above 0.1, which raise."""
+    bundle, F = make_bundle(N=32, M=64)
+    solve = FISolver.solve
+    solves = []
+
+    def recording_solve(self, *args, **kwargs):
+        solves.append(solve(self, *args, **kwargs))
+        return solves[-1]
+
+    def run(incs):
+        solves.clear()
+        seq = iter(incs)
+        monkeypatch.setattr(insensitize, "log_ratio", lambda num, den: next(seq) ** 2)
+        return synthesize(F, bundle)
+
+    monkeypatch.setattr(FISolver, "solve", recording_solve)
+    rep = run([0.5, 0.05, 1e-12])
+    assert rep.status == "converged" and rep.iterations == len(solves) == 3
+    assert rep.fi_solution is solves[-1] and rep.v is solves[-1].v
+    assert len(rep.increments) == len(rep.h0_history) == 3
+
+    rep = run([0.5, 0.05, 0.01, 0.02])
+    assert rep.status == "converged_floor" and rep.iterations == len(solves) == 4
+    assert rep.fi_solution is solves[-2] and rep.v is solves[-2].v
+    assert len(rep.increments) == len(rep.h0_history) == rep.iterations - 1
+    assert rep.increments == pytest.approx([0.5, 0.05, 0.01])
+
+    # a decrease resets the count, so the seventh solve is the third in a row
+    with pytest.raises(SmallnessViolationError):
+        run([0.5, 0.6, 0.7, 0.65, 0.7, 0.8, 0.9])
+    assert len(solves) == 7
 
 
 def test_quadratic_energy_gates(bundle):

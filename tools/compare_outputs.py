@@ -1,0 +1,130 @@
+"""Check that two source trees give byte-identical CLI outputs.
+
+    python3 tools/compare_outputs.py --parent ../parent/src --change src
+
+Each command of COMMANDS runs once per tree, each time in a fresh
+interpreter (`python3 -m bscontrol` with that tree first on PYTHONPATH) and
+its own output directory.  The two runs must agree on the exit code, stdout,
+stderr, the set of output files and every file's bytes, apart from the
+`wall_seconds` line of the JSON reports, their only non-deterministic field.
+
+Prints one line per command and the first lines of each difference, and
+exits 1 on any difference, 0 otherwise.  The commands cover both outer-loop
+exits (`converged` at 128x256, `converged_floor` on the other synthesize
+runs, 8 iterations at amplitude 1), factor reuse across a sweep, and the
+diagnostics that do not enter the least-squares solve.  Both trees together
+take about 25 s on a 2-vCPU host.
+"""
+
+from __future__ import annotations
+
+import argparse
+import difflib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+RANDOM_FOURIER = {"source": {"family": "random_fourier"}}
+
+# (name, CLI arguments, config sections that differ from the defaults)
+COMMANDS = (
+    ("synthesize gaussian 64x128", ["synthesize"], {}),
+    ("synthesize random_fourier 64x128", ["synthesize"], RANDOM_FOURIER),
+    ("synthesize random_fourier 128x256", ["synthesize"],
+     {**RANDOM_FOURIER, "grid": {"cells": "128"}, "time": {"steps": "256"}}),
+    ("synthesize amplitude 1 32x64", ["synthesize"],
+     {"source": {"amplitude": "1"}, "grid": {"cells": "32"},
+      "time": {"steps": "64"}}),
+    ("sweep amplitude", ["sweep", "--parameter", "amplitude",
+                         "--values", "5e-4,1e-3,2e-3"], {}),
+    *((f"diagnose carleman seed {seed}",
+       ["diagnose", "--which", "carleman", "--seed", str(seed)], {})
+      for seed in (1, 7, 12345)),
+    ("diagnose duality", ["diagnose", "--which", "duality"], {}),
+    ("diagnose estimates", ["diagnose", "--which", "estimates"], {}),
+)
+
+# lines of each diff shown per file
+SHOWN = 20
+
+
+def _config_text(sections: dict) -> str:
+    return "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for section, keys in sections.items())
+
+
+def run(src: Path, args: list[str], config: Path | None, out: Path) -> dict:
+    """One CLI run in a fresh interpreter: exit code, stdout, stderr and
+    the bytes of every output file, keyed by its path under `out`."""
+    out.mkdir(parents=True)
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [sys.executable, "-m", "bscontrol", *args, "--out", str(out)]
+    if config is not None:
+        argv += ["--config", str(config)]
+    proc = subprocess.run(argv, env=env, capture_output=True, cwd=out.parent)
+    result = {"exit code": str(proc.returncode).encode(),
+              "stdout": proc.stdout, "stderr": proc.stderr}
+    for path in sorted(out.rglob("*")):
+        if path.is_file():
+            lines = path.read_bytes().splitlines(keepends=True)
+            result[str(path.relative_to(out))] = b"".join(
+                ln for ln in lines if b'"wall_seconds":' not in ln)
+    return result
+
+
+def differences(parent: dict, change: dict) -> list[str]:
+    """A readable diff of every entry that differs between two runs."""
+    out = []
+    for key in sorted(parent.keys() | change.keys()):
+        if key not in parent or key not in change:
+            out.append(f"  {key}: only in {'parent' if key in parent else 'change'}")
+        elif parent[key] != change[key]:
+            diff = difflib.unified_diff(
+                parent[key].decode(errors="replace").splitlines(),
+                change[key].decode(errors="replace").splitlines(),
+                "parent", "change", lineterm="")
+            out.append(f"  {key}:")
+            out.extend(f"    {line}" for line in list(diff)[:SHOWN])
+    return out
+
+
+def _source_tree(path: str) -> Path:
+    src = Path(path).resolve()
+    if not (src / "bscontrol" / "__init__.py").is_file():
+        raise argparse.ArgumentTypeError(f"{path}: no bscontrol package in it")
+    return src
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--parent", required=True, type=_source_tree,
+                    help="source tree (the directory holding bscontrol/) to compare against")
+    ap.add_argument("--change", required=True, type=_source_tree,
+                    help="source tree under test")
+    args = ap.parse_args(argv)
+
+    failed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, (name, cli_args, sections) in enumerate(COMMANDS):
+            work = Path(tmp) / str(i)
+            work.mkdir()
+            config = None
+            if sections:
+                config = work / "run.ini"
+                config.write_text(_config_text(sections))
+            parent = run(args.parent, cli_args, config, work / "parent")
+            change = run(args.change, cli_args, config, work / "change")
+            diff = differences(parent, change)
+            failed += bool(diff)
+            print(f"{'DIFF' if diff else 'same'}  {name} "
+                  f"(exit {parent['exit code'].decode()}, {len(parent) - 3} files)")
+            for line in diff:
+                print(line)
+    print(f"{failed} of {len(COMMANDS)} commands differ")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
