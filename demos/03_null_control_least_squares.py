@@ -11,37 +11,31 @@ recorded as regression baselines.
 import numpy as np
 
 from bscontrol.cli import build_setup, load_config
-from bscontrol.fi import (FIProblem, cascade_residual_check, galerkin_check,
-                          solution_summary, solve_fi)
-from bscontrol.geometry import SpaceTimeField, l2_norm
+from bscontrol.fi import cascade_residual_check, galerkin_check, solution_summary
+from bscontrol.geometry import l2_norm
 
 cfg = load_config(None)
 bundle, F = build_setup(cfg)
-M = bundle.time_grid.step_count
-prob = FIProblem(F=F, G=SpaceTimeField.zeros(bundle.grid, M + 1),
-                 theta=bundle.theta, theta_s=bundle.theta_s, grid=bundle.grid,
-                 time_grid=bundle.time_grid, masks=bundle.masks,
-                 tables=bundle.tables, chi=bundle.chi, ops=bundle.ops)
 
-sol = solve_fi(prob)
+sol = bundle.fi_solver.solve(F)
 print(f"sparse LU solve, backward error: {sol.backward_error:.2e}, "
       f"scaled residual: {sol.optimality_residual:.2e}")
 print(f"control range: [{sol.v.min():.3e}, {sol.v.max():.3e}], "
       f"supported on {int(bundle.masks.omega_nodes.sum())} nodes")
 
 rng = np.random.default_rng(0)
-gal = galerkin_check(sol, prob, 20, rng)
+gal = galerkin_check(sol, 20, rng)
 print(f"relative Galerkin optimality over 20 random directions: "
       f"{gal['max_scaled_residual']:.2e} (pass = {gal['pass']})")
 
-chk = cascade_residual_check(sol, prob)
+chk = cascade_residual_check(sol)
 print(f"re-solved cascade weak residuals: forward {chk['weak_residual_forward']:.2e}, "
       f"backward {chk['weak_residual_backward']:.2e}")
 print(f"h(., first node): recovered {l2_norm(sol.H.slice(0), bundle.grid):.1e} "
       f"(exact zero by the weight mechanism), re-solved "
       f"{chk['resolved_h0_norm']:.2e}")
 
-summary = solution_summary(sol, prob)
+summary = solution_summary(sol)
 print("weighted-estimate ratios (regression baselines):")
 for key, val in summary["lhs_rhs_ratios"].items():
     print(f"  {key}: {val:.3e}")

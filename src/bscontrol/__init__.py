@@ -24,8 +24,8 @@ from .solvers import (CoefficientSet, LinearOperatorSet, apply_L,
                       solve_linearized_cascade, solve_quasilinear,
                       solve_quasilinear_cascade, solve_sensitivity,
                       validate_coefficients)
-from .fi import (FIProblem, FISolution, apply_residual_R, bilinear_B,
-                 cascade_residual_check, galerkin_check, linear_F, solve_fi,
+from .fi import (FIProblem, FISolution, FISolver, apply_residual_R,
+                 bilinear_B, cascade_residual_check, galerkin_check, linear_F,
                  verify_p1, verify_p2)
 from .insensitize import (PerturbationSpec, SynthesisBundle, SynthesisReport,
                           apply_A_derivative, duality_identity_check,

@@ -105,15 +105,16 @@ def convergence_orders(cs: CoefficientSet) -> dict:
             "spatial_order_min": min(spatial)}
 
 
-def gradient_check(cs: CoefficientSet, ops: LinearOperatorSet, rng,
-                   eps: float = 1e-5, amplitude: float = 0.1) -> float:
+def gradient_check(cs: CoefficientSet, ops: LinearOperatorSet, rng) -> float:
     """Central FD of the nonlinear part against its listed derivative.
 
     Relative error of (A(x + eps d) - A(x - eps d)) / (2 eps) against
-    DA(x) d over all four blocks, at a random smooth base and direction.
+    DA(x) d over all four blocks, at a random smooth base and direction of
+    size `amplitude`.
     """
     g, tg = ops.grid, ops.time_grid
     M = tg.step_count
+    eps, amplitude = 1e-5, 0.1
 
     def smooth():
         x = g.x / g.length

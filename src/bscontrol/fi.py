@@ -67,16 +67,13 @@ from .weights import (ChiBump, WeightTables, log_add, log_ratio, log_st_sq,
 GALERKIN_TOL = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class FIProblem:
-    """Sources and weights for one least-squares solve.
-
-    F and G are cell-indexed SpaceTimeFields (slice c holds the cell-c
-    sample, c = 1..M; slice 0 is ignored).  theta > 0, theta_s >= 0.
+    """The Carleman-weighted least-squares operator: what the normal matrix
+    depends on, and nothing else; the sources are arguments of
+    `FISolver.solve`.  theta > 0, theta_s >= 0.
     """
 
-    F: SpaceTimeField
-    G: SpaceTimeField
     theta: float
     theta_s: float
     grid: SpatialGrid
@@ -91,7 +88,6 @@ class FIProblem:
             raise ContractError(f"theta must be positive, got {self.theta}")
         if self.theta_s < 0:
             raise ContractError(f"theta_s must be >= 0, got {self.theta_s}")
-        self.check_sources(self.F, self.G)
 
     def check_sources(self, F: SpaceTimeField, G: SpaceTimeField) -> None:
         """Raise unless every weighted norm of the sources (F, G) is finite."""
@@ -103,9 +99,6 @@ class FIProblem:
         """`source_log_norms` of the sources (F, G)."""
         return source_log_norms(F.bulk, F.surface, G.bulk, G.surface,
                                 self.tables, self.grid, self.time_grid.dt)
-
-    def log_Y_norm_sq(self) -> float:
-        return log_add(*self.log_source_norms(self.F, self.G).values())
 
 
 def source_log_norms(Fb, Fs, Gb, Gs, tables: WeightTables, grid: SpatialGrid,
@@ -147,21 +140,28 @@ def _cell_time_derivative(cells_b, cells_s, log_w, dt):
 
 @dataclass
 class FISolution:
+    """One least-squares solution and what it solved: the operator
+    `problem` and the sources (F, G).  The checks below take the solution
+    alone, so a check always reads the sources it was solved for."""
+
     Psi: SpaceTimeField          # forward view: slice 0 is exactly 0
     H: SpaceTimeField            # backward view: slice M is exactly 0
     v: np.ndarray                # (M+1, n_nodes), slice c = cell-c control
     optimality_residual: float
     # max|r| / (||At||_inf max|xt| + max|bt|) of the scaled system
     backward_error: float
-    x_dofs: np.ndarray | None = None
-    # (tables, grid, dt) of `log_norms`
-    norm_weights: tuple | None = field(default=None, repr=False)
+    x_dofs: np.ndarray
+    problem: FIProblem = field(repr=False)
+    F: SpaceTimeField = field(repr=False)
+    G: SpaceTimeField = field(repr=False)
 
     @cached_property
     def log_norms(self) -> dict:
         """`core_log_norms` of (Psi, H, v), computed on first read: only
         the reported solution's norms are read, and a sweep makes many."""
-        return core_log_norms(self.Psi, self.H, self.v, *self.norm_weights)
+        p = self.problem
+        return core_log_norms(self.Psi, self.H, self.v, p.tables, p.grid,
+                              p.time_grid.dt)
 
 
 class _Stack:
@@ -333,9 +333,9 @@ def bilinear_B(problem: FIProblem, YZ, YZbar) -> float:
     return float(np.dot(st.row_weights * (st.R @ x), st.R @ xb))
 
 
-def linear_F(problem: FIProblem, YZ) -> float:
+def linear_F(problem: FIProblem, F: SpaceTimeField, G: SpaceTimeField, YZ) -> float:
     st = _Stack(problem)
-    return float(np.dot(st.rhs(problem.F, problem.G), _fields_to_dofs(st, *YZ)))
+    return float(np.dot(st.rhs(F, G), _fields_to_dofs(st, *YZ)))
 
 
 class FISolver:
@@ -371,16 +371,17 @@ class FISolver:
         except RuntimeError as exc:
             raise ConditioningError(f"sparse factorization failed: {exc}") from exc
 
-    def solve(self, F: SpaceTimeField | None = None,
+    def solve(self, F: SpaceTimeField,
               G: SpaceTimeField | None = None) -> FISolution:
-        """Solve for the sources (F, G), by default the problem's own."""
+        """Solve for the cell-indexed sources (F, G), G = 0 when omitted
+        (slice c holds the cell-c sample, c = 1..M; slice 0 is ignored),
+        and recover (Psi, H, v) via (c16)."""
         p, st = self.problem, self.stack
-        F = p.F if F is None else F
-        G = p.G if G is None else G
+        G = SpaceTimeField.zeros(st.g, st.M + 1) if G is None else G
         p.check_sources(F, G)
         b = st.rhs(F, G)
         if not np.any(b):
-            return _recover(st, np.zeros(st.n_dofs), 0.0, 0.0)
+            return _recover(st, np.zeros(st.n_dofs), 0.0, 0.0, F, G)
         bt = self.D * b
         if not np.any(bt):
             raise ConditioningError(
@@ -397,15 +398,10 @@ class FISolver:
             # 1e148 and underflow to zero for tiny sources
             r_max, x_max, b_max = (float(np.max(np.abs(u))) for u in (r, xt, bt))
             backward = r_max / (self.At_inf * x_max + b_max)
-            return _recover(st, self.D * xt, res, backward)
+            return _recover(st, self.D * xt, res, backward, F, G)
 
 
-def solve_fi(problem: FIProblem) -> FISolution:
-    """Solve the normal equations and recover (Psi, H, v) via (c16)."""
-    return FISolver(problem).solve()
-
-
-def _recover(st: _Stack, x, final_res, backward_error) -> FISolution:
+def _recover(st: _Stack, x, final_res, backward_error, F, G) -> FISolution:
     M, n = st.M, st.n
     psi_b, psi_s, h_b, h_s, v_cells = st.recover_fields(x)
     for arr in (psi_b, psi_s, h_b, h_s, v_cells):
@@ -426,10 +422,10 @@ def _recover(st: _Stack, x, final_res, backward_error) -> FISolution:
 
     return FISolution(Psi=Psi, H=H, v=v, optimality_residual=final_res,
                       backward_error=backward_error, x_dofs=x,
-                      norm_weights=(st.p.tables, st.g, st.dt))
+                      problem=st.p, F=F, G=G)
 
 
-def galerkin_check(sol: FISolution, problem: FIProblem, n_dirs: int, rng) -> dict:
+def galerkin_check(sol: FISolution, n_dirs: int, rng) -> dict:
     """Optimality in the quadratic-form geometry.
 
     Reports max over random directions of
@@ -437,9 +433,9 @@ def galerkin_check(sol: FISolution, problem: FIProblem, n_dirs: int, rng) -> dic
     the Cauchy-Schwarz-consistent relative Galerkin residual, against
     GALERKIN_TOL.
     """
-    st = _Stack(problem)
+    st = _Stack(sol.problem)
     x = sol.x_dofs
-    resid = st.rhs(problem.F, problem.G) - st.apply_A(x)
+    resid = st.rhs(sol.F, sol.G) - st.apply_A(x)
     xB = math.sqrt(max(st.stack_norm_sq(x), 0.0))
     worst, details = 0.0, []
     for _ in range(n_dirs):
@@ -475,7 +471,7 @@ def _robust_norm(v) -> float:
     return m * float(np.linalg.norm(v / m))
 
 
-def cascade_residual_check(sol: FISolution, problem: FIProblem) -> dict:
+def cascade_residual_check(sol: FISolution) -> dict:
     """Does the recovered control solve the discrete linearized cascade?
 
     Re-solves the cascade with (F, G, v) through the production steppers
@@ -485,14 +481,14 @@ def cascade_residual_check(sol: FISolution, problem: FIProblem) -> dict:
     weight-induced numerical null space; exact-zero on tame weights), and
     (c) the re-solved h(., first node) norm.
     """
-    p = problem
+    p = sol.problem
     g, tg = p.grid, p.time_grid
-    Psi_rs, H_rs = solve_linearized_cascade(p.ops, p.F, p.G, sol.v,
+    Psi_rs, H_rs = solve_linearized_cascade(p.ops, sol.F, sol.G, sol.v,
                                             p.theta, p.theta_s, p.masks)
     vmask = sol.v * p.masks.omega_nodes[None, :]
-    Feff = SpaceTimeField(p.F.bulk + vmask, p.F.surface.copy())
+    Feff = SpaceTimeField(sol.F.bulk + vmask, sol.F.surface.copy())
     res_fwd = weak_residual(p.ops, Psi_rs, Feff)
-    Geff = _observation_source(Psi_rs, p.theta, p.theta_s, p.masks, p.G)
+    Geff = _observation_source(Psi_rs, p.theta, p.theta_s, p.masks, sol.G)
     res_bwd = weak_residual(p.ops, H_rs, Geff, backward=True)
 
     dt = tg.dt
@@ -515,9 +511,9 @@ def cascade_residual_check(sol: FISolution, problem: FIProblem) -> dict:
 
 # --- weighted-estimate verification ----------------------------------------
 
-def verify_p1(sol: FISolution, problem: FIProblem) -> dict:
+def verify_p1(sol: FISolution) -> dict:
     """LHS/RHS ratios for the control/state estimate and the v_t estimate."""
-    src = problem.log_source_norms(problem.F, problem.G)
+    src = sol.problem.log_source_norms(sol.F, sol.G)
     log_rhs = log_add(src["muF"], src["muG"])
     ln = sol.log_norms
     lhs_c21 = log_add(ln["mu0Psi"], ln["mu0H"], ln["mu1v"])
@@ -528,10 +524,10 @@ def verify_p1(sol: FISolution, problem: FIProblem) -> dict:
             "log_lhs_c21": lhs_c21, "log_rhs": log_rhs}
 
 
-def solution_summary(sol: FISolution, problem: FIProblem) -> dict:
+def solution_summary(sol: FISolution) -> dict:
     """Machine-readable per-solve summary (the JSON interface)."""
-    p1 = verify_p1(sol, problem)
-    p2 = verify_p2(sol, problem)
+    p1 = verify_p1(sol)
+    p2 = verify_p2(sol)
     return {
         "backward_error": sol.backward_error,
         "lhs_rhs_ratios": {
@@ -542,7 +538,7 @@ def solution_summary(sol: FISolution, problem: FIProblem) -> dict:
     }
 
 
-def live_masked_resolved_psi(sol: FISolution, problem: FIProblem) -> SpaceTimeField:
+def live_masked_resolved_psi(sol: FISolution) -> SpaceTimeField:
     """Re-solved forward state restricted to the weight-live window.
 
     The re-solved psi decays at the admissible rate, so its weighted norms
@@ -552,10 +548,10 @@ def live_masked_resolved_psi(sol: FISolution, problem: FIProblem) -> SpaceTimeFi
     pointwise (c16) field carries solver noise that time-differencing
     amplifies with the grid.
     """
-    Psi_rs, _ = solve_linearized_cascade(problem.ops, problem.F, problem.G,
-                                         sol.v, problem.theta, problem.theta_s,
-                                         problem.masks)
-    live = problem.tables.inv_sq(0) > 0
+    p = sol.problem
+    Psi_rs, _ = solve_linearized_cascade(p.ops, sol.F, sol.G, sol.v, p.theta,
+                                         p.theta_s, p.masks)
+    live = p.tables.inv_sq(0) > 0
     Psi_rs.bulk[1:][~live] = 0.0
     Psi_rs.surface[1:][~live] = 0.0
     Psi_rs.bulk[0] = 0.0
@@ -563,23 +559,18 @@ def live_masked_resolved_psi(sol: FISolution, problem: FIProblem) -> SpaceTimeFi
     return Psi_rs
 
 
-def verify_p2(sol: FISolution, problem: FIProblem,
-              Psi: SpaceTimeField | None = None,
-              H: SpaceTimeField | None = None) -> dict:
+def verify_p2(sol: FISolution) -> dict:
     """The four additional weighted estimates; doubles as the X-norm pieces.
 
-    Defaults: the forward state is the live-masked re-solved one (smooth in
-    time, admissibly decaying); the backward state is the recovered (c16)
-    field, the only representation whose early-time tail respects the
-    exploding weights.
+    The forward state is the live-masked re-solved one (smooth in time,
+    admissibly decaying); the backward state is the recovered (c16) field,
+    the only representation whose early-time tail respects the exploding
+    weights.
     """
-    p = problem
+    p = sol.problem
     g, tg, t = p.grid, p.time_grid, p.tables
     dt = tg.dt
-    if Psi is None:
-        Psi = live_masked_resolved_psi(sol, p)
-    if H is None:
-        H = sol.H
+    Psi, H = live_masked_resolved_psi(sol), sol.H
     lm = {k: t.log_mu_k[k] for k in range(6)}
 
     Pb, Ps = Psi.bulk[1:], Psi.surface[1:]
@@ -599,7 +590,7 @@ def verify_p2(sol: FISolution, problem: FIProblem,
     Ptt_s = np.diff(Pt_s, axis=0) / dt
     lw5c = lm[5][1:-1]
 
-    src = problem.log_source_norms(problem.F, problem.G)
+    src = p.log_source_norms(sol.F, sol.G)
     log_rhs_a = log_add(src["muF"], src["muG"])
     log_rhs_b = log_add(log_rhs_a, src["mu4Ft"])
 

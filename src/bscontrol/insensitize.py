@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -38,13 +38,12 @@ from .errors import ContractError, SmallnessViolationError
 from .fi import (FIProblem, FISolution, FISolver, _cell_time_derivative,
                  _interface_log_weight, core_log_norms, source_log_norms)
 from .geometry import (BulkSurfaceField, RegionMasks, SpaceTimeField,
-                       SpatialGrid, TimeGrid, grad_faces, h3_proxy_norm,
-                       l2_inner, l2_norm, node_gradient, normal_derivative,
-                       sbp_laplacian)
+                       SpatialGrid, grad_faces, h3_proxy_norm, l2_inner,
+                       l2_norm, node_gradient, normal_derivative, sbp_laplacian)
 from .solvers import (CoefficientSet, LinearOperatorSet, apply_L,
                       solve_linearized_cascade, solve_quasilinear,
                       solve_quasilinear_cascade, solve_sensitivity)
-from .weights import (ChiBump, WeightTables, log_add, log_ratio, log_st_sq,
+from .weights import (WeightTables, log_add, log_ratio, log_st_sq,
                       log_weighted_sq_sum, log_weighted_sup)
 
 
@@ -73,22 +72,15 @@ class PerturbationSpec:
 
 
 @dataclass(frozen=True)
-class SynthesisBundle:
-    """Everything a synthesis run needs besides the source.
+class SynthesisBundle(FIProblem):
+    """The least-squares operator plus what the outer loop adds to it: the
+    coefficients of the quasilinear cascade and the loop's stop settings.
 
     Frozen, so that the least-squares solver cached on it can never go
     stale: a bundle with other fields is a new bundle with its own solver.
     """
 
     cs: CoefficientSet
-    grid: SpatialGrid
-    time_grid: TimeGrid
-    masks: RegionMasks
-    tables: WeightTables
-    chi: ChiBump
-    ops: LinearOperatorSet
-    theta: float
-    theta_s: float
     loop_tol: float = 1e-9
     max_outer: int = 30
 
@@ -96,12 +88,14 @@ class SynthesisBundle:
     def fi_solver(self) -> FISolver:
         """The least-squares solver of this operator.  Its normal matrix
         depends on everything here but the source, so every synthesis on
-        this bundle shares one factorization, made on the first solve."""
-        zero = SpaceTimeField.zeros(self.grid, self.time_grid.step_count + 1)
-        return FISolver(FIProblem(
-            F=zero, G=zero, theta=self.theta, theta_s=self.theta_s,
-            grid=self.grid, time_grid=self.time_grid, masks=self.masks,
-            tables=self.tables, chi=self.chi, ops=self.ops))
+        this bundle shares one factorization, made on the first solve.
+
+        The solver holds a plain `FIProblem` copy of the operator fields,
+        not the bundle: a solver holding the bundle that caches it would
+        make a reference cycle, and the LU factor of every dropped bundle
+        would then live until a full garbage collection."""
+        return FISolver(FIProblem(**{f.name: getattr(self, f.name)
+                                     for f in fields(FIProblem)}))
 
 
 @dataclass

@@ -562,12 +562,11 @@ def solve_quasilinear(cs: CoefficientSet, grid: SpatialGrid, time_grid: TimeGrid
 def solve_quasilinear_cascade(cs: CoefficientSet, grid: SpatialGrid,
                               time_grid: TimeGrid, F: SpaceTimeField,
                               v: np.ndarray, theta: float, theta_s: float,
-                              masks: RegionMasks,
-                              newton_guess: str = "previous") -> tuple[SpaceTimeField, SpaceTimeField]:
+                              masks: RegionMasks) -> tuple[SpaceTimeField, SpaceTimeField]:
     """Quasilinear forward state, then its discrete adjoint backward
     equation with sources theta psi 1_O / theta_s psi_G 1_Sigma."""
     Psi = solve_quasilinear(cs, grid, time_grid, F, BulkSurfaceField.zeros(grid),
-                            v=v, masks=masks, newton_guess=newton_guess)
+                            v=v, masks=masks)
     H = solve_backward_varcoef(cs, grid, time_grid, Psi,
                                _observation_source(Psi, theta, theta_s, masks),
                                BulkSurfaceField.zeros(grid))

@@ -1,13 +1,10 @@
-import math
+import dataclasses
 
 import numpy as np
 import pytest
 
 from bscontrol.cli import build_setup, load_config
-from bscontrol.fi import FIProblem, solve_fi
 from bscontrol.geometry import SpaceTimeField
-from bscontrol.insensitize import SynthesisBundle
-from bscontrol.solvers import LinearOperatorSet, coefficient_preset
 from bscontrol.weights import WeightTables, admissible_time_profile
 
 
@@ -43,10 +40,7 @@ def make_tame_bundle(N=32, M=32, T=8.0):
         log_alpha=tables.log_alpha, log_xi=tables.log_xi,
         log_beta=tables.log_beta, log_zeta=tables.log_zeta)
     synthetic.n_live = tm.size
-    bundle = SynthesisBundle(
-        cs=bundle.cs, grid=bundle.grid, time_grid=bundle.time_grid,
-        masks=bundle.masks, tables=synthetic, chi=bundle.chi, ops=bundle.ops,
-        theta=bundle.theta, theta_s=bundle.theta_s)
+    bundle = dataclasses.replace(bundle, tables=synthetic)
     Fsrc = SpaceTimeField.zeros(bundle.grid, M + 1)
     x = bundle.grid.x
     shape = np.exp(-0.5 * ((x - 0.45) / 0.12) ** 2)
@@ -72,16 +66,6 @@ def random_source(bundle, rng, amplitude=1e-3):
     return F
 
 
-def make_problem(bundle, F, G=None, theta=None, theta_s=None, **kw):
-    g = bundle.grid
-    M = bundle.time_grid.step_count
-    return FIProblem(F=F, G=G if G is not None else SpaceTimeField.zeros(g, M + 1),
-                     theta=bundle.theta if theta is None else theta,
-                     theta_s=bundle.theta_s if theta_s is None else theta_s,
-                     grid=g, time_grid=bundle.time_grid, masks=bundle.masks,
-                     tables=bundle.tables, chi=bundle.chi, ops=bundle.ops, **kw)
-
-
 @pytest.fixture(scope="session")
 def default_setup():
     return make_bundle()
@@ -99,8 +83,7 @@ def source(default_setup):
 
 @pytest.fixture(scope="session")
 def fi_solved(bundle, source):
-    prob = make_problem(bundle, source)
-    return prob, solve_fi(prob)
+    return bundle.fi_solver.solve(source)
 
 
 @pytest.fixture(scope="session")

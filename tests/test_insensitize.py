@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -107,7 +109,7 @@ def test_A_derivative_base_and_direction_zero(bundle):
 def test_A_derivative_fd_consistency(bundle):
     from bscontrol.diagnostics import gradient_check
     rng = np.random.default_rng(4)
-    err = gradient_check(bundle.cs, bundle.ops, rng, eps=1e-5)
+    err = gradient_check(bundle.cs, bundle.ops, rng)
     assert err <= 1e-6
 
 
@@ -195,6 +197,23 @@ def test_bundle_solver_is_cached_and_scoped(bundle):
     assert other.fi_solver.problem.theta_s == 0.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         bundle.theta_s = 0.0
+
+
+def test_dropped_bundle_frees_its_solver():
+    """The cached solver holds no reference back to its bundle, so dropping
+    the bundle frees the solver, its stack and its LU factor at once, with
+    no wait for the cycle collector."""
+    gc.disable()
+    try:
+        bundle, F = make_bundle(N=32, M=32)
+        bundle.fi_solver.solve(F)
+        solver = weakref.ref(bundle.fi_solver)
+        stack = weakref.ref(bundle.fi_solver.stack)
+        del bundle
+        assert solver() is None
+        assert stack() is None
+    finally:
+        gc.enable()
 
 
 def test_evaluate_J_zero(bundle):

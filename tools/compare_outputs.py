@@ -9,11 +9,12 @@ stderr, the set of output files and every file's bytes, apart from the
 `wall_seconds` line of the JSON reports, their only non-deterministic field.
 
 Prints one line per command and the first lines of each difference, and
-exits 1 on any difference, 0 otherwise.  The commands cover both outer-loop
-exits (`converged` at 128x256, `converged_floor` on the other synthesize
-runs, 8 iterations at amplitude 1), factor reuse across a sweep, and the
-diagnostics that do not enter the least-squares solve.  Both trees together
-take about 25 s on a 2-vCPU host.
+exits 1 on any difference, 0 otherwise.  The commands cover every CLI
+command: both outer-loop exits (`converged` at 128x256, `converged_floor` on
+the other synthesize runs, 8 iterations at amplitude 1), factor reuse across
+an amplitude sweep, a grid sweep that replaces the bundle and its cached
+solver mid-run, and all five diagnostic suites.  Both trees together take
+about 30 s on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -39,11 +40,12 @@ COMMANDS = (
       "time": {"steps": "64"}}),
     ("sweep amplitude", ["sweep", "--parameter", "amplitude",
                          "--values", "5e-4,1e-3,2e-3"], {}),
+    ("sweep N", ["sweep", "--parameter", "N", "--values", "32,48"], {}),
     *((f"diagnose carleman seed {seed}",
        ["diagnose", "--which", "carleman", "--seed", str(seed)], {})
       for seed in (1, 7, 12345)),
-    ("diagnose duality", ["diagnose", "--which", "duality"], {}),
-    ("diagnose estimates", ["diagnose", "--which", "estimates"], {}),
+    *((f"diagnose {suite}", ["diagnose", "--which", suite], {})
+      for suite in ("duality", "estimates", "gradient", "convergence")),
 )
 
 # lines of each diff shown per file
