@@ -240,7 +240,7 @@ def _jsonable(obj):
         return int(obj)
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (str, bool)) or obj is None:
+    if isinstance(obj, str) or obj is None:
         return obj
     return str(obj)
 
@@ -411,8 +411,11 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     outdir = args.out or os.environ.get("BSCONTROL_OUT", ".")
-    os.makedirs(outdir, exist_ok=True)
     try:
+        try:
+            os.makedirs(outdir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigurationError(f"output directory {outdir}: {exc.strerror}") from exc
         cfg = load_config(args.config, args.seed)
         if args.command == "synthesize":
             summary = cmd_synthesize(cfg, outdir)

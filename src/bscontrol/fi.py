@@ -21,10 +21,12 @@ weak equations of the linearized cascade system, so the recovered triple
     H   = mu0^{-2} (L1 K, L2 K)
     v   = -chi mu1^{-2} Phi |_omega
 
-satisfies the discrete cascade with sources (F, G) up to the solver
-residual, and H vanishes identically on the early cells where mu0^{-2}
-underflows to exact zero -- the discrete mechanism that reaches
-h(., 0) = 0.
+is the cascade's step rows (`solvers._step_rows`) of the mu0^{-2}-weighted
+slices of (Phi, K), the Phi rows minus the coupling
+(`solvers._observation_source`).  It satisfies the discrete cascade with
+sources (F, G) up to the solver residual, and H vanishes identically on
+the early cells where mu0^{-2} underflows to exact zero -- the discrete
+mechanism that reaches h(., 0) = 0.
 
 Solver: the weighted normal operator spans the full live range of the
 squared Carleman weights (tens of e-folds even over the live window), far
@@ -58,7 +60,7 @@ from scipy.sparse.linalg import splu
 from .errors import ConditioningError, ContractError
 from .geometry import (SpaceTimeField, SpatialGrid, grad_faces, l2_norm,
                        normal_derivative, sbp_laplacian)
-from .solvers import (LinearOperatorSet, _observation_source,
+from .solvers import (LinearOperatorSet, _observation_source, _step_rows,
                       solve_linearized_cascade, weak_residual)
 from .weights import (ChiBump, WeightTables, log_add, log_ratio, log_st_sq,
                       log_weighted_sup)
@@ -277,31 +279,36 @@ class _Stack:
         bZ[:, -1] += dt * G.surface[1:, 1]
         return np.concatenate([bY.ravel(), bZ.ravel()])
 
-    def recover_fields(self, x):
-        """Scale-safe (c16) recovery: the cell weight multiplies the slices
-        before any stencil is applied, so weight-damped products never pass
-        through unrepresentable intermediates.  `R x` cannot replace it: on
+    def recover_fields(self, x, final_res, backward_error, F, G) -> FISolution:
+        """The (c16) solution of dofs x: the step rows of the w0-weighted
+        slices, the Psi rows minus the weighted Z's coupling, v = -chi w1 Y.
+        The weight multiplies the slices before any stencil, so no
+        weight-damped product passes through an unrepresentable value; on
         random_fourier at 128x256 the dofs reach 6.9e299 and `R x` 3.3e304,
-        and weighting R x afterwards moves Psi and H by up to 1.7e-7 relative."""
-        p, dt, g = self.p, self.dt, self.g
-        s0, da0, db0 = p.ops.sigma0, p.ops.da0, p.ops.db0
-        mO = p.masks.obs_bulk_nodes.astype(float)
-        mS = p.masks.obs_surface_mask.astype(float)
+        and weighting R x instead moves Psi and H by up to 1.7e-7 relative."""
+        p, M = self.p, self.M
         Yf, Zf = self.unpack(x)
-        w0c, w1c = self.w0[:, None], self.w1[:, None]
-
-        Ya0, Yo0 = w0c * Yf[:-1], w0c * Yf[1:]
-        Za0, Zo0 = w0c * Zf[1:], w0c * Zf[:-1]
-        psi_b = (Ya0 - Yo0) / dt - s0 * sbp_laplacian(Ya0, g) \
-            + da0 * Ya0 - p.theta * (w0c * Zf[1:]) * mO[None, :]
-        psi_s = (Ya0[:, [0, -1]] - Yo0[:, [0, -1]]) / dt \
-            + s0 * normal_derivative(Ya0, g) + db0 * Ya0[:, [0, -1]] \
-            - p.theta_s * (w0c * Zf[1:])[:, [0, -1]] * mS[None, :]
-        h_b = (Za0 - Zo0) / dt - s0 * sbp_laplacian(Za0, g) + da0 * Za0
-        h_s = (Za0[:, [0, -1]] - Zo0[:, [0, -1]]) / dt \
-            + s0 * normal_derivative(Za0, g) + db0 * Za0[:, [0, -1]]
-        v_cells = -p.chi.values[None, :] * (w1c * Yf[:-1])
-        return psi_b, psi_s, h_b, h_s, v_cells
+        Ya, Yo, Za, Zo = (SpaceTimeField.from_bulk(self.w0[:, None] * A)
+                          for A in (Yf[:-1], Yf[1:], Zf[1:], Zf[:-1]))
+        coupling = _observation_source(Za, p.theta, p.theta_s, p.masks)
+        # forward view Psi (cell k -> slice k+1), backward view H (k -> k)
+        Psi, H = (SpaceTimeField.zeros(self.g, M + 1) for _ in range(2))
+        Psi.bulk[1:], Psi.surface[1:] = _step_rows(p.ops, Ya.bulk, Ya.surface,
+                                                   Yo.bulk, Yo.surface)
+        Psi.bulk[1:] -= coupling.bulk
+        Psi.surface[1:] -= coupling.surface
+        H.bulk[:M], H.surface[:M] = _step_rows(p.ops, Za.bulk, Za.surface,
+                                               Zo.bulk, Zo.surface)
+        v = np.zeros((M + 1, self.n))
+        v[1:] = -p.chi.values[None, :] * (self.w1[:, None] * Yf[:-1])
+        for arr in (Psi.bulk, Psi.surface, H.bulk, H.surface, v):
+            if not np.all(np.isfinite(arr)):
+                raise ConditioningError(
+                    "recovered fields overflow double range; weight spread too "
+                    "large for this configuration")
+        return FISolution(Psi=Psi, H=H, v=v, optimality_residual=final_res,
+                          backward_error=backward_error, x_dofs=x,
+                          problem=p, F=F, G=G)
 
 
 def _fields_to_dofs(st: _Stack, Y: SpaceTimeField, Z: SpaceTimeField):
@@ -381,14 +388,14 @@ class FISolver:
         p.check_sources(F, G)
         b = st.rhs(F, G)
         if not np.any(b):
-            return _recover(st, np.zeros(st.n_dofs), 0.0, 0.0, F, G)
+            return st.recover_fields(np.zeros(st.n_dofs), 0.0, 0.0, F, G)
         bt = self.D * b
         if not np.any(bt):
             raise ConditioningError(
                 "the source lies entirely on dofs below the live threshold; "
                 "weight spread too large for this configuration")
         lu = self.lu
-        # overflow here ends in _recover's ConditioningError
+        # overflow here ends in recover_fields' ConditioningError
         with np.errstate(over="ignore", invalid="ignore"):
             # no refinement: at kappa * eps >> 1 it cannot reduce the error
             xt = lu.solve(bt)
@@ -398,31 +405,7 @@ class FISolver:
             # 1e148 and underflow to zero for tiny sources
             r_max, x_max, b_max = (float(np.max(np.abs(u))) for u in (r, xt, bt))
             backward = r_max / (self.At_inf * x_max + b_max)
-            return _recover(st, self.D * xt, res, backward, F, G)
-
-
-def _recover(st: _Stack, x, final_res, backward_error, F, G) -> FISolution:
-    M, n = st.M, st.n
-    psi_b, psi_s, h_b, h_s, v_cells = st.recover_fields(x)
-    for arr in (psi_b, psi_s, h_b, h_s, v_cells):
-        if not np.all(np.isfinite(arr)):
-            raise ConditioningError(
-                "recovered fields overflow double range; weight spread too "
-                "large for this configuration")
-
-    Psi = SpaceTimeField.zeros(st.g, M + 1)
-    Psi.bulk[1:] = psi_b            # forward view: cell k -> slice k+1
-    Psi.surface[1:] = psi_s
-    H = SpaceTimeField.zeros(st.g, M + 1)
-    H.bulk[:M] = h_b                # backward view: cell k -> slice k
-    H.surface[:M] = h_s
-
-    v = np.zeros((M + 1, n))
-    v[1:] = v_cells
-
-    return FISolution(Psi=Psi, H=H, v=v, optimality_residual=final_res,
-                      backward_error=backward_error, x_dofs=x,
-                      problem=st.p, F=F, G=G)
+            return st.recover_fields(self.D * xt, res, backward, F, G)
 
 
 def galerkin_check(sol: FISolution, n_dirs: int, rng) -> dict:

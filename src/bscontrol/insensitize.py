@@ -40,8 +40,8 @@ from .fi import (FIProblem, FISolution, FISolver, _cell_time_derivative,
 from .geometry import (BulkSurfaceField, RegionMasks, SpaceTimeField,
                        SpatialGrid, grad_faces, h3_proxy_norm, l2_inner,
                        l2_norm, node_gradient, normal_derivative, sbp_laplacian)
-from .solvers import (CoefficientSet, LinearOperatorSet, apply_L,
-                      solve_linearized_cascade, solve_quasilinear,
+from .solvers import (CoefficientSet, LinearOperatorSet, _observation_source,
+                      apply_L, solve_linearized_cascade, solve_quasilinear,
                       solve_quasilinear_cascade, solve_sensitivity)
 from .weights import (WeightTables, log_add, log_ratio, log_st_sq,
                       log_weighted_sq_sum, log_weighted_sup)
@@ -219,18 +219,16 @@ def lambda_direct(Psi: SpaceTimeField, H: SpaceTimeField, v: np.ndarray,
 def linear_cascade_rows(Psi: SpaceTimeField, H: SpaceTimeField, v: np.ndarray,
                         ops: LinearOperatorSet, theta: float, theta_s: float,
                         masks: RegionMasks) -> dict:
-    """The frozen linear rows L(Psi,H,v) on cells, via apply_L."""
-    M = Psi.n_slices - 1
+    """The frozen linear rows L(Psi,H,v) on cells (slice c holds cell c):
+    `apply_L`'s rows minus the control and the `_observation_source` coupling."""
     rP = apply_L(Psi, ops, "L")
+    rP.bulk[1:] -= v[1:] * masks.omega_nodes[None, :]
     rH = apply_L(H, ops, "Lstar")
-    L1 = rP.bulk.copy()
-    L3 = rP.surface.copy()
-    L1[1:] -= v[1:] * masks.omega_nodes[None, :]
-    L2 = np.zeros_like(L1)
-    L4 = np.zeros_like(L3)
-    L2[1:] = rH.bulk[:-1] - theta * Psi.bulk[1:] * masks.obs_bulk_nodes[None, :]
-    L4[1:] = rH.surface[:-1] - theta_s * Psi.surface[1:] * masks.obs_surface_mask[None, :]
-    return {"L1": L1, "L3": L3, "L2": L2, "L4": L4}
+    coupling = _observation_source(Psi, theta, theta_s, masks)
+    for rows, c in ((rH.bulk, coupling.bulk), (rH.surface, coupling.surface)):
+        rows[1:] = rows[:-1] - c[1:]
+        rows[0] = 0.0
+    return {"L1": rP.bulk, "L3": rP.surface, "L2": rH.bulk, "L4": rH.surface}
 
 
 # --- norms -------------------------------------------------------------------

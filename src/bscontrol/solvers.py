@@ -10,7 +10,9 @@ Layout conventions shared by every solver and by the least-squares module:
       (L* Y)_c = (Y^{c-1} - Y^c)/dt + S Y^{c-1};
 * duality pairings: forward residuals pair with right slices, backward
   residuals with left slices.  With those pairings <LY, W> = <Y, L*W>
-  holds to roundoff whenever Y vanishes at slice 0 and W at slice M.
+  holds to roundoff whenever Y vanishes at slice 0 and W at slice M;
+* `_step_rows` writes both rows once, for `apply_L`'s fields and for the
+  least-squares recovery's Carleman-weighted slices (`fi`).
 
 S is the spatial generator of the dynamic-boundary system: the bulk row
 couples -sigma*lap with the reaction, the surface row carries the normal
@@ -183,22 +185,25 @@ def apply_L(Y: SpaceTimeField, ops: LinearOperatorSet, variant: str = "L") -> Sp
     one-sided normal derivative.  The starred variant is the exact
     transpose of the unstarred one under the cell/slice pairings.
     """
-    g, dt = ops.grid, ops.time_grid.dt
     M = Y.n_slices - 1
-    out = SpaceTimeField.zeros(g, M + 1)
+    out = SpaceTimeField.zeros(ops.grid, M + 1)
     if variant == "L":
         anchor, other = slice(1, M + 1), slice(0, M)
     elif variant == "Lstar":
         anchor, other = slice(0, M), slice(1, M + 1)
     else:
         raise ContractError(f"unknown operator variant '{variant}'")
-    yb_a, yb_o = Y.bulk[anchor], Y.bulk[other]
-    ys_a, ys_o = Y.surface[anchor], Y.surface[other]
-    out.bulk[anchor] = (yb_a - yb_o) / dt \
-        - ops.sigma0 * sbp_laplacian(yb_a, g) + ops.da0 * yb_a
-    out.surface[anchor] = (ys_a - ys_o) / dt \
-        + ops.sigma0 * normal_derivative(yb_a, g) + ops.db0 * ys_a
+    out.bulk[anchor], out.surface[anchor] = _step_rows(
+        ops, Y.bulk[anchor], Y.surface[anchor], Y.bulk[other], Y.surface[other])
     return out
+
+
+def _step_rows(ops: LinearOperatorSet, yb_a, ys_a, yb_o, ys_o):
+    """Bulk and surface rows (y_a - y_o)/dt + S y_a of anchor slices y_a
+    against their other slices y_o, one row per leading index."""
+    g, dt = ops.grid, ops.time_grid.dt
+    return ((yb_a - yb_o) / dt - ops.sigma0 * sbp_laplacian(yb_a, g) + ops.da0 * yb_a,
+            (ys_a - ys_o) / dt + ops.sigma0 * normal_derivative(yb_a, g) + ops.db0 * ys_a)
 
 
 def _st_pair(A: SpaceTimeField, B: SpaceTimeField, grid: SpatialGrid, dt: float,

@@ -278,8 +278,6 @@ class ValidatedParams:
     lam: float
     m: float
     s: float
-    s_coeff: float
-    m_threshold: float
 
 
 def m_threshold(lam: float) -> float:
@@ -313,8 +311,7 @@ def validate_params(p: WeightParams, horizon: float) -> ValidatedParams:
         raise ParameterError(
             f"s = s_coeff (T + T^2) overflows a double at T = {horizon}, "
             f"s_coeff = {p.s_coeff}")
-    return ValidatedParams(lam=p.lam, m=p.m, s=s, s_coeff=p.s_coeff,
-                           m_threshold=thr)
+    return ValidatedParams(lam=p.lam, m=p.m, s=s)
 
 
 # --- weight tables ----------------------------------------------------------
@@ -337,7 +334,6 @@ class WeightTables:
     log_alpha: np.ndarray             # (M, N+1)
     log_xi: np.ndarray
     log_beta: np.ndarray
-    log_zeta: np.ndarray
     n_live: int = 0                   # cells where mu0^{-2} survives underflow
 
     def inv_sq(self, k: int) -> np.ndarray:
@@ -407,7 +403,6 @@ def build_weight_tables(grid: SpatialGrid, time_grid: TimeGrid, eta: EtaProfile,
     log_alpha = log_K[None, :] - np.log(tT)[:, None]
     log_xi = expo[None, :] - np.log(tT)[:, None]
     log_beta = log_K[None, :] - log_ell[:, None]
-    log_zeta = expo[None, :] - log_ell[:, None]
 
     beta_hat = K.max() / ell
     beta_check = K.min() / ell
@@ -426,7 +421,7 @@ def build_weight_tables(grid: SpatialGrid, time_grid: TimeGrid, eta: EtaProfile,
                           beta_hat=beta_hat, beta_check=beta_check,
                           log_mu=log_mu, log_mu_k=log_mu_k,
                           log_alpha=log_alpha, log_xi=log_xi,
-                          log_beta=log_beta, log_zeta=log_zeta)
+                          log_beta=log_beta)
     tables.n_live = int(np.count_nonzero(tables.inv_sq(0) > 0))
     if tables.n_live < min_live_cells:
         raise ResolutionError(

@@ -38,7 +38,7 @@ def make_tame_bundle(N=32, M=32, T=8.0):
         beta_hat=tables.beta_hat, beta_check=tables.beta_check,
         log_mu=2.0 * mild, log_mu_k=log_mu_k,
         log_alpha=tables.log_alpha, log_xi=tables.log_xi,
-        log_beta=tables.log_beta, log_zeta=tables.log_zeta)
+        log_beta=tables.log_beta)
     synthetic.n_live = tm.size
     bundle = dataclasses.replace(bundle, tables=synthetic)
     Fsrc = SpaceTimeField.zeros(bundle.grid, M + 1)

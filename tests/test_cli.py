@@ -75,6 +75,8 @@ BAD_INPUTS = (
     ("[weights]\neta_peak = 2\n", 2), ("[weights]\neta_peak = 0.42\n", 2),
     ("[weights]\neta_peak = 0.58\n", 2), ("[weights]\neta_peak = 0.59\n", 2),
     ("[run]\nseed = -1\n", 2), ("--seed -1", 2),
+    # --out names a regular file, or a path under one
+    ("--out {file}", 2), ("--out {file}/sub", 2),
     ("[weights]\nlambda = 160\n", 2), ("[weights]\nlambda = 710\n", 2),
     ("[time]\nhorizon = 1e160\n", 2), ("[source]\namplitude = 1e308\n", 2),
     ("[time]\nsteps = 64\n[time]\nsteps = 32\n", 2),
@@ -95,10 +97,11 @@ def test_exit_code_validation(tmp_path):
     """Every malformed input exits with its documented code, with no
     traceback and no warning."""
     path = tmp_path / "bad.cfg"
+    path.touch()
     for text, code in BAD_INPUTS:
         args = ["synthesize", "--out", str(tmp_path)]
         if text.startswith("--"):
-            args += text.split()
+            args += text.format(file=path).split()
         else:
             path.write_text(text)
             args += ["--config", str(path)]

@@ -73,7 +73,9 @@ def test_duality_gap_at_operator_scale(ops, seed):
 def test_sparse_stack_matches_matrix_free(ops, theta, theta_s, seed):
     """Each block of R x equals the matrix-free strong rows: L* Y minus the
     theta coupling (cell c at Y's left slice c-1 and Z's right slice c),
-    L Z, and sqrt(chi) Y."""
+    L Z, and sqrt(chi) Y.  The (c16) recovery of x gives the same rows
+    (with -chi Y for the control) bit for bit under unit weights, and the
+    weighted rows, exactly zero on zero-weight cells, under cell weights."""
     g, M = ops.grid, ops.time_grid.step_count
     n = g.n_nodes
     rng = np.random.default_rng(seed)
@@ -99,6 +101,23 @@ def test_sparse_stack_matches_matrix_free(ops, theta, theta_s, seed):
     )
     for got, want in zip(stack.forward_blocks(x), expected):
         assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
+
+    zero = SpaceTimeField.zeros(g, M + 1)
+    rows = (*expected[:4], -chi * Y.bulk[:-1])
+
+    def recovered(st):
+        sol = st.recover_fields(x, 0.0, 0.0, zero, zero)
+        return (sol.Psi.bulk[1:], sol.Psi.surface[1:], sol.H.bulk[:-1],
+                sol.H.surface[:-1], sol.v[1:])
+
+    for got, want in zip(recovered(stack), rows):
+        assert np.array_equal(got, want)
+    w = rng.random(M) * (np.arange(M) % 3 > 0)
+    problem.tables = SimpleNamespace(inv_sq=lambda k: w)
+    for got, want in zip(recovered(_Stack(problem)), rows):
+        want = w[:, None] * want
+        assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
+        assert np.all(got[w == 0] == 0)
 
 
 @PROPERTY

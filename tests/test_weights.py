@@ -89,9 +89,10 @@ def test_weight_tables_alpha_beta_agree_first_half(geo):
 
 
 def test_weight_tables_xi_zeta_values():
-    # with lam=2, m=2 and eta=1 at the peak, the numerator is e^6; at the
-    # time cells where the cutoff ell equals T^2/4 = 0.25 the zeta weight is
-    # exactly e^6/0.25, and xi agrees wherever t(T-t) = ell (first half)
+    # with lam=2, m=2 and eta=1 at the peak, the xi numerator is e^6 and the
+    # beta numerator e^8 - e^6; at the time cells where the cutoff ell equals
+    # T^2/4 = 0.25 the beta weight is exactly (e^8 - e^6)/0.25, and alpha
+    # agrees with beta wherever t(T-t) = ell (first half)
     g = build_grid(1.0, 64)
     m = build_masks(g, (0.25, 0.75), (0.35, 0.65), {"left"}, 0.01)
     eta = build_eta(g, m, 0.5)
@@ -100,14 +101,14 @@ def test_weight_tables_xi_zeta_values():
     t = build_weight_tables(g, tg, eta, params, min_live_cells=0)
     peak = np.argmin(np.abs(g.x - 0.5))
     late = t.t_mid > 0.5
-    zeta = np.exp(t.log_zeta[late][:, peak])
-    assert zeta == pytest.approx(math.exp(6.0) / 0.25, rel=1e-12)
-    assert zeta[0] == pytest.approx(1613.715, rel=1e-4)
+    beta = np.exp(t.log_beta[late][:, peak])
+    assert beta == pytest.approx((math.exp(8.0) - math.exp(6.0)) / 0.25, rel=1e-12)
+    assert beta[0] == pytest.approx(10310.12, rel=1e-4)
     # xi follows the t(T-t) denominator everywhere
     tTt = t.t_mid * (tg.horizon - t.t_mid)
     assert np.exp(t.log_xi[:, peak]) == pytest.approx(math.exp(6.0) / tTt, rel=1e-12)
     early = t.t_mid <= 0.5
-    assert np.array_equal(t.log_xi[early], t.log_zeta[early])
+    assert np.array_equal(t.log_alpha[early], t.log_beta[early])
 
 
 def test_weight_tables_live_window_guard(geo):

@@ -1,10 +1,11 @@
-"""Check that two source trees give byte-identical CLI outputs.
+"""Check that two source trees give byte-identical CLI and demo outputs.
 
     python3 tools/compare_outputs.py --parent ../parent/src --change src
 
-Each command of COMMANDS runs once per tree, each time in a fresh
-interpreter (`python3 -m bscontrol` with that tree first on PYTHONPATH) and
-its own output directory.  The two runs must agree on the exit code, stdout,
+Each command of COMMANDS, and each script in this checkout's `demos/`, runs
+once per tree, each time in a fresh interpreter (`python3 -m bscontrol` or
+`python3 demos/<script>`, with that tree first on PYTHONPATH) in its own
+output directory.  The two runs must agree on the exit code, stdout,
 stderr, the set of output files and every file's bytes, apart from the
 `wall_seconds` line of the JSON reports, their only non-deterministic field.
 
@@ -13,8 +14,9 @@ exits 1 on any difference, 0 otherwise.  The commands cover every CLI
 command: both outer-loop exits (`converged` at 128x256, `converged_floor` on
 the other synthesize runs, 8 iterations at amplitude 1), factor reuse across
 an amplitude sweep, a grid sweep that replaces the bundle and its cached
-solver mid-run, and all five diagnostic suites.  Both trees together take
-about 30 s on a 2-vCPU host.
+solver mid-run, and all five diagnostic suites; demo 03 is the only caller
+of `galerkin_check` and `cascade_residual_check` outside the tests.  Both
+trees together take about 31 s on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ COMMANDS = (
       for suite in ("duality", "estimates", "gradient", "convergence")),
 )
 
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
 # lines of each diff shown per file
 SHOWN = 20
 
@@ -57,15 +61,14 @@ def _config_text(sections: dict) -> str:
                    for section, keys in sections.items())
 
 
-def run(src: Path, args: list[str], config: Path | None, out: Path) -> dict:
-    """One CLI run in a fresh interpreter: exit code, stdout, stderr and
-    the bytes of every output file, keyed by its path under `out`."""
+def run(src: Path, args: list[str], out: Path) -> dict:
+    """`python3 args` in a fresh interpreter working in `out`: exit code,
+    stdout, stderr and the bytes of every output file, keyed by its path
+    under `out`."""
     out.mkdir(parents=True)
     env = {**os.environ, "PYTHONPATH": str(src)}
-    argv = [sys.executable, "-m", "bscontrol", *args, "--out", str(out)]
-    if config is not None:
-        argv += ["--config", str(config)]
-    proc = subprocess.run(argv, env=env, capture_output=True, cwd=out.parent)
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          cwd=out)
     result = {"exit code": str(proc.returncode).encode(),
               "stdout": proc.stdout, "stderr": proc.stderr}
     for path in sorted(out.rglob("*")):
@@ -107,24 +110,27 @@ def main(argv=None) -> int:
                     help="source tree under test")
     args = ap.parse_args(argv)
 
+    jobs = [(name, ["-m", "bscontrol", *cli_args, "--out", "."], sections)
+            for name, cli_args, sections in COMMANDS]
+    jobs += [(f"demo {demo.name}", [str(demo)], {}) for demo in DEMOS]
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for i, (name, cli_args, sections) in enumerate(COMMANDS):
+        for i, (name, argv, sections) in enumerate(jobs):
             work = Path(tmp) / str(i)
             work.mkdir()
-            config = None
             if sections:
                 config = work / "run.ini"
                 config.write_text(_config_text(sections))
-            parent = run(args.parent, cli_args, config, work / "parent")
-            change = run(args.change, cli_args, config, work / "change")
+                argv = [*argv, "--config", str(config)]
+            parent = run(args.parent, argv, work / "parent")
+            change = run(args.change, argv, work / "change")
             diff = differences(parent, change)
             failed += bool(diff)
             print(f"{'DIFF' if diff else 'same'}  {name} "
                   f"(exit {parent['exit code'].decode()}, {len(parent) - 3} files)")
             for line in diff:
                 print(line)
-    print(f"{failed} of {len(COMMANDS)} commands differ")
+    print(f"{failed} of {len(jobs)} commands differ")
     return 1 if failed else 0
 
 
