@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
 import dataclasses
 import hashlib
 import json
@@ -98,13 +99,17 @@ class RunConfig:
 def load_config(path: str | None, seed_override: int | None = None) -> RunConfig:
     raw = {s: dict(kv) for s, kv in DEFAULTS.items()}
     if path is not None:
-        cp = configparser.ConfigParser()
+        # no interpolation: a '%' in a value is the value's own
+        cp = configparser.ConfigParser(interpolation=None)
         try:
             read = cp.read(path)
-        except configparser.Error as exc:
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigurationError(f"malformed config file {path}: {exc}") from exc
         if not read:
             raise ConfigurationError(f"config file not found: {path}")
+        if cp.defaults():
+            # its keys would otherwise apply to every section, or be ignored
+            raise ConfigurationError("unknown config section [DEFAULT]")
         for section in cp.sections():
             if section not in raw:
                 raise ConfigurationError(f"unknown config section [{section}]")
@@ -256,12 +261,12 @@ def write_csv(rows: list[dict], path: str) -> None:
     if not rows:
         return
     keys = list(rows[0].keys())
-    with open(path, "w") as fh:
-        fh.write(",".join(keys) + "\n")
-        for row in rows:
-            fh.write(",".join(
-                f"{v:.17g}" if isinstance(v, (float, np.floating)) else str(v)
-                for v in (row[k] for k in keys)) + "\n")
+    with open(path, "w", newline="") as fh:
+        # minimal quoting: only a field holding a comma or quote is quoted
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(keys)
+        w.writerows([f"{v:.17g}" if isinstance(v, (float, np.floating)) else str(v)
+                     for v in (row[k] for k in keys)] for row in rows)
 
 
 def cmd_synthesize(cfg: RunConfig, outdir: str) -> dict:

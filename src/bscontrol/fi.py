@@ -32,8 +32,9 @@ Solver: the weighted normal operator spans the full live range of the
 squared Carleman weights (tens of e-folds even over the live window), far
 beyond what unpreconditioned conjugate gradients can resolve in doubles.
 The residual stack is assembled sparsely (it is block bidiagonal in time)
-from the same SBP stencils `geometry` applies matrix-free; the diagonally
-scaled normal matrix is factorized with sparse LU, one triangular solve per
+from `_step_rows` and `_observation_source` applied to the identity, the
+rows and coupling the steppers apply matrix-free; the diagonally scaled
+normal matrix is factorized with sparse LU, one triangular solve per
 right-hand side.  No iterative refinement: kappa_1 ~ 1e19 at 128x256, so
 kappa * eps >> 1 and working-precision refinement cannot reduce the error
 (Higham, 2002, ch. 12).  The matrix depends on the operator (grids,
@@ -59,7 +60,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import ConditioningError, ContractError
 from .geometry import (SpaceTimeField, SpatialGrid, grad_faces, l2_norm,
-                       normal_derivative, sbp_laplacian)
+                       sbp_laplacian)
 from .solvers import (LinearOperatorSet, _observation_source, _step_rows,
                       solve_linearized_cascade, weak_residual)
 from .weights import (ChiBump, WeightTables, log_add, log_ratio, log_st_sq,
@@ -190,47 +191,37 @@ class _Stack:
     @cached_property
     def R(self) -> sparse.csr_matrix:
         p, M, n, dt = self.p, self.M, self.n, self.dt
-        ops = p.ops
-        # the geometry stencils act on the last axis, so applied to the
-        # identity they return their transposes
+        # the stencils act on the last axis, so applied to the identity they
+        # return their transposes; equal slices leave the generator S alone
         eye = np.eye(n)
-        lap = sparse.csr_matrix(sbp_laplacian(eye, self.g).T)
-        dnu = sparse.csr_matrix(normal_derivative(eye, self.g).T)
-        tr = sparse.csr_matrix(eye[[0, -1]])
-        Ssp = -ops.sigma0 * lap + ops.da0 * sparse.identity(n)
-        Ssurf = ops.sigma0 * dnu + ops.db0 * tr
-        mO = sparse.diags(p.masks.obs_bulk_nodes.astype(float))
-        mS = sparse.diags(p.masks.obs_surface_mask.astype(float))
-        S_L = sparse.hstack([sparse.identity(M), sparse.csr_matrix((M, 1))]).tocsr()
-        S_R = sparse.hstack([sparse.csr_matrix((M, 1)), sparse.identity(M)]).tocsr()
-        E_Y = sparse.vstack([sparse.identity(M), sparse.csr_matrix((1, M))]).tocsr()
-        E_Z = sparse.vstack([sparse.csr_matrix((1, M)), sparse.identity(M)]).tocsr()
-        kron = sparse.kron
-        EYn = kron(E_Y, sparse.identity(n))
-        EZn = kron(E_Z, sparse.identity(n))
+        tr = eye[:, [0, -1]]
+        S = [sparse.csr_matrix(r.T) for r in _step_rows(p.ops, eye, tr, eye, tr)]
+        C = _observation_source(SpaceTimeField(eye, tr), p.theta, p.theta_s, p.masks)
+        I_M, X = sparse.identity(M), (sparse.identity(n), sparse.csr_matrix(tr.T))
+
+        def cells(other):
+            """Cell k's rows X/dt + S on its anchor dof, -X/dt on `other`'s.
+            Adding X/dt to S keeps R's rounding: `_step_rows` against zero
+            slices would round the surface row as (1/dt + sigma0 dnu) + db0."""
+            return [sparse.kron(I_M, x / dt + s) - sparse.kron(other, x / dt)
+                    for x, s in zip(X, S)]
+
+        (Yb, Ys), (Zb, Zs) = cells(sparse.eye(M, k=1)), cells(sparse.eye(M, k=-1))
         return sparse.bmat([
-            [(kron((S_L - S_R) / dt, sparse.identity(n)) + kron(S_L, Ssp)) @ EYn,
-             (-p.theta * kron(S_R, mO)) @ EZn],
-            [(kron((S_L - S_R) / dt, tr) + kron(S_L, Ssurf)) @ EYn,
-             (-p.theta_s * kron(S_R, mS @ tr)) @ EZn],
-            [None,
-             (kron((S_R - S_L) / dt, sparse.identity(n)) + kron(S_R, Ssp)) @ EZn],
-            [None,
-             (kron((S_R - S_L) / dt, tr) + kron(S_R, Ssurf)) @ EZn],
-            [kron(S_L, sparse.diags(np.sqrt(p.chi.values))) @ EYn, None],
+            [Yb, sparse.kron(I_M, -C.bulk.T)],
+            [Ys, sparse.kron(I_M, -C.surface.T)],
+            [None, Zb],
+            [None, Zs],
+            [sparse.kron(I_M, sparse.diags(np.sqrt(p.chi.values))), None],
         ], format="csr")
 
     @cached_property
     def row_weights(self) -> np.ndarray:
         dt, Hv = self.dt, self.g.trapezoid_weights()
-        ones2 = np.ones((1, 2))
-        return np.concatenate([
-            (dt * self.w0[:, None] * Hv[None, :]).ravel(),
-            (dt * self.w0[:, None] * ones2).ravel(),
-            (dt * self.w0[:, None] * Hv[None, :]).ravel(),
-            (dt * self.w0[:, None] * ones2).ravel(),
-            (dt * self.w1[:, None] * Hv[None, :]).ravel(),
-        ])
+        w0 = [(dt * self.w0[:, None] * Hv[None, :]).ravel(),
+              (dt * self.w0[:, None] * np.ones((1, 2))).ravel()]
+        return np.concatenate([*w0, *w0,
+                               (dt * self.w1[:, None] * Hv[None, :]).ravel()])
 
     @cached_property
     def A(self) -> sparse.csc_matrix:
@@ -271,13 +262,12 @@ class _Stack:
     def rhs(self, F: SpaceTimeField, G: SpaceTimeField):
         """The linear functional of the sources: F paired with Y, G with Z."""
         dt, Hv = self.dt, self.g.trapezoid_weights()
-        bY = dt * (Hv[None, :] * F.bulk[1:])
-        bY[:, 0] += dt * F.surface[1:, 0]
-        bY[:, -1] += dt * F.surface[1:, 1]
-        bZ = dt * (Hv[None, :] * G.bulk[1:])
-        bZ[:, 0] += dt * G.surface[1:, 0]
-        bZ[:, -1] += dt * G.surface[1:, 1]
-        return np.concatenate([bY.ravel(), bZ.ravel()])
+        out = []
+        for S in (F, G):
+            b = dt * (Hv * S.bulk[1:])
+            b[:, [0, -1]] += dt * S.surface[1:]
+            out.append(b.ravel())
+        return np.concatenate(out)
 
     def recover_fields(self, x, final_res, backward_error, F, G) -> FISolution:
         """The (c16) solution of dofs x: the step rows of the w0-weighted

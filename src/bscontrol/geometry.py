@@ -105,21 +105,19 @@ def _interval_mask(grid: SpatialGrid, interval: tuple[float, float]) -> np.ndarr
 class RegionMasks:
     """Control region, nested observation subregions and observation sets.
 
-    omega1/2/3 are the nested open subsets of omega & obs_bulk obtained by
-    shrinking inward by 3/2/1 nesting margins (omega1 is the innermost,
-    where the weight profile peaks).
+    omega1 and omega3 are the nested open subsets of omega & obs_bulk
+    obtained by shrinking inward by 3 and 1 nesting margins (omega1 is the
+    inner one, where the weight profile peaks).
     """
 
     omega: tuple[float, float]
     obs_bulk: tuple[float, float]
     obs_surface: frozenset
     omega1: tuple[float, float]
-    omega2: tuple[float, float]
     omega3: tuple[float, float]
     omega_nodes: np.ndarray = field(repr=False)
     obs_bulk_nodes: np.ndarray = field(repr=False)
     omega1_nodes: np.ndarray = field(repr=False)
-    omega2_nodes: np.ndarray = field(repr=False)
     omega3_nodes: np.ndarray = field(repr=False)
     obs_surface_mask: np.ndarray = field(repr=False)  # (2,) bools for (left, right)
 
@@ -148,10 +146,8 @@ def build_masks(grid: SpatialGrid, omega: tuple[float, float],
             f"omega & obs_bulk width {hi - lo:.4g} too thin for 6h + 4*margin "
             f"= {6 * grid.h + 4 * nesting_margin:.4g}; refine the grid or shrink the margin")
 
-    nested = {}
-    for k in (1, 2, 3):
-        shrink = (4 - k) * nesting_margin  # omega1 shrinks by 3 margins
-        nested[k] = (lo + shrink, hi - shrink)
+    omega1 = (lo + 3 * nesting_margin, hi - 3 * nesting_margin)
+    omega3 = (lo + nesting_margin, hi - nesting_margin)
 
     surf = frozenset(obs_surface)
     if not surf <= {"left", "right"}:
@@ -159,16 +155,14 @@ def build_masks(grid: SpatialGrid, omega: tuple[float, float],
 
     masks = RegionMasks(
         omega=omega, obs_bulk=obs_bulk, obs_surface=surf,
-        omega1=nested[1], omega2=nested[2], omega3=nested[3],
+        omega1=omega1, omega3=omega3,
         omega_nodes=_interval_mask(grid, omega),
         obs_bulk_nodes=_interval_mask(grid, obs_bulk),
-        omega1_nodes=_interval_mask(grid, nested[1]),
-        omega2_nodes=_interval_mask(grid, nested[2]),
-        omega3_nodes=_interval_mask(grid, nested[3]),
+        omega1_nodes=_interval_mask(grid, omega1),
+        omega3_nodes=_interval_mask(grid, omega3),
         obs_surface_mask=np.array(["left" in surf, "right" in surf]),
     )
-    for name in ("omega_nodes", "obs_bulk_nodes", "omega1_nodes",
-                 "omega2_nodes", "omega3_nodes"):
+    for name in ("omega_nodes", "obs_bulk_nodes", "omega1_nodes", "omega3_nodes"):
         if getattr(masks, name).sum() < 3:
             raise ResolutionError(f"mask {name} covers fewer than 3 grid nodes")
     return masks

@@ -11,8 +11,9 @@ Layout conventions shared by every solver and by the least-squares module:
 * duality pairings: forward residuals pair with right slices, backward
   residuals with left slices.  With those pairings <LY, W> = <Y, L*W>
   holds to roundoff whenever Y vanishes at slice 0 and W at slice M;
-* `_step_rows` writes both rows once, for `apply_L`'s fields and for the
-  least-squares recovery's Carleman-weighted slices (`fi`).
+* `_step_rows` writes both rows once, for `apply_L`'s fields, for the
+  least-squares recovery's Carleman-weighted slices (`fi`) and, applied to
+  the identity, for the blocks of the least-squares stack.
 
 S is the spatial generator of the dynamic-boundary system: the bulk row
 couples -sigma*lap with the reaction, the surface row carries the normal

@@ -327,8 +327,6 @@ class WeightTables:
     t_mid: np.ndarray                 # (M,)
     ell: np.ndarray                   # (M,)
     gamma: np.ndarray                 # (M,)
-    beta_hat: np.ndarray
-    beta_check: np.ndarray
     log_mu: np.ndarray                # (M,)
     log_mu_k: np.ndarray              # (6, M): mu0..mu5
     log_alpha: np.ndarray             # (M, N+1)
@@ -418,7 +416,6 @@ def build_weight_tables(grid: SpatialGrid, time_grid: TimeGrid, eta: EtaProfile,
         log_mu_k[k] = 3 * s * gamma + (2 * k + 9) / 2 * log_ell
 
     tables = WeightTables(params=params, t_mid=tm, ell=ell, gamma=gamma,
-                          beta_hat=beta_hat, beta_check=beta_check,
                           log_mu=log_mu, log_mu_k=log_mu_k,
                           log_alpha=log_alpha, log_xi=log_xi,
                           log_beta=log_beta)

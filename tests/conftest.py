@@ -35,7 +35,6 @@ def make_tame_bundle(N=32, M=32, T=8.0):
     log_mu_k = np.stack([(1.0 + 0.1 * k) * mild for k in range(6)])
     synthetic = WeightTables(
         params=tables.params, t_mid=tm, ell=tables.ell, gamma=tables.gamma,
-        beta_hat=tables.beta_hat, beta_check=tables.beta_check,
         log_mu=2.0 * mild, log_mu_k=log_mu_k,
         log_alpha=tables.log_alpha, log_xi=tables.log_xi,
         log_beta=tables.log_beta)

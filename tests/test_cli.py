@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -63,7 +64,7 @@ def test_config_hash_seed_sensitivity(tmp_path):
 
 SMALL_GRID = "[grid]\ncells = 32\n[time]\nsteps = 64\n"
 
-# (config text or CLI flags, expected exit code)
+# (config text or bytes or CLI flags, expected exit code)
 BAD_INPUTS = (
     ("[masks]\nomega = 0.1,0.2\nobs_bulk = 0.8,0.9\n", 2),
     ("[masks]\nomega = 0.25,abc\n", 2), ("[run]\nseed = xyz\n", 2),
@@ -83,6 +84,9 @@ BAD_INPUTS = (
     ("[time]\nsteps = 64\nsteps = 32\n", 2), ("steps = 64\n", 2),
     ("[weights]\nlambda = 154\n", 2),
     ("[weights]\nlambda = 154\n" + SMALL_GRID, 2),
+    # not UTF-8, '%' taken for interpolation, keys under [DEFAULT]
+    (b"\xff\xfe[grid]\ncells = 32\n", 2), ("[source]\nfamily = gaus%sian\n", 2),
+    ("[source]\nfamily = %(x)s\n", 2), ("[DEFAULT]\nsteps = 9999\ncells = 7\n", 2),
     # no live dof carries the source
     ("[functional]\ntheta = 1e20\n", 4), ("[functional]\ntheta = 1e308\n", 4),
     ("[functional]\ntheta_s = 1e20\n", 4),
@@ -100,10 +104,10 @@ def test_exit_code_validation(tmp_path):
     path.touch()
     for text, code in BAD_INPUTS:
         args = ["synthesize", "--out", str(tmp_path)]
-        if text.startswith("--"):
+        if isinstance(text, str) and text.startswith("--"):
             args += text.format(file=path).split()
         else:
-            path.write_text(text)
+            path.write_bytes(text.encode() if isinstance(text, str) else text)
             args += ["--config", str(path)]
         assert main(args) == code, text
 
@@ -224,6 +228,20 @@ def test_sweep_invalid_value_keeps_going(tmp_path):
     assert {status[1], status[3], status[6]} <= {"converged", "converged_floor"}
     assert "theta_s" in rows[0]["detail"] and "amplitude" in rows[2]["detail"]
     assert "amplitude" in rows[5]["detail"] and "lambda" in rows[7]["detail"]
+
+
+def test_sweep_csv_keeps_detail_one_field(tmp_path):
+    """A detail holding commas is quoted: every row keeps the header's nine
+    fields and the message reads back whole."""
+    rows = cmd_sweep(load_config(None), "lambda", ["160", "710"], str(tmp_path))
+    assert [r["status"] for r in rows] == ["invalid", "invalid"]
+    assert all("," in r["detail"] for r in rows)
+    path = tmp_path / "sweep_lambda.csv"
+    assert b"\r" not in path.read_bytes()
+    with open(path, newline="") as fh:
+        header, *records = csv.reader(fh)
+    assert len(header) == 9 and [len(r) for r in records] == [9, 9]
+    assert [r[header.index("detail")] for r in records] == [r["detail"] for r in rows]
 
 
 def test_synthesize_reports_backward_error(tmp_path):

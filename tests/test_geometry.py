@@ -43,7 +43,6 @@ def test_build_masks_nesting_values():
     g = build_grid(1.0, 128)
     m = build_masks(g, (0.3, 0.7), (0.5, 0.9), {"left"}, 0.02)
     assert m.omega1 == pytest.approx((0.56, 0.64))
-    assert m.omega2 == pytest.approx((0.54, 0.66))
     assert m.omega3 == pytest.approx((0.52, 0.68))
 
 
@@ -68,9 +67,7 @@ def test_build_masks_too_thin():
 def test_mask_nesting_as_sets():
     g = build_grid(1.0, 128)
     m = build_masks(g, (0.25, 0.75), (0.35, 0.65), {"left"}, 0.02)
-    inner = m.omega1_nodes
-    assert np.all(~inner | m.omega2_nodes)
-    assert np.all(~m.omega2_nodes | m.omega3_nodes)
+    assert np.all(~m.omega1_nodes | m.omega3_nodes)
     assert np.all(~m.omega3_nodes | (m.omega_nodes & m.obs_bulk_nodes))
 
 

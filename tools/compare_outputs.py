@@ -14,9 +14,11 @@ exits 1 on any difference, 0 otherwise.  The commands cover every CLI
 command: both outer-loop exits (`converged` at 128x256, `converged_floor` on
 the other synthesize runs, 8 iterations at amplitude 1), factor reuse across
 an amplitude sweep, a grid sweep that replaces the bundle and its cached
-solver mid-run, and all five diagnostic suites; demo 03 is the only caller
-of `galerkin_check` and `cascade_residual_check` outside the tests.  Both
-trees together take about 31 s on a 2-vCPU host.
+solver mid-run, a lambda sweep whose second value fails validation (its
+CSV row carries the error message, commas included), and all five
+diagnostic suites; demo 03 is the only caller of `galerkin_check` and
+`cascade_residual_check` outside the tests.  Both trees together take
+about 31 s on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ COMMANDS = (
     ("sweep amplitude", ["sweep", "--parameter", "amplitude",
                          "--values", "5e-4,1e-3,2e-3"], {}),
     ("sweep N", ["sweep", "--parameter", "N", "--values", "32,48"], {}),
+    ("sweep lambda", ["sweep", "--parameter", "lambda", "--values", "1,160"], {}),
     *((f"diagnose carleman seed {seed}",
        ["diagnose", "--which", "carleman", "--seed", str(seed)], {})
       for seed in (1, 7, 12345)),
