@@ -390,7 +390,9 @@ class FISolver:
             # no refinement: at kappa * eps >> 1 it cannot reduce the error
             xt = lu.solve(bt)
             r = bt - self.At @ xt
-            res = float(np.linalg.norm(r) / max(np.linalg.norm(bt), 1e-300))
+            # einsum, not the BLAS dot, whose threaded sums move the bits
+            r_2, b_2 = (math.sqrt(np.einsum("i,i->", u, u)) for u in (r, bt))
+            res = r_2 / max(b_2, 1e-300)
             # max-abs norms: the 2-norms' squares overflow near the dofs'
             # 1e148 and underflow to zero for tiny sources
             r_max, x_max, b_max = (float(np.max(np.abs(u))) for u in (r, xt, bt))

@@ -3,13 +3,15 @@
 Everything is stored and combined in log-space.  The weight exponents
 behave like C/t near t = 0 and reach several hundred in natural-log units
 even at the most permissive admissible parameters, so plain doubles
-overflow; sums of weighted squares are accumulated with a log-sum-exp
-kernel (`LogWeight`) and every verification ratio is an exponent
-difference.  The Carleman functionals' log-weights depend on the tables
-alone, so each is prepared once per table (`WeightTables.carleman_log_weights`)
-and reused for every field it weighs.  `empirical_carleman_check` solves its
-adjoint cascades in stacks and squares each field's midpoint pieces once
-for both the alpha and the beta functional (`log_sq_sums`).
+overflow; sums of weighted squares are accumulated with a one-pass
+log-sum-exp kernel (`LogWeight`) and every verification ratio is an
+exponent difference.  The Carleman functionals' log-weights depend on the
+tables alone, so each is prepared once per table
+(`WeightTables.carleman_log_weights`) and reused for every field it weighs.
+`empirical_carleman_check` draws its random sources as one product of
+separable factors, solves its adjoint cascades in stacks, squares each
+field's midpoint pieces once for both the alpha and the beta functional
+(`log_sq_sums`), and sums its observation term over omega3's columns only.
 
 Time-dependent tables are sampled at the cell midpoints t_{c-1/2}, never
 at t = 0 or T where the continuous weights are singular.
@@ -47,13 +49,13 @@ ETA_CHECK_SAMPLES = 10_000
 
 class LogWeight:
     """A log-weight prepared for log-sum-exp sums against many coefficient
-    arrays: flattened once, and its maximum `a_max`, the maximal entries
-    `top` and the shifted exponentials `e` of the rest computed on first use.
+    arrays: flattened once, and its maximum `a_max` and the shifted
+    exponentials `e = exp(lw - a_max)` computed on first use.
 
-    `log_sum` is bit-identical to scipy 1.17's `logsumexp` on positive
-    coefficients: `m` is the total coefficient of the maximal entries summed
-    over the whole array, and the rest is summed shifted by the maximum.  A
-    non-finite result falls back to the direct log sum b * exp(a).
+    `log_sum(b)` is the one-pass log(sum b * e) + a_max, its sum a plain
+    `np.einsum` (never BLAS, whose threaded dot makes the bits depend on
+    the thread count).  A non-finite result (an all -inf or a +inf weight,
+    an overflowing sum) falls back to the direct log sum b * exp(lw).
     """
 
     def __init__(self, log_w):
@@ -65,10 +67,7 @@ class LogWeight:
     def _shifted(self):
         # first read inside log_sum's errstate
         a_max = np.max(self.lw)
-        top = self.lw == a_max
-        e = np.exp(np.where(top, -np.inf, self.lw) - a_max)
-        # a float mask multiplies faster than a boolean one, to the same values
-        return a_max, top.astype(float), e
+        return a_max, np.exp(self.lw - a_max)
 
     def log_sum(self, b: np.ndarray) -> float:
         """log sum b * exp(lw) with positive coefficients b; -inf for an
@@ -76,12 +75,8 @@ class LogWeight:
         if self.lw.size == 0:
             return -math.inf
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            a_max, top, e = self._shifted
-            m = (b * top).sum()
-            s = (b * e).sum()
-            if s != 0:
-                s = s / m
-            out = np.log1p(s) + np.log(m) + a_max
+            a_max, e = self._shifted
+            out = np.log(np.einsum("i,i->", b, e)) + a_max
             if not np.isfinite(out):
                 out = np.log((b * np.exp(self.lw)).sum())
         return float(out)
@@ -93,9 +88,10 @@ def log_sq_sums(values, quad, weights) -> np.ndarray:
     (len(weights), B), with B = 1 for values of the weights' shape.
 
     The coefficients quad * values^2 and their positive entries are computed
-    once for all the weights.  Entries with values == 0 contribute nothing,
-    and the maximum is taken over the contributing entries only; an
-    identically zero member gives -inf.
+    once for all the weights, and each sum is `LogWeight.log_sum`'s one-pass
+    log(sum c * e) + a_max with its direct-sum fallback.  Entries with
+    values == 0 contribute nothing, and the maximum is taken over the
+    contributing entries only; an identically zero member gives -inf.
     """
     coeff = quad * values
     coeff *= values
@@ -620,6 +616,10 @@ def empirical_carleman_check(n_samples: int, tables: WeightTables,
     lws = tables.carleman_log_weights
     lhs_weights = {name: (lws["I"][name], lws["Jw"][name]) for name in lws["I"]}
     rhs_weights = tuple(zip(lws["rhs_I"], lws["rhs_J"]))
+    # the observation term's weights, restricted once to omega3's columns
+    obs = np.flatnonzero(masks.omega3_nodes)
+    rhs_weights = (tuple(LogWeight(w.lw.reshape(w.shape)[:, obs])
+                         for w in rhs_weights[0]),) + rhs_weights[1:]
     stack = min(carleman_stack(grid, time_grid), max(n_samples, 1))
     # the source stacks, allocated once: [f1 or g1, member, slice, node]
     sources = np.empty((2, stack, time_grid.step_count + 1, grid.n_nodes))
@@ -631,8 +631,7 @@ def empirical_carleman_check(n_samples: int, tables: WeightTables,
             _random_smooth_source(grid, time_grid, rng, g)
         lhs, rhs = _stack_log_sums(
             SpaceTimeField.from_bulk(f1), SpaceTimeField.from_bulk(g1),
-            adjoint_solver, lhs_weights, rhs_weights, grid, time_grid.dt,
-            masks.omega3_nodes.astype(float))
+            adjoint_solver, lhs_weights, rhs_weights, grid, time_grid.dt, obs)
         for k in range(len(f1)):
             lhs_I, lhs_J = (log_add(*(log_add(*field[:, j, k]) for field in lhs))
                             for j in (0, 1))
@@ -644,10 +643,11 @@ def empirical_carleman_check(n_samples: int, tables: WeightTables,
 
 
 def _stack_log_sums(f1, g1, adjoint_solver, lhs_weights, rhs_weights, grid,
-                    dt, omega3):
+                    dt, obs):
     """Solve one stack of adjoint cascades and return the log sums of its
     Carleman components, (field, component, I or Jw, member) for the fields
-    Phi and K, and of its right-hand side terms, (term, I or J, member).
+    Phi and K, and of its right-hand side terms, (term, I or J, member),
+    the observation term over the node columns `obs` alone.
 
     The fields live only for this call, and their pieces are made one at a
     time, so that the peak memory stays that of a few stacked fields."""
@@ -659,11 +659,11 @@ def _stack_log_sums(f1, g1, adjoint_solver, lhs_weights, rhs_weights, grid,
         for name, v, q in _midpoint_terms(fld, grid, dt, "empirical_carleman_check"):
             sums.append(log_sq_sums(v, q, lhs_weights[name]))
             if fld is Phi and name == "bulk_value":
-                phi_obs = v * omega3
+                phi_obs = v[..., obs]
         lhs.append(np.array(sums))
     sources = ((f1.bulk, quad_b), (g1.bulk, quad_b), (f1.surface, dt),
                (g1.surface, dt))
-    rhs = [log_sq_sums(phi_obs, quad_b, rhs_weights[0])]
+    rhs = [log_sq_sums(phi_obs, quad_b[:, obs], rhs_weights[0])]
     rhs += [log_sq_sums(_cell_mid(a), q, w)
             for (a, q), w in zip(sources, rhs_weights[1:])]
     return lhs, np.array(rhs)
@@ -672,16 +672,17 @@ def _stack_log_sums(f1, g1, adjoint_solver, lhs_weights, rhs_weights, grid,
 def _random_smooth_source(grid: SpatialGrid, time_grid: TimeGrid, rng,
                           out: np.ndarray) -> None:
     """Write a random low-frequency space-time bulk field (slices x nodes)
-    into `out`."""
+    into `out`: the nine terms amp cos(2 pi kt t/T + pht) cos(pi kx x/L + phx),
+    kx, kt < 3, with (amp, phx, pht) drawn term by term, summed as one
+    product of the amplitude-scaled time factors and the space factors."""
     x = grid.x / grid.length
     t = time_grid.nodes / time_grid.horizon
-    out[...] = 0.0
-    for kx in range(3):
-        for kt in range(3):
-            amp = rng.standard_normal() / (1 + kx + kt)
-            phx, pht = rng.uniform(0, 2 * np.pi, size=2)
-            out += amp * np.outer(np.cos(2 * np.pi * kt * t + pht),
-                                  np.cos(np.pi * kx * x + phx))
+    kx, kt = np.divmod(np.arange(9), 3)
+    draws = np.array([(rng.standard_normal(), *rng.uniform(0, 2 * np.pi, size=2))
+                      for _ in range(9)])
+    ct = draws[:, 0] / (1 + kx + kt) * np.cos(2 * np.pi * kt * t[:, None] + draws[:, 2])
+    cx = np.cos(np.pi * kx[:, None] * x + draws[:, 1, None])
+    np.einsum("ik,kj->ij", ct, cx, out=out)
 
 
 def dump_weight_csv(tables: WeightTables, path) -> None:

@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,3 +208,22 @@ def test_linear_functional_pairing(bundle, source):
                     + source.surface[c, 1] * Y.bulk[c - 1, -1])
               for c in range(1, M + 1))
     assert val == pytest.approx(ref, rel=1e-12)
+
+
+def test_optimality_residual_independent_of_blas_threads():
+    """A 64x128 synthesis reports the same optimality residual bits on one
+    and on two OpenBLAS threads: its 2-norms are einsum sums, not the BLAS
+    dot, which splits long vectors across threads."""
+    script = ("from conftest import make_bundle\n"
+              "from bscontrol.insensitize import synthesize\n"
+              "bundle, F = make_bundle(N=64, M=128, family='random_fourier')\n"
+              "print(synthesize(F, bundle).fi_solution.optimality_residual.hex())\n")
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(tests.parent / "src"), str(tests),
+                                         os.environ.get("PYTHONPATH")]))
+    residuals = [subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+        timeout=300, env=dict(os.environ, PYTHONPATH=path,
+                              OPENBLAS_NUM_THREADS=threads)).stdout
+        for threads in ("1", "2")]
+    assert residuals[0] == residuals[1]

@@ -11,6 +11,7 @@ a per-sample one, and the duality of the quasilinear tangent and adjoint
 steppers."""
 
 import math
+import warnings
 from types import SimpleNamespace
 from unittest import mock
 
@@ -31,7 +32,7 @@ from bscontrol.solvers import (LinearOperatorSet, _constant_step_bands,
                                solve_adjoint_cascade, solve_linear_backward,
                                solve_linear_forward, total_mass)
 from bscontrol import weights
-from bscontrol.weights import (LogWeight, _random_smooth_source,
+from bscontrol.weights import (LogWeight, _random_smooth_source, _stack_log_sums,
                                carleman_functional_I, carleman_functional_Jw,
                                empirical_carleman_check, log_add, log_ratio,
                                log_sq_sums, log_st_sq, log_weighted_sq_sum)
@@ -172,6 +173,17 @@ def test_logsumexp_matches_plain_sum(a, data):
         assert got == -math.inf
     else:
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("lw, want", [([], -math.inf),
+                                      ([-math.inf, -math.inf], -math.inf),
+                                      ([0.0, math.inf, -3.0], math.inf)])
+def test_logsumexp_edge_weights(lw, want):
+    """An empty or all -inf weight sums to -inf and a +inf entry to +inf,
+    through the direct-sum fallback, without a numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert LogWeight(lw).log_sum(np.ones(len(lw))) == want
 
 
 @PROPERTY
@@ -416,6 +428,73 @@ def test_stacked_carleman_check_matches_per_sample(carleman_bundle, n_samples, s
                                        b.masks, adjoint, np.random.default_rng(seed))
     assert got == _per_sample_carleman_check(n_samples, b, np.random.default_rng(seed))
     assert sizes == [STACK] * (n_samples // STACK) + [n_samples % STACK] * (n_samples % STACK > 0)
+
+
+@settings(max_examples=8, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_observation_sum_on_omega3_columns(carleman_bundle, seed, data):
+    """The check's observation term, summed over omega3's columns against
+    its restricted weights, equals `log_weighted_sq_sum` of the omega3-masked
+    midpoint values over the full grid bit for bit: for a member with no
+    zero, one with exact zeros inside omega3 and one that vanishes there."""
+    b = carleman_bundle
+    g, tg, masks = b.grid, b.time_grid, b.masks
+    M, dt = tg.step_count, tg.dt
+    obs = np.flatnonzero(masks.omega3_nodes)
+    rng = np.random.default_rng(seed)
+    bulk = rng.standard_normal((3, M + 1, g.n_nodes))
+    for _ in range(data.draw(st.integers(1, 4))):
+        c, j = data.draw(st.integers(0, M - 1)), data.draw(st.sampled_from(list(obs)))
+        bulk[1, c:c + 2, j] = 0.0
+    bulk[2][:, obs] = 0.0
+    Phi = SpaceTimeField.from_bulk(bulk)
+    rhs = []
+
+    def record(*args):
+        out = _stack_log_sums(*args)
+        rhs.append(out[1])
+        return out
+
+    with mock.patch.object(weights, "_stack_log_sums", record):
+        empirical_carleman_check(3, b.tables, g, tg, masks,
+                                 lambda f1, g1: (Phi, Phi), rng)
+    quad_b = g.trapezoid_weights()[None, :] * dt
+    phi_obs = 0.5 * (bulk[:, 1:] + bulk[:, :-1]) * masks.omega3_nodes
+    for j, key in enumerate(("rhs_I", "rhs_J")):
+        w = b.tables.carleman_log_weights[key][0]
+        want = [log_weighted_sq_sum(w.lw.reshape(w.shape), v, quad_b) for v in phi_obs]
+        assert rhs[0][0, j].tolist() == want
+    assert rhs[0][0, :, 2].tolist() == [-math.inf, -math.inf]
+
+
+def _outer_sum_source(grid, time_grid, rng):
+    """The random source as nine outer products added in term order."""
+    x = grid.x / grid.length
+    t = time_grid.nodes / time_grid.horizon
+    out = np.zeros((t.size, x.size))
+    for kx in range(3):
+        for kt in range(3):
+            amp = rng.standard_normal() / (1 + kx + kt)
+            phx, pht = rng.uniform(0, 2 * np.pi, size=2)
+            out += amp * np.outer(np.cos(2 * np.pi * kt * t + pht),
+                                  np.cos(np.pi * kx * x + phx))
+    return out
+
+
+@PROPERTY
+@given(size=st.sampled_from([(32, 32), (64, 128)]), draws=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_random_source_matches_outer_sum(size, draws, seed):
+    """The separable random source equals the nine-outer-product sum to
+    1e-14 relative and leaves the generator where that sum leaves it."""
+    g, tg = build_grid(1.7, size[0]), build_time_grid(8.0, size[1])
+    rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    out = np.empty((tg.step_count + 1, g.n_nodes))
+    for _ in range(draws):
+        _random_smooth_source(g, tg, rng, out)
+        want = _outer_sum_source(g, tg, oracle)
+        assert np.abs(out - want).max() <= 1e-14 * np.abs(want).max()
+        assert rng.bit_generator.state == oracle.bit_generator.state
 
 
 @PROPERTY
