@@ -298,6 +298,10 @@ def _march_linear(ops: LinearOperatorSet, S: SpaceTimeField,
     is then one `pttrs` call with B right-hand-side columns, which LAPACK
     solves one after another with the arithmetic of a single column, so
     every member is bit-identical to its own march.
+
+    Each step's rhs Mw x / dt + source is formed in place, in the order of
+    that expression, in one of two buffers: `pttrs` with `overwrite_b`
+    returns its rhs buffer as x, so the next rhs goes to the other one.
     """
     g, tg = ops.grid, ops.time_grid
     M, dt = tg.step_count, tg.dt
@@ -312,16 +316,21 @@ def _march_linear(ops: LinearOperatorSet, S: SpaceTimeField,
     # slice c holds step c's source vector (the products are elementwise)
     # until the step that produces slice c writes it, after the next step's
     # right-hand side has read it
-    out = _weak_rhs(g, S.bulk, S.surface)
+    out = g.trapezoid_weights() * S.bulk
+    out[..., [0, -1]] += S.surface
     steps = range(M, 0, -1) if backward else range(1, M + 1)
     rhs = Mw * start.bulk / dt + out[..., steps[0], :]
+    spare = np.empty_like(rhs)
     for i, c in enumerate(steps):
         # the transpose of a C-ordered (B, n) stack is the Fortran-ordered
         # (n, B) block of columns that pttrs solves in place
         x = dpttrs(d, e, rhs.T, overwrite_b=1)[0].T
         if i + 1 < M:
-            rhs = Mw * x / dt + out[..., steps[i + 1], :]
+            np.multiply(Mw, x, out=spare)
+            spare /= dt
+            spare += out[..., steps[i + 1], :]
         out[..., c - 1 if backward else c, :] = x
+        rhs, spare = spare, rhs
     out[..., M if backward else 0, :] = start.bulk
     if not np.isfinite(out).all():
         raise ConditioningError("the linear march left double range "

@@ -4,14 +4,16 @@ Everything is stored and combined in log-space.  The weight exponents
 behave like C/t near t = 0 and reach several hundred in natural-log units
 even at the most permissive admissible parameters, so plain doubles
 overflow; sums of weighted squares are accumulated with a one-pass
-log-sum-exp kernel (`LogWeight`) and every verification ratio is an
-exponent difference.  The Carleman functionals' log-weights depend on the
-tables alone, so each is prepared once per table
+log-sum-exp kernel (`LogWeight`), which enters `np.errstate` only on its
+non-finite fallback, and every verification ratio is an exponent
+difference.  The Carleman functionals' log-weights depend on the tables
+alone, so each is prepared once per table
 (`WeightTables.carleman_log_weights`) and reused for every field it weighs.
-`empirical_carleman_check` draws its random sources as one product of
-separable factors, solves its adjoint cascades in stacks, squares each
-field's midpoint pieces once for both the alpha and the beta functional
-(`log_sq_sums`), and sums its observation term over omega3's columns only.
+`empirical_carleman_check` draws its random sources in place as one product
+of separable factors, solves its adjoint cascades in stacks of up to
+`CARLEMAN_STACK_BYTES`, squares each field's midpoint pieces once for both
+the alpha and the beta functional (`log_sq_sums`), and sums its observation
+term over omega3's columns only.
 
 Time-dependent tables are sampled at the cell midpoints t_{c-1/2}, never
 at t = 0 or T where the continuous weights are singular.
@@ -55,7 +57,9 @@ class LogWeight:
     `log_sum(b)` is the one-pass log(sum b * e) + a_max, its sum a plain
     `np.einsum` (never BLAS, whose threaded dot makes the bits depend on
     the thread count).  A non-finite result (an all -inf or a +inf weight,
-    an overflowing sum) falls back to the direct log sum b * exp(lw).
+    a zero or overflowing sum) falls back to the direct log sum
+    b * exp(lw).  Only that fallback and the first read of a weight with a
+    non-finite maximum enter `np.errstate`.
     """
 
     def __init__(self, log_w):
@@ -65,18 +69,24 @@ class LogWeight:
 
     @cached_property
     def _shifted(self):
-        # first read inside log_sum's errstate
         a_max = np.max(self.lw)
-        return a_max, np.exp(self.lw - a_max)
+        if np.isfinite(a_max):
+            return a_max, np.exp(self.lw - a_max)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            return a_max, np.exp(self.lw - a_max)
 
     def log_sum(self, b: np.ndarray) -> float:
         """log sum b * exp(lw) with positive coefficients b; -inf for an
         empty weight."""
         if self.lw.size == 0:
             return -math.inf
+        a_max, e = self._shifted
+        s = np.einsum("i,i->", b, e)  # NaN when a_max is not finite
+        if 0 < s < math.inf:
+            # log s < 710 cannot push a finite a_max past the double range
+            return float(np.log(s) + a_max)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            a_max, e = self._shifted
-            out = np.log(np.einsum("i,i->", b, e)) + a_max
+            out = np.log(s) + a_max
             if not np.isfinite(out):
                 out = np.log((b * np.exp(self.lw)).sum())
         return float(out)
@@ -91,18 +101,21 @@ def log_sq_sums(values, quad, weights) -> np.ndarray:
     once for all the weights, and each sum is `LogWeight.log_sum`'s one-pass
     log(sum c * e) + a_max with its direct-sum fallback.  Entries with
     values == 0 contribute nothing, and the maximum is taken over the
-    contributing entries only; an identically zero member gives -inf.
+    contributing entries only; an identically zero member gives -inf.  A
+    member whose coefficients are all positive sums against the prepared
+    weights; only the others (zeros, or a NaN) build the positive mask.
     """
     coeff = quad * values
     coeff *= values
     stack = coeff.shape[:coeff.ndim - len(weights[0].shape)]
     coeff = coeff.reshape(math.prod(stack), -1)
-    keep = coeff > 0
+    positive = coeff.min(axis=1, initial=math.inf) > 0
     out = np.empty((len(weights), len(coeff)))
-    for k, (c, kp) in enumerate(zip(coeff, keep)):
-        if kp.all():
+    for k, c in enumerate(coeff):
+        if positive[k]:
             out[:, k] = [w.log_sum(c) for w in weights]
         else:
+            kp = c > 0
             c = c[kp]
             out[:, k] = [LogWeight(w.lw[kp]).log_sum(c) for w in weights]
     return out
@@ -533,12 +546,13 @@ CARLEMAN_COMPONENTS = ("bulk_time_deriv", "bulk_laplacian", "bulk_gradient",
                        "normal_derivative")
 
 # bytes of one stacked field in `empirical_carleman_check`, which sets how
-# many samples go to each `adjoint_solver` call: 4 at 64x128, 1 from 128x256
-# up.  Its peak RSS grows with about six stacked fields.  On a 2-vCPU host a
-# 64x128 diagnosis took 0.19-0.20 s in stacks of 4 against 0.24-0.25 s one
-# sample at a time, for 2.3 MB more peak RSS; at 256x512, stacks of 4 took
-# 1.8-2.2 s against 2.1 s one at a time, for 30 MB (27%) more.
-CARLEMAN_STACK_BYTES = 300_000
+# many samples go to each `adjoint_solver` call: 8 at 64x128, 2 at 128x256,
+# 1 at 256x512.  Its peak RSS grows with about six stacked fields.  On a
+# 2-vCPU host, in interleaved in-process runs, a 64x128 diagnosis took
+# 0.082 s in stacks of 8 against 0.093 s in stacks of 4 (the 300 kB budget),
+# for 2.3 MB (3%) more peak RSS; at 128x256, 0.243 s in stacks of 2 against
+# 0.299 s one at a time, for 3.1 MB (4%) more.
+CARLEMAN_STACK_BYTES = 600_000
 
 
 def carleman_stack(grid: SpatialGrid, time_grid: TimeGrid) -> int:
@@ -674,12 +688,16 @@ def _random_smooth_source(grid: SpatialGrid, time_grid: TimeGrid, rng,
     """Write a random low-frequency space-time bulk field (slices x nodes)
     into `out`: the nine terms amp cos(2 pi kt t/T + pht) cos(pi kx x/L + phx),
     kx, kt < 3, with (amp, phx, pht) drawn term by term, summed as one
-    product of the amplitude-scaled time factors and the space factors."""
+    product of the amplitude-scaled time factors and the space factors.
+    The phases are `rng.uniform(0, 2 pi)`'s own 0 + 2 pi U, drawn in place."""
     x = grid.x / grid.length
     t = time_grid.nodes / time_grid.horizon
     kx, kt = np.divmod(np.arange(9), 3)
-    draws = np.array([(rng.standard_normal(), *rng.uniform(0, 2 * np.pi, size=2))
-                      for _ in range(9)])
+    draws = np.empty((9, 3))
+    for row in draws:
+        row[0] = rng.standard_normal()
+        rng.random(out=row[1:])
+    draws[:, 1:] *= 2 * np.pi
     ct = draws[:, 0] / (1 + kx + kt) * np.cos(2 * np.pi * kt * t[:, None] + draws[:, 2])
     cx = np.cos(np.pi * kx[:, None] * x + draws[:, 1, None])
     np.einsum("ik,kj->ij", ct, cx, out=out)

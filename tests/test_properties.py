@@ -7,7 +7,9 @@ prepared once against one prepared per sum, the factored
 linear steppers against per-step banded solves, mass conservation of the
 linear steppers, stacked marches against member marches, the direct
 tridiagonal solve against solve_banded, the stacked Carleman check against
-a per-sample one, and the duality of the quasilinear tangent and adjoint
+a per-sample one, the check's `np.errstate` entries against its sample
+count, the random source against its tuple-drawn and outer-sum forms, and
+the duality of the quasilinear tangent and adjoint
 steppers."""
 
 import math
@@ -177,13 +179,15 @@ def test_logsumexp_matches_plain_sum(a, data):
 
 @pytest.mark.parametrize("lw, want", [([], -math.inf),
                                       ([-math.inf, -math.inf], -math.inf),
-                                      ([0.0, math.inf, -3.0], math.inf)])
+                                      ([0.0, math.inf, -3.0], math.inf),
+                                      ([700.0, 700.0], math.inf)])
 def test_logsumexp_edge_weights(lw, want):
-    """An empty or all -inf weight sums to -inf and a +inf entry to +inf,
-    through the direct-sum fallback, without a numpy warning."""
+    """With coefficients 1e308, an empty or all -inf weight sums to -inf,
+    and a +inf entry, or a finite weight whose shifted sum overflows, to
+    +inf, through the direct-sum fallback, without a numpy warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert LogWeight(lw).log_sum(np.ones(len(lw))) == want
+        assert LogWeight(lw).log_sum(np.full(len(lw), 1e308)) == want
 
 
 @PROPERTY
@@ -256,6 +260,11 @@ def test_prepared_log_weight_matches_per_sum(M, n, data):
         stack.append(values)
     members = [log_sq_sums(v, quad, (weight,))[0, 0] for v in stack]
     assert np.array_equal(log_sq_sums(np.array(stack), quad, (weight,))[0], members)
+    # an all-zero member and a zero-width weight sum to -inf
+    zero_first = np.array([np.zeros((M, n)), stack[0]])
+    assert log_sq_sums(zero_first, quad, (weight,))[0].tolist() == [-math.inf, members[0]]
+    empty = LogWeight(np.empty((M, 0)))
+    assert log_sq_sums(np.ones((2, M, 0)), 1.0, (empty,)).tolist() == [[-math.inf] * 2]
 
 
 def _per_step_march(ops, S, start, backward):
@@ -467,6 +476,29 @@ def test_observation_sum_on_omega3_columns(carleman_bundle, seed, data):
     assert rhs[0][0, :, 2].tolist() == [-math.inf, -math.inf]
 
 
+def test_carleman_check_errstate_entries_do_not_grow(carleman_bundle):
+    """The check's finite log sums enter no `np.errstate`: one check makes
+    as many entries with 7 samples as with 1."""
+    b = carleman_bundle
+    b.tables.carleman_log_weights  # prepared outside the count
+    errstate, counts = np.errstate, []
+    for n_samples in (1, 7):
+        entries = []
+
+        def counted(*args, **kwargs):
+            entries.append(kwargs)
+            return errstate(*args, **kwargs)
+
+        with mock.patch.object(np, "errstate", counted):
+            empirical_carleman_check(
+                n_samples, b.tables, b.grid, b.time_grid, b.masks,
+                lambda f1, g1: solve_adjoint_cascade(b.ops, f1, g1, b.theta,
+                                                     b.theta_s, b.masks),
+                np.random.default_rng(n_samples))
+        counts.append(len(entries))
+    assert counts[1] == counts[0]
+
+
 def _outer_sum_source(grid, time_grid, rng):
     """The random source as nine outer products added in term order."""
     x = grid.x / grid.length
@@ -481,20 +513,36 @@ def _outer_sum_source(grid, time_grid, rng):
     return out
 
 
+def _tuple_draw_source(grid, time_grid, rng):
+    """The separable random source with its draws taken as tuples, one
+    `standard_normal` and one `uniform(0, 2 pi, size=2)` per term."""
+    x = grid.x / grid.length
+    t = time_grid.nodes / time_grid.horizon
+    kx, kt = np.divmod(np.arange(9), 3)
+    draws = np.array([(rng.standard_normal(), *rng.uniform(0, 2 * np.pi, size=2))
+                      for _ in range(9)])
+    ct = draws[:, 0] / (1 + kx + kt) * np.cos(2 * np.pi * kt * t[:, None] + draws[:, 2])
+    cx = np.cos(np.pi * kx[:, None] * x + draws[:, 1, None])
+    return np.einsum("ik,kj->ij", ct, cx)
+
+
 @PROPERTY
 @given(size=st.sampled_from([(32, 32), (64, 128)]), draws=st.integers(1, 3),
        seed=st.integers(0, 2**32 - 1))
 def test_random_source_matches_outer_sum(size, draws, seed):
-    """The separable random source equals the nine-outer-product sum to
-    1e-14 relative and leaves the generator where that sum leaves it."""
+    """The separable random source equals the one drawn as tuples bit for
+    bit, and the nine-outer-product sum to 1e-14 relative, and leaves the
+    generator where both leave it."""
     g, tg = build_grid(1.7, size[0]), build_time_grid(8.0, size[1])
-    rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    rng, tuples, outer = (np.random.default_rng(seed) for _ in range(3))
     out = np.empty((tg.step_count + 1, g.n_nodes))
     for _ in range(draws):
         _random_smooth_source(g, tg, rng, out)
-        want = _outer_sum_source(g, tg, oracle)
+        assert np.array_equal(out, _tuple_draw_source(g, tg, tuples))
+        want = _outer_sum_source(g, tg, outer)
         assert np.abs(out - want).max() <= 1e-14 * np.abs(want).max()
-        assert rng.bit_generator.state == oracle.bit_generator.state
+        assert (rng.bit_generator.state == tuples.bit_generator.state
+                == outer.bit_generator.state)
 
 
 @PROPERTY
