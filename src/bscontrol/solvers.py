@@ -238,14 +238,6 @@ def duality_gap(Y: SpaceTimeField, W: SpaceTimeField, ops: LinearOperatorSet) ->
 
 # --- banded step systems ----------------------------------------------------
 
-def _corner_lift(grid: SpatialGrid, pair: np.ndarray) -> np.ndarray:
-    """Surface pairs on the corner nodes of a node vector, or of each row
-    of a stack of them."""
-    out = np.zeros((*np.shape(pair)[:-1], grid.n_nodes))
-    out[..., 0], out[..., -1] = pair[..., 0], pair[..., 1]
-    return out
-
-
 def _constant_step_bands(grid: SpatialGrid, dt: float, sigma0: float,
                          da0: float, db0: float) -> np.ndarray:
     """Upper-banded form (superdiagonal row, then diagonal) of the SPD
@@ -278,8 +270,10 @@ def _solve_tridiagonal(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _weak_rhs(grid: SpatialGrid, fb: np.ndarray, fs: np.ndarray) -> np.ndarray:
+    """Quadrature source H fb with the surface pairs fs added on the corner
+    nodes, for one slice, a field of slices or a stack of either."""
     out = grid.trapezoid_weights() * fb
-    out += _corner_lift(grid, fs)
+    out[..., ::grid.n_nodes - 1] += fs  # a view of the two corner columns
     return out
 
 
@@ -316,8 +310,7 @@ def _march_linear(ops: LinearOperatorSet, S: SpaceTimeField,
     # slice c holds step c's source vector (the products are elementwise)
     # until the step that produces slice c writes it, after the next step's
     # right-hand side has read it
-    out = g.trapezoid_weights() * S.bulk
-    out[..., [0, -1]] += S.surface
+    out = _weak_rhs(g, S.bulk, S.surface)
     steps = range(M, 0, -1) if backward else range(1, M + 1)
     rhs = Mw * start.bulk / dt + out[..., steps[0], :]
     spare = np.empty_like(rhs)
@@ -436,17 +429,17 @@ def weak_residual(ops: LinearOperatorSet, Y: SpaceTimeField, F: SpaceTimeField,
                   backward: bool = False) -> float:
     """Relative distributional residual of the stepped equations.
 
-    Assembles H r_bulk + corner-lift r_surface - quadrature sources per
-    cell; this is the exact set of equations the banded solves enforce.
+    Assembles the weak form of the residual (`_weak_rhs` of its bulk and
+    surface parts) minus the quadrature sources per cell; this is the exact
+    set of equations the banded solves enforce.
     """
     g, tg = ops.grid, ops.time_grid
     res = apply_L(Y, ops, "Lstar" if backward else "L")
-    Hw = g.trapezoid_weights()
     total, scale = 0.0, 0.0
     for c in range(1, tg.step_count + 1):
         j = c - 1 if backward else c      # anchor slice of the step
         known = c if backward else c - 1  # propagated slice
-        r = Hw * res.bulk[j] + _corner_lift(g, res.surface[j]) \
+        r = _weak_rhs(g, res.bulk[j], res.surface[j]) \
             - _weak_rhs(g, F.bulk[c], F.surface[c])
         total += float(np.dot(r, r))
         q = _weak_rhs(g, F.bulk[c], F.surface[c]) \

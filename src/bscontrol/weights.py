@@ -86,10 +86,7 @@ class LogWeight:
             # log s < 710 cannot push a finite a_max past the double range
             return float(np.log(s) + a_max)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = np.log(s) + a_max
-            if not np.isfinite(out):
-                out = np.log((b * np.exp(self.lw)).sum())
-        return float(out)
+            return float(np.log((b * np.exp(self.lw)).sum()))
 
 
 def log_sq_sums(values, quad, weights) -> np.ndarray:
