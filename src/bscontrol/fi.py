@@ -223,8 +223,9 @@ class _Stack:
         return np.concatenate([*w0, *w0,
                                (dt * self.w1[:, None] * Hv[None, :]).ravel()])
 
-    @cached_property
+    @property
     def A(self) -> sparse.csc_matrix:
+        """R^T W R, built on each read: `FISolver` keeps only its scaled copy."""
         return (self.R.T @ sparse.diags(self.row_weights) @ self.R).tocsc()
 
     def _wmul(self, r: np.ndarray) -> np.ndarray:

@@ -84,8 +84,9 @@ def validate_coefficients(cs: CoefficientSet) -> None:
              (cs.a, cs.da), (cs.da, cs.d2a), (cs.b, cs.db), (cs.db, cs.d2b)]
     for k, (f, df) in enumerate(pairs):
         fd = (f(r + eps) - f(r - eps)) / (2 * eps)
-        scale = np.max(np.abs(df(r))) + 1.0
-        if np.max(np.abs(fd - df(r))) > 1e-6 * scale:
+        d = df(r)
+        scale = np.max(np.abs(d)) + 1.0
+        if np.max(np.abs(fd - d)) > 1e-6 * scale:
             raise ConfigurationError(
                 f"coefficient derivative #{k} disagrees with finite differences")
 

@@ -215,8 +215,13 @@ def _quintic_arc(kappa_end: float) -> np.ndarray:
     return np.linalg.solve(A, rhs)
 
 
-def _polyval(coeff: np.ndarray, u: np.ndarray) -> np.ndarray:
-    return np.polyval(coeff[::-1], u)
+def _horner(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """np.polyval(p, u) in place, with its products and sums in its order."""
+    y = np.full_like(u, p[0])  # np.polyval's 0 * u + p[0]
+    for pk in p[1:]:
+        y *= u
+        y += pk
+    return y
 
 
 def build_eta(grid: SpatialGrid, masks: RegionMasks, peak: float) -> EtaProfile:
@@ -225,7 +230,8 @@ def build_eta(grid: SpatialGrid, masks: RegionMasks, peak: float) -> EtaProfile:
     The two Hermite arcs share the second derivative at the peak
     (ETA_KAPPA / max(c, L-c)^2 in x units) so eta is C^2.  Monotonicity
     and the gradient floor outside omega1 are verified on ETA_CHECK_SAMPLES
-    dense samples; violations raise with the measured floor.
+    dense samples; violations raise with the measured floor.  Each arc is
+    evaluated on its own side of the peak only.
     """
     L, c = grid.length, float(peak)
     if not (masks.omega1[0] < c < masks.omega1[1]):
@@ -233,17 +239,19 @@ def build_eta(grid: SpatialGrid, masks: RegionMasks, peak: float) -> EtaProfile:
             f"eta peak {c} must lie strictly inside omega1={masks.omega1}")
     span = max(c, L - c)
     d2_peak = ETA_KAPPA / span**2
-    arc_l = _quintic_arc(d2_peak * c**2)
-    arc_r = _quintic_arc(d2_peak * (L - c)**2)
+    # each side's arc and slope coefficients, highest power first, and dx/du
+    # (a slope over -(L - c) is the negated slope over L - c to the bit)
+    arcs = [(p, p[:-1] * np.arange(5, 0, -1), scale) for p, scale in
+            ((_quintic_arc(d2_peak * c**2)[::-1], c),
+             (_quintic_arc(d2_peak * (L - c)**2)[::-1], -(L - c)))]
 
     def eval_eta(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x = np.asarray(x, dtype=float)
-        on_left = x <= c
-        u = np.where(on_left, x / c, (L - x) / (L - c))
-        val = np.where(on_left, _polyval(arc_l, u), _polyval(arc_r, u))
-        dl = np.polyder(np.poly1d(arc_l[::-1]))
-        dr = np.polyder(np.poly1d(arc_r[::-1]))
-        der = np.where(on_left, dl(u) / c, -dr(u) / (L - c))
+        val, der = np.empty_like(x), np.empty_like(x)
+        left = x <= c
+        for side, u, (p, dp, scale) in zip(
+                (left, ~left), (x[left] / c, (L - x[~left]) / (L - c)), arcs):
+            val[side] = _horner(p, u)
+            der[side] = _horner(dp, u) / scale
         return val, der
 
     xs = np.linspace(0.0, L, ETA_CHECK_SAMPLES)
@@ -335,10 +343,24 @@ class WeightTables:
     gamma: np.ndarray                 # (M,)
     log_mu: np.ndarray                # (M,)
     log_mu_k: np.ndarray              # (6, M): mu0..mu5
-    log_alpha: np.ndarray             # (M, N+1)
-    log_xi: np.ndarray
-    log_beta: np.ndarray
+    log_K: np.ndarray                 # (N+1,): log of the numerator K(x)
+    expo: np.ndarray                  # (N+1,): lam (m + eta(x))
+    log_tT: np.ndarray                # (M,): log t(T-t)
     n_live: int = 0                   # cells where mu0^{-2} survives underflow
+
+    # the (M, N+1) Carleman tables, built on first read: only the Carleman
+    # functionals and their check read them, never a synthesis or a sweep
+    @cached_property
+    def log_alpha(self) -> np.ndarray:
+        return self.log_K[None, :] - self.log_tT[:, None]
+
+    @cached_property
+    def log_xi(self) -> np.ndarray:
+        return self.expo[None, :] - self.log_tT[:, None]
+
+    @cached_property
+    def log_beta(self) -> np.ndarray:
+        return self.log_K[None, :] - np.log(self.ell)[:, None]
 
     def inv_sq(self, k: int) -> np.ndarray:
         """mu_k^{-2} per cell; exact 0 below the e^{-700} underflow cut."""
@@ -393,7 +415,6 @@ def build_weight_tables(grid: SpatialGrid, time_grid: TimeGrid, eta: EtaProfile,
     lam, m, s = params.lam, params.m, params.s
     T = time_grid.horizon
     tm = time_grid.midpoints
-    tT = tm * (T - tm)
     ell = ell_value(tm, T)
     log_ell = np.log(ell)
 
@@ -403,10 +424,6 @@ def build_weight_tables(grid: SpatialGrid, time_grid: TimeGrid, eta: EtaProfile,
     if K.min() <= 0:
         raise ParameterError("weight numerator must be positive; check m > 1")
     log_K = np.log(K)
-
-    log_alpha = log_K[None, :] - np.log(tT)[:, None]
-    log_xi = expo[None, :] - np.log(tT)[:, None]
-    log_beta = log_K[None, :] - log_ell[:, None]
 
     beta_hat = K.max() / ell
     beta_check = K.min() / ell
@@ -422,9 +439,8 @@ def build_weight_tables(grid: SpatialGrid, time_grid: TimeGrid, eta: EtaProfile,
         log_mu_k[k] = 3 * s * gamma + (2 * k + 9) / 2 * log_ell
 
     tables = WeightTables(params=params, t_mid=tm, ell=ell, gamma=gamma,
-                          log_mu=log_mu, log_mu_k=log_mu_k,
-                          log_alpha=log_alpha, log_xi=log_xi,
-                          log_beta=log_beta)
+                          log_mu=log_mu, log_mu_k=log_mu_k, log_K=log_K,
+                          expo=expo, log_tT=np.log(tm * (T - tm)))
     tables.n_live = int(np.count_nonzero(tables.inv_sq(0) > 0))
     if tables.n_live < min_live_cells:
         raise ResolutionError(

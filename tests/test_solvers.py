@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,19 @@ def small():
 def test_coefficient_presets_validate():
     for name in ("constant", "affine", "logistic", "polynomial"):
         validate_coefficients(coefficient_preset(name))
+
+
+def test_cosh_sq_overflow_without_warning():
+    from bscontrol.solvers import _cosh_sq
+    rs = [354.9, -354.9, 355.1, -355.1, 1e3, -1e3, math.nan]
+    for r in [*rs, np.array(rs), np.array(rs[:2]), np.array(rs[2:4])]:
+        with np.errstate(over="ignore"):
+            expected = np.cosh(r)**2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _cosh_sq(r)
+        assert np.array_equal(got, expected, equal_nan=True), r
+    assert _cosh_sq(1e3) == math.inf
 
 
 def test_coefficient_preset_unknown():

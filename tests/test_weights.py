@@ -5,7 +5,8 @@ import pytest
 
 from bscontrol.errors import ContractError, ParameterError, ResolutionError
 from bscontrol.geometry import SpaceTimeField, build_grid, build_masks, build_time_grid
-from bscontrol.weights import (WeightParams, build_chi, build_eta,
+from bscontrol.weights import (ETA_CHECK_SAMPLES, ETA_KAPPA, WeightParams,
+                               _quintic_arc, build_chi, build_eta,
                                build_weight_tables, carleman_functional_I,
                                carleman_functional_Jw, check_elementary_estimates,
                                ell_value, m_threshold, validate_params)
@@ -38,6 +39,45 @@ def test_eta_floor_off_center():
     eta = build_eta(g, m, 0.6)  # omega1 = (0.56, 0.64)
     assert eta.floor >= 0.5 / max(0.6, 0.4)
     assert eta.floor == pytest.approx(eta.floor_required, rel=2.0)
+
+
+def _eta_both_arcs(grid, masks, peak):
+    """The reference evaluation: both arcs on every sample, np.where picks
+    a side, the slopes from np.polyder; the profile's values, derivative
+    and gradient floor outside omega1."""
+    L, c = grid.length, peak
+    d2_peak = ETA_KAPPA / max(c, L - c)**2
+    arc_l = _quintic_arc(d2_peak * c**2)
+    arc_r = _quintic_arc(d2_peak * (L - c)**2)
+
+    def eval_eta(x):
+        on_left = x <= c
+        u = np.where(on_left, x / c, (L - x) / (L - c))
+        val = np.where(on_left, np.polyval(arc_l[::-1], u),
+                       np.polyval(arc_r[::-1], u))
+        dl = np.polyder(np.poly1d(arc_l[::-1]))
+        dr = np.polyder(np.poly1d(arc_r[::-1]))
+        return val, np.where(on_left, dl(u) / c, -dr(u) / (L - c))
+
+    xs = np.linspace(0.0, L, ETA_CHECK_SAMPLES)
+    ders = eval_eta(xs)[1]
+    lo, hi = masks.omega1
+    floor = float(np.min(np.abs(ders[(xs < lo) | (xs > hi)])))
+    values, deriv = eval_eta(grid.x)
+    values[0] = values[-1] = 0.0
+    return values, deriv, floor
+
+
+@pytest.mark.parametrize("cells", [48, 64, 100, 128])
+@pytest.mark.parametrize("peak", [0.45, 0.5, 0.55])
+def test_eta_one_sided_arcs_match_both_arc_evaluation(cells, peak):
+    g = build_grid(1.0, cells)
+    m = build_masks(g, (0.25, 0.75), (0.35, 0.65), {"left", "right"}, 0.02)
+    eta = build_eta(g, m, peak)
+    values, deriv, floor = _eta_both_arcs(g, m, peak)
+    assert np.array_equal(eta.values, values)
+    assert np.array_equal(eta.deriv, deriv)
+    assert eta.floor == floor
 
 
 def test_eta_peak_outside_omega1_rejected(geo):
@@ -108,6 +148,33 @@ def test_weight_tables_xi_zeta_values():
     assert np.exp(t.log_xi[:, peak]) == pytest.approx(math.exp(6.0) / tTt, rel=1e-12)
     early = t.t_mid <= 0.5
     assert np.array_equal(t.log_alpha[early], t.log_beta[early])
+
+
+def test_carleman_tables_built_on_first_read():
+    bundle, _ = make_bundle(N=32, M=64)
+    assert not {"log_alpha", "log_xi", "log_beta"} & vars(bundle.tables).keys()
+
+
+@pytest.mark.parametrize("cells", [48, 64, 100, 128])
+@pytest.mark.parametrize("peak", [0.45, 0.5, 0.55])
+def test_carleman_tables_match_eager_expressions(cells, peak):
+    g = build_grid(1.0, cells)
+    m = build_masks(g, (0.25, 0.75), (0.35, 0.65), {"left", "right"}, 0.02)
+    tg = build_time_grid(8.0, 2 * cells)
+    eta = build_eta(g, m, peak)
+    params = validate_params(WeightParams(), tg.horizon)
+    t = build_weight_tables(g, tg, eta, params)
+    t.carleman_log_weights
+    # the oracle: each table evaluated in full from eta and the parameters
+    tm, T = tg.midpoints, tg.horizon
+    expo = params.lam * (params.m + eta.values)
+    log_K = np.log(math.exp(2 * params.lam * params.m) - np.exp(expo))
+    log_tT = np.log(tm * (T - tm))
+    eager = {"log_alpha": log_K[None, :] - log_tT[:, None],
+             "log_xi": expo[None, :] - log_tT[:, None],
+             "log_beta": log_K[None, :] - np.log(ell_value(tm, T))[:, None]}
+    for name, table in eager.items():
+        assert np.array_equal(vars(t)[name], table), name
 
 
 def test_weight_tables_live_window_guard(geo):

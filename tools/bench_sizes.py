@@ -4,25 +4,33 @@ each in its own process.
     python3 tools/bench_sizes.py --label change --out BENCH_x.json
     python3 tools/bench_sizes.py --src ../parent/src --label parent --out BENCH_x.json
     python3 tools/bench_sizes.py --command carleman --label change --out BENCH_y.json
-    python3 tools/bench_sizes.py --sizes 64x128,128x256 --label change --out BENCH_x.json
+    python3 tools/bench_sizes.py --sizes 64x128,128x256 --repeat 5 --label change --out BENCH_x.json
 
 For each size in `--sizes` (cells x steps, default SIZES) a fresh
 interpreter imports bscontrol from `--src`, runs the command on the default
-config with `[grid] cells` and `[time] steps` set, and prints one JSON
-record.  For `synthesize`
-(`cmd_synthesize`) the record holds:
+config with `[grid] cells` and `[time] steps` set, once untimed as a
+warm-up and then `--repeat` K times, and prints one JSON record.  Every
+record holds:
 
-- `wall_s`: the whole `cmd_synthesize` call (setup, outer loop, check, output);
-- `factorize_s`, `lu_nnz`: time and L+U fill of each `splu` call, summed;
-- `trisolves`, `trisolve_s`: calls and time of the factor's `solve`;
-- `solves`: calls of `FISolver.solve`;
-- `peak_rss_mb`: the process's peak resident set, so one value per size;
+- `wall_s`: the median over the K tasks of the whole command call (setup,
+  solves, output);
+- `setup_s`: the median of K timed `build_setup` calls on the same config,
+  made after the tasks;
+- `peak_rss_mb`: the process's peak resident set, read after the tasks and
+  the set-up calls, so one value per size.
+
+For `synthesize` (`cmd_synthesize`) it also holds:
+
+- `factorize_s`, `lu_nnz`: time and L+U fill of each `splu` call, summed per
+  task (the time a median over the K tasks);
+- `trisolves`, `trisolve_s`: calls and time of the factor's `solve`, per
+  task (the time a median);
+- `solves`: calls of `FISolver.solve` per task;
 - `status`, `iterations`, `increments`, `h0_quasilinear`,
-  `optimality_residual`, `backward_error`: copied from the report.
+  `optimality_residual`, `backward_error`: copied from the last report.
 
 For `carleman` (`cmd_diagnose` with `which="carleman"`, 50 adjoint cascades)
-it holds `wall_s`, `peak_rss_mb`, and `max_ratio_alpha` and
-`max_ratio_beta` copied from the report.
+it holds `max_ratio_alpha` and `max_ratio_beta` copied from the last report.
 
 The factor is counted by wrapping `bscontrol.fi.splu` from outside, so the
 script runs unchanged against any checkout.  Records are stored under
@@ -37,6 +45,7 @@ import json
 import os
 import platform
 import resource
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -71,13 +80,13 @@ def _config(cells: int, steps: int):
     return cfg
 
 
-def measure_synthesize(cells: int, steps: int) -> dict:
-    """One default synthesize at cells x steps in this process."""
+def measure_synthesize(cfg):
+    """A task that runs one synthesize on `cfg` in this process and returns
+    its record, and the list that holds the last task's factors."""
     from bscontrol import fi
     from bscontrol.cli import cmd_synthesize
 
-    stats = {"factorize_s": 0.0, "trisolves": 0, "trisolve_s": 0.0, "solves": 0}
-    factors = []
+    stats, factors = {}, []
     splu, solve = fi.splu, fi.FISolver.solve
 
     def counted_splu(*args, **kwargs):
@@ -93,38 +102,64 @@ def measure_synthesize(cells: int, steps: int) -> dict:
 
     fi.splu = counted_splu
     fi.FISolver.solve = counted_solve
-    cfg = _config(cells, steps)
-    with tempfile.TemporaryDirectory() as out:
-        t0 = time.perf_counter()
-        summary = cmd_synthesize(cfg, out)
-        wall = time.perf_counter() - t0
-    # read before `lu.L` and `lu.U`, which build copies of the whole factor
-    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    return {"size": f"{cells}x{steps}", "wall_s": wall, **stats,
-            "lu_nnz": sum(lu.L.nnz + lu.U.nnz for lu in factors),
-            "peak_rss_mb": peak_rss_mb,
-            "status": summary["status"], "iterations": summary["iterations"],
-            "increments": summary["increments"],
-            "h0_quasilinear": summary["h0_norm"]["quasilinear"],
-            "optimality_residual": summary["optimality_residual"],
-            "backward_error": summary["fi"]["backward_error"]}
+
+    def task():
+        stats.update(factorize_s=0.0, trisolves=0, trisolve_s=0.0, solves=0)
+        factors.clear()
+        with tempfile.TemporaryDirectory() as out:
+            t0 = time.perf_counter()
+            summary = cmd_synthesize(cfg, out)
+            wall = time.perf_counter() - t0
+        return {"wall_s": wall, **stats,
+                "status": summary["status"], "iterations": summary["iterations"],
+                "increments": summary["increments"],
+                "h0_quasilinear": summary["h0_norm"]["quasilinear"],
+                "optimality_residual": summary["optimality_residual"],
+                "backward_error": summary["fi"]["backward_error"]}
+    return task, factors
 
 
-def measure_carleman(cells: int, steps: int) -> dict:
-    """One default carleman diagnosis at cells x steps in this process."""
+def measure_carleman(cfg):
+    """A task that runs one carleman diagnosis on `cfg` in this process,
+    and no factors."""
     from bscontrol.cli import cmd_diagnose
-    cfg = _config(cells, steps)
-    with tempfile.TemporaryDirectory() as out:
-        t0 = time.perf_counter()
-        rep = cmd_diagnose(cfg, "carleman", out)
-        wall = time.perf_counter() - t0
-    return {"size": f"{cells}x{steps}", "wall_s": wall,
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-            "max_ratio_alpha": rep["max_ratio_alpha"],
-            "max_ratio_beta": rep["max_ratio_beta"]}
+
+    def task():
+        with tempfile.TemporaryDirectory() as out:
+            t0 = time.perf_counter()
+            rep = cmd_diagnose(cfg, "carleman", out)
+            wall = time.perf_counter() - t0
+        return {"wall_s": wall, "max_ratio_alpha": rep["max_ratio_alpha"],
+                "max_ratio_beta": rep["max_ratio_beta"]}
+    return task, []
 
 
 MEASURES = {"synthesize": measure_synthesize, "carleman": measure_carleman}
+
+
+def measure(command: str, cells: int, steps: int, repeat: int) -> dict:
+    """One untimed warm-up task, `repeat` timed ones and `repeat` timed
+    `build_setup` calls at cells x steps, in this process: the median of
+    each time (`*_s`), the other fields of the last task."""
+    from bscontrol.cli import build_setup
+    cfg = _config(cells, steps)
+    task, factors = MEASURES[command](cfg)
+    task()
+    runs = [task() for _ in range(repeat)]
+    setup = []
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        build_setup(cfg)
+        setup.append(time.perf_counter() - t0)
+    # read before `lu.L` and `lu.U`, which build copies of the whole factor
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    record = runs[-1]
+    record.update({key: statistics.median(r[key] for r in runs)
+                   for key in record if key.endswith("_s")})
+    if command == "synthesize":
+        record["lu_nnz"] = sum(lu.L.nnz + lu.U.nnz for lu in factors)
+    return {"size": f"{cells}x{steps}", **record,
+            "setup_s": statistics.median(setup), "peak_rss_mb": peak_rss_mb}
 
 
 def main(argv=None) -> int:
@@ -135,22 +170,28 @@ def main(argv=None) -> int:
                     help="what to run at each size")
     ap.add_argument("--sizes", default=",".join(SIZES),
                     help="comma-separated cells x steps sizes (default: all of SIZES)")
+    ap.add_argument("--repeat", type=int, default=1,
+                    help="timed tasks and set-up calls per size, after one "
+                         "untimed warm-up task (default 1)")
     ap.add_argument("--label", required=True, help="key of these runs in --out")
     ap.add_argument("--out", required=True, help="JSON file to create or update")
     ap.add_argument("--one", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
+    if args.repeat < 1:
+        ap.error(f"--repeat {args.repeat}: must be >= 1")
     src = os.path.abspath(args.src)
     if args.one:
         cells, steps = (int(v) for v in args.one.split("x"))
         sys.path.insert(0, src)
-        print(json.dumps(MEASURES[args.command](cells, steps)))
+        print(json.dumps(measure(args.command, cells, steps, args.repeat)))
         return 0
 
     records = []
     for size in args.sizes.split(","):
         proc = subprocess.run(
             [sys.executable, __file__, "--src", src, "--command", args.command,
-             "--label", args.label, "--out", args.out, "--one", size],
+             "--repeat", str(args.repeat), "--label", args.label,
+             "--out", args.out, "--one", size],
             check=True, capture_output=True, text=True)
         records.append(json.loads(proc.stdout.splitlines()[-1]))
         print(json.dumps(records[-1]), flush=True)
@@ -160,7 +201,7 @@ def main(argv=None) -> int:
     doc.setdefault("runs", {})[args.label] = {
         "host": f"{platform.machine()}, {os.cpu_count()} CPUs, "
                 f"Python {platform.python_version()}",
-        "command": args.command, "records": records}
+        "command": args.command, "repeat": args.repeat, "records": records}
     out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
