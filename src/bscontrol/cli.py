@@ -205,7 +205,8 @@ def build_source(cfg: RunConfig, bundle: SynthesisBundle) -> SpaceTimeField:
         raise ConfigurationError(f"unknown source family '{family}'")
     prof = admissible_time_profile(bundle.tables)   # (M,), peak 1
     F = SpaceTimeField.zeros(g, M + 1)
-    F.bulk[1:] = amp * prof[:, None] * shape[None, :]
+    # amp * prof[:, None] * shape, written straight into the field
+    np.multiply(amp * prof[:, None], shape, out=F.bulk[1:])
     F.surface[1:] = F.bulk[1:][:, [0, -1]]
     # The weighted norms square the samples and their time differences
     # before taking logs, so a large amplitude overflows them.  Each of

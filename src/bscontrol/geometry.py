@@ -284,14 +284,12 @@ def sbp_laplacian(y: np.ndarray, grid: SpatialGrid) -> np.ndarray:
 
 
 def stiffness_apply(y: np.ndarray, grid: SpatialGrid,
-                    face_coeff: np.ndarray | None = None) -> np.ndarray:
-    """A y = G^T M_faces (c . G y): the (possibly coefficient-weighted) stiffness.
+                    face_coeff: np.ndarray) -> np.ndarray:
+    """A y = G^T M_faces (c . G y): the coefficient-weighted stiffness.
 
     <A y, w>_euclid = sum_faces h * c_f * (Gy)_f (Gw)_f for all w.
     """
-    g = grad_faces(y, grid)
-    if face_coeff is not None:
-        g = g * face_coeff
+    g = grad_faces(y, grid) * face_coeff
     out = np.zeros_like(y, dtype=float)
     out[..., :-1] -= g
     out[..., 1:] += g

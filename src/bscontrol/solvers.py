@@ -363,16 +363,28 @@ def solve_backward_varcoef(cs: CoefficientSet, grid: SpatialGrid,
     with, so from a zero terminal datum <z(.,0), H(.,0)> equals the
     pairing of z with G (cell c at slice c) to roundoff, for any sigma.
     """
-    g, dt, M = grid, time_grid.dt, time_grid.step_count
-    Mw = g.mass_weights()
-    ab = _quasilinear_jacobian_bands(states.bulk[1:], cs, g, dt)
+    ab = _quasilinear_jacobian_bands(states.bulk[1:], cs, grid, time_grid.dt)
     abT = np.zeros_like(ab)
     abT[0, :, 1:], abT[1], abT[2, :, :-1] = ab[2, :, :-1], ab[1], ab[0, :, 1:]
-    out = np.empty((M + 1, g.n_nodes))
-    out[M] = terminal.bulk
-    for c in range(M, 0, -1):
-        rhs = Mw * out[c] / dt + _weak_rhs(g, G.bulk[c], G.surface[c])
-        out[c - 1] = _solve_tridiagonal(abT[:, c - 1], rhs)
+    return _march_bands(abT, grid, time_grid.dt, terminal.bulk,
+                        _weak_rhs(grid, G.bulk, G.surface), backward=True)
+
+
+def _march_bands(ab: np.ndarray, grid: SpatialGrid, dt: float, start: np.ndarray,
+                 source: np.ndarray | None, backward: bool) -> SpaceTimeField:
+    """Implicit-Euler march from `start`, step c solving with its own band
+    ab[:, c-1] for Mw y / dt plus slice c of the weak `source` (if any):
+    forward, slice c from slice c-1; backward, slice c-1 from slice c."""
+    M = ab.shape[1]
+    Mw = grid.mass_weights()
+    out = np.empty((M + 1, grid.n_nodes))
+    out[M if backward else 0] = start
+    for c in (range(M, 0, -1) if backward else range(1, M + 1)):
+        known, new = (c, c - 1) if backward else (c - 1, c)
+        rhs = Mw * out[known] / dt
+        if source is not None:
+            rhs += source[c]
+        out[new] = _solve_tridiagonal(ab[:, c - 1], rhs)
     return SpaceTimeField.from_bulk(out)
 
 
@@ -434,18 +446,16 @@ def weak_residual(ops: LinearOperatorSet, Y: SpaceTimeField, F: SpaceTimeField,
     surface parts) minus the quadrature sources per cell; this is the exact
     set of equations the banded solves enforce.
     """
-    g, tg = ops.grid, ops.time_grid
+    g, M = ops.grid, ops.time_grid.step_count
     res = apply_L(Y, ops, "Lstar" if backward else "L")
-    total, scale = 0.0, 0.0
-    for c in range(1, tg.step_count + 1):
-        j = c - 1 if backward else c      # anchor slice of the step
-        known = c if backward else c - 1  # propagated slice
-        r = _weak_rhs(g, res.bulk[j], res.surface[j]) \
-            - _weak_rhs(g, F.bulk[c], F.surface[c])
-        total += float(np.dot(r, r))
-        q = _weak_rhs(g, F.bulk[c], F.surface[c]) \
-            + g.mass_weights() * Y.bulk[known] / tg.dt
-        scale += float(np.dot(q, q))
+    # the anchor and the propagated slices of steps 1..M
+    anchor, known = ((slice(0, M), slice(1, None)) if backward
+                     else (slice(1, None), slice(0, M)))
+    src = _weak_rhs(g, F.bulk[1:], F.surface[1:])
+    r = _weak_rhs(g, res.bulk[anchor], res.surface[anchor]) - src
+    q = src + g.mass_weights() * Y.bulk[known] / ops.time_grid.dt
+    # each step's np.dot (the same ddot), added in step order
+    total, scale = (sum(map(float, np.vecdot(x, x))) for x in (r, q))
     return np.sqrt(total) / max(np.sqrt(scale), 1e-300)
 
 
@@ -455,18 +465,21 @@ def _face_average(u: np.ndarray) -> np.ndarray:
     return 0.5 * (u[..., 1:] + u[..., :-1])
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Each row's 2-norm, by the BLAS ddot of np.linalg.norm: its bits."""
+    return np.sqrt(np.vecdot(rows, rows))
+
+
 def _quasilinear_residual(u, uold, cs, grid, dt, src):
     """Weak-form step residual of a node vector u (or of each row of a
     (B, n) stack); `src` holds the quadrature-weighted sources only (the
-    previous-slice mass term is handled here).  `x.T[0]` is the first node
-    of every row, and a scalar for one vector."""
+    previous-slice mass term is handled here)."""
     Hw = grid.trapezoid_weights()
     Mw = grid.mass_weights()
     sig_f = cs.sigma(_face_average(u))
     r = Mw * (u - uold) / dt + stiffness_apply(u, grid, face_coeff=sig_f) \
         + Hw * cs.a(u)
-    r.T[0] += cs.b(u.T[0])
-    r.T[-1] += cs.b(u.T[-1])
+    r[..., ::grid.n_nodes - 1] += cs.b(u[..., ::grid.n_nodes - 1])  # surface rows
     r -= src
     return r
 
@@ -486,8 +499,7 @@ def _quasilinear_jacobian_bands(u, cs, grid, dt):
     ab = np.zeros((3, *u.shape))        # rows: upper, diagonal, lower
     diag = ab[1]
     np.add(Mw / dt, Hw * cs.da(u), out=diag)
-    diag.T[0] += cs.db(u.T[0])
-    diag.T[-1] += cs.db(u.T[-1])
+    diag[..., ::grid.n_nodes - 1] += cs.db(u[..., ::grid.n_nodes - 1])  # surface rows
     # stiffness with frozen sig_f
     s = sig_f / h
     diag[..., :-1] += s
@@ -515,55 +527,45 @@ def solve_quasilinear(cs: CoefficientSet, grid: SpatialGrid, time_grid: TimeGrid
     on `masks.omega_nodes`, so it comes with `masks`.
 
     A stack of B initial data (bulk (B, n)) advances B trajectories under
-    the same F and v, and returns bulk (B, M+1, n) and surface (B, M+1, 2).
-    Each Newton iteration then makes one banded solve with the
-    block-diagonal Jacobian of the members that have not converged; each
-    member keeps its own stop test and is left alone once it passes, so
+    the same F and v, and returns bulk (B, M+1, n) and surface (B, M+1, 2);
+    one datum is a stack of one.  Each Newton iteration makes one banded
+    solve with the block-diagonal Jacobian of the members still iterating;
+    each keeps its own stop test and is left alone once it passes, so
     every member follows the iterates of its own single-datum solve.
     """
     if not psi0.is_trace_compatible(1e-12):
         raise ContractError("initial datum must be trace-compatible")
     g, dt, M = grid, time_grid.dt, time_grid.step_count
     Mw = g.mass_weights()
-    shape = psi0.bulk.shape             # (n,) for one datum, (B, n) for a stack
-    B = shape[0] if len(shape) == 2 else 1
-    out = np.empty((M + 1, *shape))
+    out = np.empty((M + 1, *psi0.bulk.shape))
     out[0] = psi0.bulk
+    rows = out.reshape(M + 1, -1, g.n_nodes)   # (M+1, B, n); B = 1 for one datum
     for c in range(1, M + 1):
         fb = F.bulk[c] if v is None else F.bulk[c] + v[c] * masks.omega_nodes
         src = _weak_rhs(g, fb, F.surface[c])
-        prev = out[c - 1]
-        tol = [NEWTON_TOL * max(1.0, float(np.linalg.norm(q)))
-               for q in (src + Mw * prev / dt).reshape(B, -1)]
-        u = prev.copy() if newton_guess == "previous" else np.zeros(shape)
-        live = list(range(B))           # members still iterating
+        prev = rows[c - 1]
+        tol = NEWTON_TOL * np.maximum(1.0, _row_norms(src + Mw * prev / dt))
+        u = prev.copy() if newton_guess == "previous" else np.zeros_like(prev)
+        todo = np.arange(len(u))        # members still iterating
         for _ in range(MAX_NEWTON):
-            ul, pl = (u, prev) if len(live) == B else (u[live], prev[live])
-            r = _quasilinear_residual(ul, pl, cs, g, dt, src)
-            rows = r.reshape(len(live), -1)
-            keep = [i for i, b in enumerate(live)
-                    if not np.linalg.norm(rows[i]) <= tol[b]]
-            if not keep:
+            ul = u[todo]
+            r = _quasilinear_residual(ul, prev[todo], cs, g, dt, src)
+            going = ~(_row_norms(r) <= tol[todo])   # a NaN norm keeps going
+            if not going.any():
                 break
-            if len(keep) < len(live):
-                live = [live[i] for i in keep]
-                ul, r = ul[keep], r[keep]
+            todo, ul, r = todo[going], ul[going], r[going]
             ab = _quasilinear_jacobian_bands(ul, cs, g, dt)
-            ul = ul - _solve_tridiagonal(ab.reshape(3, -1),
-                                         r.ravel()).reshape(ul.shape)
-            if len(live) == B:
-                u = ul
-            else:
-                u[live] = ul
+            u[todo] = ul - _solve_tridiagonal(ab.reshape(3, -1),
+                                              r.ravel()).reshape(ul.shape)
         else:
-            b = live[0]
-            res = float(np.linalg.norm(_quasilinear_residual(
-                u.reshape(B, -1)[b], prev.reshape(B, -1)[b], cs, g, dt, src)))
+            first = todo[:1]
+            res = float(_row_norms(_quasilinear_residual(
+                u[first], prev[first], cs, g, dt, src))[0])
             raise SmallnessViolationError(
                 f"Newton did not converge at step {c} "
                 f"(residual {res:.3e}); data outside the "
                 "small-data regime", step=c, residual=res)
-        out[c] = u
+        rows[c] = u
     # (B, M+1, n) for a stack: each member's history contiguous, like one datum's
     return SpaceTimeField.from_bulk(np.ascontiguousarray(np.moveaxis(out, 0, -2)))
 
@@ -592,16 +594,10 @@ def solve_sensitivity(cs: CoefficientSet, grid: SpatialGrid, time_grid: TimeGrid
     """
     if not zhat0.is_trace_compatible(1e-12):
         raise ContractError("perturbation direction must be trace-compatible")
-    g, dt, M = grid, time_grid.dt, time_grid.step_count
-    Mw = g.mass_weights()
     # the tangent of an implicit step is its Newton Jacobian at the
     # converged state
-    ab = _quasilinear_jacobian_bands(Psi.bulk[1:], cs, g, dt)
-    out = np.empty((M + 1, g.n_nodes))
-    out[0] = zhat0.bulk
-    for c in range(1, M + 1):
-        out[c] = _solve_tridiagonal(ab[:, c - 1], Mw * out[c - 1] / dt)
-    return SpaceTimeField.from_bulk(out)
+    ab = _quasilinear_jacobian_bands(Psi.bulk[1:], cs, grid, time_grid.dt)
+    return _march_bands(ab, grid, time_grid.dt, zhat0.bulk, None, backward=False)
 
 
 # --- diagnostics ------------------------------------------------------------

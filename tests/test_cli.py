@@ -10,6 +10,7 @@ from bscontrol import fi, insensitize, solvers
 from bscontrol.cli import (build_setup, cmd_diagnose, cmd_sweep, cmd_synthesize,
                            load_config, main)
 from bscontrol.errors import ConfigurationError
+from bscontrol.weights import admissible_time_profile
 from bscontrol.insensitize import synthesize
 
 
@@ -147,6 +148,41 @@ def test_zero_source_synthesize(tmp_path):
             assert summary["status"] == "converged"
             # log-norms of the zero field are -inf, written as null
             assert summary["log_y_norm_sq"] is None
+
+
+def _product_oracle_bulk(cfg, bundle):
+    """The source samples as `amp * prof[:, None] * shape[None, :]`, with
+    each family's shape written out again."""
+    g, x = bundle.grid, bundle.grid.x
+    family = cfg.get("source", "family")
+    if family == "zero":
+        shape = np.zeros_like(x)
+    elif family == "gaussian":
+        c0, wd = cfg.getf("source", "center"), cfg.getf("source", "width")
+        shape = np.exp(-0.5 * ((x - c0) / wd) ** 2)
+    else:
+        rng = np.random.default_rng(cfg.seed)
+        shape = np.zeros_like(x)
+        for k in range(1, 5):
+            shape += rng.standard_normal() / k * np.cos(np.pi * k * x / g.length
+                                                        + rng.uniform(0, 2 * np.pi))
+    prof = admissible_time_profile(bundle.tables)
+    return cfg.getf("source", "amplitude") * prof[:, None] * shape[None, :]
+
+
+@pytest.mark.parametrize("family", ["gaussian", "random_fourier", "zero"])
+@pytest.mark.parametrize("cells, steps", [(32, 64), (64, 128)])
+def test_build_source_matches_product_oracle(family, cells, steps):
+    """build_source writes its samples in place with the bits of the
+    full-size product expression, and fills slice 0 and the surface."""
+    cfg = load_config(None)
+    cfg.raw["grid"]["cells"], cfg.raw["time"]["steps"] = str(cells), str(steps)
+    cfg.raw["source"]["family"] = family
+    bundle, F = build_setup(cfg)
+    want = _product_oracle_bulk(cfg, bundle)
+    assert np.array_equal(F.bulk[1:], want)
+    assert np.all(F.bulk[0] == 0) and np.all(F.surface[0] == 0)
+    assert np.array_equal(F.surface[1:], want[:, [0, -1]])
 
 
 def test_determinism_bit_identical(tmp_path):

@@ -6,7 +6,8 @@ per-part log-sum-exp totals against one flat log-sum-exp, a log-weight
 prepared once against one prepared per sum, the factored
 linear steppers against per-step banded solves, mass conservation of the
 linear steppers, stacked marches against member marches, the direct
-tridiagonal solve against solve_banded, the stacked Carleman check against
+tridiagonal solve against solve_banded, the Newton stop tests' row norms
+against np.linalg.norm, the stacked Carleman check against
 a per-sample one, the check's `np.errstate` entries against its sample
 count, the random source against its tuple-drawn and outer-sum forms, and
 the duality of the quasilinear tangent and adjoint
@@ -30,7 +31,7 @@ from bscontrol.geometry import (BulkSurfaceField, SpaceTimeField, build_grid,
                                 build_time_grid)
 from bscontrol.insensitize import PerturbationSpec, duality_identity_check
 from bscontrol.solvers import (LinearOperatorSet, _constant_step_bands,
-                               _solve_tridiagonal, _weak_rhs, apply_L,
+                               _row_norms, _solve_tridiagonal, _weak_rhs, apply_L,
                                solve_adjoint_cascade, solve_linear_backward,
                                solve_linear_forward, total_mass)
 from bscontrol import weights
@@ -374,6 +375,25 @@ def test_solve_tridiagonal_matches_solve_banded(n, columns, bad, data):
         assert got == want
     else:
         assert np.array_equal(got, want, equal_nan=True)
+
+
+@PROPERTY
+@given(B=st.integers(1, 20), n=st.integers(9, 513),
+       exponents=st.lists(st.one_of(st.none(), st.floats(-150.0, 150.0)),
+                          min_size=20, max_size=20),
+       seed=st.integers(0, 2**32 - 1))
+@example(B=20, n=513, exponents=[None, 150.0, -150.0, 0.0] * 5, seed=0)
+def test_row_norms_match_linalg_norm(B, n, exponents, seed):
+    """`_row_norms`, np.sqrt(np.vecdot(rows, rows)), equals np.linalg.norm
+    of each row bit for bit on (B, n) stacks whose rows are scaled by
+    10**e (a zero row where e is None): the quasilinear Newton tolerances
+    and stop tests rest on it.  (np.einsum("ij,ij->i") sums in another
+    order and does not match.)"""
+    rows = np.random.default_rng(seed).standard_normal((B, n))
+    for row, e in zip(rows, exponents):
+        row *= 0.0 if e is None else 10.0 ** e
+    assert np.array_equal(np.sqrt(np.vecdot(rows, rows)), _row_norms(rows))
+    assert np.array_equal(_row_norms(rows), [np.linalg.norm(r) for r in rows])
 
 
 def _per_sample_carleman_check(n_samples, bundle, rng):

@@ -257,24 +257,31 @@ def test_quasilinear_stack_matches_loop(small, monkeypatch):
 
 
 def test_quasilinear_stack_failure_matches_member():
-    """A stack with one member outside the small-data regime fails at that
-    member's own step, with its residual."""
+    """A stack with members outside the small-data regime fails at the step
+    of the first to fail, with its residual; two members failing at the
+    same step report the lower-index one."""
     g = build_grid(1.0, 32)
     tg = build_time_grid(1.0, 32)
     cs = coefficient_preset("affine", sigma1=0.5)
     F = SpaceTimeField.zeros(g, tg.step_count + 1)
-    levels = (0.5, -3.0, -1.0)          # -3 drives sigma below zero
-    data = [(c, BulkSurfaceField.from_bulk(np.ones(g.n_nodes))) for c in levels]
-    with pytest.raises(SmallnessViolationError) as alone:
-        solve_quasilinear(cs, g, tg, F, BulkSurfaceField.from_bulk(
-            np.full(g.n_nodes, -3.0)))
-    for c in (0.5, -1.0):
-        solve_quasilinear(cs, g, tg, F, BulkSurfaceField.from_bulk(
-            np.full(g.n_nodes, c)))
-    with pytest.raises(SmallnessViolationError) as stacked:
-        solve_quasilinear(cs, g, tg, F, _stack(data))
-    assert stacked.value.step == alone.value.step
-    assert stacked.value.residual == alone.value.residual
+    # -3 drives sigma below zero; -4 and -2.5 both fail at step 6
+    for levels, failing in (((0.5, -3.0, -1.0), -3.0),
+                            ((0.5, -4.0, -1.0, -2.5), -4.0)):
+        data = [(c, BulkSurfaceField.from_bulk(np.ones(g.n_nodes))) for c in levels]
+        alone = {}
+        for c in levels:
+            try:
+                solve_quasilinear(cs, g, tg, F, BulkSurfaceField.from_bulk(
+                    np.full(g.n_nodes, c)))
+            except SmallnessViolationError as exc:
+                alone[c] = exc
+        assert min(alone, key=lambda c: (alone[c].step, levels.index(c))) == failing
+        assert len({exc.step for exc in alone.values()}) == 1
+        assert len({exc.residual for exc in alone.values()}) == len(alone)
+        with pytest.raises(SmallnessViolationError) as stacked:
+            solve_quasilinear(cs, g, tg, F, _stack(data))
+        assert stacked.value.step == alone[failing].step
+        assert stacked.value.residual == alone[failing].residual
 
 
 def test_quasilinear_cascade_frozen_matches_linear(small):

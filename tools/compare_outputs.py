@@ -13,13 +13,14 @@ Prints one line per command and the first lines of each difference, and
 exits 1 on any difference, 0 otherwise.  The commands cover every CLI
 command: both outer-loop exits (`converged` at 128x256, `converged_floor` on
 the other synthesize runs, 8 iterations at amplitude 1), a non-dyadic time
-step (8/100, where the other runs' dt are powers of two), factor reuse
+step (8/100, where the other runs' dt are powers of two), the three
+coefficient presets other than the default logistic one, factor reuse
 across an amplitude sweep, a grid sweep that replaces the bundle and its
 cached solver mid-run, a lambda sweep whose second value fails validation
 (its CSV row carries the error message, commas included), and all five
 diagnostic suites; demo 03 is the only caller of `galerkin_check` and
 `cascade_residual_check` outside the tests.  Both trees together take
-about 35 s on a 2-vCPU host.
+about 40 s on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -48,6 +49,12 @@ COMMANDS = (
     ("synthesize amplitude 1 32x64", ["synthesize"],
      {"source": {"amplitude": "1"}, "grid": {"cells": "32"},
       "time": {"steps": "64"}}),
+    # every other run uses the default logistic coefficients; these reach
+    # the Jacobian's dsigma terms of the other presets
+    *((f"synthesize {preset} 32x64", ["synthesize"],
+       {"coefficients": {"preset": preset}, "grid": {"cells": "32"},
+        "time": {"steps": "64"}})
+      for preset in ("constant", "affine", "polynomial")),
     ("sweep amplitude", ["sweep", "--parameter", "amplitude",
                          "--values", "5e-4,1e-3,2e-3"], {}),
     ("sweep N", ["sweep", "--parameter", "N", "--values", "32,48"], {}),
