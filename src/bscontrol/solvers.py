@@ -363,29 +363,25 @@ def solve_backward_varcoef(cs: CoefficientSet, grid: SpatialGrid,
     with, so from a zero terminal datum <z(.,0), H(.,0)> equals the
     pairing of z with G (cell c at slice c) to roundoff, for any sigma.
     """
-    ab = _quasilinear_jacobian_bands(states.bulk[1:], cs, grid, time_grid.dt)
+    dt, M = time_grid.dt, time_grid.step_count
+    ab = _quasilinear_jacobian_bands(states.bulk[1:], cs, grid, dt)
     abT = np.zeros_like(ab)
     abT[0, :, 1:], abT[1], abT[2, :, :-1] = ab[2, :, :-1], ab[1], ab[0, :, 1:]
-    return _march_bands(abT, grid, time_grid.dt, terminal.bulk,
-                        _weak_rhs(grid, G.bulk, G.surface), backward=True)
-
-
-def _march_bands(ab: np.ndarray, grid: SpatialGrid, dt: float, start: np.ndarray,
-                 source: np.ndarray | None, backward: bool) -> SpaceTimeField:
-    """Implicit-Euler march from `start`, step c solving with its own band
-    ab[:, c-1] for Mw y / dt plus slice c of the weak `source` (if any):
-    forward, slice c from slice c-1; backward, slice c-1 from slice c."""
-    M = ab.shape[1]
-    Mw = grid.mass_weights()
     out = np.empty((M + 1, grid.n_nodes))
-    out[M if backward else 0] = start
-    for c in (range(M, 0, -1) if backward else range(1, M + 1)):
-        known, new = (c, c - 1) if backward else (c - 1, c)
-        rhs = Mw * out[known] / dt
-        if source is not None:
-            rhs += source[c]
-        out[new] = _solve_tridiagonal(ab[:, c - 1], rhs)
+    out[M] = terminal.bulk
+    # forward in reversed time: step c makes slice c-1, with source slice c
+    _march_bands(abT[:, ::-1], grid, dt, out[::-1],
+                 _weak_rhs(grid, G.bulk[:0:-1], G.surface[:0:-1]))
     return SpaceTimeField.from_bulk(out)
+
+
+def _march_bands(ab: np.ndarray, grid: SpatialGrid, dt: float, out: np.ndarray,
+                 source: np.ndarray) -> None:
+    """Implicit-Euler march over per-step bands, in place from out[0]:
+    out[c] solves band ab[:, c-1] against Mw out[c-1] / dt + source[c-1]."""
+    Mw = grid.mass_weights()
+    for c in range(1, len(out)):
+        out[c] = _solve_tridiagonal(ab[:, c - 1], Mw * out[c - 1] / dt + source[c - 1])
 
 
 def _observation_source(Psi: SpaceTimeField, theta: float, theta_s: float,
@@ -540,27 +536,29 @@ def solve_quasilinear(cs: CoefficientSet, grid: SpatialGrid, time_grid: TimeGrid
     out = np.empty((M + 1, *psi0.bulk.shape))
     out[0] = psi0.bulk
     rows = out.reshape(M + 1, -1, g.n_nodes)   # (M+1, B, n); B = 1 for one datum
+    every = np.arange(rows.shape[1])
     for c in range(1, M + 1):
         fb = F.bulk[c] if v is None else F.bulk[c] + v[c] * masks.omega_nodes
         src = _weak_rhs(g, fb, F.surface[c])
         prev = rows[c - 1]
         tol = NEWTON_TOL * np.maximum(1.0, _row_norms(src + Mw * prev / dt))
         u = prev.copy() if newton_guess == "previous" else np.zeros_like(prev)
-        todo = np.arange(len(u))        # members still iterating
+        todo = slice(None)      # members still iterating: all (views) until one passes
         for _ in range(MAX_NEWTON):
             ul = u[todo]
             r = _quasilinear_residual(ul, prev[todo], cs, g, dt, src)
             going = ~(_row_norms(r) <= tol[todo])   # a NaN norm keeps going
             if not going.any():
                 break
-            todo, ul, r = todo[going], ul[going], r[going]
+            if not going.all():
+                todo, ul, r = every[todo][going], ul[going], r[going]
             ab = _quasilinear_jacobian_bands(ul, cs, g, dt)
             u[todo] = ul - _solve_tridiagonal(ab.reshape(3, -1),
                                               r.ravel()).reshape(ul.shape)
         else:
-            first = todo[:1]
+            first = every[todo][0]
             res = float(_row_norms(_quasilinear_residual(
-                u[first], prev[first], cs, g, dt, src))[0])
+                u[first], prev[first], cs, g, dt, src)))
             raise SmallnessViolationError(
                 f"Newton did not converge at step {c} "
                 f"(residual {res:.3e}); data outside the "
@@ -596,8 +594,12 @@ def solve_sensitivity(cs: CoefficientSet, grid: SpatialGrid, time_grid: TimeGrid
         raise ContractError("perturbation direction must be trace-compatible")
     # the tangent of an implicit step is its Newton Jacobian at the
     # converged state
-    ab = _quasilinear_jacobian_bands(Psi.bulk[1:], cs, grid, time_grid.dt)
-    return _march_bands(ab, grid, time_grid.dt, zhat0.bulk, None, backward=False)
+    dt, M = time_grid.dt, time_grid.step_count
+    ab = _quasilinear_jacobian_bands(Psi.bulk[1:], cs, grid, dt)
+    out = np.empty((M + 1, grid.n_nodes))
+    out[0] = zhat0.bulk
+    _march_bands(ab, grid, dt, out, np.zeros_like(out[1:]))    # no source
+    return SpaceTimeField.from_bulk(out)
 
 
 # --- diagnostics ------------------------------------------------------------

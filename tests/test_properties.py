@@ -392,7 +392,6 @@ def test_row_norms_match_linalg_norm(B, n, exponents, seed):
     rows = np.random.default_rng(seed).standard_normal((B, n))
     for row, e in zip(rows, exponents):
         row *= 0.0 if e is None else 10.0 ** e
-    assert np.array_equal(np.sqrt(np.vecdot(rows, rows)), _row_norms(rows))
     assert np.array_equal(_row_norms(rows), [np.linalg.norm(r) for r in rows])
 
 

@@ -264,24 +264,28 @@ def test_quasilinear_stack_failure_matches_member():
     tg = build_time_grid(1.0, 32)
     cs = coefficient_preset("affine", sigma1=0.5)
     F = SpaceTimeField.zeros(g, tg.step_count + 1)
-    # -3 drives sigma below zero; -4 and -2.5 both fail at step 6
-    for levels, failing in (((0.5, -3.0, -1.0), -3.0),
-                            ((0.5, -4.0, -1.0, -2.5), -4.0)):
+
+    def alone(c):
+        return solve_quasilinear(cs, g, tg, F, BulkSurfaceField.from_bulk(
+            np.full(g.n_nodes, c)))
+
+    # -3 drives sigma below zero; -4 and -2.5 both fail at the same step
+    for levels, failing in (((0.5, -3.0, -1.0), (-3.0,)),
+                            ((0.5, -4.0, -1.0, -2.5), (-4.0, -2.5))):
         data = [(c, BulkSurfaceField.from_bulk(np.ones(g.n_nodes))) for c in levels]
-        alone = {}
-        for c in levels:
-            try:
-                solve_quasilinear(cs, g, tg, F, BulkSurfaceField.from_bulk(
-                    np.full(g.n_nodes, c)))
-            except SmallnessViolationError as exc:
-                alone[c] = exc
-        assert min(alone, key=lambda c: (alone[c].step, levels.index(c))) == failing
-        assert len({exc.step for exc in alone.values()}) == 1
-        assert len({exc.residual for exc in alone.values()}) == len(alone)
+        errors = []
+        for c in failing:
+            with pytest.raises(SmallnessViolationError) as exc:
+                alone(c)
+            errors.append(exc.value)
+        for c in set(levels) - set(failing):
+            alone(c)
+        assert len({e.step for e in errors}) == 1
+        assert len({e.residual for e in errors}) == len(errors)
         with pytest.raises(SmallnessViolationError) as stacked:
             solve_quasilinear(cs, g, tg, F, _stack(data))
-        assert stacked.value.step == alone[failing].step
-        assert stacked.value.residual == alone[failing].residual
+        assert stacked.value.step == errors[0].step
+        assert stacked.value.residual == errors[0].residual
 
 
 def test_quasilinear_cascade_frozen_matches_linear(small):
