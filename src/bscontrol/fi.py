@@ -59,8 +59,8 @@ import scipy.sparse as sparse
 from scipy.sparse.linalg import splu
 
 from .errors import ConditioningError, ContractError
-from .geometry import (SpaceTimeField, SpatialGrid, grad_faces, l2_norm,
-                       sbp_laplacian)
+from .geometry import (SpaceTimeField, SpatialGrid, face_average, grad_faces,
+                       l2_norm, sbp_laplacian)
 from .solvers import (LinearOperatorSet, _observation_source, _step_rows,
                       solve_linearized_cascade, weak_residual)
 from .weights import (ChiBump, WeightTables, log_add, log_ratio, log_st_sq,
@@ -125,20 +125,15 @@ def core_log_norms(Psi: SpaceTimeField, H: SpaceTimeField, v: np.ndarray,
     return {"mu0Psi": log_st_sq(lm[0], Psi.bulk[1:], Psi.surface[1:], grid, dt),
             "mu0H": log_st_sq(lm[0], H.bulk[:-1], H.surface[:-1], grid, dt),
             "mu1v": log_st_sq(lm[1], v[1:], None, grid, dt),
-            "mu3vt": log_st_sq(_interface_log_weight(lm[3]), vt, None, grid, dt)}
-
-
-def _interface_log_weight(log_w):
-    """Log-weight of the interfaces between cells: the neighbours' mean."""
-    return 0.5 * (log_w[1:] + log_w[:-1])
+            "mu3vt": log_st_sq(face_average(lm[3]), vt, None, grid, dt)}
 
 
 def _cell_time_derivative(cells_b, cells_s, log_w, dt):
     """Centered-at-interface time differences of cell arrays, with the
-    interface log-weight of `_interface_log_weight`."""
+    interface log-weight: the mean of the neighbouring cells' log-weights."""
     db = np.diff(cells_b, axis=0) / dt
     ds = np.diff(cells_s, axis=0) / dt
-    return db, ds, _interface_log_weight(log_w)
+    return db, ds, face_average(log_w)
 
 
 @dataclass
@@ -527,7 +522,7 @@ def live_masked_resolved_psi(sol: FISolution) -> SpaceTimeField:
     p = sol.problem
     Psi_rs, _ = solve_linearized_cascade(p.ops, sol.F, sol.G, sol.v, p.theta,
                                          p.theta_s, p.masks)
-    live = p.tables.inv_sq(0) > 0
+    live = p.tables.live
     Psi_rs.bulk[1:][~live] = 0.0
     Psi_rs.surface[1:][~live] = 0.0
     Psi_rs.bulk[0] = 0.0
@@ -558,8 +553,7 @@ def verify_p2(sol: FISolution) -> dict:
     lapH = sbp_laplacian(Hb, g)
     Pt_b, Pt_s, lw3 = _cell_time_derivative(Pb, Ps, lm[3], dt)
     Ht_b, Ht_s, _ = _cell_time_derivative(Hb, Hs, lm[3], dt)
-    lw4 = _interface_log_weight(lm[4])
-    lw5 = _interface_log_weight(lm[5])
+    lw4, lw5 = face_average(t.log_mu_k[4:])
     gPt = grad_faces(Pt_b, g)
     lapPt = sbp_laplacian(Pt_b, g)
     Ptt_b = np.diff(Pt_b, axis=0) / dt

@@ -83,7 +83,7 @@ class TimeGrid:
 
     @property
     def midpoints(self) -> np.ndarray:
-        return 0.5 * (self.nodes[:-1] + self.nodes[1:])
+        return face_average(self.nodes)
 
 
 def build_time_grid(horizon: float, step_count: int) -> TimeGrid:
@@ -111,8 +111,6 @@ class RegionMasks:
     """
 
     omega: tuple[float, float]
-    obs_bulk: tuple[float, float]
-    obs_surface: frozenset
     omega1: tuple[float, float]
     omega3: tuple[float, float]
     omega_nodes: np.ndarray = field(repr=False)
@@ -154,8 +152,7 @@ def build_masks(grid: SpatialGrid, omega: tuple[float, float],
         raise ConfigurationError(f"obs_surface must be a subset of {{left, right}}, got {obs_surface}")
 
     masks = RegionMasks(
-        omega=omega, obs_bulk=obs_bulk, obs_surface=surf,
-        omega1=omega1, omega3=omega3,
+        omega=omega, omega1=omega1, omega3=omega3,
         omega_nodes=_interval_mask(grid, omega),
         obs_bulk_nodes=_interval_mask(grid, obs_bulk),
         omega1_nodes=_interval_mask(grid, omega1),
@@ -243,6 +240,11 @@ def l2_norm(a: BulkSurfaceField, grid: SpatialGrid) -> float:
 # --- SBP difference operators ---------------------------------------------
 # All operators act on the last axis, so they apply to (N+1,) slices and to
 # (n_t, N+1) space-time arrays alike.
+
+def face_average(a: np.ndarray) -> np.ndarray:
+    """Means of neighbouring entries on the last axis (faces, time cells)."""
+    return 0.5 * (a[..., 1:] + a[..., :-1])
+
 
 def grad_faces(y: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     """Face gradient (y_{i+1} - y_i)/h; faces carry quadrature weight h."""

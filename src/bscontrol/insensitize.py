@@ -36,15 +36,16 @@ import numpy as np
 
 from .errors import ContractError, SmallnessViolationError
 from .fi import (FIProblem, FISolution, FISolver, _cell_time_derivative,
-                 _interface_log_weight, core_log_norms, source_log_norms)
+                 core_log_norms, source_log_norms)
 from .geometry import (BulkSurfaceField, RegionMasks, SpaceTimeField,
-                       SpatialGrid, grad_faces, h3_proxy_norm, l2_inner,
-                       l2_norm, node_gradient, normal_derivative, sbp_laplacian)
+                       SpatialGrid, face_average, grad_faces, h3_proxy_norm,
+                       l2_inner, l2_norm, node_gradient, normal_derivative,
+                       sbp_laplacian)
 from .solvers import (CoefficientSet, LinearOperatorSet, _observation_source,
                       apply_L, solve_linearized_cascade, solve_quasilinear,
                       solve_quasilinear_cascade, solve_sensitivity)
 from .weights import (WeightTables, log_add, log_ratio, log_st_sq,
-                      log_weighted_sq_sum, log_weighted_sup)
+                      log_weighted_sq_sum, log_weighted_sup, slice_sq_norms)
 
 
 @dataclass
@@ -256,13 +257,11 @@ def x_norm_sq_log(Psi: SpaceTimeField, H: SpaceTimeField, v: np.ndarray,
              "mu3LapH": log_st_sq(lm[3], sbp_laplacian(H.bulk[:-1], g), None, g, dt)}
     Pt_b, Pt_s, lw4 = _cell_time_derivative(Pb, Ps, lm[4], dt)
     parts["mu4Psit"] = log_st_sq(lw4, Pt_b, Pt_s, g, dt)
-    lw5 = _interface_log_weight(lm[5])
+    lw5 = face_average(lm[5])
     parts["mu5LapPsit"] = log_st_sq(lw5, sbp_laplacian(Pt_b, g), None, g, dt)
     parts["mu1v"], parts["mu3vt"] = core["mu1v"], core["mu3vt"]
-    vH2 = (np.einsum("kj,j,kj->k", v[1:], Hv, v[1:])
-           + np.sum(grad_faces(v[1:], g)**2, axis=1) * g.h
-           + np.einsum("kj,j,kj->k", sbp_laplacian(v[1:], g), Hv,
-                       sbp_laplacian(v[1:], g)))
+    vH2 = slice_sq_norms((v[1:], Hv), (grad_faces(v[1:], g), g.h),
+                         (sbp_laplacian(v[1:], g), Hv))
     parts["vH2"] = (float(np.log(np.sum(vH2) * dt)) if np.sum(vH2) > 0 else -math.inf)
 
     rows = linear_cascade_rows(Psi, H, v, bundle.ops, bundle.theta,
@@ -293,10 +292,8 @@ def _increment_norm_sq_log(dPsi: SpaceTimeField, dH: SpaceTimeField,
     the terms moves its last digits.
     """
     g, dt, t = bundle.grid, bundle.time_grid.dt, bundle.tables
-    live = t.inv_sq(0) > 0
     quad_b = g.trapezoid_weights()[None, :] * dt
-    lm0 = np.where(live, t.log_mu_k[0], -math.inf)
-    lm1 = np.where(live, t.log_mu_k[1], -math.inf)
+    lm0, lm1 = np.where(t.live, t.log_mu_k[:2], -math.inf)
     return log_add(
         log_weighted_sq_sum(2 * lm0[:, None], dPsi.bulk[1:], quad_b),
         log_weighted_sq_sum(2 * lm0[:, None], dPsi.surface[1:], dt),

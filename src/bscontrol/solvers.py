@@ -25,6 +25,7 @@ unconditional dissipativity of the implicit Euler steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -36,8 +37,9 @@ from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
 from .errors import (ConditioningError, ConfigurationError, ContractError,
                      SmallnessViolationError)
 from .geometry import (BulkSurfaceField, RegionMasks, SpaceTimeField,
-                       SpatialGrid, TimeGrid, grad_faces, l2_inner,
-                       normal_derivative, sbp_laplacian, stiffness_apply)
+                       SpatialGrid, TimeGrid, face_average, grad_faces,
+                       l2_inner, normal_derivative, sbp_laplacian,
+                       stiffness_apply)
 
 # Newton on an implicit step stops at ||r|| <= NEWTON_TOL * max(1, ||rhs||)
 NEWTON_TOL = 1e-11
@@ -49,8 +51,8 @@ COEFF_SAMPLES = 401
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Diffusion sigma with two derivatives, reactions a/b with two, and the
-    ellipticity floor rho.  All handles are vectorized callables.
+    """Diffusion sigma and reactions a, b, each with two derivatives, as
+    vectorized callables.
 
     The paper's surface diffusion delta enters only through the
     Laplace-Beltrami operator, which vanishes on the two-point boundary of
@@ -66,16 +68,17 @@ class CoefficientSet:
     b: Callable
     db: Callable
     d2b: Callable
-    rho: float
     name: str = "custom"
 
 
 def validate_coefficients(cs: CoefficientSet) -> None:
+    """Check A7 (a positive measured floor of sigma), A8 and the derivatives."""
     r = np.linspace(*COEFF_SAMPLE_INTERVAL, COEFF_SAMPLES)
-    if np.min(cs.sigma(r)) < cs.rho:
+    floor = float(np.min(cs.sigma(r)))
+    if not floor > 0:
         raise ConfigurationError(
-            "assumption A7 violated: the diffusion coefficient drops below the "
-            f"ellipticity floor rho={cs.rho} on {COEFF_SAMPLE_INTERVAL}")
+            "assumption A7 violated: the diffusion coefficient's minimum on "
+            f"{COEFF_SAMPLE_INTERVAL} is {floor}, not a positive floor")
     if abs(float(cs.a(0.0))) > 1e-14 or abs(float(cs.b(0.0))) > 1e-14:
         raise ConfigurationError(
             "assumption A8 violated: reaction terms must vanish at 0")
@@ -98,65 +101,60 @@ def _cosh_sq(r):
         return np.cosh(r)**2
 
 
+def _power_sum(items: list, r):
+    """The sum of c * r**k over the (k, c) items, left to right; a constant
+    term (k = 0) is c filling r's shape."""
+    r = np.asarray(r, float)
+    (k0, c0), *rest = items
+    out = np.full_like(r, c0) if k0 == 0 else c0 * r**k0
+    for k, c in rest:
+        out = out + c * r**k
+    return out
+
+
+def _polynomial(terms: dict) -> list[Callable]:
+    """f, f' and f'' of the polynomial with {power: coefficient} terms, in
+    increasing power; no terms give zeros like the argument."""
+    fs = []
+    for _ in range(3):
+        fs.append(partial(_power_sum, sorted(terms.items())) if terms
+                  else np.zeros_like)
+        terms = {k - 1: k * c for k, c in terms.items() if k}
+    return fs
+
+
+def _logistic(c1: float, c0: float | None = None) -> list[Callable]:
+    """f, f' and f'' of c0 + c1 tanh(r), or of c1 tanh(r) without c0."""
+    f = ((lambda r: c1 * np.tanh(r)) if c0 is None
+         else (lambda r: c0 + c1 * np.tanh(r)))
+    return [f, lambda r: c1 / _cosh_sq(r),
+            lambda r: -2 * c1 * np.tanh(r) / _cosh_sq(r)]
+
+
+# sigma, a and b of each polynomial preset as {power: (keyword, default)}
+POLYNOMIAL_PRESETS = {
+    "constant": ({0: ("sigma0", 1.0)}, {1: ("a1", 0.5)}, {1: ("b1", 0.3)}),
+    "affine": ({0: ("sigma0", 1.0), 1: ("sigma1", 0.2)},
+               {1: ("a1", 0.5), 2: ("a2", 0.25)}, {1: ("b1", 0.3), 2: ("b2", 0.15)}),
+    "polynomial": ({0: ("sigma0", 1.0), 2: ("sigma2", 0.3)},
+                   {1: ("a1", 0.5), 3: ("a3", 0.2)}, {1: ("b1", 0.3)}),
+}
+
+
 def coefficient_preset(name: str, **kw) -> CoefficientSet:
-    """Named coefficient families: constant, affine, logistic, polynomial."""
-    zero = np.zeros_like
-    if name == "constant":
-        s0 = kw.get("sigma0", 1.0)
-        a1 = kw.get("a1", 0.5)
-        b1 = kw.get("b1", 0.3)
-        return CoefficientSet(
-            sigma=lambda r: np.full_like(np.asarray(r, float), s0),
-            dsigma=zero, d2sigma=zero,
-            a=lambda r: a1 * np.asarray(r, float), da=lambda r: np.full_like(np.asarray(r, float), a1),
-            d2a=zero,
-            b=lambda r: b1 * np.asarray(r, float), db=lambda r: np.full_like(np.asarray(r, float), b1),
-            d2b=zero, rho=s0, name="constant")
-    if name == "affine":
-        s0, s1 = kw.get("sigma0", 1.0), kw.get("sigma1", 0.2)
-        a1, a2 = kw.get("a1", 0.5), kw.get("a2", 0.25)
-        b1, b2 = kw.get("b1", 0.3), kw.get("b2", 0.15)
-        return CoefficientSet(
-            sigma=lambda r: s0 + s1 * np.asarray(r, float),
-            dsigma=lambda r: np.full_like(np.asarray(r, float), s1),
-            d2sigma=zero,
-            a=lambda r: a1 * np.asarray(r, float) + a2 * np.asarray(r, float)**2,
-            da=lambda r: a1 + 2 * a2 * np.asarray(r, float),
-            d2a=lambda r: np.full_like(np.asarray(r, float), 2 * a2),
-            b=lambda r: b1 * np.asarray(r, float) + b2 * np.asarray(r, float)**2,
-            db=lambda r: b1 + 2 * b2 * np.asarray(r, float),
-            d2b=lambda r: np.full_like(np.asarray(r, float), 2 * b2),
-            rho=s0 - 2 * abs(s1), name="affine")
-    if name == "logistic":
+    """Named coefficient families: constant, affine, logistic, polynomial.
+    Each is written once, as its coefficients; the derivatives follow."""
+    if name in POLYNOMIAL_PRESETS:
+        families = [_polynomial({k: kw.get(*arg) for k, arg in terms.items()})
+                    for terms in POLYNOMIAL_PRESETS[name]]
+    elif name == "logistic":
         # saturating tanh profiles; globally bounded derivatives
-        s0, s1 = kw.get("sigma0", 1.0), kw.get("sigma1", 0.4)
-        a1, b1 = kw.get("a1", 0.5), kw.get("b1", 0.3)
-        return CoefficientSet(
-            sigma=lambda r: s0 + s1 * np.tanh(r),
-            dsigma=lambda r: s1 / _cosh_sq(r),
-            d2sigma=lambda r: -2 * s1 * np.tanh(r) / _cosh_sq(r),
-            a=lambda r: a1 * np.tanh(r),
-            da=lambda r: a1 / _cosh_sq(r),
-            d2a=lambda r: -2 * a1 * np.tanh(r) / _cosh_sq(r),
-            b=lambda r: b1 * np.tanh(r),
-            db=lambda r: b1 / _cosh_sq(r),
-            d2b=lambda r: -2 * b1 * np.tanh(r) / _cosh_sq(r),
-            rho=s0 - s1, name="logistic")
-    if name == "polynomial":
-        s0, s2 = kw.get("sigma0", 1.0), kw.get("sigma2", 0.3)
-        a1, a3 = kw.get("a1", 0.5), kw.get("a3", 0.2)
-        b1 = kw.get("b1", 0.3)
-        return CoefficientSet(
-            sigma=lambda r: s0 + s2 * np.asarray(r, float)**2,
-            dsigma=lambda r: 2 * s2 * np.asarray(r, float),
-            d2sigma=lambda r: np.full_like(np.asarray(r, float), 2 * s2),
-            a=lambda r: a1 * np.asarray(r, float) + a3 * np.asarray(r, float)**3,
-            da=lambda r: a1 + 3 * a3 * np.asarray(r, float)**2,
-            d2a=lambda r: 6 * a3 * np.asarray(r, float),
-            b=lambda r: b1 * np.asarray(r, float),
-            db=lambda r: np.full_like(np.asarray(r, float), b1),
-            d2b=zero, rho=s0, name="polynomial")
-    raise ConfigurationError(f"unknown coefficient preset '{name}'")
+        families = (_logistic(kw.get("sigma1", 0.4), kw.get("sigma0", 1.0)),
+                    _logistic(kw.get("a1", 0.5)), _logistic(kw.get("b1", 0.3)))
+    else:
+        raise ConfigurationError(f"unknown coefficient preset '{name}'")
+    # f, f', f'' of sigma, a and b: the handles in field order
+    return CoefficientSet(*(f for fs in families for f in fs), name=name)
 
 
 @dataclass(frozen=True)
@@ -457,10 +455,6 @@ def weak_residual(ops: LinearOperatorSet, Y: SpaceTimeField, F: SpaceTimeField,
 
 # --- quasilinear solver -----------------------------------------------------
 
-def _face_average(u: np.ndarray) -> np.ndarray:
-    return 0.5 * (u[..., 1:] + u[..., :-1])
-
-
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     """Each row's 2-norm, by the BLAS ddot of np.linalg.norm: its bits."""
     return np.sqrt(np.vecdot(rows, rows))
@@ -472,7 +466,7 @@ def _quasilinear_residual(u, uold, cs, grid, dt, src):
     previous-slice mass term is handled here)."""
     Hw = grid.trapezoid_weights()
     Mw = grid.mass_weights()
-    sig_f = cs.sigma(_face_average(u))
+    sig_f = cs.sigma(face_average(u))
     r = Mw * (u - uold) / dt + stiffness_apply(u, grid, face_coeff=sig_f) \
         + Hw * cs.a(u)
     r[..., ::grid.n_nodes - 1] += cs.b(u[..., ::grid.n_nodes - 1])  # surface rows
@@ -487,7 +481,7 @@ def _quasilinear_jacobian_bands(u, cs, grid, dt):
     h = grid.h
     Hw = grid.trapezoid_weights()
     Mw = grid.mass_weights()
-    uf = _face_average(u)
+    uf = face_average(u)
     sig_f = cs.sigma(uf)
     dsig_f = cs.dsigma(uf)
     gu = np.diff(u) / h

@@ -41,7 +41,8 @@ import numpy as np
 
 from .errors import ContractError, ParameterError, ResolutionError
 from .geometry import (RegionMasks, SpaceTimeField, SpatialGrid, TimeGrid,
-                       grad_faces, normal_derivative, sbp_laplacian)
+                       face_average, grad_faces, normal_derivative,
+                       sbp_laplacian)
 
 LOG_UNDERFLOW = -700.0  # squared inverse weights below e^{-700} become exact 0
 LOG_FLOAT_MAX = math.log(sys.float_info.max)    # e^x overflows above this
@@ -195,7 +196,6 @@ def log_ratio(log_num: float, log_den: float) -> float:
 class EtaProfile:
     values: np.ndarray
     deriv: np.ndarray
-    peak: float
     floor: float           # measured min |eta'| outside omega1
     floor_required: float
 
@@ -274,7 +274,7 @@ def build_eta(grid: SpatialGrid, masks: RegionMasks, peak: float) -> EtaProfile:
 
     values, deriv = eval_eta(grid.x)
     values[0] = values[-1] = 0.0
-    return EtaProfile(values=values, deriv=deriv, peak=c, floor=floor,
+    return EtaProfile(values=values, deriv=deriv, floor=floor,
                       floor_required=required)
 
 
@@ -346,7 +346,6 @@ class WeightTables:
     log_K: np.ndarray                 # (N+1,): log of the numerator K(x)
     expo: np.ndarray                  # (N+1,): lam (m + eta(x))
     log_tT: np.ndarray                # (M,): log t(T-t)
-    n_live: int = 0                   # cells where mu0^{-2} survives underflow
 
     # the (M, N+1) Carleman tables, built on first read: only the Carleman
     # functionals and their check read them, never a synthesis or a sweep
@@ -369,15 +368,22 @@ class WeightTables:
         return out
 
     @cached_property
+    def live(self) -> np.ndarray:
+        """(M,) bools: the cells where mu0^{-2} survives underflow."""
+        return self.inv_sq(0) > 0
+
+    @property
+    def n_live(self) -> int:
+        return int(np.count_nonzero(self.live))
+
+    @cached_property
     def carleman_log_weights(self) -> dict:
         """The prepared log-weights of the alpha functional ("I"), the beta
         functional ("Jw"), keyed by component, and of the right-hand sides
         of `empirical_carleman_check` ("rhs_I", "rhs_J", in term order)."""
         s, lam = self.params.s, self.params.lam
         la, lx, lb = self.log_alpha, self.log_xi, self.log_beta
-        la_face = 0.5 * (la[:, 1:] + la[:, :-1])
-        lx_face = 0.5 * (lx[:, 1:] + lx[:, :-1])
-        lb_face = 0.5 * (lb[:, 1:] + lb[:, :-1])
+        la_face, lx_face, lb_face = map(face_average, (la, lx, lb))
         la_G, lx_G = la[:, [0, -1]], lx[:, [0, -1]]
         log_s = math.log(s)
         lell = np.log(self.ell)[:, None]
@@ -441,7 +447,6 @@ def build_weight_tables(grid: SpatialGrid, time_grid: TimeGrid, eta: EtaProfile,
     tables = WeightTables(params=params, t_mid=tm, ell=ell, gamma=gamma,
                           log_mu=log_mu, log_mu_k=log_mu_k, log_K=log_K,
                           expo=expo, log_tT=np.log(tm * (T - tm)))
-    tables.n_live = int(np.count_nonzero(tables.inv_sq(0) > 0))
     if tables.n_live < min_live_cells:
         raise ResolutionError(
             f"only {tables.n_live} time cells carry a nonzero mu0^-2 weight "
@@ -474,7 +479,7 @@ def check_elementary_estimates(tables: WeightTables, dt: float) -> dict:
     report["identity_mu3_mu1_mu_ell"] = float(np.max(np.abs(identity)))
     # near t=0 the stored logs reach 1e4+, so eps*|log| exceeds 1e-12 there;
     # the tolerance applies where the weights are resolvable
-    live = tables.inv_sq(0) > 0
+    live = tables.live
     report["identity_max_live"] = float(np.max(np.abs(identity[live]))) \
         if np.any(live) else math.nan
 
@@ -512,15 +517,10 @@ def check_elementary_estimates(tables: WeightTables, dt: float) -> dict:
 @dataclass(frozen=True)
 class ChiBump:
     values: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
 
 
-def _smoothstep(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    s = ((6 * u - 15) * u + 10) * u**3
-    d1 = ((30 * u - 60) * u + 30) * u**2
-    d2 = ((120 * u - 180) * u + 60) * u
-    return s, d1, d2
+def _smoothstep(u: np.ndarray) -> np.ndarray:
+    return ((6 * u - 15) * u + 10) * u**3
 
 
 def build_chi(grid: SpatialGrid, masks: RegionMasks) -> ChiBump:
@@ -532,20 +532,12 @@ def build_chi(grid: SpatialGrid, masks: RegionMasks) -> ChiBump:
             f"(ramp widths {ia - oa:.4g}, {ob - ib:.4g} < 2h = {2 * grid.h:.4g})")
     x = grid.x
     val = np.zeros_like(x)
-    d1 = np.zeros_like(x)
-    d2 = np.zeros_like(x)
     val[(x >= ia) & (x <= ib)] = 1.0
-
     left = (x > oa) & (x < ia)
-    u = (x[left] - oa) / (ia - oa)
-    s, s1, s2 = _smoothstep(u)
-    val[left], d1[left], d2[left] = s, s1 / (ia - oa), s2 / (ia - oa) ** 2
-
+    val[left] = _smoothstep((x[left] - oa) / (ia - oa))
     right = (x > ib) & (x < ob)
-    u = (ob - x[right]) / (ob - ib)
-    s, s1, s2 = _smoothstep(u)
-    val[right], d1[right], d2[right] = s, -s1 / (ob - ib), s2 / (ob - ib) ** 2
-    return ChiBump(values=val, d1=d1, d2=d2)
+    val[right] = _smoothstep((ob - x[right]) / (ob - ib))
+    return ChiBump(values=val)
 
 
 # --- Carleman functionals ---------------------------------------------------

@@ -37,7 +37,6 @@ def make_tame_bundle(N=32, M=32, T=8.0):
         params=tables.params, t_mid=tm, ell=tables.ell, gamma=tables.gamma,
         log_mu=2.0 * mild, log_mu_k=log_mu_k, log_K=tables.log_K,
         expo=tables.expo, log_tT=tables.log_tT)
-    synthetic.n_live = tm.size
     bundle = dataclasses.replace(bundle, tables=synthetic)
     Fsrc = SpaceTimeField.zeros(bundle.grid, M + 1)
     x = bundle.grid.x

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -31,6 +32,91 @@ def small():
 def test_coefficient_presets_validate():
     for name in ("constant", "affine", "logistic", "polynomial"):
         validate_coefficients(coefficient_preset(name))
+
+
+def test_validate_coefficients_rejects_non_elliptic():
+    """A7 holds only with a positive measured floor of sigma: sigma
+    reaching -0.2 (affine) or -0.45 (logistic) on the sample interval, or
+    NaN, is rejected."""
+    for cs in (coefficient_preset("affine", sigma1=0.6),
+               coefficient_preset("logistic", sigma1=1.5),
+               dataclasses.replace(coefficient_preset("constant"),
+                                   sigma=lambda r: np.full_like(r, math.nan))):
+        with pytest.raises(ConfigurationError, match="A7"):
+            validate_coefficients(cs)
+
+
+def _handwritten_preset(name, **kw):
+    """The nine callables of each preset with every derivative written out
+    by hand: the oracle of `test_coefficient_presets_bitwise`."""
+    zero = np.zeros_like
+
+    def arr(r):
+        return np.asarray(r, float)
+
+    def full(c):
+        return lambda r: np.full_like(arr(r), c)
+
+    if name == "constant":
+        s0, a1, b1 = kw.get("sigma0", 1.0), kw.get("a1", 0.5), kw.get("b1", 0.3)
+        return (full(s0), zero, zero, lambda r: a1 * arr(r), full(a1), zero,
+                lambda r: b1 * arr(r), full(b1), zero)
+    if name == "affine":
+        s0, s1 = kw.get("sigma0", 1.0), kw.get("sigma1", 0.2)
+        a1, a2 = kw.get("a1", 0.5), kw.get("a2", 0.25)
+        b1, b2 = kw.get("b1", 0.3), kw.get("b2", 0.15)
+        return (lambda r: s0 + s1 * arr(r), full(s1), zero,
+                lambda r: a1 * arr(r) + a2 * arr(r)**2,
+                lambda r: a1 + 2 * a2 * arr(r), full(2 * a2),
+                lambda r: b1 * arr(r) + b2 * arr(r)**2,
+                lambda r: b1 + 2 * b2 * arr(r), full(2 * b2))
+    if name == "logistic":
+        from bscontrol.solvers import _cosh_sq
+        s0, s1 = kw.get("sigma0", 1.0), kw.get("sigma1", 0.4)
+        a1, b1 = kw.get("a1", 0.5), kw.get("b1", 0.3)
+        return (lambda r: s0 + s1 * np.tanh(r), lambda r: s1 / _cosh_sq(r),
+                lambda r: -2 * s1 * np.tanh(r) / _cosh_sq(r),
+                lambda r: a1 * np.tanh(r), lambda r: a1 / _cosh_sq(r),
+                lambda r: -2 * a1 * np.tanh(r) / _cosh_sq(r),
+                lambda r: b1 * np.tanh(r), lambda r: b1 / _cosh_sq(r),
+                lambda r: -2 * b1 * np.tanh(r) / _cosh_sq(r))
+    assert name == "polynomial"
+    s0, s2 = kw.get("sigma0", 1.0), kw.get("sigma2", 0.3)
+    a1, a3 = kw.get("a1", 0.5), kw.get("a3", 0.2)
+    b1 = kw.get("b1", 0.3)
+    return (lambda r: s0 + s2 * arr(r)**2, lambda r: 2 * s2 * arr(r),
+            full(2 * s2), lambda r: a1 * arr(r) + a3 * arr(r)**3,
+            lambda r: a1 + 3 * a3 * arr(r)**2, lambda r: 6 * a3 * arr(r),
+            lambda r: b1 * arr(r), full(b1), zero)
+
+
+def test_coefficient_presets_bitwise():
+    """Every callable of every preset gives the hand-written formula's
+    value, type, dtype, shape and signed zeros, on scalars, arrays with
+    signed zeros, infinities and NaN, and (B, n) stacks."""
+    handles = ("sigma", "dsigma", "d2sigma", "a", "da", "d2a", "b", "db", "d2b")
+    rng = np.random.default_rng(3)
+    inputs = [0.0, -0.0, 0.7, -1.3, 0, 2, np.float64(-0.0), np.array(-0.0),
+              np.array([0.0, -0.0, 1e-300, -1e-300, 0.5, -2.0, 3.0, 40.0,
+                        np.inf, -np.inf, np.nan]),
+              rng.standard_normal((3, 17)), 0.1 * rng.standard_normal((18, 5))]
+    cases = [(name, {}) for name in ("constant", "affine", "logistic",
+                                     "polynomial")]
+    cases += [("constant", {"a1": 0.0, "b1": 0.0}),
+              ("constant", {"a1": 1.0, "b1": 1.0}), ("affine", {"sigma1": 0.5}),
+              ("affine", {"sigma1": 0.6}), ("logistic", {"sigma1": 1.5})]
+    for name, kw in cases:
+        cs = coefficient_preset(name, **kw)
+        for handle, oracle in zip(handles, _handwritten_preset(name, **kw)):
+            for r in inputs:
+                with np.errstate(invalid="ignore"):   # 0 * inf, inf - inf
+                    got, want = getattr(cs, handle)(r), oracle(r)
+                where = (name, kw, handle, r)
+                assert type(got) is type(want), where
+                assert np.shape(got) == np.shape(want), where
+                assert np.result_type(got) == np.result_type(want), where
+                assert np.array_equal(got, want, equal_nan=True), where
+                assert np.array_equal(np.signbit(got), np.signbit(want)), where
 
 
 def test_cosh_sq_overflow_without_warning():
@@ -418,8 +504,8 @@ def _dense_to_bands(A, p):
 def test_banded_assembly_matches_strong_rows(small):
     """The directly assembled step matrices equal the strong rows applied
     to the identity columns, at a random nonzero logistic state."""
-    from bscontrol.geometry import stiffness_apply
-    from bscontrol.solvers import _face_average, _quasilinear_jacobian_bands
+    from bscontrol.geometry import face_average, stiffness_apply
+    from bscontrol.solvers import _quasilinear_jacobian_bands
     g, tg, _, cs, _ = small
     dt, n = tg.dt, g.n_nodes
     Hw, Mw = g.trapezoid_weights(), g.mass_weights()
@@ -437,9 +523,9 @@ def test_banded_assembly_matches_strong_rows(small):
         assert np.abs(ab - ref).max() <= 1e-13 * np.abs(ref).max()
 
     # tangent of the quasilinear step: flux sig(psi) G z + sig'(psi) avg(z) G psi
-    sig_f, dsig_f = cs.sigma(_face_average(psi)), cs.dsigma(_face_average(psi))
+    sig_f, dsig_f = cs.sigma(face_average(psi)), cs.dsigma(face_average(psi))
     drift = np.zeros((n, n))
-    flux = dsig_f * np.diff(psi) / g.h * _face_average(E)
+    flux = dsig_f * np.diff(psi) / g.h * face_average(E)
     drift[:, :-1] -= flux
     drift[:, 1:] += flux
     rows = Mw * E / dt + stiffness_apply(E, g, face_coeff=sig_f) + drift \

@@ -228,19 +228,12 @@ def test_chi_structure(geo):
     assert np.all(chi.values[m.omega3_nodes] == 1.0)
     assert np.all(chi.values[~m.omega_nodes] == 0.0)
     assert chi.values.min() >= 0 and chi.values.max() <= 1.0
-    # C^1 consistency of the stored derivative on the ramps
-    interior = slice(1, -1)
-    fd = np.gradient(chi.values, g.x)
-    ramp = (chi.values > 0.01) & (chi.values < 0.99)
-    assert np.allclose(fd[ramp], chi.d1[ramp], atol=0.2 * np.abs(chi.d1[ramp]).max())
 
 
 def test_chi_midpoint_half():
     from bscontrol.weights import _smoothstep
-    s, d1, d2 = _smoothstep(np.array([0.0, 0.5, 1.0]))
+    s = _smoothstep(np.array([0.0, 0.5, 1.0]))
     assert s == pytest.approx([0.0, 0.5, 1.0])
-    assert d1[0] == 0.0 and d1[2] == 0.0
-    assert d2[0] == 0.0 and d2[2] == pytest.approx(0.0)
 
 
 def test_chi_resolution_guard():

@@ -13,14 +13,14 @@ Prints one line per command and the first lines of each difference, and
 exits 1 on any difference, 0 otherwise.  The commands cover every CLI
 command: both outer-loop exits (`converged` at 128x256, `converged_floor` on
 the other synthesize runs, 8 iterations at amplitude 1), a non-dyadic time
-step (8/100, where the other runs' dt are powers of two), the three
-coefficient presets other than the default logistic one, factor reuse
-across an amplitude sweep, a grid sweep that replaces the bundle and its
-cached solver mid-run, a lambda sweep whose second value fails validation
-(its CSV row carries the error message, commas included), and all five
-diagnostic suites; demo 03 is the only caller of `galerkin_check` and
-`cascade_residual_check` outside the tests.  Both trees together take
-about 40 s on a 2-vCPU host.
+step (8/100, where the other runs' dt are powers of two), a synthesis
+and a gradient check with each coefficient preset other than the default
+logistic one, factor reuse across an amplitude sweep, a grid sweep that
+replaces the bundle and its cached solver mid-run, a lambda sweep whose
+second value fails validation (its CSV row carries the error message,
+commas included), and all five diagnostic suites; demo 03 is the only
+caller of `galerkin_check` and `cascade_residual_check` outside the tests.
+Both trees together take about 40 s on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -64,6 +64,10 @@ COMMANDS = (
       for seed in (1, 7, 12345)),
     *((f"diagnose {suite}", ["diagnose", "--which", suite], {})
       for suite in ("duality", "estimates", "gradient", "convergence")),
+    # the gradient check is the only CLI path that reads d2sigma, d2a and d2b
+    *((f"diagnose gradient {preset}", ["diagnose", "--which", "gradient"],
+       {"coefficients": {"preset": preset}})
+      for preset in ("constant", "affine", "polynomial")),
 )
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
