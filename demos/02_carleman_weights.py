@@ -41,7 +41,7 @@ print("log mu0..mu5 at the half-horizon cell:",
       np.round(tables.log_mu_k[:, mid], 1))
 
 chi = build_chi(grid, masks)
-print(f"cutoff: chi = 1 on {int(np.sum(chi.values == 1.0))} nodes, "
+print(f"cutoff: chi = 1 on {int(np.sum(chi == 1.0))} nodes, "
       f"0 outside the control region")
 
 report = check_elementary_estimates(tables, tgrid.dt)

@@ -13,7 +13,7 @@ from .errors import (BSControlError, ConditioningError, ConfigurationError,
 from .geometry import (BulkSurfaceField, RegionMasks, SpaceTimeField,
                        SpatialGrid, TimeGrid, build_grid, build_masks,
                        build_time_grid, l2_inner, l2_norm)
-from .weights import (ChiBump, EtaProfile, WeightParams, WeightTables,
+from .weights import (EtaProfile, WeightParams, WeightTables,
                       build_chi, build_eta, build_weight_tables,
                       carleman_functional_I, carleman_functional_Jw,
                       check_elementary_estimates, empirical_carleman_check,

@@ -63,7 +63,7 @@ from .geometry import (SpaceTimeField, SpatialGrid, face_average, grad_faces,
                        l2_norm, sbp_laplacian)
 from .solvers import (LinearOperatorSet, _observation_source, _step_rows,
                       solve_linearized_cascade, weak_residual)
-from .weights import (ChiBump, WeightTables, log_add, log_ratio, log_st_sq,
+from .weights import (WeightTables, log_add, log_ratio, log_st_sq,
                       log_weighted_sup)
 
 # tolerance of the relative Galerkin residual in `galerkin_check`
@@ -83,7 +83,7 @@ class FIProblem:
     time_grid: "object"
     masks: "object"
     tables: WeightTables
-    chi: ChiBump
+    chi: np.ndarray           # the cutoff's node values (`build_chi`)
     ops: LinearOperatorSet
 
     def __post_init__(self):
@@ -207,7 +207,7 @@ class _Stack:
             [Ys, sparse.kron(I_M, -C.surface.T)],
             [None, Zb],
             [None, Zs],
-            [sparse.kron(I_M, sparse.diags(np.sqrt(p.chi.values))), None],
+            [sparse.kron(I_M, sparse.diags(np.sqrt(p.chi))), None],
         ], format="csr")
 
     @cached_property
@@ -286,7 +286,7 @@ class _Stack:
         H.bulk[:M], H.surface[:M] = _step_rows(p.ops, Za.bulk, Za.surface,
                                                Zo.bulk, Zo.surface)
         v = np.zeros((M + 1, self.n))
-        v[1:] = -p.chi.values[None, :] * (self.w1[:, None] * Yf[:-1])
+        v[1:] = -p.chi[None, :] * (self.w1[:, None] * Yf[:-1])
         for arr in (Psi.bulk, Psi.surface, H.bulk, H.surface, v):
             if not np.all(np.isfinite(arr)):
                 raise ConditioningError(

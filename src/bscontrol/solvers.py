@@ -13,7 +13,12 @@ Layout conventions shared by every solver and by the least-squares module:
   holds to roundoff whenever Y vanishes at slice 0 and W at slice M;
 * `_step_rows` writes both rows once, for `apply_L`'s fields, for the
   least-squares recovery's Carleman-weighted slices (`fi`) and, applied to
-  the identity, for the blocks of the least-squares stack.
+  the identity, for the blocks of the least-squares stack;
+* `_march` is the one time loop: every solve (linear, Newton, tangent and
+  adjoint) is out[c] = step(Mw out[c-1]/dt + source[c-1]) along the
+  second-last axis.  A backward march runs forwards through reversed
+  views, so the source cells in march order are S[1:] forwards and
+  S[:0:-1] backwards.
 
 S is the spatial generator of the dynamic-boundary system: the bulk row
 couples -sigma*lap with the reaction, the surface row carries the normal
@@ -131,28 +136,35 @@ def _logistic(c1: float, c0: float | None = None) -> list[Callable]:
             lambda r: -2 * c1 * np.tanh(r) / _cosh_sq(r)]
 
 
-# sigma, a and b of each polynomial preset as {power: (keyword, default)}
-POLYNOMIAL_PRESETS = {
+# sigma, a and b of each preset as {term: (keyword, default)}: the terms are
+# the powers of a polynomial preset and `_logistic`'s arguments
+PRESETS = {
     "constant": ({0: ("sigma0", 1.0)}, {1: ("a1", 0.5)}, {1: ("b1", 0.3)}),
     "affine": ({0: ("sigma0", 1.0), 1: ("sigma1", 0.2)},
                {1: ("a1", 0.5), 2: ("a2", 0.25)}, {1: ("b1", 0.3), 2: ("b2", 0.15)}),
     "polynomial": ({0: ("sigma0", 1.0), 2: ("sigma2", 0.3)},
                    {1: ("a1", 0.5), 3: ("a3", 0.2)}, {1: ("b1", 0.3)}),
+    # saturating tanh profiles; globally bounded derivatives
+    "logistic": ({"c0": ("sigma0", 1.0), "c1": ("sigma1", 0.4)},
+                 {"c1": ("a1", 0.5)}, {"c1": ("b1", 0.3)}),
 }
 
 
 def coefficient_preset(name: str, **kw) -> CoefficientSet:
     """Named coefficient families: constant, affine, logistic, polynomial.
-    Each is written once, as its coefficients; the derivatives follow."""
-    if name in POLYNOMIAL_PRESETS:
-        families = [_polynomial({k: kw.get(*arg) for k, arg in terms.items()})
-                    for terms in POLYNOMIAL_PRESETS[name]]
-    elif name == "logistic":
-        # saturating tanh profiles; globally bounded derivatives
-        families = (_logistic(kw.get("sigma1", 0.4), kw.get("sigma0", 1.0)),
-                    _logistic(kw.get("a1", 0.5)), _logistic(kw.get("b1", 0.3)))
-    else:
+    Each is written once, as its coefficients; the derivatives follow.
+    A keyword the preset does not have raises ConfigurationError."""
+    if name not in PRESETS:
         raise ConfigurationError(f"unknown coefficient preset '{name}'")
+    defaults = dict(arg for terms in PRESETS[name] for arg in terms.values())
+    if unknown := sorted(kw.keys() - defaults.keys()):
+        raise ConfigurationError(
+            f"coefficient preset '{name}' has no keyword {', '.join(unknown)}; "
+            f"its keywords are {', '.join(defaults)}")
+    kw = {**defaults, **kw}
+    family = (lambda c: _logistic(**c)) if name == "logistic" else _polynomial
+    families = [family({term: kw[key] for term, (key, _) in terms.items()})
+                for terms in PRESETS[name]]
     # f, f', f'' of sigma, a and b: the handles in field order
     return CoefficientSet(*(f for fs in families for f in fs), name=name)
 
@@ -276,28 +288,43 @@ def _weak_rhs(grid: SpatialGrid, fb: np.ndarray, fs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _march_linear(ops: LinearOperatorSet, S: SpaceTimeField,
-                  start: BulkSurfaceField, backward: bool) -> SpaceTimeField:
-    """Implicit-Euler march with the constant step matrix, factored once.
+def _march(step: Callable, Mw: np.ndarray, dt: float, start: np.ndarray,
+           out: np.ndarray, source: np.ndarray) -> None:
+    """The implicit-Euler march along the second-last axis of `out`, in
+    place: out[0] = start, then out[c] = step(c, Mw out[c-1]/dt + source[c-1])
+    for c = 1..M; a stack (out (B, M+1, n)) passes (B, n) right-hand sides.
 
-    Forward, step c produces slice c from slice c-1; backward, slice c-1
-    from slice c.  Source slice c feeds step c either way.  The LDL^T
-    factor (`pttrf`) and the per-step `pttrs` are the two halves of the
-    `ptsv` that `solveh_banded` calls on a 2-row band, so every slice is
-    bit-identical to a per-step `solveh_banded` solve.
-
-    A stack of B sources (bulk (B, M+1, n)) marches B trajectories from one
-    datum or a stack (B, n) of them and returns bulk (B, M+1, n).  Each step
-    is then one `pttrs` call with B right-hand-side columns, which LAPACK
-    solves one after another with the arithmetic of a single column, so
-    every member is bit-identical to its own march.
-
-    Each step's rhs Mw x / dt + source is formed in place, in the order of
-    that expression, in one of two buffers: `pttrs` with `overwrite_b`
-    returns its rhs buffer as x, so the next rhs goes to the other one.
+    Each rhs is formed in place, in that expression's order, in one of two
+    buffers: a step may return its rhs buffer (`pttrs` with `overwrite_b`
+    does).  Source cell c is read before out[c] is written, and the first
+    rhs before out[0], so `source` may share memory with `out`.
     """
-    g, tg = ops.grid, ops.time_grid
-    M, dt = tg.step_count, tg.dt
+    M = out.shape[-2] - 1
+    rhs = Mw * start / dt + source[..., 0, :]
+    out[..., 0, :] = start
+    spare = np.empty_like(rhs)
+    for c in range(1, M + 1):
+        x = step(c, rhs)
+        if c < M:
+            np.multiply(Mw, x, out=spare)
+            spare /= dt
+            spare += source[..., c, :]
+        out[..., c, :] = x
+        rhs, spare = spare, rhs
+
+
+def _march_linear(ops: LinearOperatorSet, S: SpaceTimeField, start: BulkSurfaceField,
+                  order: slice, cells: slice) -> SpaceTimeField:
+    """The march with the constant step matrix, factored once, over the
+    slices in `order` with the source `cells` in march order.  `pttrf` and
+    the per-step `pttrs` are the halves of the `ptsv` that `solveh_banded`
+    calls, so every slice is bit-identical to a per-step solve.
+
+    B sources (bulk (B, M+1, n)) march from one datum or a stack (B, n) of
+    them.  Each step is one `pttrs` call with B columns, which LAPACK
+    solves one by one, so every member is bit-identical to its own march.
+    """
+    g, dt = ops.grid, ops.time_grid.dt
     ab = _constant_step_bands(g, dt, ops.sigma0, ops.da0, ops.db0)
     d, e, info = dpttrf(ab[1], ab[0, 1:])
     if info != 0:
@@ -305,25 +332,13 @@ def _march_linear(ops: LinearOperatorSet, S: SpaceTimeField,
             f"the step matrix M/dt + K is not positive definite (pttrf info "
             f"{info}): dt = {dt} is too large for the reactions "
             f"da0 = {ops.da0}, db0 = {ops.db0}")
-    Mw = g.mass_weights()
-    # slice c holds step c's source vector (the products are elementwise)
-    # until the step that produces slice c writes it, after the next step's
-    # right-hand side has read it
+    # slice c holds cell c's source vector (the products are elementwise)
+    # until the march writes the solution over it
     out = _weak_rhs(g, S.bulk, S.surface)
-    steps = range(M, 0, -1) if backward else range(1, M + 1)
-    rhs = Mw * start.bulk / dt + out[..., steps[0], :]
-    spare = np.empty_like(rhs)
-    for i, c in enumerate(steps):
-        # the transpose of a C-ordered (B, n) stack is the Fortran-ordered
-        # (n, B) block of columns that pttrs solves in place
-        x = dpttrs(d, e, rhs.T, overwrite_b=1)[0].T
-        if i + 1 < M:
-            np.multiply(Mw, x, out=spare)
-            spare /= dt
-            spare += out[..., steps[i + 1], :]
-        out[..., c - 1 if backward else c, :] = x
-        rhs, spare = spare, rhs
-    out[..., M if backward else 0, :] = start.bulk
+    # the transpose of a C-ordered (B, n) stack is the Fortran-ordered
+    # (n, B) block of columns that pttrs solves in place
+    _march(lambda c, rhs: dpttrs(d, e, rhs.T, overwrite_b=1)[0].T,
+           g.mass_weights(), dt, start.bulk, out[..., order, :], out[..., cells, :])
     if not np.isfinite(out).all():
         raise ConditioningError("the linear march left double range "
                                 "(non-finite data or overflow)")
@@ -336,7 +351,7 @@ def solve_linear_forward(ops: LinearOperatorSet, F: SpaceTimeField,
     A stack of sources (bulk (B, M+1, n)) gives a stack of solutions."""
     if not psi0.is_trace_compatible(1e-12):
         raise ContractError("initial datum must be trace-compatible")
-    return _march_linear(ops, F, psi0, backward=False)
+    return _march_linear(ops, F, psi0, slice(None), slice(1, None))
 
 
 def solve_linear_backward(ops: LinearOperatorSet, G: SpaceTimeField,
@@ -345,7 +360,7 @@ def solve_linear_backward(ops: LinearOperatorSet, G: SpaceTimeField,
     A stack of sources (bulk (B, M+1, n)) gives a stack of solutions."""
     if not terminal.is_trace_compatible(1e-12):
         raise ContractError("terminal datum must be trace-compatible")
-    return _march_linear(ops, G, terminal, backward=True)
+    return _march_linear(ops, G, terminal, slice(None, None, -1), slice(None, 0, -1))
 
 
 def solve_backward_varcoef(cs: CoefficientSet, grid: SpatialGrid,
@@ -366,20 +381,12 @@ def solve_backward_varcoef(cs: CoefficientSet, grid: SpatialGrid,
     abT = np.zeros_like(ab)
     abT[0, :, 1:], abT[1], abT[2, :, :-1] = ab[2, :, :-1], ab[1], ab[0, :, 1:]
     out = np.empty((M + 1, grid.n_nodes))
-    out[M] = terminal.bulk
-    # forward in reversed time: step c makes slice c-1, with source slice c
-    _march_bands(abT[:, ::-1], grid, dt, out[::-1],
-                 _weak_rhs(grid, G.bulk[:0:-1], G.surface[:0:-1]))
+    # forward in reversed time: march step c makes slice M-c with the band
+    # and the source of cell M-c+1
+    _march(lambda c, rhs: _solve_tridiagonal(abT[:, M - c], rhs),
+           grid.mass_weights(), dt, terminal.bulk, out[::-1],
+           _weak_rhs(grid, G.bulk[:0:-1], G.surface[:0:-1]))
     return SpaceTimeField.from_bulk(out)
-
-
-def _march_bands(ab: np.ndarray, grid: SpatialGrid, dt: float, out: np.ndarray,
-                 source: np.ndarray) -> None:
-    """Implicit-Euler march over per-step bands, in place from out[0]:
-    out[c] solves band ab[:, c-1] against Mw out[c-1] / dt + source[c-1]."""
-    Mw = grid.mass_weights()
-    for c in range(1, len(out)):
-        out[c] = _solve_tridiagonal(ab[:, c - 1], Mw * out[c - 1] / dt + source[c - 1])
 
 
 def _observation_source(Psi: SpaceTimeField, theta: float, theta_s: float,
@@ -407,13 +414,8 @@ def solve_linearized_cascade(ops: LinearOperatorSet, F: SpaceTimeField,
     `v` is a cell-indexed array (M+1, n_nodes) whose slice c feeds step c;
     it is masked to the omega nodes (support enforced).
     """
-    g = ops.grid
-    vmask = v * masks.omega_nodes[None, :]
-    Feff = SpaceTimeField(F.bulk + vmask, F.surface.copy())
-    Psi = solve_linear_forward(ops, Feff, BulkSurfaceField.zeros(g))
-    H = solve_linear_backward(ops, _observation_source(Psi, theta, theta_s, masks, G),
-                              BulkSurfaceField.zeros(g))
-    return Psi, H
+    Feff = SpaceTimeField(F.bulk + v * masks.omega_nodes, F.surface)
+    return _cascade(ops, Feff, G, theta, theta_s, masks)
 
 
 def solve_adjoint_cascade(ops: LinearOperatorSet, f1: SpaceTimeField,
@@ -425,11 +427,17 @@ def solve_adjoint_cascade(ops: LinearOperatorSet, f1: SpaceTimeField,
     Stacks of B sources (bulk (B, M+1, n)) give stacked (Phi, K), each
     member bit-identical to its own cascade; both marches then make one
     `pttrs` call per step for the whole stack."""
-    g = ops.grid
-    K = solve_linear_forward(ops, g1, BulkSurfaceField.zeros(g))
-    Phi = solve_linear_backward(ops, _observation_source(K, theta, theta_s, masks, f1),
-                                BulkSurfaceField.zeros(g))
-    return Phi, K
+    return _cascade(ops, g1, f1, theta, theta_s, masks)[::-1]
+
+
+def _cascade(ops: LinearOperatorSet, F: SpaceTimeField, G: SpaceTimeField, theta: float,
+             theta_s: float, masks: RegionMasks) -> tuple[SpaceTimeField, SpaceTimeField]:
+    """Forward Y from zero with source F, then backward W from zero with
+    G + theta Y 1_O (bulk), G_G + theta_s Y_G 1_Sigma (surface)."""
+    zero = BulkSurfaceField.zeros(ops.grid)
+    Y = solve_linear_forward(ops, F, zero)
+    return Y, solve_linear_backward(ops, _observation_source(Y, theta, theta_s, masks, G),
+                                    zero)
 
 
 def weak_residual(ops: LinearOperatorSet, Y: SpaceTimeField, F: SpaceTimeField,
@@ -525,17 +533,16 @@ def solve_quasilinear(cs: CoefficientSet, grid: SpatialGrid, time_grid: TimeGrid
     """
     if not psi0.is_trace_compatible(1e-12):
         raise ContractError("initial datum must be trace-compatible")
-    g, dt, M = grid, time_grid.dt, time_grid.step_count
-    Mw = g.mass_weights()
-    out = np.empty((M + 1, *psi0.bulk.shape))
-    out[0] = psi0.bulk
-    rows = out.reshape(M + 1, -1, g.n_nodes)   # (M+1, B, n); B = 1 for one datum
-    every = np.arange(rows.shape[1])
-    for c in range(1, M + 1):
-        fb = F.bulk[c] if v is None else F.bulk[c] + v[c] * masks.omega_nodes
-        src = _weak_rhs(g, fb, F.surface[c])
-        prev = rows[c - 1]
-        tol = NEWTON_TOL * np.maximum(1.0, _row_norms(src + Mw * prev / dt))
+    g, dt, M, n = grid, time_grid.dt, time_grid.step_count, grid.n_nodes
+    fb = F.bulk[1:] if v is None else F.bulk[1:] + v[1:] * masks.omega_nodes
+    source = _weak_rhs(g, fb, F.surface[1:])
+    B = psi0.bulk.size // n
+    out = np.empty((B, M + 1, n))       # B = 1 for one datum
+    every = np.arange(B)
+
+    def newton(c, rhs):
+        src, prev = source[c - 1], out[:, c - 1]
+        tol = NEWTON_TOL * np.maximum(1.0, _row_norms(rhs))
         u = prev.copy() if newton_guess == "previous" else np.zeros_like(prev)
         todo = slice(None)      # members still iterating: all (views) until one passes
         for _ in range(MAX_NEWTON):
@@ -543,23 +550,20 @@ def solve_quasilinear(cs: CoefficientSet, grid: SpatialGrid, time_grid: TimeGrid
             r = _quasilinear_residual(ul, prev[todo], cs, g, dt, src)
             going = ~(_row_norms(r) <= tol[todo])   # a NaN norm keeps going
             if not going.any():
-                break
+                return u
             if not going.all():
                 todo, ul, r = every[todo][going], ul[going], r[going]
             ab = _quasilinear_jacobian_bands(ul, cs, g, dt)
             u[todo] = ul - _solve_tridiagonal(ab.reshape(3, -1),
                                               r.ravel()).reshape(ul.shape)
-        else:
-            first = every[todo][0]
-            res = float(_row_norms(_quasilinear_residual(
-                u[first], prev[first], cs, g, dt, src)))
-            raise SmallnessViolationError(
-                f"Newton did not converge at step {c} "
-                f"(residual {res:.3e}); data outside the "
-                "small-data regime", step=c, residual=res)
-        rows[c] = u
-    # (B, M+1, n) for a stack: each member's history contiguous, like one datum's
-    return SpaceTimeField.from_bulk(np.ascontiguousarray(np.moveaxis(out, 0, -2)))
+        first = every[todo][0]
+        res = float(_row_norms(_quasilinear_residual(u[first], prev[first], cs, g, dt, src)))
+        raise SmallnessViolationError(
+            f"Newton did not converge at step {c} (residual {res:.3e}); data "
+            "outside the small-data regime", step=c, residual=res)
+
+    _march(newton, g.mass_weights(), dt, psi0.bulk.reshape(B, n), out, source)
+    return SpaceTimeField.from_bulk(out.reshape(*psi0.bulk.shape[:-1], M + 1, n))
 
 
 def solve_quasilinear_cascade(cs: CoefficientSet, grid: SpatialGrid,
@@ -568,12 +572,10 @@ def solve_quasilinear_cascade(cs: CoefficientSet, grid: SpatialGrid,
                               masks: RegionMasks) -> tuple[SpaceTimeField, SpaceTimeField]:
     """Quasilinear forward state, then its discrete adjoint backward
     equation with sources theta psi 1_O / theta_s psi_G 1_Sigma."""
-    Psi = solve_quasilinear(cs, grid, time_grid, F, BulkSurfaceField.zeros(grid),
-                            v=v, masks=masks)
-    H = solve_backward_varcoef(cs, grid, time_grid, Psi,
-                               _observation_source(Psi, theta, theta_s, masks),
-                               BulkSurfaceField.zeros(grid))
-    return Psi, H
+    zero = BulkSurfaceField.zeros(grid)
+    Psi = solve_quasilinear(cs, grid, time_grid, F, zero, v=v, masks=masks)
+    return Psi, solve_backward_varcoef(
+        cs, grid, time_grid, Psi, _observation_source(Psi, theta, theta_s, masks), zero)
 
 
 def solve_sensitivity(cs: CoefficientSet, grid: SpatialGrid, time_grid: TimeGrid,
@@ -591,8 +593,8 @@ def solve_sensitivity(cs: CoefficientSet, grid: SpatialGrid, time_grid: TimeGrid
     dt, M = time_grid.dt, time_grid.step_count
     ab = _quasilinear_jacobian_bands(Psi.bulk[1:], cs, grid, dt)
     out = np.empty((M + 1, grid.n_nodes))
-    out[0] = zhat0.bulk
-    _march_bands(ab, grid, dt, out, np.zeros_like(out[1:]))    # no source
+    _march(lambda c, rhs: _solve_tridiagonal(ab[:, c - 1], rhs), grid.mass_weights(),
+           dt, zhat0.bulk, out, np.zeros_like(out[1:]))    # no source
     return SpaceTimeField.from_bulk(out)
 
 

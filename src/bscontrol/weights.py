@@ -195,7 +195,6 @@ def log_ratio(log_num: float, log_den: float) -> float:
 @dataclass(frozen=True)
 class EtaProfile:
     values: np.ndarray
-    deriv: np.ndarray
     floor: float           # measured min |eta'| outside omega1
     floor_required: float
 
@@ -245,17 +244,19 @@ def build_eta(grid: SpatialGrid, masks: RegionMasks, peak: float) -> EtaProfile:
             ((_quintic_arc(d2_peak * c**2)[::-1], c),
              (_quintic_arc(d2_peak * (L - c)**2)[::-1], -(L - c)))]
 
-    def eval_eta(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        val, der = np.empty_like(x), np.empty_like(x)
+    # eta at x and, with `slopes`, its slope, in one pass over the two sides
+    def eval_eta(x: np.ndarray, slopes: bool = False) -> list[np.ndarray]:
+        out = [np.empty_like(x) for _ in range(1 + slopes)]
         left = x <= c
         for side, u, (p, dp, scale) in zip(
                 (left, ~left), (x[left] / c, (L - x[~left]) / (L - c)), arcs):
-            val[side] = _horner(p, u)
-            der[side] = _horner(dp, u) / scale
-        return val, der
+            out[0][side] = _horner(p, u)
+            if slopes:
+                out[1][side] = _horner(dp, u) / scale
+        return out
 
     xs = np.linspace(0.0, L, ETA_CHECK_SAMPLES)
-    vals, ders = eval_eta(xs)
+    vals, ders = eval_eta(xs, slopes=True)
     inside = (xs > 0) & (xs < L)
     if vals[inside].min() <= 0 or vals.max() > 1 + 1e-12:
         raise ContractError("eta profile failed 0 < eta <= 1 on the dense sample")
@@ -272,10 +273,9 @@ def build_eta(grid: SpatialGrid, masks: RegionMasks, peak: float) -> EtaProfile:
             f"eta gradient floor outside omega1 is {floor:.6g}, below the "
             f"required {required:.6g}")
 
-    values, deriv = eval_eta(grid.x)
+    values = eval_eta(grid.x)[0]
     values[0] = values[-1] = 0.0
-    return EtaProfile(values=values, deriv=deriv, floor=floor,
-                      floor_required=required)
+    return EtaProfile(values=values, floor=floor, floor_required=required)
 
 
 # --- parameters -------------------------------------------------------------
@@ -514,17 +514,12 @@ def check_elementary_estimates(tables: WeightTables, dt: float) -> dict:
 
 # --- cutoff -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChiBump:
-    values: np.ndarray
-
-
 def _smoothstep(u: np.ndarray) -> np.ndarray:
     return ((6 * u - 15) * u + 10) * u**3
 
 
-def build_chi(grid: SpatialGrid, masks: RegionMasks) -> ChiBump:
-    """C^2 cutoff: 1 on omega3, smoothstep ramps, exactly 0 outside omega."""
+def build_chi(grid: SpatialGrid, masks: RegionMasks) -> np.ndarray:
+    """C^2 cutoff node values: 1 on omega3, smoothstep ramps, exactly 0 outside omega."""
     (oa, ob), (ia, ib) = masks.omega, masks.omega3
     if ia - oa < 2 * grid.h or ob - ib < 2 * grid.h:
         raise ResolutionError(
@@ -537,7 +532,7 @@ def build_chi(grid: SpatialGrid, masks: RegionMasks) -> ChiBump:
     val[left] = _smoothstep((x[left] - oa) / (ia - oa))
     right = (x > ib) & (x < ob)
     val[right] = _smoothstep((ob - x[right]) / (ob - ib))
-    return ChiBump(values=val)
+    return val
 
 
 # --- Carleman functionals ---------------------------------------------------

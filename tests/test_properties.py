@@ -9,9 +9,9 @@ linear steppers, stacked marches against member marches, the direct
 tridiagonal solve against solve_banded, the Newton stop tests' row norms
 against np.linalg.norm, the stacked Carleman check against
 a per-sample one, the check's `np.errstate` entries against its sample
-count, the random source against its tuple-drawn and outer-sum forms, and
-the duality of the quasilinear tangent and adjoint
-steppers."""
+count, the random source against its tuple-drawn and outer-sum forms, the
+duality of the quasilinear tangent and adjoint steppers, and both of those
+band marches against per-step solve_banded solves."""
 
 import math
 import warnings
@@ -31,9 +31,11 @@ from bscontrol.geometry import (BulkSurfaceField, SpaceTimeField, build_grid,
                                 build_time_grid)
 from bscontrol.insensitize import PerturbationSpec, duality_identity_check
 from bscontrol.solvers import (LinearOperatorSet, _constant_step_bands,
-                               _row_norms, _solve_tridiagonal, _weak_rhs, apply_L,
-                               solve_adjoint_cascade, solve_linear_backward,
-                               solve_linear_forward, total_mass)
+                               _quasilinear_jacobian_bands, _row_norms,
+                               _solve_tridiagonal, _weak_rhs, apply_L,
+                               coefficient_preset, solve_adjoint_cascade,
+                               solve_backward_varcoef, solve_linear_backward,
+                               solve_linear_forward, solve_sensitivity, total_mass)
 from bscontrol import weights
 from bscontrol.weights import (LogWeight, _random_smooth_source, _stack_log_sums,
                                carleman_functional_I, carleman_functional_Jw,
@@ -89,7 +91,7 @@ def test_sparse_stack_matches_matrix_free(ops, theta, theta_s, seed):
     problem = SimpleNamespace(
         grid=g, time_grid=ops.time_grid, ops=ops, theta=theta, theta_s=theta_s,
         masks=SimpleNamespace(obs_bulk_nodes=mO, obs_surface_mask=mS),
-        chi=SimpleNamespace(values=chi),
+        chi=chi,
         tables=SimpleNamespace(inv_sq=lambda k: np.ones(M)))
     stack = _Stack(problem)
     x = rng.standard_normal(stack.n_dofs)
@@ -605,3 +607,40 @@ def test_quasilinear_duality_exact(preset, amplitude, M, seed):
     bundle, F = make_bundle(N=32, M=M, preset=preset, amplitude=amplitude)
     d = PerturbationSpec.random(bundle.grid, np.random.default_rng(seed)).direction
     assert duality_identity_check(bundle, F, None, d, quasilinear=True)["relative"] <= 1e-12
+
+
+@PROPERTY
+@given(preset=st.sampled_from(["constant", "affine", "logistic", "polynomial"]),
+       N=st.integers(8, 48), M=st.integers(8, 24), T=st.floats(0.05, 4.0),
+       amplitude=st.floats(0.0, 0.5), seed=st.integers(0, 2**32 - 1))
+def test_band_marches_match_per_step_solve_banded(preset, N, M, T, amplitude, seed):
+    """The tangent and the quasilinear adjoint marches equal a per-step
+    solve_banded march over the Newton Jacobian bands of a random state
+    history (the adjoint with their transposes and a random source), bit
+    for bit at every slice."""
+    cs = coefficient_preset(preset)
+    g, tg = build_grid(1.0, N), build_time_grid(T, M)
+    n, dt, Mw, Hw = g.n_nodes, tg.dt, g.mass_weights(), g.trapezoid_weights()
+    rng = np.random.default_rng(seed)
+    states = SpaceTimeField.from_bulk(amplitude * rng.standard_normal((M + 1, n)))
+    G = SpaceTimeField(rng.standard_normal((M + 1, n)), rng.standard_normal((M + 1, 2)))
+    start = rng.standard_normal(n)
+    ab = _quasilinear_jacobian_bands(states.bulk[1:], cs, g, dt)
+
+    want = np.empty((M + 1, n))
+    want[0] = start
+    for c in range(1, M + 1):
+        want[c] = solve_banded((1, 1), ab[:, c - 1], Mw * want[c - 1] / dt)
+    got = solve_sensitivity(cs, g, tg, states, BulkSurfaceField.from_bulk(start))
+    assert np.array_equal(got.bulk, want)
+
+    want[M] = start
+    for c in range(M, 0, -1):
+        upper, diag, lower = ab[:, c - 1]
+        # the transpose swaps the off-diagonals
+        abT = np.array([np.r_[0.0, lower[:-1]], diag, np.r_[upper[1:], 0.0]])
+        src = Hw * G.bulk[c]
+        src[[0, -1]] += G.surface[c]
+        want[c - 1] = solve_banded((1, 1), abT, Mw * want[c] / dt + src)
+    got = solve_backward_varcoef(cs, g, tg, states, G, BulkSurfaceField.from_bulk(start))
+    assert np.array_equal(got.bulk, want)

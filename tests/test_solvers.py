@@ -137,6 +137,23 @@ def test_coefficient_preset_unknown():
         coefficient_preset("cubic-spline")
 
 
+def test_coefficient_preset_rejects_unknown_keyword():
+    """A misspelt or foreign coefficient raises, naming it and the preset's
+    keywords, instead of giving the defaults; known keywords still apply."""
+    for name, kw, known in (
+            ("affine", {"sigma_1": 5.0}, "sigma0, sigma1, a1, a2, b1, b2"),
+            ("polynomial", {"a3": 0.1, "sigma1": 0.2}, "sigma0, sigma2, a1, a3, b1"),
+            ("constant", {"a2": 0.1}, "sigma0, a1, b1"),
+            ("logistic", {"b2": 0.1, "a0": 1.0}, "sigma0, sigma1, a1, b1")):
+        with pytest.raises(ConfigurationError) as err:
+            coefficient_preset(name, **kw)
+        unknown = sorted(set(kw) - set(known.split(", ")))
+        assert f"no keyword {', '.join(unknown)};" in str(err.value)
+        assert f"its keywords are {known}" in str(err.value)
+    assert coefficient_preset("affine", sigma1=0.5).sigma(1.0) == 1.5
+    assert coefficient_preset("logistic", sigma0=2.0).sigma(0.0) == 2.0
+
+
 def test_apply_L_trivial(small):
     g, tg, masks, cs, ops = small
     M = tg.step_count
@@ -290,6 +307,28 @@ def test_quasilinear_newton_failure_raises():
     with pytest.raises(SmallnessViolationError) as err:
         solve_quasilinear(cs, g, tg, F, BulkSurfaceField.zeros(g))
     assert err.value.step is not None
+
+
+@pytest.mark.parametrize("B", [None, 3])
+@pytest.mark.parametrize("k", [1, 5, 16])
+def test_quasilinear_newton_failure_names_its_step(k, B, monkeypatch):
+    """With one Newton iteration allowed and a source only in cell k, the
+    steps before k converge at once (zero residual) and step k fails: the
+    error and its message name step k, for one datum and for a stack."""
+    from bscontrol import solvers
+    g, tg = build_grid(1.0, 16), build_time_grid(1.0, 16)
+    n = g.n_nodes
+    bulk = np.zeros((tg.step_count + 1, n))
+    bulk[k] = np.cos(np.pi * g.x)
+    psi0 = (BulkSurfaceField.zeros(g) if B is None
+            else BulkSurfaceField(np.zeros((B, n)), np.zeros((B, 2))))
+    monkeypatch.setattr(solvers, "MAX_NEWTON", 1)
+    with pytest.raises(SmallnessViolationError) as err:
+        solve_quasilinear(coefficient_preset("logistic"), g, tg,
+                          SpaceTimeField.from_bulk(bulk), psi0)
+    assert err.value.step == k
+    assert f"Newton did not converge at step {k} (" in str(err.value)
+    assert err.value.residual > 0
 
 
 def _ladder_data(g):

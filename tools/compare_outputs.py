@@ -5,9 +5,12 @@
 Each command of COMMANDS, and each script in this checkout's `demos/`, runs
 once per tree, each time in a fresh interpreter (`python3 -m bscontrol` or
 `python3 demos/<script>`, with that tree first on PYTHONPATH) in its own
-output directory.  The two runs must agree on the exit code, stdout,
-stderr, the set of output files and every file's bytes, apart from the
-`wall_seconds` line of the JSON reports, their only non-deterministic field.
+output directory.  A tree runs its own copy of a demo (`<tree>/../demos`)
+where it has one, so a demo that follows a change of the package's API is
+compared with the parent's demo on the parent's package.  The two runs must
+agree on the exit code, stdout, stderr, the set of output files and every
+file's bytes, apart from the `wall_seconds` line of the JSON reports, their
+only non-deterministic field.
 
 Prints one line per command and the first lines of each difference, and
 exits 1 on any difference, 0 otherwise.  The commands cover every CLI
@@ -18,8 +21,9 @@ and a gradient check with each coefficient preset other than the default
 logistic one, factor reuse across an amplitude sweep, a grid sweep that
 replaces the bundle and its cached solver mid-run, a lambda sweep whose
 second value fails validation (its CSV row carries the error message,
-commas included), and all five diagnostic suites; demo 03 is the only
-caller of `galerkin_check` and `cascade_residual_check` outside the tests.
+commas included), and all five diagnostic suites, the carleman check also
+at 128x256; demo 03 is the only caller of `galerkin_check` and
+`cascade_residual_check` outside the tests.
 Both trees together take about 40 s on a 2-vCPU host.
 """
 
@@ -62,6 +66,10 @@ COMMANDS = (
     *((f"diagnose carleman seed {seed}",
        ["diagnose", "--which", "carleman", "--seed", str(seed)], {})
       for seed in (1, 7, 12345)),
+    # the carleman check marches its adjoint cascades in stacks, of 8 at
+    # 64x128 and of 2 at 128x256: a second stack width of the backward march
+    ("diagnose carleman 128x256", ["diagnose", "--which", "carleman"],
+     {"grid": {"cells": "128"}, "time": {"steps": "256"}}),
     *((f"diagnose {suite}", ["diagnose", "--which", suite], {})
       for suite in ("duality", "estimates", "gradient", "convergence")),
     # the gradient check is the only CLI path that reads d2sigma, d2a and d2b
@@ -115,6 +123,15 @@ def differences(parent: dict, change: dict) -> list[str]:
     return out
 
 
+def _own_demo(tree: Path, arg):
+    """A demo script as `tree`'s checkout has it, else as this one has it;
+    any other argument as it is."""
+    if not isinstance(arg, Path):
+        return arg
+    own = tree.parent / "demos" / arg.name
+    return str(own if own.is_file() else arg)
+
+
 def _source_tree(path: str) -> Path:
     src = Path(path).resolve()
     if not (src / "bscontrol" / "__init__.py").is_file():
@@ -132,7 +149,7 @@ def main(argv=None) -> int:
 
     jobs = [(name, ["-m", "bscontrol", *cli_args, "--out", "."], sections)
             for name, cli_args, sections in COMMANDS]
-    jobs += [(f"demo {demo.name}", [str(demo)], {}) for demo in DEMOS]
+    jobs += [(f"demo {demo.name}", [demo], {}) for demo in DEMOS]
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
         for i, (name, argv, sections) in enumerate(jobs):
@@ -142,8 +159,9 @@ def main(argv=None) -> int:
                 config = work / "run.ini"
                 config.write_text(_config_text(sections))
                 argv = [*argv, "--config", str(config)]
-            parent = run(args.parent, argv, work / "parent")
-            change = run(args.change, argv, work / "change")
+            parent, change = (run(tree, [_own_demo(tree, a) for a in argv], work / side)
+                              for tree, side in ((args.parent, "parent"),
+                                                 (args.change, "change")))
             diff = differences(parent, change)
             failed += bool(diff)
             print(f"{'DIFF' if diff else 'same'}  {name} "
