@@ -11,8 +11,8 @@ import math
 import numpy as np
 
 from .geometry import (BulkSurfaceField, SpaceTimeField, build_grid,
-                       build_time_grid, grad_faces, l2_inner, normal_derivative,
-                       sbp_laplacian)
+                       build_time_grid, grad_faces, normal_derivative,
+                       sbp_laplacian, st_inner)
 from .insensitize import apply_A_derivative, nonlinear_parts_A
 from .solvers import (CoefficientSet, LinearOperatorSet, duality_gap,
                       solve_linear_forward)
@@ -47,8 +47,7 @@ def duality_battery(ops: LinearOperatorSet, rng, n_pairs: int = 100) -> float:
         W.bulk[M] = 0.0
         W.surface[M] = 0.0
         gap = abs(duality_gap(Y, W, ops))
-        ny = math.sqrt(sum(l2_inner(Y.slice(j), Y.slice(j), g) for j in range(M + 1)) * tg.dt)
-        nw = math.sqrt(sum(l2_inner(W.slice(j), W.slice(j), g) for j in range(M + 1)) * tg.dt)
+        ny, nw = (math.sqrt(st_inner(U, U, g, tg.dt)) for U in (Y, W))
         # the pairing scales like the operator norm ~ 1/dt + sigma/h^2
         scale = ny * nw * (1.0 / tg.dt + ops.sigma0 / g.h**2 + 1.0)
         worst = max(worst, gap / max(scale, 1e-300))
@@ -81,11 +80,8 @@ def _manufactured_run(cs: CoefficientSet, N: int, M: int,
     F = SpaceTimeField(f, fs)
     psi0 = BulkSurfaceField.from_bulk(exact[0])
     Psi = solve_linear_forward(ops, F, psi0)
-    w = grid.trapezoid_weights()
-    err_b = Psi.bulk - exact
-    err_s = Psi.surface - exact[:, [0, -1]]
-    return math.sqrt(float(np.einsum("cj,j,cj->", err_b[1:], w, err_b[1:])
-                           + np.sum(err_s[1:]**2)) * tgrid.dt)
+    err = SpaceTimeField(Psi.bulk - exact, Psi.surface - exact[:, [0, -1]])
+    return math.sqrt(st_inner(err, err, grid, tgrid.dt, slice(1, None)))
 
 
 def convergence_orders(cs: CoefficientSet) -> dict:

@@ -60,7 +60,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import ConditioningError, ContractError
 from .geometry import (SpaceTimeField, SpatialGrid, face_average, grad_faces,
-                       l2_norm, sbp_laplacian)
+                       l2_norm, sbp_laplacian, st_inner)
 from .solvers import (LinearOperatorSet, _observation_source, _step_rows,
                       solve_linearized_cascade, weak_residual)
 from .weights import (WeightTables, log_add, log_ratio, log_st_sq,
@@ -68,6 +68,11 @@ from .weights import (WeightTables, log_add, log_ratio, log_st_sq,
 
 # tolerance of the relative Galerkin residual in `galerkin_check`
 GALERKIN_TOL = 1e-9
+
+
+def _dot(u, v) -> float:
+    # einsum, not the BLAS dot, whose threaded sums move the bits
+    return float(np.einsum("i,i->", u, v))
 
 
 @dataclass(frozen=True)
@@ -253,7 +258,7 @@ class _Stack:
 
     def stack_norm_sq(self, x) -> float:
         r = self.R @ x
-        return float(np.dot(self._wmul(r), r))
+        return _dot(self._wmul(r), r)
 
     def rhs(self, F: SpaceTimeField, G: SpaceTimeField):
         """The linear functional of the sources: F paired with Y, G with Z."""
@@ -323,12 +328,12 @@ def bilinear_B(problem: FIProblem, YZ, YZbar) -> float:
     st = _Stack(problem)
     x = _fields_to_dofs(st, *YZ)
     xb = _fields_to_dofs(st, *YZbar)
-    return float(np.dot(st.row_weights * (st.R @ x), st.R @ xb))
+    return _dot(st.row_weights * (st.R @ x), st.R @ xb)
 
 
 def linear_F(problem: FIProblem, F: SpaceTimeField, G: SpaceTimeField, YZ) -> float:
     st = _Stack(problem)
-    return float(np.dot(st.rhs(F, G), _fields_to_dofs(st, *YZ)))
+    return _dot(st.rhs(F, G), _fields_to_dofs(st, *YZ))
 
 
 class FISolver:
@@ -386,8 +391,7 @@ class FISolver:
             # no refinement: at kappa * eps >> 1 it cannot reduce the error
             xt = lu.solve(bt)
             r = bt - self.At @ xt
-            # einsum, not the BLAS dot, whose threaded sums move the bits
-            r_2, b_2 = (math.sqrt(np.einsum("i,i->", u, u)) for u in (r, bt))
+            r_2, b_2 = (math.sqrt(_dot(u, u)) for u in (r, bt))
             res = r_2 / max(b_2, 1e-300)
             # max-abs norms: the 2-norms' squares overflow near the dofs'
             # 1e148 and underflow to zero for tiny sources
@@ -412,7 +416,7 @@ def galerkin_check(sol: FISolution, n_dirs: int, rng) -> dict:
     for _ in range(n_dirs):
         d = rng.standard_normal(st.n_dofs)
         dB = math.sqrt(max(st.stack_norm_sq(d), 0.0))
-        gal = abs(float(np.dot(resid, d)))
+        gal = abs(_dot(resid, d))
         scaled = gal / max(GALERKIN_TOL * dB * xB, 1e-300)
         worst = max(worst, scaled)
         details.append((gal, dB))
@@ -428,7 +432,7 @@ def operator_symmetry_gap(problem: FIProblem, rng, n_pairs: int = 5) -> float:
         u = rng.standard_normal(st.n_dofs)
         w = rng.standard_normal(st.n_dofs)
         Au, Aw = st.apply_A(u), st.apply_A(w)
-        gap = abs(float(np.dot(Au, w) - np.dot(u, Aw)))
+        gap = abs(_dot(Au, w) - _dot(u, Aw))
         scale = (_robust_norm(Au) * _robust_norm(w)
                  + _robust_norm(Aw) * _robust_norm(u)) + 1e-300
         worst = max(worst, gap / scale)
@@ -439,7 +443,8 @@ def _robust_norm(v) -> float:
     m = float(np.max(np.abs(v)))
     if m == 0.0:
         return 0.0
-    return m * float(np.linalg.norm(v / m))
+    v = v / m
+    return m * math.sqrt(_dot(v, v))
 
 
 def cascade_residual_check(sol: FISolution) -> dict:
@@ -462,18 +467,13 @@ def cascade_residual_check(sol: FISolution) -> dict:
     Geff = _observation_source(Psi_rs, p.theta, p.theta_s, p.masks, sol.G)
     res_bwd = weak_residual(p.ops, H_rs, Geff, backward=True)
 
-    dt = tg.dt
-    quad = g.trapezoid_weights()[None, :] * dt
-
-    def st_dist(A_b, A_s, B_b, B_s):
-        num = float(np.sum(quad * (A_b - B_b)**2) + dt * np.sum((A_s - B_s)**2))
-        den = float(np.sum(quad * B_b**2) + dt * np.sum(B_s**2))
+    def st_dist(A, B, slices):
+        D = SpaceTimeField(A.bulk - B.bulk, A.surface - B.surface)
+        num, den = (st_inner(U, U, g, tg.dt, slices) for U in (D, B))
         return math.sqrt(num / max(den, 1e-300))
 
-    dist_psi = st_dist(sol.Psi.bulk[1:], sol.Psi.surface[1:],
-                       Psi_rs.bulk[1:], Psi_rs.surface[1:])
-    dist_h = st_dist(sol.H.bulk[:-1], sol.H.surface[:-1],
-                     H_rs.bulk[:-1], H_rs.surface[:-1])
+    dist_psi = st_dist(sol.Psi, Psi_rs, slice(1, None))
+    dist_h = st_dist(sol.H, H_rs, slice(None, -1))
     return {"weak_residual_forward": res_fwd, "weak_residual_backward": res_bwd,
             "dist_psi": dist_psi, "dist_h": dist_h,
             "resolved_h0_norm": l2_norm(H_rs.slice(0), g),

@@ -8,6 +8,12 @@ the surface (the 1D surface measure is counting measure):
 
     <(y, yG), (w, wG)> = sum_i H_i y_i w_i + yG_L wG_L + yG_R wG_R.
 
+This module is the one place that writes that product out, at three
+granularities: `l2_inner` pairs two slices, `slice_sq_norms` gives the
+squared norm of every row of a space-time array, and `st_inner` is the
+space-time product dt * sum_c <A_c, B_c> over a range of slices.  Every
+other module takes its plain L2 forms from these kernels.
+
 All difference operators are built so the discrete integration-by-parts
 identity holds exactly:
 
@@ -231,6 +237,30 @@ def l2_inner(a: BulkSurfaceField, b: BulkSurfaceField, grid: SpatialGrid) -> flo
         raise ContractError("l2_inner: fields live on different grids")
     w = grid.trapezoid_weights()
     return float(np.dot(w * a.bulk, b.bulk) + np.dot(a.surface, b.surface))
+
+
+def slice_sq_norms(*terms) -> np.ndarray:
+    """Per-row squared norms sum_j quad_j values_kj^2 over (values, quad) terms.
+
+    A scalar quad scales the row sum of squares; a vector quad weights each
+    column.  Terms are accumulated in the order given.
+    """
+    sq = 0.0
+    for values, quad in terms:
+        if np.ndim(quad) == 0:
+            sq = sq + np.sum(values**2, axis=1) * quad
+        else:
+            sq = sq + np.einsum("kj,j,kj->k", values, quad, values)
+    return sq
+
+
+def st_inner(A: SpaceTimeField, B: SpaceTimeField, grid: SpatialGrid, dt: float,
+             slices: slice = slice(None)) -> float:
+    """dt * sum over `slices` of the bulk-surface inner products (one
+    pairwise-summed reduction per part)."""
+    return dt * float(
+        np.sum(A.bulk[slices] * grid.trapezoid_weights() * B.bulk[slices])
+        + np.sum(A.surface[slices] * B.surface[slices]))
 
 
 def l2_norm(a: BulkSurfaceField, grid: SpatialGrid) -> float:

@@ -40,12 +40,12 @@ from .fi import (FIProblem, FISolution, FISolver, _cell_time_derivative,
 from .geometry import (BulkSurfaceField, RegionMasks, SpaceTimeField,
                        SpatialGrid, face_average, grad_faces, h3_proxy_norm,
                        l2_inner, l2_norm, node_gradient, normal_derivative,
-                       sbp_laplacian)
+                       sbp_laplacian, slice_sq_norms)
 from .solvers import (CoefficientSet, LinearOperatorSet, _observation_source,
                       apply_L, solve_linearized_cascade, solve_quasilinear,
                       solve_quasilinear_cascade, solve_sensitivity)
 from .weights import (WeightTables, log_add, log_ratio, log_st_sq,
-                      log_weighted_sq_sum, log_weighted_sup, slice_sq_norms)
+                      log_weighted_sq_sum, log_weighted_sup)
 
 
 @dataclass

@@ -44,7 +44,7 @@ from .errors import (ConditioningError, ConfigurationError, ContractError,
 from .geometry import (BulkSurfaceField, RegionMasks, SpaceTimeField,
                        SpatialGrid, TimeGrid, face_average, grad_faces,
                        l2_inner, normal_derivative, sbp_laplacian,
-                       stiffness_apply)
+                       slice_sq_norms, st_inner, stiffness_apply)
 
 # Newton on an implicit step stops at ||r|| <= NEWTON_TOL * max(1, ||rhs||)
 NEWTON_TOL = 1e-11
@@ -218,25 +218,16 @@ def _step_rows(ops: LinearOperatorSet, yb_a, ys_a, yb_o, ys_o):
             (ys_a - ys_o) / dt + ops.sigma0 * normal_derivative(yb_a, g) + ops.db0 * ys_a)
 
 
-def _st_pair(A: SpaceTimeField, B: SpaceTimeField, grid: SpatialGrid, dt: float,
-             slices: slice) -> float:
-    """dt * sum over `slices` of the bulk-surface inner products (one
-    pairwise-summed reduction per part)."""
-    return dt * float(
-        np.sum(A.bulk[slices] * grid.trapezoid_weights() * B.bulk[slices])
-        + np.sum(A.surface[slices] * B.surface[slices]))
-
-
 def st_pair_forward(res: SpaceTimeField, W: SpaceTimeField, grid: SpatialGrid,
                     dt: float) -> float:
     """<forward residuals, W>: cells pair right slices."""
-    return _st_pair(res, W, grid, dt, slice(1, None))
+    return st_inner(res, W, grid, dt, slice(1, None))
 
 
 def st_pair_backward(Y: SpaceTimeField, res: SpaceTimeField, grid: SpatialGrid,
                      dt: float) -> float:
     """<Y, backward residuals>: cells pair left slices."""
-    return _st_pair(Y, res, grid, dt, slice(None, -1))
+    return st_inner(Y, res, grid, dt, slice(None, -1))
 
 
 def duality_gap(Y: SpaceTimeField, W: SpaceTimeField, ops: LinearOperatorSet) -> float:
@@ -606,24 +597,19 @@ def total_mass(Y: SpaceTimeField, grid: SpatialGrid) -> np.ndarray:
 
 
 def l2_history(Y: SpaceTimeField, grid: SpatialGrid) -> np.ndarray:
-    w = grid.trapezoid_weights()
-    return np.sqrt(np.einsum("ij,j,ij->i", Y.bulk, w, Y.bulk)
-                   + np.einsum("ij,ij->i", Y.surface, Y.surface))
+    """The bulk-surface L2 norm of every slice."""
+    return np.sqrt(slice_sq_norms((Y.bulk, grid.trapezoid_weights()), (Y.surface, 1.0)))
 
 
 def energy_norm(Y: SpaceTimeField, grid: SpatialGrid, dt: float) -> float:
     """Discrete norm of H^1(0,T;L2) cap L2(0,T;H2): value, time derivative,
     gradient and Laplacian, trapezoid/cell quadrature."""
-    w = grid.trapezoid_weights()
-    val = float(np.einsum("ij,j,ij->", Y.bulk, w, Y.bulk) * dt
-                + np.einsum("ij,ij->", Y.surface, Y.surface) * dt)
-    yt = np.diff(Y.bulk, axis=0) / dt
-    st = np.diff(Y.surface, axis=0) / dt
-    tder = float(np.einsum("ij,j,ij->", yt, w, yt) * dt + np.sum(st * st) * dt)
+    Yt = SpaceTimeField(np.diff(Y.bulk, axis=0) / dt, np.diff(Y.surface, axis=0) / dt)
+    val, tder = (st_inner(U, U, grid, dt) for U in (Y, Yt))
     gf = grad_faces(Y.bulk, grid)
     grad = float(np.sum(gf * gf) * grid.h * dt)
     lap = sbp_laplacian(Y.bulk, grid)
-    lp = float(np.einsum("ij,j,ij->", lap, w, lap) * dt)
+    lp = float(np.einsum("ij,j,ij->", lap, grid.trapezoid_weights(), lap) * dt)
     return float(np.sqrt(val + tder + grad + lp))
 
 

@@ -42,7 +42,7 @@ import numpy as np
 from .errors import ContractError, ParameterError, ResolutionError
 from .geometry import (RegionMasks, SpaceTimeField, SpatialGrid, TimeGrid,
                        face_average, grad_faces, normal_derivative,
-                       sbp_laplacian)
+                       sbp_laplacian, slice_sq_norms)
 
 LOG_UNDERFLOW = -700.0  # squared inverse weights below e^{-700} become exact 0
 LOG_FLOAT_MAX = math.log(sys.float_info.max)    # e^x overflows above this
@@ -145,21 +145,6 @@ def log_st_sq(log_w, bulk, surface, grid: SpatialGrid, dt: float) -> float:
     if surface is None:
         return bulk_sq
     return log_add(bulk_sq, log_weighted_sq_sum(lw, surface, dt))
-
-
-def slice_sq_norms(*terms) -> np.ndarray:
-    """Per-row squared norms sum_j quad_j values_kj^2 over (values, quad) terms.
-
-    A scalar quad scales the row sum of squares; a vector quad weights each
-    column.  Terms are accumulated in the order given.
-    """
-    sq = 0.0
-    for values, quad in terms:
-        if np.ndim(quad) == 0:
-            sq = sq + np.sum(values**2, axis=1) * quad
-        else:
-            sq = sq + np.einsum("kj,j,kj->k", values, quad, values)
-    return sq
 
 
 def log_weighted_sup(log_w, *terms) -> float:

@@ -210,6 +210,19 @@ def test_linear_functional_pairing(bundle, source):
     assert val == pytest.approx(ref, rel=1e-12)
 
 
+def _on_one_and_two_blas_threads(script):
+    """The stdout of `script`, run with tests/ and src/ on the path in a
+    fresh interpreter on one and on two OpenBLAS threads."""
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(tests.parent / "src"), str(tests),
+                                         os.environ.get("PYTHONPATH")]))
+    return [subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+        timeout=300, env=dict(os.environ, PYTHONPATH=path,
+                              OPENBLAS_NUM_THREADS=threads)).stdout
+        for threads in ("1", "2")]
+
+
 def test_optimality_residual_independent_of_blas_threads():
     """A 64x128 synthesis reports the same optimality residual bits on one
     and on two OpenBLAS threads: its 2-norms are einsum sums, not the BLAS
@@ -218,12 +231,23 @@ def test_optimality_residual_independent_of_blas_threads():
               "from bscontrol.insensitize import synthesize\n"
               "bundle, F = make_bundle(N=64, M=128, family='random_fourier')\n"
               "print(synthesize(F, bundle).fi_solution.optimality_residual.hex())\n")
-    tests = Path(__file__).resolve().parent
-    path = os.pathsep.join(filter(None, [str(tests.parent / "src"), str(tests),
-                                         os.environ.get("PYTHONPATH")]))
-    residuals = [subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
-        timeout=300, env=dict(os.environ, PYTHONPATH=path,
-                              OPENBLAS_NUM_THREADS=threads)).stdout
-        for threads in ("1", "2")]
+    residuals = _on_one_and_two_blas_threads(script)
     assert residuals[0] == residuals[1]
+
+
+def test_fi_diagnostics_independent_of_blas_threads():
+    """The Galerkin check and the symmetry gap read the same bits on one and
+    on two OpenBLAS threads.  At 64x128 their dof vectors have 16,640
+    entries, past the 10,000 at which OpenBLAS splits a ddot across
+    threads; a smaller grid would not show a thread-dependent sum."""
+    script = ("import numpy as np\n"
+              "from conftest import make_bundle\n"
+              "from bscontrol.fi import galerkin_check, operator_symmetry_gap\n"
+              "bundle, F = make_bundle(N=64, M=128)\n"
+              "sol = bundle.fi_solver.solve(F)\n"
+              "rng = np.random.default_rng(12345)\n"
+              "gal = galerkin_check(sol, 20, rng)\n"
+              "gap = operator_symmetry_gap(bundle, rng)\n"
+              "print(repr(gal['max_scaled_residual']), repr(gap))\n")
+    values = _on_one_and_two_blas_threads(script)
+    assert values[0] == values[1]

@@ -3,7 +3,9 @@ coefficients: summation by parts, space-time duality, the agreement of the
 sparse residual stack with the matrix-free operators it is built from, the
 weighted space-time norm and the log-sum-exp kernel against plain sums,
 per-part log-sum-exp totals against one flat log-sum-exp, a log-weight
-prepared once against one prepared per sum, the factored
+prepared once against one prepared per sum, the space-time inner
+product against per-slice sums and the duality pairings, the per-slice
+norm history against its einsum form, the factored
 linear steppers against per-step banded solves, mass conservation of the
 linear steppers, stacked marches against member marches, the direct
 tridiagonal solve against solve_banded, the Newton stop tests' row norms
@@ -28,14 +30,16 @@ from bscontrol import diagnostics
 from bscontrol.errors import ConditioningError
 from bscontrol.fi import _Stack
 from bscontrol.geometry import (BulkSurfaceField, SpaceTimeField, build_grid,
-                                build_time_grid)
+                                build_time_grid, l2_inner, st_inner)
 from bscontrol.insensitize import PerturbationSpec, duality_identity_check
 from bscontrol.solvers import (LinearOperatorSet, _constant_step_bands,
                                _quasilinear_jacobian_bands, _row_norms,
                                _solve_tridiagonal, _weak_rhs, apply_L,
-                               coefficient_preset, solve_adjoint_cascade,
+                               coefficient_preset, l2_history,
+                               solve_adjoint_cascade,
                                solve_backward_varcoef, solve_linear_backward,
-                               solve_linear_forward, solve_sensitivity, total_mass)
+                               solve_linear_forward, solve_sensitivity,
+                               st_pair_backward, st_pair_forward, total_mass)
 from bscontrol import weights
 from bscontrol.weights import (LogWeight, _random_smooth_source, _stack_log_sums,
                                carleman_functional_I, carleman_functional_Jw,
@@ -71,6 +75,45 @@ def test_sbp_identity_exact(N, length, seed):
 def test_duality_gap_at_operator_scale(ops, seed):
     gap = diagnostics.duality_battery(ops, np.random.default_rng(seed), n_pairs=3)
     assert gap <= 1e-13
+
+
+def _random_histories(ops, seed, count):
+    """`count` space-time fields with independent surface values."""
+    rng = np.random.default_rng(seed)
+    shape = (ops.time_grid.step_count + 1, ops.grid.n_nodes)
+    return [SpaceTimeField(rng.standard_normal(shape), rng.standard_normal((shape[0], 2)))
+            for _ in range(count)]
+
+
+@PROPERTY
+@given(ops=operators(), seed=st.integers(0, 2**32 - 1))
+def test_st_inner_matches_slice_sums(ops, seed):
+    """st_inner is symmetric and equals dt * sum_c l2_inner(A_c, B_c) up to
+    summation order; the forward and backward pairings are st_inner over
+    the right and the left slices, bit for bit."""
+    g, dt = ops.grid, ops.time_grid.dt
+    A, B = _random_histories(ops, seed, 2)
+    absA, absB = (SpaceTimeField(np.abs(U.bulk), np.abs(U.surface)) for U in (A, B))
+    scale = st_inner(absA, absB, g, dt)
+    value = st_inner(A, B, g, dt)
+    assert abs(value - st_inner(B, A, g, dt)) <= 1e-13 * scale
+    ref = dt * sum(l2_inner(A.slice(c), B.slice(c), g) for c in range(A.n_slices))
+    assert abs(value - ref) <= 1e-13 * scale
+    assert st_pair_forward(A, B, g, dt) == st_inner(A, B, g, dt, slice(1, None))
+    assert st_pair_backward(A, B, g, dt) == st_inner(A, B, g, dt, slice(None, -1))
+
+
+@PROPERTY
+@given(ops=operators(), seed=st.integers(0, 2**32 - 1))
+def test_l2_history_matches_einsum_form(ops, seed):
+    """l2_history has the bits of its former two-einsum expression, which
+    are the norms `trajectory.csv` prints."""
+    g = ops.grid
+    Y, = _random_histories(ops, seed, 1)
+    w = g.trapezoid_weights()
+    oracle = np.sqrt(np.einsum("ij,j,ij->i", Y.bulk, w, Y.bulk)
+                     + np.einsum("ij,ij->i", Y.surface, Y.surface))
+    assert np.array_equal(l2_history(Y, g), oracle)
 
 
 @PROPERTY

@@ -12,8 +12,9 @@ agree on the exit code, stdout, stderr, the set of output files and every
 file's bytes, apart from the `wall_seconds` line of the JSON reports, their
 only non-deterministic field.
 
-Prints one line per command and the first lines of each difference, and
-exits 1 on any difference, 0 otherwise.  The commands cover every CLI
+Prints one line per command and the first SHOWN lines of each file's
+diff, with a count of the lines it leaves out, and exits 1 on any
+difference, 0 otherwise.  The commands cover every CLI
 command: both outer-loop exits (`converged` at 128x256, `converged_floor` on
 the other synthesize runs, 8 iterations at amplitude 1), a non-dyadic time
 step (8/100, where the other runs' dt are powers of two), a synthesis
@@ -118,8 +119,11 @@ def differences(parent: dict, change: dict) -> list[str]:
                 parent[key].decode(errors="replace").splitlines(),
                 change[key].decode(errors="replace").splitlines(),
                 "parent", "change", lineterm="")
+            lines = list(diff)
             out.append(f"  {key}:")
-            out.extend(f"    {line}" for line in list(diff)[:SHOWN])
+            out.extend(f"    {line}" for line in lines[:SHOWN])
+            if len(lines) > SHOWN:
+                out.append(f"    ... {len(lines) - SHOWN} more diff lines")
     return out
 
 
