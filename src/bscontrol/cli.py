@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -37,6 +38,25 @@ from .weights import (WeightParams, admissible_time_profile, build_chi,
                       dump_weight_csv, empirical_carleman_check, validate_params)
 
 SCHEMA = "bscontrol-report-v2"
+
+
+def _pin_malloc_thresholds() -> None:
+    """Fix glibc's mmap threshold at 1 MiB and its trim threshold at 64 MiB.
+
+    glibc otherwise raises the mmap threshold to each large block freed, so
+    later multi-megabyte arrays extend the heap, whose resident size then
+    varies with per-process hashing and address randomisation: one
+    synthesis sequence peaked at 102 MB in some processes, 113 MB in others.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):    # not glibc
+        return
+    mallopt(-1, 64 << 20)    # M_TRIM_THRESHOLD
+    mallopt(-3, 1 << 20)    # M_MMAP_THRESHOLD
+
+
+_pin_malloc_thresholds()
 
 DEFAULTS = {
     "grid": {"length": "1.0", "cells": "64"},

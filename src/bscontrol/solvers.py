@@ -42,9 +42,8 @@ from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
 from .errors import (ConditioningError, ConfigurationError, ContractError,
                      SmallnessViolationError)
 from .geometry import (BulkSurfaceField, RegionMasks, SpaceTimeField,
-                       SpatialGrid, TimeGrid, face_average, grad_faces,
-                       l2_inner, normal_derivative, sbp_laplacian,
-                       slice_sq_norms, st_inner, stiffness_apply)
+                       SpatialGrid, TimeGrid, face_average, normal_derivative,
+                       sbp_laplacian, slice_sq_norms, st_inner, stiffness_apply)
 
 # Newton on an implicit step stops at ||r|| <= NEWTON_TOL * max(1, ||rhs||)
 NEWTON_TOL = 1e-11
@@ -599,23 +598,6 @@ def total_mass(Y: SpaceTimeField, grid: SpatialGrid) -> np.ndarray:
 def l2_history(Y: SpaceTimeField, grid: SpatialGrid) -> np.ndarray:
     """The bulk-surface L2 norm of every slice."""
     return np.sqrt(slice_sq_norms((Y.bulk, grid.trapezoid_weights()), (Y.surface, 1.0)))
-
-
-def energy_norm(Y: SpaceTimeField, grid: SpatialGrid, dt: float) -> float:
-    """Discrete norm of H^1(0,T;L2) cap L2(0,T;H2): value, time derivative,
-    gradient and Laplacian, trapezoid/cell quadrature."""
-    Yt = SpaceTimeField(np.diff(Y.bulk, axis=0) / dt, np.diff(Y.surface, axis=0) / dt)
-    val, tder = (st_inner(U, U, grid, dt) for U in (Y, Yt))
-    gf = grad_faces(Y.bulk, grid)
-    grad = float(np.sum(gf * gf) * grid.h * dt)
-    lap = sbp_laplacian(Y.bulk, grid)
-    lp = float(np.einsum("ij,j,ij->", lap, grid.trapezoid_weights(), lap) * dt)
-    return float(np.sqrt(val + tder + grad + lp))
-
-
-def h1_norm(f: BulkSurfaceField, grid: SpatialGrid) -> float:
-    gf = grad_faces(f.bulk, grid)
-    return float(np.sqrt(l2_inner(f, f, grid) + np.sum(gf * gf) * grid.h))
 
 
 def dump_trajectory_csv(Psi: SpaceTimeField, H: SpaceTimeField,

@@ -2,6 +2,11 @@ import csv
 import json
 import math
 import os
+import platform
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -310,3 +315,26 @@ def test_weight_csv_signature(tmp_path):
     assert main(["synthesize", "--config", str(cfgp), "--out", str(tmp_path)]) == 0
     header = (tmp_path / "weights.csv").read_text().splitlines()[0]
     assert header.split(",")[:4] == ["t", "ell", "gamma", "log_mu"]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator only")
+def test_cli_keeps_large_arrays_out_of_the_heap():
+    """The CLI pins glibc's mmap threshold.  In a fresh interpreter, after an
+    8 MB block is freed, a 4 MB array still gets its own mapping; by default
+    the freed block raises the threshold and the array extends the heap,
+    whose layout, and with it the peak RSS, varies per process."""
+    script = textwrap.dedent("""
+        import numpy as np
+        import bscontrol.cli
+        big = np.ones(1 << 20)
+        del big
+        a = np.ones(1 << 19)
+        with open("/proc/self/maps") as fh:
+            heap = [ln.split()[0].split("-") for ln in fh if ln.rstrip().endswith("[heap]")]
+        print(any(int(lo, 16) <= a.ctypes.data < int(hi, 16) for lo, hi in heap))
+        """)
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert out.stdout.strip() == "False"

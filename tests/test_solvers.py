@@ -7,7 +7,8 @@ import pytest
 
 from bscontrol.errors import ConfigurationError, SmallnessViolationError
 from bscontrol.geometry import (BulkSurfaceField, SpaceTimeField, build_grid,
-                                build_masks, build_time_grid, l2_inner)
+                                build_masks, build_time_grid, grad_faces,
+                                l2_inner, sbp_laplacian, st_inner)
 from bscontrol.solvers import (LinearOperatorSet, apply_L, coefficient_preset,
                                duality_gap, l2_history,
                                solve_adjoint_cascade, solve_backward_varcoef,
@@ -499,8 +500,24 @@ def test_uniqueness_gronwall(small):
     assert diff.max() <= 1e-10
 
 
+def energy_norm(Y: SpaceTimeField, grid, dt: float) -> float:
+    """Discrete norm of H^1(0,T;L2) cap L2(0,T;H2): value, time derivative,
+    gradient and Laplacian, trapezoid/cell quadrature."""
+    Yt = SpaceTimeField(np.diff(Y.bulk, axis=0) / dt, np.diff(Y.surface, axis=0) / dt)
+    val, tder = (st_inner(U, U, grid, dt) for U in (Y, Yt))
+    gf = grad_faces(Y.bulk, grid)
+    grad = float(np.sum(gf * gf) * grid.h * dt)
+    lap = sbp_laplacian(Y.bulk, grid)
+    lp = float(np.einsum("ij,j,ij->", lap, grid.trapezoid_weights(), lap) * dt)
+    return float(np.sqrt(val + tder + grad + lp))
+
+
+def h1_norm(f: BulkSurfaceField, grid) -> float:
+    gf = grad_faces(f.bulk, grid)
+    return float(np.sqrt(l2_inner(f, f, grid) + np.sum(gf * gf) * grid.h))
+
+
 def test_energy_estimate_shape(small):
-    from bscontrol.solvers import energy_norm, h1_norm
     g, tg, _, _, ops = small
     M = tg.step_count
     rng = np.random.default_rng(7)
