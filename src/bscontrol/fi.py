@@ -167,157 +167,134 @@ class FISolution:
                               p.time_grid.dt)
 
 
-class _Stack:
-    """Sparse residual stack, its normal matrix, and block helpers.
+# --- the residual stack, as functions of the operator p ---------------------
+# Dof packing: Y slices 0..M-1 then Z slices 1..M, each n_nodes wide (the
+# constrained end slices are not dofs).  Stack rows are ordered (R1 bulk,
+# R2 surface, R3 bulk, R4 surface, R5 observation), cells fastest within
+# each block.
 
-    Dof packing: Y slices 0..M-1 then Z slices 1..M, each n_nodes wide
-    (the constrained end slices are not dofs).  Stack rows are ordered
-    (R1 bulk, R2 surface, R3 bulk, R4 surface, R5 observation), cells
-    fastest within each block.
-    """
+def _residual_stack(p: FIProblem) -> sparse.csr_matrix:
+    """The sparse unweighted residual stack R, from the stepper's rows."""
+    M, n, dt = p.time_grid.step_count, p.grid.n_nodes, p.time_grid.dt
+    # the stencils act on the last axis, so applied to the identity they
+    # return their transposes; equal slices leave the generator S alone
+    eye = np.eye(n)
+    tr = eye[:, [0, -1]]
+    S = [sparse.csr_matrix(r.T) for r in _step_rows(p.ops, eye, tr, eye, tr)]
+    C = _observation_source(SpaceTimeField(eye, tr), p.theta, p.theta_s, p.masks)
+    I_M, X = sparse.identity(M), (sparse.identity(n), sparse.csr_matrix(tr.T))
 
-    def __init__(self, p: FIProblem):
-        self.p = p
-        self.g = p.grid
-        self.M = p.time_grid.step_count
-        self.n = p.grid.n_nodes
-        self.dt = p.time_grid.dt
-        self.w0 = p.tables.inv_sq(0)
-        self.w1 = p.tables.inv_sq(1)
-        self.n_dofs = 2 * self.M * self.n
+    def cells(other):
+        """Cell k's rows X/dt + S on its anchor dof, -X/dt on `other`'s.
+        Adding X/dt to S keeps R's rounding: `_step_rows` against zero
+        slices would round the surface row as (1/dt + sigma0 dnu) + db0."""
+        return [sparse.kron(I_M, x / dt + s) - sparse.kron(other, x / dt)
+                for x, s in zip(X, S)]
 
-    # --- sparse assembly ---------------------------------------------------
-
-    @cached_property
-    def R(self) -> sparse.csr_matrix:
-        p, M, n, dt = self.p, self.M, self.n, self.dt
-        # the stencils act on the last axis, so applied to the identity they
-        # return their transposes; equal slices leave the generator S alone
-        eye = np.eye(n)
-        tr = eye[:, [0, -1]]
-        S = [sparse.csr_matrix(r.T) for r in _step_rows(p.ops, eye, tr, eye, tr)]
-        C = _observation_source(SpaceTimeField(eye, tr), p.theta, p.theta_s, p.masks)
-        I_M, X = sparse.identity(M), (sparse.identity(n), sparse.csr_matrix(tr.T))
-
-        def cells(other):
-            """Cell k's rows X/dt + S on its anchor dof, -X/dt on `other`'s.
-            Adding X/dt to S keeps R's rounding: `_step_rows` against zero
-            slices would round the surface row as (1/dt + sigma0 dnu) + db0."""
-            return [sparse.kron(I_M, x / dt + s) - sparse.kron(other, x / dt)
-                    for x, s in zip(X, S)]
-
-        (Yb, Ys), (Zb, Zs) = cells(sparse.eye(M, k=1)), cells(sparse.eye(M, k=-1))
-        return sparse.bmat([
-            [Yb, sparse.kron(I_M, -C.bulk.T)],
-            [Ys, sparse.kron(I_M, -C.surface.T)],
-            [None, Zb],
-            [None, Zs],
-            [sparse.kron(I_M, sparse.diags(np.sqrt(p.chi))), None],
-        ], format="csr")
-
-    @cached_property
-    def row_weights(self) -> np.ndarray:
-        dt, Hv = self.dt, self.g.trapezoid_weights()
-        w0 = [(dt * self.w0[:, None] * Hv[None, :]).ravel(),
-              (dt * self.w0[:, None] * np.ones((1, 2))).ravel()]
-        return np.concatenate([*w0, *w0,
-                               (dt * self.w1[:, None] * Hv[None, :]).ravel()])
-
-    @property
-    def A(self) -> sparse.csc_matrix:
-        """R^T W R, built on each read: `FISolver` keeps only its scaled copy."""
-        return (self.R.T @ sparse.diags(self.row_weights) @ self.R).tocsc()
-
-    def _wmul(self, r: np.ndarray) -> np.ndarray:
-        """Weight application with exact zeros: rows of zero weight kill
-        whatever the raw residual holds (it may be unrepresentable there)."""
-        w = self.row_weights
-        out = np.zeros_like(r)
-        nz = w > 0
-        out[nz] = w[nz] * r[nz]
-        return out
-
-    def apply_A(self, x: np.ndarray) -> np.ndarray:
-        return self.R.T @ self._wmul(self.R @ x)
-
-    # --- block helpers (dense, vectorized) ----------------------------------
-
-    def unpack(self, x):
-        M, n = self.M, self.n
-        Yf = np.zeros((M + 1, n))
-        Zf = np.zeros((M + 1, n))
-        Yf[:M] = x[:M * n].reshape(M, n)
-        Zf[1:] = x[M * n:].reshape(M, n)
-        return Yf, Zf
-
-    def forward_blocks(self, x):
-        """Unweighted residual blocks R1..R5 via the sparse stack, (M, width) each."""
-        M, n = self.M, self.n
-        blocks = np.split(self.R @ x, np.cumsum([M * n, 2 * M, M * n, 2 * M]))
-        return tuple(b.reshape(M, -1) for b in blocks)
-
-    def stack_norm_sq(self, x) -> float:
-        r = self.R @ x
-        return _dot(self._wmul(r), r)
-
-    def rhs(self, F: SpaceTimeField, G: SpaceTimeField):
-        """The linear functional of the sources: F paired with Y, G with Z."""
-        dt, Hv = self.dt, self.g.trapezoid_weights()
-        out = []
-        for S in (F, G):
-            b = dt * (Hv * S.bulk[1:])
-            b[:, [0, -1]] += dt * S.surface[1:]
-            out.append(b.ravel())
-        return np.concatenate(out)
-
-    def recover_fields(self, x, final_res, backward_error, F, G) -> FISolution:
-        """The (c16) solution of dofs x: the step rows of the w0-weighted
-        slices, the Psi rows minus the weighted Z's coupling, v = -chi w1 Y.
-        The weight multiplies the slices before any stencil, so no
-        weight-damped product passes through an unrepresentable value; on
-        random_fourier at 128x256 the dofs reach 6.9e299 and `R x` 3.3e304,
-        and weighting R x instead moves Psi and H by up to 1.7e-7 relative."""
-        p, M = self.p, self.M
-        Yf, Zf = self.unpack(x)
-        Ya, Yo, Za, Zo = (SpaceTimeField.from_bulk(self.w0[:, None] * A)
-                          for A in (Yf[:-1], Yf[1:], Zf[1:], Zf[:-1]))
-        coupling = _observation_source(Za, p.theta, p.theta_s, p.masks)
-        # forward view Psi (cell k -> slice k+1), backward view H (k -> k)
-        Psi, H = (SpaceTimeField.zeros(self.g, M + 1) for _ in range(2))
-        Psi.bulk[1:], Psi.surface[1:] = _step_rows(p.ops, Ya.bulk, Ya.surface,
-                                                   Yo.bulk, Yo.surface)
-        Psi.bulk[1:] -= coupling.bulk
-        Psi.surface[1:] -= coupling.surface
-        H.bulk[:M], H.surface[:M] = _step_rows(p.ops, Za.bulk, Za.surface,
-                                               Zo.bulk, Zo.surface)
-        v = np.zeros((M + 1, self.n))
-        v[1:] = -p.chi[None, :] * (self.w1[:, None] * Yf[:-1])
-        for arr in (Psi.bulk, Psi.surface, H.bulk, H.surface, v):
-            if not np.all(np.isfinite(arr)):
-                raise ConditioningError(
-                    "recovered fields overflow double range; weight spread too "
-                    "large for this configuration")
-        return FISolution(Psi=Psi, H=H, v=v, optimality_residual=final_res,
-                          backward_error=backward_error, x_dofs=x,
-                          problem=p, F=F, G=G)
+    (Yb, Ys), (Zb, Zs) = cells(sparse.eye(M, k=1)), cells(sparse.eye(M, k=-1))
+    return sparse.bmat([
+        [Yb, sparse.kron(I_M, -C.bulk.T)],
+        [Ys, sparse.kron(I_M, -C.surface.T)],
+        [None, Zb],
+        [None, Zs],
+        [sparse.kron(I_M, sparse.diags(np.sqrt(p.chi))), None],
+    ], format="csr")
 
 
-def _fields_to_dofs(st: _Stack, Y: SpaceTimeField, Z: SpaceTimeField):
-    M = st.M
-    if np.max(np.abs(Y.bulk[M])) > 1e-13 * (1 + np.max(np.abs(Y.bulk))):
-        raise ContractError("Y must vanish at its terminal slice (space P)")
-    if np.max(np.abs(Z.bulk[0])) > 1e-13 * (1 + np.max(np.abs(Z.bulk))):
-        raise ContractError("Z must vanish at its initial slice (space P)")
+def _row_weights(p: FIProblem) -> np.ndarray:
+    """The stack rows' weights: dt times the node quadrature times the
+    cell's mu0^-2 (R1-R4) or mu1^-2 (R5)."""
+    dt, Hv = p.time_grid.dt, p.grid.trapezoid_weights()
+    w0, w1 = (dt * p.tables.inv_sq(k)[:, None] for k in (0, 1))
+    rows0 = [(w0 * Hv).ravel(), (w0 * np.ones((1, 2))).ravel()]
+    return np.concatenate([*rows0, *rows0, (w1 * Hv).ravel()])
+
+
+def _wmul(w: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The weighted rows w r with exact zeros: rows of zero weight kill
+    whatever the raw residual holds (it may be unrepresentable there)."""
+    out = np.zeros_like(r)
+    nz = w > 0
+    out[nz] = w[nz] * r[nz]
+    return out
+
+
+def _source_rhs(p: FIProblem, F: SpaceTimeField, G: SpaceTimeField) -> np.ndarray:
+    """The linear functional of the sources: F paired with Y, G with Z."""
+    dt, Hv = p.time_grid.dt, p.grid.trapezoid_weights()
+    out = []
+    for S in (F, G):
+        b = dt * (Hv * S.bulk[1:])
+        b[:, [0, -1]] += dt * S.surface[1:]
+        out.append(b.ravel())
+    return np.concatenate(out)
+
+
+def _pack_dofs(p: FIProblem, Y: SpaceTimeField, Z: SpaceTimeField) -> np.ndarray:
+    """The dofs of a pair in P: each field trace compatible and zero at its
+    constrained end slice (Y at T, Z at 0), else a ContractError."""
+    M = p.time_grid.step_count
+    for name, U, end, where in (("Y", Y, M, "terminal"), ("Z", Z, 0, "initial")):
+        tol = 1e-13 * (1 + np.max(np.abs(U.bulk)))
+        if np.max(np.abs(U.bulk[end])) > tol:
+            raise ContractError(f"{name} must vanish at its {where} slice (space P)")
+        if np.max(np.abs(U.surface - U.bulk[:, [0, -1]])) > tol:
+            raise ContractError(f"{name}'s surface must be its bulk's trace (space P)")
     return np.concatenate([Y.bulk[:M].ravel(), Z.bulk[1:].ravel()])
+
+
+def _unpack_dofs(p: FIProblem, x: np.ndarray):
+    """The bulk slices 0..M of (Y, Z) from dofs x, zero at the end slices."""
+    M, n = p.time_grid.step_count, p.grid.n_nodes
+    Yf, Zf = np.zeros((2, M + 1, n))
+    Yf[:M], Zf[1:] = x.reshape(2, M, n)
+    return Yf, Zf
+
+
+def _stack_blocks(p: FIProblem, r: np.ndarray) -> tuple:
+    """The five blocks R1..R5 of a stack vector r, (M, width) each."""
+    M, n = p.time_grid.step_count, p.grid.n_nodes
+    blocks = np.split(r, np.cumsum([M * n, 2 * M, M * n, 2 * M]))
+    return tuple(b.reshape(M, -1) for b in blocks)
+
+
+def _recover_fields(p: FIProblem, x, final_res, backward_error, F, G) -> FISolution:
+    """The (c16) solution of dofs x: the step rows of the w0-weighted
+    slices, the Psi rows minus the weighted Z's coupling, v = -chi w1 Y.
+    The weight multiplies the slices before any stencil, so no
+    weight-damped product passes through an unrepresentable value; on
+    random_fourier at 128x256 the dofs reach 6.9e299 and `R x` 3.3e304,
+    and weighting R x instead moves Psi and H by up to 1.7e-7 relative."""
+    M, w0 = p.time_grid.step_count, p.tables.inv_sq(0)
+    Yf, Zf = _unpack_dofs(p, x)
+    Ya, Yo, Za, Zo = (SpaceTimeField.from_bulk(w0[:, None] * A)
+                      for A in (Yf[:-1], Yf[1:], Zf[1:], Zf[:-1]))
+    coupling = _observation_source(Za, p.theta, p.theta_s, p.masks)
+    # forward view Psi (cell k -> slice k+1), backward view H (k -> k)
+    Psi, H = (SpaceTimeField.zeros(p.grid, M + 1) for _ in range(2))
+    Psi.bulk[1:], Psi.surface[1:] = _step_rows(p.ops, Ya.bulk, Ya.surface,
+                                               Yo.bulk, Yo.surface)
+    Psi.bulk[1:] -= coupling.bulk
+    Psi.surface[1:] -= coupling.surface
+    H.bulk[:M], H.surface[:M] = _step_rows(p.ops, Za.bulk, Za.surface,
+                                           Zo.bulk, Zo.surface)
+    v = np.zeros((M + 1, p.grid.n_nodes))
+    v[1:] = -p.chi[None, :] * (p.tables.inv_sq(1)[:, None] * Yf[:-1])
+    for arr in (Psi.bulk, Psi.surface, H.bulk, H.surface, v):
+        if not np.all(np.isfinite(arr)):
+            raise ConditioningError(
+                "recovered fields overflow double range; weight spread too "
+                "large for this configuration")
+    return FISolution(Psi=Psi, H=H, v=v, optimality_residual=final_res,
+                      backward_error=backward_error, x_dofs=x,
+                      problem=p, F=F, G=G)
 
 
 def apply_residual_R(Y: SpaceTimeField, Z: SpaceTimeField, problem: FIProblem) -> dict:
     """Weighted five-component residual stack of a test pair in P."""
-    st = _Stack(problem)
-    x = _fields_to_dofs(st, Y, Z)
-    r1b, r1s, r3b, r3s, r5 = st.forward_blocks(x)
-    w0 = np.where(st.w0 > 0, np.sqrt(st.w0), 0.0)[:, None]
-    w1 = np.where(st.w1 > 0, np.sqrt(st.w1), 0.0)[:, None]
+    x = _pack_dofs(problem, Y, Z)
+    r1b, r1s, r3b, r3s, r5 = _stack_blocks(problem, _residual_stack(problem) @ x)
+    w0, w1 = (np.sqrt(problem.tables.inv_sq(k))[:, None] for k in (0, 1))
     return {"adjoint_bulk": w0 * r1b, "adjoint_surface": w0 * r1s,
             "forward_bulk": w0 * r3b, "forward_surface": w0 * r3s,
             "observation": w1 * r5}
@@ -325,15 +302,13 @@ def apply_residual_R(Y: SpaceTimeField, Z: SpaceTimeField, problem: FIProblem) -
 
 def bilinear_B(problem: FIProblem, YZ, YZbar) -> float:
     """B((Y,Z),(Ybar,Zbar)) through the weighted residual stacks."""
-    st = _Stack(problem)
-    x = _fields_to_dofs(st, *YZ)
-    xb = _fields_to_dofs(st, *YZbar)
-    return _dot(st.row_weights * (st.R @ x), st.R @ xb)
+    R = _residual_stack(problem)
+    x, xb = (_pack_dofs(problem, *pair) for pair in (YZ, YZbar))
+    return _dot(_wmul(_row_weights(problem), R @ x), R @ xb)
 
 
 def linear_F(problem: FIProblem, F: SpaceTimeField, G: SpaceTimeField, YZ) -> float:
-    st = _Stack(problem)
-    return _dot(st.rhs(F, G), _fields_to_dofs(st, *YZ))
+    return _dot(_source_rhs(problem, F, G), _pack_dofs(problem, *YZ))
 
 
 class FISolver:
@@ -344,12 +319,16 @@ class FISolver:
     `SynthesisBundle.fi_solver`, by every sweep value whose bundle is
     unchanged.  The solve is then a fixed linear map of the right-hand
     side, and increments of iterated solves inherit the contraction of the
-    source corrections exactly."""
+    source corrections exactly.  A solver keeps only the operator
+    `problem`, the scaling `D`, the scaled normal matrix `At = D R^T W R D`
+    (dead dofs pinned), its norm `At_inf` and, once made, the factor `lu`;
+    no solve reads the residual stack R or its row weights W again."""
 
     def __init__(self, problem: FIProblem):
         self.problem = problem
-        self.stack = _Stack(problem)
-        A = self.stack.A
+        R = _residual_stack(problem)
+        A = (R.T @ sparse.diags(_row_weights(problem)) @ R).tocsc()
+        del R
         diag = A.diagonal()
         # dofs whose diagonal sits > ~30 decades below the peak are
         # numerically invisible; pin them instead of letting subnormal
@@ -374,19 +353,19 @@ class FISolver:
         """Solve for the cell-indexed sources (F, G), G = 0 when omitted
         (slice c holds the cell-c sample, c = 1..M; slice 0 is ignored),
         and recover (Psi, H, v) via (c16)."""
-        p, st = self.problem, self.stack
-        G = SpaceTimeField.zeros(st.g, st.M + 1) if G is None else G
+        p = self.problem
+        G = SpaceTimeField.zeros(p.grid, p.time_grid.step_count + 1) if G is None else G
         p.check_sources(F, G)
-        b = st.rhs(F, G)
+        b = _source_rhs(p, F, G)
         if not np.any(b):
-            return st.recover_fields(np.zeros(st.n_dofs), 0.0, 0.0, F, G)
+            return _recover_fields(p, np.zeros(b.size), 0.0, 0.0, F, G)
         bt = self.D * b
         if not np.any(bt):
             raise ConditioningError(
                 "the source lies entirely on dofs below the live threshold; "
                 "weight spread too large for this configuration")
         lu = self.lu
-        # overflow here ends in recover_fields' ConditioningError
+        # overflow here ends in _recover_fields' ConditioningError
         with np.errstate(over="ignore", invalid="ignore"):
             # no refinement: at kappa * eps >> 1 it cannot reduce the error
             xt = lu.solve(bt)
@@ -397,7 +376,7 @@ class FISolver:
             # 1e148 and underflow to zero for tiny sources
             r_max, x_max, b_max = (float(np.max(np.abs(u))) for u in (r, xt, bt))
             backward = r_max / (self.At_inf * x_max + b_max)
-            return st.recover_fields(self.D * xt, res, backward, F, G)
+            return _recover_fields(p, self.D * xt, res, backward, F, G)
 
 
 def galerkin_check(sol: FISolution, n_dirs: int, rng) -> dict:
@@ -408,14 +387,19 @@ def galerkin_check(sol: FISolution, n_dirs: int, rng) -> dict:
     the Cauchy-Schwarz-consistent relative Galerkin residual, against
     GALERKIN_TOL.
     """
-    st = _Stack(sol.problem)
-    x = sol.x_dofs
-    resid = st.rhs(sol.F, sol.G) - st.apply_A(x)
-    xB = math.sqrt(max(st.stack_norm_sq(x), 0.0))
+    p, x = sol.problem, sol.x_dofs
+    R, w = _residual_stack(p), _row_weights(p)
+
+    def B_norm(u) -> float:
+        r = R @ u
+        return math.sqrt(max(_dot(_wmul(w, r), r), 0.0))
+
+    resid = _source_rhs(p, sol.F, sol.G) - R.T @ _wmul(w, R @ x)
+    xB = B_norm(x)
     worst, details = 0.0, []
     for _ in range(n_dirs):
-        d = rng.standard_normal(st.n_dofs)
-        dB = math.sqrt(max(st.stack_norm_sq(d), 0.0))
+        d = rng.standard_normal(x.size)
+        dB = B_norm(d)
         gal = abs(_dot(resid, d))
         scaled = gal / max(GALERKIN_TOL * dB * xB, 1e-300)
         worst = max(worst, scaled)
@@ -426,12 +410,12 @@ def galerkin_check(sol: FISolution, n_dirs: int, rng) -> dict:
 
 def operator_symmetry_gap(problem: FIProblem, rng, n_pairs: int = 5) -> float:
     """max |<Au, w> - <u, Aw>| scaled robustly over random pairs."""
-    st = _Stack(problem)
+    R, wr = _residual_stack(problem), _row_weights(problem)
     worst = 0.0
     for _ in range(n_pairs):
-        u = rng.standard_normal(st.n_dofs)
-        w = rng.standard_normal(st.n_dofs)
-        Au, Aw = st.apply_A(u), st.apply_A(w)
+        u = rng.standard_normal(R.shape[1])
+        w = rng.standard_normal(R.shape[1])
+        Au, Aw = (R.T @ _wmul(wr, R @ y) for y in (u, w))
         gap = abs(_dot(Au, w) - _dot(u, Aw))
         scale = (_robust_norm(Au) * _robust_norm(w)
                  + _robust_norm(Aw) * _robust_norm(u)) + 1e-300

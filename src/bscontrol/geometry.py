@@ -282,12 +282,11 @@ def grad_faces(y: np.ndarray, grid: SpatialGrid) -> np.ndarray:
 
 
 def node_gradient(y: np.ndarray, grid: SpatialGrid) -> np.ndarray:
-    """Second-order node gradient: central interior, one-sided at the ends."""
-    h = grid.h
+    """Second-order node gradient: central interior, one-sided at the ends
+    (the signed normal derivative; negation is exact)."""
     out = np.empty_like(y, dtype=float)
-    out[..., 1:-1] = (y[..., 2:] - y[..., :-2]) / (2 * h)
-    out[..., 0] = (-3 * y[..., 0] + 4 * y[..., 1] - y[..., 2]) / (2 * h)
-    out[..., -1] = (3 * y[..., -1] - 4 * y[..., -2] + y[..., -3]) / (2 * h)
+    out[..., 1:-1] = (y[..., 2:] - y[..., :-2]) / (2 * grid.h)
+    out[..., [0, -1]] = normal_derivative(y, grid) * [-1.0, 1.0]
     return out
 
 

@@ -45,6 +45,7 @@ from .geometry import (RegionMasks, SpaceTimeField, SpatialGrid, TimeGrid,
                        sbp_laplacian, slice_sq_norms)
 
 LOG_UNDERFLOW = -700.0  # squared inverse weights below e^{-700} become exact 0
+MIN_LIVE_CELLS = 8      # fewer live mu0^-2 cells: the least-squares problem degenerates
 LOG_FLOAT_MAX = math.log(sys.float_info.max)    # e^x overflows above this
 ETA_KAPPA = -10.0       # eta'' at the peak, times max(c, L-c)^2
 ETA_CHECK_SAMPLES = 10_000
@@ -402,7 +403,7 @@ class WeightTables:
 # a large lambda overflows the tables; the beta_hat and n_live checks report it
 @np.errstate(over="ignore")
 def build_weight_tables(grid: SpatialGrid, time_grid: TimeGrid, eta: EtaProfile,
-                        params: ValidatedParams, min_live_cells: int = 8) -> WeightTables:
+                        params: ValidatedParams) -> WeightTables:
     lam, m, s = params.lam, params.m, params.s
     T = time_grid.horizon
     tm = time_grid.midpoints
@@ -432,10 +433,10 @@ def build_weight_tables(grid: SpatialGrid, time_grid: TimeGrid, eta: EtaProfile,
     tables = WeightTables(params=params, t_mid=tm, ell=ell, gamma=gamma,
                           log_mu=log_mu, log_mu_k=log_mu_k, log_K=log_K,
                           expo=expo, log_tT=np.log(tm * (T - tm)))
-    if tables.n_live < min_live_cells:
+    if tables.n_live < MIN_LIVE_CELLS:
         raise ResolutionError(
             f"only {tables.n_live} time cells carry a nonzero mu0^-2 weight "
-            f"(need >= {min_live_cells}); the weighted least-squares problem "
+            f"(need >= {MIN_LIVE_CELLS}); the weighted least-squares problem "
             f"degenerates.  Increase T or refine the time grid.")
     return tables
 

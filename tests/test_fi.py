@@ -55,14 +55,18 @@ def test_residual_stack_zero_and_theta_gate(bundle):
 
 
 def test_residual_stack_end_conditions(bundle):
+    """A pair outside P is refused: Y nonzero at T, Z nonzero at 0, or a
+    surface that is not its bulk's trace (here also nonzero at T)."""
     g = bundle.grid
     M = bundle.time_grid.step_count
     bad = SpaceTimeField.from_bulk(np.ones((M + 1, g.n_nodes)))
     good = SpaceTimeField.zeros(g, M + 1)
-    with pytest.raises(ContractError):
-        apply_residual_R(bad, good, bundle)   # Y must vanish at T
-    with pytest.raises(ContractError):
-        apply_residual_R(good, bad, bundle)   # Z must vanish at 0
+    Y, _ = _random_pair(bundle, np.random.default_rng(0))
+    Y.surface += 5.0
+    Y.surface[M] = 7.0
+    for pair in ((bad, good), (good, bad), (Y, good)):
+        with pytest.raises(ContractError):
+            apply_residual_R(*pair, bundle)
 
 
 def test_bilinear_symmetry_and_positivity(bundle):
@@ -75,6 +79,13 @@ def test_bilinear_symmetry_and_positivity(bundle):
         u = _random_pair(bundle, rng)
         assert bilinear_B(bundle, u, u) > 0
     assert operator_symmetry_gap(bundle, rng, 5) <= 1e-12
+
+
+def test_solver_keeps_only_its_scaled_matrix_and_factor(bundle, fi_solved):
+    """After a solve a solver holds its operator, scaling, scaled normal
+    matrix, its norm and the LU factor: no residual stack, no row weights."""
+    assert fi_solved.problem is bundle.fi_solver.problem
+    assert set(vars(bundle.fi_solver)) <= {"problem", "D", "At", "At_inf", "lu"}
 
 
 def test_solve_zero_sources(bundle):

@@ -201,17 +201,17 @@ def test_bundle_solver_is_cached_and_scoped(bundle):
 
 def test_dropped_bundle_frees_its_solver():
     """The cached solver holds no reference back to its bundle, so dropping
-    the bundle frees the solver, its stack and its LU factor at once, with
-    no wait for the cycle collector."""
+    the bundle frees the solver, its scaled matrix and its LU factor at
+    once, with no wait for the cycle collector."""
     gc.disable()
     try:
         bundle, F = make_bundle(N=32, M=32)
         bundle.fi_solver.solve(F)
         solver = weakref.ref(bundle.fi_solver)
-        stack = weakref.ref(bundle.fi_solver.stack)
+        At = weakref.ref(bundle.fi_solver.At)
         del bundle
         assert solver() is None
-        assert stack() is None
+        assert At() is None
     finally:
         gc.enable()
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bscontrol import weights
 from bscontrol.errors import ContractError, ParameterError, ResolutionError
 from bscontrol.geometry import SpaceTimeField, build_grid, build_masks, build_time_grid
 from bscontrol.weights import (ETA_CHECK_SAMPLES, ETA_KAPPA, WeightParams,
@@ -128,7 +129,7 @@ def test_weight_tables_alpha_beta_agree_first_half(geo):
     assert np.all(np.isfinite(t.log_alpha)) and np.all(np.isfinite(t.log_mu))
 
 
-def test_weight_tables_xi_zeta_values():
+def test_weight_tables_xi_zeta_values(monkeypatch):
     # with lam=2, m=2 and eta=1 at the peak, the xi numerator is e^6 and the
     # beta numerator e^8 - e^6; at the time cells where the cutoff ell equals
     # T^2/4 = 0.25 the beta weight is exactly (e^8 - e^6)/0.25, and alpha
@@ -138,7 +139,8 @@ def test_weight_tables_xi_zeta_values():
     eta = build_eta(g, m, 0.5)
     tg = build_time_grid(1.0, 16)
     params = validate_params(WeightParams(lam=2.0, m=2.0, s_coeff=1.0), 1.0)
-    t = build_weight_tables(g, tg, eta, params, min_live_cells=0)
+    monkeypatch.setattr(weights, "MIN_LIVE_CELLS", 0)
+    t = build_weight_tables(g, tg, eta, params)
     peak = np.argmin(np.abs(g.x - 0.5))
     late = t.t_mid > 0.5
     beta = np.exp(t.log_beta[late][:, peak])
@@ -261,15 +263,16 @@ def test_carleman_functional_zero_and_two_routes(bundle):
         assert out["components"]["surface_tangential_gradient"] == -math.inf
 
 
-def test_carleman_functional_monotone_in_s(geo):
+def test_carleman_functional_monotone_in_s(geo, monkeypatch):
     # doubling s multiplies every term weight by e^{-2 s alpha} again
     g, m = geo
     eta = build_eta(g, m, 0.5)
     tg = build_time_grid(8.0, 32)
     params1 = validate_params(WeightParams(s_coeff=1.0), 8.0)
     params2 = validate_params(WeightParams(s_coeff=2.0), 8.0)
-    t1 = build_weight_tables(g, tg, eta, params1, min_live_cells=0)
-    t2 = build_weight_tables(g, tg, eta, params2, min_live_cells=0)
+    monkeypatch.setattr(weights, "MIN_LIVE_CELLS", 0)
+    t1 = build_weight_tables(g, tg, eta, params1)
+    t2 = build_weight_tables(g, tg, eta, params2)
     Phi = SpaceTimeField.from_bulk(
         np.outer(np.ones(tg.step_count + 1), np.sin(np.pi * g.x)))
     J1 = carleman_functional_Jw(Phi, t1, g, tg.dt)["log_total"]

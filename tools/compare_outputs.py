@@ -22,7 +22,8 @@ and a gradient check with each coefficient preset other than the default
 logistic one, factor reuse across an amplitude sweep, a grid sweep that
 replaces the bundle and its cached solver mid-run, a lambda sweep whose
 second value fails validation (its CSV row carries the error message,
-commas included), and all five diagnostic suites, the carleman check also
+commas included), a theta_s sweep through 0 (no surface coupling in the
+least-squares stack), and all five diagnostic suites, the carleman check also
 at 128x256; demo 03 is the only caller of `galerkin_check` and
 `cascade_residual_check` outside the tests.
 Both trees together take about 40 s on a 2-vCPU host.
@@ -64,6 +65,7 @@ COMMANDS = (
                          "--values", "5e-4,1e-3,2e-3"], {}),
     ("sweep N", ["sweep", "--parameter", "N", "--values", "32,48"], {}),
     ("sweep lambda", ["sweep", "--parameter", "lambda", "--values", "1,160"], {}),
+    ("sweep theta_s", ["sweep", "--parameter", "theta_s", "--values", "0,0.5"], {}),
     *((f"diagnose carleman seed {seed}",
        ["diagnose", "--which", "carleman", "--seed", str(seed)], {})
       for seed in (1, 7, 12345)),
