@@ -28,8 +28,7 @@ from .fi import (FIProblem, FISolution, FISolver, apply_residual_R,
                  bilinear_B, cascade_residual_check, galerkin_check, linear_F,
                  verify_p1, verify_p2)
 from .insensitize import (PerturbationSpec, SynthesisBundle, SynthesisReport,
-                          apply_A_derivative, duality_identity_check,
-                          evaluate_J, insensitivity_check, nonlinear_parts_A,
-                          synthesize, x_norm_sq_log, y_norm_sq_log)
+                          apply_A_derivative, evaluate_J, insensitivity_check,
+                          nonlinear_parts_A, synthesize, x_norm_sq_log)
 
 __version__ = "0.1.0"

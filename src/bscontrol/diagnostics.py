@@ -1,7 +1,7 @@
-"""Machine-checkable diagnostics: duality, convergence orders, gradients.
+"""The CLI's `diagnose` suites duality, convergence and gradient.
 
-These are the CLI's `diagnose` suites and double as the backbone of the
-acceptance tests.
+The carleman and estimates suites are `weights.empirical_carleman_check`
+and `weights.check_elementary_estimates`.
 """
 
 from __future__ import annotations
@@ -11,27 +11,10 @@ import math
 import numpy as np
 
 from .geometry import (BulkSurfaceField, SpaceTimeField, build_grid,
-                       build_time_grid, grad_faces, normal_derivative,
-                       sbp_laplacian, st_inner)
+                       build_time_grid, st_inner)
 from .insensitize import apply_A_derivative, nonlinear_parts_A
 from .solvers import (CoefficientSet, LinearOperatorSet, duality_gap,
                       solve_linear_forward)
-
-
-def sbp_identity_gap(grid, rng, n_pairs: int = 20) -> float:
-    """max scaled defect of <lap y, w>_H + <grad y, grad w> - dnu.w."""
-    Hw = grid.trapezoid_weights()
-    worst = 0.0
-    for _ in range(n_pairs):
-        y = rng.standard_normal(grid.n_nodes)
-        w = rng.standard_normal(grid.n_nodes)
-        lhs = float(np.dot(Hw * sbp_laplacian(y, grid), w))
-        mid = float(np.sum(grad_faces(y, grid) * grad_faces(w, grid)) * grid.h)
-        dnu = normal_derivative(y, grid)
-        bnd = dnu[0] * w[0] + dnu[1] * w[-1]
-        scale = (np.linalg.norm(y) * np.linalg.norm(w)) / grid.h**2 + 1e-300
-        worst = max(worst, abs(lhs + mid - bnd) / scale)
-    return worst
 
 
 def duality_battery(ops: LinearOperatorSet, rng, n_pairs: int = 100) -> float:

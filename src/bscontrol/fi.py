@@ -236,9 +236,10 @@ def _pack_dofs(p: FIProblem, Y: SpaceTimeField, Z: SpaceTimeField) -> np.ndarray
     M = p.time_grid.step_count
     for name, U, end, where in (("Y", Y, M, "terminal"), ("Z", Z, 0, "initial")):
         tol = 1e-13 * (1 + np.max(np.abs(U.bulk)))
-        if np.max(np.abs(U.bulk[end])) > tol:
+        # `not <=` refuses NaN, which compares False either way
+        if not np.max(np.abs(U.bulk[end])) <= tol:
             raise ContractError(f"{name} must vanish at its {where} slice (space P)")
-        if np.max(np.abs(U.surface - U.bulk[:, [0, -1]])) > tol:
+        if not np.max(np.abs(U.surface - U.bulk[:, [0, -1]])) <= tol:
             raise ContractError(f"{name}'s surface must be its bulk's trace (space P)")
     return np.concatenate([Y.bulk[:M].ravel(), Z.bulk[1:].ravel()])
 
@@ -406,29 +407,6 @@ def galerkin_check(sol: FISolution, n_dirs: int, rng) -> dict:
         details.append((gal, dB))
     return {"max_scaled_residual": worst, "details": details,
             "pass": worst <= 1.0}
-
-
-def operator_symmetry_gap(problem: FIProblem, rng, n_pairs: int = 5) -> float:
-    """max |<Au, w> - <u, Aw>| scaled robustly over random pairs."""
-    R, wr = _residual_stack(problem), _row_weights(problem)
-    worst = 0.0
-    for _ in range(n_pairs):
-        u = rng.standard_normal(R.shape[1])
-        w = rng.standard_normal(R.shape[1])
-        Au, Aw = (R.T @ _wmul(wr, R @ y) for y in (u, w))
-        gap = abs(_dot(Au, w) - _dot(u, Aw))
-        scale = (_robust_norm(Au) * _robust_norm(w)
-                 + _robust_norm(Aw) * _robust_norm(u)) + 1e-300
-        worst = max(worst, gap / scale)
-    return worst
-
-
-def _robust_norm(v) -> float:
-    m = float(np.max(np.abs(v)))
-    if m == 0.0:
-        return 0.0
-    v = v / m
-    return m * math.sqrt(_dot(v, v))
 
 
 def cascade_residual_check(sol: FISolution) -> dict:

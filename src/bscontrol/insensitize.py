@@ -36,16 +36,16 @@ import numpy as np
 
 from .errors import ContractError, SmallnessViolationError
 from .fi import (FIProblem, FISolution, FISolver, _cell_time_derivative,
-                 core_log_norms, source_log_norms)
+                 core_log_norms)
 from .geometry import (BulkSurfaceField, RegionMasks, SpaceTimeField,
                        SpatialGrid, face_average, grad_faces, h3_proxy_norm,
-                       l2_inner, l2_norm, node_gradient, normal_derivative,
+                       l2_norm, node_gradient, normal_derivative,
                        sbp_laplacian, slice_sq_norms)
 from .solvers import (CoefficientSet, LinearOperatorSet, _observation_source,
                       apply_L, solve_linearized_cascade, solve_quasilinear,
-                      solve_quasilinear_cascade, solve_sensitivity)
-from .weights import (WeightTables, log_add, log_ratio, log_st_sq,
-                      log_weighted_sq_sum, log_weighted_sup)
+                      solve_quasilinear_cascade)
+from .weights import (log_add, log_ratio, log_st_sq, log_weighted_sq_sum,
+                      log_weighted_sup)
 
 
 @dataclass
@@ -102,8 +102,6 @@ class SynthesisBundle(FIProblem):
 @dataclass
 class SynthesisReport:
     v: np.ndarray
-    Psi: SpaceTimeField
-    H: SpaceTimeField
     iterations: int
     increments: list
     h0_norm_linear: float
@@ -191,32 +189,6 @@ def apply_A_derivative(Psi: SpaceTimeField, H: SpaceTimeField,
     return {"A1": D1, "A2": D2, "A3": D3, "A4": D4}
 
 
-def lambda_direct(Psi: SpaceTimeField, H: SpaceTimeField, v: np.ndarray,
-                  cs: CoefficientSet, ops: LinearOperatorSet,
-                  theta: float, theta_s: float, masks: RegionMasks) -> dict:
-    """The full quasilinear cascade rows evaluated directly on cells."""
-    g, dt = ops.grid, ops.time_grid.dt
-    M = Psi.n_slices - 1
-    pb, ps = Psi.bulk[1:], Psi.surface[1:]
-    pb_o, ps_o = Psi.bulk[:-1], Psi.surface[:-1]
-    hb, hs = H.bulk[:-1], H.surface[:-1]
-    hb_o, hs_o = H.bulk[1:], H.surface[1:]
-
-    L1 = np.zeros((M + 1, g.n_nodes))
-    L3 = np.zeros((M + 1, 2))
-    L2 = np.zeros((M + 1, g.n_nodes))
-    L4 = np.zeros((M + 1, 2))
-    L1[1:] = (pb - pb_o) / dt - cs.sigma(pb) * sbp_laplacian(pb, g) \
-        - cs.dsigma(pb) * node_gradient(pb, g)**2 + cs.a(pb) \
-        - v[1:] * masks.omega_nodes[None, :]
-    L3[1:] = (ps - ps_o) / dt + cs.sigma(ps) * normal_derivative(pb, g) + cs.b(ps)
-    L2[1:] = (hb - hb_o) / dt - cs.sigma(pb) * sbp_laplacian(hb, g) \
-        + cs.da(pb) * hb - theta * pb * masks.obs_bulk_nodes[None, :]
-    L4[1:] = (hs - hs_o) / dt + cs.sigma(ps) * normal_derivative(hb, g) \
-        + cs.db(ps) * hs - theta_s * ps * masks.obs_surface_mask[None, :]
-    return {"L1": L1, "L3": L3, "L2": L2, "L4": L4}
-
-
 def linear_cascade_rows(Psi: SpaceTimeField, H: SpaceTimeField, v: np.ndarray,
                         ops: LinearOperatorSet, theta: float, theta_s: float,
                         masks: RegionMasks) -> dict:
@@ -233,12 +205,6 @@ def linear_cascade_rows(Psi: SpaceTimeField, H: SpaceTimeField, v: np.ndarray,
 
 
 # --- norms -------------------------------------------------------------------
-
-def y_norm_sq_log(Fb, Fs, Gb, Gs, tables: WeightTables, grid: SpatialGrid,
-                  dt: float) -> float:
-    """log ||(F,G)||_Y^2 for cell-indexed source arrays (slices 1..M)."""
-    return log_add(*source_log_norms(Fb, Fs, Gb, Gs, tables, grid, dt).values())
-
 
 def x_norm_sq_log(Psi: SpaceTimeField, H: SpaceTimeField, v: np.ndarray,
                   bundle: SynthesisBundle) -> float:
@@ -378,13 +344,11 @@ def synthesize(F: SpaceTimeField, bundle: SynthesisBundle) -> SynthesisReport:
         bundle.cs, g, tg, F, v, bundle.theta, bundle.theta_s, bundle.masks)
 
     return SynthesisReport(
-        v=v, Psi=Psi, H=H, iterations=its, increments=increments,
+        v=v, iterations=its, increments=increments,
         h0_norm_linear=l2_norm(H.slice(0), g),
         h0_norm_quasilinear=l2_norm(H_q.slice(0), g),
         log_x_norm_sq=x_norm_sq_log(sol.Psi, sol.H, v, bundle) if sol else -math.inf,
-        log_y_norm_sq=y_norm_sq_log(F.bulk, F.surface,
-                                    np.zeros_like(F.bulk), np.zeros_like(F.surface),
-                                    bundle.tables, g, tg.dt),
+        log_y_norm_sq=log_add(*bundle.log_source_norms(F, zero_st).values()),
         status=status, h0_history=h0_history,
         fi_solution=sol, quasi_states=(Psi_q, H_q))
 
@@ -486,43 +450,3 @@ def insensitivity_check(bundle: SynthesisBundle, F: SpaceTimeField,
             "error_budget": budget,
         })
     return out
-
-
-def duality_identity_check(bundle: SynthesisBundle, F: SpaceTimeField,
-                           v: np.ndarray | None,
-                           direction: BulkSurfaceField,
-                           quasilinear: bool = True) -> dict:
-    """theta int_{O_T} psi z + theta_s int_{Sigma_T} psi_G z_G
-    against <Z(.,0), H(.,0)>; exact to roundoff for frozen coefficients."""
-    g, tg, masks = bundle.grid, bundle.time_grid, bundle.masks
-    cs = bundle.cs
-    v = v if v is not None else np.zeros((tg.step_count + 1, g.n_nodes))
-    if quasilinear:
-        Psi, H = solve_quasilinear_cascade(cs, g, tg, F, v, bundle.theta,
-                                           bundle.theta_s, masks)
-        base = Psi
-    else:
-        Psi, H = solve_linearized_cascade(
-            bundle.ops, F, SpaceTimeField.zeros(g, tg.step_count + 1), v,
-            bundle.theta, bundle.theta_s, masks)
-        base = SpaceTimeField.zeros(g, tg.step_count + 1)
-    Z = solve_sensitivity(cs, g, tg, base, direction)
-
-    lhs = observation_pairing(Psi, Z, bundle)
-    rhs = l2_inner(Z.slice(0), H.slice(0), g)
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    return {"lhs_energy_pairing": lhs, "rhs_adjoint_pairing": rhs,
-            "discrepancy": abs(lhs - rhs), "relative": abs(lhs - rhs) / scale}
-
-
-def lemma61_shape_check(Psi: SpaceTimeField, H: SpaceTimeField, v: np.ndarray,
-                        bundle: SynthesisBundle) -> dict:
-    """||Lambda(x)||_Y^2 against C (||x||^2 + ||x||^4 + ||x||^6)."""
-    rows = lambda_direct(Psi, H, v, bundle.cs, bundle.ops, bundle.theta,
-                         bundle.theta_s, bundle.masks)
-    log_y = y_norm_sq_log(rows["L1"], rows["L3"], rows["L2"], rows["L4"],
-                          bundle.tables, bundle.grid, bundle.time_grid.dt)
-    log_x2 = x_norm_sq_log(Psi, H, v, bundle)
-    log_den = log_add(log_x2, 2 * log_x2, 3 * log_x2)
-    return {"log_lambda_Y_sq": log_y, "log_x_sq": log_x2,
-            "empirical_C": log_ratio(log_y, log_den)}

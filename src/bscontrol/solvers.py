@@ -217,23 +217,11 @@ def _step_rows(ops: LinearOperatorSet, yb_a, ys_a, yb_o, ys_o):
             (ys_a - ys_o) / dt + ops.sigma0 * normal_derivative(yb_a, g) + ops.db0 * ys_a)
 
 
-def st_pair_forward(res: SpaceTimeField, W: SpaceTimeField, grid: SpatialGrid,
-                    dt: float) -> float:
-    """<forward residuals, W>: cells pair right slices."""
-    return st_inner(res, W, grid, dt, slice(1, None))
-
-
-def st_pair_backward(Y: SpaceTimeField, res: SpaceTimeField, grid: SpatialGrid,
-                     dt: float) -> float:
-    """<Y, backward residuals>: cells pair left slices."""
-    return st_inner(Y, res, grid, dt, slice(None, -1))
-
-
 def duality_gap(Y: SpaceTimeField, W: SpaceTimeField, ops: LinearOperatorSet) -> float:
     """<LY, W> - <Y, L*W>; zero to roundoff when Y^0 = 0 and W^M = 0."""
     dt = ops.time_grid.dt
-    a = st_pair_forward(apply_L(Y, ops, "L"), W, ops.grid, dt)
-    b = st_pair_backward(Y, apply_L(W, ops, "Lstar"), ops.grid, dt)
+    a = st_inner(apply_L(Y, ops, "L"), W, ops.grid, dt, slice(1, None))
+    b = st_inner(Y, apply_L(W, ops, "Lstar"), ops.grid, dt, slice(None, -1))
     return a - b
 
 

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from bscontrol.cli import build_setup, load_config
-from bscontrol.geometry import SpaceTimeField
+from bscontrol.geometry import SpaceTimeField, l2_inner
+from bscontrol.insensitize import observation_pairing
+from bscontrol.solvers import (solve_linearized_cascade,
+                               solve_quasilinear_cascade, solve_sensitivity)
 from bscontrol.weights import WeightTables, admissible_time_profile
 
 
@@ -61,6 +64,31 @@ def random_source(bundle, rng, amplitude=1e-3):
     F.bulk[1:] = amplitude * prof[:, None] * shape[None, :]
     F.surface[1:] = F.bulk[1:][:, [0, -1]]
     return F
+
+
+def duality_identity_check(bundle, F, v, direction, quasilinear=True) -> dict:
+    """theta int_{O_T} psi z + theta_s int_{Sigma_T} psi_G z_G
+    against <Z(.,0), H(.,0)>; exact to roundoff for frozen coefficients.
+    v = None applies no control."""
+    g, tg, masks = bundle.grid, bundle.time_grid, bundle.masks
+    cs = bundle.cs
+    v = v if v is not None else np.zeros((tg.step_count + 1, g.n_nodes))
+    if quasilinear:
+        Psi, H = solve_quasilinear_cascade(cs, g, tg, F, v, bundle.theta,
+                                           bundle.theta_s, masks)
+        base = Psi
+    else:
+        Psi, H = solve_linearized_cascade(
+            bundle.ops, F, SpaceTimeField.zeros(g, tg.step_count + 1), v,
+            bundle.theta, bundle.theta_s, masks)
+        base = SpaceTimeField.zeros(g, tg.step_count + 1)
+    Z = solve_sensitivity(cs, g, tg, base, direction)
+
+    lhs = observation_pairing(Psi, Z, bundle)
+    rhs = l2_inner(Z.slice(0), H.slice(0), g)
+    scale = max(abs(lhs), abs(rhs), 1e-300)
+    return {"lhs_energy_pairing": lhs, "rhs_adjoint_pairing": rhs,
+            "discrepancy": abs(lhs - rhs), "relative": abs(lhs - rhs) / scale}
 
 
 @pytest.fixture(scope="session")

@@ -10,8 +10,8 @@ import pytest
 
 from bscontrol.errors import ContractError
 from bscontrol.fi import (apply_residual_R, bilinear_B, cascade_residual_check,
-                          galerkin_check, linear_F, operator_symmetry_gap,
-                          solution_summary, verify_p1, verify_p2)
+                          galerkin_check, linear_F, solution_summary,
+                          verify_p1, verify_p2)
 from bscontrol.geometry import SpaceTimeField
 
 from conftest import random_source
@@ -55,8 +55,9 @@ def test_residual_stack_zero_and_theta_gate(bundle):
 
 
 def test_residual_stack_end_conditions(bundle):
-    """A pair outside P is refused: Y nonzero at T, Z nonzero at 0, or a
-    surface that is not its bulk's trace (here also nonzero at T)."""
+    """A pair outside P is refused: Y nonzero at T, Z nonzero at 0, a
+    surface that is not its bulk's trace (here also nonzero at T), or a
+    NaN at T."""
     g = bundle.grid
     M = bundle.time_grid.step_count
     bad = SpaceTimeField.from_bulk(np.ones((M + 1, g.n_nodes)))
@@ -64,7 +65,9 @@ def test_residual_stack_end_conditions(bundle):
     Y, _ = _random_pair(bundle, np.random.default_rng(0))
     Y.surface += 5.0
     Y.surface[M] = 7.0
-    for pair in ((bad, good), (good, bad), (Y, good)):
+    nan = SpaceTimeField.zeros(g, M + 1)
+    nan.bulk[M, 3] = np.nan
+    for pair in ((bad, good), (good, bad), (Y, good), (nan, good)):
         with pytest.raises(ContractError):
             apply_residual_R(*pair, bundle)
 
@@ -78,7 +81,6 @@ def test_bilinear_symmetry_and_positivity(bundle):
     for _ in range(50):
         u = _random_pair(bundle, rng)
         assert bilinear_B(bundle, u, u) > 0
-    assert operator_symmetry_gap(bundle, rng, 5) <= 1e-12
 
 
 def test_solver_keeps_only_its_scaled_matrix_and_factor(bundle, fi_solved):
@@ -247,18 +249,16 @@ def test_optimality_residual_independent_of_blas_threads():
 
 
 def test_fi_diagnostics_independent_of_blas_threads():
-    """The Galerkin check and the symmetry gap read the same bits on one and
-    on two OpenBLAS threads.  At 64x128 their dof vectors have 16,640
-    entries, past the 10,000 at which OpenBLAS splits a ddot across
-    threads; a smaller grid would not show a thread-dependent sum."""
+    """The Galerkin check reads the same bits on one and on two OpenBLAS
+    threads.  At 64x128 its dof vectors have 16,640 entries, past the
+    10,000 at which OpenBLAS splits a ddot across threads; a smaller grid
+    would not show a thread-dependent sum."""
     script = ("import numpy as np\n"
               "from conftest import make_bundle\n"
-              "from bscontrol.fi import galerkin_check, operator_symmetry_gap\n"
+              "from bscontrol.fi import galerkin_check\n"
               "bundle, F = make_bundle(N=64, M=128)\n"
               "sol = bundle.fi_solver.solve(F)\n"
-              "rng = np.random.default_rng(12345)\n"
-              "gal = galerkin_check(sol, 20, rng)\n"
-              "gap = operator_symmetry_gap(bundle, rng)\n"
-              "print(repr(gal['max_scaled_residual']), repr(gap))\n")
+              "gal = galerkin_check(sol, 20, np.random.default_rng(12345))\n"
+              "print(repr(gal['max_scaled_residual']))\n")
     values = _on_one_and_two_blas_threads(script)
     assert values[0] == values[1]

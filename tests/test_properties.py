@@ -31,8 +31,9 @@ from bscontrol.errors import ConditioningError
 from bscontrol.fi import (_recover_fields, _residual_stack, _stack_blocks,
                           _unpack_dofs)
 from bscontrol.geometry import (BulkSurfaceField, SpaceTimeField, build_grid,
-                                build_time_grid, l2_inner, st_inner)
-from bscontrol.insensitize import PerturbationSpec, duality_identity_check
+                                build_time_grid, grad_faces, l2_inner,
+                                normal_derivative, sbp_laplacian, st_inner)
+from bscontrol.insensitize import PerturbationSpec
 from bscontrol.solvers import (LinearOperatorSet, _constant_step_bands,
                                _quasilinear_jacobian_bands, _row_norms,
                                _solve_tridiagonal, _weak_rhs, apply_L,
@@ -40,14 +41,14 @@ from bscontrol.solvers import (LinearOperatorSet, _constant_step_bands,
                                solve_adjoint_cascade,
                                solve_backward_varcoef, solve_linear_backward,
                                solve_linear_forward, solve_sensitivity,
-                               st_pair_backward, st_pair_forward, total_mass)
+                               total_mass)
 from bscontrol import weights
 from bscontrol.weights import (LogWeight, _random_smooth_source, _stack_log_sums,
                                carleman_functional_I, carleman_functional_Jw,
                                empirical_carleman_check, log_add, log_ratio,
                                log_sq_sums, log_st_sq, log_weighted_sq_sum)
 
-from conftest import make_bundle
+from conftest import duality_identity_check, make_bundle
 
 PROPERTY = settings(max_examples=25, deadline=None, database=None,
                     derandomize=True)
@@ -67,8 +68,18 @@ def operators(draw):
 @PROPERTY
 @given(N=st.integers(8, 80), length=st.floats(0.1, 10.0), seed=st.integers(0, 2**32 - 1))
 def test_sbp_identity_exact(N, length, seed):
+    """<lap y, w>_H + <grad y, grad w> = dnu y . w, scaled by |y| |w| / h^2."""
     grid = build_grid(length, N)
-    assert diagnostics.sbp_identity_gap(grid, np.random.default_rng(seed), 5) <= 1e-13
+    rng = np.random.default_rng(seed)
+    Hw = grid.trapezoid_weights()
+    for _ in range(5):
+        y, w = rng.standard_normal((2, grid.n_nodes))
+        lhs = float(np.dot(Hw * sbp_laplacian(y, grid), w))
+        mid = float(np.sum(grad_faces(y, grid) * grad_faces(w, grid)) * grid.h)
+        dnu = normal_derivative(y, grid)
+        bnd = dnu[0] * w[0] + dnu[1] * w[-1]
+        scale = (np.linalg.norm(y) * np.linalg.norm(w)) / grid.h**2 + 1e-300
+        assert abs(lhs + mid - bnd) / scale <= 1e-13
 
 
 @PROPERTY
@@ -90,8 +101,7 @@ def _random_histories(ops, seed, count):
 @given(ops=operators(), seed=st.integers(0, 2**32 - 1))
 def test_st_inner_matches_slice_sums(ops, seed):
     """st_inner is symmetric and equals dt * sum_c l2_inner(A_c, B_c) up to
-    summation order; the forward and backward pairings are st_inner over
-    the right and the left slices, bit for bit."""
+    summation order."""
     g, dt = ops.grid, ops.time_grid.dt
     A, B = _random_histories(ops, seed, 2)
     absA, absB = (SpaceTimeField(np.abs(U.bulk), np.abs(U.surface)) for U in (A, B))
@@ -100,8 +110,6 @@ def test_st_inner_matches_slice_sums(ops, seed):
     assert abs(value - st_inner(B, A, g, dt)) <= 1e-13 * scale
     ref = dt * sum(l2_inner(A.slice(c), B.slice(c), g) for c in range(A.n_slices))
     assert abs(value - ref) <= 1e-13 * scale
-    assert st_pair_forward(A, B, g, dt) == st_inner(A, B, g, dt, slice(1, None))
-    assert st_pair_backward(A, B, g, dt) == st_inner(A, B, g, dt, slice(None, -1))
 
 
 @PROPERTY

@@ -606,9 +606,8 @@ def test_banded_assembly_matches_strong_rows(small):
 
 
 def test_st_pairs_match_slice_loop(small):
-    """The vectorised space-time pairings equal the per-slice l2_inner sums
-    up to summation order."""
-    from bscontrol.solvers import st_pair_backward, st_pair_forward
+    """st_inner over the right and the left slices, the pairings of
+    `duality_gap`, equals the per-slice l2_inner sums up to summation order."""
     g, tg, _, _, _ = small
     M, dt = tg.step_count, tg.dt
     rng = np.random.default_rng(10)
@@ -616,8 +615,8 @@ def test_st_pairs_match_slice_loop(small):
                            rng.standard_normal((M + 1, 2))) for _ in range(2))
     absA = SpaceTimeField(np.abs(A.bulk), np.abs(A.surface))
     absB = SpaceTimeField(np.abs(B.bulk), np.abs(B.surface))
-    for pair, cells in ((st_pair_forward, range(1, M + 1)),
-                        (st_pair_backward, range(M))):
+    for slices, cells in ((slice(1, None), range(1, M + 1)),
+                          (slice(None, -1), range(M))):
         ref = sum(dt * l2_inner(A.slice(c), B.slice(c), g) for c in cells)
         scale = sum(dt * l2_inner(absA.slice(c), absB.slice(c), g) for c in cells)
-        assert abs(pair(A, B, g, dt) - ref) <= 1e-14 * scale
+        assert abs(st_inner(A, B, g, dt, slices) - ref) <= 1e-14 * scale

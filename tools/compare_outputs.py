@@ -13,8 +13,9 @@ file's bytes, apart from the `wall_seconds` line of the JSON reports, their
 only non-deterministic field.
 
 Prints one line per command and the first SHOWN lines of each file's
-diff, with a count of the lines it leaves out, and exits 1 on any
-difference, 0 otherwise.  The commands cover every CLI
+diff, with a count of the lines it leaves out, then each tree's
+`wc -l bscontrol/*.py`, and exits 1 on any difference, 0 otherwise.
+The commands cover every CLI
 command: both outer-loop exits (`converged` at 128x256, `converged_floor` on
 the other synthesize runs, 8 iterations at amplitude 1), a non-dyadic time
 step (8/100, where the other runs' dt are powers of two), a synthesis
@@ -138,6 +139,11 @@ def _own_demo(tree: Path, arg):
     return str(own if own.is_file() else arg)
 
 
+def _line_count(src: Path) -> int:
+    """The total of `wc -l bscontrol/*.py` in a source tree."""
+    return sum(p.read_bytes().count(b"\n") for p in (src / "bscontrol").glob("*.py"))
+
+
 def _source_tree(path: str) -> Path:
     src = Path(path).resolve()
     if not (src / "bscontrol" / "__init__.py").is_file():
@@ -175,6 +181,8 @@ def main(argv=None) -> int:
             for line in diff:
                 print(line)
     print(f"{failed} of {len(jobs)} commands differ")
+    print(f"bscontrol/*.py lines: parent {_line_count(args.parent):,}, "
+          f"change {_line_count(args.change):,}")
     return 1 if failed else 0
 
 
