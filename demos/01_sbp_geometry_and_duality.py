@@ -9,8 +9,7 @@ checkable exactly rather than up to O(h).
 import numpy as np
 
 from bscontrol import (BulkSurfaceField, SpaceTimeField, build_grid,
-                       build_masks, build_time_grid, coefficient_preset,
-                       l2_inner)
+                       build_time_grid, coefficient_preset)
 from bscontrol.geometry import grad_faces, normal_derivative, sbp_laplacian
 from bscontrol.solvers import (LinearOperatorSet, duality_gap, l2_history,
                                solve_linear_forward, total_mass)

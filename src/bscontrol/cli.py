@@ -26,7 +26,7 @@ import numpy as np
 from . import diagnostics
 from .errors import (BSControlError, ConditioningError, ConfigurationError,
                      ContractError, SmallnessViolationError)
-from .fi import solution_summary, source_log_norms
+from .fi import solution_summary
 from .geometry import SpaceTimeField, build_grid, build_masks, build_time_grid
 from .insensitize import (PerturbationSpec, SynthesisBundle, insensitivity_check,
                           synthesize)
@@ -236,10 +236,8 @@ def build_source(cfg: RunConfig, bundle: SynthesisBundle) -> SpaceTimeField:
     vmax = abs(amp) * float(np.max(np.abs(shape)))
     bound = vmax * vmax * (4 / tg.dt**2 + 1) * (g.length + 2) * tg.horizon
     if not bound < sys.float_info.max:
-        zero = np.zeros_like(F.bulk), np.zeros_like(F.surface)
         with np.errstate(over="ignore"):
-            norms = source_log_norms(F.bulk, F.surface, *zero, bundle.tables,
-                                     g, tg.dt)
+            norms = bundle.log_source_norms(F, SpaceTimeField.zeros(g, M + 1))
         for nm, lg in norms.items():
             if not lg < math.inf:
                 raise ConfigurationError(
@@ -297,7 +295,7 @@ def cmd_synthesize(cfg: RunConfig, outdir: str) -> dict:
     report = synthesize(F, bundle)
     specs = [PerturbationSpec.random(bundle.grid, rng) for _ in range(3)]
     checks = insensitivity_check(bundle, F, report, specs)
-    # the final control's estimates against the given source alone (G = 0)
+    # the final control's estimates against (F, 0); the copy re-solves under it
     sol = report.fi_solution and dataclasses.replace(
         report.fi_solution, F=F, G=SpaceTimeField.zeros(bundle.grid, F.n_slices))
     summary = {

@@ -46,6 +46,10 @@ Optimality is always reported through the quadratic-form geometry (the
 relative Galerkin residual), which is the well-conditioned quantity;
 Euclidean distances to the re-solved cascade states are reported as
 diagnostics of the weight-induced null space.
+
+A `FISolution`'s `Psi` and `H` are these (c16) fields; its `resolved` holds
+the cascade's states, re-solved under its (F, G, v).  The two differ
+(`cascade_residual_check`'s `dist_psi`, `dist_h`).
 """
 
 from __future__ import annotations
@@ -97,40 +101,16 @@ class FIProblem:
         if self.theta_s < 0:
             raise ContractError(f"theta_s must be >= 0, got {self.theta_s}")
 
-    def check_sources(self, F: SpaceTimeField, G: SpaceTimeField) -> None:
-        """Raise unless every weighted norm of the sources (F, G) is finite."""
-        for nm, lg in self.log_source_norms(F, G).items():
-            if not (lg < math.inf):
-                raise ContractError(f"weighted source norm {nm} is not finite")
-
     def log_source_norms(self, F: SpaceTimeField, G: SpaceTimeField) -> dict:
-        """`source_log_norms` of the sources (F, G)."""
-        return source_log_norms(F.bulk, F.surface, G.bulk, G.surface,
-                                self.tables, self.grid, self.time_grid.dt)
-
-
-def source_log_norms(Fb, Fs, Gb, Gs, tables: WeightTables, grid: SpatialGrid,
-                     dt: float) -> dict:
-    """log-space ||mu F||^2, ||mu G||^2, ||mu4 F_t||^2 of slice arrays
-    whose slice c holds the cell-c sample (slice 0 is ignored)."""
-    out = {nm: log_st_sq(tables.log_mu, Sb[1:], Ss[1:], grid, dt)
-           for nm, Sb, Ss in (("muF", Fb, Fs), ("muG", Gb, Gs))}
-    Ft_b, Ft_s, lw_t = _cell_time_derivative(Fb[1:], Fs[1:], tables.log_mu_k[4], dt)
-    out["mu4Ft"] = log_st_sq(lw_t, Ft_b, Ft_s, grid, dt)
-    return out
-
-
-def core_log_norms(Psi: SpaceTimeField, H: SpaceTimeField, v: np.ndarray,
-                   tables: WeightTables, grid: SpatialGrid, dt: float) -> dict:
-    """log ||mu0 Psi||^2, ||mu0 H||^2, ||mu1 v||^2 and ||mu3 v_t||^2: the
-    control and state core of the X norm (Psi and v on right slices, H on
-    left slices)."""
-    lm = tables.log_mu_k
-    vt = np.diff(v[1:], axis=0) / dt
-    return {"mu0Psi": log_st_sq(lm[0], Psi.bulk[1:], Psi.surface[1:], grid, dt),
-            "mu0H": log_st_sq(lm[0], H.bulk[:-1], H.surface[:-1], grid, dt),
-            "mu1v": log_st_sq(lm[1], v[1:], None, grid, dt),
-            "mu3vt": log_st_sq(face_average(lm[3]), vt, None, grid, dt)}
+        """log-space ||mu F||^2, ||mu G||^2, ||mu4 F_t||^2 of the sources,
+        whose slice c holds the cell-c sample (slice 0 is ignored)."""
+        g, dt, t = self.grid, self.time_grid.dt, self.tables
+        out = {nm: log_st_sq(t.log_mu, S.bulk[1:], S.surface[1:], g, dt)
+               for nm, S in (("muF", F), ("muG", G))}
+        Ft_b, Ft_s, lw_t = _cell_time_derivative(F.bulk[1:], F.surface[1:],
+                                                 t.log_mu_k[4], dt)
+        out["mu4Ft"] = log_st_sq(lw_t, Ft_b, Ft_s, g, dt)
+        return out
 
 
 def _cell_time_derivative(cells_b, cells_s, log_w, dt):
@@ -145,7 +125,9 @@ def _cell_time_derivative(cells_b, cells_s, log_w, dt):
 class FISolution:
     """One least-squares solution and what it solved: the operator
     `problem` and the sources (F, G).  The checks below take the solution
-    alone, so a check always reads the sources it was solved for."""
+    alone, so a check always reads the sources it was solved for.  The
+    cached values below do not survive `dataclasses.replace`: a copy with
+    other sources, as `cmd_synthesize` makes for (F, 0), re-solves under them."""
 
     Psi: SpaceTimeField          # forward view: slice 0 is exactly 0
     H: SpaceTimeField            # backward view: slice M is exactly 0
@@ -160,11 +142,22 @@ class FISolution:
 
     @cached_property
     def log_norms(self) -> dict:
-        """`core_log_norms` of (Psi, H, v), computed on first read: only
-        the reported solution's norms are read, and a sweep makes many."""
+        """log ||mu0 Psi||^2, ||mu0 H||^2, ||mu1 v||^2, ||mu3 v_t||^2 (Psi, v
+        on right slices, H on left ones), the X norm's control and state core."""
+        p, Psi, H, v = self.problem, self.Psi, self.H, self.v
+        g, dt, lm = p.grid, p.time_grid.dt, p.tables.log_mu_k
+        vt = np.diff(v[1:], axis=0) / dt
+        return {"mu0Psi": log_st_sq(lm[0], Psi.bulk[1:], Psi.surface[1:], g, dt),
+                "mu0H": log_st_sq(lm[0], H.bulk[:-1], H.surface[:-1], g, dt),
+                "mu1v": log_st_sq(lm[1], v[1:], None, g, dt),
+                "mu3vt": log_st_sq(face_average(lm[3]), vt, None, g, dt)}
+
+    @cached_property
+    def resolved(self) -> tuple[SpaceTimeField, SpaceTimeField]:
+        """The cascade's states (psi, h) under (F, G, v); never written."""
         p = self.problem
-        return core_log_norms(self.Psi, self.H, self.v, p.tables, p.grid,
-                              p.time_grid.dt)
+        return solve_linearized_cascade(p.ops, self.F, self.G, self.v,
+                                        p.theta, p.theta_s, p.masks)
 
 
 # --- the residual stack, as functions of the operator p ---------------------
@@ -356,7 +349,9 @@ class FISolver:
         and recover (Psi, H, v) via (c16)."""
         p = self.problem
         G = SpaceTimeField.zeros(p.grid, p.time_grid.step_count + 1) if G is None else G
-        p.check_sources(F, G)
+        for nm, lg in p.log_source_norms(F, G).items():
+            if not (lg < math.inf):
+                raise ContractError(f"weighted source norm {nm} is not finite")
         b = _source_rhs(p, F, G)
         if not np.any(b):
             return _recover_fields(p, np.zeros(b.size), 0.0, 0.0, F, G)
@@ -412,17 +407,15 @@ def galerkin_check(sol: FISolution, n_dirs: int, rng) -> dict:
 def cascade_residual_check(sol: FISolution) -> dict:
     """Does the recovered control solve the discrete linearized cascade?
 
-    Re-solves the cascade with (F, G, v) through the production steppers
-    and reports (a) the weak distributional residual of the re-solved pair
-    (the solver contract), (b) the relative L2(0,T;L2) distance between
-    the recovered pair and the re-solved one (a diagnostic of the
-    weight-induced numerical null space; exact-zero on tame weights), and
-    (c) the re-solved h(., first node) norm.
+    Reads the cascade's states `sol.resolved` and reports (a) their weak
+    distributional residual (the solver contract), (b) the relative
+    L2(0,T;L2) distance between the recovered (c16) pair and the states (a
+    diagnostic of the weight-induced numerical null space; exact-zero on
+    tame weights), and (c) the re-solved h(., first node) norm.
     """
     p = sol.problem
     g, tg = p.grid, p.time_grid
-    Psi_rs, H_rs = solve_linearized_cascade(p.ops, sol.F, sol.G, sol.v,
-                                            p.theta, p.theta_s, p.masks)
+    Psi_rs, H_rs = sol.resolved
     vmask = sol.v * p.masks.omega_nodes[None, :]
     Feff = SpaceTimeField(sol.F.bulk + vmask, sol.F.surface.copy())
     res_fwd = weak_residual(p.ops, Psi_rs, Feff)
@@ -438,8 +431,7 @@ def cascade_residual_check(sol: FISolution) -> dict:
     dist_h = st_dist(sol.H, H_rs, slice(None, -1))
     return {"weak_residual_forward": res_fwd, "weak_residual_backward": res_bwd,
             "dist_psi": dist_psi, "dist_h": dist_h,
-            "resolved_h0_norm": l2_norm(H_rs.slice(0), g),
-            "resolved": (Psi_rs, H_rs)}
+            "resolved_h0_norm": l2_norm(H_rs.slice(0), g)}
 
 
 # --- weighted-estimate verification ----------------------------------------
@@ -471,42 +463,25 @@ def solution_summary(sol: FISolution) -> dict:
     }
 
 
-def live_masked_resolved_psi(sol: FISolution) -> SpaceTimeField:
-    """Re-solved forward state restricted to the weight-live window.
-
-    The re-solved psi decays at the admissible rate, so its weighted norms
-    are finite; masking the dead window (weights unbounded there, state
-    below truncation level) makes it a member of the weighted space.  Its
-    smoothness in time matters for the difference-quotient estimates: the
-    pointwise (c16) field carries solver noise that time-differencing
-    amplifies with the grid.
-    """
-    p = sol.problem
-    Psi_rs, _ = solve_linearized_cascade(p.ops, sol.F, sol.G, sol.v, p.theta,
-                                         p.theta_s, p.masks)
-    live = p.tables.live
-    Psi_rs.bulk[1:][~live] = 0.0
-    Psi_rs.surface[1:][~live] = 0.0
-    Psi_rs.bulk[0] = 0.0
-    Psi_rs.surface[0] = 0.0
-    return Psi_rs
-
-
 def verify_p2(sol: FISolution) -> dict:
     """The four additional weighted estimates; doubles as the X-norm pieces.
 
-    The forward state is the live-masked re-solved one (smooth in time,
-    admissibly decaying); the backward state is the recovered (c16) field,
-    the only representation whose early-time tail respects the exploding
-    weights.
+    The forward state is the re-solved psi of `sol.resolved`, which decays
+    at the admissible rate; zeroed on the weight-dead cells (weights
+    unbounded there, state below truncation level) it is a member of the
+    weighted space.  Its smoothness in time matters for the difference
+    quotients, as the (c16) field carries solver noise that
+    time-differencing amplifies with the grid.  The backward state is the
+    (c16) field, the only one whose early tail respects the weights.
     """
     p = sol.problem
     g, tg, t = p.grid, p.time_grid, p.tables
     dt = tg.dt
-    Psi, H = live_masked_resolved_psi(sol), sol.H
+    Psi, H = sol.resolved[0], sol.H
     lm = {k: t.log_mu_k[k] for k in range(6)}
 
-    Pb, Ps = Psi.bulk[1:], Psi.surface[1:]
+    Pb, Ps = (np.where(t.live[:, None], A[1:], 0.0)
+              for A in (Psi.bulk, Psi.surface))
     Hb, Hs = H.bulk[:-1], H.surface[:-1]
 
     gP = grad_faces(Pb, g)

@@ -198,9 +198,6 @@ class BulkSurfaceField:
     def is_trace_compatible(self, tol: float = 0.0) -> bool:
         return bool(np.all(np.abs(self.surface - self.bulk[..., [0, -1]]) <= tol))
 
-    def copy(self) -> "BulkSurfaceField":
-        return BulkSurfaceField(self.bulk.copy(), self.surface.copy())
-
 
 @dataclass
 class SpaceTimeField:

@@ -35,15 +35,13 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ContractError, SmallnessViolationError
-from .fi import (FIProblem, FISolution, FISolver, _cell_time_derivative,
-                 core_log_norms)
+from .fi import FIProblem, FISolution, FISolver, _cell_time_derivative
 from .geometry import (BulkSurfaceField, RegionMasks, SpaceTimeField,
                        SpatialGrid, face_average, grad_faces, h3_proxy_norm,
                        l2_norm, node_gradient, normal_derivative,
                        sbp_laplacian, slice_sq_norms)
 from .solvers import (CoefficientSet, LinearOperatorSet, _observation_source,
-                      apply_L, solve_linearized_cascade, solve_quasilinear,
-                      solve_quasilinear_cascade)
+                      apply_L, solve_quasilinear, solve_quasilinear_cascade)
 from .weights import (log_add, log_ratio, log_st_sq, log_weighted_sq_sum,
                       log_weighted_sup)
 
@@ -206,19 +204,19 @@ def linear_cascade_rows(Psi: SpaceTimeField, H: SpaceTimeField, v: np.ndarray,
 
 # --- norms -------------------------------------------------------------------
 
-def x_norm_sq_log(Psi: SpaceTimeField, H: SpaceTimeField, v: np.ndarray,
-                  bundle: SynthesisBundle) -> float:
-    """log ||(Psi,H,v)||_X^2: the weighted-norm ladder of the state space.
+def x_norm_sq_log(sol: FISolution, bundle: SynthesisBundle) -> float:
+    """log ||(Psi,H,v)||_X^2 of the (c16) triple: the state space's ladder.
 
-    Sums the control and state core of `core_log_norms`, the time-derivative
+    Sums the control and state core `sol.log_norms`, the time-derivative
     and Laplacian components, the L-residual components and the sup terms.
     The order of `parts` is the summation order.
     """
     g, dt, t = bundle.grid, bundle.time_grid.dt, bundle.tables
+    Psi, H, v = sol.Psi, sol.H, sol.v
     lm = t.log_mu_k
     Hv = g.trapezoid_weights()
     Pb, Ps = Psi.bulk[1:], Psi.surface[1:]
-    core = core_log_norms(Psi, H, v, t, g, dt)
+    core = sol.log_norms
     parts = {"mu0Psi": core["mu0Psi"], "mu0H": core["mu0H"],
              "mu3LapH": log_st_sq(lm[3], sbp_laplacian(H.bulk[:-1], g), None, g, dt)}
     Pt_b, Pt_s, lw4 = _cell_time_derivative(Pb, Ps, lm[4], dt)
@@ -273,7 +271,8 @@ def synthesize(F: SpaceTimeField, bundle: SynthesisBundle) -> SynthesisReport:
     quasilinear check: the full quasilinear cascade under the final control.
 
     Every iteration solves with `bundle.fi_solver`, so the loop, and every
-    later synthesis on the same bundle, shares one factorization.
+    later synthesis on the same bundle, shares one factorization; an
+    iterate's states are its solution's re-solved cascade, `resolved`.
     Convergence is declared when the X-norm of the increment drops below
     loop_tol relative to the X-norm of the current triple; three
     consecutive non-decreasing increments above 0.1 raise
@@ -301,9 +300,7 @@ def synthesize(F: SpaceTimeField, bundle: SynthesisBundle) -> SynthesisReport:
         Feff = SpaceTimeField(F.bulk + A["A1"], F.surface + A["A3"])
         Geff = SpaceTimeField(A["A2"], A["A4"])
         new_sol = bundle.fi_solver.solve(Feff, Geff)
-        Psi_new, H_new = solve_linearized_cascade(
-            bundle.ops, Feff, Geff, new_sol.v, bundle.theta, bundle.theta_s,
-            bundle.masks)
+        Psi_new, H_new = new_sol.resolved
 
         # increment metric: the coercive-core components (mu0 Psi, mu0 H,
         # mu1 v) of the state-space norm, on live-masked differences of the
@@ -347,7 +344,7 @@ def synthesize(F: SpaceTimeField, bundle: SynthesisBundle) -> SynthesisReport:
         v=v, iterations=its, increments=increments,
         h0_norm_linear=l2_norm(H.slice(0), g),
         h0_norm_quasilinear=l2_norm(H_q.slice(0), g),
-        log_x_norm_sq=x_norm_sq_log(sol.Psi, sol.H, v, bundle) if sol else -math.inf,
+        log_x_norm_sq=x_norm_sq_log(sol, bundle) if sol else -math.inf,
         log_y_norm_sq=log_add(*bundle.log_source_norms(F, zero_st).values()),
         status=status, h0_history=h0_history,
         fi_solution=sol, quasi_states=(Psi_q, H_q))

@@ -168,12 +168,13 @@ def log_add(*log_values: float) -> float:
 
 
 def log_ratio(log_num: float, log_den: float) -> float:
-    """exp(log_num - log_den) with the 0/0 -> 0 convention."""
+    """exp(log_num - log_den), 0 for 0/0 and inf where it overflows."""
     if log_num == -math.inf:
         return 0.0
-    if log_den == -math.inf:
+    try:
+        return math.exp(log_num - log_den)
+    except OverflowError:
         return math.inf
-    return float(math.exp(min(log_num - log_den, 700.0)))
 
 
 # --- eta profile ------------------------------------------------------------

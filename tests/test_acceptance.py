@@ -8,18 +8,16 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from bscontrol import diagnostics
 from bscontrol.fi import (FISolver, cascade_residual_check, galerkin_check,
                           verify_p1, verify_p2)
-from bscontrol.geometry import BulkSurfaceField, SpaceTimeField, l2_inner, l2_norm
+from bscontrol.geometry import BulkSurfaceField, SpaceTimeField, l2_norm
 from bscontrol.insensitize import (PerturbationSpec, insensitivity_check,
                                    synthesize)
-from bscontrol.solvers import (LinearOperatorSet, coefficient_preset,
-                               l2_history, solve_adjoint_cascade,
-                               solve_linear_forward, solve_quasilinear,
-                               total_mass)
+from bscontrol.solvers import (LinearOperatorSet, l2_history,
+                               solve_adjoint_cascade, solve_linear_forward,
+                               solve_quasilinear, total_mass)
 from bscontrol.weights import empirical_carleman_check, log_add
 
 from conftest import make_bundle, random_source

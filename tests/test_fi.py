@@ -13,6 +13,7 @@ from bscontrol.fi import (apply_residual_R, bilinear_B, cascade_residual_check,
                           galerkin_check, linear_F, solution_summary,
                           verify_p1, verify_p2)
 from bscontrol.geometry import SpaceTimeField
+from bscontrol.solvers import solve_linearized_cascade
 
 from conftest import random_source
 
@@ -124,6 +125,21 @@ def test_solve_nonzero_backward_source(bundle, source):
     assert chk["weak_residual_forward"] <= 1e-12
     assert chk["weak_residual_backward"] <= 1e-12
     assert 0 < sol.backward_error <= 1e-14
+
+
+def test_replaced_solution_resolves_under_its_own_sources(bundle, fi_solved):
+    """`resolved` is cached on its solution; a `dataclasses.replace` copy
+    starts without it and re-solves the cascade under its own sources."""
+    p, rng = fi_solved.problem, np.random.default_rng(31)
+    F2, G2 = random_source(bundle, rng), random_source(bundle, rng)
+    before = fi_solved.resolved
+    got = dataclasses.replace(fi_solved, F=F2, G=G2).resolved
+    want = solve_linearized_cascade(p.ops, F2, G2, fi_solved.v, p.theta,
+                                    p.theta_s, p.masks)
+    for a, b in zip(got, want):
+        assert a.bulk.tobytes() == b.bulk.tobytes()
+        assert a.surface.tobytes() == b.surface.tobytes()
+    assert fi_solved.resolved is before
 
 
 def test_control_support(fi_solved, bundle):

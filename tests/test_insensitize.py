@@ -1,14 +1,15 @@
 import dataclasses
 import gc
 import math
+import sys
 import weakref
 
 import numpy as np
 import pytest
 
-from bscontrol import insensitize
+from bscontrol import insensitize, solvers
 from bscontrol.errors import SmallnessViolationError
-from bscontrol.fi import FISolver
+from bscontrol.fi import FISolver, cascade_residual_check, verify_p2
 from bscontrol.geometry import (BulkSurfaceField, SpaceTimeField, h3_proxy_norm,
                                 node_gradient, normal_derivative, sbp_laplacian)
 from bscontrol.insensitize import (PerturbationSpec, apply_A_derivative,
@@ -199,6 +200,33 @@ def test_synthesize_outer_loop_exits(monkeypatch):
     assert len(solves) == 7
 
 
+def test_one_cascade_resolve_per_solve(monkeypatch):
+    """A solve's cascade is re-solved once, in `FISolution.resolved`: the
+    outer loop reads it, and the residual check and the estimates on the
+    report's solution add no solve."""
+    bundle, F = make_bundle(N=32, M=64)
+    calls = {"cascade": 0, "solve": 0}
+    cascade, solve = solvers.solve_linearized_cascade, FISolver.solve
+
+    def counted(fn, key):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("bscontrol")
+                and getattr(module, "solve_linearized_cascade", None) is cascade):
+            monkeypatch.setattr(module, "solve_linearized_cascade",
+                                counted(cascade, "cascade"))
+    monkeypatch.setattr(FISolver, "solve", counted(solve, "solve"))
+    rep = synthesize(F, bundle)
+    assert calls["cascade"] == calls["solve"] == rep.iterations >= 1
+    cascade_residual_check(rep.fi_solution)
+    verify_p2(rep.fi_solution)
+    assert calls["cascade"] == calls["solve"] == rep.iterations
+
+
 def test_quadratic_energy_gates(bundle):
     g = bundle.grid
     M = bundle.time_grid.step_count
@@ -303,7 +331,6 @@ def test_disjoint_support_adjoint_zero(bundle, source, synth):
     # the bulk observation overlap instead: zero bulk, surface-only is not
     # representable, so take a direction vanishing on the whole grid
     d = BulkSurfaceField.zeros(bundle.grid)
-    from bscontrol.solvers import solve_quasilinear_cascade
     _, H = solve_quasilinear_cascade(bundle.cs, bundle.grid, bundle.time_grid,
                                      source, synth.v, bundle.theta,
                                      bundle.theta_s, bundle.masks)
@@ -312,11 +339,12 @@ def test_disjoint_support_adjoint_zero(bundle, source, synth):
 
 
 def test_norms_homogeneity(bundle, synth):
-    rep = synth
-    log1 = x_norm_sq_log(rep.fi_solution.Psi, rep.fi_solution.H, rep.v, bundle)
-    Psi2 = SpaceTimeField(2 * rep.fi_solution.Psi.bulk, 2 * rep.fi_solution.Psi.surface)
-    H2 = SpaceTimeField(2 * rep.fi_solution.H.bulk, 2 * rep.fi_solution.H.surface)
-    log2 = x_norm_sq_log(Psi2, H2, 2 * rep.v, bundle)
+    sol = synth.fi_solution
+    log1 = x_norm_sq_log(sol, bundle)
+    Psi2 = SpaceTimeField(2 * sol.Psi.bulk, 2 * sol.Psi.surface)
+    H2 = SpaceTimeField(2 * sol.H.bulk, 2 * sol.H.surface)
+    log2 = x_norm_sq_log(dataclasses.replace(sol, Psi=Psi2, H=H2, v=2 * sol.v),
+                         bundle)
     assert log2 - log1 == pytest.approx(math.log(4.0), abs=1e-9)
 
 
@@ -324,5 +352,5 @@ def test_norms_zero(bundle):
     g = bundle.grid
     M = bundle.time_grid.step_count
     zero = SpaceTimeField.zeros(g, M + 1)
-    assert x_norm_sq_log(zero, zero, np.zeros((M + 1, g.n_nodes)), bundle) == -math.inf
+    assert x_norm_sq_log(bundle.fi_solver.solve(zero), bundle) == -math.inf
     assert all(lg == -math.inf for lg in bundle.log_source_norms(zero, zero).values())

@@ -2,6 +2,7 @@
 coefficients: summation by parts, space-time duality, the agreement of the
 sparse residual stack with the matrix-free operators it is built from, the
 weighted space-time norm and the log-sum-exp kernel against plain sums,
+log_ratio against math.exp up to overflow,
 per-part log-sum-exp totals against one flat log-sum-exp, a log-weight
 prepared once against one prepared per sum, the space-time inner
 product against per-slice sums and the duality pairings, the per-slice
@@ -262,6 +263,24 @@ def test_log_add_matches_plain_sum(a):
         assert got == -math.inf
     else:
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@PROPERTY
+@given(num=st.floats(-1e3, 1e3), den=st.floats(-1e3, 1e3))
+@example(num=705.0, den=0.0)
+@example(num=709.7, den=0.0)
+@example(num=709.8, den=0.0)
+def test_log_ratio_exact_up_to_overflow(num, den):
+    """exp(num - den) to the bit while it is a double (e^709.78 is the
+    largest), +inf beyond it; 0 over anything is 0, and NaN propagates."""
+    d = num - den
+    if d < 709.78:
+        assert log_ratio(num, den) == math.exp(d)
+    elif d > 709.79:
+        assert log_ratio(num, den) == math.inf
+    assert log_ratio(-math.inf, den) == 0.0
+    assert log_ratio(num, -math.inf) == math.inf
+    assert math.isnan(log_ratio(math.inf, math.inf))
 
 
 @PROPERTY

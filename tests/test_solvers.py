@@ -17,8 +17,6 @@ from bscontrol.solvers import (LinearOperatorSet, apply_L, coefficient_preset,
                                solve_quasilinear_cascade, solve_sensitivity,
                                total_mass, validate_coefficients, weak_residual)
 
-from conftest import make_bundle
-
 
 @pytest.fixture(scope="module")
 def small():
