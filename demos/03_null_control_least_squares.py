@@ -11,7 +11,7 @@ recorded as regression baselines.
 import numpy as np
 
 from bscontrol.cli import build_setup, load_config
-from bscontrol.fi import cascade_residual_check, galerkin_check, solution_summary
+from bscontrol.fi import cascade_residual_check, galerkin_check
 from bscontrol.geometry import l2_norm
 
 cfg = load_config(None)
@@ -35,7 +35,6 @@ print(f"h(., first node): recovered {l2_norm(sol.H.slice(0), bundle.grid):.1e} "
       f"(exact zero by the weight mechanism), re-solved "
       f"{chk['resolved_h0_norm']:.2e}")
 
-summary = solution_summary(sol)
 print("weighted-estimate ratios (regression baselines):")
-for key, val in summary["lhs_rhs_ratios"].items():
+for key, val in sol.lhs_rhs_ratios.items():
     print(f"  {key}: {val:.3e}")

@@ -25,10 +25,9 @@ from .solvers import (CoefficientSet, LinearOperatorSet, apply_L,
                       solve_quasilinear_cascade, solve_sensitivity,
                       validate_coefficients)
 from .fi import (FIProblem, FISolution, FISolver, apply_residual_R,
-                 bilinear_B, cascade_residual_check, galerkin_check, linear_F,
-                 verify_p1, verify_p2)
-from .insensitize import (PerturbationSpec, SynthesisBundle, SynthesisReport,
+                 bilinear_B, cascade_residual_check, galerkin_check, linear_F)
+from .insensitize import (TAU_LADDER, SynthesisBundle, SynthesisReport,
                           apply_A_derivative, evaluate_J, insensitivity_check,
-                          nonlinear_parts_A, synthesize, x_norm_sq_log)
+                          nonlinear_parts_A, random_direction, synthesize)
 
 __version__ = "0.1.0"

@@ -47,9 +47,12 @@ relative Galerkin residual), which is the well-conditioned quantity;
 Euclidean distances to the re-solved cascade states are reported as
 diagnostics of the weight-induced null space.
 
-A `FISolution`'s `Psi` and `H` are these (c16) fields; its `resolved` holds
-the cascade's states, re-solved under its (F, G, v).  The two differ
-(`cascade_residual_check`'s `dist_psi`, `dist_h`).
+A `FISolution` holds every number a solve determines.  Its `Psi` and `H`
+are these (c16) fields; its `resolved` holds the cascade's states,
+re-solved under its (F, G, v).  The two differ (`cascade_residual_check`'s
+`dist_psi`, `dist_h`).  `log_norms` are the control and state core,
+`lhs_rhs_ratios` the LHS/RHS ratios of the weighted estimates c21-c28 and
+`log_x_norm_sq` the X norm of the (c16) triple.
 """
 
 from __future__ import annotations
@@ -64,9 +67,10 @@ from scipy.sparse.linalg import splu
 
 from .errors import ConditioningError, ContractError
 from .geometry import (SpaceTimeField, SpatialGrid, face_average, grad_faces,
-                       l2_norm, sbp_laplacian, st_inner)
+                       l2_norm, sbp_laplacian, slice_sq_norms, st_inner)
 from .solvers import (LinearOperatorSet, _observation_source, _step_rows,
-                      solve_linearized_cascade, weak_residual)
+                      linear_cascade_rows, solve_linearized_cascade,
+                      weak_residual)
 from .weights import (WeightTables, log_add, log_ratio, log_st_sq,
                       log_weighted_sup)
 
@@ -127,7 +131,8 @@ class FISolution:
     `problem` and the sources (F, G).  The checks below take the solution
     alone, so a check always reads the sources it was solved for.  The
     cached values below do not survive `dataclasses.replace`: a copy with
-    other sources, as `cmd_synthesize` makes for (F, 0), re-solves under them."""
+    other sources, as `cmd_synthesize` makes for (F, 0), re-solves under
+    them and measures its `lhs_rhs_ratios` against them."""
 
     Psi: SpaceTimeField          # forward view: slice 0 is exactly 0
     H: SpaceTimeField            # backward view: slice M is exactly 0
@@ -158,6 +163,117 @@ class FISolution:
         p = self.problem
         return solve_linearized_cascade(p.ops, self.F, self.G, self.v,
                                         p.theta, p.theta_s, p.masks)
+
+    @cached_property
+    def lhs_rhs_ratios(self) -> dict:
+        """LHS/RHS ratios of the weighted estimates: c21 (control and
+        state), c41 (v_t) and the four additional ones, c25-c28.
+
+        c21 and c41 read the (c16) fields through `log_norms`.  For c25-c28
+        the forward state is the re-solved psi of `resolved`, which decays
+        at the admissible rate; zeroed on the weight-dead cells (weights
+        unbounded there, state below truncation level) it is a member of
+        the weighted space.  Its smoothness in time matters for the
+        difference quotients, as the (c16) field carries solver noise that
+        time-differencing amplifies with the grid.  The backward state is
+        the (c16) H, the only one whose early tail respects the weights.
+        """
+        p, ln = self.problem, self.log_norms
+        g, dt, t = p.grid, p.time_grid.dt, p.tables
+        src = p.log_source_norms(self.F, self.G)
+        log_rhs_a = log_add(src["muF"], src["muG"])
+        lhs_c21 = log_add(ln["mu0Psi"], ln["mu0H"], ln["mu1v"])
+        if lhs_c21 > -math.inf and log_rhs_a == -math.inf:
+            raise ContractError("nonzero state from identically zero sources")
+        log_rhs_b = log_add(log_rhs_a, src["mu4Ft"])
+        lm = t.log_mu_k
+
+        Psi = self.resolved[0]
+        Pb, Ps = (np.where(t.live[:, None], A[1:], 0.0)
+                  for A in (Psi.bulk, Psi.surface))
+        Hb, Hs = self.H.bulk[:-1], self.H.surface[:-1]
+
+        gP = grad_faces(Pb, g)
+        lapP = sbp_laplacian(Pb, g)
+        gH = grad_faces(Hb, g)
+        lapH = sbp_laplacian(Hb, g)
+        Pt_b, Pt_s, lw3 = _cell_time_derivative(Pb, Ps, lm[3], dt)
+        Ht_b, Ht_s, _ = _cell_time_derivative(Hb, Hs, lm[3], dt)
+        lw4, lw5 = face_average(lm[4:])
+        gPt = grad_faces(Pt_b, g)
+        lapPt = sbp_laplacian(Pt_b, g)
+        Ptt_b = np.diff(Pt_b, axis=0) / dt
+        Ptt_s = np.diff(Pt_s, axis=0) / dt
+        lw5c = lm[5][1:-1]
+
+        Hv = g.trapezoid_weights()
+        Hf = np.full(g.node_count, g.h)     # faces carry quadrature weight h
+        lhs_c25 = log_add(
+            log_weighted_sup(lm[2], (Pb, Hv), (Ps, 1.0)),
+            log_st_sq(lm[2], gP, None, g, dt),
+            log_weighted_sup(lm[2], (Hb, Hv), (Hs, 1.0)),
+            log_st_sq(lm[2], gH, None, g, dt))
+        lhs_c26 = log_add(
+            log_weighted_sup(lm[3], (gP, Hf)),
+            log_st_sq(lw3, Pt_b, Pt_s, g, dt),
+            log_st_sq(lm[3], lapP, None, g, dt),
+            log_weighted_sup(lm[3], (gH, Hf)),
+            log_st_sq(lw3, Ht_b, Ht_s, g, dt),
+            log_st_sq(lm[3], lapH, None, g, dt))
+        lhs_c27 = log_add(
+            log_weighted_sup(lw4, (Pt_b, Hv), (Pt_s, 1.0)),
+            log_st_sq(lw4, gPt, None, g, dt))
+        lhs_c28 = log_add(
+            log_weighted_sup(lw5, (gPt, Hf)),
+            log_st_sq(lw5c, Ptt_b, Ptt_s, g, dt),
+            log_st_sq(lw5, lapPt, None, g, dt),
+            log_weighted_sup(lm[5], (lapP, Hv)))
+        return {"c21": log_ratio(lhs_c21, log_rhs_a),
+                "c41": log_ratio(ln["mu3vt"], log_rhs_a),
+                "c25": log_ratio(lhs_c25, log_rhs_a),
+                "c26": log_ratio(lhs_c26, log_rhs_a),
+                "c27": log_ratio(lhs_c27, log_rhs_b),
+                "c28": log_ratio(lhs_c28, log_rhs_b)}
+
+    @cached_property
+    def log_x_norm_sq(self) -> float:
+        """log ||(Psi,H,v)||_X^2 of the (c16) triple: the state space's ladder.
+
+        Sums the control and state core `log_norms`, the time-derivative
+        and Laplacian components, the L-residual components and the sup
+        terms.  The order of `parts` is the summation order.
+        """
+        p, Psi, H, v = self.problem, self.Psi, self.H, self.v
+        g, dt, t = p.grid, p.time_grid.dt, p.tables
+        lm = t.log_mu_k
+        Hv = g.trapezoid_weights()
+        Pb, Ps = Psi.bulk[1:], Psi.surface[1:]
+        core = self.log_norms
+        parts = {"mu0Psi": core["mu0Psi"], "mu0H": core["mu0H"],
+                 "mu3LapH": log_st_sq(lm[3], sbp_laplacian(H.bulk[:-1], g), None, g, dt)}
+        Pt_b, Pt_s, lw4 = _cell_time_derivative(Pb, Ps, lm[4], dt)
+        parts["mu4Psit"] = log_st_sq(lw4, Pt_b, Pt_s, g, dt)
+        lw5 = face_average(lm[5])
+        parts["mu5LapPsit"] = log_st_sq(lw5, sbp_laplacian(Pt_b, g), None, g, dt)
+        parts["mu1v"], parts["mu3vt"] = core["mu1v"], core["mu3vt"]
+        vH2 = slice_sq_norms((v[1:], Hv), (grad_faces(v[1:], g), g.h),
+                             (sbp_laplacian(v[1:], g), Hv))
+        parts["vH2"] = (float(np.log(np.sum(vH2) * dt)) if np.sum(vH2) > 0 else -math.inf)
+
+        rows = linear_cascade_rows(Psi, H, v, p.ops, p.theta, p.theta_s, p.masks)
+        parts["muLPsi"] = log_st_sq(t.log_mu, rows["L1"][1:], rows["L3"][1:], g, dt)
+        Lt_b, Lt_s, lwL = _cell_time_derivative(rows["L1"][1:], rows["L3"][1:],
+                                                lm[4], dt)
+        parts["mu4LPsit"] = log_st_sq(lwL, Lt_b, Lt_s, g, dt)
+        parts["muLH"] = log_st_sq(t.log_mu, rows["L2"][1:], rows["L4"][1:], g, dt)
+
+        # sup terms: H1 of Psi_t and H2 of Psi against mu5
+        parts["sup_mu5_Psit_H1"] = log_weighted_sup(
+            lw5, (Pt_b, Hv), (Pt_s, 1.0), (grad_faces(Pt_b, g), g.h))
+        parts["sup_mu5_Psi_H2"] = log_weighted_sup(
+            lm[5], (Pb, Hv), (Ps, 1.0), (grad_faces(Pb, g), g.h),
+            (sbp_laplacian(Pb, g), Hv))
+        return log_add(*parts.values())
 
 
 # --- the residual stack, as functions of the operator p ---------------------
@@ -432,103 +548,3 @@ def cascade_residual_check(sol: FISolution) -> dict:
     return {"weak_residual_forward": res_fwd, "weak_residual_backward": res_bwd,
             "dist_psi": dist_psi, "dist_h": dist_h,
             "resolved_h0_norm": l2_norm(H_rs.slice(0), g)}
-
-
-# --- weighted-estimate verification ----------------------------------------
-
-def verify_p1(sol: FISolution) -> dict:
-    """LHS/RHS ratios for the control/state estimate and the v_t estimate."""
-    src = sol.problem.log_source_norms(sol.F, sol.G)
-    log_rhs = log_add(src["muF"], src["muG"])
-    ln = sol.log_norms
-    lhs_c21 = log_add(ln["mu0Psi"], ln["mu0H"], ln["mu1v"])
-    if lhs_c21 > -math.inf and log_rhs == -math.inf:
-        raise ContractError("nonzero state from identically zero sources")
-    return {"ratio_c21": log_ratio(lhs_c21, log_rhs),
-            "ratio_c41": log_ratio(ln["mu3vt"], log_rhs),
-            "log_lhs_c21": lhs_c21, "log_rhs": log_rhs}
-
-
-def solution_summary(sol: FISolution) -> dict:
-    """Machine-readable per-solve summary (the JSON interface)."""
-    p1 = verify_p1(sol)
-    p2 = verify_p2(sol)
-    return {
-        "backward_error": sol.backward_error,
-        "lhs_rhs_ratios": {
-            "c21": p1["ratio_c21"], "c41": p1["ratio_c41"],
-            "c25": p2["ratio_c25"], "c26": p2["ratio_c26"],
-            "c27": p2["ratio_c27"], "c28": p2["ratio_c28"],
-        },
-    }
-
-
-def verify_p2(sol: FISolution) -> dict:
-    """The four additional weighted estimates; doubles as the X-norm pieces.
-
-    The forward state is the re-solved psi of `sol.resolved`, which decays
-    at the admissible rate; zeroed on the weight-dead cells (weights
-    unbounded there, state below truncation level) it is a member of the
-    weighted space.  Its smoothness in time matters for the difference
-    quotients, as the (c16) field carries solver noise that
-    time-differencing amplifies with the grid.  The backward state is the
-    (c16) field, the only one whose early tail respects the weights.
-    """
-    p = sol.problem
-    g, tg, t = p.grid, p.time_grid, p.tables
-    dt = tg.dt
-    Psi, H = sol.resolved[0], sol.H
-    lm = {k: t.log_mu_k[k] for k in range(6)}
-
-    Pb, Ps = (np.where(t.live[:, None], A[1:], 0.0)
-              for A in (Psi.bulk, Psi.surface))
-    Hb, Hs = H.bulk[:-1], H.surface[:-1]
-
-    gP = grad_faces(Pb, g)
-    lapP = sbp_laplacian(Pb, g)
-    gH = grad_faces(Hb, g)
-    lapH = sbp_laplacian(Hb, g)
-    Pt_b, Pt_s, lw3 = _cell_time_derivative(Pb, Ps, lm[3], dt)
-    Ht_b, Ht_s, _ = _cell_time_derivative(Hb, Hs, lm[3], dt)
-    lw4, lw5 = face_average(t.log_mu_k[4:])
-    gPt = grad_faces(Pt_b, g)
-    lapPt = sbp_laplacian(Pt_b, g)
-    Ptt_b = np.diff(Pt_b, axis=0) / dt
-    Ptt_s = np.diff(Pt_s, axis=0) / dt
-    lw5c = lm[5][1:-1]
-
-    src = p.log_source_norms(sol.F, sol.G)
-    log_rhs_a = log_add(src["muF"], src["muG"])
-    log_rhs_b = log_add(log_rhs_a, src["mu4Ft"])
-
-    Hv = g.trapezoid_weights()
-    Hf = np.full(g.node_count, g.h)     # faces carry quadrature weight h
-    lhs_c25 = log_add(
-        log_weighted_sup(lm[2], (Pb, Hv), (Ps, 1.0)),
-        log_st_sq(lm[2], gP, None, g, dt),
-        log_weighted_sup(lm[2], (Hb, Hv), (Hs, 1.0)),
-        log_st_sq(lm[2], gH, None, g, dt))
-    lhs_c26 = log_add(
-        log_weighted_sup(lm[3], (gP, Hf)),
-        log_st_sq(lw3, Pt_b, Pt_s, g, dt),
-        log_st_sq(lm[3], lapP, None, g, dt),
-        log_weighted_sup(lm[3], (gH, Hf)),
-        log_st_sq(lw3, Ht_b, Ht_s, g, dt),
-        log_st_sq(lm[3], lapH, None, g, dt))
-    lhs_c27 = log_add(
-        log_weighted_sup(lw4, (Pt_b, Hv), (Pt_s, 1.0)),
-        log_st_sq(lw4, gPt, None, g, dt))
-    lhs_c28 = log_add(
-        log_weighted_sup(lw5, (gPt, Hf)),
-        log_st_sq(lw5c, Ptt_b, Ptt_s, g, dt),
-        log_st_sq(lw5, lapPt, None, g, dt),
-        log_weighted_sup(lm[5], (lapP, Hv)))
-
-    return {
-        "ratio_c25": log_ratio(lhs_c25, log_rhs_a),
-        "ratio_c26": log_ratio(lhs_c26, log_rhs_a),
-        "ratio_c27": log_ratio(lhs_c27, log_rhs_b),
-        "ratio_c28": log_ratio(lhs_c28, log_rhs_b),
-        "log_lhs": {"c25": lhs_c25, "c26": lhs_c26, "c27": lhs_c27, "c28": lhs_c28},
-        "log_rhs": {"a": log_rhs_a, "b": log_rhs_b},
-    }

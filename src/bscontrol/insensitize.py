@@ -30,44 +30,36 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ContractError, SmallnessViolationError
-from .fi import FIProblem, FISolution, FISolver, _cell_time_derivative
-from .geometry import (BulkSurfaceField, RegionMasks, SpaceTimeField,
-                       SpatialGrid, face_average, grad_faces, h3_proxy_norm,
-                       l2_norm, node_gradient, normal_derivative,
-                       sbp_laplacian, slice_sq_norms)
-from .solvers import (CoefficientSet, LinearOperatorSet, _observation_source,
-                      apply_L, solve_quasilinear, solve_quasilinear_cascade)
-from .weights import (log_add, log_ratio, log_st_sq, log_weighted_sq_sum,
-                      log_weighted_sup)
+from .fi import FIProblem, FISolution, FISolver
+from .geometry import (BulkSurfaceField, SpaceTimeField, SpatialGrid,
+                       h3_proxy_norm, l2_norm, node_gradient,
+                       normal_derivative, sbp_laplacian)
+from .solvers import (CoefficientSet, LinearOperatorSet, solve_quasilinear,
+                      solve_quasilinear_cascade)
+from .weights import log_add, log_ratio, log_weighted_sq_sum
 
 
-@dataclass
-class PerturbationSpec:
-    """Trace-compatible unit direction (discrete H^3 proxy) plus a tau ladder."""
+# the insensitivity check's tau values: three sizes, each half the last, as
+# its Richardson step and its trend test assume
+TAU_LADDER = (1e-2, 5e-3, 2.5e-3)
 
-    direction: BulkSurfaceField
-    tau_ladder: tuple = (1e-2, 5e-3, 2.5e-3)
 
-    @classmethod
-    def random(cls, grid: SpatialGrid, rng):
-        x = grid.x / grid.length
-        bulk = np.zeros_like(x)
-        for k in range(1, 5):
-            bulk += rng.standard_normal() / k**2 * np.cos(np.pi * k * x + rng.uniform(0, 2 * np.pi))
-        f = BulkSurfaceField.from_bulk(bulk)
-        nrm = h3_proxy_norm(f, grid)
-        f.bulk /= nrm
-        f.surface /= nrm
-        return cls(direction=f)
-
-    def __post_init__(self):
-        if not self.direction.is_trace_compatible(1e-12):
-            raise ContractError("perturbation direction must be trace-compatible")
+def random_direction(grid: SpatialGrid, rng) -> BulkSurfaceField:
+    """A random trace-compatible direction of unit discrete H^3 proxy norm."""
+    x = grid.x / grid.length
+    bulk = np.zeros_like(x)
+    for k in range(1, 5):
+        bulk += rng.standard_normal() / k**2 * np.cos(np.pi * k * x + rng.uniform(0, 2 * np.pi))
+    f = BulkSurfaceField.from_bulk(bulk)
+    nrm = h3_proxy_norm(f, grid)
+    f.bulk /= nrm
+    f.surface /= nrm
+    return f
 
 
 @dataclass(frozen=True)
@@ -80,8 +72,8 @@ class SynthesisBundle(FIProblem):
     """
 
     cs: CoefficientSet
-    loop_tol: float = 1e-9
-    max_outer: int = 30
+    loop_tol: float
+    max_outer: int
 
     @functools.cached_property
     def fi_solver(self) -> FISolver:
@@ -108,8 +100,8 @@ class SynthesisReport:
     log_y_norm_sq: float
     status: str
     quasi_states: tuple             # (Psi, H) of the quasilinear cascade under v
-    h0_history: list = field(default_factory=list)
-    fi_solution: FISolution | None = None
+    h0_history: list
+    fi_solution: FISolution | None
 
 
 # --- nonlinear parts ---------------------------------------------------------
@@ -185,64 +177,6 @@ def apply_A_derivative(Psi: SpaceTimeField, H: SpaceTimeField,
     D4[1:] = -cs.dsigma(ps) * fs * dnu_h - (cs.sigma(ps) - s0) * dnu_k \
         - cs.d2b(ps) * fs * hs - (cs.db(ps) - db0) * ks
     return {"A1": D1, "A2": D2, "A3": D3, "A4": D4}
-
-
-def linear_cascade_rows(Psi: SpaceTimeField, H: SpaceTimeField, v: np.ndarray,
-                        ops: LinearOperatorSet, theta: float, theta_s: float,
-                        masks: RegionMasks) -> dict:
-    """The frozen linear rows L(Psi,H,v) on cells (slice c holds cell c):
-    `apply_L`'s rows minus the control and the `_observation_source` coupling."""
-    rP = apply_L(Psi, ops, "L")
-    rP.bulk[1:] -= v[1:] * masks.omega_nodes[None, :]
-    rH = apply_L(H, ops, "Lstar")
-    coupling = _observation_source(Psi, theta, theta_s, masks)
-    for rows, c in ((rH.bulk, coupling.bulk), (rH.surface, coupling.surface)):
-        rows[1:] = rows[:-1] - c[1:]
-        rows[0] = 0.0
-    return {"L1": rP.bulk, "L3": rP.surface, "L2": rH.bulk, "L4": rH.surface}
-
-
-# --- norms -------------------------------------------------------------------
-
-def x_norm_sq_log(sol: FISolution, bundle: SynthesisBundle) -> float:
-    """log ||(Psi,H,v)||_X^2 of the (c16) triple: the state space's ladder.
-
-    Sums the control and state core `sol.log_norms`, the time-derivative
-    and Laplacian components, the L-residual components and the sup terms.
-    The order of `parts` is the summation order.
-    """
-    g, dt, t = bundle.grid, bundle.time_grid.dt, bundle.tables
-    Psi, H, v = sol.Psi, sol.H, sol.v
-    lm = t.log_mu_k
-    Hv = g.trapezoid_weights()
-    Pb, Ps = Psi.bulk[1:], Psi.surface[1:]
-    core = sol.log_norms
-    parts = {"mu0Psi": core["mu0Psi"], "mu0H": core["mu0H"],
-             "mu3LapH": log_st_sq(lm[3], sbp_laplacian(H.bulk[:-1], g), None, g, dt)}
-    Pt_b, Pt_s, lw4 = _cell_time_derivative(Pb, Ps, lm[4], dt)
-    parts["mu4Psit"] = log_st_sq(lw4, Pt_b, Pt_s, g, dt)
-    lw5 = face_average(lm[5])
-    parts["mu5LapPsit"] = log_st_sq(lw5, sbp_laplacian(Pt_b, g), None, g, dt)
-    parts["mu1v"], parts["mu3vt"] = core["mu1v"], core["mu3vt"]
-    vH2 = slice_sq_norms((v[1:], Hv), (grad_faces(v[1:], g), g.h),
-                         (sbp_laplacian(v[1:], g), Hv))
-    parts["vH2"] = (float(np.log(np.sum(vH2) * dt)) if np.sum(vH2) > 0 else -math.inf)
-
-    rows = linear_cascade_rows(Psi, H, v, bundle.ops, bundle.theta,
-                               bundle.theta_s, bundle.masks)
-    parts["muLPsi"] = log_st_sq(t.log_mu, rows["L1"][1:], rows["L3"][1:], g, dt)
-    Lt_b, Lt_s, lwL = _cell_time_derivative(rows["L1"][1:], rows["L3"][1:],
-                                            lm[4], dt)
-    parts["mu4LPsit"] = log_st_sq(lwL, Lt_b, Lt_s, g, dt)
-    parts["muLH"] = log_st_sq(t.log_mu, rows["L2"][1:], rows["L4"][1:], g, dt)
-
-    # sup terms: H1 of Psi_t and H2 of Psi against mu5
-    parts["sup_mu5_Psit_H1"] = log_weighted_sup(
-        lw5, (Pt_b, Hv), (Pt_s, 1.0), (grad_faces(Pt_b, g), g.h))
-    parts["sup_mu5_Psi_H2"] = log_weighted_sup(
-        lm[5], (Pb, Hv), (Ps, 1.0), (grad_faces(Pb, g), g.h),
-        (sbp_laplacian(Pb, g), Hv))
-    return log_add(*parts.values())
 
 
 # --- synthesis ---------------------------------------------------------------
@@ -344,7 +278,7 @@ def synthesize(F: SpaceTimeField, bundle: SynthesisBundle) -> SynthesisReport:
         v=v, iterations=its, increments=increments,
         h0_norm_linear=l2_norm(H.slice(0), g),
         h0_norm_quasilinear=l2_norm(H_q.slice(0), g),
-        log_x_norm_sq=x_norm_sq_log(sol, bundle) if sol else -math.inf,
+        log_x_norm_sq=sol.log_x_norm_sq if sol else -math.inf,
         log_y_norm_sq=log_add(*bundle.log_source_norms(F, zero_st).values()),
         status=status, h0_history=h0_history,
         fi_solution=sol, quasi_states=(Psi_q, H_q))
@@ -380,11 +314,11 @@ def quadratic_energy(Psi: SpaceTimeField, bundle: SynthesisBundle) -> float:
 
 def insensitivity_check(bundle: SynthesisBundle, F: SpaceTimeField,
                         report: SynthesisReport,
-                        specs: list[PerturbationSpec]) -> list[dict]:
+                        directions: list[BulkSurfaceField]) -> list[dict]:
     """Two independent derivative estimators per direction.
 
-    (i) Richardson-extrapolated centered differences of J over the tau
-    ladder, around J(0) = the energy of the report's quasilinear state;
+    (i) Richardson-extrapolated centered differences of J over
+    `TAU_LADDER`, around J(0) = the energy of the report's quasilinear state;
     (ii) the adjoint value <dir, H(.,0)> from the report's quasilinear
     cascade (bulk and surface terms reported separately).  The error
     budget splits FD truncation, time discretization and the synthesis
@@ -392,9 +326,12 @@ def insensitivity_check(bundle: SynthesisBundle, F: SpaceTimeField,
 
     The ladder's initial data +-tau * dir of every direction advance as
     one stack in a single quasilinear solve; member k's energy is the J
-    that `evaluate_J` gives for its datum.
+    that `evaluate_J` gives for its datum.  A direction whose surface is
+    not its bulk's trace is refused with a ContractError.
     """
-    if not specs:
+    if not all(d.is_trace_compatible(1e-12) for d in directions):
+        raise ContractError("perturbation direction must be trace-compatible")
+    if not directions:
         return []
     g, tg, v = bundle.grid, bundle.time_grid, report.v
     Psi_q, H_q = report.quasi_states
@@ -403,9 +340,8 @@ def insensitivity_check(bundle: SynthesisBundle, F: SpaceTimeField,
     w = g.trapezoid_weights()
     h0_norm = l2_norm(h0, g)
 
-    ladders = [sorted(spec.tau_ladder, reverse=True) for spec in specs]
-    data = [(s * tau, spec.direction) for spec, taus in zip(specs, ladders)
-            for tau in taus for s in (1, -1)]
+    data = [(s * tau, d) for d in directions for tau in TAU_LADDER
+            for s in (1, -1)]
     psi0 = BulkSurfaceField(np.array([t * d.bulk for t, d in data]),
                             np.array([t * d.surface for t, d in data]))
     stack = solve_quasilinear(bundle.cs, g, tg, F, psi0, v=v, masks=bundle.masks)
@@ -413,25 +349,22 @@ def insensitivity_check(bundle: SynthesisBundle, F: SpaceTimeField,
                      for b, s in zip(stack.bulk, stack.surface)])
 
     out = []
-    for spec, taus in zip(specs, ladders):
-        d = spec.direction
+    for d in directions:
         adj_bulk = float(np.dot(w * d.bulk, h0.bulk))
         adj_surf = float(np.dot(d.surface, h0.surface))
 
         D, j_plus, j_minus = [], [], []
-        for tau in taus:
+        for tau in TAU_LADDER:
             jp, jm = next(energies), next(energies)
             j_plus.append(jp)
             j_minus.append(jm)
             D.append((jp - jm) / (2 * tau))
-        rich = (4 * D[-1] - D[-2]) / 3 if len(D) >= 2 else D[-1]
-        trend_ok = True
-        if len(D) >= 3:
-            e_prev, e_last = abs(D[-2] - rich), abs(D[-1] - rich)
-            trend_ok = e_last <= 0.5 * e_prev or e_last < 1e-12
-        coeffs = np.polyfit(np.array([*taus, 0.0, *(-t for t in taus)]),
+        rich = (4 * D[-1] - D[-2]) / 3
+        e_prev, e_last = abs(D[-2] - rich), abs(D[-1] - rich)
+        trend_ok = e_last <= 0.5 * e_prev or e_last < 1e-12
+        coeffs = np.polyfit(np.array([*TAU_LADDER, 0.0, *(-t for t in TAU_LADDER)]),
                             np.array([*j_plus, j0, *j_minus]), 2)
-        budget = {"fd_truncation": taus[-1]**2 * abs(coeffs[0]),
+        budget = {"fd_truncation": TAU_LADDER[-1]**2 * abs(coeffs[0]),
                   "time_discretization": tg.dt,
                   "synthesis_residual": h0_norm * h3_proxy_norm(d, g)}
         out.append({

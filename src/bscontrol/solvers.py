@@ -382,6 +382,21 @@ def _observation_source(Psi: SpaceTimeField, theta: float, theta_s: float,
     return SpaceTimeField(bulk, surface)
 
 
+def linear_cascade_rows(Psi: SpaceTimeField, H: SpaceTimeField, v: np.ndarray,
+                        ops: LinearOperatorSet, theta: float, theta_s: float,
+                        masks: RegionMasks) -> dict:
+    """The frozen linear rows L(Psi,H,v) on cells (slice c holds cell c):
+    `apply_L`'s rows minus the control and the `_observation_source` coupling."""
+    rP = apply_L(Psi, ops, "L")
+    rP.bulk[1:] -= v[1:] * masks.omega_nodes[None, :]
+    rH = apply_L(H, ops, "Lstar")
+    coupling = _observation_source(Psi, theta, theta_s, masks)
+    for rows, c in ((rH.bulk, coupling.bulk), (rH.surface, coupling.surface)):
+        rows[1:] = rows[:-1] - c[1:]
+        rows[0] = 0.0
+    return {"L1": rP.bulk, "L3": rP.surface, "L2": rH.bulk, "L4": rH.surface}
+
+
 def solve_linearized_cascade(ops: LinearOperatorSet, F: SpaceTimeField,
                              G: SpaceTimeField, v: np.ndarray,
                              theta: float, theta_s: float,

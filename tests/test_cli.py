@@ -287,6 +287,7 @@ def test_sweep_csv_keeps_detail_one_field(tmp_path):
 
 def test_synthesize_reports_backward_error(tmp_path):
     summary = cmd_synthesize(_small_config(), str(tmp_path))
+    assert set(summary["fi"]) == {"backward_error", "lhs_rhs_ratios"}
     assert 0 < summary["fi"]["backward_error"] <= 1e-14
 
 

@@ -10,8 +10,7 @@ import pytest
 
 from bscontrol.errors import ContractError
 from bscontrol.fi import (apply_residual_R, bilinear_B, cascade_residual_check,
-                          galerkin_check, linear_F, solution_summary,
-                          verify_p1, verify_p2)
+                          galerkin_check, linear_F)
 from bscontrol.geometry import SpaceTimeField
 from bscontrol.solvers import solve_linearized_cascade
 
@@ -162,27 +161,35 @@ def test_recovered_field_structure(fi_solved, bundle):
     assert np.all(sol.v[1:][dead] == 0)
 
 
-def test_verify_p1_p2_finite(fi_solved):
-    p1 = verify_p1(fi_solved)
-    p2 = verify_p2(fi_solved)
-    for key in ("ratio_c21", "ratio_c41"):
-        assert math.isfinite(p1[key]) and p1[key] >= 0
-    for key in ("ratio_c25", "ratio_c26", "ratio_c27", "ratio_c28"):
-        assert math.isfinite(p2[key]) and p2[key] >= 0
+def test_lhs_rhs_ratios_finite(fi_solved):
+    ratios = fi_solved.lhs_rhs_ratios
+    assert set(ratios) == {"c21", "c41", "c25", "c26", "c27", "c28"}
+    for key, val in ratios.items():
+        assert math.isfinite(val) and val >= 0, key
 
 
 def test_verify_zero_data_ratio_zero(bundle):
     g = bundle.grid
     M = bundle.time_grid.step_count
     sol = bundle.fi_solver.solve(SpaceTimeField.zeros(g, M + 1))
-    p1 = verify_p1(sol)
-    assert p1["ratio_c21"] == 0.0 and p1["ratio_c41"] == 0.0
+    ratios = sol.lhs_rhs_ratios
+    assert ratios["c21"] == 0.0 and ratios["c41"] == 0.0
 
 
-def test_solution_summary_schema(fi_solved):
-    out = solution_summary(fi_solved)
-    assert set(out) == {"backward_error", "lhs_rhs_ratios"}
-    assert set(out["lhs_rhs_ratios"]) == {"c21", "c41", "c25", "c26", "c27", "c28"}
+def test_ratios_follow_a_replaced_solutions_sources(fi_solved):
+    """A `replace` copy measures its ratios against its own sources: the
+    same (c16) fields against doubled (F, G) give c21 and c41 a quarter of
+    the original's, and against zero sources a ContractError."""
+    sol = fi_solved
+    F2, G2 = (SpaceTimeField(2 * S.bulk, 2 * S.surface) for S in (sol.F, sol.G))
+    doubled = dataclasses.replace(sol, F=F2, G=G2).lhs_rhs_ratios
+    for key in ("c21", "c41"):
+        assert doubled[key] == pytest.approx(sol.lhs_rhs_ratios[key] / 4, rel=1e-12)
+    zero = SpaceTimeField.zeros(sol.problem.grid, sol.F.n_slices)
+    zeroed = dataclasses.replace(sol, F=zero, G=zero)
+    with pytest.raises(ContractError, match="identically zero sources"):
+        zeroed.lhs_rhs_ratios
+    assert "resolved" not in vars(zeroed)   # refused before the re-solve
 
 
 def test_tame_weights_plumbing_oracle(tame_setup):

@@ -8,15 +8,16 @@ import numpy as np
 import pytest
 
 from bscontrol import insensitize, solvers
-from bscontrol.errors import SmallnessViolationError
-from bscontrol.fi import FISolver, cascade_residual_check, verify_p2
+from bscontrol.errors import ContractError, SmallnessViolationError
+from bscontrol.fi import FISolver, cascade_residual_check
 from bscontrol.geometry import (BulkSurfaceField, SpaceTimeField, h3_proxy_norm,
                                 node_gradient, normal_derivative, sbp_laplacian)
-from bscontrol.insensitize import (PerturbationSpec, apply_A_derivative,
-                                   evaluate_J, insensitivity_check,
-                                   linear_cascade_rows, nonlinear_parts_A,
-                                   quadratic_energy, synthesize, x_norm_sq_log)
-from bscontrol.solvers import coefficient_preset, solve_quasilinear_cascade
+from bscontrol.insensitize import (apply_A_derivative, evaluate_J,
+                                   insensitivity_check, nonlinear_parts_A,
+                                   quadratic_energy, random_direction,
+                                   synthesize)
+from bscontrol.solvers import (coefficient_preset, linear_cascade_rows,
+                               solve_quasilinear_cascade)
 
 from conftest import duality_identity_check, make_bundle
 
@@ -42,11 +43,11 @@ def _random_states(bundle, rng, scale=1e-3):
     return smooth(), smooth()
 
 
-def test_perturbation_spec_unit_norm(bundle):
+def test_random_direction_unit_norm(bundle):
     rng = np.random.default_rng(0)
-    spec = PerturbationSpec.random(bundle.grid, rng)
-    assert h3_proxy_norm(spec.direction, bundle.grid) == pytest.approx(1.0, rel=1e-12)
-    assert spec.direction.is_trace_compatible(1e-12)
+    d = random_direction(bundle.grid, rng)
+    assert h3_proxy_norm(d, bundle.grid) == pytest.approx(1.0, rel=1e-12)
+    assert d.is_trace_compatible(1e-12)
 
 
 def test_nonlinear_parts_zero_state(bundle):
@@ -223,7 +224,7 @@ def test_one_cascade_resolve_per_solve(monkeypatch):
     rep = synthesize(F, bundle)
     assert calls["cascade"] == calls["solve"] == rep.iterations >= 1
     cascade_residual_check(rep.fi_solution)
-    verify_p2(rep.fi_solution)
+    rep.fi_solution.lhs_rhs_ratios
     assert calls["cascade"] == calls["solve"] == rep.iterations
 
 
@@ -280,13 +281,13 @@ def test_evaluate_J_at_zero_is_the_report_energy(bundle, source, synth):
     j0 = quadratic_energy(synth.quasi_states[0], bundle)
     assert j0 > 0
     for _ in range(3):
-        d = PerturbationSpec.random(bundle.grid, rng).direction
+        d = random_direction(bundle.grid, rng)
         assert evaluate_J(bundle, source, synth.v, 0.0, d) == j0
 
 
 def test_duality_identity(bundle, source, synth):
     rng = np.random.default_rng(5)
-    d = PerturbationSpec.random(bundle.grid, rng).direction
+    d = random_direction(bundle.grid, rng)
     const = duality_identity_check(bundle, source, synth.v, d, quasilinear=False)
     assert const["relative"] <= 1e-10
     quasi = duality_identity_check(bundle, source, synth.v, d, quasilinear=True)
@@ -307,15 +308,15 @@ def test_duality_quasilinear_within_budget():
     for M in (64, 128):
         b, F = make_bundle(N=32, M=M, amplitude=0.5)
         rng = np.random.default_rng(6)
-        d = PerturbationSpec.random(b.grid, rng).direction
+        d = random_direction(b.grid, rng)
         r = duality_identity_check(b, F, None, d, quasilinear=True)["relative"]
         assert r <= 1e-12
 
 
 def test_insensitivity_check_structure(bundle, source, synth):
     rng = np.random.default_rng(7)
-    specs = [PerturbationSpec.random(bundle.grid, rng)]
-    out = insensitivity_check(bundle, source, synth, specs)[0]
+    directions = [random_direction(bundle.grid, rng)]
+    out = insensitivity_check(bundle, source, synth, directions)[0]
     assert abs(out["fd_derivative"]) <= 1e-4
     assert abs(out["adjoint_total"]) <= 1e-4
     assert abs(out["linear_coeff"]) <= 1e-4
@@ -323,6 +324,13 @@ def test_insensitivity_check_structure(bundle, source, synth):
     assert out["discrepancy"] <= max(1e-6, 10 * out["error_budget"]["fd_truncation"]
                                      + out["error_budget"]["synthesis_residual"])
     assert out["trend_ok"]
+
+
+def test_insensitivity_check_refuses_a_direction_off_its_trace(bundle, source, synth):
+    d = random_direction(bundle.grid, np.random.default_rng(7))
+    d.surface[0] += 1e-6
+    with pytest.raises(ContractError, match="trace-compatible"):
+        insensitivity_check(bundle, source, synth, [d])
 
 
 def test_disjoint_support_adjoint_zero(bundle, source, synth):
@@ -340,11 +348,10 @@ def test_disjoint_support_adjoint_zero(bundle, source, synth):
 
 def test_norms_homogeneity(bundle, synth):
     sol = synth.fi_solution
-    log1 = x_norm_sq_log(sol, bundle)
+    log1 = sol.log_x_norm_sq
     Psi2 = SpaceTimeField(2 * sol.Psi.bulk, 2 * sol.Psi.surface)
     H2 = SpaceTimeField(2 * sol.H.bulk, 2 * sol.H.surface)
-    log2 = x_norm_sq_log(dataclasses.replace(sol, Psi=Psi2, H=H2, v=2 * sol.v),
-                         bundle)
+    log2 = dataclasses.replace(sol, Psi=Psi2, H=H2, v=2 * sol.v).log_x_norm_sq
     assert log2 - log1 == pytest.approx(math.log(4.0), abs=1e-9)
 
 
@@ -352,5 +359,5 @@ def test_norms_zero(bundle):
     g = bundle.grid
     M = bundle.time_grid.step_count
     zero = SpaceTimeField.zeros(g, M + 1)
-    assert x_norm_sq_log(bundle.fi_solver.solve(zero), bundle) == -math.inf
+    assert bundle.fi_solver.solve(zero).log_x_norm_sq == -math.inf
     assert all(lg == -math.inf for lg in bundle.log_source_norms(zero, zero).values())
