@@ -27,7 +27,7 @@ for lam in (1.0, 2.0, 10.0):
 params = validate_params(WeightParams(lam=1.0, m=2.3, s_coeff=1.0), tgrid.horizon)
 print(f"frozen parameters: s = {params.s}, lambda = {params.lam}, m = {params.m}")
 
-eta = build_eta(grid, masks, 0.5)
+eta = build_eta(grid, masks)
 print(f"eta gradient floor outside the inner region: {eta.floor:.4f} "
       f"(required {eta.floor_required:.4f})")
 

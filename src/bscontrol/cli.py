@@ -63,12 +63,10 @@ DEFAULTS = {
     "masks": {"omega": "0.25,0.75", "obs_bulk": "0.35,0.65",
               "obs_surface": "left,right", "margin": "0.02"},
     "coefficients": {"preset": "logistic"},
-    "weights": {"lambda": "1.0", "m": "2.3", "s_coeff": "1.0",
-                "eta_peak": "0.5"},
+    "weights": {"lambda": "1.0", "m": "2.3", "s_coeff": "1.0"},
     "functional": {"theta": "1.0", "theta_s": "0.5"},
     "source": {"family": "gaussian", "amplitude": "1e-3",
                "center": "0.45", "width": "0.12"},
-    "solver": {"loop_tol": "1e-9", "max_outer": "30"},
     "run": {"seed": "12345"},
 }
 
@@ -137,31 +135,24 @@ def load_config(path: str | None, seed_override: int | None = None) -> RunConfig
                     raise ConfigurationError(
                         f"unknown key '{key}' in section [{section}]")
                 raw[section][key] = val
-    seed = raw["run"]["seed"] if seed_override is None else seed_override
-    try:
-        value = int(seed)
-    except ValueError as exc:
-        raise ConfigurationError(f"[run] seed = {seed!r}: not an integer") from exc
-    if value < 0:
+    cfg = RunConfig(raw=raw, seed=seed_override)
+    if seed_override is None:
+        cfg.seed = cfg.geti("run", "seed")
+    if cfg.seed < 0:
         # numpy's default_rng accepts only non-negative seeds
-        raise ConfigurationError(f"[run] seed = {seed!r}: must be >= 0")
-    return RunConfig(raw=raw, seed=value)
+        given = cfg.get("run", "seed") if seed_override is None else seed_override
+        raise ConfigurationError(f"[run] seed = {given!r}: must be >= 0")
+    return cfg
 
 
 def build_setup(cfg: RunConfig):
     """Construct the full synthesis bundle plus the configured source."""
     theta = cfg.getf("functional", "theta")
     theta_s = cfg.getf("functional", "theta_s")
-    max_outer = cfg.geti("solver", "max_outer")
     if not theta > 0:
         raise ConfigurationError(f"[functional] theta = {theta}: must be > 0")
     if not theta_s >= 0:
         raise ConfigurationError(f"[functional] theta_s = {theta_s}: must be >= 0")
-    if max_outer < 1:
-        raise ConfigurationError(f"[solver] max_outer = {max_outer}: must be >= 1")
-    loop_tol = cfg.getf("solver", "loop_tol")
-    if loop_tol < 0:
-        raise ConfigurationError(f"[solver] loop_tol = {loop_tol}: must be >= 0")
     grid = build_grid(cfg.getf("grid", "length"), cfg.geti("grid", "cells"))
     tgrid = build_time_grid(cfg.getf("time", "horizon"), cfg.geti("time", "steps"))
     surf = [s.strip() for s in cfg.get("masks", "obs_surface").split(",") if s.strip()]
@@ -173,18 +164,18 @@ def build_setup(cfg: RunConfig):
     params = validate_params(WeightParams(
         lam=cfg.getf("weights", "lambda"), m=cfg.getf("weights", "m"),
         s_coeff=cfg.getf("weights", "s_coeff")), tgrid.horizon)
-    eta_peak = cfg.getf("weights", "eta_peak")
     try:
-        eta = build_eta(grid, masks, eta_peak)
+        eta = build_eta(grid, masks)
     except ContractError as exc:
-        raise ConfigurationError(f"[weights] eta_peak = {eta_peak}: {exc}") from exc
+        raise ConfigurationError(
+            f"[masks] omega = {cfg.get('masks', 'omega')}, obs_bulk = "
+            f"{cfg.get('masks', 'obs_bulk')}: {exc}") from exc
     tables = build_weight_tables(grid, tgrid, eta, params)
     chi = build_chi(grid, masks)
     ops = LinearOperatorSet.from_coefficients(cs, grid, tgrid)
     bundle = SynthesisBundle(
         cs=cs, grid=grid, time_grid=tgrid, masks=masks, tables=tables,
-        chi=chi, ops=ops, theta=theta, theta_s=theta_s,
-        loop_tol=loop_tol, max_outer=max_outer)
+        chi=chi, ops=ops, theta=theta, theta_s=theta_s)
     F = build_source(cfg, bundle)
     return bundle, F
 
@@ -295,22 +286,22 @@ def cmd_synthesize(cfg: RunConfig, outdir: str) -> dict:
     directions = [random_direction(bundle.grid, rng) for _ in range(3)]
     checks = insensitivity_check(bundle, F, report, directions)
     # the final control's estimates against (F, 0); the copy re-solves under it
-    sol = report.fi_solution and dataclasses.replace(
-        report.fi_solution, F=F, G=SpaceTimeField.zeros(bundle.grid, F.n_slices))
+    sol = dataclasses.replace(report.fi_solution, F=F,
+                              G=SpaceTimeField.zeros(bundle.grid, F.n_slices))
     summary = {
         "config_hash": cfg.hash(),
         "seed": cfg.seed,
         "status": report.status,
         "iterations": report.iterations,
         "increments": report.increments,
-        "h0_norm": {"linear": report.h0_norm_linear,
+        "h0_norm": {"linear": report.h0_history[-1],
                     "quasilinear": report.h0_norm_quasilinear},
-        "log_x_norm_sq": report.log_x_norm_sq,
+        "log_x_norm_sq": report.fi_solution.log_x_norm_sq,
         "log_y_norm_sq": report.log_y_norm_sq,
-        "v_norms": sol.log_norms if sol else {},
-        "optimality_residual": sol.optimality_residual if sol else 0.0,
+        "v_norms": sol.log_norms,
+        "optimality_residual": sol.optimality_residual,
         "fi": {"backward_error": sol.backward_error,
-               "lhs_rhs_ratios": sol.lhs_rhs_ratios} if sol else {},
+               "lhs_rhs_ratios": sol.lhs_rhs_ratios},
         "insensitivity": checks,
         "wall_seconds": time.perf_counter() - t0,
     }
@@ -394,9 +385,9 @@ def cmd_sweep(cfg: RunConfig, parameter: str, values: list[str], outdir: str) ->
                 operator_key = key
             rep = synthesize(F, bundle)
             row.update(status=rep.status, iterations=rep.iterations,
-                       h0_linear=rep.h0_norm_linear,
+                       h0_linear=rep.h0_history[-1],
                        h0_quasilinear=rep.h0_norm_quasilinear,
-                       log_x_norm_sq=rep.log_x_norm_sq,
+                       log_x_norm_sq=rep.fi_solution.log_x_norm_sq,
                        log_y_norm_sq=rep.log_y_norm_sq)
         except SmallnessViolationError as exc:
             row.update(status="smallness-violation", detail=str(exc))

@@ -48,6 +48,11 @@ from .weights import log_add, log_ratio, log_weighted_sq_sum
 # its Richardson step and its trend test assume
 TAU_LADDER = (1e-2, 5e-3, 2.5e-3)
 
+# the outer loop's stop settings: it has converged when an increment is at
+# most LOOP_TOL, and it ends `max_outer_reached` after MAX_OUTER solves
+LOOP_TOL = 1e-9
+MAX_OUTER = 30
+
 
 def random_direction(grid: SpatialGrid, rng) -> BulkSurfaceField:
     """A random trace-compatible direction of unit discrete H^3 proxy norm."""
@@ -65,15 +70,14 @@ def random_direction(grid: SpatialGrid, rng) -> BulkSurfaceField:
 @dataclass(frozen=True)
 class SynthesisBundle(FIProblem):
     """The least-squares operator plus what the outer loop adds to it: the
-    coefficients of the quasilinear cascade and the loop's stop settings.
+    coefficients of the quasilinear cascade, and the solver it caches.  The
+    loop's stop settings are the module constants LOOP_TOL and MAX_OUTER.
 
     Frozen, so that the least-squares solver cached on it can never go
     stale: a bundle with other fields is a new bundle with its own solver.
     """
 
     cs: CoefficientSet
-    loop_tol: float
-    max_outer: int
 
     @functools.cached_property
     def fi_solver(self) -> FISolver:
@@ -91,17 +95,18 @@ class SynthesisBundle(FIProblem):
 
 @dataclass
 class SynthesisReport:
-    v: np.ndarray
+    """The outer loop's result.  Each number is kept once: the control is
+    `fi_solution.v`, the X norm `fi_solution.log_x_norm_sq`, and the linear
+    cascade's ||h(.,0)|| the last entry of `h0_history`."""
+
     iterations: int
     increments: list
-    h0_norm_linear: float
     h0_norm_quasilinear: float
-    log_x_norm_sq: float
     log_y_norm_sq: float
     status: str
     quasi_states: tuple             # (Psi, H) of the quasilinear cascade under v
     h0_history: list
-    fi_solution: FISolution | None
+    fi_solution: FISolution         # the last committed solve
 
 
 # --- nonlinear parts ---------------------------------------------------------
@@ -207,16 +212,18 @@ def synthesize(F: SpaceTimeField, bundle: SynthesisBundle) -> SynthesisReport:
     Every iteration solves with `bundle.fi_solver`, so the loop, and every
     later synthesis on the same bundle, shares one factorization; an
     iterate's states are its solution's re-solved cascade, `resolved`.
-    Convergence is declared when the X-norm of the increment drops below
-    loop_tol relative to the X-norm of the current triple; three
+    Convergence is declared when the X-norm of the increment drops to
+    LOOP_TOL relative to the X-norm of the current triple; three
     consecutive non-decreasing increments above 0.1 raise
     SmallnessViolationError (the small-data radius proxy).  A solve is
     committed only after that stop test, so `converged_floor` (a
     non-decreasing increment at or below 0.1) returns the pre-bounce
     iterate, but `iterations` counts the discarded solve: the default
     random_fourier run reports 4 iterations and writes 3 rows to
-    `iterations.csv`.  The report keeps the cascade states in
-    `quasi_states` for the insensitivity check and the trajectory output.
+    `iterations.csv`.  The first solve always commits (there is no earlier
+    increment to bounce from), so the report always holds a solution.  It
+    keeps the quasilinear cascade states in `quasi_states` for the
+    insensitivity check and the trajectory output.
     """
     g, tg = bundle.grid, bundle.time_grid
     M = tg.step_count
@@ -224,12 +231,10 @@ def synthesize(F: SpaceTimeField, bundle: SynthesisBundle) -> SynthesisReport:
     Psi, H = zero_st, zero_st.copy()
     v = np.zeros((M + 1, g.n_nodes))
     increments, h0_history = [], []
-    sol = None
     status = "max_outer_reached"
     n_bad = 0
-    its = 0
 
-    for its in range(1, bundle.max_outer + 1):
+    for its in range(1, MAX_OUTER + 1):
         A = nonlinear_parts_A(Psi, H, bundle.cs, bundle.ops)
         Feff = SpaceTimeField(F.bulk + A["A1"], F.surface + A["A3"])
         Geff = SpaceTimeField(A["A2"], A["A4"])
@@ -249,7 +254,7 @@ def synthesize(F: SpaceTimeField, bundle: SynthesisBundle) -> SynthesisReport:
         inc = log_ratio(log_dx, log_x) ** 0.5 if log_x > -math.inf else 0.0
 
         prev_inc = increments[-1] if increments else math.inf
-        if inc > bundle.loop_tol and inc >= prev_inc:
+        if inc > LOOP_TOL and inc >= prev_inc:
             if prev_inc <= 0.1:
                 # contraction has reached the solver noise floor: iterating
                 # further only recirculates Laplacian-amplified solve noise
@@ -267,7 +272,7 @@ def synthesize(F: SpaceTimeField, bundle: SynthesisBundle) -> SynthesisReport:
         sol, Psi, H, v = new_sol, Psi_new, H_new, new_sol.v
         increments.append(inc)
         h0_history.append(l2_norm(H_new.slice(0), g))
-        if inc <= bundle.loop_tol:
+        if inc <= LOOP_TOL:
             status = "converged"
             break
 
@@ -275,10 +280,8 @@ def synthesize(F: SpaceTimeField, bundle: SynthesisBundle) -> SynthesisReport:
         bundle.cs, g, tg, F, v, bundle.theta, bundle.theta_s, bundle.masks)
 
     return SynthesisReport(
-        v=v, iterations=its, increments=increments,
-        h0_norm_linear=l2_norm(H.slice(0), g),
+        iterations=its, increments=increments,
         h0_norm_quasilinear=l2_norm(H_q.slice(0), g),
-        log_x_norm_sq=sol.log_x_norm_sq if sol else -math.inf,
         log_y_norm_sq=log_add(*bundle.log_source_norms(F, zero_st).values()),
         status=status, h0_history=h0_history,
         fi_solution=sol, quasi_states=(Psi_q, H_q))
@@ -333,7 +336,7 @@ def insensitivity_check(bundle: SynthesisBundle, F: SpaceTimeField,
         raise ContractError("perturbation direction must be trace-compatible")
     if not directions:
         return []
-    g, tg, v = bundle.grid, bundle.time_grid, report.v
+    g, tg, v = bundle.grid, bundle.time_grid, report.fi_solution.v
     Psi_q, H_q = report.quasi_states
     j0 = quadratic_energy(Psi_q, bundle)
     h0 = H_q.slice(0)

@@ -210,19 +210,18 @@ def _horner(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     return y
 
 
-def build_eta(grid: SpatialGrid, masks: RegionMasks, peak: float) -> EtaProfile:
+def build_eta(grid: SpatialGrid, masks: RegionMasks) -> EtaProfile:
     """Piecewise-quintic profile: 0 at both ends, 1 at the peak, monotone arcs.
 
-    The two Hermite arcs share the second derivative at the peak
+    The peak c is the midpoint of omega1, where the Carleman weights need
+    eta's maximum; for the default masks it is 0.5 exactly.  The two
+    Hermite arcs share the second derivative at the peak
     (ETA_KAPPA / max(c, L-c)^2 in x units) so eta is C^2.  Monotonicity
     and the gradient floor outside omega1 are verified on ETA_CHECK_SAMPLES
-    dense samples; violations raise with the measured floor.  Each arc is
-    evaluated on its own side of the peak only.
+    dense samples; violations raise a ContractError with the measured
+    floor.  Each arc is evaluated on its own side of the peak only.
     """
-    L, c = grid.length, float(peak)
-    if not (masks.omega1[0] < c < masks.omega1[1]):
-        raise ContractError(
-            f"eta peak {c} must lie strictly inside omega1={masks.omega1}")
+    L, c = grid.length, (masks.omega1[0] + masks.omega1[1]) / 2
     span = max(c, L - c)
     d2_peak = ETA_KAPPA / span**2
     # each side's arc and slope coefficients, highest power first, and dx/du

@@ -170,8 +170,8 @@ def test_criterion_9_outer_loop_contraction():
                 "cj,j,cj->", v[1:], _g.trapezoid_weights(), v[1:])
                 * _b.time_grid.dt))
 
-        vs_linear.append(abs(math.log(vnorm(rep.v) / vnorm(sol_lin.v))))
-        ctrl_src.append(math.log(max(vnorm(rep.v), 1e-300))
+        vs_linear.append(abs(math.log(vnorm(rep.fi_solution.v) / vnorm(sol_lin.v))))
+        ctrl_src.append(math.log(max(vnorm(rep.fi_solution.v), 1e-300))
                         - 0.5 * rep.log_y_norm_sq)
     band = max(ctrl_src) - min(ctrl_src)
     ok = (max(ratios) <= 0.5 and max(iters) <= 10

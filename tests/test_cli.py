@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from bscontrol import fi, insensitize, solvers
-from bscontrol.cli import (build_setup, cmd_diagnose, cmd_sweep, cmd_synthesize,
-                           load_config, main)
+from bscontrol.cli import (DEFAULTS, RunConfig, build_setup, cmd_diagnose,
+                           cmd_sweep, cmd_synthesize, load_config, main)
 from bscontrol.errors import ConfigurationError
-from bscontrol.weights import admissible_time_profile
+from bscontrol.weights import admissible_time_profile, build_eta
 from bscontrol.insensitize import synthesize
 
 
@@ -53,13 +53,51 @@ def test_load_config_defaults_and_overrides(tmp_path):
 
 def test_load_config_rejects_unknown(tmp_path):
     path = tmp_path / "bad.cfg"
-    # the last four name no option: setting one must fail, not be ignored
+    # all but the first two name an option that no longer exists: setting
+    # one must fail, not be ignored
     for text in ("[grid]\nspacing = 0.1\n", "[warp]\nfactor = 2\n",
                  "[solver]\ncg_tol = 1e-10\n", "[solver]\ncg_max_iter = 100\n",
-                 "[solver]\nnewton_tol = 1e-11\n", "[weights]\nrho_clip = 700\n"):
+                 "[solver]\nnewton_tol = 1e-11\n", "[weights]\nrho_clip = 700\n",
+                 "[solver]\nloop_tol = 1e-9\n", "[solver]\nmax_outer = 30\n",
+                 "[weights]\neta_peak = 0.5\n"):
         path.write_text(text)
         with pytest.raises(ConfigurationError):
             load_config(str(path))
+
+
+def test_every_config_key_is_read(monkeypatch):
+    """Each key of DEFAULTS is read by a run, over the three source
+    families: a key that no run reads is an option that does nothing."""
+    read = set()
+    for name in ("get", "getf", "geti", "interval"):
+        def recorded(self, section, key, _getter=getattr(RunConfig, name)):
+            read.add((section, key))
+            return _getter(self, section, key)
+        monkeypatch.setattr(RunConfig, name, recorded)
+    for family in ("zero", "gaussian", "random_fourier"):
+        cfg = _small_config()
+        cfg.raw["source"]["family"] = family
+        build_setup(cfg)
+    assert read == {(section, key) for section, keys in DEFAULTS.items()
+                    for key in keys}
+
+
+def test_eta_peak_follows_the_masks(tmp_path):
+    """Masks away from the centre need no other setting: eta peaks at the
+    midpoint of omega1, here (0.21, 0.44), and the synthesis runs."""
+    path = tmp_path / "shifted.cfg"
+    path.write_text("[masks]\nomega = 0.1,0.55\nobs_bulk = 0.15,0.5\n")
+    assert main(["synthesize", "--config", str(path), "--out", str(tmp_path)]) == 0
+    bundle, _ = build_setup(load_config(str(path)))
+    g, (lo, hi) = bundle.grid, bundle.masks.omega1
+    assert (lo + hi) / 2 == pytest.approx(0.325)
+    eta = build_eta(g, bundle.masks)
+    assert np.argmax(eta.values) == np.argmin(np.abs(g.x - (lo + hi) / 2))
+    # with omega1 = (0.08, 0.14) the midpoint-peaked eta is too flat
+    # outside omega1: a configuration error that names the masks
+    path.write_text("[masks]\nomega = 0.02,0.5\nobs_bulk = 0.02,0.2\n")
+    with pytest.raises(ConfigurationError, match=r"\[masks\] omega = .* gradient floor"):
+        build_setup(load_config(str(path)))
 
 
 def test_config_hash_seed_sensitivity(tmp_path):
@@ -244,9 +282,9 @@ def test_sweep_shares_factor_across_amplitudes(tmp_path, monkeypatch):
         rep = synthesize(F, bundle)
         assert row == {"parameter": "amplitude", "value": amp,
                        "status": rep.status, "iterations": rep.iterations,
-                       "h0_linear": rep.h0_norm_linear,
+                       "h0_linear": rep.h0_history[-1],
                        "h0_quasilinear": rep.h0_norm_quasilinear,
-                       "log_x_norm_sq": rep.log_x_norm_sq,
+                       "log_x_norm_sq": rep.fi_solution.log_x_norm_sq,
                        "log_y_norm_sq": rep.log_y_norm_sq}
 
 
@@ -289,6 +327,14 @@ def test_synthesize_reports_backward_error(tmp_path):
     summary = cmd_synthesize(_small_config(), str(tmp_path))
     assert set(summary["fi"]) == {"backward_error", "lhs_rhs_ratios"}
     assert 0 < summary["fi"]["backward_error"] <= 1e-14
+
+
+def test_synthesize_linear_h0_is_the_last_iteration_row(tmp_path):
+    cmd_synthesize(load_config(None), str(tmp_path))
+    summary = json.loads((tmp_path / "synthesis.json").read_text())
+    with open(tmp_path / "iterations.csv", newline="") as fh:
+        *_, last = csv.DictReader(fh)
+    assert summary["h0_norm"]["linear"] == float(last["h0_norm"])
 
 
 def test_synthesize_solves_one_quasilinear_cascade(tmp_path, monkeypatch):

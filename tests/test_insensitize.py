@@ -11,7 +11,8 @@ from bscontrol import insensitize, solvers
 from bscontrol.errors import ContractError, SmallnessViolationError
 from bscontrol.fi import FISolver, cascade_residual_check
 from bscontrol.geometry import (BulkSurfaceField, SpaceTimeField, h3_proxy_norm,
-                                node_gradient, normal_derivative, sbp_laplacian)
+                                l2_norm, node_gradient, normal_derivative,
+                                sbp_laplacian)
 from bscontrol.insensitize import (apply_A_derivative, evaluate_J,
                                    insensitivity_check, nonlinear_parts_A,
                                    quadratic_energy, random_direction,
@@ -141,7 +142,7 @@ def test_synthesize_zero_source(bundle):
     rep = synthesize(SpaceTimeField.zeros(g, M + 1), bundle)
     assert rep.status == "converged"
     assert rep.iterations == 1
-    assert np.all(rep.v == 0)
+    assert np.all(rep.fi_solution.v == 0)
     assert rep.h0_norm_quasilinear == 0.0
 
 
@@ -166,9 +167,10 @@ def test_synthesize_converges_small_data(synth):
 
 
 def test_synthesize_outer_loop_exits(monkeypatch):
-    """The loop's three exits under a patched sequence of increments:
-    `converged`; `converged_floor`, which returns the pre-bounce solve; and
-    three consecutive non-decreasing increments above 0.1, which raise."""
+    """The loop's four exits under a patched sequence of increments:
+    `converged`; `converged_floor`, which returns the pre-bounce solve;
+    `max_outer_reached` after MAX_OUTER solves; and three consecutive
+    non-decreasing increments above 0.1, which raise."""
     bundle, F = make_bundle(N=32, M=64)
     solve = FISolver.solve
     solves = []
@@ -186,12 +188,12 @@ def test_synthesize_outer_loop_exits(monkeypatch):
     monkeypatch.setattr(FISolver, "solve", recording_solve)
     rep = run([0.5, 0.05, 1e-12])
     assert rep.status == "converged" and rep.iterations == len(solves) == 3
-    assert rep.fi_solution is solves[-1] and rep.v is solves[-1].v
+    assert rep.fi_solution is solves[-1]
     assert len(rep.increments) == len(rep.h0_history) == 3
 
     rep = run([0.5, 0.05, 0.01, 0.02])
     assert rep.status == "converged_floor" and rep.iterations == len(solves) == 4
-    assert rep.fi_solution is solves[-2] and rep.v is solves[-2].v
+    assert rep.fi_solution is solves[-2]
     assert len(rep.increments) == len(rep.h0_history) == rep.iterations - 1
     assert rep.increments == pytest.approx([0.5, 0.05, 0.01])
 
@@ -199,6 +201,14 @@ def test_synthesize_outer_loop_exits(monkeypatch):
     with pytest.raises(SmallnessViolationError):
         run([0.5, 0.6, 0.7, 0.65, 0.7, 0.8, 0.9])
     assert len(solves) == 7
+
+    monkeypatch.setattr(insensitize, "MAX_OUTER", 3)
+    rep = run([0.5, 0.05, 0.01])
+    assert rep.status == "max_outer_reached" and rep.iterations == len(solves) == 3
+    assert rep.fi_solution is solves[-1]
+    # the linear h(.,0) norm is the committed states' own, to the bit
+    assert rep.h0_history[-1] == l2_norm(rep.fi_solution.resolved[1].slice(0),
+                                         bundle.grid)
 
 
 def test_one_cascade_resolve_per_solve(monkeypatch):
@@ -282,15 +292,16 @@ def test_evaluate_J_at_zero_is_the_report_energy(bundle, source, synth):
     assert j0 > 0
     for _ in range(3):
         d = random_direction(bundle.grid, rng)
-        assert evaluate_J(bundle, source, synth.v, 0.0, d) == j0
+        assert evaluate_J(bundle, source, synth.fi_solution.v, 0.0, d) == j0
 
 
 def test_duality_identity(bundle, source, synth):
     rng = np.random.default_rng(5)
     d = random_direction(bundle.grid, rng)
-    const = duality_identity_check(bundle, source, synth.v, d, quasilinear=False)
+    v = synth.fi_solution.v
+    const = duality_identity_check(bundle, source, v, d, quasilinear=False)
     assert const["relative"] <= 1e-10
-    quasi = duality_identity_check(bundle, source, synth.v, d, quasilinear=True)
+    quasi = duality_identity_check(bundle, source, v, d, quasilinear=True)
     assert quasi["relative"] <= 1e-12
 
 
@@ -340,7 +351,7 @@ def test_disjoint_support_adjoint_zero(bundle, source, synth):
     # representable, so take a direction vanishing on the whole grid
     d = BulkSurfaceField.zeros(bundle.grid)
     _, H = solve_quasilinear_cascade(bundle.cs, bundle.grid, bundle.time_grid,
-                                     source, synth.v, bundle.theta,
+                                     source, synth.fi_solution.v, bundle.theta,
                                      bundle.theta_s, bundle.masks)
     w = bundle.grid.trapezoid_weights()
     assert float(np.dot(w * d.bulk, H.bulk[0]) + np.dot(d.surface, H.surface[0])) == 0.0

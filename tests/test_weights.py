@@ -22,9 +22,18 @@ def geo():
     return g, m
 
 
+def _masks_around(grid, peak):
+    """Default-width masks whose omega1 has its midpoint, eta's peak, at
+    `peak` (to rounding)."""
+    m = build_masks(grid, (0.25, 0.75), (peak - 0.15, peak + 0.15),
+                    {"left", "right"}, 0.02)
+    assert sum(m.omega1) / 2 == pytest.approx(peak, abs=1e-15)
+    return m
+
+
 def test_eta_interpolation_conditions(geo):
     g, m = geo
-    eta = build_eta(g, m, 0.5)
+    eta = build_eta(g, m)
     peak = np.argmin(np.abs(g.x - 0.5))
     assert eta.values[peak] == pytest.approx(1.0, abs=1e-12)
     assert eta.values[0] == 0.0 and eta.values[-1] == 0.0
@@ -39,16 +48,16 @@ def test_eta_interpolation_conditions(geo):
 def test_eta_floor_off_center():
     g = build_grid(1.0, 128)
     m = build_masks(g, (0.3, 0.7), (0.5, 0.9), {"left"}, 0.02)
-    eta = build_eta(g, m, 0.6)  # omega1 = (0.56, 0.64)
+    eta = build_eta(g, m)  # omega1 = (0.56, 0.64), so the peak is at 0.6
     assert eta.floor >= 0.5 / max(0.6, 0.4)
     assert eta.floor == pytest.approx(eta.floor_required, rel=2.0)
 
 
-def _eta_both_arcs(grid, masks, peak):
+def _eta_both_arcs(grid, masks):
     """The reference evaluation: both arcs on every sample, np.where picks
     a side, the slopes from np.polyder; the profile's values and its
     gradient floor outside omega1."""
-    L, c = grid.length, peak
+    L, c = grid.length, (masks.omega1[0] + masks.omega1[1]) / 2
     d2_peak = ETA_KAPPA / max(c, L - c)**2
     arc_l = _quintic_arc(d2_peak * c**2)
     arc_r = _quintic_arc(d2_peak * (L - c)**2)
@@ -75,17 +84,11 @@ def _eta_both_arcs(grid, masks, peak):
 @pytest.mark.parametrize("peak", [0.45, 0.5, 0.55])
 def test_eta_one_sided_arcs_match_both_arc_evaluation(cells, peak):
     g = build_grid(1.0, cells)
-    m = build_masks(g, (0.25, 0.75), (0.35, 0.65), {"left", "right"}, 0.02)
-    eta = build_eta(g, m, peak)
-    values, floor = _eta_both_arcs(g, m, peak)
+    m = _masks_around(g, peak)
+    eta = build_eta(g, m)
+    values, floor = _eta_both_arcs(g, m)
     assert np.array_equal(eta.values, values)
     assert eta.floor == floor
-
-
-def test_eta_peak_outside_omega1_rejected(geo):
-    g, m = geo
-    with pytest.raises(ContractError):
-        build_eta(g, m, 0.2)
 
 
 def test_m_threshold_values():
@@ -121,7 +124,7 @@ def test_ell_branches_and_c1_matching():
 def test_weight_tables_alpha_beta_agree_first_half(geo):
     g, m = geo
     tg = build_time_grid(8.0, 64)
-    eta = build_eta(g, m, 0.5)
+    eta = build_eta(g, m)
     params = validate_params(WeightParams(), tg.horizon)
     t = build_weight_tables(g, tg, eta, params)
     first_half = t.t_mid <= tg.horizon / 2
@@ -136,7 +139,7 @@ def test_weight_tables_xi_zeta_values(monkeypatch):
     # agrees with beta wherever t(T-t) = ell (first half)
     g = build_grid(1.0, 64)
     m = build_masks(g, (0.25, 0.75), (0.35, 0.65), {"left"}, 0.01)
-    eta = build_eta(g, m, 0.5)
+    eta = build_eta(g, m)
     tg = build_time_grid(1.0, 16)
     params = validate_params(WeightParams(lam=2.0, m=2.0, s_coeff=1.0), 1.0)
     monkeypatch.setattr(weights, "MIN_LIVE_CELLS", 0)
@@ -162,9 +165,9 @@ def test_carleman_tables_built_on_first_read():
 @pytest.mark.parametrize("peak", [0.45, 0.5, 0.55])
 def test_carleman_tables_match_eager_expressions(cells, peak):
     g = build_grid(1.0, cells)
-    m = build_masks(g, (0.25, 0.75), (0.35, 0.65), {"left", "right"}, 0.02)
+    m = _masks_around(g, peak)
     tg = build_time_grid(8.0, 2 * cells)
-    eta = build_eta(g, m, peak)
+    eta = build_eta(g, m)
     params = validate_params(WeightParams(), tg.horizon)
     t = build_weight_tables(g, tg, eta, params)
     t.carleman_log_weights
@@ -182,7 +185,7 @@ def test_carleman_tables_match_eager_expressions(cells, peak):
 
 def test_weight_tables_live_window_guard(geo):
     g, m = geo
-    eta = build_eta(g, m, 0.5)
+    eta = build_eta(g, m)
     tg = build_time_grid(1.0, 64)   # T too short: mu0^{-2} underflows everywhere
     params = validate_params(WeightParams(), 1.0)
     with pytest.raises(ResolutionError):
@@ -191,7 +194,7 @@ def test_weight_tables_live_window_guard(geo):
 
 def test_mu_family_log_decay_near_zero(geo):
     g, m = geo
-    eta = build_eta(g, m, 0.5)
+    eta = build_eta(g, m)
     tg = build_time_grid(8.0, 128)
     t = build_weight_tables(g, tg, eta, validate_params(WeightParams(), 8.0))
     # log mu0 decreases from the first midpoint to the second, and the gap
@@ -266,7 +269,7 @@ def test_carleman_functional_zero_and_two_routes(bundle):
 def test_carleman_functional_monotone_in_s(geo, monkeypatch):
     # doubling s multiplies every term weight by e^{-2 s alpha} again
     g, m = geo
-    eta = build_eta(g, m, 0.5)
+    eta = build_eta(g, m)
     tg = build_time_grid(8.0, 32)
     params1 = validate_params(WeightParams(s_coeff=1.0), 8.0)
     params2 = validate_params(WeightParams(s_coeff=2.0), 8.0)
