@@ -24,10 +24,10 @@ from .solvers import (CoefficientSet, LinearOperatorSet, apply_L,
                       solve_linearized_cascade, solve_quasilinear,
                       solve_quasilinear_cascade, solve_sensitivity,
                       validate_coefficients)
-from .fi import (FIProblem, FISolution, FISolver, apply_residual_R,
-                 bilinear_B, cascade_residual_check, galerkin_check, linear_F)
+from .fi import (FIProblem, FISolution, FISolver, cascade_residual_check,
+                 galerkin_check)
 from .insensitize import (TAU_LADDER, SynthesisBundle, SynthesisReport,
-                          apply_A_derivative, evaluate_J, insensitivity_check,
-                          nonlinear_parts_A, random_direction, synthesize)
+                          evaluate_J, insensitivity_check, nonlinear_parts_A,
+                          random_direction, synthesize)
 
 __version__ = "0.1.0"

@@ -340,9 +340,6 @@ def cmd_diagnose(cfg: RunConfig, which: str, outdir: str) -> dict:
     elif which == "estimates":
         rep = check_elementary_estimates(bundle.tables, bundle.time_grid.dt)
         out.update(**rep, passed=bool(rep["identity_max_live"] <= 1e-12))
-    elif which == "gradient":
-        err = diagnostics.gradient_check(bundle.cs, bundle.ops, rng)
-        out.update(relative_error=err, passed=bool(err <= 1e-6))
     elif which == "convergence":
         rep = diagnostics.convergence_orders(bundle.cs)
         out.update(**rep, passed=bool(rep["spatial_order_min"] >= 1.9
@@ -416,7 +413,7 @@ def main(argv=None) -> int:
         if name == "diagnose":
             p.add_argument("--which", required=True,
                            choices=["duality", "carleman", "estimates",
-                                    "gradient", "convergence"])
+                                    "convergence"])
         if name == "sweep":
             p.add_argument("--parameter", required=True)
             p.add_argument("--values", required=True,

@@ -1,4 +1,4 @@
-"""The CLI's `diagnose` suites duality, convergence and gradient.
+"""The CLI's `diagnose` suites duality and convergence.
 
 The carleman and estimates suites are `weights.empirical_carleman_check`
 and `weights.check_elementary_estimates`.
@@ -12,7 +12,6 @@ import numpy as np
 
 from .geometry import (BulkSurfaceField, SpaceTimeField, build_grid,
                        build_time_grid, st_inner)
-from .insensitize import apply_A_derivative, nonlinear_parts_A
 from .solvers import (CoefficientSet, LinearOperatorSet, duality_gap,
                       solve_linear_forward)
 
@@ -82,42 +81,3 @@ def convergence_orders(cs: CoefficientSet) -> dict:
     return {"spatial_errors": es, "spatial_orders": spatial,
             "temporal_errors": et, "temporal_order": temporal_inc,
             "spatial_order_min": min(spatial)}
-
-
-def gradient_check(cs: CoefficientSet, ops: LinearOperatorSet, rng) -> float:
-    """Central FD of the nonlinear part against its listed derivative.
-
-    Relative error of (A(x + eps d) - A(x - eps d)) / (2 eps) against
-    DA(x) d over all four blocks, at a random smooth base and direction of
-    size `amplitude`.
-    """
-    g, tg = ops.grid, ops.time_grid
-    M = tg.step_count
-    eps, amplitude = 1e-5, 0.1
-
-    def smooth():
-        x = g.x / g.length
-        t = np.linspace(0, 1, M + 1)
-        out = np.zeros((M + 1, g.n_nodes))
-        for kx in range(3):
-            for kt in range(2):
-                out += (rng.standard_normal() / (1 + kx + kt)
-                        * np.outer(np.cos(np.pi * kt * t + rng.uniform(0, 6.3)),
-                                   np.cos(np.pi * kx * x + rng.uniform(0, 6.3))))
-        return SpaceTimeField.from_bulk(amplitude * out)
-
-    Psi, H, Phi, K = smooth(), smooth(), smooth(), smooth()
-
-    def shifted(base, direction, sgn):
-        return SpaceTimeField(base.bulk + sgn * eps * direction.bulk,
-                              base.surface + sgn * eps * direction.surface)
-
-    Ap = nonlinear_parts_A(shifted(Psi, Phi, +1), shifted(H, K, +1), cs, ops)
-    Am = nonlinear_parts_A(shifted(Psi, Phi, -1), shifted(H, K, -1), cs, ops)
-    DA = apply_A_derivative(Psi, H, Phi, K, cs, ops)
-    num, den = 0.0, 0.0
-    for key in ("A1", "A2", "A3", "A4"):
-        fd = (Ap[key] - Am[key]) / (2 * eps)
-        num += float(np.sum((fd - DA[key])**2))
-        den += float(np.sum(DA[key]**2))
-    return math.sqrt(num / max(den, 1e-300))

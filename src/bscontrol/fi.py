@@ -339,33 +339,12 @@ def _source_rhs(p: FIProblem, F: SpaceTimeField, G: SpaceTimeField) -> np.ndarra
     return np.concatenate(out)
 
 
-def _pack_dofs(p: FIProblem, Y: SpaceTimeField, Z: SpaceTimeField) -> np.ndarray:
-    """The dofs of a pair in P: each field trace compatible and zero at its
-    constrained end slice (Y at T, Z at 0), else a ContractError."""
-    M = p.time_grid.step_count
-    for name, U, end, where in (("Y", Y, M, "terminal"), ("Z", Z, 0, "initial")):
-        tol = 1e-13 * (1 + np.max(np.abs(U.bulk)))
-        # `not <=` refuses NaN, which compares False either way
-        if not np.max(np.abs(U.bulk[end])) <= tol:
-            raise ContractError(f"{name} must vanish at its {where} slice (space P)")
-        if not np.max(np.abs(U.surface - U.bulk[:, [0, -1]])) <= tol:
-            raise ContractError(f"{name}'s surface must be its bulk's trace (space P)")
-    return np.concatenate([Y.bulk[:M].ravel(), Z.bulk[1:].ravel()])
-
-
 def _unpack_dofs(p: FIProblem, x: np.ndarray):
     """The bulk slices 0..M of (Y, Z) from dofs x, zero at the end slices."""
     M, n = p.time_grid.step_count, p.grid.n_nodes
     Yf, Zf = np.zeros((2, M + 1, n))
     Yf[:M], Zf[1:] = x.reshape(2, M, n)
     return Yf, Zf
-
-
-def _stack_blocks(p: FIProblem, r: np.ndarray) -> tuple:
-    """The five blocks R1..R5 of a stack vector r, (M, width) each."""
-    M, n = p.time_grid.step_count, p.grid.n_nodes
-    blocks = np.split(r, np.cumsum([M * n, 2 * M, M * n, 2 * M]))
-    return tuple(b.reshape(M, -1) for b in blocks)
 
 
 def _recover_fields(p: FIProblem, x, final_res, backward_error, F, G) -> FISolution:
@@ -398,27 +377,6 @@ def _recover_fields(p: FIProblem, x, final_res, backward_error, F, G) -> FISolut
     return FISolution(Psi=Psi, H=H, v=v, optimality_residual=final_res,
                       backward_error=backward_error, x_dofs=x,
                       problem=p, F=F, G=G)
-
-
-def apply_residual_R(Y: SpaceTimeField, Z: SpaceTimeField, problem: FIProblem) -> dict:
-    """Weighted five-component residual stack of a test pair in P."""
-    x = _pack_dofs(problem, Y, Z)
-    r1b, r1s, r3b, r3s, r5 = _stack_blocks(problem, _residual_stack(problem) @ x)
-    w0, w1 = (np.sqrt(problem.tables.inv_sq(k))[:, None] for k in (0, 1))
-    return {"adjoint_bulk": w0 * r1b, "adjoint_surface": w0 * r1s,
-            "forward_bulk": w0 * r3b, "forward_surface": w0 * r3s,
-            "observation": w1 * r5}
-
-
-def bilinear_B(problem: FIProblem, YZ, YZbar) -> float:
-    """B((Y,Z),(Ybar,Zbar)) through the weighted residual stacks."""
-    R = _residual_stack(problem)
-    x, xb = (_pack_dofs(problem, *pair) for pair in (YZ, YZbar))
-    return _dot(_wmul(_row_weights(problem), R @ x), R @ xb)
-
-
-def linear_F(problem: FIProblem, F: SpaceTimeField, G: SpaceTimeField, YZ) -> float:
-    return _dot(_source_rhs(problem, F, G), _pack_dofs(problem, *YZ))
 
 
 class FISolver:

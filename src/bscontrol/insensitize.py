@@ -7,9 +7,11 @@ operator and A = L - (full quasilinear operator), iterate
     x_{k+1} = L^{-1}( F + A_psi(x_k), A_h(x_k) ),
 
 where L^{-1} is one Carleman-weighted least-squares solve.  A is evaluated
-in strong form with the same SBP stencils as the solvers, so the listed
-derivative formulas are the exact Jacobian of the discrete A, and the
-fixed point satisfies these strong-form cascade rows row by row.  The
+in strong form with the same SBP stencils as the solvers, and the fixed
+point satisfies these strong-form cascade rows row by row.  A is of second
+order at 0 (each term is a state times a coefficient's deviation from its
+linearization at 0, or dsigma |grad psi|^2), so L is the derivative of the
+cascade at the origin.  The
 quasilinear check's backward equation is instead the exact discrete
 adjoint of the Newton-stepped forward flow (the transposed step Jacobian,
 see `solvers.solve_backward_varcoef`); the two backward matrices agree
@@ -142,46 +144,6 @@ def nonlinear_parts_A(Psi: SpaceTimeField, H: SpaceTimeField, cs: CoefficientSet
     A2[1:] = (cs.sigma(pb) - s0) * lap_h - (cs.da(pb) - da0) * hb
     A4[1:] = -(cs.sigma(ps) - s0) * dnu_h - (cs.db(ps) - db0) * hs
     return {"A1": A1, "A2": A2, "A3": A3, "A4": A4}
-
-
-def apply_A_derivative(Psi: SpaceTimeField, H: SpaceTimeField,
-                       Phi: SpaceTimeField, K: SpaceTimeField,
-                       cs: CoefficientSet, ops: LinearOperatorSet) -> dict:
-    """Directional derivative of the discrete nonlinear part.
-
-    Exact Jacobian of `nonlinear_parts_A` applied to the direction
-    (Phi, K); at base zero it vanishes identically, which is what makes
-    the frozen linear solve the true derivative at the origin.
-    """
-    g = ops.grid
-    s0, da0, db0 = ops.sigma0, ops.da0, ops.db0
-    M = Psi.n_slices - 1
-
-    pb, ps = Psi.bulk[1:], Psi.surface[1:]
-    fb, fs = Phi.bulk[1:], Phi.surface[1:]
-    lap_p, lap_f = sbp_laplacian(pb, g), sbp_laplacian(fb, g)
-    grad_p, grad_f = node_gradient(pb, g), node_gradient(fb, g)
-    dnu_p, dnu_f = normal_derivative(pb, g), normal_derivative(fb, g)
-
-    D1 = np.zeros((M + 1, g.n_nodes))
-    D3 = np.zeros((M + 1, 2))
-    D1[1:] = cs.dsigma(pb) * fb * lap_p + cs.d2sigma(pb) * fb * grad_p**2 \
-        + (cs.sigma(pb) - s0) * lap_f + 2 * cs.dsigma(pb) * grad_p * grad_f \
-        - cs.da(pb) * fb + da0 * fb
-    D3[1:] = -cs.dsigma(ps) * fs * dnu_p - (cs.sigma(ps) - s0) * dnu_f \
-        - cs.db(ps) * fs + db0 * fs
-
-    hb, hs = H.bulk[:-1], H.surface[:-1]
-    kb, ks = K.bulk[:-1], K.surface[:-1]
-    lap_h, lap_k = sbp_laplacian(hb, g), sbp_laplacian(kb, g)
-    dnu_h, dnu_k = normal_derivative(hb, g), normal_derivative(kb, g)
-    D2 = np.zeros((M + 1, g.n_nodes))
-    D4 = np.zeros((M + 1, 2))
-    D2[1:] = cs.dsigma(pb) * fb * lap_h + (cs.sigma(pb) - s0) * lap_k \
-        - cs.d2a(pb) * fb * hb - (cs.da(pb) - da0) * kb
-    D4[1:] = -cs.dsigma(ps) * fs * dnu_h - (cs.sigma(ps) - s0) * dnu_k \
-        - cs.d2b(ps) * fs * hs - (cs.db(ps) - db0) * ks
-    return {"A1": D1, "A2": D2, "A3": D3, "A4": D4}
 
 
 # --- synthesis ---------------------------------------------------------------

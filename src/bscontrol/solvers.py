@@ -55,7 +55,7 @@ COEFF_SAMPLES = 401
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Diffusion sigma and reactions a, b, each with two derivatives, as
+    """Diffusion sigma and reactions a, b, each with its derivative, as
     vectorized callables.
 
     The paper's surface diffusion delta enters only through the
@@ -65,18 +65,16 @@ class CoefficientSet:
 
     sigma: Callable
     dsigma: Callable
-    d2sigma: Callable
     a: Callable
     da: Callable
-    d2a: Callable
     b: Callable
     db: Callable
-    d2b: Callable
     name: str = "custom"
 
 
 def validate_coefficients(cs: CoefficientSet) -> None:
-    """Check A7 (a positive measured floor of sigma), A8 and the derivatives."""
+    """Check A7 (a positive measured floor of sigma), A8, and each of
+    dsigma, da and db against a central difference of its function."""
     r = np.linspace(*COEFF_SAMPLE_INTERVAL, COEFF_SAMPLES)
     floor = float(np.min(cs.sigma(r)))
     if not floor > 0:
@@ -87,20 +85,19 @@ def validate_coefficients(cs: CoefficientSet) -> None:
         raise ConfigurationError(
             "assumption A8 violated: reaction terms must vanish at 0")
     eps = 1e-6
-    pairs = [(cs.sigma, cs.dsigma), (cs.dsigma, cs.d2sigma),
-             (cs.a, cs.da), (cs.da, cs.d2a), (cs.b, cs.db), (cs.db, cs.d2b)]
-    for k, (f, df) in enumerate(pairs):
+    for name in ("sigma", "a", "b"):
+        f, df = getattr(cs, name), getattr(cs, "d" + name)
         fd = (f(r + eps) - f(r - eps)) / (2 * eps)
         d = df(r)
         scale = np.max(np.abs(d)) + 1.0
         if np.max(np.abs(fd - d)) > 1e-6 * scale:
             raise ConfigurationError(
-                f"coefficient derivative #{k} disagrees with finite differences")
+                f"coefficient derivative d{name} disagrees with finite differences")
 
 
 def _cosh_sq(r):
-    """cosh(r)^2, inf where it overflows; the logistic derivatives divide
-    by it, and x / inf is their limit 0."""
+    """cosh(r)^2, inf where it overflows; the logistic derivative divides
+    by it, and x / inf is its limit 0."""
     with np.errstate(over="ignore"):
         return np.cosh(r)**2
 
@@ -117,10 +114,10 @@ def _power_sum(items: list, r):
 
 
 def _polynomial(terms: dict) -> list[Callable]:
-    """f, f' and f'' of the polynomial with {power: coefficient} terms, in
+    """f and f' of the polynomial with {power: coefficient} terms, in
     increasing power; no terms give zeros like the argument."""
     fs = []
-    for _ in range(3):
+    for _ in range(2):
         fs.append(partial(_power_sum, sorted(terms.items())) if terms
                   else np.zeros_like)
         terms = {k - 1: k * c for k, c in terms.items() if k}
@@ -128,11 +125,10 @@ def _polynomial(terms: dict) -> list[Callable]:
 
 
 def _logistic(c1: float, c0: float | None = None) -> list[Callable]:
-    """f, f' and f'' of c0 + c1 tanh(r), or of c1 tanh(r) without c0."""
+    """f and f' of c0 + c1 tanh(r), or of c1 tanh(r) without c0."""
     f = ((lambda r: c1 * np.tanh(r)) if c0 is None
          else (lambda r: c0 + c1 * np.tanh(r)))
-    return [f, lambda r: c1 / _cosh_sq(r),
-            lambda r: -2 * c1 * np.tanh(r) / _cosh_sq(r)]
+    return [f, lambda r: c1 / _cosh_sq(r)]
 
 
 # sigma, a and b of each preset as {term: (keyword, default)}: the terms are
@@ -164,7 +160,7 @@ def coefficient_preset(name: str, **kw) -> CoefficientSet:
     family = (lambda c: _logistic(**c)) if name == "logistic" else _polynomial
     families = [family({term: kw[key] for term, (key, _) in terms.items()})
                 for terms in PRESETS[name]]
-    # f, f', f'' of sigma, a and b: the handles in field order
+    # f, f' of sigma, a and b: the handles in field order
     return CoefficientSet(*(f for fs in families for f in fs), name=name)
 
 

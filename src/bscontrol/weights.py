@@ -49,6 +49,7 @@ MIN_LIVE_CELLS = 8      # fewer live mu0^-2 cells: the least-squares problem deg
 LOG_FLOAT_MAX = math.log(sys.float_info.max)    # e^x overflows above this
 ETA_KAPPA = -10.0       # eta'' at the peak, times max(c, L-c)^2
 ETA_CHECK_SAMPLES = 10_000
+ETA_PEAK_STEPS = 64     # omega1 is cut in this many steps for the peak search
 
 
 class LogWeight:
@@ -213,15 +214,38 @@ def _horner(p: np.ndarray, u: np.ndarray) -> np.ndarray:
 def build_eta(grid: SpatialGrid, masks: RegionMasks) -> EtaProfile:
     """Piecewise-quintic profile: 0 at both ends, 1 at the peak, monotone arcs.
 
-    The peak c is the midpoint of omega1, where the Carleman weights need
-    eta's maximum; for the default masks it is 0.5 exactly.  The two
-    Hermite arcs share the second derivative at the peak
-    (ETA_KAPPA / max(c, L-c)^2 in x units) so eta is C^2.  Monotonicity
-    and the gradient floor outside omega1 are verified on ETA_CHECK_SAMPLES
-    dense samples; violations raise a ContractError with the measured
-    floor.  Each arc is evaluated on its own side of the peak only.
+    The peak lies in omega1, where the Carleman weights need eta's
+    maximum.  It is the midpoint of omega1 when the profile peaked there
+    passes its checks (for the default masks the peak is 0.5 exactly);
+    otherwise the first that passes of the points lo + k (hi - lo) /
+    ETA_PEAK_STEPS, k = 1 .. ETA_PEAK_STEPS - 1, nearest the midpoint
+    first.  Near an end of the domain a narrow omega1 can fail at its
+    midpoint and pass off it.  When no peak passes, the midpoint's
+    ContractError is raised.
     """
-    L, c = grid.length, (masks.omega1[0] + masks.omega1[1]) / 2
+    lo, hi = masks.omega1
+    # the fractions of the way across omega1, nearest 1/2 first; the first
+    # is 1/2 itself, tried as the exact midpoint
+    fractions = sorted((k / ETA_PEAK_STEPS for k in range(1, ETA_PEAK_STEPS)),
+                       key=lambda f: abs(f - 0.5))
+    midpoint_error = None
+    for c in ((lo + hi) / 2, *(lo + (hi - lo) * f for f in fractions[1:])):
+        try:
+            return _eta_peaked_at(grid, masks, c)
+        except ContractError as exc:
+            midpoint_error = midpoint_error or exc
+    raise ContractError(f"{midpoint_error} with the peak at the midpoint of "
+                        f"omega1, and no other peak across omega1 passes")
+
+
+def _eta_peaked_at(grid: SpatialGrid, masks: RegionMasks, c: float) -> EtaProfile:
+    """The profile peaked at c.  The two Hermite arcs share the second
+    derivative at the peak (ETA_KAPPA / max(c, L-c)^2 in x units) so eta
+    is C^2.  Monotonicity and the gradient floor outside omega1 are
+    verified on ETA_CHECK_SAMPLES dense samples; violations raise a
+    ContractError with the measured floor.  Each arc is evaluated on its
+    own side of the peak only."""
+    L = grid.length
     span = max(c, L - c)
     d2_peak = ETA_KAPPA / span**2
     # each side's arc and slope coefficients, highest power first, and dx/du

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from bscontrol.cli import build_setup, load_config
+from bscontrol.errors import ContractError
+from bscontrol.fi import _dot, _residual_stack, _row_weights, _source_rhs, _wmul
 from bscontrol.geometry import SpaceTimeField, l2_inner
 from bscontrol.insensitize import observation_pairing
 from bscontrol.solvers import (solve_linearized_cascade,
@@ -64,6 +66,49 @@ def random_source(bundle, rng, amplitude=1e-3):
     F.bulk[1:] = amplitude * prof[:, None] * shape[None, :]
     F.surface[1:] = F.bulk[1:][:, [0, -1]]
     return F
+
+
+def pack_dofs(p, Y: SpaceTimeField, Z: SpaceTimeField) -> np.ndarray:
+    """The dofs of a pair in P: each field trace compatible and zero at its
+    constrained end slice (Y at T, Z at 0), else a ContractError."""
+    M = p.time_grid.step_count
+    for name, U, end, where in (("Y", Y, M, "terminal"), ("Z", Z, 0, "initial")):
+        tol = 1e-13 * (1 + np.max(np.abs(U.bulk)))
+        # `not <=` refuses NaN, which compares False either way
+        if not np.max(np.abs(U.bulk[end])) <= tol:
+            raise ContractError(f"{name} must vanish at its {where} slice (space P)")
+        if not np.max(np.abs(U.surface - U.bulk[:, [0, -1]])) <= tol:
+            raise ContractError(f"{name}'s surface must be its bulk's trace (space P)")
+    return np.concatenate([Y.bulk[:M].ravel(), Z.bulk[1:].ravel()])
+
+
+def stack_blocks(p, r: np.ndarray) -> tuple:
+    """The five blocks R1..R5 of a stack vector r, (M, width) each."""
+    M, n = p.time_grid.step_count, p.grid.n_nodes
+    blocks = np.split(r, np.cumsum([M * n, 2 * M, M * n, 2 * M]))
+    return tuple(b.reshape(M, -1) for b in blocks)
+
+
+def apply_residual_R(Y: SpaceTimeField, Z: SpaceTimeField, problem) -> dict:
+    """Weighted five-component residual stack of a test pair in P."""
+    x = pack_dofs(problem, Y, Z)
+    r1b, r1s, r3b, r3s, r5 = stack_blocks(problem, _residual_stack(problem) @ x)
+    w0, w1 = (np.sqrt(problem.tables.inv_sq(k))[:, None] for k in (0, 1))
+    return {"adjoint_bulk": w0 * r1b, "adjoint_surface": w0 * r1s,
+            "forward_bulk": w0 * r3b, "forward_surface": w0 * r3s,
+            "observation": w1 * r5}
+
+
+def bilinear_B(problem, YZ, YZbar) -> float:
+    """B((Y,Z),(Ybar,Zbar)) through the weighted residual stacks."""
+    R = _residual_stack(problem)
+    x, xb = (pack_dofs(problem, *pair) for pair in (YZ, YZbar))
+    return _dot(_wmul(_row_weights(problem), R @ x), R @ xb)
+
+
+def linear_F(problem, F: SpaceTimeField, G: SpaceTimeField, YZ) -> float:
+    """The right-hand side functional of the least-squares problem at a pair."""
+    return _dot(_source_rhs(problem, F, G), pack_dofs(problem, *YZ))
 
 
 def duality_identity_check(bundle, F, v, direction, quasilinear=True) -> dict:

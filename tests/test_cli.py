@@ -15,6 +15,7 @@ from bscontrol import fi, insensitize, solvers
 from bscontrol.cli import (DEFAULTS, RunConfig, build_setup, cmd_diagnose,
                            cmd_sweep, cmd_synthesize, load_config, main)
 from bscontrol.errors import ConfigurationError
+from bscontrol.geometry import build_grid, build_masks
 from bscontrol.weights import admissible_time_profile, build_eta
 from bscontrol.insensitize import synthesize
 
@@ -24,6 +25,14 @@ def _small_config():
     cfg.raw["grid"]["cells"] = "32"
     cfg.raw["time"]["steps"] = "64"
     return cfg
+
+
+def _env_with_src() -> dict:
+    """The environment with this checkout's src first on PYTHONPATH, for a
+    fresh interpreter."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
 
 
 def _count_calls(monkeypatch, module, name):
@@ -93,11 +102,37 @@ def test_eta_peak_follows_the_masks(tmp_path):
     assert (lo + hi) / 2 == pytest.approx(0.325)
     eta = build_eta(g, bundle.masks)
     assert np.argmax(eta.values) == np.argmin(np.abs(g.x - (lo + hi) / 2))
-    # with omega1 = (0.08, 0.14) the midpoint-peaked eta is too flat
-    # outside omega1: a configuration error that names the masks
-    path.write_text("[masks]\nomega = 0.02,0.5\nobs_bulk = 0.02,0.2\n")
-    with pytest.raises(ConfigurationError, match=r"\[masks\] omega = .* gradient floor"):
+    # with omega1 = (0.36, 0.42) every peak across omega1 leaves eta too
+    # flat outside it: a configuration error that names the masks
+    path.write_text("[masks]\nomega = 0.3,0.9\nobs_bulk = 0.3,0.48\n")
+    with pytest.raises(ConfigurationError, match=r"\[masks\] omega = .* gradient floor"
+                       r".* no other peak across omega1 passes"):
         build_setup(load_config(str(path)))
+
+
+@pytest.mark.parametrize("omega, obs_bulk, omega1", [
+    ((0.02, 0.5), (0.02, 0.2), (0.08, 0.14)),
+    ((0.1, 0.9), (0.05, 0.3), (0.16, 0.24))])
+def test_eta_peak_searched_across_omega1(tmp_path, omega, obs_bulk, omega1):
+    """Masks whose omega1 fails at its midpoint but passes off it: at 64
+    cells the profile peaked at the midpoint is too flat outside omega1,
+    so the peak moves to the first passing point nearest the midpoint.  At
+    128 cells (64 cells are too coarse for chi's ramps) the whole
+    configuration is accepted."""
+    g = build_grid(1.0, 64)
+    masks = build_masks(g, omega, obs_bulk, {"left", "right"}, 0.02)
+    lo, hi = masks.omega1
+    assert (lo, hi) == pytest.approx(omega1)
+    eta = build_eta(g, masks)
+    assert eta.floor >= eta.floor_required
+    peak = np.argmax(eta.values)
+    assert lo < g.x[peak] < hi
+    assert peak != np.argmin(np.abs(g.x - (lo + hi) / 2))
+    path = tmp_path / "masks.cfg"
+    path.write_text(f"[masks]\nomega = {omega[0]},{omega[1]}\n"
+                    f"obs_bulk = {obs_bulk[0]},{obs_bulk[1]}\n[grid]\ncells = 128\n")
+    bundle, _ = build_setup(load_config(str(path)))
+    assert bundle.masks.omega1 == pytest.approx(omega1)
 
 
 def test_config_hash_seed_sensitivity(tmp_path):
@@ -256,9 +291,18 @@ def test_diagnose_duality_passes(tmp_path):
 
 
 def test_diagnose_unknown_suite(tmp_path):
+    """An unknown suite is a configuration error, and the retired gradient
+    suite is unknown: `python -m bscontrol diagnose --which gradient`
+    exits 2."""
     cfg = load_config(None)
-    with pytest.raises(ConfigurationError):
-        cmd_diagnose(cfg, "entropy", str(tmp_path))
+    for which in ("entropy", "gradient"):
+        with pytest.raises(ConfigurationError):
+            cmd_diagnose(cfg, which, str(tmp_path))
+    out = subprocess.run([sys.executable, "-m", "bscontrol", "diagnose", "--which",
+                          "gradient", "--out", str(tmp_path)], capture_output=True,
+                         text=True, timeout=120, env=_env_with_src())
+    assert out.returncode == 2, out.stderr
+    assert "invalid choice: 'gradient'" in out.stderr
 
 
 def test_sweep_theta_s_gating(tmp_path, monkeypatch):
@@ -380,8 +424,6 @@ def test_cli_keeps_large_arrays_out_of_the_heap():
             heap = [ln.split()[0].split("-") for ln in fh if ln.rstrip().endswith("[heap]")]
         print(any(int(lo, 16) <= a.ctypes.data < int(hi, 16) for lo, hi in heap))
         """)
-    src = Path(__file__).resolve().parent.parent / "src"
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         check=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+                         check=True, timeout=120, env=_env_with_src())
     assert out.stdout.strip() == "False"

@@ -9,12 +9,11 @@ import numpy as np
 import pytest
 
 from bscontrol.errors import ContractError
-from bscontrol.fi import (apply_residual_R, bilinear_B, cascade_residual_check,
-                          galerkin_check, linear_F)
+from bscontrol.fi import cascade_residual_check, galerkin_check
 from bscontrol.geometry import SpaceTimeField
 from bscontrol.solvers import solve_linearized_cascade
 
-from conftest import random_source
+from conftest import apply_residual_R, bilinear_B, linear_F, random_source
 
 
 def _random_pair(bundle, rng, scale=1.0):

@@ -13,10 +13,9 @@ from bscontrol.fi import FISolver, cascade_residual_check
 from bscontrol.geometry import (BulkSurfaceField, SpaceTimeField, h3_proxy_norm,
                                 l2_norm, node_gradient, normal_derivative,
                                 sbp_laplacian)
-from bscontrol.insensitize import (apply_A_derivative, evaluate_J,
-                                   insensitivity_check, nonlinear_parts_A,
-                                   quadratic_energy, random_direction,
-                                   synthesize)
+from bscontrol.insensitize import (evaluate_J, insensitivity_check,
+                                   nonlinear_parts_A, quadratic_energy,
+                                   random_direction, synthesize)
 from bscontrol.solvers import (coefficient_preset, linear_cascade_rows,
                                solve_quasilinear_cascade)
 
@@ -110,30 +109,6 @@ def test_lambda_decomposition(bundle):
         gap = np.abs(lam[lkey] - (rows[lkey] - A[akey])).max()
         scale = max(np.abs(lam[lkey]).max(), 1e-12)
         assert gap <= 1e-12 * max(scale, 1.0)
-
-
-def test_A_derivative_base_and_direction_zero(bundle):
-    g = bundle.grid
-    M = bundle.time_grid.step_count
-    zero = SpaceTimeField.zeros(g, M + 1)
-    rng = np.random.default_rng(3)
-    Phi, K = _random_states(bundle, rng)
-    # at base zero every coefficient deviation vanishes
-    D = apply_A_derivative(zero, zero, Phi, K, bundle.cs, bundle.ops)
-    for key in ("A1", "A2", "A3", "A4"):
-        assert np.abs(D[key]).max() <= 1e-14
-    # linearity in the direction
-    Psi, H = _random_states(bundle, rng)
-    D0 = apply_A_derivative(Psi, H, zero, zero, bundle.cs, bundle.ops)
-    for key in ("A1", "A2", "A3", "A4"):
-        assert np.all(D0[key] == 0)
-
-
-def test_A_derivative_fd_consistency(bundle):
-    from bscontrol.diagnostics import gradient_check
-    rng = np.random.default_rng(4)
-    err = gradient_check(bundle.cs, bundle.ops, rng)
-    assert err <= 1e-6
 
 
 def test_synthesize_zero_source(bundle):

@@ -29,8 +29,7 @@ from scipy.linalg import LinAlgError, solve_banded, solveh_banded
 
 from bscontrol import diagnostics
 from bscontrol.errors import ConditioningError
-from bscontrol.fi import (_recover_fields, _residual_stack, _stack_blocks,
-                          _unpack_dofs)
+from bscontrol.fi import _recover_fields, _residual_stack, _unpack_dofs
 from bscontrol.geometry import (BulkSurfaceField, SpaceTimeField, build_grid,
                                 build_time_grid, grad_faces, l2_inner,
                                 normal_derivative, sbp_laplacian, st_inner)
@@ -49,7 +48,7 @@ from bscontrol.weights import (LogWeight, _random_smooth_source, _stack_log_sums
                                empirical_carleman_check, log_add, log_ratio,
                                log_sq_sums, log_st_sq, log_weighted_sq_sum)
 
-from conftest import duality_identity_check, make_bundle
+from conftest import duality_identity_check, make_bundle, stack_blocks
 
 PROPERTY = settings(max_examples=25, deadline=None, database=None,
                     derandomize=True)
@@ -157,7 +156,7 @@ def test_sparse_stack_matches_matrix_free(ops, theta, theta_s, seed):
         LZ.surface[1:],
         np.sqrt(chi) * Y.bulk[:-1],
     )
-    for got, want in zip(_stack_blocks(problem, _residual_stack(problem) @ x),
+    for got, want in zip(stack_blocks(problem, _residual_stack(problem) @ x),
                          expected):
         assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
 

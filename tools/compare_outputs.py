@@ -19,13 +19,13 @@ The commands cover every CLI
 command: both outer-loop exits (`converged` at 128x256, `converged_floor` on
 the other synthesize runs, 8 iterations at amplitude 1), a non-dyadic time
 step (8/100, where the other runs' dt are powers of two), a synthesis
-and a gradient check with each coefficient preset other than the default
-logistic one, factor reuse across an amplitude sweep, a grid sweep that
-replaces the bundle and its cached solver mid-run, a lambda sweep whose
-second value fails validation (its CSV row carries the error message,
-commas included), a theta_s sweep through 0 (no surface coupling in the
-least-squares stack), and all five diagnostic suites, the carleman check also
-at 128x256; demo 03 is the only caller of `galerkin_check` and
+with each coefficient preset other than the default logistic one, factor
+reuse across an amplitude sweep, a grid sweep that replaces the bundle and
+its cached solver mid-run, a lambda sweep whose second value fails
+validation (its CSV row carries the error message, commas included), a
+theta_s sweep through 0 (no surface coupling in the least-squares stack),
+and all four diagnostic suites, the carleman check also at 128x256;
+demo 03 is the only caller of `galerkin_check` and
 `cascade_residual_check` outside the tests.
 Both trees together take about 40 s on a 2-vCPU host.
 """
@@ -57,7 +57,7 @@ COMMANDS = (
      {"source": {"amplitude": "1"}, "grid": {"cells": "32"},
       "time": {"steps": "64"}}),
     # every other run uses the default logistic coefficients; these reach
-    # the Jacobian's dsigma terms of the other presets
+    # the Newton step Jacobian's dsigma terms of the other presets
     *((f"synthesize {preset} 32x64", ["synthesize"],
        {"coefficients": {"preset": preset}, "grid": {"cells": "32"},
         "time": {"steps": "64"}})
@@ -75,11 +75,7 @@ COMMANDS = (
     ("diagnose carleman 128x256", ["diagnose", "--which", "carleman"],
      {"grid": {"cells": "128"}, "time": {"steps": "256"}}),
     *((f"diagnose {suite}", ["diagnose", "--which", suite], {})
-      for suite in ("duality", "estimates", "gradient", "convergence")),
-    # the gradient check is the only CLI path that reads d2sigma, d2a and d2b
-    *((f"diagnose gradient {preset}", ["diagnose", "--which", "gradient"],
-       {"coefficients": {"preset": preset}})
-      for preset in ("constant", "affine", "polynomial")),
+      for suite in ("duality", "estimates", "convergence")),
 )
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
