@@ -2,9 +2,9 @@
 equations with dynamic boundary conditions.
 
 Pipeline: SBP geometry -> Carleman weight system -> weighted space-time
-least squares (null control of the linearized cascade) -> frozen-derivative
-outer loop for the quasilinear cascade -> two-sided insensitivity
-verification of the energy functional.
+least squares (null control of the linearized cascade) -> chord
+correction of h(.,0) of the quasilinear cascade on the controllable modes
+-> two-sided insensitivity verification of the energy functional.
 """
 
 from .errors import (BSControlError, ConditioningError, ConfigurationError,
@@ -22,12 +22,11 @@ from .solvers import (CoefficientSet, LinearOperatorSet, apply_L,
                       coefficient_preset, solve_adjoint_cascade,
                       solve_linear_backward, solve_linear_forward,
                       solve_linearized_cascade, solve_quasilinear,
-                      solve_quasilinear_cascade, solve_sensitivity,
-                      validate_coefficients)
+                      solve_quasilinear_cascade, validate_coefficients)
 from .fi import (FIProblem, FISolution, FISolver, cascade_residual_check,
                  galerkin_check)
-from .insensitize import (TAU_LADDER, SynthesisBundle, SynthesisReport,
-                          evaluate_J, insensitivity_check, nonlinear_parts_A,
+from .insensitize import (TAU_LADDER, ControlModes, SynthesisBundle,
+                          SynthesisReport, evaluate_J, insensitivity_check,
                           random_direction, synthesize)
 
 __version__ = "0.1.0"

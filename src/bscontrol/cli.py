@@ -12,7 +12,6 @@ import argparse
 import configparser
 import csv
 import ctypes
-import dataclasses
 import hashlib
 import json
 import math
@@ -27,8 +26,8 @@ from . import diagnostics
 from .errors import (BSControlError, ConditioningError, ConfigurationError,
                      ContractError, SmallnessViolationError)
 from .geometry import SpaceTimeField, build_grid, build_masks, build_time_grid
-from .insensitize import (TAU_LADDER, SynthesisBundle, insensitivity_check,
-                          random_direction, synthesize)
+from .insensitize import (TAU_LADDER, SynthesisBundle, control_norm,
+                          insensitivity_check, random_direction, synthesize)
 from .solvers import (LinearOperatorSet, coefficient_preset,
                       dump_trajectory_csv, solve_adjoint_cascade,
                       validate_coefficients)
@@ -285,18 +284,26 @@ def cmd_synthesize(cfg: RunConfig, outdir: str) -> dict:
     report = synthesize(F, bundle)
     directions = [random_direction(bundle.grid, rng) for _ in range(3)]
     checks = insensitivity_check(bundle, F, report, directions)
-    # the final control's estimates against (F, 0); the copy re-solves under it
-    sol = dataclasses.replace(report.fi_solution, F=F,
-                              G=SpaceTimeField.zeros(bundle.grid, F.n_slices))
+    sol, modes = report.fi_solution, bundle.control_modes
+    v_fi, dv = (control_norm(v, bundle.grid, bundle.time_grid.dt)
+                for v in (sol.v, report.v - sol.v))
     summary = {
         "config_hash": cfg.hash(),
         "seed": cfg.seed,
         "status": report.status,
         "iterations": report.iterations,
-        "increments": report.increments,
-        "h0_norm": {"linear": report.h0_history[-1],
+        "h0_norm": {"linear": report.h0_norm_linear,
                     "quasilinear": report.h0_norm_quasilinear},
-        "log_x_norm_sq": report.fi_solution.log_x_norm_sq,
+        "projection": {
+            "h0_before": report.h0_steps[0],
+            "h0_after": report.h0_norm_quasilinear,
+            "h0_uncontrolled": report.h0_free,
+            "k": len(modes.sigma),
+            "singular_values": modes.sigma.tolist(),
+            "dv_relative": dv / v_fi if v_fi > 0 else 0.0,
+            "note": "v_norms, lhs_rhs_ratios and log_x_norm_sq read the "
+                    "least-squares solution before the projection"},
+        "log_x_norm_sq": sol.log_x_norm_sq,
         "log_y_norm_sq": report.log_y_norm_sq,
         "v_norms": sol.log_norms,
         "optimality_residual": sol.optimality_residual,
@@ -306,9 +313,7 @@ def cmd_synthesize(cfg: RunConfig, outdir: str) -> dict:
         "wall_seconds": time.perf_counter() - t0,
     }
     write_json(summary, os.path.join(outdir, "synthesis.json"))
-    write_csv([{"iteration": i + 1, "increment": inc,
-                "h0_norm": report.h0_history[i]}
-               for i, inc in enumerate(report.increments)],
+    write_csv([{"step": i, "h0_norm": h0} for i, h0 in enumerate(report.h0_steps)],
               os.path.join(outdir, "iterations.csv"))
     dump_trajectory_csv(*report.quasi_states, bundle.grid, bundle.time_grid,
                         os.path.join(outdir, "trajectory.csv"))
@@ -382,7 +387,7 @@ def cmd_sweep(cfg: RunConfig, parameter: str, values: list[str], outdir: str) ->
                 operator_key = key
             rep = synthesize(F, bundle)
             row.update(status=rep.status, iterations=rep.iterations,
-                       h0_linear=rep.h0_history[-1],
+                       h0_linear=rep.h0_norm_linear,
                        h0_quasilinear=rep.h0_norm_quasilinear,
                        log_x_norm_sq=rep.fi_solution.log_x_norm_sq,
                        log_y_norm_sq=rep.log_y_norm_sq)

@@ -36,7 +36,8 @@ class ContractError(BSControlError):
 class SmallnessViolationError(BSControlError):
     """Data too large for the small-data regime (exit code 3).
 
-    Raised on Newton non-convergence and on outer-loop non-contraction.
+    Raised on Newton non-convergence, and by `synthesize` when a chord
+    step does not halve ||h(.,0)|| or the chord runs out of steps.
     """
 
     def __init__(self, message: str, step: int | None = None,

@@ -131,8 +131,8 @@ class FISolution:
     `problem` and the sources (F, G).  The checks below take the solution
     alone, so a check always reads the sources it was solved for.  The
     cached values below do not survive `dataclasses.replace`: a copy with
-    other sources, as `cmd_synthesize` makes for (F, 0), re-solves under
-    them and measures its `lhs_rhs_ratios` against them."""
+    other sources re-solves under them and measures its `lhs_rhs_ratios`
+    against them."""
 
     Psi: SpaceTimeField          # forward view: slice 0 is exactly 0
     H: SpaceTimeField            # backward view: slice M is exactly 0
@@ -382,12 +382,10 @@ def _recover_fields(p: FIProblem, x, final_res, backward_error, F, G) -> FISolut
 class FISolver:
     """Reusable solver: the normal matrix and its factorization depend only
     on the operator (geometry, weights, theta, theta_s), not on the
-    sources.  One factorization, made on the first solve, is shared by the
-    outer-loop iterations of a synthesis and, through
-    `SynthesisBundle.fi_solver`, by every sweep value whose bundle is
-    unchanged.  The solve is then a fixed linear map of the right-hand
-    side, and increments of iterated solves inherit the contraction of the
-    source corrections exactly.  A solver keeps only the operator
+    sources.  One factorization, made on the first solve, is shared
+    through `SynthesisBundle.fi_solver` by every synthesis on that bundle,
+    as by the values of a sweep that leave the operator unchanged; each
+    synthesis makes one solve.  A solver keeps only the operator
     `problem`, the scaling `D`, the scaled normal matrix `At = D R^T W R D`
     (dead dofs pinned), its norm `At_inf` and, once made, the factor `lu`;
     no solve reads the residual stack R or its row weights W again."""

@@ -152,6 +152,12 @@ def build_masks(grid: SpatialGrid, omega: tuple[float, float],
 
     omega1 = (lo + 3 * nesting_margin, hi - 3 * nesting_margin)
     omega3 = (lo + nesting_margin, hi - nesting_margin)
+    # the cutoff chi ramps from omega's ends to omega3's over >= 2h
+    ramps = (omega3[0] - omega[0], omega[1] - omega3[1])
+    if min(ramps) < 2 * grid.h:
+        raise ResolutionError(
+            "omega3 is not compactly inside omega at this resolution (ramp "
+            f"widths {ramps[0]:.4g}, {ramps[1]:.4g} < 2h = {2 * grid.h:.4g})")
 
     surf = frozenset(obs_surface)
     if not surf <= {"left", "right"}:
@@ -276,15 +282,6 @@ def face_average(a: np.ndarray) -> np.ndarray:
 def grad_faces(y: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     """Face gradient (y_{i+1} - y_i)/h; faces carry quadrature weight h."""
     return np.diff(y, axis=-1) / grid.h
-
-
-def node_gradient(y: np.ndarray, grid: SpatialGrid) -> np.ndarray:
-    """Second-order node gradient: central interior, one-sided at the ends
-    (the signed normal derivative; negation is exact)."""
-    out = np.empty_like(y, dtype=float)
-    out[..., 1:-1] = (y[..., 2:] - y[..., :-2]) / (2 * grid.h)
-    out[..., [0, -1]] = normal_derivative(y, grid) * [-1.0, 1.0]
-    return out
 
 
 def normal_derivative(y: np.ndarray, grid: SpatialGrid) -> np.ndarray:

@@ -529,12 +529,9 @@ def _smoothstep(u: np.ndarray) -> np.ndarray:
 
 
 def build_chi(grid: SpatialGrid, masks: RegionMasks) -> np.ndarray:
-    """C^2 cutoff node values: 1 on omega3, smoothstep ramps, exactly 0 outside omega."""
+    """C^2 cutoff node values: 1 on omega3, smoothstep ramps, exactly 0
+    outside omega; `build_masks` makes each ramp at least 2h wide."""
     (oa, ob), (ia, ib) = masks.omega, masks.omega3
-    if ia - oa < 2 * grid.h or ob - ib < 2 * grid.h:
-        raise ResolutionError(
-            "omega3 is not compactly inside omega at this resolution "
-            f"(ramp widths {ia - oa:.4g}, {ob - ib:.4g} < 2h = {2 * grid.h:.4g})")
     x = grid.x
     val = np.zeros_like(x)
     val[(x >= ia) & (x <= ib)] = 1.0

@@ -6,10 +6,12 @@ import pytest
 from bscontrol.cli import build_setup, load_config
 from bscontrol.errors import ContractError
 from bscontrol.fi import _dot, _residual_stack, _row_weights, _source_rhs, _wmul
-from bscontrol.geometry import SpaceTimeField, l2_inner
+from bscontrol.geometry import (SpaceTimeField, l2_inner, normal_derivative,
+                                sbp_laplacian)
 from bscontrol.insensitize import observation_pairing
-from bscontrol.solvers import (solve_linearized_cascade,
-                               solve_quasilinear_cascade, solve_sensitivity)
+from bscontrol.solvers import (_march, _quasilinear_jacobian_bands,
+                               _solve_tridiagonal, solve_linearized_cascade,
+                               solve_quasilinear_cascade)
 from bscontrol.weights import WeightTables, admissible_time_profile
 
 
@@ -109,6 +111,67 @@ def bilinear_B(problem, YZ, YZbar) -> float:
 def linear_F(problem, F: SpaceTimeField, G: SpaceTimeField, YZ) -> float:
     """The right-hand side functional of the least-squares problem at a pair."""
     return _dot(_source_rhs(problem, F, G), pack_dofs(problem, *YZ))
+
+
+def node_gradient(y: np.ndarray, grid) -> np.ndarray:
+    """Second-order node gradient: central interior, one-sided at the ends
+    (the signed normal derivative; negation is exact)."""
+    out = np.empty_like(y, dtype=float)
+    out[..., 1:-1] = (y[..., 2:] - y[..., :-2]) / (2 * grid.h)
+    out[..., [0, -1]] = normal_derivative(y, grid) * [-1.0, 1.0]
+    return out
+
+
+def solve_sensitivity(cs, grid, time_grid, Psi: SpaceTimeField, zhat0) -> SpaceTimeField:
+    """Tangent (sensitivity) system along a quasilinear trajectory.
+
+    Exact directional derivative of the discrete quasilinear flow: the
+    conservative flux carries sigma(psi) G z + sigma'(psi) z_face G psi,
+    coefficients sampled at each cell's right slice.
+    """
+    if not zhat0.is_trace_compatible(1e-12):
+        raise ContractError("perturbation direction must be trace-compatible")
+    # the tangent of an implicit step is its Newton Jacobian at the
+    # converged state
+    dt, M = time_grid.dt, time_grid.step_count
+    ab = _quasilinear_jacobian_bands(Psi.bulk[1:], cs, grid, dt)
+    out = np.empty((M + 1, grid.n_nodes))
+    _march(lambda c, rhs: _solve_tridiagonal(ab[:, c - 1], rhs), grid.mass_weights(),
+           dt, zhat0.bulk, out, np.zeros_like(out[1:]))    # no source
+    return SpaceTimeField.from_bulk(out)
+
+
+def nonlinear_parts_A(Psi: SpaceTimeField, H: SpaceTimeField, cs, ops) -> dict:
+    """Strong-form A1..A4 on cells (arrays indexed like the source slices):
+    the linearized cascade rows minus the quasilinear ones, A = L - Lambda.
+
+    A_psi rows (A1 bulk, A3 surface) are sampled wholly at the cell's
+    right slice; A_h rows (A2, A4) take the state psi at the right slice
+    and the h-fields at the left slice, mirroring the backward stepper.
+    """
+    g = ops.grid
+    s0, da0, db0 = ops.sigma0, ops.da0, ops.db0
+    M = Psi.n_slices - 1
+
+    pb, ps = Psi.bulk[1:], Psi.surface[1:]          # cells 1..M at right slices
+    lap_p = sbp_laplacian(pb, g)
+    grad_p = node_gradient(pb, g)
+    dnu_p = normal_derivative(pb, g)
+
+    A1 = np.zeros((M + 1, g.n_nodes))
+    A3 = np.zeros((M + 1, 2))
+    A1[1:] = (cs.sigma(pb) - s0) * lap_p + cs.dsigma(pb) * grad_p**2 \
+        - (cs.a(pb) - da0 * pb)
+    A3[1:] = -(cs.sigma(ps) - s0) * dnu_p - (cs.b(ps) - db0 * ps)
+
+    hb, hs = H.bulk[:-1], H.surface[:-1]            # cells 1..M at left slices
+    lap_h = sbp_laplacian(hb, g)
+    dnu_h = normal_derivative(hb, g)
+    A2 = np.zeros((M + 1, g.n_nodes))
+    A4 = np.zeros((M + 1, 2))
+    A2[1:] = (cs.sigma(pb) - s0) * lap_h - (cs.da(pb) - da0) * hb
+    A4[1:] = -(cs.sigma(ps) - s0) * dnu_h - (cs.db(ps) - db0) * hs
+    return {"A1": A1, "A2": A2, "A3": A3, "A4": A4}
 
 
 def duality_identity_check(bundle, F, v, direction, quasilinear=True) -> dict:

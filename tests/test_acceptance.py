@@ -12,15 +12,15 @@ import numpy as np
 from bscontrol import diagnostics
 from bscontrol.fi import FISolver, cascade_residual_check, galerkin_check
 from bscontrol.geometry import BulkSurfaceField, SpaceTimeField, l2_norm
-from bscontrol.insensitize import (insensitivity_check, nonlinear_parts_A,
-                                   random_direction, synthesize)
+from bscontrol.insensitize import (insensitivity_check, random_direction,
+                                   synthesize)
 from bscontrol.solvers import (LinearOperatorSet, coefficient_preset,
                                l2_history, solve_adjoint_cascade,
                                solve_linear_forward, solve_quasilinear,
                                total_mass)
 from bscontrol.weights import empirical_carleman_check, log_add
 
-from conftest import make_bundle, random_source
+from conftest import make_bundle, nonlinear_parts_A, random_source
 
 
 def _report(num, name, passed, detail=""):
@@ -188,6 +188,11 @@ def test_criterion_8_derivative_correctness(bundle):
 
 
 def test_criterion_9_outer_loop_contraction():
+    """The outer iteration is the chord on h(.,0).  Over 5 random sources,
+    each step at least halves ||h_q(.,0)||, no synthesis takes more than
+    10 steps, and the control stays within 3x (in L2) of the linear
+    problem's control on the same source: the least-squares control plus
+    one projection of the linear cascade's h(.,0)."""
     rng = np.random.default_rng(19)
     ratios = []
     iters = []
@@ -198,25 +203,25 @@ def test_criterion_9_outer_loop_contraction():
         F = random_source(b, rng, amplitude=1e-3)
         rep = synthesize(F, b)
         iters.append(rep.iterations)
-        incs = rep.increments
-        ratios.extend(incs[i + 1] / incs[i] for i in range(len(incs) - 1))
-        # linear-problem control on the same source
-        sol_lin = b.fi_solver.solve(F)
-        g = b.grid
+        h0 = rep.h0_steps
+        ratios.extend(h0[i + 1] / h0[i] for i in range(len(h0) - 1))
+        sol, g = rep.fi_solution, b.grid
+        v_lin = sol.v + b.control_modes.correction(sol.resolved[1].slice(0), g)
 
         def vnorm(v, _b=b, _g=g):
             return math.sqrt(float(np.einsum(
                 "cj,j,cj->", v[1:], _g.trapezoid_weights(), v[1:])
                 * _b.time_grid.dt))
 
-        vs_linear.append(abs(math.log(vnorm(rep.fi_solution.v) / vnorm(sol_lin.v))))
-        ctrl_src.append(math.log(max(vnorm(rep.fi_solution.v), 1e-300))
+        vs_linear.append(abs(math.log(vnorm(rep.v) / vnorm(v_lin))))
+        ctrl_src.append(math.log(max(vnorm(rep.v), 1e-300))
                         - 0.5 * rep.log_y_norm_sq)
     band = max(ctrl_src) - min(ctrl_src)
-    ok = (max(ratios) <= 0.5 and max(iters) <= 10
+    worst = max(ratios, default=0.0)
+    ok = (worst <= 0.5 and max(iters) <= 10
           and max(vs_linear) <= math.log(3.0))
-    _report(9, "outer-loop contraction and control-to-source ratio", ok,
-            f"worst increment ratio {max(ratios):.2e}, iterations {iters}, "
+    _report(9, "chord contraction and control-to-source ratio", ok,
+            f"worst h0 ratio per step {worst:.2e}, steps {iters}, "
             f"synthesized-vs-linear |log ratio| {max(vs_linear):.2e} "
             f"(<= ln 3), cross-draw band {band:.2f}")
 

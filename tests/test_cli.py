@@ -14,7 +14,7 @@ import pytest
 from bscontrol import fi, insensitize, solvers
 from bscontrol.cli import (DEFAULTS, RunConfig, build_setup, cmd_diagnose,
                            cmd_sweep, cmd_synthesize, load_config, main)
-from bscontrol.errors import ConfigurationError
+from bscontrol.errors import ConfigurationError, ResolutionError
 from bscontrol.geometry import build_grid, build_masks
 from bscontrol.weights import admissible_time_profile, build_eta
 from bscontrol.insensitize import synthesize
@@ -104,7 +104,7 @@ def test_eta_peak_follows_the_masks(tmp_path):
     assert np.argmax(eta.values) == np.argmin(np.abs(g.x - (lo + hi) / 2))
     # with omega1 = (0.36, 0.42) every peak across omega1 leaves eta too
     # flat outside it: a configuration error that names the masks
-    path.write_text("[masks]\nomega = 0.3,0.9\nobs_bulk = 0.3,0.48\n")
+    path.write_text("[masks]\nomega = 0.28,0.9\nobs_bulk = 0.3,0.48\n")
     with pytest.raises(ConfigurationError, match=r"\[masks\] omega = .* gradient floor"
                        r".* no other peak across omega1 passes"):
         build_setup(load_config(str(path)))
@@ -114,12 +114,15 @@ def test_eta_peak_follows_the_masks(tmp_path):
     ((0.02, 0.5), (0.02, 0.2), (0.08, 0.14)),
     ((0.1, 0.9), (0.05, 0.3), (0.16, 0.24))])
 def test_eta_peak_searched_across_omega1(tmp_path, omega, obs_bulk, omega1):
-    """Masks whose omega1 fails at its midpoint but passes off it: at 64
-    cells the profile peaked at the midpoint is too flat outside omega1,
-    so the peak moves to the first passing point nearest the midpoint.  At
-    128 cells (64 cells are too coarse for chi's ramps) the whole
-    configuration is accepted."""
-    g = build_grid(1.0, 64)
+    """Masks whose omega1 fails at its midpoint but passes off it: the
+    profile peaked at the midpoint is too flat outside omega1, so the peak
+    moves to the first passing point nearest the midpoint, and the
+    synthesis runs (128 cells).  At 64 cells `build_masks` refuses them:
+    omega3 lies one margin, 0.02, inside omega at the end the two regions
+    share, and chi's ramp needs 2h = 0.03125."""
+    with pytest.raises(ResolutionError, match=r"ramp widths .* < 2h = 0.03125"):
+        build_masks(build_grid(1.0, 64), omega, obs_bulk, {"left", "right"}, 0.02)
+    g = build_grid(1.0, 128)
     masks = build_masks(g, omega, obs_bulk, {"left", "right"}, 0.02)
     lo, hi = masks.omega1
     assert (lo, hi) == pytest.approx(omega1)
@@ -131,8 +134,9 @@ def test_eta_peak_searched_across_omega1(tmp_path, omega, obs_bulk, omega1):
     path = tmp_path / "masks.cfg"
     path.write_text(f"[masks]\nomega = {omega[0]},{omega[1]}\n"
                     f"obs_bulk = {obs_bulk[0]},{obs_bulk[1]}\n[grid]\ncells = 128\n")
-    bundle, _ = build_setup(load_config(str(path)))
-    assert bundle.masks.omega1 == pytest.approx(omega1)
+    assert main(["synthesize", "--config", str(path), "--out", str(tmp_path)]) == 0
+    path.write_text(path.read_text().replace("cells = 128", "cells = 64"))
+    assert main(["synthesize", "--config", str(path), "--out", str(tmp_path)]) == 2
 
 
 def test_config_hash_seed_sensitivity(tmp_path):
@@ -308,7 +312,7 @@ def test_diagnose_unknown_suite(tmp_path):
 def test_sweep_theta_s_gating(tmp_path, monkeypatch):
     factorizations = _count_calls(monkeypatch, fi, "splu")
     rows = cmd_sweep(_small_config(), "theta_s", ["0.0", "0.5"], str(tmp_path))
-    assert all(r["status"] in ("converged", "converged_floor") for r in rows)
+    assert all(r["status"] == "converged" for r in rows)
     assert (tmp_path / "sweep_theta_s.csv").exists()
     # theta_s is part of the operator: one factorization per value
     assert len(factorizations) == 2
@@ -326,7 +330,7 @@ def test_sweep_shares_factor_across_amplitudes(tmp_path, monkeypatch):
         rep = synthesize(F, bundle)
         assert row == {"parameter": "amplitude", "value": amp,
                        "status": rep.status, "iterations": rep.iterations,
-                       "h0_linear": rep.h0_history[-1],
+                       "h0_linear": rep.h0_norm_linear,
                        "h0_quasilinear": rep.h0_norm_quasilinear,
                        "log_x_norm_sq": rep.fi_solution.log_x_norm_sq,
                        "log_y_norm_sq": rep.log_y_norm_sq}
@@ -335,7 +339,7 @@ def test_sweep_shares_factor_across_amplitudes(tmp_path, monkeypatch):
 def test_sweep_factorizes_per_grid(tmp_path, monkeypatch):
     factorizations = _count_calls(monkeypatch, fi, "splu")
     rows = cmd_sweep(_small_config(), "N", ["32", "40"], str(tmp_path))
-    assert all(r["status"] in ("converged", "converged_floor") for r in rows)
+    assert all(r["status"] == "converged" for r in rows)
     assert len(factorizations) == 2
 
 
@@ -348,7 +352,7 @@ def test_sweep_invalid_value_keeps_going(tmp_path):
     status = [r["status"] for r in rows]
     assert status[0] == status[2] == status[4] == status[5] == "invalid"
     assert status[7] == "invalid"
-    assert {status[1], status[3], status[6]} <= {"converged", "converged_floor"}
+    assert {status[1], status[3], status[6]} == {"converged"}
     assert "theta_s" in rows[0]["detail"] and "amplitude" in rows[2]["detail"]
     assert "amplitude" in rows[5]["detail"] and "lambda" in rows[7]["detail"]
 
@@ -373,18 +377,33 @@ def test_synthesize_reports_backward_error(tmp_path):
     assert 0 < summary["fi"]["backward_error"] <= 1e-14
 
 
-def test_synthesize_linear_h0_is_the_last_iteration_row(tmp_path):
-    cmd_synthesize(load_config(None), str(tmp_path))
+def test_synthesize_iterations_csv_is_the_chord(tmp_path):
+    """`iterations.csv` holds ||h_q(.,0)|| under the least-squares control
+    (step 0) and after each chord step; the JSON's projection block
+    repeats its ends and reads its scale and modes off the bundle."""
+    cfg = load_config(None)
+    cmd_synthesize(cfg, str(tmp_path))
     summary = json.loads((tmp_path / "synthesis.json").read_text())
     with open(tmp_path / "iterations.csv", newline="") as fh:
-        *_, last = csv.DictReader(fh)
-    assert summary["h0_norm"]["linear"] == float(last["h0_norm"])
+        rows = list(csv.DictReader(fh))
+    assert [int(r["step"]) for r in rows] == list(range(summary["iterations"] + 1))
+    proj = summary["projection"]
+    assert proj["h0_before"] == float(rows[0]["h0_norm"])
+    assert proj["h0_after"] == float(rows[-1]["h0_norm"]) \
+        == summary["h0_norm"]["quasilinear"]
+    assert proj["h0_after"] <= insensitize.CHORD_TOL * proj["h0_uncontrolled"]
+    bundle, _ = build_setup(cfg)
+    assert proj["k"] == 2
+    assert proj["singular_values"] == bundle.control_modes.sigma.tolist()
+    assert 0 < proj["dv_relative"] < 1
+    assert "before the projection" in proj["note"]
 
 
-def test_synthesize_solves_one_quasilinear_cascade(tmp_path, monkeypatch):
-    """The insensitivity check reuses the synthesis' quasilinear cascade and
-    its J(0), and advances the 6 ladder trajectories of each of the 3
-    directions as one stack: 19 trajectories in 2 stepper calls."""
+def test_insensitivity_check_adds_no_quasilinear_cascade(tmp_path, monkeypatch):
+    """The insensitivity check reuses the chord's last quasilinear cascade
+    and its J(0), and advances the 6 ladder trajectories of each of the 3
+    directions as one stack: one cascade per chord iterate, then 18
+    trajectories in one stepper call."""
     cascades = _count_calls(monkeypatch, insensitize, "solve_quasilinear_cascade")
     stacks = []
     original = solvers.solve_quasilinear
@@ -395,9 +414,22 @@ def test_synthesize_solves_one_quasilinear_cascade(tmp_path, monkeypatch):
 
     monkeypatch.setattr(solvers, "solve_quasilinear", counted)
     monkeypatch.setattr(insensitize, "solve_quasilinear", counted)
-    cmd_synthesize(_small_config(), str(tmp_path))
-    assert len(cascades) == 1
-    assert stacks == [1, 6 * 3]
+    summary = cmd_synthesize(_small_config(), str(tmp_path))
+    assert len(cascades) == summary["iterations"] + 1 == 3
+    assert stacks == [1] * len(cascades) + [6 * 3]
+
+
+def test_synthesize_outside_the_small_data_radius_exits_3(tmp_path):
+    """At 32x64 an amplitude of 1e3 makes the first chord step grow
+    ||h_q(.,0)|| instead of halving it: exit 3, no report."""
+    path = tmp_path / "big.cfg"
+    path.write_text("[source]\namplitude = 1e3\n" + SMALL_GRID)
+    out = subprocess.run([sys.executable, "-m", "bscontrol", "synthesize", "--config",
+                          str(path), "--out", str(tmp_path)], capture_output=True,
+                         text=True, timeout=120, env=_env_with_src())
+    assert out.returncode == 3, out.stderr
+    assert "smallness violation: chord step 1 did not halve" in out.stderr
+    assert not (tmp_path / "synthesis.json").exists()
 
 
 def test_weight_csv_signature(tmp_path):

@@ -11,15 +11,18 @@ from bscontrol import insensitize, solvers
 from bscontrol.errors import ContractError, SmallnessViolationError
 from bscontrol.fi import FISolver, cascade_residual_check
 from bscontrol.geometry import (BulkSurfaceField, SpaceTimeField, h3_proxy_norm,
-                                l2_norm, node_gradient, normal_derivative,
+                                l2_norm, normal_derivative,
                                 sbp_laplacian)
-from bscontrol.insensitize import (evaluate_J, insensitivity_check,
-                                   nonlinear_parts_A, quadratic_energy,
-                                   random_direction, synthesize)
+from bscontrol.insensitize import (CHORD_TOL, ControlModes, control_support,
+                                   control_to_h0_adjoint, evaluate_J,
+                                   insensitivity_check, linear_h,
+                                   quadratic_energy, random_direction,
+                                   synthesize)
 from bscontrol.solvers import (coefficient_preset, linear_cascade_rows,
                                solve_quasilinear_cascade)
 
-from conftest import duality_identity_check, make_bundle
+from conftest import (duality_identity_check, make_bundle, node_gradient,
+                      nonlinear_parts_A)
 
 
 @pytest.fixture(scope="module")
@@ -116,36 +119,49 @@ def test_synthesize_zero_source(bundle):
     M = bundle.time_grid.step_count
     rep = synthesize(SpaceTimeField.zeros(g, M + 1), bundle)
     assert rep.status == "converged"
-    assert rep.iterations == 1
-    assert np.all(rep.fi_solution.v == 0)
+    assert rep.iterations == 0 and rep.h0_free == 0.0
+    assert np.all(rep.fi_solution.v == 0) and np.all(rep.v == 0)
     assert rep.h0_norm_quasilinear == 0.0
 
 
 def test_synthesize_linear_coefficients_two_iterations():
+    """With the constant preset the quasilinear cascade is the linear one
+    up to Newton's tolerance, so the chord steps with the exact derivative
+    of a linear map: it converges in at most two steps."""
     bundle, F = make_bundle(preset="constant")
     rep = synthesize(F, bundle)
+    assert rep.status == "converged"
     assert rep.iterations <= 2
-    assert rep.status in ("converged", "converged_floor")
-    # A vanished identically, so the second solve reproduced the first
-    if rep.iterations == 2:
-        assert rep.increments[-1] <= 1e-12
+    assert rep.h0_norm_quasilinear <= CHORD_TOL * rep.h0_free
 
 
 def test_synthesize_converges_small_data(synth):
     rep = synth
-    assert rep.status in ("converged", "converged_floor")
-    assert rep.iterations <= 10
-    assert rep.increments[1] / rep.increments[0] <= 1e-5
-    assert rep.h0_norm_quasilinear <= 1e-4
+    assert rep.status == "converged"
+    assert 1 <= rep.iterations <= 10
+    assert rep.h0_steps[1] / rep.h0_steps[0] <= 1e-5
+    assert rep.h0_norm_quasilinear <= CHORD_TOL * rep.h0_free
+    assert rep.h0_norm_quasilinear <= 1e-12
     H = rep.fi_solution.H
     assert np.all(H.bulk[0] == 0) and np.all(H.surface[0] == 0)
 
 
+@pytest.mark.parametrize("family", ["gaussian", "random_fourier"])
+@pytest.mark.parametrize("N, M", [(32, 64), (64, 128)])
+def test_synthesize_cancels_h0(family, N, M):
+    """The chord takes ||h_q(.,0)|| below 1e-12 (from 1e-6 to 2e-5 after
+    the least-squares solve) on both source families."""
+    bundle, F = make_bundle(N=N, M=M, family=family)
+    rep = synthesize(F, bundle)
+    assert rep.h0_steps[0] > 1e-7
+    assert rep.h0_norm_quasilinear <= 1e-12
+
+
 def test_synthesize_outer_loop_exits(monkeypatch):
-    """The loop's four exits under a patched sequence of increments:
-    `converged`; `converged_floor`, which returns the pre-bounce solve;
-    `max_outer_reached` after MAX_OUTER solves; and three consecutive
-    non-decreasing increments above 0.1, which raise."""
+    """The outer iteration is the chord, and it has three exits: it
+    converges on ||h_q(.,0)|| <= CHORD_TOL * h0_free after one
+    least-squares solve; a step that does not halve ||h_q(.,0)|| raises;
+    and so does a chord that needs more than MAX_OUTER steps."""
     bundle, F = make_bundle(N=32, M=64)
     solve = FISolver.solve
     solves = []
@@ -154,42 +170,36 @@ def test_synthesize_outer_loop_exits(monkeypatch):
         solves.append(solve(self, *args, **kwargs))
         return solves[-1]
 
-    def run(incs):
-        solves.clear()
-        seq = iter(incs)
-        monkeypatch.setattr(insensitize, "log_ratio", lambda num, den: next(seq) ** 2)
-        return synthesize(F, bundle)
-
     monkeypatch.setattr(FISolver, "solve", recording_solve)
-    rep = run([0.5, 0.05, 1e-12])
-    assert rep.status == "converged" and rep.iterations == len(solves) == 3
-    assert rep.fi_solution is solves[-1]
-    assert len(rep.increments) == len(rep.h0_history) == 3
+    rep = synthesize(F, bundle)
+    assert rep.status == "converged" and rep.iterations == 2
+    assert len(solves) == 1 and solves[0] is rep.fi_solution
+    assert rep.h0_steps[-1] <= CHORD_TOL * rep.h0_free < rep.h0_steps[-2]
+    # the quasilinear states are the last step's own
+    assert rep.h0_norm_quasilinear == l2_norm(rep.quasi_states[1].slice(0),
+                                              bundle.grid)
 
-    rep = run([0.5, 0.05, 0.01, 0.02])
-    assert rep.status == "converged_floor" and rep.iterations == len(solves) == 4
-    assert rep.fi_solution is solves[-2]
-    assert len(rep.increments) == len(rep.h0_history) == rep.iterations - 1
-    assert rep.increments == pytest.approx([0.5, 0.05, 0.01])
+    monkeypatch.setattr(insensitize, "MAX_OUTER", 1)
+    with pytest.raises(SmallnessViolationError, match="in 1 steps") as exc:
+        synthesize(F, bundle)
+    assert exc.value.step == 1
 
-    # a decrease resets the count, so the seventh solve is the third in a row
-    with pytest.raises(SmallnessViolationError):
-        run([0.5, 0.6, 0.7, 0.65, 0.7, 0.8, 0.9])
-    assert len(solves) == 7
-
-    monkeypatch.setattr(insensitize, "MAX_OUTER", 3)
-    rep = run([0.5, 0.05, 0.01])
-    assert rep.status == "max_outer_reached" and rep.iterations == len(solves) == 3
-    assert rep.fi_solution is solves[-1]
-    # the linear h(.,0) norm is the committed states' own, to the bit
-    assert rep.h0_history[-1] == l2_norm(rep.fi_solution.resolved[1].slice(0),
-                                         bundle.grid)
+    monkeypatch.setattr(insensitize, "MAX_OUTER", 30)
+    # steps of 0.4 times the chord's leave 0.6 of ||h_q(.,0)||
+    full = ControlModes.correction
+    monkeypatch.setattr(ControlModes, "correction",
+                        lambda self, h0, grid: 0.4 * full(self, h0, grid))
+    with pytest.raises(SmallnessViolationError, match="did not halve") as exc:
+        synthesize(F, bundle)
+    assert exc.value.step == 1
 
 
 def test_one_cascade_resolve_per_solve(monkeypatch):
-    """A solve's cascade is re-solved once, in `FISolution.resolved`: the
-    outer loop reads it, and the residual check and the estimates on the
-    report's solution add no solve."""
+    """One synthesis makes one least-squares solve, and that solve's
+    cascade is re-solved once, in `FISolution.resolved`: the linear h(.,0)
+    norm, the residual check and the estimates all read it.  The
+    synthesis' own linear cascades are its scale h0_free and, once per
+    bundle, the control modes."""
     bundle, F = make_bundle(N=32, M=64)
     calls = {"cascade": 0, "solve": 0}
     cascade, solve = solvers.solve_linearized_cascade, FISolver.solve
@@ -206,11 +216,51 @@ def test_one_cascade_resolve_per_solve(monkeypatch):
             monkeypatch.setattr(module, "solve_linearized_cascade",
                                 counted(cascade, "cascade"))
     monkeypatch.setattr(FISolver, "solve", counted(solve, "solve"))
+    bundle.control_modes
+    assert calls == {"cascade": 2, "solve": 0}
     rep = synthesize(F, bundle)
-    assert calls["cascade"] == calls["solve"] == rep.iterations >= 1
+    assert calls == {"cascade": 3, "solve": 1}
+    rep.h0_norm_linear
     cascade_residual_check(rep.fi_solution)
     rep.fi_solution.lhs_rhs_ratios
-    assert calls["cascade"] == calls["solve"] == rep.iterations
+    assert calls == {"cascade": 4, "solve": 1}
+
+
+def test_control_modes_match_dense_svd():
+    """The range finder's triplets against the oracle at 32x64: the
+    explicit G^T, from G* on the n unit impulses stacked, then a dense SVD
+    in the weights.  sigma_3 / sigma_1 is 1e-12 there, so k = 2."""
+    bundle, _ = make_bundle(N=32, M=64)
+    g, tg, masks = bundle.grid, bundle.time_grid, bundle.masks
+    M, n, dt = tg.step_count, g.n_nodes, tg.dt
+    modes = bundle.control_modes
+    assert modes is bundle.control_modes
+    assert dataclasses.replace(bundle, theta_s=0.0).control_modes is not modes
+    support = control_support(bundle)
+    assert np.array_equal(support[1:], bundle.tables.live[:, None]
+                          & masks.omega_nodes[None, :])
+    assert not support[0].any()
+
+    # row j: G* e_j on the support
+    Gt = control_to_h0_adjoint(bundle, np.eye(n))[:, support]
+    wv = (dt * g.trapezoid_weights() * np.ones((M + 1, 1)))[support]
+    wh = g.mass_weights()
+    # G = W_h^-1 (W_v G*)^T; its weighted form W_h^1/2 G W_v^-1/2
+    Ghat = (np.sqrt(wv) * Gt).T / np.sqrt(wh)
+    Uo, so, Vt = np.linalg.svd(Ghat.T, full_matrices=False)
+    k = len(modes.sigma)
+    assert k == 2 and so[2] < 1e-10 * so[0] < so[1]
+    assert modes.sigma == pytest.approx(so[:2], rel=1e-12)
+    for i in range(k):
+        u = Uo[:, i] / np.sqrt(wh)
+        v = Vt[i] / np.sqrt(wv)
+        sign = np.sign(np.dot(u, modes.U[i]))
+        assert np.abs(sign * modes.U[i] - u).max() <= 1e-8 * np.abs(u).max()
+        assert np.abs(sign * modes.V[i][support] - v).max() <= 1e-8 * np.abs(v).max()
+        assert np.all(modes.V[i][~support] == 0)
+    # G V_i = sigma_i U_i through the forward cascade
+    GV = linear_h(bundle, v=modes.V)[:, 0]
+    assert np.abs(GV - modes.sigma[:, None] * modes.U).max() <= 1e-12 * modes.sigma[0]
 
 
 def test_quadratic_energy_gates(bundle):
@@ -267,7 +317,7 @@ def test_evaluate_J_at_zero_is_the_report_energy(bundle, source, synth):
     assert j0 > 0
     for _ in range(3):
         d = random_direction(bundle.grid, rng)
-        assert evaluate_J(bundle, source, synth.fi_solution.v, 0.0, d) == j0
+        assert evaluate_J(bundle, source, synth.v, 0.0, d) == j0
 
 
 def test_duality_identity(bundle, source, synth):
@@ -307,6 +357,7 @@ def test_insensitivity_check_structure(bundle, source, synth):
     assert abs(out["adjoint_total"]) <= 1e-4
     assert abs(out["linear_coeff"]) <= 1e-4
     assert out["quadratic_coeff"] > 0
+    assert set(out["error_budget"]) == {"fd_truncation", "synthesis_residual"}
     assert out["discrepancy"] <= max(1e-6, 10 * out["error_budget"]["fd_truncation"]
                                      + out["error_budget"]["synthesis_residual"])
     assert out["trend_ok"]
@@ -326,7 +377,7 @@ def test_disjoint_support_adjoint_zero(bundle, source, synth):
     # representable, so take a direction vanishing on the whole grid
     d = BulkSurfaceField.zeros(bundle.grid)
     _, H = solve_quasilinear_cascade(bundle.cs, bundle.grid, bundle.time_grid,
-                                     source, synth.fi_solution.v, bundle.theta,
+                                     source, synth.v, bundle.theta,
                                      bundle.theta_s, bundle.masks)
     w = bundle.grid.trapezoid_weights()
     assert float(np.dot(w * d.bulk, H.bulk[0]) + np.dot(d.surface, H.surface[0])) == 0.0

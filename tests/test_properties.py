@@ -13,8 +13,9 @@ tridiagonal solve against solve_banded, the Newton stop tests' row norms
 against np.linalg.norm, the stacked Carleman check against
 a per-sample one, the check's `np.errstate` entries against its sample
 count, the random source against its tuple-drawn and outer-sum forms, the
-duality of the quasilinear tangent and adjoint steppers, and both of those
-band marches against per-step solve_banded solves."""
+duality of the quasilinear tangent and adjoint steppers, both of those
+band marches against per-step solve_banded solves, and the adjoint of the
+control-to-h(.,0) map."""
 
 import math
 import warnings
@@ -31,16 +32,18 @@ from bscontrol import diagnostics
 from bscontrol.errors import ConditioningError
 from bscontrol.fi import _recover_fields, _residual_stack, _unpack_dofs
 from bscontrol.geometry import (BulkSurfaceField, SpaceTimeField, build_grid,
-                                build_time_grid, grad_faces, l2_inner,
-                                normal_derivative, sbp_laplacian, st_inner)
-from bscontrol.insensitize import random_direction
+                                build_masks, build_time_grid, grad_faces,
+                                l2_inner, normal_derivative, sbp_laplacian,
+                                st_inner)
+from bscontrol.insensitize import (control_support, control_to_h0_adjoint,
+                                   linear_h, random_direction)
 from bscontrol.solvers import (LinearOperatorSet, _constant_step_bands,
                                _quasilinear_jacobian_bands, _row_norms,
                                _solve_tridiagonal, _weak_rhs, apply_L,
                                coefficient_preset, l2_history,
                                solve_adjoint_cascade,
                                solve_backward_varcoef, solve_linear_backward,
-                               solve_linear_forward, solve_sensitivity,
+                               solve_linear_forward,
                                total_mass)
 from bscontrol import weights
 from bscontrol.weights import (LogWeight, _random_smooth_source, _stack_log_sums,
@@ -48,7 +51,8 @@ from bscontrol.weights import (LogWeight, _random_smooth_source, _stack_log_sums
                                empirical_carleman_check, log_add, log_ratio,
                                log_sq_sums, log_st_sq, log_weighted_sq_sum)
 
-from conftest import duality_identity_check, make_bundle, stack_blocks
+from conftest import (duality_identity_check, make_bundle, solve_sensitivity,
+                      stack_blocks)
 
 PROPERTY = settings(max_examples=25, deadline=None, database=None,
                     derandomize=True)
@@ -714,3 +718,33 @@ def test_band_marches_match_per_step_solve_banded(preset, N, M, T, amplitude, se
         want[c - 1] = solve_banded((1, 1), abT, Mw * want[c] / dt + src)
     got = solve_backward_varcoef(cs, g, tg, states, G, BulkSurfaceField.from_bulk(start))
     assert np.array_equal(got.bulk, want)
+
+
+@PROPERTY
+@given(N=st.integers(16, 48), theta_s=st.sampled_from([0.0, 0.5]),
+       seed=st.integers(0, 2**32 - 1))
+def test_control_to_h0_adjoint_identity(N, theta_s, seed):
+    """<G v, e> = <v, G* e> in the L2 weights of h(.,0) and of the control
+    (dt H_j on the live cells x omega nodes) for random live controls v
+    and data e, with 2N time steps and a random live window."""
+    rng = np.random.default_rng(seed)
+    g, tg = build_grid(1.0, N), build_time_grid(8.0, 2 * N)
+    M, n = tg.step_count, g.n_nodes
+    ops = LinearOperatorSet(sigma0=rng.uniform(0.5, 2.0), da0=rng.uniform(0.0, 1.0),
+                            db0=rng.uniform(0.0, 1.0), grid=g, time_grid=tg)
+    masks = build_masks(g, (0.05, 0.95), (0.2, 0.8), {"left", "right"}, 0.01)
+    first = int(rng.integers(0, M - 8))
+    live = np.zeros(M, bool)
+    live[first:] = rng.random(M - first) < 0.9
+    bundle = SimpleNamespace(grid=g, time_grid=tg, ops=ops, masks=masks,
+                             theta=1.0, theta_s=theta_s,
+                             tables=SimpleNamespace(live=live))
+    support = control_support(bundle)
+    v = np.where(support, rng.standard_normal((M + 1, n)), 0.0)
+    e = BulkSurfaceField.from_bulk(rng.standard_normal(n))
+    lhs = l2_inner(BulkSurfaceField.from_bulk(linear_h(bundle, v=v)[0]), e, g)
+    adj = control_to_h0_adjoint(bundle, e.bulk)
+    assert np.all(adj[~support] == 0)
+    rhs = st_inner(SpaceTimeField(v, np.zeros((M + 1, 2))),
+                   SpaceTimeField(adj, np.zeros((M + 1, 2))), g, tg.dt)
+    assert abs(lhs - rhs) <= 1e-13 * max(abs(lhs), abs(rhs))

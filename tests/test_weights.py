@@ -243,10 +243,11 @@ def test_chi_midpoint_half():
 
 
 def test_chi_resolution_guard():
+    """`build_masks` refuses a right ramp of chi thinner than 2h, so
+    `build_chi` never sees one."""
     g = build_grid(1.0, 64)
-    m = build_masks(g, (0.3, 0.7), (0.5, 0.9), {"left"}, 0.005)
-    with pytest.raises(ResolutionError):
-        build_chi(g, m)  # right ramp thinner than 2h
+    with pytest.raises(ResolutionError, match="ramp widths 0.205, 0.005 < 2h"):
+        build_masks(g, (0.3, 0.7), (0.5, 0.9), {"left"}, 0.005)
 
 
 def test_carleman_functional_zero_and_two_routes(bundle):

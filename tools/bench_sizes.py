@@ -26,8 +26,10 @@ For `synthesize` (`cmd_synthesize`) it also holds:
 - `trisolves`, `trisolve_s`: calls and time of the factor's `solve`, per
   task (the time a median);
 - `solves`: calls of `FISolver.solve` per task;
-- `status`, `iterations`, `increments`, `h0_quasilinear`,
-  `optimality_residual`, `backward_error`: copied from the last report.
+- `status`, `iterations` (the chord's steps), `projection` (the chord's
+  h(.,0) before and after, its scale, k, the singular values and the
+  relative control change), `h0_quasilinear`, `optimality_residual`,
+  `backward_error`: copied from the last report.
 
 For `carleman` (`cmd_diagnose` with `which="carleman"`, 50 adjoint cascades)
 it holds `max_ratio_alpha` and `max_ratio_beta` copied from the last report.
@@ -112,7 +114,7 @@ def measure_synthesize(cfg):
             wall = time.perf_counter() - t0
         return {"wall_s": wall, **stats,
                 "status": summary["status"], "iterations": summary["iterations"],
-                "increments": summary["increments"],
+                "projection": summary.get("projection"),
                 "h0_quasilinear": summary["h0_norm"]["quasilinear"],
                 "optimality_residual": summary["optimality_residual"],
                 "backward_error": summary["fi"]["backward_error"]}

@@ -16,8 +16,9 @@ Prints one line per command and the first SHOWN lines of each file's
 diff, with a count of the lines it leaves out, then each tree's
 `wc -l bscontrol/*.py`, and exits 1 on any difference, 0 otherwise.
 The commands cover every CLI
-command: both outer-loop exits (`converged` at 128x256, `converged_floor` on
-the other synthesize runs, 8 iterations at amplitude 1), a non-dyadic time
+command: both exits of the chord on h(.,0) (`converged` on every run that
+exits 0, in 4 steps at amplitude 1, and exit 3 at amplitude 1e3, where the
+first step grows ||h(.,0)||), a non-dyadic time
 step (8/100, where the other runs' dt are powers of two), a synthesis
 with each coefficient preset other than the default logistic one, factor
 reuse across an amplitude sweep, a grid sweep that replaces the bundle and
@@ -50,11 +51,14 @@ COMMANDS = (
      {**RANDOM_FOURIER, "grid": {"cells": "128"}, "time": {"steps": "256"}}),
     # dt = 8/100 is not dyadic, so a product with dt regrouped in the
     # least-squares right-hand side changes its last bits, and with them
-    # the outer loop's iteration count; every other dt here is dyadic
+    # the chord's trajectory; every other dt here is dyadic
     ("synthesize random_fourier 64x100", ["synthesize"],
      {**RANDOM_FOURIER, "time": {"steps": "100"}}),
     ("synthesize amplitude 1 32x64", ["synthesize"],
      {"source": {"amplitude": "1"}, "grid": {"cells": "32"},
+      "time": {"steps": "64"}}),
+    ("synthesize amplitude 1e3 32x64", ["synthesize"],
+     {"source": {"amplitude": "1e3"}, "grid": {"cells": "32"},
       "time": {"steps": "64"}}),
     # every other run uses the default logistic coefficients; these reach
     # the Newton step Jacobian's dsigma terms of the other presets
