@@ -22,7 +22,8 @@ from .solvers import (CoefficientSet, LinearOperatorSet, apply_L,
                       coefficient_preset, solve_adjoint_cascade,
                       solve_linear_backward, solve_linear_forward,
                       solve_linearized_cascade, solve_quasilinear,
-                      solve_quasilinear_cascade, validate_coefficients)
+                      solve_quasilinear_cascade, solve_sensitivity,
+                      validate_coefficients)
 from .fi import (FIProblem, FISolution, FISolver, cascade_residual_check,
                  galerkin_check)
 from .insensitize import (TAU_LADDER, ControlModes, SynthesisBundle,

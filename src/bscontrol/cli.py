@@ -298,8 +298,9 @@ def cmd_synthesize(cfg: RunConfig, outdir: str) -> dict:
             "h0_before": report.h0_steps[0],
             "h0_after": report.h0_norm_quasilinear,
             "h0_uncontrolled": report.h0_free,
-            "k": len(modes.sigma),
-            "singular_values": modes.sigma.tolist(),
+            "k": report.k,
+            "singular_values": modes.sigma[:report.k].tolist(),
+            "modes_left": len(modes.sigma) - report.k,
             "dv_relative": dv / v_fi if v_fi > 0 else 0.0,
             "note": "v_norms, lhs_rhs_ratios and log_x_norm_sq read the "
                     "least-squares solution before the projection"},
@@ -313,7 +314,8 @@ def cmd_synthesize(cfg: RunConfig, outdir: str) -> dict:
         "wall_seconds": time.perf_counter() - t0,
     }
     write_json(summary, os.path.join(outdir, "synthesis.json"))
-    write_csv([{"step": i, "h0_norm": h0} for i, h0 in enumerate(report.h0_steps)],
+    write_csv([{"step": i, "h0_norm": h0, "h0_on_modes": r} for i, (h0, r)
+               in enumerate(zip(report.h0_steps, report.residuals))],
               os.path.join(outdir, "iterations.csv"))
     dump_trajectory_csv(*report.quasi_states, bundle.grid, bundle.time_grid,
                         os.path.join(outdir, "trajectory.csv"))

@@ -346,9 +346,9 @@ def solve_backward_varcoef(cs: CoefficientSet, grid: SpatialGrid,
     Step c (producing slice c-1) solves with the transpose of the Newton
     Jacobian of forward step c at its converged state, slice c: the band
     keeps its diagonal and swaps its off-diagonal rows with a one-column
-    shift.  The tangent z of the flow steps with that Jacobian, so from a
-    zero terminal datum <z(.,0), H(.,0)> equals the pairing of z with G
-    (cell c at slice c) to roundoff, for any sigma.
+    shift.  That is the matrix `solve_sensitivity` steps the tangent z
+    with, so from a zero terminal datum <z(.,0), H(.,0)> equals the
+    pairing of z with G (cell c at slice c) to roundoff, for any sigma.
     """
     dt, M = time_grid.dt, time_grid.step_count
     ab = _quasilinear_jacobian_bands(states.bulk[1:], cs, grid, dt)
@@ -565,6 +565,26 @@ def solve_quasilinear_cascade(cs: CoefficientSet, grid: SpatialGrid,
     Psi = solve_quasilinear(cs, grid, time_grid, F, zero, v=v, masks=masks)
     return Psi, solve_backward_varcoef(
         cs, grid, time_grid, Psi, _observation_source(Psi, theta, theta_s, masks), zero)
+
+
+def solve_sensitivity(cs: CoefficientSet, grid: SpatialGrid, time_grid: TimeGrid,
+                      Psi: SpaceTimeField, zhat0: BulkSurfaceField) -> SpaceTimeField:
+    """Tangent (sensitivity) system along a quasilinear trajectory.
+
+    Exact directional derivative of the discrete quasilinear flow: the
+    conservative flux carries sigma(psi) G z + sigma'(psi) z_face G psi,
+    coefficients sampled at each cell's right slice.
+    """
+    if not zhat0.is_trace_compatible(1e-12):
+        raise ContractError("perturbation direction must be trace-compatible")
+    # the tangent of an implicit step is its Newton Jacobian at the
+    # converged state
+    dt, M = time_grid.dt, time_grid.step_count
+    ab = _quasilinear_jacobian_bands(Psi.bulk[1:], cs, grid, dt)
+    out = np.empty((M + 1, grid.n_nodes))
+    _march(lambda c, rhs: _solve_tridiagonal(ab[:, c - 1], rhs), grid.mass_weights(),
+           dt, zhat0.bulk, out, np.zeros_like(out[1:]))    # no source
+    return SpaceTimeField.from_bulk(out)
 
 
 # --- diagnostics ------------------------------------------------------------

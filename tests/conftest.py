@@ -9,9 +9,8 @@ from bscontrol.fi import _dot, _residual_stack, _row_weights, _source_rhs, _wmul
 from bscontrol.geometry import (SpaceTimeField, l2_inner, normal_derivative,
                                 sbp_laplacian)
 from bscontrol.insensitize import observation_pairing
-from bscontrol.solvers import (_march, _quasilinear_jacobian_bands,
-                               _solve_tridiagonal, solve_linearized_cascade,
-                               solve_quasilinear_cascade)
+from bscontrol.solvers import (solve_linearized_cascade,
+                               solve_quasilinear_cascade, solve_sensitivity)
 from bscontrol.weights import WeightTables, admissible_time_profile
 
 
@@ -120,25 +119,6 @@ def node_gradient(y: np.ndarray, grid) -> np.ndarray:
     out[..., 1:-1] = (y[..., 2:] - y[..., :-2]) / (2 * grid.h)
     out[..., [0, -1]] = normal_derivative(y, grid) * [-1.0, 1.0]
     return out
-
-
-def solve_sensitivity(cs, grid, time_grid, Psi: SpaceTimeField, zhat0) -> SpaceTimeField:
-    """Tangent (sensitivity) system along a quasilinear trajectory.
-
-    Exact directional derivative of the discrete quasilinear flow: the
-    conservative flux carries sigma(psi) G z + sigma'(psi) z_face G psi,
-    coefficients sampled at each cell's right slice.
-    """
-    if not zhat0.is_trace_compatible(1e-12):
-        raise ContractError("perturbation direction must be trace-compatible")
-    # the tangent of an implicit step is its Newton Jacobian at the
-    # converged state
-    dt, M = time_grid.dt, time_grid.step_count
-    ab = _quasilinear_jacobian_bands(Psi.bulk[1:], cs, grid, dt)
-    out = np.empty((M + 1, grid.n_nodes))
-    _march(lambda c, rhs: _solve_tridiagonal(ab[:, c - 1], rhs), grid.mass_weights(),
-           dt, zhat0.bulk, out, np.zeros_like(out[1:]))    # no source
-    return SpaceTimeField.from_bulk(out)
 
 
 def nonlinear_parts_A(Psi: SpaceTimeField, H: SpaceTimeField, cs, ops) -> dict:

@@ -379,8 +379,10 @@ def test_synthesize_reports_backward_error(tmp_path):
 
 def test_synthesize_iterations_csv_is_the_chord(tmp_path):
     """`iterations.csv` holds ||h_q(.,0)|| under the least-squares control
-    (step 0) and after each chord step; the JSON's projection block
-    repeats its ends and reads its scale and modes off the bundle."""
+    (step 0) and after each chord step, and its part on the modes the
+    chord cancels; the JSON's projection block repeats its ends and reads
+    its scale and modes off the bundle.  The default source affords both
+    modes, so the two columns end below the tolerance together."""
     cfg = load_config(None)
     cmd_synthesize(cfg, str(tmp_path))
     summary = json.loads((tmp_path / "synthesis.json").read_text())
@@ -392,8 +394,11 @@ def test_synthesize_iterations_csv_is_the_chord(tmp_path):
     assert proj["h0_after"] == float(rows[-1]["h0_norm"]) \
         == summary["h0_norm"]["quasilinear"]
     assert proj["h0_after"] <= insensitize.CHORD_TOL * proj["h0_uncontrolled"]
+    on_modes = [float(r["h0_on_modes"]) for r in rows]
+    assert all(a <= h for a, h in zip(on_modes, map(float, (r["h0_norm"] for r in rows))))
+    assert on_modes[-1] <= insensitize.CHORD_TOL * proj["h0_uncontrolled"]
     bundle, _ = build_setup(cfg)
-    assert proj["k"] == 2
+    assert proj["k"] == 2 and proj["modes_left"] == 0
     assert proj["singular_values"] == bundle.control_modes.sigma.tolist()
     assert 0 < proj["dv_relative"] < 1
     assert "before the projection" in proj["note"]

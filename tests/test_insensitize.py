@@ -13,8 +13,9 @@ from bscontrol.fi import FISolver, cascade_residual_check
 from bscontrol.geometry import (BulkSurfaceField, SpaceTimeField, h3_proxy_norm,
                                 l2_norm, normal_derivative,
                                 sbp_laplacian)
-from bscontrol.insensitize import (CHORD_TOL, ControlModes, control_support,
-                                   control_to_h0_adjoint, evaluate_J,
+from bscontrol.insensitize import (CHORD_TOL, ControlModes, control_norm,
+                                   control_support, control_to_h0_adjoint,
+                                   evaluate_J,
                                    insensitivity_check, linear_h,
                                    quadratic_energy, random_direction,
                                    synthesize)
@@ -22,7 +23,7 @@ from bscontrol.solvers import (coefficient_preset, linear_cascade_rows,
                                solve_quasilinear_cascade)
 
 from conftest import (duality_identity_check, make_bundle, node_gradient,
-                      nonlinear_parts_A)
+                      nonlinear_parts_A, random_source)
 
 
 @pytest.fixture(scope="module")
@@ -159,9 +160,10 @@ def test_synthesize_cancels_h0(family, N, M):
 
 def test_synthesize_outer_loop_exits(monkeypatch):
     """The outer iteration is the chord, and it has three exits: it
-    converges on ||h_q(.,0)|| <= CHORD_TOL * h0_free after one
-    least-squares solve; a step that does not halve ||h_q(.,0)|| raises;
-    and so does a chord that needs more than MAX_OUTER steps."""
+    converges when h_q(.,0) on the modes it cancels is at most
+    CHORD_TOL * h0_free, after one least-squares solve; a step that does
+    not halve that part raises; and so does a chord that needs more than
+    MAX_OUTER steps."""
     bundle, F = make_bundle(N=32, M=64)
     solve = FISolver.solve
     solves = []
@@ -172,9 +174,10 @@ def test_synthesize_outer_loop_exits(monkeypatch):
 
     monkeypatch.setattr(FISolver, "solve", recording_solve)
     rep = synthesize(F, bundle)
-    assert rep.status == "converged" and rep.iterations == 2
+    assert rep.status == "converged" and rep.iterations == 2 and rep.k == 2
     assert len(solves) == 1 and solves[0] is rep.fi_solution
-    assert rep.h0_steps[-1] <= CHORD_TOL * rep.h0_free < rep.h0_steps[-2]
+    assert rep.residuals[-1] <= CHORD_TOL * rep.h0_free < rep.residuals[-2]
+    assert rep.h0_steps[-1] <= CHORD_TOL * rep.h0_free
     # the quasilinear states are the last step's own
     assert rep.h0_norm_quasilinear == l2_norm(rep.quasi_states[1].slice(0),
                                               bundle.grid)
@@ -186,12 +189,37 @@ def test_synthesize_outer_loop_exits(monkeypatch):
 
     monkeypatch.setattr(insensitize, "MAX_OUTER", 30)
     # steps of 0.4 times the chord's leave 0.6 of ||h_q(.,0)||
-    full = ControlModes.correction
-    monkeypatch.setattr(ControlModes, "correction",
-                        lambda self, h0, grid: 0.4 * full(self, h0, grid))
+    full = ControlModes.step
+    monkeypatch.setattr(ControlModes, "step",
+                        lambda self, a, k: 0.4 * full(self, a, k))
     with pytest.raises(SmallnessViolationError, match="did not halve") as exc:
         synthesize(F, bundle)
     assert exc.value.step == 1
+
+
+def test_chord_leaves_a_mode_it_cannot_afford(monkeypatch):
+    """On acceptance criterion 9's first source, cancelling h_q(.,0) on the
+    second mode (sigma_2 = 2.4e-5) would move the control by 9.3 times
+    the least-squares control.  The chord leaves that mode: it cancels
+    the first, ends within 1 + CORRECTION_CAP times the least-squares
+    control, and reports the part of h_q(.,0) left on the second.
+    Without the cap it cancels both, and the control grows 9.4 times."""
+    b, _ = make_bundle()
+    F = random_source(b, np.random.default_rng(19), amplitude=1e-3)
+    g, dt = b.grid, b.time_grid.dt
+    rep = synthesize(F, b)
+    ratio = control_norm(rep.v, g, dt) / control_norm(rep.fi_solution.v, g, dt)
+    assert rep.status == "converged" and rep.k == 1 and len(b.control_modes.sigma) == 2
+    assert ratio <= 1 + insensitize.CORRECTION_CAP
+    assert rep.residuals[-1] <= CHORD_TOL * rep.h0_free
+    left = abs(b.control_modes.coefficients(rep.quasi_states[1].slice(0), g)[1])
+    assert rep.h0_steps[-1] == pytest.approx(left, rel=1e-6)
+    assert rep.h0_steps[-1] > 1e-3 * rep.h0_free
+
+    monkeypatch.setattr(insensitize, "CORRECTION_CAP", math.inf)
+    full = synthesize(F, b)
+    assert full.k == 2 and full.h0_norm_quasilinear <= 1e-12
+    assert control_norm(full.v, g, dt) > 9 * control_norm(full.fi_solution.v, g, dt)
 
 
 def test_one_cascade_resolve_per_solve(monkeypatch):

@@ -43,7 +43,7 @@ from bscontrol.solvers import (LinearOperatorSet, _constant_step_bands,
                                coefficient_preset, l2_history,
                                solve_adjoint_cascade,
                                solve_backward_varcoef, solve_linear_backward,
-                               solve_linear_forward,
+                               solve_linear_forward, solve_sensitivity,
                                total_mass)
 from bscontrol import weights
 from bscontrol.weights import (LogWeight, _random_smooth_source, _stack_log_sums,
@@ -51,8 +51,7 @@ from bscontrol.weights import (LogWeight, _random_smooth_source, _stack_log_sums
                                empirical_carleman_check, log_add, log_ratio,
                                log_sq_sums, log_st_sq, log_weighted_sq_sum)
 
-from conftest import (duality_identity_check, make_bundle, solve_sensitivity,
-                      stack_blocks)
+from conftest import duality_identity_check, make_bundle, stack_blocks
 
 PROPERTY = settings(max_examples=25, deadline=None, database=None,
                     derandomize=True)

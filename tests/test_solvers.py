@@ -14,10 +14,8 @@ from bscontrol.solvers import (LinearOperatorSet, apply_L, coefficient_preset,
                                solve_adjoint_cascade, solve_backward_varcoef,
                                solve_linear_backward, solve_linear_forward,
                                solve_linearized_cascade, solve_quasilinear,
-                               solve_quasilinear_cascade, total_mass,
-                               validate_coefficients, weak_residual)
-
-from conftest import solve_sensitivity
+                               solve_quasilinear_cascade, solve_sensitivity,
+                               total_mass, validate_coefficients, weak_residual)
 
 
 @pytest.fixture(scope="module")

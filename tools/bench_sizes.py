@@ -27,8 +27,8 @@ For `synthesize` (`cmd_synthesize`) it also holds:
   task (the time a median);
 - `solves`: calls of `FISolver.solve` per task;
 - `status`, `iterations` (the chord's steps), `projection` (the chord's
-  h(.,0) before and after, its scale, k, the singular values and the
-  relative control change), `h0_quasilinear`, `optimality_residual`,
+  h(.,0) before and after, its scale, the k modes it cancelled, their
+  singular values, the modes it left and the relative control change), `h0_quasilinear`, `optimality_residual`,
   `backward_error`: copied from the last report.
 
 For `carleman` (`cmd_diagnose` with `which="carleman"`, 50 adjoint cascades)
