@@ -226,7 +226,7 @@ def build_source(cfg: RunConfig, bundle: SynthesisBundle) -> SpaceTimeField:
     bound = vmax * vmax * (4 / tg.dt**2 + 1) * (g.length + 2) * tg.horizon
     if not bound < sys.float_info.max:
         with np.errstate(over="ignore"):
-            norms = bundle.log_source_norms(F, SpaceTimeField.zeros(g, M + 1))
+            norms = bundle.log_source_norms(F)
         for nm, lg in norms.items():
             if not lg < math.inf:
                 raise ConfigurationError(
@@ -388,7 +388,7 @@ def cmd_sweep(cfg: RunConfig, parameter: str, values: list[str], outdir: str) ->
                 bundle, F = build_setup(sub)
                 operator_key = key
             rep = synthesize(F, bundle)
-            row.update(status=rep.status, iterations=rep.iterations,
+            row.update(status=rep.status, iterations=rep.iterations, k=rep.k,
                        h0_linear=rep.h0_norm_linear,
                        h0_quasilinear=rep.h0_norm_quasilinear,
                        log_x_norm_sq=rep.fi_solution.log_x_norm_sq,
@@ -401,7 +401,7 @@ def cmd_sweep(cfg: RunConfig, parameter: str, values: list[str], outdir: str) ->
             row.update(status="invalid", detail=str(exc))
         rows.append(row)
     write_csv([{k: r.get(k, "") for k in
-                ("parameter", "value", "status", "iterations", "h0_linear",
+                ("parameter", "value", "status", "iterations", "k", "h0_linear",
                  "h0_quasilinear", "log_x_norm_sq", "log_y_norm_sq", "detail")}
                for r in rows], os.path.join(outdir, f"sweep_{parameter}.csv"))
     return rows
@@ -428,7 +428,7 @@ def main(argv=None) -> int:
                            "negative value, write --values=-1,0.5")
     args = ap.parse_args(argv)
 
-    outdir = args.out or os.environ.get("BSCONTROL_OUT", ".")
+    outdir = args.out or "."
     try:
         try:
             os.makedirs(outdir, exist_ok=True)

@@ -12,10 +12,10 @@ forward one).  The quadratic form pairs the five-component residual stack
     R5 = mu1^{-1} sqrt(chi) Y                    (observation, left-anchored)
 
 against itself in the trapezoid-plus-surface inner product, cells weighted
-by dt.  The right-hand side functional pairs the forward source F with Y
-at left slices and the backward source G with Z at right slices.  With
-those anchors the normal equations are, row for row, the implicit-Euler
-weak equations of the linearized cascade system, so the recovered triple
+by dt.  The right-hand side functional pairs the source F with Y at left
+slices and is zero on Z.  With those anchors the normal equations are,
+row for row, the implicit-Euler weak equations of the linearized cascade
+system, so the recovered triple
 
     Psi = mu0^{-2} (L1* Phi - theta K 1_O, L2* Phi - theta_s K_G 1_Sigma)
     H   = mu0^{-2} (L1 K, L2 K)
@@ -24,7 +24,7 @@ weak equations of the linearized cascade system, so the recovered triple
 is the cascade's step rows (`solvers._step_rows`) of the mu0^{-2}-weighted
 slices of (Phi, K), the Phi rows minus the coupling
 (`solvers._observation_source`).  It satisfies the discrete cascade with
-sources (F, G) up to the solver residual, and H vanishes identically on
+sources (F, 0) up to the solver residual, and H vanishes identically on
 the early cells where mu0^{-2} underflows to exact zero -- the discrete
 mechanism that reaches h(., 0) = 0.
 
@@ -49,7 +49,7 @@ diagnostics of the weight-induced null space.
 
 A `FISolution` holds every number a solve determines.  Its `Psi` and `H`
 are these (c16) fields; its `resolved` holds the cascade's states,
-re-solved under its (F, G, v).  The two differ (`cascade_residual_check`'s
+re-solved under its (F, v).  The two differ (`cascade_residual_check`'s
 `dist_psi`, `dist_h`).  `log_norms` are the control and state core,
 `lhs_rhs_ratios` the LHS/RHS ratios of the weighted estimates c21-c28 and
 `log_x_norm_sq` the X norm of the (c16) triple.
@@ -105,16 +105,14 @@ class FIProblem:
         if self.theta_s < 0:
             raise ContractError(f"theta_s must be >= 0, got {self.theta_s}")
 
-    def log_source_norms(self, F: SpaceTimeField, G: SpaceTimeField) -> dict:
-        """log-space ||mu F||^2, ||mu G||^2, ||mu4 F_t||^2 of the sources,
-        whose slice c holds the cell-c sample (slice 0 is ignored)."""
+    def log_source_norms(self, F: SpaceTimeField) -> dict:
+        """log-space ||mu F||^2 and ||mu4 F_t||^2 of the source, whose
+        slice c holds the cell-c sample (slice 0 is ignored)."""
         g, dt, t = self.grid, self.time_grid.dt, self.tables
-        out = {nm: log_st_sq(t.log_mu, S.bulk[1:], S.surface[1:], g, dt)
-               for nm, S in (("muF", F), ("muG", G))}
         Ft_b, Ft_s, lw_t = _cell_time_derivative(F.bulk[1:], F.surface[1:],
                                                  t.log_mu_k[4], dt)
-        out["mu4Ft"] = log_st_sq(lw_t, Ft_b, Ft_s, g, dt)
-        return out
+        return {"muF": log_st_sq(t.log_mu, F.bulk[1:], F.surface[1:], g, dt),
+                "mu4Ft": log_st_sq(lw_t, Ft_b, Ft_s, g, dt)}
 
 
 def _cell_time_derivative(cells_b, cells_s, log_w, dt):
@@ -128,11 +126,11 @@ def _cell_time_derivative(cells_b, cells_s, log_w, dt):
 @dataclass
 class FISolution:
     """One least-squares solution and what it solved: the operator
-    `problem` and the sources (F, G).  The checks below take the solution
-    alone, so a check always reads the sources it was solved for.  The
-    cached values below do not survive `dataclasses.replace`: a copy with
-    other sources re-solves under them and measures its `lhs_rhs_ratios`
-    against them."""
+    `problem` and the source F.  The checks below take the solution alone,
+    so a check always reads the source it was solved for.  The cached
+    values below do not survive `dataclasses.replace`: a copy with another
+    source re-solves under it and measures its `lhs_rhs_ratios` against
+    it."""
 
     Psi: SpaceTimeField          # forward view: slice 0 is exactly 0
     H: SpaceTimeField            # backward view: slice M is exactly 0
@@ -143,7 +141,6 @@ class FISolution:
     x_dofs: np.ndarray
     problem: FIProblem = field(repr=False)
     F: SpaceTimeField = field(repr=False)
-    G: SpaceTimeField = field(repr=False)
 
     @cached_property
     def log_norms(self) -> dict:
@@ -159,10 +156,10 @@ class FISolution:
 
     @cached_property
     def resolved(self) -> tuple[SpaceTimeField, SpaceTimeField]:
-        """The cascade's states (psi, h) under (F, G, v); never written."""
+        """The cascade's states (psi, h) under (F, v); never written."""
         p = self.problem
-        return solve_linearized_cascade(p.ops, self.F, self.G, self.v,
-                                        p.theta, p.theta_s, p.masks)
+        return solve_linearized_cascade(p.ops, self.F, self.v, p.theta,
+                                        p.theta_s, p.masks)
 
     @cached_property
     def lhs_rhs_ratios(self) -> dict:
@@ -180,8 +177,8 @@ class FISolution:
         """
         p, ln = self.problem, self.log_norms
         g, dt, t = p.grid, p.time_grid.dt, p.tables
-        src = p.log_source_norms(self.F, self.G)
-        log_rhs_a = log_add(src["muF"], src["muG"])
+        src = p.log_source_norms(self.F)
+        log_rhs_a = src["muF"]
         lhs_c21 = log_add(ln["mu0Psi"], ln["mu0H"], ln["mu1v"])
         if lhs_c21 > -math.inf and log_rhs_a == -math.inf:
             raise ContractError("nonzero state from identically zero sources")
@@ -328,15 +325,12 @@ def _wmul(w: np.ndarray, r: np.ndarray) -> np.ndarray:
     return out
 
 
-def _source_rhs(p: FIProblem, F: SpaceTimeField, G: SpaceTimeField) -> np.ndarray:
-    """The linear functional of the sources: F paired with Y, G with Z."""
+def _source_rhs(p: FIProblem, F: SpaceTimeField) -> np.ndarray:
+    """The linear functional of the source: F paired with Y, zero on Z."""
     dt, Hv = p.time_grid.dt, p.grid.trapezoid_weights()
-    out = []
-    for S in (F, G):
-        b = dt * (Hv * S.bulk[1:])
-        b[:, [0, -1]] += dt * S.surface[1:]
-        out.append(b.ravel())
-    return np.concatenate(out)
+    b = dt * (Hv * F.bulk[1:])
+    b[:, [0, -1]] += dt * F.surface[1:]
+    return np.concatenate([b.ravel(), np.zeros(b.size)])
 
 
 def _unpack_dofs(p: FIProblem, x: np.ndarray):
@@ -347,7 +341,7 @@ def _unpack_dofs(p: FIProblem, x: np.ndarray):
     return Yf, Zf
 
 
-def _recover_fields(p: FIProblem, x, final_res, backward_error, F, G) -> FISolution:
+def _recover_fields(p: FIProblem, x, final_res, backward_error, F) -> FISolution:
     """The (c16) solution of dofs x: the step rows of the w0-weighted
     slices, the Psi rows minus the weighted Z's coupling, v = -chi w1 Y.
     The weight multiplies the slices before any stencil, so no
@@ -376,7 +370,7 @@ def _recover_fields(p: FIProblem, x, final_res, backward_error, F, G) -> FISolut
                 "large for this configuration")
     return FISolution(Psi=Psi, H=H, v=v, optimality_residual=final_res,
                       backward_error=backward_error, x_dofs=x,
-                      problem=p, F=F, G=G)
+                      problem=p, F=F)
 
 
 class FISolver:
@@ -414,19 +408,17 @@ class FISolver:
         except RuntimeError as exc:
             raise ConditioningError(f"sparse factorization failed: {exc}") from exc
 
-    def solve(self, F: SpaceTimeField,
-              G: SpaceTimeField | None = None) -> FISolution:
-        """Solve for the cell-indexed sources (F, G), G = 0 when omitted
-        (slice c holds the cell-c sample, c = 1..M; slice 0 is ignored),
-        and recover (Psi, H, v) via (c16)."""
+    def solve(self, F: SpaceTimeField) -> FISolution:
+        """Solve for the cell-indexed forward source F (slice c holds the
+        cell-c sample, c = 1..M; slice 0 is ignored), the backward one
+        zero, and recover (Psi, H, v) via (c16)."""
         p = self.problem
-        G = SpaceTimeField.zeros(p.grid, p.time_grid.step_count + 1) if G is None else G
-        for nm, lg in p.log_source_norms(F, G).items():
+        for nm, lg in p.log_source_norms(F).items():
             if not (lg < math.inf):
                 raise ContractError(f"weighted source norm {nm} is not finite")
-        b = _source_rhs(p, F, G)
+        b = _source_rhs(p, F)
         if not np.any(b):
-            return _recover_fields(p, np.zeros(b.size), 0.0, 0.0, F, G)
+            return _recover_fields(p, np.zeros(b.size), 0.0, 0.0, F)
         bt = self.D * b
         if not np.any(bt):
             raise ConditioningError(
@@ -444,7 +436,7 @@ class FISolver:
             # 1e148 and underflow to zero for tiny sources
             r_max, x_max, b_max = (float(np.max(np.abs(u))) for u in (r, xt, bt))
             backward = r_max / (self.At_inf * x_max + b_max)
-            return _recover_fields(p, self.D * xt, res, backward, F, G)
+            return _recover_fields(p, self.D * xt, res, backward, F)
 
 
 def galerkin_check(sol: FISolution, n_dirs: int, rng) -> dict:
@@ -462,7 +454,7 @@ def galerkin_check(sol: FISolution, n_dirs: int, rng) -> dict:
         r = R @ u
         return math.sqrt(max(_dot(_wmul(w, r), r), 0.0))
 
-    resid = _source_rhs(p, sol.F, sol.G) - R.T @ _wmul(w, R @ x)
+    resid = _source_rhs(p, sol.F) - R.T @ _wmul(w, R @ x)
     xB = B_norm(x)
     worst, details = 0.0, []
     for _ in range(n_dirs):
@@ -491,7 +483,7 @@ def cascade_residual_check(sol: FISolution) -> dict:
     vmask = sol.v * p.masks.omega_nodes[None, :]
     Feff = SpaceTimeField(sol.F.bulk + vmask, sol.F.surface.copy())
     res_fwd = weak_residual(p.ops, Psi_rs, Feff)
-    Geff = _observation_source(Psi_rs, p.theta, p.theta_s, p.masks, sol.G)
+    Geff = _observation_source(Psi_rs, p.theta, p.theta_s, p.masks)
     res_bwd = weak_residual(p.ops, H_rs, Geff, backward=True)
 
     def st_dist(A, B, slices):

@@ -231,9 +231,6 @@ class SpaceTimeField:
     def slice(self, j: int) -> BulkSurfaceField:
         return BulkSurfaceField(self.bulk[j], self.surface[j])
 
-    def copy(self) -> "SpaceTimeField":
-        return SpaceTimeField(self.bulk.copy(), self.surface.copy())
-
 
 def l2_inner(a: BulkSurfaceField, b: BulkSurfaceField, grid: SpatialGrid) -> float:
     if a.bulk.shape != b.bulk.shape or a.bulk.shape[-1] != grid.n_nodes:

@@ -118,9 +118,8 @@ def linear_h(bundle: "SynthesisBundle", F: SpaceTimeField | None = None,
     shape = (bundle.time_grid.step_count + 1, bundle.grid.n_nodes)
     zero = SpaceTimeField(np.zeros(shape), np.zeros((shape[0], 2)))
     return solve_linearized_cascade(
-        bundle.ops, zero if F is None else F, zero,
-        np.zeros(shape) if v is None else v, bundle.theta, bundle.theta_s,
-        bundle.masks)[1].bulk
+        bundle.ops, zero if F is None else F, np.zeros(shape) if v is None else v,
+        bundle.theta, bundle.theta_s, bundle.masks)[1].bulk
 
 
 def control_to_h0_adjoint(bundle: "SynthesisBundle", e: np.ndarray) -> np.ndarray:
@@ -138,27 +137,6 @@ def control_to_h0_adjoint(bundle: "SynthesisBundle", e: np.ndarray) -> np.ndarra
     out = np.zeros_like(impulses)
     out[..., 1:, :] = linear_h(bundle, SpaceTimeField.from_bulk(impulses))[..., :-1, :]
     return np.where(control_support(bundle), out / bundle.time_grid.dt, 0.0)
-
-
-def control_modes(bundle: "SynthesisBundle") -> ControlModes:
-    """G's singular triplets with sigma > CHORD_TOL sigma_1, from a block of
-    MODE_BLOCK cosines: G* on the block, G on an orthonormal basis of its
-    image, then the SVD of that small image.  G*'s range is G's row
-    space, and the spectrum falls eight decades past sigma_2, so the block
-    resolves the top triplets to rounding (a range finder)."""
-    g, support = bundle.grid, control_support(bundle)
-    sqrt_wv = np.sqrt(bundle.time_grid.dt * g.trapezoid_weights()) * support
-    sqrt_wh = np.sqrt(g.mass_weights())      # l2_norm of a trace-compatible slice
-    block = np.cos(np.pi * np.arange(MODE_BLOCK)[:, None] * g.x / g.length)
-    image = control_to_h0_adjoint(bundle, block)
-    Q = np.linalg.qr((image * sqrt_wv).reshape(MODE_BLOCK, -1).T)[0]
-    basis = np.divide(Q.T.reshape(image.shape), sqrt_wv, out=np.zeros_like(image),
-                      where=support)
-    Uh, sigma, Wt = np.linalg.svd((linear_h(bundle, v=basis)[:, 0] * sqrt_wh).T,
-                                  full_matrices=False)
-    k = int(np.count_nonzero(sigma > CHORD_TOL * sigma[0]))
-    return ControlModes(U=Uh[:, :k].T / sqrt_wh, sigma=sigma[:k],
-                        V=np.einsum("ib,bcj->icj", Wt[:k], basis))
 
 
 @dataclass(frozen=True)
@@ -189,9 +167,26 @@ class SynthesisBundle(FIProblem):
 
     @functools.cached_property
     def control_modes(self) -> ControlModes:
-        """G's top singular triplets (`control_modes`): they depend on the
-        operator alone, so every synthesis on this bundle shares them."""
-        return control_modes(self)
+        """G's singular triplets with sigma > CHORD_TOL sigma_1, from a
+        block of MODE_BLOCK cosines: G* on the block, G on an orthonormal
+        basis of its image, then the SVD of that small image.  G*'s range
+        is G's row space, and the spectrum falls eight decades past
+        sigma_2, so the block resolves the top triplets to rounding (a
+        range finder).  They depend on the operator alone, so every
+        synthesis on this bundle shares them."""
+        g, support = self.grid, control_support(self)
+        sqrt_wv = np.sqrt(self.time_grid.dt * g.trapezoid_weights()) * support
+        sqrt_wh = np.sqrt(g.mass_weights())      # l2_norm of a trace-compatible slice
+        block = np.cos(np.pi * np.arange(MODE_BLOCK)[:, None] * g.x / g.length)
+        image = control_to_h0_adjoint(self, block)
+        Q = np.linalg.qr((image * sqrt_wv).reshape(MODE_BLOCK, -1).T)[0]
+        basis = np.divide(Q.T.reshape(image.shape), sqrt_wv,
+                          out=np.zeros_like(image), where=support)
+        Uh, sigma, Wt = np.linalg.svd((linear_h(self, v=basis)[:, 0] * sqrt_wh).T,
+                                      full_matrices=False)
+        k = int(np.count_nonzero(sigma > CHORD_TOL * sigma[0]))
+        return ControlModes(U=Uh[:, :k].T / sqrt_wh, sigma=sigma[:k],
+                            V=np.einsum("ib,bcj->icj", Wt[:k], basis))
 
 
 @dataclass
@@ -289,8 +284,7 @@ def synthesize(F: SpaceTimeField, bundle: SynthesisBundle) -> SynthesisReport:
 
     return SynthesisReport(
         v=v, k=k, h0_steps=h0, residuals=res, h0_free=h0_free,
-        log_y_norm_sq=log_add(*bundle.log_source_norms(
-            F, SpaceTimeField.zeros(g, F.n_slices)).values()),
+        log_y_norm_sq=log_add(*bundle.log_source_norms(F).values()),
         quasi_states=(Psi_q, H_q), fi_solution=sol)
 
 

@@ -394,17 +394,16 @@ def linear_cascade_rows(Psi: SpaceTimeField, H: SpaceTimeField, v: np.ndarray,
 
 
 def solve_linearized_cascade(ops: LinearOperatorSet, F: SpaceTimeField,
-                             G: SpaceTimeField, v: np.ndarray,
-                             theta: float, theta_s: float,
+                             v: np.ndarray, theta: float, theta_s: float,
                              masks: RegionMasks) -> tuple[SpaceTimeField, SpaceTimeField]:
-    """Forward psi with source f + v 1_omega, then backward h with source
-    g + theta psi 1_O (bulk) and g_G + theta_s psi_G 1_Sigma (surface).
+    """Forward psi with source f + v 1_omega, then backward h with the coupling
+    theta psi 1_O (bulk), theta_s psi_G 1_Sigma (surface) as its source.
 
     `v` is a cell-indexed array (M+1, n_nodes) whose slice c feeds step c;
     it is masked to the omega nodes (support enforced).
     """
     Feff = SpaceTimeField(F.bulk + v * masks.omega_nodes, F.surface)
-    return _cascade(ops, Feff, G, theta, theta_s, masks)
+    return _cascade(ops, Feff, None, theta, theta_s, masks)
 
 
 def solve_adjoint_cascade(ops: LinearOperatorSet, f1: SpaceTimeField,
@@ -419,10 +418,11 @@ def solve_adjoint_cascade(ops: LinearOperatorSet, f1: SpaceTimeField,
     return _cascade(ops, g1, f1, theta, theta_s, masks)[::-1]
 
 
-def _cascade(ops: LinearOperatorSet, F: SpaceTimeField, G: SpaceTimeField, theta: float,
-             theta_s: float, masks: RegionMasks) -> tuple[SpaceTimeField, SpaceTimeField]:
+def _cascade(ops: LinearOperatorSet, F: SpaceTimeField, G: SpaceTimeField | None,
+             theta: float, theta_s: float,
+             masks: RegionMasks) -> tuple[SpaceTimeField, SpaceTimeField]:
     """Forward Y from zero with source F, then backward W from zero with
-    G + theta Y 1_O (bulk), G_G + theta_s Y_G 1_Sigma (surface)."""
+    G + theta Y 1_O (bulk), G_G + theta_s Y_G 1_Sigma (surface); G = 0 if None."""
     zero = BulkSurfaceField.zeros(ops.grid)
     Y = solve_linear_forward(ops, F, zero)
     return Y, solve_linear_backward(ops, _observation_source(Y, theta, theta_s, masks, G),

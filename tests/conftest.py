@@ -15,7 +15,7 @@ from bscontrol.weights import WeightTables, admissible_time_profile
 
 
 def make_bundle(N=64, M=128, T=8.0, preset="logistic", amplitude=1e-3,
-                family="gaussian", seed=12345, **extra):
+                family="gaussian", **extra):
     cfg = load_config(None)
     cfg.raw["grid"]["cells"] = str(N)
     cfg.raw["time"]["steps"] = str(M)
@@ -23,7 +23,6 @@ def make_bundle(N=64, M=128, T=8.0, preset="logistic", amplitude=1e-3,
     cfg.raw["coefficients"] = {"preset": preset}
     cfg.raw["source"]["amplitude"] = str(amplitude)
     cfg.raw["source"]["family"] = family
-    cfg.raw["run"]["seed"] = str(seed)
     for key, val in extra.items():
         section, name = key.split("__")
         cfg.raw[section][name] = str(val)
@@ -107,9 +106,9 @@ def bilinear_B(problem, YZ, YZbar) -> float:
     return _dot(_wmul(_row_weights(problem), R @ x), R @ xb)
 
 
-def linear_F(problem, F: SpaceTimeField, G: SpaceTimeField, YZ) -> float:
+def linear_F(problem, F: SpaceTimeField, YZ) -> float:
     """The right-hand side functional of the least-squares problem at a pair."""
-    return _dot(_source_rhs(problem, F, G), pack_dofs(problem, *YZ))
+    return _dot(_source_rhs(problem, F), pack_dofs(problem, *YZ))
 
 
 def node_gradient(y: np.ndarray, grid) -> np.ndarray:
@@ -166,9 +165,8 @@ def duality_identity_check(bundle, F, v, direction, quasilinear=True) -> dict:
                                            bundle.theta_s, masks)
         base = Psi
     else:
-        Psi, H = solve_linearized_cascade(
-            bundle.ops, F, SpaceTimeField.zeros(g, tg.step_count + 1), v,
-            bundle.theta, bundle.theta_s, masks)
+        Psi, H = solve_linearized_cascade(bundle.ops, F, v, bundle.theta,
+                                          bundle.theta_s, masks)
         base = SpaceTimeField.zeros(g, tg.step_count + 1)
     Z = solve_sensitivity(cs, g, tg, base, direction)
 

@@ -330,10 +330,30 @@ def test_sweep_shares_factor_across_amplitudes(tmp_path, monkeypatch):
         rep = synthesize(F, bundle)
         assert row == {"parameter": "amplitude", "value": amp,
                        "status": rep.status, "iterations": rep.iterations,
-                       "h0_linear": rep.h0_norm_linear,
+                       "k": rep.k, "h0_linear": rep.h0_norm_linear,
                        "h0_quasilinear": rep.h0_norm_quasilinear,
                        "log_x_norm_sq": rep.fi_solution.log_x_norm_sq,
                        "log_y_norm_sq": rep.log_y_norm_sq}
+
+
+def test_sweep_rows_report_the_modes_cancelled(tmp_path):
+    """A sweep row says how many control modes the chord cancelled: both
+    on the default source, one on seed 8's random_fourier source, where
+    cancelling the second would cost more than the cap allows and h(.,0)
+    keeps that mode's part."""
+    default = cmd_sweep(load_config(None), "amplitude", ["1e-3"], str(tmp_path))
+    cfg = load_config(None, 8)
+    cfg.raw["source"]["family"] = "random_fourier"
+    capped = cmd_sweep(cfg, "amplitude", ["1e-3", "2e-3"], str(tmp_path))
+    assert [r["k"] for r in default] == [2]
+    assert [r["k"] for r in capped] == [1, 1]
+    assert all(r["status"] == "converged" for r in default + capped)
+    # the mode left keeps h_q(.,0) within 10x of the least-squares control's h(.,0)
+    assert all(r["h0_quasilinear"] > 0.1 * r["h0_linear"] for r in capped)
+    with open(tmp_path / "sweep_amplitude.csv", newline="") as fh:
+        header, *records = csv.reader(fh)
+    assert header[header.index("iterations") + 1] == "k"
+    assert [r[header.index("k")] for r in records] == ["1", "1"]
 
 
 def test_sweep_factorizes_per_grid(tmp_path, monkeypatch):
@@ -358,7 +378,7 @@ def test_sweep_invalid_value_keeps_going(tmp_path):
 
 
 def test_sweep_csv_keeps_detail_one_field(tmp_path):
-    """A detail holding commas is quoted: every row keeps the header's nine
+    """A detail holding commas is quoted: every row keeps the header's ten
     fields and the message reads back whole."""
     rows = cmd_sweep(load_config(None), "lambda", ["160", "710"], str(tmp_path))
     assert [r["status"] for r in rows] == ["invalid", "invalid"]
@@ -367,7 +387,7 @@ def test_sweep_csv_keeps_detail_one_field(tmp_path):
     assert b"\r" not in path.read_bytes()
     with open(path, newline="") as fh:
         header, *records = csv.reader(fh)
-    assert len(header) == 9 and [len(r) for r in records] == [9, 9]
+    assert len(header) == 10 and [len(r) for r in records] == [10, 10]
     assert [r[header.index("detail")] for r in records] == [r["detail"] for r in rows]
 
 

@@ -111,28 +111,14 @@ def test_solve_galerkin_and_contract(fi_solved):
     assert 0 < sol.backward_error <= 1e-14
 
 
-def test_solve_nonzero_backward_source(bundle, source):
-    """Every outer iteration after the first solves with G != 0; the
-    solution carries the sources it solved for, and the checks read them."""
-    G = random_source(bundle, np.random.default_rng(21))
-    sol = bundle.fi_solver.solve(source, G)
-    assert sol.F is source and sol.G is G
-    gal = galerkin_check(sol, 20, np.random.default_rng(22))
-    assert gal["pass"], gal["max_scaled_residual"]
-    chk = cascade_residual_check(sol)
-    assert chk["weak_residual_forward"] <= 1e-12
-    assert chk["weak_residual_backward"] <= 1e-12
-    assert 0 < sol.backward_error <= 1e-14
-
-
 def test_replaced_solution_resolves_under_its_own_sources(bundle, fi_solved):
     """`resolved` is cached on its solution; a `dataclasses.replace` copy
-    starts without it and re-solves the cascade under its own sources."""
+    starts without it and re-solves the cascade under its own source."""
     p, rng = fi_solved.problem, np.random.default_rng(31)
-    F2, G2 = random_source(bundle, rng), random_source(bundle, rng)
+    F2 = random_source(bundle, rng)
     before = fi_solved.resolved
-    got = dataclasses.replace(fi_solved, F=F2, G=G2).resolved
-    want = solve_linearized_cascade(p.ops, F2, G2, fi_solved.v, p.theta,
+    got = dataclasses.replace(fi_solved, F=F2).resolved
+    want = solve_linearized_cascade(p.ops, F2, fi_solved.v, p.theta,
                                     p.theta_s, p.masks)
     for a, b in zip(got, want):
         assert a.bulk.tobytes() == b.bulk.tobytes()
@@ -176,16 +162,16 @@ def test_verify_zero_data_ratio_zero(bundle):
 
 
 def test_ratios_follow_a_replaced_solutions_sources(fi_solved):
-    """A `replace` copy measures its ratios against its own sources: the
-    same (c16) fields against doubled (F, G) give c21 and c41 a quarter of
-    the original's, and against zero sources a ContractError."""
+    """A `replace` copy measures its ratios against its own source: the
+    same (c16) fields against a doubled F give c21 and c41 a quarter of
+    the original's, and against a zero source a ContractError."""
     sol = fi_solved
-    F2, G2 = (SpaceTimeField(2 * S.bulk, 2 * S.surface) for S in (sol.F, sol.G))
-    doubled = dataclasses.replace(sol, F=F2, G=G2).lhs_rhs_ratios
+    F2 = SpaceTimeField(2 * sol.F.bulk, 2 * sol.F.surface)
+    doubled = dataclasses.replace(sol, F=F2).lhs_rhs_ratios
     for key in ("c21", "c41"):
         assert doubled[key] == pytest.approx(sol.lhs_rhs_ratios[key] / 4, rel=1e-12)
     zero = SpaceTimeField.zeros(sol.problem.grid, sol.F.n_slices)
-    zeroed = dataclasses.replace(sol, F=zero, G=zero)
+    zeroed = dataclasses.replace(sol, F=zero)
     with pytest.raises(ContractError, match="identically zero sources"):
         zeroed.lhs_rhs_ratios
     assert "resolved" not in vars(zeroed)   # refused before the re-solve
@@ -235,8 +221,8 @@ def test_linear_functional_pairing(bundle, source):
     Y, Z = _random_pair(bundle, rng)
     g, dt = bundle.grid, bundle.time_grid.dt
     M = bundle.time_grid.step_count
-    val = linear_F(bundle, source, SpaceTimeField.zeros(g, M + 1), (Y, Z))
-    # direct quadrature of <F, Y>_left; G = 0
+    val = linear_F(bundle, source, (Y, Z))
+    # direct quadrature of <F, Y>_left; Z's half is zero
     Hw = g.trapezoid_weights()
     ref = sum(dt * (np.dot(Hw * source.bulk[c], Y.bulk[c - 1])
                     + source.surface[c, 0] * Y.bulk[c - 1, 0]

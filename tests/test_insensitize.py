@@ -425,4 +425,4 @@ def test_norms_zero(bundle):
     M = bundle.time_grid.step_count
     zero = SpaceTimeField.zeros(g, M + 1)
     assert bundle.fi_solver.solve(zero).log_x_norm_sq == -math.inf
-    assert all(lg == -math.inf for lg in bundle.log_source_norms(zero, zero).values())
+    assert all(lg == -math.inf for lg in bundle.log_source_norms(zero).values())

@@ -167,7 +167,7 @@ def test_sparse_stack_matches_matrix_free(ops, theta, theta_s, seed):
     rows = (*expected[:4], -chi * Y.bulk[:-1])
 
     def recovered():
-        sol = _recover_fields(problem, x, 0.0, 0.0, zero, zero)
+        sol = _recover_fields(problem, x, 0.0, 0.0, zero)
         return (sol.Psi.bulk[1:], sol.Psi.surface[1:], sol.H.bulk[:-1],
                 sol.H.surface[:-1], sol.v[1:])
 

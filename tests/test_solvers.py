@@ -248,15 +248,17 @@ def test_cascade_zero_and_decoupling(small):
     M = tg.step_count
     zero = SpaceTimeField.zeros(g, M + 1)
     v0 = np.zeros((M + 1, g.n_nodes))
-    Psi, H = solve_linearized_cascade(ops, zero, zero, v0, 1.0, 0.5, masks)
+    Psi, H = solve_linearized_cascade(ops, zero, v0, 1.0, 0.5, masks)
     assert np.all(Psi.bulk == 0) and np.all(H.bulk == 0)
 
+    # uncoupled (theta = theta_s = 0), the adjoint cascade's backward Phi
+    # sees its own source f1 alone, not the forward K's g1
     rng = np.random.default_rng(3)
-    F = SpaceTimeField.from_bulk(rng.standard_normal((M + 1, g.n_nodes)))
-    G = SpaceTimeField.from_bulk(rng.standard_normal((M + 1, g.n_nodes)))
-    _, H0 = solve_linearized_cascade(ops, F, G, v0, 0.0, 0.0, masks)
-    Honly = solve_linear_backward(ops, G, BulkSurfaceField.zeros(g))
-    assert np.abs(H0.bulk - Honly.bulk).max() <= 1e-14 * max(1, np.abs(Honly.bulk).max())
+    g1 = SpaceTimeField.from_bulk(rng.standard_normal((M + 1, g.n_nodes)))
+    f1 = SpaceTimeField.from_bulk(rng.standard_normal((M + 1, g.n_nodes)))
+    Phi, _ = solve_adjoint_cascade(ops, f1, g1, 0.0, 0.0, masks)
+    Phi_only = solve_linear_backward(ops, f1, BulkSurfaceField.zeros(g))
+    assert np.abs(Phi.bulk - Phi_only.bulk).max() <= 1e-14 * max(1, np.abs(Phi_only.bulk).max())
 
 
 def test_cascade_adjoint_representation(small):

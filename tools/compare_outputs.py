@@ -15,18 +15,19 @@ only non-deterministic field.
 Prints one line per command and the first SHOWN lines of each file's
 diff, with a count of the lines it leaves out, then each tree's
 `wc -l bscontrol/*.py`, and exits 1 on any difference, 0 otherwise.
-The commands cover every CLI
-command: both exits of the chord on h(.,0) (`converged` on every run that
-exits 0, in 4 steps at amplitude 1, and exit 3 at amplitude 1e3, where the
-first step grows ||h(.,0)||), a non-dyadic time
-step (8/100, where the other runs' dt are powers of two), a synthesis
-with each coefficient preset other than the default logistic one, factor
-reuse across an amplitude sweep, a grid sweep that replaces the bundle and
-its cached solver mid-run, a lambda sweep whose second value fails
-validation (its CSV row carries the error message, commas included), a
-theta_s sweep through 0 (no surface coupling in the least-squares stack),
-and all four diagnostic suites, the carleman check also at 128x256;
-demo 03 is the only caller of `galerkin_check` and
+The 24 commands cover every CLI command: both exits of the chord on
+h(.,0) (`converged` on every run that exits 0, in 4 steps at amplitude 1,
+and exit 3 at amplitude 1e3, where the first step grows ||h(.,0)||), a
+non-dyadic time step (8/100, where the other runs' dt are powers of two),
+a synthesis with each coefficient preset other than the default logistic
+one, factor reuse across an amplitude sweep, a random_fourier amplitude
+sweep on seed 8, whose rows keep one mode (k = 1) because cancelling the
+second would cost more than the chord's cap allows, a grid sweep that
+replaces the bundle and its cached solver mid-run, a lambda sweep whose
+second value fails validation (its CSV row carries the error message,
+commas included), a theta_s sweep through 0 (no surface coupling in the
+least-squares stack), and all four diagnostic suites, the carleman check
+also at 128x256; demo 03 is the only caller of `galerkin_check` and
 `cascade_residual_check` outside the tests.
 Both trees together take about 40 s on a 2-vCPU host.
 """
@@ -68,6 +69,10 @@ COMMANDS = (
       for preset in ("constant", "affine", "polynomial")),
     ("sweep amplitude", ["sweep", "--parameter", "amplitude",
                          "--values", "5e-4,1e-3,2e-3"], {}),
+    # on seed 8's random_fourier source the chord's cap leaves mode 2
+    ("sweep amplitude random_fourier seed 8",
+     ["sweep", "--parameter", "amplitude", "--values", "1e-3,2e-3", "--seed", "8"],
+     RANDOM_FOURIER),
     ("sweep N", ["sweep", "--parameter", "N", "--values", "32,48"], {}),
     ("sweep lambda", ["sweep", "--parameter", "lambda", "--values", "1,160"], {}),
     ("sweep theta_s", ["sweep", "--parameter", "theta_s", "--values", "0,0.5"], {}),
