@@ -10,7 +10,7 @@ on the adjoint cascade.
 
 import numpy as np
 
-from bscontrol import (WeightParams, build_grid, build_masks, build_time_grid,
+from bscontrol import (build_grid, build_masks, build_time_grid,
                        build_eta, build_chi, build_weight_tables,
                        check_elementary_estimates, coefficient_preset,
                        empirical_carleman_check, m_threshold, validate_params)
@@ -24,7 +24,7 @@ masks = build_masks(grid, (0.25, 0.75), (0.35, 0.65), {"left", "right"}, 0.02)
 for lam in (1.0, 2.0, 10.0):
     print(f"lambda = {lam:5.1f}: m must exceed {m_threshold(lam):.6f}")
 
-params = validate_params(WeightParams(lam=1.0, m=2.3, s_coeff=1.0), tgrid.horizon)
+params = validate_params(lam=1.0, m=2.3, s_coeff=1.0, horizon=tgrid.horizon)
 print(f"frozen parameters: s = {params.s}, lambda = {params.lam}, m = {params.m}")
 
 eta = build_eta(grid, masks)

@@ -8,12 +8,11 @@ correction of h(.,0) of the quasilinear cascade on the controllable modes
 """
 
 from .errors import (BSControlError, ConditioningError, ConfigurationError,
-                     ContractError, GeometryAssumptionError, ParameterError,
-                     ResolutionError, SmallnessViolationError)
+                     ContractError, SmallnessViolationError)
 from .geometry import (BulkSurfaceField, RegionMasks, SpaceTimeField,
                        SpatialGrid, TimeGrid, build_grid, build_masks,
                        build_time_grid, l2_inner, l2_norm)
-from .weights import (EtaProfile, WeightParams, WeightTables,
+from .weights import (EtaProfile, WeightTables,
                       build_chi, build_eta, build_weight_tables,
                       carleman_functional_I, carleman_functional_Jw,
                       check_elementary_estimates, empirical_carleman_check,

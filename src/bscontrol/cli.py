@@ -22,16 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import diagnostics
 from .errors import (BSControlError, ConditioningError, ConfigurationError,
                      ContractError, SmallnessViolationError)
 from .geometry import SpaceTimeField, build_grid, build_masks, build_time_grid
 from .insensitize import (TAU_LADDER, SynthesisBundle, control_norm,
                           insensitivity_check, random_direction, synthesize)
 from .solvers import (LinearOperatorSet, coefficient_preset,
-                      dump_trajectory_csv, solve_adjoint_cascade,
-                      validate_coefficients)
-from .weights import (WeightParams, admissible_time_profile, build_chi,
+                      convergence_orders, dump_trajectory_csv, duality_battery,
+                      solve_adjoint_cascade, validate_coefficients)
+from .weights import (admissible_time_profile, build_chi,
                       build_eta, build_weight_tables, check_elementary_estimates,
                       dump_weight_csv, empirical_carleman_check, validate_params)
 
@@ -160,9 +159,9 @@ def build_setup(cfg: RunConfig):
                         cfg.getf("masks", "margin"))
     cs = coefficient_preset(cfg.get("coefficients", "preset"))
     validate_coefficients(cs)
-    params = validate_params(WeightParams(
-        lam=cfg.getf("weights", "lambda"), m=cfg.getf("weights", "m"),
-        s_coeff=cfg.getf("weights", "s_coeff")), tgrid.horizon)
+    params = validate_params(
+        cfg.getf("weights", "lambda"), cfg.getf("weights", "m"),
+        cfg.getf("weights", "s_coeff"), tgrid.horizon)
     try:
         eta = build_eta(grid, masks)
     except ContractError as exc:
@@ -333,7 +332,7 @@ def cmd_diagnose(cfg: RunConfig, which: str, outdir: str) -> dict:
     rng = np.random.default_rng(cfg.seed)
     out: dict = {"config_hash": cfg.hash(), "seed": cfg.seed, "suite": which}
     if which == "duality":
-        gap = diagnostics.duality_battery(bundle.ops, rng, n_pairs=100)
+        gap = duality_battery(bundle.ops, rng, n_pairs=100)
         out.update(max_scaled_gap=gap, passed=bool(gap <= 1e-13))
     elif which == "carleman":
         def adjoint(f1, g1):
@@ -348,7 +347,7 @@ def cmd_diagnose(cfg: RunConfig, which: str, outdir: str) -> dict:
         rep = check_elementary_estimates(bundle.tables, bundle.time_grid.dt)
         out.update(**rep, passed=bool(rep["identity_max_live"] <= 1e-12))
     elif which == "convergence":
-        rep = diagnostics.convergence_orders(bundle.cs)
+        rep = convergence_orders(bundle.cs)
         out.update(**rep, passed=bool(rep["spatial_order_min"] >= 1.9
                                       and rep["temporal_order"] >= 0.9))
     else:

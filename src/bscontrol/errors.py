@@ -1,7 +1,10 @@
-"""Error taxonomy.
+"""Error taxonomy: one class per CLI exit code (2 configuration, 3
+smallness, 4 conditioning; any other `BSControlError` exits 5).
 
 Every message names the violated assumption (A1-A8 of the source paper) or
-the module contract, so CLI exit codes and logs stay greppable.
+the module contract, so CLI exit codes and logs stay greppable.  A
+`ConfigurationError` covers a bad value, a geometric assumption, the grid
+resolution or a weight parameter alike, and its message names which.
 """
 
 
@@ -10,23 +13,8 @@ class BSControlError(Exception):
 
 
 class ConfigurationError(BSControlError):
-    """Invalid configuration value (exit code 2)."""
-
-
-class GeometryAssumptionError(ConfigurationError):
-    """A geometric assumption (A1-A3) is violated."""
-
-
-class ResolutionError(ConfigurationError):
-    """Grid or weight tables cannot resolve the requested setup."""
-
-
-class ParameterError(ConfigurationError):
-    """Weight parameters out of their admissible range."""
-
-    def __init__(self, message: str, threshold: float | None = None):
-        super().__init__(message)
-        self.threshold = threshold
+    """Invalid configuration value, geometric assumption (A1-A3), grid
+    resolution or weight parameter (exit code 2)."""
 
 
 class ContractError(BSControlError):
@@ -37,7 +25,8 @@ class SmallnessViolationError(BSControlError):
     """Data too large for the small-data regime (exit code 3).
 
     Raised on Newton non-convergence, and by `synthesize` when a chord
-    step does not halve ||h(.,0)|| or the chord runs out of steps.
+    step does not halve h(.,0) on the k modes it cancels, or the chord
+    runs out of steps.
     """
 
     def __init__(self, message: str, step: int | None = None,

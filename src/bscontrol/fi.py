@@ -184,39 +184,32 @@ class FISolution:
             raise ContractError("nonzero state from identically zero sources")
         log_rhs_b = log_add(log_rhs_a, src["mu4Ft"])
         lm = t.log_mu_k
+        lw3, lw4, lw5 = face_average(lm[3:])
+        Hv = g.trapezoid_weights()
+        Hf = np.full(g.node_count, g.h)     # faces carry quadrature weight h
+
+        def state_terms(B, S):
+            """One state's c25 and c26 terms, each in summation order, then
+            its Laplacian and its time differences."""
+            gB, lapB = grad_faces(B, g), sbp_laplacian(B, g)
+            Bt_b, Bt_s = np.diff(B, axis=0) / dt, np.diff(S, axis=0) / dt
+            return ((log_weighted_sup(lm[2], (B, Hv), (S, 1.0)),
+                     log_st_sq(lm[2], gB, None, g, dt)),
+                    (log_weighted_sup(lm[3], (gB, Hf)),
+                     log_st_sq(lw3, Bt_b, Bt_s, g, dt),
+                     log_st_sq(lm[3], lapB, None, g, dt)), lapB, Bt_b, Bt_s)
 
         Psi = self.resolved[0]
-        Pb, Ps = (np.where(t.live[:, None], A[1:], 0.0)
-                  for A in (Psi.bulk, Psi.surface))
-        Hb, Hs = self.H.bulk[:-1], self.H.surface[:-1]
-
-        gP = grad_faces(Pb, g)
-        lapP = sbp_laplacian(Pb, g)
-        gH = grad_faces(Hb, g)
-        lapH = sbp_laplacian(Hb, g)
-        Pt_b, Pt_s, lw3 = _cell_time_derivative(Pb, Ps, lm[3], dt)
-        Ht_b, Ht_s, _ = _cell_time_derivative(Hb, Hs, lm[3], dt)
-        lw4, lw5 = face_average(lm[4:])
+        P25, P26, lapP, Pt_b, Pt_s = state_terms(
+            *(np.where(t.live[:, None], A[1:], 0.0) for A in (Psi.bulk, Psi.surface)))
+        H25, H26, *_ = state_terms(self.H.bulk[:-1], self.H.surface[:-1])
         gPt = grad_faces(Pt_b, g)
         lapPt = sbp_laplacian(Pt_b, g)
         Ptt_b = np.diff(Pt_b, axis=0) / dt
         Ptt_s = np.diff(Pt_s, axis=0) / dt
         lw5c = lm[5][1:-1]
-
-        Hv = g.trapezoid_weights()
-        Hf = np.full(g.node_count, g.h)     # faces carry quadrature weight h
-        lhs_c25 = log_add(
-            log_weighted_sup(lm[2], (Pb, Hv), (Ps, 1.0)),
-            log_st_sq(lm[2], gP, None, g, dt),
-            log_weighted_sup(lm[2], (Hb, Hv), (Hs, 1.0)),
-            log_st_sq(lm[2], gH, None, g, dt))
-        lhs_c26 = log_add(
-            log_weighted_sup(lm[3], (gP, Hf)),
-            log_st_sq(lw3, Pt_b, Pt_s, g, dt),
-            log_st_sq(lm[3], lapP, None, g, dt),
-            log_weighted_sup(lm[3], (gH, Hf)),
-            log_st_sq(lw3, Ht_b, Ht_s, g, dt),
-            log_st_sq(lm[3], lapH, None, g, dt))
+        lhs_c25 = log_add(*P25, *H25)
+        lhs_c26 = log_add(*P26, *H26)
         lhs_c27 = log_add(
             log_weighted_sup(lw4, (Pt_b, Hv), (Pt_s, 1.0)),
             log_st_sq(lw4, gPt, None, g, dt))

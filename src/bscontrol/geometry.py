@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractError, GeometryAssumptionError, ResolutionError
+from .errors import ConfigurationError, ContractError
 
 
 @dataclass(frozen=True)
@@ -134,19 +134,19 @@ def build_masks(grid: SpatialGrid, omega: tuple[float, float],
         if not (0.0 <= a < b <= L):
             raise ConfigurationError(f"{name}=({a}, {b}) is not an interval inside (0, {L})")
     if not (omega[0] > 0.0 and omega[1] < L):
-        raise GeometryAssumptionError(
+        raise ConfigurationError(
             "assumption A3 violated: closure(omega) must be contained in (0, L), "
             f"got omega={omega}")
     lo = max(omega[0], obs_bulk[0])
     hi = min(omega[1], obs_bulk[1])
     if hi <= lo:
-        raise GeometryAssumptionError(
+        raise ConfigurationError(
             "assumption A3 violated: omega and the bulk observation region are "
             f"disjoint (omega={omega}, obs_bulk={obs_bulk})")
     if nesting_margin <= 0:
         raise ConfigurationError("nesting_margin must be positive")
     if hi - lo < 6 * grid.h + 4 * nesting_margin:
-        raise ResolutionError(
+        raise ConfigurationError(
             f"omega & obs_bulk width {hi - lo:.4g} too thin for 6h + 4*margin "
             f"= {6 * grid.h + 4 * nesting_margin:.4g}; refine the grid or shrink the margin")
 
@@ -155,7 +155,7 @@ def build_masks(grid: SpatialGrid, omega: tuple[float, float],
     # the cutoff chi ramps from omega's ends to omega3's over >= 2h
     ramps = (omega3[0] - omega[0], omega[1] - omega3[1])
     if min(ramps) < 2 * grid.h:
-        raise ResolutionError(
+        raise ConfigurationError(
             "omega3 is not compactly inside omega at this resolution (ramp "
             f"widths {ramps[0]:.4g}, {ramps[1]:.4g} < 2h = {2 * grid.h:.4g})")
 
@@ -173,7 +173,7 @@ def build_masks(grid: SpatialGrid, omega: tuple[float, float],
     )
     for name in ("omega_nodes", "obs_bulk_nodes", "omega1_nodes", "omega3_nodes"):
         if getattr(masks, name).sum() < 3:
-            raise ResolutionError(f"mask {name} covers fewer than 3 grid nodes")
+            raise ConfigurationError(f"mask {name} covers fewer than 3 grid nodes")
     return masks
 
 

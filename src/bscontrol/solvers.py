@@ -24,11 +24,14 @@ S is the spatial generator of the dynamic-boundary system: the bulk row
 couples -sigma*lap with the reaction, the surface row carries the normal
 flux; assembled against the trapezoid-plus-surface mass, the flux terms
 cancel exactly (SBP), which gives machine-precision mass conservation and
-unconditional dissipativity of the implicit Euler steps.
+unconditional dissipativity of the implicit Euler steps.  The `diagnose`
+suites duality (`duality_battery`) and convergence (`convergence_orders`,
+on manufactured solutions) check these operators.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -42,8 +45,9 @@ from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
 from .errors import (ConditioningError, ConfigurationError, ContractError,
                      SmallnessViolationError)
 from .geometry import (BulkSurfaceField, RegionMasks, SpaceTimeField,
-                       SpatialGrid, TimeGrid, face_average, normal_derivative,
-                       sbp_laplacian, slice_sq_norms, st_inner, stiffness_apply)
+                       SpatialGrid, TimeGrid, build_grid, build_time_grid,
+                       face_average, normal_derivative, sbp_laplacian,
+                       slice_sq_norms, st_inner, stiffness_apply)
 
 # Newton on an implicit step stops at ||r|| <= NEWTON_TOL * max(1, ||rhs||)
 NEWTON_TOL = 1e-11
@@ -219,6 +223,26 @@ def duality_gap(Y: SpaceTimeField, W: SpaceTimeField, ops: LinearOperatorSet) ->
     a = st_inner(apply_L(Y, ops, "L"), W, ops.grid, dt, slice(1, None))
     b = st_inner(Y, apply_L(W, ops, "Lstar"), ops.grid, dt, slice(None, -1))
     return a - b
+
+
+def duality_battery(ops: LinearOperatorSet, rng, n_pairs: int = 100) -> float:
+    """max |<LY,W> - <Y,L*W>| / (||Y|| ||W||) over random admissible pairs."""
+    g, tg = ops.grid, ops.time_grid
+    M = tg.step_count
+    worst = 0.0
+    for _ in range(n_pairs):
+        Y = SpaceTimeField.from_bulk(rng.standard_normal((M + 1, g.n_nodes)))
+        W = SpaceTimeField.from_bulk(rng.standard_normal((M + 1, g.n_nodes)))
+        Y.bulk[0] = 0.0
+        Y.surface[0] = 0.0
+        W.bulk[M] = 0.0
+        W.surface[M] = 0.0
+        gap = abs(duality_gap(Y, W, ops))
+        ny, nw = (math.sqrt(st_inner(U, U, g, tg.dt)) for U in (Y, W))
+        # the pairing scales like the operator norm ~ 1/dt + sigma/h^2
+        scale = ny * nw * (1.0 / tg.dt + ops.sigma0 / g.h**2 + 1.0)
+        worst = max(worst, gap / max(scale, 1e-300))
+    return worst
 
 
 # --- banded step systems ----------------------------------------------------
@@ -611,3 +635,50 @@ def dump_trajectory_csv(Psi: SpaceTimeField, H: SpaceTimeField,
             row = (t, np_[j], Psi.surface[j, 0], Psi.surface[j, 1],
                    nh[j], H.surface[j, 0], H.surface[j, 1])
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+def _manufactured_run(cs: CoefficientSet, N: int, M: int,
+                      time_profile: str) -> float:
+    """Space-time L2 error for psi = profile(t) cos(pi x) on (0,1) x (0,1).
+
+    profile "linear" (1+t) has zero implicit-Euler truncation, isolating
+    the spatial order; "decay" e^{-t} carries an O(dt) temporal component.
+    """
+    grid = build_grid(1.0, N)
+    tgrid = build_time_grid(1.0, M)
+    ops = LinearOperatorSet.from_coefficients(cs, grid, tgrid)
+    x, t = grid.x, tgrid.nodes
+    cosx = np.cos(np.pi * x)
+    if time_profile == "linear":
+        prof, dprof = 1.0 + t, np.ones_like(t)
+    elif time_profile == "decay":
+        prof, dprof = np.exp(-t), -np.exp(-t)
+    else:
+        raise ValueError(time_profile)
+    exact = prof[:, None] * cosx[None, :]
+    f = (dprof[:, None] * cosx[None, :]
+         + ops.sigma0 * np.pi**2 * exact + ops.da0 * exact)
+    # dnu(psi) = 0 at both ends for cos(pi x) on (0,1)
+    fs = dprof[:, None] * cosx[None, [0, -1]] + ops.db0 * exact[:, [0, -1]]
+    F = SpaceTimeField(f, fs)
+    psi0 = BulkSurfaceField.from_bulk(exact[0])
+    Psi = solve_linear_forward(ops, F, psi0)
+    err = SpaceTimeField(Psi.bulk - exact, Psi.surface - exact[:, [0, -1]])
+    return math.sqrt(st_inner(err, err, grid, tgrid.dt, slice(1, None)))
+
+
+def convergence_orders(cs: CoefficientSet) -> dict:
+    """Observed spatial and temporal orders from manufactured solutions.
+
+    Spatial: linear-in-time profile (no temporal truncation), direct error
+    ratios over N in {32, 64, 128} at M = 256.  Temporal: decaying profile
+    at N = 256 over M in {64, 128, 256}; the order is estimated from error
+    increments so the common spatial component cancels.
+    """
+    es = [_manufactured_run(cs, N, 256, "linear") for N in (32, 64, 128)]
+    spatial = [math.log2(es[i] / es[i + 1]) for i in range(2)]
+    et = [_manufactured_run(cs, 256, M, "decay") for M in (64, 128, 256)]
+    temporal_inc = math.log2(max(et[0] - et[1], 1e-300) / max(et[1] - et[2], 1e-300))
+    return {"spatial_errors": es, "spatial_orders": spatial,
+            "temporal_errors": et, "temporal_order": temporal_inc,
+            "spatial_order_min": min(spatial)}

@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ContractError, ParameterError, ResolutionError
+from .errors import ConfigurationError, ContractError
 from .geometry import (RegionMasks, SpaceTimeField, SpatialGrid, TimeGrid,
                        face_average, grad_faces, normal_derivative,
                        sbp_laplacian, slice_sq_norms)
@@ -291,13 +291,6 @@ def _eta_peaked_at(grid: SpatialGrid, masks: RegionMasks, c: float) -> EtaProfil
 # --- parameters -------------------------------------------------------------
 
 @dataclass(frozen=True)
-class WeightParams:
-    lam: float = 1.0
-    m: float = 2.3
-    s_coeff: float = 1.0      # s = s_coeff * (T + T^2)
-
-
-@dataclass(frozen=True)
 class ValidatedParams:
     lam: float
     m: float
@@ -308,34 +301,37 @@ def m_threshold(lam: float) -> float:
     return math.log(5.0 * math.exp(lam) - 4.0) / lam
 
 
-def validate_params(p: WeightParams, horizon: float) -> ValidatedParams:
-    if p.lam < 1.0:
-        raise ParameterError(f"lambda must be >= 1, got {p.lam}")
-    if p.s_coeff < 1.0:
-        raise ParameterError(f"s coefficient must be >= 1, got {p.s_coeff}")
+def validate_params(lam: float, m: float, s_coeff: float,
+                    horizon: float) -> ValidatedParams:
+    """The weight parameters, checked: lambda >= 1, s_coeff >= 1 and
+    m > `m_threshold(lam)`, with e^(2 lambda max(m, 1)) and s = s_coeff
+    (T + T^2) >= 1 at T = `horizon` finite doubles."""
+    if lam < 1.0:
+        raise ConfigurationError(f"lambda must be >= 1, got {lam}")
+    if s_coeff < 1.0:
+        raise ConfigurationError(f"s coefficient must be >= 1, got {s_coeff}")
     # the weight numerator holds e^{2 lambda m}, and m_threshold, which every
     # admissible m exceeds, is above 1 and holds e^lambda
-    if not 2 * p.lam * max(p.m, 1.0) < LOG_FLOAT_MAX:
-        raise ParameterError(
-            f"lambda = {p.lam}, m = {p.m}: e^(2 lambda max(m, 1)) overflows "
+    if not 2 * lam * max(m, 1.0) < LOG_FLOAT_MAX:
+        raise ConfigurationError(
+            f"lambda = {lam}, m = {m}: e^(2 lambda max(m, 1)) overflows "
             f"a double; need 2 lambda max(m, 1) < {LOG_FLOAT_MAX:.2f}")
-    thr = m_threshold(p.lam)
-    if not p.m > thr:
-        raise ParameterError(
-            f"m={p.m} too small: the beta_hat < 1.25*beta_check condition "
-            f"needs m > log(5 e^lambda - 4)/lambda = {thr:.6f}",
-            threshold=thr)
+    thr = m_threshold(lam)
+    if not m > thr:
+        raise ConfigurationError(
+            f"m={m} too small: the beta_hat < 1.25*beta_check condition "
+            f"needs m > log(5 e^lambda - 4)/lambda = {thr:.6f}")
     try:
-        s = p.s_coeff * (horizon + horizon**2)
+        s = s_coeff * (horizon + horizon**2)
     except OverflowError:
         s = math.inf
     if s < 1.0:
-        raise ParameterError(f"s = {s} must be >= 1")
+        raise ConfigurationError(f"s = {s} must be >= 1")
     if s == math.inf:
-        raise ParameterError(
+        raise ConfigurationError(
             f"s = s_coeff (T + T^2) overflows a double at T = {horizon}, "
-            f"s_coeff = {p.s_coeff}")
-    return ValidatedParams(lam=p.lam, m=p.m, s=s)
+            f"s_coeff = {s_coeff}")
+    return ValidatedParams(lam=lam, m=m, s=s)
 
 
 # --- weight tables ----------------------------------------------------------
@@ -438,13 +434,13 @@ def build_weight_tables(grid: SpatialGrid, time_grid: TimeGrid, eta: EtaProfile,
     expo = lam * (m + eta.values)                      # (N+1,)
     K = math.exp(2 * lam * m) - np.exp(expo)
     if K.min() <= 0:
-        raise ParameterError("weight numerator must be positive; check m > 1")
+        raise ConfigurationError("weight numerator must be positive; check m > 1")
     log_K = np.log(K)
 
     beta_hat = K.max() / ell
     beta_check = K.min() / ell
     if not np.all(beta_hat < 1.25 * beta_check):
-        raise ParameterError("beta_hat < (5/4) beta_check failed; increase m")
+        raise ConfigurationError("beta_hat < (5/4) beta_check failed; increase m")
     gamma = beta_hat / 5.0
 
     log_mu = 5 * s * gamma + 1.5 * log_ell
@@ -458,7 +454,7 @@ def build_weight_tables(grid: SpatialGrid, time_grid: TimeGrid, eta: EtaProfile,
                           log_mu=log_mu, log_mu_k=log_mu_k, log_K=log_K,
                           expo=expo, log_tT=np.log(tm * (T - tm)))
     if tables.n_live < MIN_LIVE_CELLS:
-        raise ResolutionError(
+        raise ConfigurationError(
             f"only {tables.n_live} time cells carry a nonzero mu0^-2 weight "
             f"(need >= {MIN_LIVE_CELLS}); the weighted least-squares problem "
             f"degenerates.  Increase T or refine the time grid.")

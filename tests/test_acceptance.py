@@ -9,12 +9,12 @@ import time
 
 import numpy as np
 
-from bscontrol import diagnostics
 from bscontrol.fi import FISolver, cascade_residual_check, galerkin_check
 from bscontrol.geometry import BulkSurfaceField, SpaceTimeField, l2_norm
 from bscontrol.insensitize import (insensitivity_check, random_direction,
                                    synthesize)
 from bscontrol.solvers import (LinearOperatorSet, coefficient_preset,
+                               convergence_orders, duality_battery,
                                l2_history, solve_adjoint_cascade,
                                solve_linear_forward, solve_quasilinear,
                                total_mass)
@@ -34,7 +34,7 @@ def test_criterion_1_exact_duality(bundle):
     (the fields' norms times 1/dt + sigma/h^2), within 5 s."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(11)
-    gap = diagnostics.duality_battery(bundle.ops, rng, n_pairs=100)
+    gap = duality_battery(bundle.ops, rng, n_pairs=100)
     elapsed = time.perf_counter() - t0
     _report(1, "exact discrete duality", gap <= 1e-13 and elapsed < 5.0,
             f"max scaled gap {gap:.2e}, {elapsed:.2f}s")
@@ -57,7 +57,7 @@ def test_criterion_2_conservation_dissipation(bundle):
 
 
 def test_criterion_3_convergence_orders(bundle):
-    rep = diagnostics.convergence_orders(bundle.cs)
+    rep = convergence_orders(bundle.cs)
     ok = rep["spatial_order_min"] >= 1.9 and rep["temporal_order"] >= 0.9
     _report(3, "manufactured-solution convergence", ok,
             f"spatial {rep['spatial_order_min']:.3f}, temporal {rep['temporal_order']:.3f}")

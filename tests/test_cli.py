@@ -14,7 +14,7 @@ import pytest
 from bscontrol import fi, insensitize, solvers
 from bscontrol.cli import (DEFAULTS, RunConfig, build_setup, cmd_diagnose,
                            cmd_sweep, cmd_synthesize, load_config, main)
-from bscontrol.errors import ConfigurationError, ResolutionError
+from bscontrol.errors import ConfigurationError
 from bscontrol.geometry import build_grid, build_masks
 from bscontrol.weights import admissible_time_profile, build_eta
 from bscontrol.insensitize import synthesize
@@ -120,7 +120,7 @@ def test_eta_peak_searched_across_omega1(tmp_path, omega, obs_bulk, omega1):
     synthesis runs (128 cells).  At 64 cells `build_masks` refuses them:
     omega3 lies one margin, 0.02, inside omega at the end the two regions
     share, and chi's ramp needs 2h = 0.03125."""
-    with pytest.raises(ResolutionError, match=r"ramp widths .* < 2h = 0.03125"):
+    with pytest.raises(ConfigurationError, match=r"ramp widths .* < 2h = 0.03125"):
         build_masks(build_grid(1.0, 64), omega, obs_bulk, {"left", "right"}, 0.02)
     g = build_grid(1.0, 128)
     masks = build_masks(g, omega, obs_bulk, {"left", "right"}, 0.02)
@@ -166,6 +166,8 @@ BAD_INPUTS = (
     ("[time]\nsteps = 64\n[time]\nsteps = 32\n", 2),
     ("[time]\nsteps = 64\nsteps = 32\n", 2), ("steps = 64\n", 2),
     ("[weights]\nlambda = 154\n", 2),
+    # m below m_threshold(lambda); omega & obs_bulk too thin for 8 cells
+    ("[weights]\nm = 1.5\n", 2), ("[grid]\ncells = 8\n", 2),
     ("[weights]\nlambda = 154\n" + SMALL_GRID, 2),
     # not UTF-8, '%' taken for interpolation, keys under [DEFAULT]
     (b"\xff\xfe[grid]\ncells = 32\n", 2), ("[source]\nfamily = gaus%sian\n", 2),

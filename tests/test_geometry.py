@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from bscontrol.errors import (ConfigurationError, GeometryAssumptionError,
-                              ResolutionError)
+from bscontrol.errors import ConfigurationError
 from bscontrol.geometry import (BulkSurfaceField, build_grid, build_masks,
                                 grad_faces, h3_proxy_norm, l2_inner,
                                 normal_derivative, sbp_laplacian)
@@ -48,7 +47,7 @@ def test_build_masks_nesting_values():
 
 def test_build_masks_disjoint_cites_assumption():
     g = build_grid(1.0, 64)
-    with pytest.raises(GeometryAssumptionError, match="A3"):
+    with pytest.raises(ConfigurationError, match="assumption A3 violated"):
         build_masks(g, (0.1, 0.2), (0.8, 0.9), set(), 0.02)
 
 
@@ -60,7 +59,7 @@ def test_build_masks_equal_intervals():
 
 def test_build_masks_too_thin():
     g = build_grid(1.0, 64)
-    with pytest.raises(ResolutionError):
+    with pytest.raises(ConfigurationError, match="too thin"):
         build_masks(g, (0.45, 0.55), (0.45, 0.55), set(), 0.02)
 
 

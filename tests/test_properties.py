@@ -28,7 +28,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, solve_banded, solveh_banded
 
-from bscontrol import diagnostics
 from bscontrol.errors import ConditioningError
 from bscontrol.fi import _recover_fields, _residual_stack, _unpack_dofs
 from bscontrol.geometry import (BulkSurfaceField, SpaceTimeField, build_grid,
@@ -40,8 +39,8 @@ from bscontrol.insensitize import (control_support, control_to_h0_adjoint,
 from bscontrol.solvers import (LinearOperatorSet, _constant_step_bands,
                                _quasilinear_jacobian_bands, _row_norms,
                                _solve_tridiagonal, _weak_rhs, apply_L,
-                               coefficient_preset, l2_history,
-                               solve_adjoint_cascade,
+                               coefficient_preset, duality_battery,
+                               l2_history, solve_adjoint_cascade,
                                solve_backward_varcoef, solve_linear_backward,
                                solve_linear_forward, solve_sensitivity,
                                total_mass)
@@ -88,7 +87,7 @@ def test_sbp_identity_exact(N, length, seed):
 @PROPERTY
 @given(ops=operators(), seed=st.integers(0, 2**32 - 1))
 def test_duality_gap_at_operator_scale(ops, seed):
-    gap = diagnostics.duality_battery(ops, np.random.default_rng(seed), n_pairs=3)
+    gap = duality_battery(ops, np.random.default_rng(seed), n_pairs=3)
     assert gap <= 1e-13
 
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from bscontrol import weights
-from bscontrol.errors import ContractError, ParameterError, ResolutionError
+from bscontrol.errors import ConfigurationError, ContractError
 from bscontrol.geometry import SpaceTimeField, build_grid, build_masks, build_time_grid
-from bscontrol.weights import (ETA_CHECK_SAMPLES, ETA_KAPPA, WeightParams,
-                               _quintic_arc, build_chi, build_eta,
+from bscontrol.weights import (ETA_CHECK_SAMPLES, ETA_KAPPA, _quintic_arc,
+                               build_chi, build_eta,
                                build_weight_tables, carleman_functional_I,
                                carleman_functional_Jw, check_elementary_estimates,
                                ell_value, m_threshold, validate_params)
@@ -99,14 +99,14 @@ def test_m_threshold_values():
 
 
 def test_validate_params():
-    ok = validate_params(WeightParams(lam=2.0, m=2.0), horizon=8.0)
+    ok = validate_params(2.0, 2.0, 1.0, horizon=8.0)
     assert ok.s == pytest.approx(72.0)
-    with pytest.raises(ParameterError) as err:
-        validate_params(WeightParams(lam=1.0, m=2.0), horizon=8.0)
-    assert err.value.threshold == pytest.approx(2.2608678168, abs=1e-9)
-    validate_params(WeightParams(lam=10.0, m=1.2), horizon=8.0)
-    with pytest.raises(ParameterError):
-        validate_params(WeightParams(lam=0.5, m=3.0), horizon=8.0)
+    # the message prints m_threshold(1.0) = 2.2608678168 to 6 decimals
+    with pytest.raises(ConfigurationError, match=r"m=2\.0 too small: .* = 2\.260868$"):
+        validate_params(1.0, 2.0, 1.0, horizon=8.0)
+    validate_params(10.0, 1.2, 1.0, horizon=8.0)
+    with pytest.raises(ConfigurationError, match="lambda must be >= 1"):
+        validate_params(0.5, 3.0, 1.0, horizon=8.0)
 
 
 def test_ell_branches_and_c1_matching():
@@ -125,7 +125,7 @@ def test_weight_tables_alpha_beta_agree_first_half(geo):
     g, m = geo
     tg = build_time_grid(8.0, 64)
     eta = build_eta(g, m)
-    params = validate_params(WeightParams(), tg.horizon)
+    params = validate_params(1.0, 2.3, 1.0, tg.horizon)
     t = build_weight_tables(g, tg, eta, params)
     first_half = t.t_mid <= tg.horizon / 2
     assert np.array_equal(t.log_alpha[first_half], t.log_beta[first_half])
@@ -141,7 +141,7 @@ def test_weight_tables_xi_zeta_values(monkeypatch):
     m = build_masks(g, (0.25, 0.75), (0.35, 0.65), {"left"}, 0.01)
     eta = build_eta(g, m)
     tg = build_time_grid(1.0, 16)
-    params = validate_params(WeightParams(lam=2.0, m=2.0, s_coeff=1.0), 1.0)
+    params = validate_params(2.0, 2.0, 1.0, 1.0)
     monkeypatch.setattr(weights, "MIN_LIVE_CELLS", 0)
     t = build_weight_tables(g, tg, eta, params)
     peak = np.argmin(np.abs(g.x - 0.5))
@@ -168,7 +168,7 @@ def test_carleman_tables_match_eager_expressions(cells, peak):
     m = _masks_around(g, peak)
     tg = build_time_grid(8.0, 2 * cells)
     eta = build_eta(g, m)
-    params = validate_params(WeightParams(), tg.horizon)
+    params = validate_params(1.0, 2.3, 1.0, tg.horizon)
     t = build_weight_tables(g, tg, eta, params)
     t.carleman_log_weights
     # the oracle: each table evaluated in full from eta and the parameters
@@ -187,8 +187,8 @@ def test_weight_tables_live_window_guard(geo):
     g, m = geo
     eta = build_eta(g, m)
     tg = build_time_grid(1.0, 64)   # T too short: mu0^{-2} underflows everywhere
-    params = validate_params(WeightParams(), 1.0)
-    with pytest.raises(ResolutionError):
+    params = validate_params(1.0, 2.3, 1.0, 1.0)
+    with pytest.raises(ConfigurationError, match="time cells carry a nonzero"):
         build_weight_tables(g, tg, eta, params)
 
 
@@ -196,12 +196,12 @@ def test_mu_family_log_decay_near_zero(geo):
     g, m = geo
     eta = build_eta(g, m)
     tg = build_time_grid(8.0, 128)
-    t = build_weight_tables(g, tg, eta, validate_params(WeightParams(), 8.0))
+    t = build_weight_tables(g, tg, eta, validate_params(1.0, 2.3, 1.0, 8.0))
     # log mu0 decreases from the first midpoint to the second, and the gap
     # grows when the grid is refined (the weight is singular at t=0)
     gap = t.log_mu_k[0][0] - t.log_mu_k[0][1]
     tg2 = build_time_grid(8.0, 256)
-    t2 = build_weight_tables(g, tg2, eta, validate_params(WeightParams(), 8.0))
+    t2 = build_weight_tables(g, tg2, eta, validate_params(1.0, 2.3, 1.0, 8.0))
     gap2 = t2.log_mu_k[0][0] - t2.log_mu_k[0][1]
     assert gap > 0 and gap2 > gap
 
@@ -246,7 +246,7 @@ def test_chi_resolution_guard():
     """`build_masks` refuses a right ramp of chi thinner than 2h, so
     `build_chi` never sees one."""
     g = build_grid(1.0, 64)
-    with pytest.raises(ResolutionError, match="ramp widths 0.205, 0.005 < 2h"):
+    with pytest.raises(ConfigurationError, match="ramp widths 0.205, 0.005 < 2h"):
         build_masks(g, (0.3, 0.7), (0.5, 0.9), {"left"}, 0.005)
 
 
@@ -272,8 +272,8 @@ def test_carleman_functional_monotone_in_s(geo, monkeypatch):
     g, m = geo
     eta = build_eta(g, m)
     tg = build_time_grid(8.0, 32)
-    params1 = validate_params(WeightParams(s_coeff=1.0), 8.0)
-    params2 = validate_params(WeightParams(s_coeff=2.0), 8.0)
+    params1 = validate_params(1.0, 2.3, 1.0, 8.0)
+    params2 = validate_params(1.0, 2.3, 2.0, 8.0)
     monkeypatch.setattr(weights, "MIN_LIVE_CELLS", 0)
     t1 = build_weight_tables(g, tg, eta, params1)
     t2 = build_weight_tables(g, tg, eta, params2)

@@ -15,12 +15,15 @@ only non-deterministic field.
 Prints one line per command and the first SHOWN lines of each file's
 diff, with a count of the lines it leaves out, then each tree's
 `wc -l bscontrol/*.py`, and exits 1 on any difference, 0 otherwise.
-The 24 commands cover every CLI command: both exits of the chord on
+The 28 commands cover every CLI command: both exits of the chord on
 h(.,0) (`converged` on every run that exits 0, in 4 steps at amplitude 1,
 and exit 3 at amplitude 1e3, where the first step grows ||h(.,0)||), a
 non-dyadic time step (8/100, where the other runs' dt are powers of two),
 a synthesis with each coefficient preset other than the default logistic
-one, factor reuse across an amplitude sweep, a random_fourier amplitude
+one, a zero source (the least-squares solve's zero-source return), three
+configurations that exit 2 (disjoint masks, masks too thin for the grid,
+m below its threshold), so their messages are compared through stderr,
+factor reuse across an amplitude sweep, a random_fourier amplitude
 sweep on seed 8, whose rows keep one mode (k = 1) because cancelling the
 second would cost more than the chord's cap allows, a grid sweep that
 replaces the bundle and its cached solver mid-run, a lambda sweep whose
@@ -67,6 +70,16 @@ COMMANDS = (
        {"coefficients": {"preset": preset}, "grid": {"cells": "32"},
         "time": {"steps": "64"}})
       for preset in ("constant", "affine", "polynomial")),
+    ("synthesize zero 32x64", ["synthesize"],
+     {"source": {"family": "zero"}, "grid": {"cells": "32"},
+      "time": {"steps": "64"}}),
+    # each exits 2 with a message naming what it violates
+    ("synthesize disjoint masks (A3)", ["synthesize"],
+     {"masks": {"omega": "0.1,0.2", "obs_bulk": "0.8,0.9"}}),
+    ("synthesize masks too thin at 8 cells", ["synthesize"],
+     {"grid": {"cells": "8"}}),
+    ("synthesize m below its threshold", ["synthesize"],
+     {"weights": {"m": "1.5"}}),
     ("sweep amplitude", ["sweep", "--parameter", "amplitude",
                          "--values", "5e-4,1e-3,2e-3"], {}),
     # on seed 8's random_fourier source the chord's cap leaves mode 2
