@@ -8,15 +8,15 @@ checkable exactly rather than up to O(h).
 
 import numpy as np
 
-from bscontrol import (BulkSurfaceField, SpaceTimeField, build_grid,
-                       build_time_grid, coefficient_preset)
+from bscontrol import (BulkSurfaceField, build_grid, build_time_grid,
+                       coefficient_preset)
 from bscontrol.geometry import grad_faces, normal_derivative, sbp_laplacian
 from bscontrol.solvers import (LinearOperatorSet, duality_gap, l2_history,
                                solve_linear_forward, total_mass)
 
 grid = build_grid(1.0, 64)
 tgrid = build_time_grid(8.0, 128)
-print(f"domain (0, {grid.length}), {grid.node_count} cells, h = {grid.h}")
+print(f"domain (0, {grid.length}), {grid.cell_count} cells, h = {grid.h}")
 
 # --- the SBP identity, evaluated on random data -----------------------------
 rng = np.random.default_rng(0)
@@ -39,8 +39,8 @@ print("laplacian of x^2 (should be 2 everywhere):",
 cs = coefficient_preset("logistic")
 ops = LinearOperatorSet.from_coefficients(cs, grid, tgrid)
 M = tgrid.step_count
-Y = SpaceTimeField.from_bulk(rng.standard_normal((M + 1, grid.n_nodes)))
-W = SpaceTimeField.from_bulk(rng.standard_normal((M + 1, grid.n_nodes)))
+Y = BulkSurfaceField.from_bulk(rng.standard_normal((M + 1, grid.n_nodes)))
+W = BulkSurfaceField.from_bulk(rng.standard_normal((M + 1, grid.n_nodes)))
 Y.bulk[0] = Y.surface[0] = 0.0          # forward domain: zero initial slice
 W.bulk[M] = W.surface[M] = 0.0          # backward domain: zero terminal slice
 print(f"|<L Y, W> - <Y, L* W>| = {abs(duality_gap(Y, W, ops)):.3e}")
@@ -49,7 +49,7 @@ print(f"|<L Y, W> - <Y, L* W>| = {abs(duality_gap(Y, W, ops)):.3e}")
 ops0 = LinearOperatorSet(sigma0=1.0, da0=0.0, db0=0.0,
                          grid=grid, time_grid=tgrid)
 psi0 = BulkSurfaceField.from_bulk(np.sin(2 * np.pi * grid.x) + 1.0)
-psi = solve_linear_forward(ops0, SpaceTimeField.zeros(grid, M + 1), psi0)
+psi = solve_linear_forward(ops0, BulkSurfaceField.zeros(grid, M + 1), psi0)
 mass = total_mass(psi, grid)
 energy = l2_history(psi, grid)
 print(f"bulk+surface mass drift over the run: {np.abs(np.diff(mass)).max():.3e}")

@@ -9,9 +9,9 @@ correction of h(.,0) of the quasilinear cascade on the controllable modes
 
 from .errors import (BSControlError, ConditioningError, ConfigurationError,
                      ContractError, SmallnessViolationError)
-from .geometry import (BulkSurfaceField, RegionMasks, SpaceTimeField,
-                       SpatialGrid, TimeGrid, build_grid, build_masks,
-                       build_time_grid, l2_inner, l2_norm)
+from .geometry import (BulkSurfaceField, RegionMasks, SpatialGrid, TimeGrid,
+                       build_grid, build_masks, build_time_grid, l2_inner,
+                       l2_norm)
 from .weights import (EtaProfile, WeightTables,
                       build_chi, build_eta, build_weight_tables,
                       carleman_functional_I, carleman_functional_Jw,

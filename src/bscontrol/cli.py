@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (BSControlError, ConditioningError, ConfigurationError,
                      ContractError, SmallnessViolationError)
-from .geometry import SpaceTimeField, build_grid, build_masks, build_time_grid
+from .geometry import BulkSurfaceField, build_grid, build_masks, build_time_grid
 from .insensitize import (TAU_LADDER, SynthesisBundle, control_norm,
                           insensitivity_check, random_direction, synthesize)
 from .solvers import (LinearOperatorSet, coefficient_preset,
@@ -178,7 +178,7 @@ def build_setup(cfg: RunConfig):
     return bundle, F
 
 
-def build_source(cfg: RunConfig, bundle: SynthesisBundle) -> SpaceTimeField:
+def build_source(cfg: RunConfig, bundle: SynthesisBundle) -> BulkSurfaceField:
     """Named analytic source families times the admissible time profile.
 
     The time profile decays at the critical rate that keeps the weighted
@@ -212,7 +212,7 @@ def build_source(cfg: RunConfig, bundle: SynthesisBundle) -> SpaceTimeField:
     else:
         raise ConfigurationError(f"unknown source family '{family}'")
     prof = admissible_time_profile(bundle.tables)   # (M,), peak 1
-    F = SpaceTimeField.zeros(g, M + 1)
+    F = BulkSurfaceField.zeros(g, M + 1)
     # amp * prof[:, None] * shape, written straight into the field
     np.multiply(amp * prof[:, None], shape, out=F.bulk[1:])
     F.surface[1:] = F.bulk[1:][:, [0, -1]]

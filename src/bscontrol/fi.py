@@ -66,8 +66,9 @@ import scipy.sparse as sparse
 from scipy.sparse.linalg import splu
 
 from .errors import ConditioningError, ContractError
-from .geometry import (SpaceTimeField, SpatialGrid, face_average, grad_faces,
-                       l2_norm, sbp_laplacian, slice_sq_norms, st_inner)
+from .geometry import (BulkSurfaceField, RegionMasks, SpatialGrid, TimeGrid,
+                       face_average, grad_faces, l2_norm, sbp_laplacian,
+                       slice_sq_norms, st_inner)
 from .solvers import (LinearOperatorSet, _observation_source, _step_rows,
                       linear_cascade_rows, solve_linearized_cascade,
                       weak_residual)
@@ -93,8 +94,8 @@ class FIProblem:
     theta: float
     theta_s: float
     grid: SpatialGrid
-    time_grid: "object"
-    masks: "object"
+    time_grid: TimeGrid
+    masks: RegionMasks
     tables: WeightTables
     chi: np.ndarray           # the cutoff's node values (`build_chi`)
     ops: LinearOperatorSet
@@ -105,7 +106,7 @@ class FIProblem:
         if self.theta_s < 0:
             raise ContractError(f"theta_s must be >= 0, got {self.theta_s}")
 
-    def log_source_norms(self, F: SpaceTimeField) -> dict:
+    def log_source_norms(self, F: BulkSurfaceField) -> dict:
         """log-space ||mu F||^2 and ||mu4 F_t||^2 of the source, whose
         slice c holds the cell-c sample (slice 0 is ignored)."""
         g, dt, t = self.grid, self.time_grid.dt, self.tables
@@ -132,15 +133,15 @@ class FISolution:
     source re-solves under it and measures its `lhs_rhs_ratios` against
     it."""
 
-    Psi: SpaceTimeField          # forward view: slice 0 is exactly 0
-    H: SpaceTimeField            # backward view: slice M is exactly 0
+    Psi: BulkSurfaceField          # forward view: slice 0 is exactly 0
+    H: BulkSurfaceField            # backward view: slice M is exactly 0
     v: np.ndarray                # (M+1, n_nodes), slice c = cell-c control
     optimality_residual: float
     # max|r| / (||At||_inf max|xt| + max|bt|) of the scaled system
     backward_error: float
     x_dofs: np.ndarray
     problem: FIProblem = field(repr=False)
-    F: SpaceTimeField = field(repr=False)
+    F: BulkSurfaceField = field(repr=False)
 
     @cached_property
     def log_norms(self) -> dict:
@@ -155,7 +156,7 @@ class FISolution:
                 "mu3vt": log_st_sq(face_average(lm[3]), vt, None, g, dt)}
 
     @cached_property
-    def resolved(self) -> tuple[SpaceTimeField, SpaceTimeField]:
+    def resolved(self) -> tuple[BulkSurfaceField, BulkSurfaceField]:
         """The cascade's states (psi, h) under (F, v); never written."""
         p = self.problem
         return solve_linearized_cascade(p.ops, self.F, self.v, p.theta,
@@ -186,7 +187,7 @@ class FISolution:
         lm = t.log_mu_k
         lw3, lw4, lw5 = face_average(lm[3:])
         Hv = g.trapezoid_weights()
-        Hf = np.full(g.node_count, g.h)     # faces carry quadrature weight h
+        Hf = np.full(g.cell_count, g.h)     # faces carry quadrature weight h
 
         def state_terms(B, S):
             """One state's c25 and c26 terms, each in summation order, then
@@ -280,7 +281,7 @@ def _residual_stack(p: FIProblem) -> sparse.csr_matrix:
     eye = np.eye(n)
     tr = eye[:, [0, -1]]
     S = [sparse.csr_matrix(r.T) for r in _step_rows(p.ops, eye, tr, eye, tr)]
-    C = _observation_source(SpaceTimeField(eye, tr), p.theta, p.theta_s, p.masks)
+    C = _observation_source(BulkSurfaceField(eye, tr), p.theta, p.theta_s, p.masks)
     I_M, X = sparse.identity(M), (sparse.identity(n), sparse.csr_matrix(tr.T))
 
     def cells(other):
@@ -318,7 +319,7 @@ def _wmul(w: np.ndarray, r: np.ndarray) -> np.ndarray:
     return out
 
 
-def _source_rhs(p: FIProblem, F: SpaceTimeField) -> np.ndarray:
+def _source_rhs(p: FIProblem, F: BulkSurfaceField) -> np.ndarray:
     """The linear functional of the source: F paired with Y, zero on Z."""
     dt, Hv = p.time_grid.dt, p.grid.trapezoid_weights()
     b = dt * (Hv * F.bulk[1:])
@@ -343,11 +344,11 @@ def _recover_fields(p: FIProblem, x, final_res, backward_error, F) -> FISolution
     and weighting R x instead moves Psi and H by up to 1.7e-7 relative."""
     M, w0 = p.time_grid.step_count, p.tables.inv_sq(0)
     Yf, Zf = _unpack_dofs(p, x)
-    Ya, Yo, Za, Zo = (SpaceTimeField.from_bulk(w0[:, None] * A)
+    Ya, Yo, Za, Zo = (BulkSurfaceField.from_bulk(w0[:, None] * A)
                       for A in (Yf[:-1], Yf[1:], Zf[1:], Zf[:-1]))
     coupling = _observation_source(Za, p.theta, p.theta_s, p.masks)
     # forward view Psi (cell k -> slice k+1), backward view H (k -> k)
-    Psi, H = (SpaceTimeField.zeros(p.grid, M + 1) for _ in range(2))
+    Psi, H = (BulkSurfaceField.zeros(p.grid, M + 1) for _ in range(2))
     Psi.bulk[1:], Psi.surface[1:] = _step_rows(p.ops, Ya.bulk, Ya.surface,
                                                Yo.bulk, Yo.surface)
     Psi.bulk[1:] -= coupling.bulk
@@ -401,7 +402,7 @@ class FISolver:
         except RuntimeError as exc:
             raise ConditioningError(f"sparse factorization failed: {exc}") from exc
 
-    def solve(self, F: SpaceTimeField) -> FISolution:
+    def solve(self, F: BulkSurfaceField) -> FISolution:
         """Solve for the cell-indexed forward source F (slice c holds the
         cell-c sample, c = 1..M; slice 0 is ignored), the backward one
         zero, and recover (Psi, H, v) via (c16)."""
@@ -474,13 +475,13 @@ def cascade_residual_check(sol: FISolution) -> dict:
     g, tg = p.grid, p.time_grid
     Psi_rs, H_rs = sol.resolved
     vmask = sol.v * p.masks.omega_nodes[None, :]
-    Feff = SpaceTimeField(sol.F.bulk + vmask, sol.F.surface.copy())
+    Feff = BulkSurfaceField(sol.F.bulk + vmask, sol.F.surface.copy())
     res_fwd = weak_residual(p.ops, Psi_rs, Feff)
     Geff = _observation_source(Psi_rs, p.theta, p.theta_s, p.masks)
     res_bwd = weak_residual(p.ops, H_rs, Geff, backward=True)
 
     def st_dist(A, B, slices):
-        D = SpaceTimeField(A.bulk - B.bulk, A.surface - B.surface)
+        D = BulkSurfaceField(A.bulk - B.bulk, A.surface - B.surface)
         num, den = (st_inner(U, U, g, tg.dt, slices) for U in (D, B))
         return math.sqrt(num / max(den, 1e-300))
 

@@ -2,7 +2,10 @@
 
 The spatial domain is the interval (0, L); its boundary is the two points
 {0, L}, each carrying a dynamic (surface) value.  The discrete state space
-pairs a bulk vector on the N+1 uniform nodes with a surface pair, and its
+pairs a bulk vector on the N+1 uniform nodes with a surface pair.  One
+type, `BulkSurfaceField`, holds that pair at every shape: a slice is bulk
+(N+1,) and surface (2,), a history of n_t slices is (n_t, N+1) and
+(n_t, 2), and a stack of B slices or histories adds a leading B.  The
 inner product is trapezoid quadrature on the bulk plus a two-term sum on
 the surface (the 1D surface measure is counting measure):
 
@@ -39,15 +42,17 @@ class SpatialGrid:
     """Uniform grid on (0, L) with N cells and shared boundary DOFs."""
 
     length: float
-    node_count: int  # number of cells; nodes are 0..N
-    x: np.ndarray = field(repr=False)
-    h: float = 0.0
+    cell_count: int
+    x: np.ndarray = field(init=False, repr=False)
+    h: float = field(init=False)
 
     @property
     def n_nodes(self) -> int:
-        return self.node_count + 1
+        return self.cell_count + 1
 
     def __post_init__(self):
+        object.__setattr__(self, "x", np.linspace(0.0, self.length, self.n_nodes))
+        object.__setattr__(self, "h", float(self.length) / self.cell_count)
         # both weight vectors are built once per grid and shared read-only
         trap = np.full(self.n_nodes, self.h)
         trap[0] = trap[-1] = 0.5 * self.h
@@ -68,14 +73,12 @@ class SpatialGrid:
         return self._mass
 
 
-def build_grid(length: float, node_count: int) -> SpatialGrid:
+def build_grid(length: float, cell_count: int) -> SpatialGrid:
     if not length > 0:
         raise ConfigurationError(f"domain length must be positive, got {length}")
-    if node_count < 8:
-        raise ConfigurationError(f"need at least 8 cells, got {node_count}")
-    x = np.linspace(0.0, length, node_count + 1)
-    return SpatialGrid(length=float(length), node_count=int(node_count), x=x,
-                       h=float(length) / node_count)
+    if cell_count < 8:
+        raise ConfigurationError(f"need at least 8 cells, got {cell_count}")
+    return SpatialGrid(float(length), int(cell_count))
 
 
 @dataclass(frozen=True)
@@ -84,8 +87,12 @@ class TimeGrid:
 
     horizon: float
     step_count: int
-    nodes: np.ndarray = field(repr=False)
-    dt: float = 0.0
+    nodes: np.ndarray = field(init=False, repr=False)
+    dt: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "nodes", np.linspace(0.0, self.horizon, self.step_count + 1))
+        object.__setattr__(self, "dt", float(self.horizon) / self.step_count)
 
     @property
     def midpoints(self) -> np.ndarray:
@@ -97,9 +104,7 @@ def build_time_grid(horizon: float, step_count: int) -> TimeGrid:
         raise ConfigurationError(f"time horizon must be positive, got {horizon}")
     if step_count < 8:
         raise ConfigurationError(f"need at least 8 time steps, got {step_count}")
-    nodes = np.linspace(0.0, horizon, step_count + 1)
-    return TimeGrid(horizon=float(horizon), step_count=int(step_count),
-                    nodes=nodes, dt=float(horizon) / step_count)
+    return TimeGrid(float(horizon), int(step_count))
 
 
 def _interval_mask(grid: SpatialGrid, interval: tuple[float, float]) -> np.ndarray:
@@ -179,14 +184,19 @@ def build_masks(grid: SpatialGrid, omega: tuple[float, float],
 
 # --- fields ---------------------------------------------------------------
 
+# largest |surface - bulk trace| a state of the dynamic-boundary systems may carry
+TRACE_TOL = 1e-12
+
+
 @dataclass
 class BulkSurfaceField:
-    """A bulk vector on the nodes paired with two surface values.
+    """A bulk array on the nodes, bulk (..., N+1), paired with its two
+    surface values, surface (..., 2), at any leading shape (module docstring).
 
     Surface values are independent of the bulk in general (L2-type pairs,
     e.g. equation residuals).  States of the dynamic-boundary systems are
-    trace-compatible: surface == bulk at the two boundary nodes.  A stack of
-    B fields has bulk (B, N+1) and surface (B, 2).
+    trace-compatible: surface == bulk at the two boundary nodes, to within
+    TRACE_TOL.
     """
 
     bulk: np.ndarray
@@ -195,41 +205,23 @@ class BulkSurfaceField:
     @classmethod
     def from_bulk(cls, bulk: np.ndarray) -> "BulkSurfaceField":
         bulk = np.asarray(bulk, dtype=float)
-        return cls(bulk=bulk, surface=bulk[..., [0, -1]].copy())
-
-    @classmethod
-    def zeros(cls, grid: SpatialGrid) -> "BulkSurfaceField":
-        return cls(bulk=np.zeros(grid.n_nodes), surface=np.zeros(2))
-
-    def is_trace_compatible(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(self.surface - self.bulk[..., [0, -1]]) <= tol))
-
-
-@dataclass
-class SpaceTimeField:
-    """Time-indexed bulk/surface arrays: bulk (n_t, N+1), surface (n_t, 2).
-    A stack of B histories has bulk (B, n_t, N+1) and surface (B, n_t, 2)."""
-
-    bulk: np.ndarray
-    surface: np.ndarray
-
-    @classmethod
-    def from_bulk(cls, bulk: np.ndarray) -> "SpaceTimeField":
-        bulk = np.asarray(bulk, dtype=float)
         # the copy is C-contiguous (the fancy index is not), and the einsum
         # reductions over surfaces sum in memory order
         return cls(bulk=bulk, surface=bulk[..., [0, -1]].copy())
 
     @classmethod
-    def zeros(cls, grid: SpatialGrid, n_slices: int) -> "SpaceTimeField":
-        return cls(bulk=np.zeros((n_slices, grid.n_nodes)), surface=np.zeros((n_slices, 2)))
+    def zeros(cls, grid: SpatialGrid, *lead: int) -> "BulkSurfaceField":
+        return cls(bulk=np.zeros((*lead, grid.n_nodes)), surface=np.zeros((*lead, 2)))
 
     @property
     def n_slices(self) -> int:
         return self.bulk.shape[0]
 
-    def slice(self, j: int) -> BulkSurfaceField:
+    def slice(self, j: int) -> "BulkSurfaceField":
         return BulkSurfaceField(self.bulk[j], self.surface[j])
+
+    def is_trace_compatible(self) -> bool:
+        return bool(np.all(np.abs(self.surface - self.bulk[..., [0, -1]]) <= TRACE_TOL))
 
 
 def l2_inner(a: BulkSurfaceField, b: BulkSurfaceField, grid: SpatialGrid) -> float:
@@ -254,7 +246,7 @@ def slice_sq_norms(*terms) -> np.ndarray:
     return sq
 
 
-def st_inner(A: SpaceTimeField, B: SpaceTimeField, grid: SpatialGrid, dt: float,
+def st_inner(A: BulkSurfaceField, B: BulkSurfaceField, grid: SpatialGrid, dt: float,
              slices: slice = slice(None)) -> float:
     """dt * sum over `slices` of the bulk-surface inner products (one
     pairwise-summed reduction per part)."""

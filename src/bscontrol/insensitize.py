@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import ContractError, SmallnessViolationError
 from .fi import FIProblem, FISolution, FISolver
-from .geometry import (BulkSurfaceField, SpaceTimeField, SpatialGrid,
-                       h3_proxy_norm, l2_inner, l2_norm, st_inner)
+from .geometry import (BulkSurfaceField, SpatialGrid, h3_proxy_norm,
+                       l2_inner, l2_norm, st_inner)
 from .solvers import (CoefficientSet, solve_linearized_cascade,
                       solve_quasilinear, solve_quasilinear_cascade)
 from .weights import log_add
@@ -99,7 +99,7 @@ class ControlModes:
 
 def control_norm(v: np.ndarray, grid: SpatialGrid, dt: float) -> float:
     """The L2 norm of a control over its cells 1..M."""
-    f = SpaceTimeField(v, np.zeros((len(v), 2)))
+    f = BulkSurfaceField(v, np.zeros((len(v), 2)))
     return st_inner(f, f, grid, dt, slice(1, None)) ** 0.5
 
 
@@ -111,12 +111,12 @@ def control_support(bundle: "SynthesisBundle") -> np.ndarray:
     return out
 
 
-def linear_h(bundle: "SynthesisBundle", F: SpaceTimeField | None = None,
+def linear_h(bundle: "SynthesisBundle", F: BulkSurfaceField | None = None,
              v: np.ndarray | None = None) -> np.ndarray:
     """The bulk of h of the linear cascade with sources (F, 0) and control
     v, each zero when omitted; stacks of either give a stack."""
     shape = (bundle.time_grid.step_count + 1, bundle.grid.n_nodes)
-    zero = SpaceTimeField(np.zeros(shape), np.zeros((shape[0], 2)))
+    zero = BulkSurfaceField(np.zeros(shape), np.zeros((shape[0], 2)))
     return solve_linearized_cascade(
         bundle.ops, zero if F is None else F, np.zeros(shape) if v is None else v,
         bundle.theta, bundle.theta_s, bundle.masks)[1].bulk
@@ -135,7 +135,7 @@ def control_to_h0_adjoint(bundle: "SynthesisBundle", e: np.ndarray) -> np.ndarra
     impulses = np.zeros((*np.shape(e)[:-1], M + 1, n))
     impulses[..., 1, :] = e
     out = np.zeros_like(impulses)
-    out[..., 1:, :] = linear_h(bundle, SpaceTimeField.from_bulk(impulses))[..., :-1, :]
+    out[..., 1:, :] = linear_h(bundle, BulkSurfaceField.from_bulk(impulses))[..., :-1, :]
     return np.where(control_support(bundle), out / bundle.time_grid.dt, 0.0)
 
 
@@ -228,7 +228,7 @@ class SynthesisReport:
 
 # --- synthesis ---------------------------------------------------------------
 
-def synthesize(F: SpaceTimeField, bundle: SynthesisBundle) -> SynthesisReport:
+def synthesize(F: BulkSurfaceField, bundle: SynthesisBundle) -> SynthesisReport:
     """One least-squares solve of (F, 0), then chord steps
     v <- v + `ControlModes.step` on the first k modes of h_q(.,0), the
     quasilinear cascade's h(.,0) under v, until h_q(.,0) on those modes is
@@ -290,7 +290,7 @@ def synthesize(F: SpaceTimeField, bundle: SynthesisBundle) -> SynthesisReport:
 
 # --- the energy functional and its derivative --------------------------------
 
-def evaluate_J(bundle: SynthesisBundle, F: SpaceTimeField, v: np.ndarray,
+def evaluate_J(bundle: SynthesisBundle, F: BulkSurfaceField, v: np.ndarray,
                tau: float, direction: BulkSurfaceField) -> float:
     """J at initial datum tau * direction, with the control v applied."""
     g, tg, masks = bundle.grid, bundle.time_grid, bundle.masks
@@ -299,7 +299,7 @@ def evaluate_J(bundle: SynthesisBundle, F: SpaceTimeField, v: np.ndarray,
     return quadratic_energy(Psi, bundle)
 
 
-def observation_pairing(Psi: SpaceTimeField, Z: SpaceTimeField,
+def observation_pairing(Psi: BulkSurfaceField, Z: BulkSurfaceField,
                         bundle: SynthesisBundle) -> float:
     """theta int_{O_T} psi z + theta_s int_{Sigma_T} psi_G z_G, with the
     right-slice quadrature of the steppers (duality-exact)."""
@@ -311,12 +311,12 @@ def observation_pairing(Psi: SpaceTimeField, Z: SpaceTimeField,
     return bundle.time_grid.dt * (bundle.theta * bulk + bundle.theta_s * surf)
 
 
-def quadratic_energy(Psi: SpaceTimeField, bundle: SynthesisBundle) -> float:
+def quadratic_energy(Psi: BulkSurfaceField, bundle: SynthesisBundle) -> float:
     """The windowed energy J: half the observation pairing of Psi with itself."""
     return 0.5 * observation_pairing(Psi, Psi, bundle)
 
 
-def insensitivity_check(bundle: SynthesisBundle, F: SpaceTimeField,
+def insensitivity_check(bundle: SynthesisBundle, F: BulkSurfaceField,
                         report: SynthesisReport,
                         directions: list[BulkSurfaceField]) -> list[dict]:
     """Two independent derivative estimators per direction.
@@ -335,7 +335,7 @@ def insensitivity_check(bundle: SynthesisBundle, F: SpaceTimeField,
     that `evaluate_J` gives for its datum.  A direction whose surface is
     not its bulk's trace is refused with a ContractError.
     """
-    if not all(d.is_trace_compatible(1e-12) for d in directions):
+    if not all(d.is_trace_compatible() for d in directions):
         raise ContractError("perturbation direction must be trace-compatible")
     if not directions:
         return []
@@ -351,7 +351,7 @@ def insensitivity_check(bundle: SynthesisBundle, F: SpaceTimeField,
     psi0 = BulkSurfaceField(np.array([t * d.bulk for t, d in data]),
                             np.array([t * d.surface for t, d in data]))
     stack = solve_quasilinear(bundle.cs, g, tg, F, psi0, v=v, masks=bundle.masks)
-    energies = iter([quadratic_energy(SpaceTimeField(b, s), bundle)
+    energies = iter([quadratic_energy(BulkSurfaceField(b, s), bundle)
                      for b, s in zip(stack.bulk, stack.surface)])
 
     out = []

@@ -44,10 +44,10 @@ from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
 
 from .errors import (ConditioningError, ConfigurationError, ContractError,
                      SmallnessViolationError)
-from .geometry import (BulkSurfaceField, RegionMasks, SpaceTimeField,
-                       SpatialGrid, TimeGrid, build_grid, build_time_grid,
-                       face_average, normal_derivative, sbp_laplacian,
-                       slice_sq_norms, st_inner, stiffness_apply)
+from .geometry import (BulkSurfaceField, RegionMasks, SpatialGrid, TimeGrid,
+                       build_grid, build_time_grid, face_average,
+                       normal_derivative, sbp_laplacian, slice_sq_norms,
+                       st_inner, stiffness_apply)
 
 # Newton on an implicit step stops at ||r|| <= NEWTON_TOL * max(1, ||rhs||)
 NEWTON_TOL = 1e-11
@@ -187,7 +187,7 @@ class LinearOperatorSet:
 
 # --- strong residual operators ---------------------------------------------
 
-def apply_L(Y: SpaceTimeField, ops: LinearOperatorSet, variant: str = "L") -> SpaceTimeField:
+def apply_L(Y: BulkSurfaceField, ops: LinearOperatorSet, variant: str = "L") -> BulkSurfaceField:
     """Strong residual fields of the implicit-Euler operators.
 
     variant "L": residual slices 1..M (forward rows), slice 0 zero.
@@ -197,7 +197,7 @@ def apply_L(Y: SpaceTimeField, ops: LinearOperatorSet, variant: str = "L") -> Sp
     transpose of the unstarred one under the cell/slice pairings.
     """
     M = Y.n_slices - 1
-    out = SpaceTimeField.zeros(ops.grid, M + 1)
+    out = BulkSurfaceField.zeros(ops.grid, M + 1)
     if variant == "L":
         anchor, other = slice(1, M + 1), slice(0, M)
     elif variant == "Lstar":
@@ -217,7 +217,7 @@ def _step_rows(ops: LinearOperatorSet, yb_a, ys_a, yb_o, ys_o):
             (ys_a - ys_o) / dt + ops.sigma0 * normal_derivative(yb_a, g) + ops.db0 * ys_a)
 
 
-def duality_gap(Y: SpaceTimeField, W: SpaceTimeField, ops: LinearOperatorSet) -> float:
+def duality_gap(Y: BulkSurfaceField, W: BulkSurfaceField, ops: LinearOperatorSet) -> float:
     """<LY, W> - <Y, L*W>; zero to roundoff when Y^0 = 0 and W^M = 0."""
     dt = ops.time_grid.dt
     a = st_inner(apply_L(Y, ops, "L"), W, ops.grid, dt, slice(1, None))
@@ -231,8 +231,8 @@ def duality_battery(ops: LinearOperatorSet, rng, n_pairs: int = 100) -> float:
     M = tg.step_count
     worst = 0.0
     for _ in range(n_pairs):
-        Y = SpaceTimeField.from_bulk(rng.standard_normal((M + 1, g.n_nodes)))
-        W = SpaceTimeField.from_bulk(rng.standard_normal((M + 1, g.n_nodes)))
+        Y = BulkSurfaceField.from_bulk(rng.standard_normal((M + 1, g.n_nodes)))
+        W = BulkSurfaceField.from_bulk(rng.standard_normal((M + 1, g.n_nodes)))
         Y.bulk[0] = 0.0
         Y.surface[0] = 0.0
         W.bulk[M] = 0.0
@@ -311,8 +311,8 @@ def _march(step: Callable, Mw: np.ndarray, dt: float, start: np.ndarray,
         rhs, spare = spare, rhs
 
 
-def _march_linear(ops: LinearOperatorSet, S: SpaceTimeField, start: BulkSurfaceField,
-                  order: slice, cells: slice) -> SpaceTimeField:
+def _march_linear(ops: LinearOperatorSet, S: BulkSurfaceField, start: BulkSurfaceField,
+                  order: slice, cells: slice) -> BulkSurfaceField:
     """The march with the constant step matrix, factored once, over the
     slices in `order` with the source `cells` in march order.  `pttrf` and
     the per-step `pttrs` are the halves of the `ptsv` that `solveh_banded`
@@ -340,30 +340,30 @@ def _march_linear(ops: LinearOperatorSet, S: SpaceTimeField, start: BulkSurfaceF
     if not np.isfinite(out).all():
         raise ConditioningError("the linear march left double range "
                                 "(non-finite data or overflow)")
-    return SpaceTimeField.from_bulk(out)
+    return BulkSurfaceField.from_bulk(out)
 
 
-def solve_linear_forward(ops: LinearOperatorSet, F: SpaceTimeField,
-                         psi0: BulkSurfaceField) -> SpaceTimeField:
+def solve_linear_forward(ops: LinearOperatorSet, F: BulkSurfaceField,
+                         psi0: BulkSurfaceField) -> BulkSurfaceField:
     """Implicit-Euler forward solve; source slice c feeds step c (c=1..M).
     A stack of sources (bulk (B, M+1, n)) gives a stack of solutions."""
-    if not psi0.is_trace_compatible(1e-12):
+    if not psi0.is_trace_compatible():
         raise ContractError("initial datum must be trace-compatible")
     return _march_linear(ops, F, psi0, slice(None), slice(1, None))
 
 
-def solve_linear_backward(ops: LinearOperatorSet, G: SpaceTimeField,
-                          terminal: BulkSurfaceField) -> SpaceTimeField:
+def solve_linear_backward(ops: LinearOperatorSet, G: BulkSurfaceField,
+                          terminal: BulkSurfaceField) -> BulkSurfaceField:
     """Backward solve: step c produces slice c-1; source slice c feeds step c.
     A stack of sources (bulk (B, M+1, n)) gives a stack of solutions."""
-    if not terminal.is_trace_compatible(1e-12):
+    if not terminal.is_trace_compatible():
         raise ContractError("terminal datum must be trace-compatible")
     return _march_linear(ops, G, terminal, slice(None, None, -1), slice(None, 0, -1))
 
 
 def solve_backward_varcoef(cs: CoefficientSet, grid: SpatialGrid,
-                           time_grid: TimeGrid, states: SpaceTimeField,
-                           G: SpaceTimeField, terminal: BulkSurfaceField) -> SpaceTimeField:
+                           time_grid: TimeGrid, states: BulkSurfaceField,
+                           G: BulkSurfaceField, terminal: BulkSurfaceField) -> BulkSurfaceField:
     """Backward solve along a quasilinear state history: the discrete
     adjoint of the Newton-stepped flow.
 
@@ -384,12 +384,12 @@ def solve_backward_varcoef(cs: CoefficientSet, grid: SpatialGrid,
     _march(lambda c, rhs: _solve_tridiagonal(abT[:, M - c], rhs),
            grid.mass_weights(), dt, terminal.bulk, out[::-1],
            _weak_rhs(grid, G.bulk[:0:-1], G.surface[:0:-1]))
-    return SpaceTimeField.from_bulk(out)
+    return BulkSurfaceField.from_bulk(out)
 
 
-def _observation_source(Psi: SpaceTimeField, theta: float, theta_s: float,
+def _observation_source(Psi: BulkSurfaceField, theta: float, theta_s: float,
                         masks: RegionMasks,
-                        G: SpaceTimeField | None = None) -> SpaceTimeField:
+                        G: BulkSurfaceField | None = None) -> BulkSurfaceField:
     """G + theta psi 1_O (bulk) and G_G + theta_s psi_G 1_Sigma (surface),
     the backward equation's source; the coupling alone without G."""
     bulk = theta * Psi.bulk
@@ -399,10 +399,10 @@ def _observation_source(Psi: SpaceTimeField, theta: float, theta_s: float,
         # in place, with the bits of G + coupling
         np.add(G.bulk, bulk, out=bulk)
         np.add(G.surface, surface, out=surface)
-    return SpaceTimeField(bulk, surface)
+    return BulkSurfaceField(bulk, surface)
 
 
-def linear_cascade_rows(Psi: SpaceTimeField, H: SpaceTimeField, v: np.ndarray,
+def linear_cascade_rows(Psi: BulkSurfaceField, H: BulkSurfaceField, v: np.ndarray,
                         ops: LinearOperatorSet, theta: float, theta_s: float,
                         masks: RegionMasks) -> dict:
     """The frozen linear rows L(Psi,H,v) on cells (slice c holds cell c):
@@ -417,22 +417,22 @@ def linear_cascade_rows(Psi: SpaceTimeField, H: SpaceTimeField, v: np.ndarray,
     return {"L1": rP.bulk, "L3": rP.surface, "L2": rH.bulk, "L4": rH.surface}
 
 
-def solve_linearized_cascade(ops: LinearOperatorSet, F: SpaceTimeField,
+def solve_linearized_cascade(ops: LinearOperatorSet, F: BulkSurfaceField,
                              v: np.ndarray, theta: float, theta_s: float,
-                             masks: RegionMasks) -> tuple[SpaceTimeField, SpaceTimeField]:
+                             masks: RegionMasks) -> tuple[BulkSurfaceField, BulkSurfaceField]:
     """Forward psi with source f + v 1_omega, then backward h with the coupling
     theta psi 1_O (bulk), theta_s psi_G 1_Sigma (surface) as its source.
 
     `v` is a cell-indexed array (M+1, n_nodes) whose slice c feeds step c;
     it is masked to the omega nodes (support enforced).
     """
-    Feff = SpaceTimeField(F.bulk + v * masks.omega_nodes, F.surface)
+    Feff = BulkSurfaceField(F.bulk + v * masks.omega_nodes, F.surface)
     return _cascade(ops, Feff, None, theta, theta_s, masks)
 
 
-def solve_adjoint_cascade(ops: LinearOperatorSet, f1: SpaceTimeField,
-                          g1: SpaceTimeField, theta: float, theta_s: float,
-                          masks: RegionMasks) -> tuple[SpaceTimeField, SpaceTimeField]:
+def solve_adjoint_cascade(ops: LinearOperatorSet, f1: BulkSurfaceField,
+                          g1: BulkSurfaceField, theta: float, theta_s: float,
+                          masks: RegionMasks) -> tuple[BulkSurfaceField, BulkSurfaceField]:
     """Adjoint cascade: K forward from zero with g1; Phi backward from zero
     with f1 + theta K 1_O (bulk), f1_G + theta_s K_G 1_Sigma (surface).
 
@@ -442,9 +442,9 @@ def solve_adjoint_cascade(ops: LinearOperatorSet, f1: SpaceTimeField,
     return _cascade(ops, g1, f1, theta, theta_s, masks)[::-1]
 
 
-def _cascade(ops: LinearOperatorSet, F: SpaceTimeField, G: SpaceTimeField | None,
+def _cascade(ops: LinearOperatorSet, F: BulkSurfaceField, G: BulkSurfaceField | None,
              theta: float, theta_s: float,
-             masks: RegionMasks) -> tuple[SpaceTimeField, SpaceTimeField]:
+             masks: RegionMasks) -> tuple[BulkSurfaceField, BulkSurfaceField]:
     """Forward Y from zero with source F, then backward W from zero with
     G + theta Y 1_O (bulk), G_G + theta_s Y_G 1_Sigma (surface); G = 0 if None."""
     zero = BulkSurfaceField.zeros(ops.grid)
@@ -453,7 +453,7 @@ def _cascade(ops: LinearOperatorSet, F: SpaceTimeField, G: SpaceTimeField | None
                                     zero)
 
 
-def weak_residual(ops: LinearOperatorSet, Y: SpaceTimeField, F: SpaceTimeField,
+def weak_residual(ops: LinearOperatorSet, Y: BulkSurfaceField, F: BulkSurfaceField,
                   backward: bool = False) -> float:
     """Relative distributional residual of the stepped equations.
 
@@ -525,10 +525,10 @@ def _quasilinear_jacobian_bands(u, cs, grid, dt):
 
 
 def solve_quasilinear(cs: CoefficientSet, grid: SpatialGrid, time_grid: TimeGrid,
-                      F: SpaceTimeField, psi0: BulkSurfaceField,
+                      F: BulkSurfaceField, psi0: BulkSurfaceField,
                       v: np.ndarray | None = None,
                       masks: RegionMasks | None = None,
-                      newton_guess: str = "previous") -> SpaceTimeField:
+                      newton_guess: str = "previous") -> BulkSurfaceField:
     """Fully implicit conservative solve of the quasilinear system.
 
     Divergence form via face-averaged sigma; the surface row shares the
@@ -544,7 +544,7 @@ def solve_quasilinear(cs: CoefficientSet, grid: SpatialGrid, time_grid: TimeGrid
     each keeps its own stop test and is left alone once it passes, so
     every member follows the iterates of its own single-datum solve.
     """
-    if not psi0.is_trace_compatible(1e-12):
+    if not psi0.is_trace_compatible():
         raise ContractError("initial datum must be trace-compatible")
     g, dt, M, n = grid, time_grid.dt, time_grid.step_count, grid.n_nodes
     fb = F.bulk[1:] if v is None else F.bulk[1:] + v[1:] * masks.omega_nodes
@@ -576,13 +576,13 @@ def solve_quasilinear(cs: CoefficientSet, grid: SpatialGrid, time_grid: TimeGrid
             "outside the small-data regime", step=c, residual=res)
 
     _march(newton, g.mass_weights(), dt, psi0.bulk.reshape(B, n), out, source)
-    return SpaceTimeField.from_bulk(out.reshape(*psi0.bulk.shape[:-1], M + 1, n))
+    return BulkSurfaceField.from_bulk(out.reshape(*psi0.bulk.shape[:-1], M + 1, n))
 
 
 def solve_quasilinear_cascade(cs: CoefficientSet, grid: SpatialGrid,
-                              time_grid: TimeGrid, F: SpaceTimeField,
+                              time_grid: TimeGrid, F: BulkSurfaceField,
                               v: np.ndarray, theta: float, theta_s: float,
-                              masks: RegionMasks) -> tuple[SpaceTimeField, SpaceTimeField]:
+                              masks: RegionMasks) -> tuple[BulkSurfaceField, BulkSurfaceField]:
     """Quasilinear forward state, then its discrete adjoint backward
     equation with sources theta psi 1_O / theta_s psi_G 1_Sigma."""
     zero = BulkSurfaceField.zeros(grid)
@@ -592,14 +592,14 @@ def solve_quasilinear_cascade(cs: CoefficientSet, grid: SpatialGrid,
 
 
 def solve_sensitivity(cs: CoefficientSet, grid: SpatialGrid, time_grid: TimeGrid,
-                      Psi: SpaceTimeField, zhat0: BulkSurfaceField) -> SpaceTimeField:
+                      Psi: BulkSurfaceField, zhat0: BulkSurfaceField) -> BulkSurfaceField:
     """Tangent (sensitivity) system along a quasilinear trajectory.
 
     Exact directional derivative of the discrete quasilinear flow: the
     conservative flux carries sigma(psi) G z + sigma'(psi) z_face G psi,
     coefficients sampled at each cell's right slice.
     """
-    if not zhat0.is_trace_compatible(1e-12):
+    if not zhat0.is_trace_compatible():
         raise ContractError("perturbation direction must be trace-compatible")
     # the tangent of an implicit step is its Newton Jacobian at the
     # converged state
@@ -608,22 +608,22 @@ def solve_sensitivity(cs: CoefficientSet, grid: SpatialGrid, time_grid: TimeGrid
     out = np.empty((M + 1, grid.n_nodes))
     _march(lambda c, rhs: _solve_tridiagonal(ab[:, c - 1], rhs), grid.mass_weights(),
            dt, zhat0.bulk, out, np.zeros_like(out[1:]))    # no source
-    return SpaceTimeField.from_bulk(out)
+    return BulkSurfaceField.from_bulk(out)
 
 
 # --- diagnostics ------------------------------------------------------------
 
-def total_mass(Y: SpaceTimeField, grid: SpatialGrid) -> np.ndarray:
+def total_mass(Y: BulkSurfaceField, grid: SpatialGrid) -> np.ndarray:
     """Bulk trapezoid integral plus the two surface values, per slice."""
     return Y.bulk @ grid.trapezoid_weights() + Y.surface.sum(axis=1)
 
 
-def l2_history(Y: SpaceTimeField, grid: SpatialGrid) -> np.ndarray:
+def l2_history(Y: BulkSurfaceField, grid: SpatialGrid) -> np.ndarray:
     """The bulk-surface L2 norm of every slice."""
     return np.sqrt(slice_sq_norms((Y.bulk, grid.trapezoid_weights()), (Y.surface, 1.0)))
 
 
-def dump_trajectory_csv(Psi: SpaceTimeField, H: SpaceTimeField,
+def dump_trajectory_csv(Psi: BulkSurfaceField, H: BulkSurfaceField,
                         grid: SpatialGrid, time_grid: TimeGrid, path) -> None:
     """Per-run trajectory dump: t, bulk norms and the surface values."""
     np_ = l2_history(Psi, grid)
@@ -660,10 +660,10 @@ def _manufactured_run(cs: CoefficientSet, N: int, M: int,
          + ops.sigma0 * np.pi**2 * exact + ops.da0 * exact)
     # dnu(psi) = 0 at both ends for cos(pi x) on (0,1)
     fs = dprof[:, None] * cosx[None, [0, -1]] + ops.db0 * exact[:, [0, -1]]
-    F = SpaceTimeField(f, fs)
+    F = BulkSurfaceField(f, fs)
     psi0 = BulkSurfaceField.from_bulk(exact[0])
     Psi = solve_linear_forward(ops, F, psi0)
-    err = SpaceTimeField(Psi.bulk - exact, Psi.surface - exact[:, [0, -1]])
+    err = BulkSurfaceField(Psi.bulk - exact, Psi.surface - exact[:, [0, -1]])
     return math.sqrt(st_inner(err, err, grid, tgrid.dt, slice(1, None)))
 
 

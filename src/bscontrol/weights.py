@@ -40,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, ContractError
-from .geometry import (RegionMasks, SpaceTimeField, SpatialGrid, TimeGrid,
+from .geometry import (BulkSurfaceField, RegionMasks, SpatialGrid, TimeGrid,
                        face_average, grad_faces, normal_derivative,
                        sbp_laplacian, slice_sq_norms)
 
@@ -141,7 +141,7 @@ def log_st_sq(log_w, bulk, surface, grid: SpatialGrid, dt: float) -> float:
     the spacing h; `surface=None` sums the bulk alone.
     """
     lw = 2 * np.asarray(log_w)[:, None]
-    quad = (grid.h * dt if np.shape(bulk)[-1] == grid.node_count
+    quad = (grid.h * dt if np.shape(bulk)[-1] == grid.cell_count
             else grid.trapezoid_weights()[None, :] * dt)
     bulk_sq = log_weighted_sq_sum(lw, bulk, quad)
     if surface is None:
@@ -569,7 +569,7 @@ def _cell_mid(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a[..., 1:, :] + a[..., :-1, :])
 
 
-def _midpoint_terms(Phi: SpaceTimeField, grid: SpatialGrid, dt: float, who: str):
+def _midpoint_terms(Phi: BulkSurfaceField, grid: SpatialGrid, dt: float, who: str):
     """Yield (component, values, quad) of each nonzero Carleman component
     at the cell midpoints (values indexed by cell), one at a time and in
     `CARLEMAN_COMPONENTS` order; a stack of fields yields stacked values."""
@@ -587,7 +587,7 @@ def _midpoint_terms(Phi: SpaceTimeField, grid: SpatialGrid, dt: float, who: str)
     yield "normal_derivative", normal_derivative(b_mid, grid), dt
 
 
-def _carleman_functional(which: str, Phi: SpaceTimeField, tables: WeightTables,
+def _carleman_functional(which: str, Phi: BulkSurfaceField, tables: WeightTables,
                          grid: SpatialGrid, dt: float) -> dict:
     weights = tables.carleman_log_weights[which]
     comps = dict.fromkeys(CARLEMAN_COMPONENTS, -math.inf)
@@ -596,7 +596,7 @@ def _carleman_functional(which: str, Phi: SpaceTimeField, tables: WeightTables,
     return {"components": comps, "log_total": log_add(*comps.values())}
 
 
-def carleman_functional_I(Phi: SpaceTimeField, tables: WeightTables,
+def carleman_functional_I(Phi: BulkSurfaceField, tables: WeightTables,
                           grid: SpatialGrid, dt: float) -> dict:
     """Alpha-weighted functional: e^{-2 s alpha} against (s xi)-power factors.
 
@@ -606,7 +606,7 @@ def carleman_functional_I(Phi: SpaceTimeField, tables: WeightTables,
     return _carleman_functional("I", Phi, tables, grid, dt)
 
 
-def carleman_functional_Jw(Phi: SpaceTimeField, tables: WeightTables,
+def carleman_functional_Jw(Phi: BulkSurfaceField, tables: WeightTables,
                            grid: SpatialGrid, dt: float) -> dict:
     """Beta-weighted functional: e^{-2 s beta} against ell-power factors."""
     return _carleman_functional("Jw", Phi, tables, grid, dt)
@@ -647,7 +647,7 @@ def empirical_carleman_check(n_samples: int, tables: WeightTables,
             _random_smooth_source(grid, time_grid, rng, f)
             _random_smooth_source(grid, time_grid, rng, g)
         lhs, rhs = _stack_log_sums(
-            SpaceTimeField.from_bulk(f1), SpaceTimeField.from_bulk(g1),
+            BulkSurfaceField.from_bulk(f1), BulkSurfaceField.from_bulk(g1),
             adjoint_solver, lhs_weights, rhs_weights, grid, time_grid.dt, obs)
         for k in range(len(f1)):
             lhs_I, lhs_J = (log_add(*(log_add(*field[:, j, k]) for field in lhs))

@@ -6,7 +6,7 @@ import pytest
 from bscontrol.cli import build_setup, load_config
 from bscontrol.errors import ContractError
 from bscontrol.fi import _dot, _residual_stack, _row_weights, _source_rhs, _wmul
-from bscontrol.geometry import (SpaceTimeField, l2_inner, normal_derivative,
+from bscontrol.geometry import (BulkSurfaceField, l2_inner, normal_derivative,
                                 sbp_laplacian)
 from bscontrol.insensitize import observation_pairing
 from bscontrol.solvers import (solve_linearized_cascade,
@@ -43,7 +43,7 @@ def make_tame_bundle(N=32, M=32, T=8.0):
         log_mu=2.0 * mild, log_mu_k=log_mu_k, log_K=tables.log_K,
         expo=tables.expo, log_tT=tables.log_tT)
     bundle = dataclasses.replace(bundle, tables=synthetic)
-    Fsrc = SpaceTimeField.zeros(bundle.grid, M + 1)
+    Fsrc = BulkSurfaceField.zeros(bundle.grid, M + 1)
     x = bundle.grid.x
     shape = np.exp(-0.5 * ((x - 0.45) / 0.12) ** 2)
     prof = np.sin(np.pi * np.arange(1, M + 1) / M)
@@ -62,13 +62,13 @@ def random_source(bundle, rng, amplitude=1e-3):
         shape += rng.standard_normal() / k * np.cos(np.pi * k * x
                                                     + rng.uniform(0, 2 * np.pi))
     prof = admissible_time_profile(bundle.tables)
-    F = SpaceTimeField.zeros(g, M + 1)
+    F = BulkSurfaceField.zeros(g, M + 1)
     F.bulk[1:] = amplitude * prof[:, None] * shape[None, :]
     F.surface[1:] = F.bulk[1:][:, [0, -1]]
     return F
 
 
-def pack_dofs(p, Y: SpaceTimeField, Z: SpaceTimeField) -> np.ndarray:
+def pack_dofs(p, Y: BulkSurfaceField, Z: BulkSurfaceField) -> np.ndarray:
     """The dofs of a pair in P: each field trace compatible and zero at its
     constrained end slice (Y at T, Z at 0), else a ContractError."""
     M = p.time_grid.step_count
@@ -89,7 +89,7 @@ def stack_blocks(p, r: np.ndarray) -> tuple:
     return tuple(b.reshape(M, -1) for b in blocks)
 
 
-def apply_residual_R(Y: SpaceTimeField, Z: SpaceTimeField, problem) -> dict:
+def apply_residual_R(Y: BulkSurfaceField, Z: BulkSurfaceField, problem) -> dict:
     """Weighted five-component residual stack of a test pair in P."""
     x = pack_dofs(problem, Y, Z)
     r1b, r1s, r3b, r3s, r5 = stack_blocks(problem, _residual_stack(problem) @ x)
@@ -106,7 +106,7 @@ def bilinear_B(problem, YZ, YZbar) -> float:
     return _dot(_wmul(_row_weights(problem), R @ x), R @ xb)
 
 
-def linear_F(problem, F: SpaceTimeField, YZ) -> float:
+def linear_F(problem, F: BulkSurfaceField, YZ) -> float:
     """The right-hand side functional of the least-squares problem at a pair."""
     return _dot(_source_rhs(problem, F), pack_dofs(problem, *YZ))
 
@@ -120,7 +120,7 @@ def node_gradient(y: np.ndarray, grid) -> np.ndarray:
     return out
 
 
-def nonlinear_parts_A(Psi: SpaceTimeField, H: SpaceTimeField, cs, ops) -> dict:
+def nonlinear_parts_A(Psi: BulkSurfaceField, H: BulkSurfaceField, cs, ops) -> dict:
     """Strong-form A1..A4 on cells (arrays indexed like the source slices):
     the linearized cascade rows minus the quasilinear ones, A = L - Lambda.
 
@@ -167,7 +167,7 @@ def duality_identity_check(bundle, F, v, direction, quasilinear=True) -> dict:
     else:
         Psi, H = solve_linearized_cascade(bundle.ops, F, v, bundle.theta,
                                           bundle.theta_s, masks)
-        base = SpaceTimeField.zeros(g, tg.step_count + 1)
+        base = BulkSurfaceField.zeros(g, tg.step_count + 1)
     Z = solve_sensitivity(cs, g, tg, base, direction)
 
     lhs = observation_pairing(Psi, Z, bundle)

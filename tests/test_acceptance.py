@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from bscontrol.fi import FISolver, cascade_residual_check, galerkin_check
-from bscontrol.geometry import BulkSurfaceField, SpaceTimeField, l2_norm
+from bscontrol.geometry import BulkSurfaceField, l2_norm
 from bscontrol.insensitize import (insensitivity_check, random_direction,
                                    synthesize)
 from bscontrol.solvers import (LinearOperatorSet, coefficient_preset,
@@ -46,7 +46,7 @@ def test_criterion_2_conservation_dissipation(bundle):
                             grid=g, time_grid=tg)
     rng = np.random.default_rng(12)
     psi0 = BulkSurfaceField.from_bulk(rng.standard_normal(g.n_nodes))
-    psi = solve_linear_forward(ops, SpaceTimeField.zeros(g, tg.step_count + 1), psi0)
+    psi = solve_linear_forward(ops, BulkSurfaceField.zeros(g, tg.step_count + 1), psi0)
     mass = total_mass(psi, g)
     drift = np.abs(np.diff(mass)).max() / max(abs(mass[0]), 1.0)
     hist = l2_history(psi, g)
@@ -161,11 +161,11 @@ def test_criterion_8_derivative_correctness(bundle):
                 out += (rng.standard_normal() / (1 + kx + kt)
                         * np.outer(np.cos(np.pi * kt * t + rng.uniform(0, 6.3)),
                                    np.cos(np.pi * kx * x + rng.uniform(0, 6.3))))
-        return SpaceTimeField.from_bulk(0.1 * out)
+        return BulkSurfaceField.from_bulk(0.1 * out)
 
     def norm_A(eps, Psi, H, cs, ops):
-        A = nonlinear_parts_A(SpaceTimeField(eps * Psi.bulk, eps * Psi.surface),
-                              SpaceTimeField(eps * H.bulk, eps * H.surface), cs, ops)
+        A = nonlinear_parts_A(BulkSurfaceField(eps * Psi.bulk, eps * Psi.surface),
+                              BulkSurfaceField(eps * H.bulk, eps * H.surface), cs, ops)
         return math.sqrt(sum(float(np.sum(block**2)) for block in A.values()))
 
     directions = [(smooth(), smooth()) for _ in range(3)]
@@ -250,6 +250,6 @@ def test_criterion_11_uniqueness_gronwall(bundle, source):
                           newton_guess="previous")
     b = solve_quasilinear(bundle.cs, g, tg, source, BulkSurfaceField.zeros(g),
                           newton_guess="zero")
-    diff = l2_history(SpaceTimeField(a.bulk - b.bulk, a.surface - b.surface), g)
+    diff = l2_history(BulkSurfaceField(a.bulk - b.bulk, a.surface - b.surface), g)
     _report(11, "uniqueness via independent Newton guesses",
             diff.max() <= 1e-10, f"sup-t L2 difference {diff.max():.2e}")

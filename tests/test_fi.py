@@ -10,7 +10,7 @@ import pytest
 
 from bscontrol.errors import ContractError
 from bscontrol.fi import cascade_residual_check, galerkin_check
-from bscontrol.geometry import SpaceTimeField
+from bscontrol.geometry import BulkSurfaceField
 from bscontrol.solvers import solve_linearized_cascade
 
 from conftest import apply_residual_R, bilinear_B, linear_F, random_source
@@ -19,8 +19,8 @@ from conftest import apply_residual_R, bilinear_B, linear_F, random_source
 def _random_pair(bundle, rng, scale=1.0):
     g = bundle.grid
     M = bundle.time_grid.step_count
-    Y = SpaceTimeField.from_bulk(scale * rng.standard_normal((M + 1, g.n_nodes)))
-    Z = SpaceTimeField.from_bulk(scale * rng.standard_normal((M + 1, g.n_nodes)))
+    Y = BulkSurfaceField.from_bulk(scale * rng.standard_normal((M + 1, g.n_nodes)))
+    Z = BulkSurfaceField.from_bulk(scale * rng.standard_normal((M + 1, g.n_nodes)))
     Y.bulk[M] = Y.surface[M] = 0.0
     Z.bulk[0] = Z.surface[0] = 0.0
     return Y, Z
@@ -36,7 +36,7 @@ def test_problem_invariants(bundle):
 def test_residual_stack_zero_and_theta_gate(bundle):
     g = bundle.grid
     M = bundle.time_grid.step_count
-    zero = SpaceTimeField.zeros(g, M + 1)
+    zero = BulkSurfaceField.zeros(g, M + 1)
     stack = apply_residual_R(zero, zero, bundle)
     for block in stack.values():
         assert np.all(block == 0)
@@ -59,12 +59,12 @@ def test_residual_stack_end_conditions(bundle):
     NaN at T."""
     g = bundle.grid
     M = bundle.time_grid.step_count
-    bad = SpaceTimeField.from_bulk(np.ones((M + 1, g.n_nodes)))
-    good = SpaceTimeField.zeros(g, M + 1)
+    bad = BulkSurfaceField.from_bulk(np.ones((M + 1, g.n_nodes)))
+    good = BulkSurfaceField.zeros(g, M + 1)
     Y, _ = _random_pair(bundle, np.random.default_rng(0))
     Y.surface += 5.0
     Y.surface[M] = 7.0
-    nan = SpaceTimeField.zeros(g, M + 1)
+    nan = BulkSurfaceField.zeros(g, M + 1)
     nan.bulk[M, 3] = np.nan
     for pair in ((bad, good), (good, bad), (Y, good), (nan, good)):
         with pytest.raises(ContractError):
@@ -92,7 +92,7 @@ def test_solver_keeps_only_its_scaled_matrix_and_factor(bundle, fi_solved):
 def test_solve_zero_sources(bundle):
     g = bundle.grid
     M = bundle.time_grid.step_count
-    zero = SpaceTimeField.zeros(g, M + 1)
+    zero = BulkSurfaceField.zeros(g, M + 1)
     sol = bundle.fi_solver.solve(zero)
     assert np.all(sol.v == 0)
     assert np.all(sol.Psi.bulk == 0) and np.all(sol.H.bulk == 0)
@@ -156,7 +156,7 @@ def test_lhs_rhs_ratios_finite(fi_solved):
 def test_verify_zero_data_ratio_zero(bundle):
     g = bundle.grid
     M = bundle.time_grid.step_count
-    sol = bundle.fi_solver.solve(SpaceTimeField.zeros(g, M + 1))
+    sol = bundle.fi_solver.solve(BulkSurfaceField.zeros(g, M + 1))
     ratios = sol.lhs_rhs_ratios
     assert ratios["c21"] == 0.0 and ratios["c41"] == 0.0
 
@@ -166,11 +166,11 @@ def test_ratios_follow_a_replaced_solutions_sources(fi_solved):
     same (c16) fields against a doubled F give c21 and c41 a quarter of
     the original's, and against a zero source a ContractError."""
     sol = fi_solved
-    F2 = SpaceTimeField(2 * sol.F.bulk, 2 * sol.F.surface)
+    F2 = BulkSurfaceField(2 * sol.F.bulk, 2 * sol.F.surface)
     doubled = dataclasses.replace(sol, F=F2).lhs_rhs_ratios
     for key in ("c21", "c41"):
         assert doubled[key] == pytest.approx(sol.lhs_rhs_ratios[key] / 4, rel=1e-12)
-    zero = SpaceTimeField.zeros(sol.problem.grid, sol.F.n_slices)
+    zero = BulkSurfaceField.zeros(sol.problem.grid, sol.F.n_slices)
     zeroed = dataclasses.replace(sol, F=zero)
     with pytest.raises(ContractError, match="identically zero sources"):
         zeroed.lhs_rhs_ratios
@@ -202,7 +202,7 @@ def test_fisolver_reuse_is_linear(tame_setup, bundle, source):
     tb, tF = tame_setup
     solver = tb.fi_solver
     s1 = solver.solve(tF)
-    s2 = solver.solve(SpaceTimeField(2 * tF.bulk, 2 * tF.surface))
+    s2 = solver.solve(BulkSurfaceField(2 * tF.bulk, 2 * tF.surface))
     assert np.abs(2 * s1.v - s2.v).max() <= 1e-12 * np.abs(s2.v).max()
 
     solver = bundle.fi_solver
@@ -210,7 +210,7 @@ def test_fisolver_reuse_is_linear(tame_setup, bundle, source):
     F2 = random_source(bundle, rng)
     a1 = solver.solve(source)
     a2 = solver.solve(F2)
-    both = SpaceTimeField(source.bulk + F2.bulk, source.surface + F2.surface)
+    both = BulkSurfaceField(source.bulk + F2.bulk, source.surface + F2.surface)
     a12 = solver.solve(both)
     scale = np.abs(a12.v).max()
     assert np.abs(a1.v + a2.v - a12.v).max() <= 1e-6 * scale

@@ -30,10 +30,9 @@ from scipy.linalg import LinAlgError, solve_banded, solveh_banded
 
 from bscontrol.errors import ConditioningError
 from bscontrol.fi import _recover_fields, _residual_stack, _unpack_dofs
-from bscontrol.geometry import (BulkSurfaceField, SpaceTimeField, build_grid,
-                                build_masks, build_time_grid, grad_faces,
-                                l2_inner, normal_derivative, sbp_laplacian,
-                                st_inner)
+from bscontrol.geometry import (BulkSurfaceField, build_grid, build_masks,
+                                build_time_grid, grad_faces, l2_inner,
+                                normal_derivative, sbp_laplacian, st_inner)
 from bscontrol.insensitize import (control_support, control_to_h0_adjoint,
                                    linear_h, random_direction)
 from bscontrol.solvers import (LinearOperatorSet, _constant_step_bands,
@@ -95,7 +94,7 @@ def _random_histories(ops, seed, count):
     """`count` space-time fields with independent surface values."""
     rng = np.random.default_rng(seed)
     shape = (ops.time_grid.step_count + 1, ops.grid.n_nodes)
-    return [SpaceTimeField(rng.standard_normal(shape), rng.standard_normal((shape[0], 2)))
+    return [BulkSurfaceField(rng.standard_normal(shape), rng.standard_normal((shape[0], 2)))
             for _ in range(count)]
 
 
@@ -106,7 +105,7 @@ def test_st_inner_matches_slice_sums(ops, seed):
     summation order."""
     g, dt = ops.grid, ops.time_grid.dt
     A, B = _random_histories(ops, seed, 2)
-    absA, absB = (SpaceTimeField(np.abs(U.bulk), np.abs(U.surface)) for U in (A, B))
+    absA, absB = (BulkSurfaceField(np.abs(U.bulk), np.abs(U.surface)) for U in (A, B))
     scale = st_inner(absA, absB, g, dt)
     value = st_inner(A, B, g, dt)
     assert abs(value - st_inner(B, A, g, dt)) <= 1e-13 * scale
@@ -149,7 +148,7 @@ def test_sparse_stack_matches_matrix_free(ops, theta, theta_s, seed):
         tables=SimpleNamespace(inv_sq=lambda k: np.ones(M)))
     x = rng.standard_normal(2 * M * n)
     Yf, Zf = _unpack_dofs(problem, x)
-    Y, Z = SpaceTimeField.from_bulk(Yf), SpaceTimeField.from_bulk(Zf)
+    Y, Z = BulkSurfaceField.from_bulk(Yf), BulkSurfaceField.from_bulk(Zf)
     LsY, LZ = apply_L(Y, ops, "Lstar"), apply_L(Z, ops, "L")
     expected = (
         LsY.bulk[:-1] - theta * Z.bulk[1:] * mO,
@@ -162,7 +161,7 @@ def test_sparse_stack_matches_matrix_free(ops, theta, theta_s, seed):
                          expected):
         assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
 
-    zero = SpaceTimeField.zeros(g, M + 1)
+    zero = BulkSurfaceField.zeros(g, M + 1)
     rows = (*expected[:4], -chi * Y.bulk[:-1])
 
     def recovered():
@@ -370,7 +369,7 @@ def test_factored_steppers_match_per_step_solves(ops, backward, seed):
     raises ConditioningError where solveh_banded raises LinAlgError."""
     g, M = ops.grid, ops.time_grid.step_count
     rng = np.random.default_rng(seed)
-    S = SpaceTimeField.from_bulk(rng.standard_normal((M + 1, g.n_nodes)))
+    S = BulkSurfaceField.from_bulk(rng.standard_normal((M + 1, g.n_nodes)))
     start = rng.standard_normal(g.n_nodes)
     solve = solve_linear_backward if backward else solve_linear_forward
     try:
@@ -396,13 +395,13 @@ def test_stacked_march_matches_member_marches(ops, backward, B, stacked_start, s
     positive definite raises ConditioningError for the stack as well."""
     g, M = ops.grid, ops.time_grid.step_count
     rng = np.random.default_rng(seed)
-    S = SpaceTimeField.from_bulk(rng.standard_normal((B, M + 1, g.n_nodes)))
+    S = BulkSurfaceField.from_bulk(rng.standard_normal((B, M + 1, g.n_nodes)))
     start = rng.standard_normal((B, g.n_nodes) if stacked_start else g.n_nodes)
     solve = solve_linear_backward if backward else solve_linear_forward
     members = []
     for k in range(B):
         try:
-            members.append(solve(ops, SpaceTimeField(S.bulk[k], S.surface[k]),
+            members.append(solve(ops, BulkSurfaceField(S.bulk[k], S.surface[k]),
                                  BulkSurfaceField.from_bulk(start[k] if stacked_start
                                                             else start)))
         except ConditioningError:
@@ -481,7 +480,7 @@ def _per_sample_carleman_check(n_samples, bundle, rng):
     def draw():
         out = np.empty((tg.step_count + 1, g.n_nodes))
         _random_smooth_source(g, tg, rng, out)
-        return SpaceTimeField.from_bulk(out)
+        return BulkSurfaceField.from_bulk(out)
 
     def mid(a):
         return 0.5 * (a[1:] + a[:-1])
@@ -555,7 +554,7 @@ def test_observation_sum_on_omega3_columns(carleman_bundle, seed, data):
         c, j = data.draw(st.integers(0, M - 1)), data.draw(st.sampled_from(list(obs)))
         bulk[1, c:c + 2, j] = 0.0
     bulk[2][:, obs] = 0.0
-    Phi = SpaceTimeField.from_bulk(bulk)
+    Phi = BulkSurfaceField.from_bulk(bulk)
     rhs = []
 
     def record(*args):
@@ -657,7 +656,7 @@ def test_linear_steppers_conserve_mass(ops, backward, seed):
     g, M = ops.grid, ops.time_grid.step_count
     datum = BulkSurfaceField.from_bulk(
         np.random.default_rng(seed).standard_normal(g.n_nodes))
-    zero = SpaceTimeField.zeros(g, M + 1)
+    zero = BulkSurfaceField.zeros(g, M + 1)
     Y = (solve_linear_backward if backward else solve_linear_forward)(ops, zero, datum)
     mass = total_mass(Y, g)
     scale = float(np.abs(datum.bulk) @ g.mass_weights())
@@ -694,8 +693,8 @@ def test_band_marches_match_per_step_solve_banded(preset, N, M, T, amplitude, se
     g, tg = build_grid(1.0, N), build_time_grid(T, M)
     n, dt, Mw, Hw = g.n_nodes, tg.dt, g.mass_weights(), g.trapezoid_weights()
     rng = np.random.default_rng(seed)
-    states = SpaceTimeField.from_bulk(amplitude * rng.standard_normal((M + 1, n)))
-    G = SpaceTimeField(rng.standard_normal((M + 1, n)), rng.standard_normal((M + 1, 2)))
+    states = BulkSurfaceField.from_bulk(amplitude * rng.standard_normal((M + 1, n)))
+    G = BulkSurfaceField(rng.standard_normal((M + 1, n)), rng.standard_normal((M + 1, 2)))
     start = rng.standard_normal(n)
     ab = _quasilinear_jacobian_bands(states.bulk[1:], cs, g, dt)
 
@@ -743,6 +742,6 @@ def test_control_to_h0_adjoint_identity(N, theta_s, seed):
     lhs = l2_inner(BulkSurfaceField.from_bulk(linear_h(bundle, v=v)[0]), e, g)
     adj = control_to_h0_adjoint(bundle, e.bulk)
     assert np.all(adj[~support] == 0)
-    rhs = st_inner(SpaceTimeField(v, np.zeros((M + 1, 2))),
-                   SpaceTimeField(adj, np.zeros((M + 1, 2))), g, tg.dt)
+    rhs = st_inner(BulkSurfaceField(v, np.zeros((M + 1, 2))),
+                   BulkSurfaceField(adj, np.zeros((M + 1, 2))), g, tg.dt)
     assert abs(lhs - rhs) <= 1e-13 * max(abs(lhs), abs(rhs))

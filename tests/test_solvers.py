@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from bscontrol.errors import ConfigurationError, SmallnessViolationError
-from bscontrol.geometry import (BulkSurfaceField, SpaceTimeField, build_grid,
-                                build_masks, build_time_grid, grad_faces,
-                                l2_inner, sbp_laplacian, st_inner)
+from bscontrol.geometry import (BulkSurfaceField, build_grid, build_masks,
+                                build_time_grid, grad_faces, l2_inner,
+                                sbp_laplacian, st_inner)
 from bscontrol.solvers import (LinearOperatorSet, apply_L, coefficient_preset,
                                duality_gap, l2_history,
                                solve_adjoint_cascade, solve_backward_varcoef,
@@ -165,13 +165,13 @@ def test_coefficient_preset_rejects_unknown_keyword():
 def test_apply_L_trivial(small):
     g, tg, masks, cs, ops = small
     M = tg.step_count
-    zero = SpaceTimeField.zeros(g, M + 1)
+    zero = BulkSurfaceField.zeros(g, M + 1)
     res = apply_L(zero, ops, "L")
     assert np.all(res.bulk == 0) and np.all(res.surface == 0)
     # constants lie in the kernel when the reactions vanish
     ops0 = LinearOperatorSet.from_coefficients(
         coefficient_preset("constant", a1=0.0, b1=0.0), g, tg)
-    const = SpaceTimeField.from_bulk(np.full((M + 1, g.n_nodes), 2.5))
+    const = BulkSurfaceField.from_bulk(np.full((M + 1, g.n_nodes), 2.5))
     res = apply_L(const, ops0, "L")
     assert np.abs(res.bulk[1:]).max() <= 1e-11
     assert np.abs(res.surface[1:]).max() <= 1e-11
@@ -182,8 +182,8 @@ def test_exact_duality_random_pairs(small):
     M = tg.step_count
     rng = np.random.default_rng(0)
     for _ in range(100):
-        Y = SpaceTimeField.from_bulk(rng.standard_normal((M + 1, g.n_nodes)))
-        W = SpaceTimeField.from_bulk(rng.standard_normal((M + 1, g.n_nodes)))
+        Y = BulkSurfaceField.from_bulk(rng.standard_normal((M + 1, g.n_nodes)))
+        W = BulkSurfaceField.from_bulk(rng.standard_normal((M + 1, g.n_nodes)))
         Y.bulk[0] = Y.surface[0] = 0.0
         W.bulk[M] = W.surface[M] = 0.0
         gap = abs(duality_gap(Y, W, ops))
@@ -195,7 +195,7 @@ def test_exact_duality_random_pairs(small):
 def test_forward_zero_and_uniform_decay(small):
     g, tg, _, _, _ = small
     M = tg.step_count
-    zeroF = SpaceTimeField.zeros(g, M + 1)
+    zeroF = BulkSurfaceField.zeros(g, M + 1)
     rho0 = 0.7
     ops = LinearOperatorSet(sigma0=1.0, da0=rho0, db0=rho0,
                             grid=g, time_grid=tg)
@@ -212,7 +212,7 @@ def test_forward_weak_residual_contract(small):
     g, tg, _, _, ops = small
     M = tg.step_count
     rng = np.random.default_rng(1)
-    F = SpaceTimeField.from_bulk(rng.standard_normal((M + 1, g.n_nodes)))
+    F = BulkSurfaceField.from_bulk(rng.standard_normal((M + 1, g.n_nodes)))
     psi = solve_linear_forward(ops, F, BulkSurfaceField.zeros(g))
     assert weak_residual(ops, psi, F) <= 1e-12
 
@@ -221,9 +221,9 @@ def test_backward_reversal_consistency(small):
     g, tg, _, _, ops = small
     M = tg.step_count
     rng = np.random.default_rng(2)
-    G = SpaceTimeField.from_bulk(rng.standard_normal((M + 1, g.n_nodes)))
+    G = BulkSurfaceField.from_bulk(rng.standard_normal((M + 1, g.n_nodes)))
     h = solve_linear_backward(ops, G, BulkSurfaceField.zeros(g))
-    Grev = SpaceTimeField.zeros(g, M + 1)
+    Grev = BulkSurfaceField.zeros(g, M + 1)
     Grev.bulk[1:] = G.bulk[1:][::-1]
     Grev.surface[1:] = G.surface[1:][::-1]
     psi = solve_linear_forward(ops, Grev, BulkSurfaceField.zeros(g))
@@ -237,7 +237,7 @@ def test_backward_uniform_decay(small):
     ops = LinearOperatorSet(sigma0=1.0, da0=rho0, db0=rho0,
                             grid=g, time_grid=tg)
     k = 1.3
-    h = solve_linear_backward(ops, SpaceTimeField.zeros(g, M + 1),
+    h = solve_linear_backward(ops, BulkSurfaceField.zeros(g, M + 1),
                               BulkSurfaceField.from_bulk(np.full(g.n_nodes, k)))
     expect = k * (1 + rho0 * tg.dt) ** (-(M - np.arange(M + 1)))
     assert np.abs(h.bulk - expect[:, None]).max() <= 1e-12
@@ -246,7 +246,7 @@ def test_backward_uniform_decay(small):
 def test_cascade_zero_and_decoupling(small):
     g, tg, masks, _, ops = small
     M = tg.step_count
-    zero = SpaceTimeField.zeros(g, M + 1)
+    zero = BulkSurfaceField.zeros(g, M + 1)
     v0 = np.zeros((M + 1, g.n_nodes))
     Psi, H = solve_linearized_cascade(ops, zero, v0, 1.0, 0.5, masks)
     assert np.all(Psi.bulk == 0) and np.all(H.bulk == 0)
@@ -254,8 +254,8 @@ def test_cascade_zero_and_decoupling(small):
     # uncoupled (theta = theta_s = 0), the adjoint cascade's backward Phi
     # sees its own source f1 alone, not the forward K's g1
     rng = np.random.default_rng(3)
-    g1 = SpaceTimeField.from_bulk(rng.standard_normal((M + 1, g.n_nodes)))
-    f1 = SpaceTimeField.from_bulk(rng.standard_normal((M + 1, g.n_nodes)))
+    g1 = BulkSurfaceField.from_bulk(rng.standard_normal((M + 1, g.n_nodes)))
+    f1 = BulkSurfaceField.from_bulk(rng.standard_normal((M + 1, g.n_nodes)))
     Phi, _ = solve_adjoint_cascade(ops, f1, g1, 0.0, 0.0, masks)
     Phi_only = solve_linear_backward(ops, f1, BulkSurfaceField.zeros(g))
     assert np.abs(Phi.bulk - Phi_only.bulk).max() <= 1e-14 * max(1, np.abs(Phi_only.bulk).max())
@@ -267,10 +267,10 @@ def test_cascade_adjoint_representation(small):
     g, tg, masks, _, ops = small
     M = tg.step_count
     rng = np.random.default_rng(4)
-    S = SpaceTimeField.from_bulk(rng.standard_normal((M + 1, g.n_nodes)))
+    S = BulkSurfaceField.from_bulk(rng.standard_normal((M + 1, g.n_nodes)))
     h = solve_linear_backward(ops, S, BulkSurfaceField.zeros(g))
     zeta0 = BulkSurfaceField.from_bulk(rng.standard_normal(g.n_nodes))
-    z = solve_linear_forward(ops, SpaceTimeField.zeros(g, M + 1), zeta0)
+    z = solve_linear_forward(ops, BulkSurfaceField.zeros(g, M + 1), zeta0)
     lhs = l2_inner(h.slice(0), zeta0, g)
     rhs = sum(tg.dt * l2_inner(S.slice(c), z.slice(c), g) for c in range(1, M + 1))
     assert abs(lhs - rhs) <= 1e-13 * max(abs(lhs), abs(rhs), 1.0)
@@ -279,7 +279,7 @@ def test_cascade_adjoint_representation(small):
 def test_quasilinear_trivial_and_uniform(small):
     g, tg, _, _, _ = small
     M = tg.step_count
-    zeroF = SpaceTimeField.zeros(g, M + 1)
+    zeroF = BulkSurfaceField.zeros(g, M + 1)
     cs = coefficient_preset("logistic")
     psi = solve_quasilinear(cs, g, tg, zeroF, BulkSurfaceField.zeros(g))
     assert np.all(psi.bulk == 0)
@@ -297,7 +297,7 @@ def test_quasilinear_small_data_closeness(small):
     base = np.outer(np.sin(np.pi * np.linspace(0, 1, M + 1)), np.cos(np.pi * g.x))
     ratios = []
     for eps in (1e-2, 1e-3):
-        F = SpaceTimeField.from_bulk(eps * base)
+        F = BulkSurfaceField.from_bulk(eps * base)
         q = solve_quasilinear(cs, g, tg, F, BulkSurfaceField.zeros(g))
         lin = solve_linear_forward(ops, F, BulkSurfaceField.zeros(g))
         err = np.abs(q.bulk - lin.bulk).max()
@@ -313,7 +313,7 @@ def test_quasilinear_newton_failure_raises():
     tg = build_time_grid(1.0, 32)
     cs = coefficient_preset("affine", sigma1=0.5)
     M = tg.step_count
-    F = SpaceTimeField.from_bulk(np.full((M + 1, g.n_nodes), -50.0))
+    F = BulkSurfaceField.from_bulk(np.full((M + 1, g.n_nodes), -50.0))
     with pytest.raises(SmallnessViolationError) as err:
         solve_quasilinear(cs, g, tg, F, BulkSurfaceField.zeros(g))
     assert err.value.step is not None
@@ -335,7 +335,7 @@ def test_quasilinear_newton_failure_names_its_step(k, B, monkeypatch):
     monkeypatch.setattr(solvers, "MAX_NEWTON", 1)
     with pytest.raises(SmallnessViolationError) as err:
         solve_quasilinear(coefficient_preset("logistic"), g, tg,
-                          SpaceTimeField.from_bulk(bulk), psi0)
+                          BulkSurfaceField.from_bulk(bulk), psi0)
     assert err.value.step == k
     assert f"Newton did not converge at step {k} (" in str(err.value)
     assert err.value.residual > 0
@@ -363,7 +363,7 @@ def test_quasilinear_stack_matches_loop(small, monkeypatch):
     from bscontrol import solvers
     g, tg, masks, cs, _ = small
     M = tg.step_count
-    F = SpaceTimeField.from_bulk(
+    F = BulkSurfaceField.from_bulk(
         1e-2 * np.outer(np.sin(np.pi * np.linspace(0, 1, M + 1)), np.cos(np.pi * g.x)))
     v = 0.1 * np.random.default_rng(11).standard_normal((M + 1, g.n_nodes))
     data = _ladder_data(g)
@@ -398,7 +398,7 @@ def test_quasilinear_stack_failure_matches_member():
     g = build_grid(1.0, 32)
     tg = build_time_grid(1.0, 32)
     cs = coefficient_preset("affine", sigma1=0.5)
-    F = SpaceTimeField.zeros(g, tg.step_count + 1)
+    F = BulkSurfaceField.zeros(g, tg.step_count + 1)
 
     def alone(c):
         return solve_quasilinear(cs, g, tg, F, BulkSurfaceField.from_bulk(
@@ -427,9 +427,9 @@ def test_quasilinear_cascade_frozen_matches_linear(small):
     g, tg, masks, _, ops = small
     M = tg.step_count
     rng = np.random.default_rng(5)
-    S = SpaceTimeField.from_bulk(0.1 * rng.standard_normal((M + 1, g.n_nodes)))
+    S = BulkSurfaceField.from_bulk(0.1 * rng.standard_normal((M + 1, g.n_nodes)))
     cs = coefficient_preset("logistic")
-    zero_state = SpaceTimeField.zeros(g, M + 1)
+    zero_state = BulkSurfaceField.zeros(g, M + 1)
     h_var = solve_backward_varcoef(cs, g, tg, zero_state, S,
                                    BulkSurfaceField.zeros(g))
     h_lin = solve_linear_backward(ops, S, BulkSurfaceField.zeros(g))
@@ -439,7 +439,7 @@ def test_quasilinear_cascade_frozen_matches_linear(small):
 def test_quasilinear_cascade_control_continuity(small):
     g, tg, masks, cs, _ = small
     M = tg.step_count
-    base = SpaceTimeField.from_bulk(
+    base = BulkSurfaceField.from_bulk(
         1e-3 * np.outer(np.sin(np.pi * np.linspace(0, 1, M + 1)), np.cos(np.pi * g.x)))
     v = np.zeros((M + 1, g.n_nodes))
     _, H0 = solve_quasilinear_cascade(cs, g, tg, base, v, 1.0, 0.5, masks)
@@ -456,19 +456,19 @@ def test_quasilinear_cascade_control_continuity(small):
 def test_sensitivity_trivial_and_frozen(small):
     g, tg, _, cs, ops = small
     M = tg.step_count
-    zero_state = SpaceTimeField.zeros(g, M + 1)
+    zero_state = BulkSurfaceField.zeros(g, M + 1)
     z = solve_sensitivity(cs, g, tg, zero_state, BulkSurfaceField.zeros(g))
     assert np.all(z.bulk == 0)
     d = BulkSurfaceField.from_bulk(np.cos(np.pi * g.x))
     z = solve_sensitivity(cs, g, tg, zero_state, d)
-    lin = solve_linear_forward(ops, SpaceTimeField.zeros(g, M + 1), d)
+    lin = solve_linear_forward(ops, BulkSurfaceField.zeros(g, M + 1), d)
     assert np.abs(z.bulk - lin.bulk).max() <= 1e-12 * np.abs(lin.bulk).max()
 
 
 def test_sensitivity_tangent_consistency(small):
     g, tg, masks, cs, _ = small
     M = tg.step_count
-    F = SpaceTimeField.from_bulk(
+    F = BulkSurfaceField.from_bulk(
         1e-2 * np.outer(np.sin(np.pi * np.linspace(0, 1, M + 1)), np.cos(np.pi * g.x)))
     Psi = solve_quasilinear(cs, g, tg, F, BulkSurfaceField.zeros(g))
     d = BulkSurfaceField.from_bulk(np.cos(np.pi * g.x))
@@ -491,7 +491,7 @@ def test_mass_conservation_and_dissipation(small):
                             grid=g, time_grid=tg)
     rng = np.random.default_rng(6)
     psi0 = BulkSurfaceField.from_bulk(rng.standard_normal(g.n_nodes))
-    psi = solve_linear_forward(ops, SpaceTimeField.zeros(g, M + 1), psi0)
+    psi = solve_linear_forward(ops, BulkSurfaceField.zeros(g, M + 1), psi0)
     mass = total_mass(psi, g)
     assert np.abs(np.diff(mass)).max() <= 1e-12 * max(1.0, abs(mass[0]))
     hist = l2_history(psi, g)
@@ -501,18 +501,18 @@ def test_mass_conservation_and_dissipation(small):
 def test_uniqueness_gronwall(small):
     g, tg, _, cs, _ = small
     M = tg.step_count
-    F = SpaceTimeField.from_bulk(
+    F = BulkSurfaceField.from_bulk(
         1e-2 * np.outer(np.sin(np.pi * np.linspace(0, 1, M + 1)), np.cos(np.pi * g.x)))
     a = solve_quasilinear(cs, g, tg, F, BulkSurfaceField.zeros(g), newton_guess="previous")
     b = solve_quasilinear(cs, g, tg, F, BulkSurfaceField.zeros(g), newton_guess="zero")
-    diff = l2_history(SpaceTimeField(a.bulk - b.bulk, a.surface - b.surface), g)
+    diff = l2_history(BulkSurfaceField(a.bulk - b.bulk, a.surface - b.surface), g)
     assert diff.max() <= 1e-10
 
 
-def energy_norm(Y: SpaceTimeField, grid, dt: float) -> float:
+def energy_norm(Y: BulkSurfaceField, grid, dt: float) -> float:
     """Discrete norm of H^1(0,T;L2) cap L2(0,T;H2): value, time derivative,
     gradient and Laplacian, trapezoid/cell quadrature."""
-    Yt = SpaceTimeField(np.diff(Y.bulk, axis=0) / dt, np.diff(Y.surface, axis=0) / dt)
+    Yt = BulkSurfaceField(np.diff(Y.bulk, axis=0) / dt, np.diff(Y.surface, axis=0) / dt)
     val, tder = (st_inner(U, U, grid, dt) for U in (Y, Yt))
     gf = grad_faces(Y.bulk, grid)
     grad = float(np.sum(gf * gf) * grid.h * dt)
@@ -533,7 +533,7 @@ def test_energy_estimate_shape(small):
     ratios = []
     for _ in range(10):
         psi0 = BulkSurfaceField.from_bulk(np.cumsum(rng.standard_normal(g.n_nodes)) * g.h)
-        F = SpaceTimeField.from_bulk(rng.standard_normal((M + 1, g.n_nodes)))
+        F = BulkSurfaceField.from_bulk(rng.standard_normal((M + 1, g.n_nodes)))
         psi = solve_linear_forward(ops, F, psi0)
         num = energy_norm(psi, g, tg.dt)
         den = h1_norm(psi0, g) + math.sqrt(
@@ -546,8 +546,8 @@ def test_adjoint_cascade_structure(small):
     g, tg, masks, _, ops = small
     M = tg.step_count
     rng = np.random.default_rng(8)
-    f1 = SpaceTimeField.from_bulk(rng.standard_normal((M + 1, g.n_nodes)))
-    g1 = SpaceTimeField.from_bulk(rng.standard_normal((M + 1, g.n_nodes)))
+    f1 = BulkSurfaceField.from_bulk(rng.standard_normal((M + 1, g.n_nodes)))
+    g1 = BulkSurfaceField.from_bulk(rng.standard_normal((M + 1, g.n_nodes)))
     Phi, K = solve_adjoint_cascade(ops, f1, g1, 1.0, 0.5, masks)
     assert np.all(Phi.bulk[M] == 0)   # backward variable vanishes at T
     assert np.all(K.bulk[0] == 0)     # forward variable vanishes at 0
@@ -598,7 +598,7 @@ def test_banded_assembly_matches_strong_rows(small):
     close(_quasilinear_jacobian_bands(psi, cs, g, dt), rows, 1)
 
     # solve_sensitivity steps with exactly that matrix
-    Psi = SpaceTimeField.from_bulk(np.tile(psi, (tg.step_count + 1, 1)))
+    Psi = BulkSurfaceField.from_bulk(np.tile(psi, (tg.step_count + 1, 1)))
     d = BulkSurfaceField.from_bulk(np.cos(np.pi * g.x))
     Z = solve_sensitivity(cs, g, tg, Psi, d)
     step = np.linalg.solve(rows.T, Mw * d.bulk / dt)
@@ -606,7 +606,7 @@ def test_banded_assembly_matches_strong_rows(small):
 
     # and solve_backward_varcoef with its transpose
     M = tg.step_count
-    G = SpaceTimeField.from_bulk(rng.standard_normal((M + 1, n)))
+    G = BulkSurfaceField.from_bulk(rng.standard_normal((M + 1, n)))
     H = solve_backward_varcoef(cs, g, tg, Psi, G, d)
     rhs = Mw * d.bulk / dt + Hw * G.bulk[M]
     rhs[[0, -1]] += G.surface[M]
@@ -620,10 +620,10 @@ def test_st_pairs_match_slice_loop(small):
     g, tg, _, _, _ = small
     M, dt = tg.step_count, tg.dt
     rng = np.random.default_rng(10)
-    A, B = (SpaceTimeField(rng.standard_normal((M + 1, g.n_nodes)),
+    A, B = (BulkSurfaceField(rng.standard_normal((M + 1, g.n_nodes)),
                            rng.standard_normal((M + 1, 2))) for _ in range(2))
-    absA = SpaceTimeField(np.abs(A.bulk), np.abs(A.surface))
-    absB = SpaceTimeField(np.abs(B.bulk), np.abs(B.surface))
+    absA = BulkSurfaceField(np.abs(A.bulk), np.abs(A.surface))
+    absB = BulkSurfaceField(np.abs(B.bulk), np.abs(B.surface))
     for slices, cells in ((slice(1, None), range(1, M + 1)),
                           (slice(None, -1), range(M))):
         ref = sum(dt * l2_inner(A.slice(c), B.slice(c), g) for c in cells)

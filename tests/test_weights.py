@@ -5,7 +5,7 @@ import pytest
 
 from bscontrol import weights
 from bscontrol.errors import ConfigurationError, ContractError
-from bscontrol.geometry import SpaceTimeField, build_grid, build_masks, build_time_grid
+from bscontrol.geometry import BulkSurfaceField, build_grid, build_masks, build_time_grid
 from bscontrol.weights import (ETA_CHECK_SAMPLES, ETA_KAPPA, _quintic_arc,
                                build_chi, build_eta,
                                build_weight_tables, carleman_functional_I,
@@ -253,14 +253,14 @@ def test_chi_resolution_guard():
 def test_carleman_functional_zero_and_two_routes(bundle):
     g, tg = bundle.grid, bundle.time_grid
     M = tg.step_count
-    zero = SpaceTimeField.zeros(g, M + 1)
+    zero = BulkSurfaceField.zeros(g, M + 1)
     out = carleman_functional_I(zero, bundle.tables, g, tg.dt)
     assert out["log_total"] == -math.inf
 
     rng = np.random.default_rng(3)
     smooth = np.outer(np.sin(np.pi * np.linspace(0, 1, M + 1)),
                       np.cos(np.pi * g.x)) + rng.standard_normal() * 0.1
-    Phi = SpaceTimeField.from_bulk(smooth)
+    Phi = BulkSurfaceField.from_bulk(smooth)
     for fn in (carleman_functional_I, carleman_functional_Jw):
         out = fn(Phi, bundle.tables, g, tg.dt)
         assert math.isfinite(out["log_total"])
@@ -277,7 +277,7 @@ def test_carleman_functional_monotone_in_s(geo, monkeypatch):
     monkeypatch.setattr(weights, "MIN_LIVE_CELLS", 0)
     t1 = build_weight_tables(g, tg, eta, params1)
     t2 = build_weight_tables(g, tg, eta, params2)
-    Phi = SpaceTimeField.from_bulk(
+    Phi = BulkSurfaceField.from_bulk(
         np.outer(np.ones(tg.step_count + 1), np.sin(np.pi * g.x)))
     J1 = carleman_functional_Jw(Phi, t1, g, tg.dt)["log_total"]
     J2 = carleman_functional_Jw(Phi, t2, g, tg.dt)["log_total"]
@@ -290,7 +290,7 @@ def test_carleman_functionals_reuse_prepared_weights(bundle):
     g, tg = bundle.grid, bundle.time_grid
     fresh, _ = make_bundle()
     rng = np.random.default_rng(4)
-    fields = [SpaceTimeField.from_bulk(rng.standard_normal((tg.step_count + 1,
+    fields = [BulkSurfaceField.from_bulk(rng.standard_normal((tg.step_count + 1,
                                                             g.x.size)))
               for _ in range(2)]
     for fn in (carleman_functional_I, carleman_functional_Jw):
@@ -301,7 +301,7 @@ def test_carleman_functionals_reuse_prepared_weights(bundle):
 
 def test_carleman_requires_trace_compatible(bundle):
     g, tg = bundle.grid, bundle.time_grid
-    Phi = SpaceTimeField.zeros(g, tg.step_count + 1)
+    Phi = BulkSurfaceField.zeros(g, tg.step_count + 1)
     Phi.surface += 1.0
     with pytest.raises(ContractError):
         carleman_functional_I(Phi, bundle.tables, g, tg.dt)

@@ -15,12 +15,13 @@ only non-deterministic field.
 Prints one line per command and the first SHOWN lines of each file's
 diff, with a count of the lines it leaves out, then each tree's
 `wc -l bscontrol/*.py`, and exits 1 on any difference, 0 otherwise.
-The 28 commands cover every CLI command: both exits of the chord on
+The 29 commands cover every CLI command: both exits of the chord on
 h(.,0) (`converged` on every run that exits 0, in 4 steps at amplitude 1,
 and exit 3 at amplitude 1e3, where the first step grows ||h(.,0)||), a
 non-dyadic time step (8/100, where the other runs' dt are powers of two),
 a synthesis with each coefficient preset other than the default logistic
-one, a zero source (the least-squares solve's zero-source return), three
+one, a domain of length 3 (every other run has length 1), a zero
+source (the least-squares solve's zero-source return), three
 configurations that exit 2 (disjoint masks, masks too thin for the grid,
 m below its threshold), so their messages are compared through stderr,
 factor reuse across an amplitude sweep, a random_fourier amplitude
@@ -70,6 +71,12 @@ COMMANDS = (
        {"coefficients": {"preset": preset}, "grid": {"cells": "32"},
         "time": {"steps": "64"}})
       for preset in ("constant", "affine", "polynomial")),
+    # every other run has length 1; here the masks and the source centre
+    # scale with the length, and G has more than 3 modes above the cut
+    ("synthesize gaussian length 3 64x128", ["synthesize"],
+     {"grid": {"length": "3"},
+      "masks": {"omega": "0.75,2.25", "obs_bulk": "1.05,1.95"},
+      "source": {"center": "1.35"}}),
     ("synthesize zero 32x64", ["synthesize"],
      {"source": {"family": "zero"}, "grid": {"cells": "32"},
       "time": {"steps": "64"}}),
