@@ -190,14 +190,11 @@ TRACE_TOL = 1e-12
 
 @dataclass
 class BulkSurfaceField:
-    """A bulk array on the nodes, bulk (..., N+1), paired with its two
-    surface values, surface (..., 2), at any leading shape (module docstring).
-
-    Surface values are independent of the bulk in general (L2-type pairs,
-    e.g. equation residuals).  States of the dynamic-boundary systems are
-    trace-compatible: surface == bulk at the two boundary nodes, to within
-    TRACE_TOL.
-    """
+    """A bulk array (..., N+1) on the nodes paired with its surface values
+    (..., 2), at any leading shape (module docstring).  Surface values are
+    independent of the bulk in general (L2-type pairs, e.g. equation
+    residuals); states of the dynamic-boundary systems are trace-compatible:
+    surface == bulk at the two boundary nodes, to within TRACE_TOL."""
 
     bulk: np.ndarray
     surface: np.ndarray

@@ -53,10 +53,10 @@ CHORD_TOL = 1e-10
 MAX_OUTER = 30
 CORRECTION_CAP = 2.0
 
-# `control_modes`' start block: G has k = 2 singular values above
-# CHORD_TOL * sigma_1 at every size, and the third, 1e-12 sigma_1 or
-# below (32x64 to 128x256, theta_s 0 and 0.5), shows the cut falls in the
-# gap; a block of 6 gives the same two triplets to 1e-15
+# `control_modes`' start block: G has 2 singular values above CHORD_TOL *
+# sigma_1 on the unit interval (32x64 to 128x256, theta_s 0 and 0.5), the
+# third at 1e-12 sigma_1 or below; it has 4 at length 3 and 5 at length 4
+# (64x128), and there the block doubles
 MODE_BLOCK = 3
 
 
@@ -168,22 +168,28 @@ class SynthesisBundle(FIProblem):
     @functools.cached_property
     def control_modes(self) -> ControlModes:
         """G's singular triplets with sigma > CHORD_TOL sigma_1, from a
-        block of MODE_BLOCK cosines: G* on the block, G on an orthonormal
-        basis of its image, then the SVD of that small image.  G*'s range
-        is G's row space, and the spectrum falls eight decades past
-        sigma_2, so the block resolves the top triplets to rounding (a
-        range finder).  They depend on the operator alone, so every
-        synthesis on this bundle shares them."""
+        block of cosines: G* on the block, G on an orthonormal basis of its
+        image, then the SVD of that small image.  G*'s range is G's row
+        space, so a block whose smallest singular value is below the cut
+        resolves the triplets above it; until then the block doubles, up to
+        the node count (the adaptive range finder of Halko, Martinsson and
+        Tropp, SIAM Rev. 53, 2011).  They depend on the operator alone, so
+        every synthesis on this bundle shares them."""
         g, support = self.grid, control_support(self)
         sqrt_wv = np.sqrt(self.time_grid.dt * g.trapezoid_weights()) * support
         sqrt_wh = np.sqrt(g.mass_weights())      # l2_norm of a trace-compatible slice
-        block = np.cos(np.pi * np.arange(MODE_BLOCK)[:, None] * g.x / g.length)
-        image = control_to_h0_adjoint(self, block)
-        Q = np.linalg.qr((image * sqrt_wv).reshape(MODE_BLOCK, -1).T)[0]
-        basis = np.divide(Q.T.reshape(image.shape), sqrt_wv,
-                          out=np.zeros_like(image), where=support)
-        Uh, sigma, Wt = np.linalg.svd((linear_h(self, v=basis)[:, 0] * sqrt_wh).T,
-                                      full_matrices=False)
+        size = MODE_BLOCK
+        while True:
+            block = np.cos(np.pi * np.arange(size)[:, None] * g.x / g.length)
+            image = control_to_h0_adjoint(self, block)
+            Q = np.linalg.qr((image * sqrt_wv).reshape(size, -1).T)[0]
+            basis = np.divide(Q.T.reshape(image.shape), sqrt_wv,
+                              out=np.zeros_like(image), where=support)
+            Uh, sigma, Wt = np.linalg.svd((linear_h(self, v=basis)[:, 0] * sqrt_wh).T,
+                                          full_matrices=False)
+            if sigma[-1] <= CHORD_TOL * sigma[0] or size == g.n_nodes:
+                break
+            size = min(2 * size, g.n_nodes)
         k = int(np.count_nonzero(sigma > CHORD_TOL * sigma[0]))
         return ControlModes(U=Uh[:, :k].T / sqrt_wh, sigma=sigma[:k],
                             V=np.einsum("ib,bcj->icj", Wt[:k], basis))

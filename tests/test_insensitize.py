@@ -10,8 +10,8 @@ import pytest
 from bscontrol import insensitize, solvers
 from bscontrol.errors import ContractError, SmallnessViolationError
 from bscontrol.fi import FISolver, cascade_residual_check
-from bscontrol.geometry import (BulkSurfaceField, h3_proxy_norm, l2_norm,
-                                normal_derivative, sbp_laplacian)
+from bscontrol.geometry import (TRACE_TOL, BulkSurfaceField, h3_proxy_norm,
+                                l2_norm, normal_derivative, sbp_laplacian)
 from bscontrol.insensitize import (CHORD_TOL, ControlModes, control_norm,
                                    control_support, control_to_h0_adjoint,
                                    evaluate_J,
@@ -253,11 +253,18 @@ def test_one_cascade_resolve_per_solve(monkeypatch):
     assert calls == {"cascade": 4, "solve": 1}
 
 
-def test_control_modes_match_dense_svd():
-    """The range finder's triplets against the oracle at 32x64: the
-    explicit G^T, from G* on the n unit impulses stacked, then a dense SVD
-    in the weights.  sigma_3 / sigma_1 is 1e-12 there, so k = 2."""
-    bundle, _ = make_bundle(N=32, M=64)
+@pytest.mark.parametrize("length, omega, obs_bulk, center, sigma_rel", [
+    (1, "0.25,0.75", "0.35,0.65", 0.45, 1e-12),
+    (3, "0.75,2.25", "1.05,1.95", 1.35, 1e-10),
+], ids=["length1", "length3"])
+def test_control_modes_match_dense_svd(length, omega, obs_bulk, center, sigma_rel):
+    """The range finder's triplets against the oracle at 32x64, with the
+    masks and the source centre scaled with the length: the explicit G^T,
+    from G* on the n unit impulses stacked, then a dense SVD in the
+    weights.  G has 2 singular values above the cut at length 1 and 4 at
+    length 3, more than the range finder's start block holds."""
+    bundle, _ = make_bundle(N=32, M=64, grid__length=length, masks__omega=omega,
+                            masks__obs_bulk=obs_bulk, source__center=center)
     g, tg, masks = bundle.grid, bundle.time_grid, bundle.masks
     M, n, dt = tg.step_count, g.n_nodes, tg.dt
     modes = bundle.control_modes
@@ -275,9 +282,9 @@ def test_control_modes_match_dense_svd():
     # G = W_h^-1 (W_v G*)^T; its weighted form W_h^1/2 G W_v^-1/2
     Ghat = (np.sqrt(wv) * Gt).T / np.sqrt(wh)
     Uo, so, Vt = np.linalg.svd(Ghat.T, full_matrices=False)
-    k = len(modes.sigma)
-    assert k == 2 and so[2] < 1e-10 * so[0] < so[1]
-    assert modes.sigma == pytest.approx(so[:2], rel=1e-12)
+    k = int(np.count_nonzero(so > CHORD_TOL * so[0]))
+    assert len(modes.sigma) == k == {1: 2, 3: 4}[length]
+    assert modes.sigma == pytest.approx(so[:k], rel=sigma_rel)
     for i in range(k):
         u = Uo[:, i] / np.sqrt(wh)
         v = Vt[i] / np.sqrt(wv)
@@ -395,6 +402,32 @@ def test_insensitivity_check_refuses_a_direction_off_its_trace(bundle, source, s
     d.surface[0] += 1e-6
     with pytest.raises(ContractError, match="trace-compatible"):
         insensitivity_check(bundle, source, synth, [d])
+
+
+# each takes a datum (or a direction) that must be trace-compatible
+TRACE_CHECKED = {
+    "solve_linear_forward": lambda b, F, rep, d: solvers.solve_linear_forward(b.ops, F, d),
+    "solve_linear_backward": lambda b, F, rep, d: solvers.solve_linear_backward(b.ops, F, d),
+    "solve_quasilinear": lambda b, F, rep, d: solvers.solve_quasilinear(
+        b.cs, b.grid, b.time_grid, F, d),
+    "solve_sensitivity": lambda b, F, rep, d: solvers.solve_sensitivity(
+        b.cs, b.grid, b.time_grid, rep.quasi_states[0], d),
+    "insensitivity_check": lambda b, F, rep, d: insensitivity_check(b, F, rep, [d]),
+}
+
+
+@pytest.mark.parametrize("name", TRACE_CHECKED)
+@pytest.mark.parametrize("offset", [0.5, 2.0])
+def test_trace_tolerance_is_trace_tol(bundle, source, synth, name, offset):
+    """A surface off its bulk's trace by 0.5 TRACE_TOL is accepted, and
+    one off by 2 TRACE_TOL is refused."""
+    d = random_direction(bundle.grid, np.random.default_rng(7))
+    d.surface[0] += offset * TRACE_TOL
+    if offset < 1:
+        TRACE_CHECKED[name](bundle, source, synth, d)
+    else:
+        with pytest.raises(ContractError, match="trace-compatible"):
+            TRACE_CHECKED[name](bundle, source, synth, d)
 
 
 def test_disjoint_support_adjoint_zero(bundle, source, synth):
